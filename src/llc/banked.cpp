@@ -61,14 +61,13 @@ BankedLlc::BankedLlc(const LlcConfig &config, mem::DramModel &dram,
 }
 
 Cycle
-BankedLlc::portAccess(Addr addr, Cycle now)
+BankedLlc::claimPort(std::uint32_t bank, Cycle now)
 {
     if (config_.banks <= 1) {
         return now;
     }
-    const std::uint32_t b = hash_.bank(addr);
     Cycle start = now;
-    Cycle &busy = busy_until_[b];
+    Cycle &busy = busy_until_[bank];
     if (busy > now) {
         start = busy;
         ++conflicts_;
@@ -78,11 +77,17 @@ BankedLlc::portAccess(Addr addr, Cycle now)
     return start;
 }
 
+Cycle
+BankedLlc::portAccess(Addr addr, Cycle now)
+{
+    return claimPort(hash_.bank(addr), now);
+}
+
 LlcAccess
 BankedLlc::access(CoreId core, Addr addr, AccessType type, Cycle now)
 {
-    const Cycle start = portAccess(addr, now);
-    return banks_[hash_.bank(addr)]->access(core, addr, type, start);
+    const std::uint32_t b = hash_.bank(addr);
+    return banks_[b]->access(core, addr, type, claimPort(b, now));
 }
 
 void

@@ -101,6 +101,10 @@ class BankedLlc final : public Llc
     const BaseLlc &bank(std::uint32_t b) const { return *banks_[b]; }
 
   private:
+    /** portAccess for an already hashed bank: queues behind the bank's
+     *  busy port and holds it for bank_occupancy_cycles. */
+    Cycle claimPort(std::uint32_t bank, Cycle now);
+
     LlcConfig config_;
     SliceHash hash_;
     std::vector<std::unique_ptr<BaseLlc>> banks_;

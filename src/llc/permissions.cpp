@@ -8,9 +8,12 @@ namespace coopsim::llc
 {
 
 PermissionFile::PermissionFile(std::uint32_t ways, std::uint32_t cores)
-    : cores_(cores), rap_(ways, 0), wap_(ways, 0), powered_(ways, false),
-      read_mask_(cores, 0), write_mask_(cores, 0),
-      donating_mask_(cores, 0), receiving_mask_(cores, 0)
+    : cores_(cores),
+      all_ways_(ways >= 64 ? ~std::uint64_t{0}
+                           : (std::uint64_t{1} << ways) - 1),
+      rap_(ways, 0), wap_(ways, 0), read_mask_(cores, 0),
+      write_mask_(cores, 0), donating_mask_(cores, 0),
+      receiving_mask_(cores, 0)
 {
     COOPSIM_ASSERT(ways > 0 && ways <= 64, "ways must be in [1, 64]");
     COOPSIM_ASSERT(cores > 0 && cores <= 64, "cores must be in [1, 64]");
@@ -53,7 +56,7 @@ PermissionFile::setOwner(WayId way, CoreId core)
     COOPSIM_ASSERT(way < ways() && core < cores_, "setOwner out of range");
     rap_[way] = CoreMask{1} << core;
     wap_[way] = CoreMask{1} << core;
-    powered_[way] = true;
+    powered_ |= std::uint64_t{1} << way;
     rebuildMasks();
 }
 
@@ -62,7 +65,7 @@ PermissionFile::beginTransfer(WayId way, CoreId donor, CoreId recipient)
 {
     COOPSIM_ASSERT(way < ways(), "beginTransfer way out of range");
     COOPSIM_ASSERT(donor != recipient, "self transfer");
-    COOPSIM_ASSERT(powered_[way], "transfer of a powered-off way");
+    COOPSIM_ASSERT(powered(way), "transfer of a powered-off way");
     COOPSIM_ASSERT(rap_[way] == (CoreMask{1} << donor) &&
                        wap_[way] == (CoreMask{1} << donor),
                    "transfer source must be in steady state");
@@ -96,7 +99,7 @@ PermissionFile::powerOff(WayId way)
     COOPSIM_ASSERT(way < ways(), "powerOff way out of range");
     COOPSIM_ASSERT(rap_[way] == 0 && wap_[way] == 0,
                    "powering off a way with live permissions");
-    powered_[way] = false;
+    powered_ &= ~(std::uint64_t{1} << way);
 }
 
 CoreId
@@ -128,7 +131,7 @@ PermissionFile::state(WayId way) const
     const CoreMask rap = rap_[way];
     const CoreMask wap = wap_[way];
     if (rap == 0 && wap == 0) {
-        return powered_[way] ? WayState::Draining : WayState::Off;
+        return powered(way) ? WayState::Draining : WayState::Off;
     }
     if (wap == 0) {
         return WayState::Draining;
@@ -137,28 +140,6 @@ PermissionFile::state(WayId way) const
         return WayState::Steady;
     }
     return WayState::Transition;
-}
-
-std::uint64_t
-PermissionFile::offMask() const
-{
-    std::uint64_t mask = 0;
-    for (std::uint32_t w = 0; w < ways(); ++w) {
-        if (!powered_[w]) {
-            mask |= std::uint64_t{1} << w;
-        }
-    }
-    return mask;
-}
-
-std::uint32_t
-PermissionFile::poweredCount() const
-{
-    std::uint32_t count = 0;
-    for (std::uint32_t w = 0; w < ways(); ++w) {
-        count += powered_[w] ? 1 : 0;
-    }
-    return count;
 }
 
 void
@@ -171,7 +152,7 @@ PermissionFile::checkInvariants() const
                        "WAP without RAP on way ", w);
         COOPSIM_ASSERT(std::popcount(wap) <= 1,
                        "more than one writer on way ", w);
-        if (!powered_[w]) {
+        if (!powered(w)) {
             COOPSIM_ASSERT(rap == 0 && wap == 0,
                            "permissions on powered-off way ", w);
             continue;

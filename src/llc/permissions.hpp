@@ -21,6 +21,7 @@
 #ifndef COOPSIM_LLC_PERMISSIONS_HPP
 #define COOPSIM_LLC_PERMISSIONS_HPP
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -66,7 +67,7 @@ class PermissionFile
     void powerOff(WayId way);
 
     /** True when the way is powered. */
-    bool powered(WayId way) const { return powered_[way]; }
+    bool powered(WayId way) const { return (powered_ >> way) & 1u; }
 
     bool canRead(WayId way, CoreId core) const
     {
@@ -117,10 +118,13 @@ class PermissionFile
     WayState state(WayId way) const;
 
     /** Mask of powered-off ways. */
-    std::uint64_t offMask() const;
+    std::uint64_t offMask() const { return ~powered_ & all_ways_; }
 
     /** Number of powered ways. */
-    std::uint32_t poweredCount() const;
+    std::uint32_t poweredCount() const
+    {
+        return static_cast<std::uint32_t>(std::popcount(powered_));
+    }
 
     std::uint32_t ways() const
     {
@@ -139,9 +143,13 @@ class PermissionFile
     void rebuildMasks();
 
     std::uint32_t cores_;
+    /** Bit w set for every way w of the file. */
+    std::uint64_t all_ways_;
     std::vector<CoreMask> rap_;
     std::vector<CoreMask> wap_;
-    std::vector<bool> powered_;
+    /** Power state, bit w = way w. Every LLC access integrates leakage
+     *  over poweredCount(), so that must be a popcount, not a scan. */
+    std::uint64_t powered_ = 0;
     std::vector<std::uint64_t> read_mask_;
     std::vector<std::uint64_t> write_mask_;
     std::vector<std::uint64_t> donating_mask_;

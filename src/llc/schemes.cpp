@@ -1,6 +1,7 @@
 #include "llc/schemes.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 
 #include "common/logging.hpp"
@@ -192,8 +193,9 @@ UcpLlc::pickVictim(CoreId core, SetId set)
         }
     }
 
-    // Per-core occupancy of this set.
-    std::vector<std::uint32_t> counts(config_.num_cores, 0);
+    // Per-core occupancy of this set, on the stack: cores <= ways <= 64
+    // (BaseLlc and SetAssocCache assert both bounds).
+    std::array<std::uint32_t, 64> counts{};
     for (std::uint32_t w = 0; w < array_.ways(); ++w) {
         const CoreId owner = array_.ownerAt(set, w);
         if (array_.validAt(set, w) && owner < config_.num_cores) {
@@ -867,10 +869,9 @@ CooperativeLlc::epoch(Cycle now)
         std::vector<std::uint32_t> receive(n, 0);
         std::uint32_t supply = 0;
         std::uint32_t demand = 0;
-        std::uint32_t off_count = 0;
-        for (std::uint32_t w = 0; w < array_.ways(); ++w) {
-            off_count += perms_.powered(w) ? 0 : 1;
-        }
+        const WayMask off_mask = perms_.offMask();
+        const auto off_count =
+            static_cast<std::uint32_t>(std::popcount(off_mask));
         for (std::uint32_t c = 0; c < n; ++c) {
             if (next.ways[c] < cur[c]) {
                 donate[c] = std::min<std::uint32_t>(
@@ -910,10 +911,8 @@ CooperativeLlc::epoch(Cycle now)
             setFlushOrigin(now);
 
             std::vector<WayId> off;
-            for (std::uint32_t w = 0; w < array_.ways(); ++w) {
-                if (!perms_.powered(w)) {
-                    off.push_back(w);
-                }
+            for (WayMask m = off_mask; m != 0; m &= m - 1) {
+                off.push_back(cache::lowestWay(m));
             }
             const partition::TransitionPlan plan =
                 partition::planTransition(steady, off, target, rng_);

@@ -1,5 +1,7 @@
 #include "umon/umon.hpp"
 
+#include <cstring>
+
 #include "common/logging.hpp"
 
 namespace coopsim::umon
@@ -10,13 +12,18 @@ UtilityMonitor::UtilityMonitor(const UmonConfig &config)
       slicer_(config.llc_sets, config.block_bytes),
       position_hits_(config.llc_ways, 0)
 {
-    COOPSIM_ASSERT(config.sample_period > 0, "zero sample period");
+    COOPSIM_ASSERT(config.llc_ways > 0, "ATD with no ways");
+    COOPSIM_ASSERT(isPowerOfTwo(config.sample_period),
+                   "sample period must be a power of two");
     COOPSIM_ASSERT(config.llc_sets % config.sample_period == 0,
                    "sample period must divide set count");
-    const std::uint32_t sampled_sets =
-        config.llc_sets / config.sample_period;
+    COOPSIM_ASSERT(slicer_.blockBits() + slicer_.setBits() >= 1,
+                   "ATD tags must drop an address bit to stay clear of "
+                   "the empty-slot sentinel");
+    sample_shift_ = floorLog2(config.sample_period);
+    const std::uint32_t sampled_sets = config.llc_sets >> sample_shift_;
     atd_.assign(static_cast<std::size_t>(sampled_sets) * config.llc_ways,
-                AtdEntry{});
+                kEmptyTag);
 }
 
 void
@@ -30,40 +37,24 @@ UtilityMonitor::access(Addr addr)
     ++sampled_refs_;
 
     const Addr tag = slicer_.tag(addr);
-    AtdEntry *entries = atdSet(set / config_.sample_period);
     const std::uint32_t ways = config_.llc_ways;
+    Addr *stack = &atd_[static_cast<std::size_t>(set >> sample_shift_) * ways];
 
-    // The set's entries are a true-LRU recency stack (MRU first,
-    // invalid entries at the tail), so the probe index of a hit IS its
-    // recency position and the last valid entry IS the LRU victim —
-    // one pass, no timestamp comparisons.
-    for (std::uint32_t p = 0; p < ways; ++p) {
-        AtdEntry &e = entries[p];
-        if (!e.valid) {
-            // Miss with a free slot: fill it and rotate to MRU.
-            ++misses_;
-            for (std::uint32_t i = p; i > 0; --i) {
-                entries[i] = entries[i - 1];
-            }
-            entries[0] = {tag, true};
-            return;
-        }
-        if (e.tag == tag) {
-            ++position_hits_[p];
-            for (std::uint32_t i = p; i > 0; --i) {
-                entries[i] = entries[i - 1];
-            }
-            entries[0] = {tag, true};
-            return;
-        }
+    // One scan stops at the hit, at the first empty slot (valid tags
+    // form a prefix), or at the LRU tail of a full stack; its index is
+    // the recency position. The slots above it move down one, which
+    // evicts the tail on a full-stack miss, and the tag becomes MRU.
+    std::uint32_t p = 0;
+    while (p + 1 < ways && stack[p] != tag && stack[p] != kEmptyTag) {
+        ++p;
     }
-
-    // Miss with a full set: the tail entry is the LRU victim.
-    ++misses_;
-    for (std::uint32_t i = ways - 1; i > 0; --i) {
-        entries[i] = entries[i - 1];
+    if (stack[p] == tag) {
+        ++position_hits_[p];
+    } else {
+        ++misses_;
     }
-    entries[0] = {tag, true};
+    std::memmove(stack + 1, stack, p * sizeof(Addr));
+    stack[0] = tag;
 }
 
 std::vector<double>
@@ -100,9 +91,7 @@ UtilityMonitor::decay()
 void
 UtilityMonitor::reset()
 {
-    for (auto &e : atd_) {
-        e = AtdEntry{};
-    }
+    atd_.assign(atd_.size(), kEmptyTag);
     position_hits_.assign(position_hits_.size(), 0);
     misses_ = 0;
     accesses_ = 0;

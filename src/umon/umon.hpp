@@ -36,7 +36,8 @@ struct UmonConfig
     std::uint32_t llc_ways = 8;
     /** LLC block size. */
     std::uint32_t block_bytes = 64;
-    /** Monitor every Nth set; 1 = full ATD. Must divide llc_sets. */
+    /** Monitor every Nth set; 1 = full ATD. A power of two that
+     *  divides llc_sets. */
     std::uint32_t sample_period = 32;
 };
 
@@ -87,31 +88,25 @@ class UtilityMonitor
     /** True if @p set index is one of the sampled sets. */
     bool sampled(SetId set) const
     {
-        return set % config_.sample_period == 0;
+        return (set & (config_.sample_period - 1)) == 0;
     }
 
   private:
-    /**
-     * One ATD entry. Entries of a sampled set are kept in recency
-     * order — entries[0] is the MRU tag, invalid entries at the tail —
-     * so a hit's recency position is simply its probe index and no LRU
-     * timestamps or per-hit position scans are needed.
-     */
-    struct AtdEntry
-    {
-        Addr tag = 0;
-        bool valid = false;
-    };
-
-    /** ATD entries of sampled set @p s_idx. */
-    AtdEntry *atdSet(std::uint32_t s_idx)
-    {
-        return &atd_[static_cast<std::size_t>(s_idx) * config_.llc_ways];
-    }
+    /** Tag of an empty ATD slot. No real tag reaches it: the slicer
+     *  shifts every tag right by block_bits + set_bits >= 1 bits. */
+    static constexpr Addr kEmptyTag = ~Addr{0};
 
     UmonConfig config_;
     AddrSlicer slicer_;
-    std::vector<AtdEntry> atd_;
+    /** log2(sample_period): sampled set s owns ATD row s >> shift. */
+    std::uint32_t sample_shift_ = 0;
+    /**
+     * The ATD, llc_ways tags per sampled set. Each row is a true-LRU
+     * recency stack — the MRU tag first, kEmptyTag slots at the tail —
+     * so a hit's recency position is its index and the last slot of a
+     * full row is the LRU victim: no timestamps are kept.
+     */
+    std::vector<Addr> atd_;
     std::vector<std::uint64_t> position_hits_;
     std::uint64_t misses_ = 0;
     std::uint64_t accesses_ = 0;

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
+#include "common/rng.hpp"
 #include "llc/permissions.hpp"
 #include "llc/schemes.hpp"
 #include "llc/takeover.hpp"
@@ -74,6 +77,67 @@ TEST(Permissions, DrainThenPowerOff)
     // Ways 1-3 were never powered on, so the whole file reads off.
     EXPECT_EQ(perms.offMask(), 0xFu);
     perms.checkInvariants();
+}
+
+TEST(Permissions, FullWidthPowerMaskMatchesPerWayScan)
+{
+    // The 32-core banked rows: 64 ways, so way 63 is the mask's top bit.
+    constexpr std::uint32_t kWays = 64;
+    constexpr std::uint32_t kCores = 32;
+    PermissionFile perms(kWays, kCores);
+    for (WayId w = 0; w < kWays; ++w) {
+        perms.setOwner(w, w % kCores);
+    }
+    perms.beginDrain(63, 63 % kCores);
+    perms.clearRead(63, 63 % kCores);
+    perms.powerOff(63);
+    EXPECT_EQ(perms.poweredCount(), 63u);
+    EXPECT_EQ(perms.offMask(), std::uint64_t{1} << 63);
+
+    // A seeded walk of legal register moves; after each one the mask
+    // queries must agree with a scan of powered() over every way.
+    Rng rng(63);
+    for (int step = 0; step < 4000; ++step) {
+        const auto w = static_cast<WayId>(rng.nextBelow(kWays));
+        const auto c = static_cast<CoreId>(rng.nextBelow(kCores));
+        switch (perms.state(w)) {
+          case WayState::Off:
+            perms.setOwner(w, c);
+            break;
+          case WayState::Steady: {
+            const CoreId owner = perms.writerOf(w);
+            if (c != owner && rng.nextBelow(2) == 0) {
+                perms.beginTransfer(w, owner, c);
+            } else {
+                perms.beginDrain(w, owner);
+            }
+            break;
+          }
+          case WayState::Transition:
+            perms.clearRead(w, perms.donorOf(w));
+            break;
+          case WayState::Draining:
+            if (perms.donorOf(w) != kNoCore) {
+                perms.clearRead(w, perms.donorOf(w));
+            } else {
+                perms.powerOff(w);
+            }
+            break;
+        }
+        perms.checkInvariants();
+
+        std::uint32_t powered = 0;
+        std::uint64_t off = 0;
+        for (WayId v = 0; v < kWays; ++v) {
+            if (perms.powered(v)) {
+                ++powered;
+            } else {
+                off |= std::uint64_t{1} << v;
+            }
+        }
+        ASSERT_EQ(perms.poweredCount(), powered) << "step " << step;
+        ASSERT_EQ(perms.offMask(), off) << "step " << step;
+    }
 }
 
 TEST(Permissions, MasksReflectRoles)

@@ -29,9 +29,80 @@ fullSampling()
 }
 
 Addr
-makeAddr(Addr tag, SetId set)
+makeAddr(Addr tag, SetId set, std::uint32_t set_bits = 4)
 {
-    return (tag << (6 + 4)) | (static_cast<Addr>(set) << 6);
+    return (tag << (6 + set_bits)) | (static_cast<Addr>(set) << 6);
+}
+
+/**
+ * Replays a seeded stream through a monitor of @p ways ways that
+ * samples one set in @p sample_period, and through explicit LRU lists
+ * of every associativity over the sampled sets. By the LRU stack
+ * property (Mattson et al.) the curve must equal the lists' misses
+ * scaled by the sampling period, exactly. Each sampled set sees about
+ * 2.5x its associativity in distinct tags, so full sets evict.
+ */
+void
+expectCurveMatchesLruLists(std::uint32_t ways, std::uint32_t sample_period)
+{
+    const std::uint32_t sets = 16 * sample_period;
+    UmonConfig config;
+    config.llc_sets = sets;
+    config.llc_ways = ways;
+    config.block_bytes = 64;
+    config.sample_period = sample_period;
+    UtilityMonitor umon(config);
+
+    Rng rng(7);
+    std::vector<Addr> stream;
+    for (std::uint32_t i = 0; i < 8000 * sample_period; ++i) {
+        const Addr tag = rng.nextBelow(ways * 5 / 2);
+        const auto set = static_cast<SetId>(rng.nextBelow(sets));
+        stream.push_back(makeAddr(tag, set, floorLog2(sets)));
+    }
+    for (const Addr a : stream) {
+        umon.access(a);
+    }
+    const std::vector<double> curve = umon.missCurve();
+
+    for (std::uint32_t w = 1; w <= ways; ++w) {
+        // Simple explicit per-set LRU model.
+        std::vector<std::vector<Addr>> lists(sets);
+        std::uint64_t misses = 0;
+        std::uint64_t evictions = 0;
+        for (const Addr a : stream) {
+            const auto set = static_cast<SetId>((a >> 6) & (sets - 1));
+            if (set % sample_period != 0) {
+                continue;
+            }
+            auto &list = lists[set];
+            bool hit = false;
+            for (std::size_t i = 0; i < list.size(); ++i) {
+                if (list[i] == a) {
+                    list.erase(list.begin() +
+                               static_cast<std::ptrdiff_t>(i));
+                    hit = true;
+                    break;
+                }
+            }
+            if (!hit) {
+                ++misses;
+            }
+            list.insert(list.begin(), a);
+            if (list.size() > w) {
+                list.pop_back();
+                ++evictions;
+            }
+        }
+        EXPECT_DOUBLE_EQ(curve[w],
+                         static_cast<double>(misses * sample_period))
+            << "ways=" << ways << " sample_period=" << sample_period
+            << " allocation=" << w;
+        if (w == ways) {
+            EXPECT_GT(evictions, 0u)
+                << "ways=" << ways << ": no sampled set overflowed";
+        }
+    }
 }
 
 } // namespace
@@ -94,46 +165,10 @@ TEST(Umon, MissCurveIsMonotoneNonIncreasing)
 
 TEST(Umon, CurveMatchesIdealLruSimulation)
 {
-    // Replay a stream through the monitor and through explicit LRU
-    // caches of each associativity: the curve must match exactly when
-    // sampling is 1:1 (the LRU stack property, Mattson et al.).
-    UtilityMonitor umon(fullSampling());
-    Rng rng(7);
-    std::vector<Addr> stream;
-    for (int i = 0; i < 8000; ++i) {
-        stream.push_back(makeAddr(rng.nextBelow(10), rng.nextBelow(16)));
-    }
-    for (const Addr a : stream) {
-        umon.access(a);
-    }
-
-    for (std::uint32_t ways = 1; ways <= 4; ++ways) {
-        // Simple explicit per-set LRU model.
-        std::vector<std::vector<Addr>> sets(16);
-        std::uint64_t misses = 0;
-        for (const Addr a : stream) {
-            auto &list = sets[(a >> 6) & 15];
-            bool hit = false;
-            for (std::size_t i = 0; i < list.size(); ++i) {
-                if (list[i] == a) {
-                    list.erase(list.begin() +
-                               static_cast<std::ptrdiff_t>(i));
-                    hit = true;
-                    break;
-                }
-            }
-            if (!hit) {
-                ++misses;
-            }
-            list.insert(list.begin(), a);
-            if (list.size() > ways) {
-                list.pop_back();
-            }
-        }
-        EXPECT_DOUBLE_EQ(umon.missCurve()[ways],
-                         static_cast<double>(misses))
-            << "ways=" << ways;
-    }
+    // The unit geometry, and the LLC's: a 64-deep stack sampling one
+    // set in 32, through the shifted sampled-set index.
+    expectCurveMatchesLruLists(4, 1);
+    expectCurveMatchesLruLists(64, 32);
 }
 
 TEST(Umon, SamplingScalesCurveBack)
