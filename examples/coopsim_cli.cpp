@@ -5,9 +5,8 @@
  * Modes:
  *
  *  - `--spec=FILE` runs a full declarative experiment from a spec
- *    file (see specs/ for the paper's figures) and renders its table;
- *    `--scale=`/`--threads=`/`--seed=` override the file. Any figure
- *    bench is reproducible this way, bit-identically:
+ *    file and renders its table; `--scale=`/`--threads=`/`--seed=`
+ *    override the file. specs/ defines each of the paper's figures:
  *        coopsim_cli --spec=specs/fig05.spec --scale=test
  *  - `--spec=FILE --store=DIR` additionally serves every run already
  *    in DIR's result store from disk (zero simulations when warm —
@@ -376,8 +375,8 @@ main(int argc, char **argv)
                          files, cli.record_dir.c_str());
             return 0;
         }
-        // Reprint the bench preamble at the spec's effective scale so
-        // the output is bit-identical to the fig binary's.
+        // The preamble names the scale the spec actually runs at,
+        // not the CLI default.
         api::CliOptions effective = cli;
         effective.scale = api::scaleRegistry().get(spec.scale);
 

@@ -15,9 +15,10 @@
  *  - registry.hpp    string-keyed registries: schemes, replacement
  *                    policies, gating/threshold modes, scales,
  *                    workload groups; registerScheme() for extensions
- *  - spec.hpp        ExperimentSpec, expandSpec()/shardKeys(), the
- *                    canonical parse/format round-trip for specs and
- *                    RunKeys
+ *  - spec.hpp        ExperimentSpec, Cell, expandSpec()/shardKeys(),
+ *                    groupRunKey()/soloRunKey() (the one cell -> RunKey
+ *                    rule), the canonical parse/format round-trip for
+ *                    specs and RunKeys
  *  - experiment.hpp  ExperimentResults, named metrics, table printers
  *  - cli.hpp         the shared command-line parser (CliOptions),
  *                    attachCliStore() for --store=DIR sessions

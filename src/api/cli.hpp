@@ -5,9 +5,7 @@
  * Each binary states which flags it accepts (a bitmask); the parser
  * validates values and rejects any `--` argument it does not know or
  * the binary did not opt into — a typo like `--thread=4` is a fatal
- * error, not a silently ignored no-op. This replaces the hand-rolled
- * per-flag scanners that used to live in sim/runner.cpp and
- * examples/coopsim_cli.cpp (scaleFromArgs/threadsFromArgs/takeValue).
+ * error, not a silently ignored no-op.
  */
 
 #ifndef COOPSIM_API_CLI_HPP
@@ -56,7 +54,7 @@ enum CliFlag : unsigned
     kFlagStreamMemo = 1u << 17,
 };
 
-/** The fig/table benches: scale + threads + result store + memo. */
+/** The table benches: scale + threads + result store + memo. */
 inline constexpr unsigned kBenchFlags =
     kFlagScale | kFlagThreads | kFlagStore | kFlagStreamMemo;
 /** Examples taking a positional group name. */

@@ -12,39 +12,6 @@
 namespace coopsim::api
 {
 
-namespace
-{
-
-/** First value of an axis, or fatal when the axis is empty and a cell
- *  did not override it. */
-template <typename T>
-const T &
-firstOf(const std::vector<T> &axis, const char *what)
-{
-    if (axis.empty()) {
-        COOPSIM_FATAL("cell does not specify a ", what,
-                      " and the spec's ", what, " axis is empty");
-    }
-    return axis.front();
-}
-
-/** Resolves a sampling-mode name onto @p key with the same knob
- *  canonicalisation expandSpec() uses, so cell-addressed keys hash
- *  identically to the prefetched ones. */
-void
-applySampling(const ExperimentSpec &spec, const std::string &name,
-              sim::RunKey &key)
-{
-    const sampling::Mode mode = samplingRegistry().get(name);
-    key.sampling = mode;
-    key.set_sample_period =
-        sampling::setSampled(mode) ? spec.set_sample_period : 0;
-    key.op_sample_windows =
-        mode != sampling::Mode::Exact ? spec.op_sample_windows : 0;
-}
-
-} // namespace
-
 Registry<MetricFn> &
 metricRegistry()
 {
@@ -74,56 +41,19 @@ registerMetric(const std::string &name, MetricFn fn)
 }
 
 ExperimentResults::ExperimentResults(ExperimentSpec spec)
-    : spec_(std::move(spec))
+    : spec_(std::move(spec)), keys_(expandSpec(spec_)) // validates
 {
-    validateSpec(spec_);
     if (spec_.layout != "none") {
         metricRegistry().get(spec_.metric);
     }
     groups_ = resolveSpecGroups(spec_);
-    keys_ = expandSpec(spec_);
     sim::RunExecutor::instance().prefetch(keys_);
 }
 
 sim::RunKey
 ExperimentResults::keyFor(const Cell &cell) const
 {
-    sim::RunKey key;
-    key.kind = sim::RunKey::Kind::Group;
-    key.scheme = !cell.scheme.empty()
-                     ? cell.scheme
-                     : firstOf(spec_.schemes, "scheme");
-    key.name = cell.group;
-    key.num_cores = static_cast<std::uint32_t>(
-        workloadRegistry().get(cell.group).apps.size());
-    key.scale = scaleRegistry().get(spec_.scale);
-    key.threshold = cell.threshold.value_or(
-        firstOf(spec_.thresholds, "threshold"));
-    key.threshold_mode = thresholdModeRegistry().get(
-        !cell.threshold_mode.empty()
-            ? cell.threshold_mode
-            : firstOf(spec_.threshold_modes, "threshold mode"));
-    key.partitioner = partitionerRegistry().get(
-        !cell.partitioner.empty()
-            ? cell.partitioner
-            : firstOf(spec_.partitioners, "partitioner"));
-    key.repl = replPolicyRegistry().get(
-        !cell.repl.empty() ? cell.repl
-                           : firstOf(spec_.repl, "replacement policy"));
-    key.gating = gatingModeRegistry().get(
-        !cell.gating.empty() ? cell.gating
-                             : firstOf(spec_.gating, "gating mode"));
-    key.seed = cell.seed.value_or(firstOf(spec_.seeds, "seed"));
-    key.banks = cell.banks.value_or(firstOf(spec_.banks, "banks"));
-    key.slice_hash = sliceHashRegistry().get(
-        !cell.slice_hash.empty()
-            ? cell.slice_hash
-            : firstOf(spec_.slice_hashes, "slice hash"));
-    applySampling(spec_, !cell.sampling.empty()
-                             ? cell.sampling
-                             : firstOf(spec_.sampling, "sampling mode"),
-                  key);
-    return key;
+    return groupRunKey(spec_, workloadRegistry().get(cell.group), cell);
 }
 
 const sim::RunResult &
@@ -143,27 +73,7 @@ ExperimentResults::soloResult(const std::string &app,
                               std::uint32_t cores,
                               const Cell &cell) const
 {
-    sim::RunKey key;
-    key.kind = sim::RunKey::Kind::Solo;
-    key.scheme = "unmanaged";
-    key.name = app;
-    key.num_cores = cores;
-    key.scale = scaleRegistry().get(spec_.scale);
-    key.threshold = 0.0;
-    key.threshold_mode = partition::ThresholdMode::MissRatio;
-    key.partitioner = partition::Partitioner::Lookahead;
-    key.repl = replPolicyRegistry().get(
-        !cell.repl.empty() ? cell.repl
-                           : firstOf(spec_.repl, "replacement policy"));
-    key.gating = llc::GatingMode::GatedVdd;
-    key.seed = cell.seed.value_or(firstOf(spec_.seeds, "seed"));
-    // Solos inherit the sweep's sampling mode (see expandSpec), so a
-    // sampled sweep never blocks on exact-speed baselines.
-    applySampling(spec_, !cell.sampling.empty()
-                             ? cell.sampling
-                             : firstOf(spec_.sampling, "sampling mode"),
-                  key);
-    return result(key);
+    return result(soloRunKey(spec_, app, cores, cell));
 }
 
 double

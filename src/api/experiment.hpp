@@ -10,8 +10,8 @@
  * override set on top of the spec's first axis values, so the common
  * case — "the result of scheme S on group G" — is one line.
  *
- * printTable()/printExperiment() subsume the old bench_common
- * printers: rows = workload groups (+ geometric-mean AVG row),
+ * printTable()/printExperiment() render the paper's figure tables:
+ * rows = workload groups (+ geometric-mean AVG row),
  * columns = the spec's varying axis, every cell normalised to the
  * spec's baseline column. `coopsim_cli --spec <file>` is exactly
  * printExperiment(parseSpecFile(file)).
@@ -21,7 +21,6 @@
 #define COOPSIM_API_EXPERIMENT_HPP
 
 #include <functional>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -32,28 +31,6 @@ namespace coopsim::api
 {
 
 class ExperimentResults;
-
-/**
- * Addresses one cell of an experiment: any field left at its default
- * is taken from the spec (the first value of the corresponding axis).
- */
-struct Cell
-{
-    std::string group;
-    std::string scheme;
-    std::optional<double> threshold;
-    std::string threshold_mode;
-    std::string partitioner;
-    std::string repl;
-    std::string gating;
-    std::optional<std::uint64_t> seed;
-    /** LLC bank count (0 = topology default). */
-    std::optional<std::uint32_t> banks;
-    /** Slice-hash registry name ("mod", "xor"). */
-    std::string slice_hash;
-    /** Sampling-mode registry name ("exact", "set", "op", "setop"). */
-    std::string sampling;
-};
 
 /** A named per-cell metric ("speedup", "dynamic_energy", ...). */
 using MetricFn =
@@ -84,7 +61,7 @@ class ExperimentResults
     /** The expanded RunKeys, in prefetch order. */
     const std::vector<sim::RunKey> &keys() const { return keys_; }
 
-    /** The RunKey @p cell resolves to under this spec. */
+    /** The RunKey @p cell resolves to under this spec (groupRunKey). */
     sim::RunKey keyFor(const Cell &cell) const;
 
     /** The (memoised) result of @p cell; blocks until ready. */
@@ -92,7 +69,8 @@ class ExperimentResults
     const sim::RunResult &result(const sim::RunKey &key) const;
 
     /** The solo-baseline run of @p app on the @p cores-core system
-     *  (repl/seed/scale taken from @p cell / the spec). */
+     *  (soloRunKey: repl/seed/sampling taken from @p cell / the
+     *  spec). */
     const sim::RunResult &soloResult(const std::string &app,
                                      std::uint32_t cores,
                                      const Cell &cell = {}) const;

@@ -59,6 +59,19 @@ tryParseUint(const std::string &text, std::uint64_t &out)
     return true;
 }
 
+/** tryParseUint for a 32-bit field; also false above UINT32_MAX, which
+ *  a plain cast would silently wrap ("4294967298" must not read as 2). */
+inline bool
+tryParseUint32(const std::string &text, std::uint32_t &out)
+{
+    std::uint64_t value = 0;
+    if (!tryParseUint(text, value) || value > UINT32_MAX) {
+        return false;
+    }
+    out = static_cast<std::uint32_t>(value);
+    return true;
+}
+
 /** Whitespace-separated tokens of @p text (spec axes, store lines). */
 inline std::vector<std::string>
 splitWords(const std::string &text)
@@ -90,6 +103,18 @@ parseUint(const std::string &text, const char *what)
     std::uint64_t value = 0;
     if (!tryParseUint(text, value)) {
         COOPSIM_FATAL("invalid ", what, " value '", text, "'");
+    }
+    return value;
+}
+
+/** tryParseUint32; fatal (naming @p what) on garbage or overflow. */
+inline std::uint32_t
+parseUint32(const std::string &text, const char *what)
+{
+    std::uint32_t value = 0;
+    if (!tryParseUint32(text, value)) {
+        COOPSIM_FATAL("invalid ", what, " value '", text,
+                      "' (expected an integer in 0..4294967295)");
     }
     return value;
 }

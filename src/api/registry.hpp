@@ -13,7 +13,7 @@
  *    "mru"; and so on);
  *  - extensions register additional entries at startup
  *    (registerScheme() turns examples/custom_policy.cpp into a
- *    registration call instead of a fork of the runner);
+ *    registration call instead of a fork of the simulator);
  *  - lookups by unknown name are fatal with the list of known names,
  *    so a typo in a spec file or flag fails loudly.
  *

@@ -16,6 +16,7 @@ namespace coopsim::api
 using detail::fmtDouble;
 using detail::parseDouble;
 using detail::parseUint;
+using detail::parseUint32;
 using detail::splitWords;
 
 namespace
@@ -64,10 +65,57 @@ resolveSolos(const ExperimentSpec &spec)
     return apps;
 }
 
-} // namespace
+/** First value of an axis, or fatal when the axis is empty and a cell
+ *  did not override it. */
+template <typename T>
+const T &
+firstOf(const std::vector<T> &axis, const char *what)
+{
+    if (axis.empty()) {
+        COOPSIM_FATAL("cell does not specify a ", what,
+                      " and the spec's ", what, " axis is empty");
+    }
+    return axis.front();
+}
 
+/** A cell's axis value, or the axis's first value when the cell leaves
+ *  it unset (an empty name or an empty optional). */
+const std::string &
+orFirst(const std::string &value, const std::vector<std::string> &axis,
+        const char *what)
+{
+    return !value.empty() ? value : firstOf(axis, what);
+}
+
+template <typename T>
+const T &
+orFirst(const std::optional<T> &value, const std::vector<T> &axis,
+        const char *what)
+{
+    return value ? *value : firstOf(axis, what);
+}
+
+/** Sets @p key's sampling mode from @p cell and the spec's knobs,
+ *  zeroing the knobs the mode ignores: keys stay canonical, and exact
+ *  keys carry no sampling state (they format byte-identically to the
+ *  pre-sampling encoding). */
 void
-validateSpec(const ExperimentSpec &spec)
+setSampling(const ExperimentSpec &spec, const Cell &cell,
+            sim::RunKey &key)
+{
+    const sampling::Mode mode = samplingRegistry().get(
+        orFirst(cell.sampling, spec.sampling, "sampling mode"));
+    key.sampling = mode;
+    key.set_sample_period =
+        sampling::setSampled(mode) ? spec.set_sample_period : 0;
+    key.op_sample_windows =
+        mode != sampling::Mode::Exact ? spec.op_sample_windows : 0;
+}
+
+/** validateSpec(), returning the resolved groups it checked so that
+ *  expandSpec() resolves them only once. */
+std::vector<trace::WorkloadGroup>
+checkSpec(const ExperimentSpec &spec)
 {
     static const char *kLayouts[] = {
         "schemes",  "thresholds", "partitioners", "takeover",
@@ -89,9 +137,8 @@ validateSpec(const ExperimentSpec &spec)
     for (const std::string &scheme : spec.schemes) {
         schemeRegistry().get(scheme);
     }
-    for (const std::string &pattern : spec.groups) {
-        resolveWorkloads(pattern);
-    }
+    // Fatal on an unknown group name or glob.
+    std::vector<trace::WorkloadGroup> groups = resolveSpecGroups(spec);
     for (const std::string &mode : spec.threshold_modes) {
         thresholdModeRegistry().get(mode);
     }
@@ -119,8 +166,7 @@ validateSpec(const ExperimentSpec &spec)
     for (const std::string &app : resolveSolos(spec)) {
         trace::specProfile(app); // fatal on an unknown benchmark
     }
-    if (!spec.groups.empty() && !spec.cores.empty() &&
-        resolveSpecGroups(spec).empty()) {
+    if (!spec.groups.empty() && groups.empty()) {
         COOPSIM_FATAL("the cores filter leaves no workload group (the "
                       "groups axis resolves to none of the listed "
                       "core counts)");
@@ -166,6 +212,15 @@ validateSpec(const ExperimentSpec &spec)
     if (spec.layout == "takeover" && spec.schemes.empty()) {
         COOPSIM_FATAL("layout 'takeover' needs a scheme");
     }
+    return groups;
+}
+
+} // namespace
+
+void
+validateSpec(const ExperimentSpec &spec)
+{
+    checkSpec(spec);
 }
 
 std::vector<trace::WorkloadGroup>
@@ -191,126 +246,130 @@ resolveSpecGroups(const ExperimentSpec &spec)
     return groups;
 }
 
+sim::RunKey
+groupRunKey(const ExperimentSpec &spec, const trace::WorkloadGroup &group,
+            const Cell &cell)
+{
+    sim::RunKey key;
+    key.kind = sim::RunKey::Kind::Group;
+    key.scheme = orFirst(cell.scheme, spec.schemes, "scheme");
+    key.name = group.name;
+    key.num_cores = static_cast<std::uint32_t>(group.apps.size());
+    key.scale = scaleRegistry().get(spec.scale);
+    key.threshold = orFirst(cell.threshold, spec.thresholds, "threshold");
+    key.threshold_mode = thresholdModeRegistry().get(orFirst(
+        cell.threshold_mode, spec.threshold_modes, "threshold mode"));
+    key.partitioner = partitionerRegistry().get(
+        orFirst(cell.partitioner, spec.partitioners, "partitioner"));
+    key.repl = replPolicyRegistry().get(
+        orFirst(cell.repl, spec.repl, "replacement policy"));
+    key.gating = gatingModeRegistry().get(
+        orFirst(cell.gating, spec.gating, "gating mode"));
+    key.seed = orFirst(cell.seed, spec.seeds, "seed");
+    key.banks = orFirst(cell.banks, spec.banks, "banks");
+    key.slice_hash = sliceHashRegistry().get(
+        orFirst(cell.slice_hash, spec.slice_hashes, "slice hash"));
+    setSampling(spec, cell, key);
+    return key;
+}
+
+sim::RunKey
+soloRunKey(const ExperimentSpec &spec, const std::string &app,
+           std::uint32_t cores, const Cell &cell)
+{
+    sim::RunKey key;
+    key.kind = sim::RunKey::Kind::Solo;
+    key.scheme = "unmanaged";
+    key.name = app;
+    key.num_cores = cores;
+    key.scale = scaleRegistry().get(spec.scale);
+    // Scheme-only fields and banking: fixed, whatever the cell says.
+    key.threshold = 0.0;
+    key.threshold_mode = partition::ThresholdMode::MissRatio;
+    key.partitioner = partition::Partitioner::Lookahead;
+    key.gating = llc::GatingMode::GatedVdd;
+    key.banks = 0;
+    key.slice_hash = llc::SliceHashKind::Mod;
+    // Inherited from the cell.
+    key.repl = replPolicyRegistry().get(
+        orFirst(cell.repl, spec.repl, "replacement policy"));
+    key.seed = orFirst(cell.seed, spec.seeds, "seed");
+    setSampling(spec, cell, key);
+    return key;
+}
+
 std::vector<sim::RunKey>
 expandSpec(const ExperimentSpec &spec)
 {
-    validateSpec(spec);
-    const sim::RunScale scale = scaleRegistry().get(spec.scale);
+    const std::vector<trace::WorkloadGroup> groups = checkSpec(spec);
 
-    std::vector<sim::RunKey> keys;
-    const std::vector<trace::WorkloadGroup> groups =
-        resolveSpecGroups(spec);
-
-    // Group runs: the full cross-product, groups outermost so all
-    // cells of one table row are adjacent in the queue.
-    for (const trace::WorkloadGroup &group : groups) {
-        const auto cores =
-            static_cast<std::uint32_t>(group.apps.size());
-        for (const std::string &scheme : spec.schemes) {
-            for (const double threshold : spec.thresholds) {
-                for (const std::string &tmode : spec.threshold_modes) {
-                  for (const std::string &part : spec.partitioners) {
-                    for (const std::string &policy : spec.repl) {
-                      for (const std::string &gating : spec.gating) {
-                        for (const std::uint32_t banks : spec.banks) {
-                          for (const std::string &hash :
-                               spec.slice_hashes) {
-                           for (const std::string &samp :
-                                spec.sampling) {
-                            for (const std::uint64_t seed : spec.seeds) {
-                                sim::RunKey key;
-                                key.kind = sim::RunKey::Kind::Group;
-                                key.scheme = scheme;
-                                key.name = group.name;
-                                key.num_cores = cores;
-                                key.scale = scale;
-                                key.threshold = threshold;
-                                key.threshold_mode =
-                                    thresholdModeRegistry().get(tmode);
-                                key.partitioner =
-                                    partitionerRegistry().get(part);
-                                key.repl =
-                                    replPolicyRegistry().get(policy);
-                                key.gating =
-                                    gatingModeRegistry().get(gating);
-                                key.seed = seed;
-                                key.banks = banks;
-                                key.slice_hash =
-                                    sliceHashRegistry().get(hash);
-                                // Knobs that don't apply to the mode
-                                // are zeroed so keys stay canonical
-                                // (exact keys carry no sampling state
-                                // and format byte-identically to the
-                                // pre-sampling encoding).
-                                const sampling::Mode mode =
-                                    samplingRegistry().get(samp);
-                                key.sampling = mode;
-                                key.set_sample_period =
-                                    sampling::setSampled(mode)
-                                        ? spec.set_sample_period
-                                        : 0;
-                                key.op_sample_windows =
-                                    mode != sampling::Mode::Exact
-                                        ? spec.op_sample_windows
-                                        : 0;
-                                keys.push_back(std::move(key));
-                            }
-                           }
-                          }
-                        }
+    // Every group row runs the same cells: the cross-product of the
+    // other axes, seeds varying fastest.
+    std::vector<Cell> cells;
+    Cell cell;
+    for (const std::string &scheme : spec.schemes) {
+      cell.scheme = scheme;
+      for (const double threshold : spec.thresholds) {
+        cell.threshold = threshold;
+        for (const std::string &tmode : spec.threshold_modes) {
+          cell.threshold_mode = tmode;
+          for (const std::string &partitioner : spec.partitioners) {
+            cell.partitioner = partitioner;
+            for (const std::string &policy : spec.repl) {
+              cell.repl = policy;
+              for (const std::string &gating : spec.gating) {
+                cell.gating = gating;
+                for (const std::uint32_t banks : spec.banks) {
+                  cell.banks = banks;
+                  for (const std::string &hash : spec.slice_hashes) {
+                    cell.slice_hash = hash;
+                    for (const std::string &samp : spec.sampling) {
+                      cell.sampling = samp;
+                      for (const std::uint64_t seed : spec.seeds) {
+                        cell.seed = seed;
+                        cells.push_back(cell);
                       }
                     }
                   }
                 }
+              }
             }
+          }
+        }
+      }
+    }
+
+    // Group runs first, groups outermost so all cells of one table row
+    // are adjacent in the queue.
+    std::vector<sim::RunKey> keys;
+    keys.reserve(groups.size() * cells.size());
+    for (const trace::WorkloadGroup &group : groups) {
+        for (const Cell &group_cell : cells) {
+            keys.push_back(groupRunKey(spec, group, group_cell));
         }
     }
 
-    // Solo baselines: scheme-only fields are normalised (see
-    // sim::soloKey), so the solo axes are (app x cores x repl x seed).
-    // Shared apps across groups are deduplicated.
+    // Solo baselines vary only over the axes a solo inherits (repl x
+    // sampling x seed); shared apps across groups are deduplicated.
+    std::vector<Cell> solo_cells;
+    Cell solo;
+    for (const std::string &policy : spec.repl) {
+        solo.repl = policy;
+        for (const std::string &samp : spec.sampling) {
+            solo.sampling = samp;
+            for (const std::uint64_t seed : spec.seeds) {
+                solo.seed = seed;
+                solo_cells.push_back(solo);
+            }
+        }
+    }
     std::unordered_set<sim::RunKey, sim::RunKeyHash> seen;
     auto add_solo = [&](const std::string &app, std::uint32_t cores) {
-        for (const std::string &policy : spec.repl) {
-          for (const std::string &samp : spec.sampling) {
-            for (const std::uint64_t seed : spec.seeds) {
-                sim::RunKey key;
-                key.kind = sim::RunKey::Kind::Solo;
-                key.scheme = "unmanaged";
-                key.name = app;
-                key.num_cores = cores;
-                key.scale = scale;
-                key.threshold = 0.0;
-                key.threshold_mode =
-                    partition::ThresholdMode::MissRatio;
-                key.partitioner = partition::Partitioner::Lookahead;
-                key.repl = replPolicyRegistry().get(policy);
-                key.gating = llc::GatingMode::GatedVdd;
-                key.seed = seed;
-                // Banking is normalised like the scheme-only fields:
-                // the solo baseline runs on the topology's default
-                // organisation regardless of the sweep's banks axis.
-                key.banks = 0;
-                key.slice_hash = llc::SliceHashKind::Mod;
-                // Sampling, however, is inherited: a sampled sweep's
-                // solo baselines are sampled too (that is where most
-                // of a with_solo sweep's time goes), and the
-                // estimator error is carried into the metric CI.
-                const sampling::Mode mode =
-                    samplingRegistry().get(samp);
-                key.sampling = mode;
-                key.set_sample_period =
-                    sampling::setSampled(mode) ? spec.set_sample_period
-                                               : 0;
-                key.op_sample_windows =
-                    mode != sampling::Mode::Exact
-                        ? spec.op_sample_windows
-                        : 0;
-                if (seen.insert(key).second) {
-                    keys.push_back(std::move(key));
-                }
+        for (const Cell &solo_cell : solo_cells) {
+            sim::RunKey key = soloRunKey(spec, app, cores, solo_cell);
+            if (seen.insert(key).second) {
+                keys.push_back(std::move(key));
             }
-          }
         }
     };
     if (spec.with_solo) {
@@ -457,8 +516,7 @@ parseSpec(const std::string &text)
         } else if (key == "cores") {
             spec.cores.clear();
             for (const std::string &word : splitWords(value)) {
-                spec.cores.push_back(static_cast<std::uint32_t>(
-                    parseUint(word, "cores")));
+                spec.cores.push_back(parseUint32(word, "cores"));
             }
         } else if (key == "thresholds") {
             spec.thresholds.clear();
@@ -482,26 +540,24 @@ parseSpec(const std::string &text)
         } else if (key == "banks") {
             spec.banks.clear();
             for (const std::string &word : splitWords(value)) {
-                spec.banks.push_back(static_cast<std::uint32_t>(
-                    parseUint(word, "banks")));
+                spec.banks.push_back(parseUint32(word, "banks"));
             }
         } else if (key == "slice_hashes") {
             spec.slice_hashes = splitWords(value);
         } else if (key == "sampling") {
             spec.sampling = splitWords(value);
         } else if (key == "set_sample_period") {
-            spec.set_sample_period = static_cast<std::uint32_t>(
-                parseUint(value, "set_sample_period"));
+            spec.set_sample_period =
+                parseUint32(value, "set_sample_period");
         } else if (key == "op_sample_windows") {
-            spec.op_sample_windows = static_cast<std::uint32_t>(
-                parseUint(value, "op_sample_windows"));
+            spec.op_sample_windows =
+                parseUint32(value, "op_sample_windows");
         } else if (key == "scale") {
             spec.scale = value;
         } else if (key == "solos") {
             spec.solos = splitWords(value);
         } else if (key == "solo_cores") {
-            spec.solo_cores = static_cast<std::uint32_t>(
-                parseUint(value, "solo_cores"));
+            spec.solo_cores = parseUint32(value, "solo_cores");
         } else {
             COOPSIM_FATAL("unknown spec key '", key, "'");
         }
@@ -585,11 +641,9 @@ tryParseRunKey(const std::string &line, sim::RunKey &out)
         } else if (name == "name") {
             key.name = value;
         } else if (name == "cores") {
-            std::uint64_t cores = 0;
-            if (!detail::tryParseUint(value, cores)) {
+            if (!detail::tryParseUint32(value, key.num_cores)) {
                 return false;
             }
-            key.num_cores = static_cast<std::uint32_t>(cores);
         } else if (name == "scale") {
             const sim::RunScale *scale = scaleRegistry().find(value);
             if (scale == nullptr) {
@@ -633,11 +687,9 @@ tryParseRunKey(const std::string &line, sim::RunKey &out)
                 return false;
             }
         } else if (name == "banks") {
-            std::uint64_t banks = 0;
-            if (!detail::tryParseUint(value, banks)) {
+            if (!detail::tryParseUint32(value, key.banks)) {
                 return false;
             }
-            key.banks = static_cast<std::uint32_t>(banks);
         } else if (name == "slice-hash") {
             const llc::SliceHashKind *hash =
                 sliceHashRegistry().find(value);
@@ -652,18 +704,13 @@ tryParseRunKey(const std::string &line, sim::RunKey &out)
             }
             key.sampling = *mode;
         } else if (name == "sample-period") {
-            std::uint64_t period = 0;
-            if (!detail::tryParseUint(value, period)) {
+            if (!detail::tryParseUint32(value, key.set_sample_period)) {
                 return false;
             }
-            key.set_sample_period = static_cast<std::uint32_t>(period);
         } else if (name == "op-windows") {
-            std::uint64_t windows = 0;
-            if (!detail::tryParseUint(value, windows)) {
+            if (!detail::tryParseUint32(value, key.op_sample_windows)) {
                 return false;
             }
-            key.op_sample_windows =
-                static_cast<std::uint32_t>(windows);
         } else {
             return false;
         }

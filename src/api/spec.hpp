@@ -24,6 +24,7 @@
 #define COOPSIM_API_SPEC_HPP
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -115,6 +116,28 @@ struct ExperimentSpec
     bool operator==(const ExperimentSpec &) const = default;
 };
 
+/**
+ * Addresses one cell of an experiment: any field left at its default
+ * is taken from the spec (the first value of the corresponding axis).
+ */
+struct Cell
+{
+    std::string group;
+    std::string scheme;
+    std::optional<double> threshold;
+    std::string threshold_mode;
+    std::string partitioner;
+    std::string repl;
+    std::string gating;
+    std::optional<std::uint64_t> seed;
+    /** LLC bank count (0 = topology default). */
+    std::optional<std::uint32_t> banks;
+    /** Slice-hash registry name ("mod", "xor"). */
+    std::string slice_hash;
+    /** Sampling-mode registry name ("exact", "set", "op", "setop"). */
+    std::string sampling;
+};
+
 /** Validates every name in @p spec against its registry (fatal with
  *  the offending name otherwise). */
 void validateSpec(const ExperimentSpec &spec);
@@ -124,11 +147,36 @@ std::vector<trace::WorkloadGroup>
 resolveSpecGroups(const ExperimentSpec &spec);
 
 /**
+ * The RunKey of @p group's run at @p cell under @p spec: the one place
+ * a group key is built (expandSpec and ExperimentResults::keyFor both
+ * call it). Axis values the cell leaves unset take the first value of
+ * the spec's axis (fatal when that axis is empty); sampling knobs the
+ * cell's mode ignores are zeroed, so equal runs have equal keys.
+ * @p cell.group is not read.
+ */
+sim::RunKey groupRunKey(const ExperimentSpec &spec,
+                        const trace::WorkloadGroup &group,
+                        const Cell &cell = {});
+
+/**
+ * The RunKey of @p app's solo baseline on the @p cores-core system, as
+ * read by @p cell: the one place a solo key is built. A solo runs on
+ * the unmanaged LLC of the topology's default organisation, so the
+ * scheme-only fields (threshold, threshold mode, partitioner, gating)
+ * and banking are reset and a threshold or partitioner sweep shares
+ * one baseline; repl, seed and sampling are inherited from the cell,
+ * so a sampled sweep's baselines are sampled too. @p cell.group is
+ * not read.
+ */
+sim::RunKey soloRunKey(const ExperimentSpec &spec, const std::string &app,
+                       std::uint32_t cores, const Cell &cell = {});
+
+/**
  * Expands @p spec into the cross-product of RunKeys: one Group key
  * per (group x scheme x threshold x threshold_mode x partitioner x
- * repl x gating x seed), followed by the deduplicated Solo keys
- * (per-app baselines when with_solo, plus the explicit solos axis).
- * Deterministic order.
+ * repl x gating x banks x slice hash x sampling x seed), followed by
+ * the deduplicated Solo keys (per-app baselines when with_solo, plus
+ * the explicit solos axis). Deterministic order.
  */
 std::vector<sim::RunKey> expandSpec(const ExperimentSpec &spec);
 

@@ -185,7 +185,8 @@ class RunExecutor
     RunExecutor(const RunExecutor &) = delete;
     RunExecutor &operator=(const RunExecutor &) = delete;
 
-    /** The process-wide executor used by the sim::runGroup family. */
+    /** The process-wide executor every ExperimentResults prefetches
+     *  into and reads from. */
     static RunExecutor &instance();
 
     /**

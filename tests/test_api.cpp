@@ -5,21 +5,29 @@
  *  - string-keyed registry lookup, unknown-name diagnostics and
  *    duplicate rejection;
  *  - ExperimentSpec -> RunKey cross-product expansion (counts, solo
- *    deduplication, solos axis);
+ *    deduplication, solos axis) and the one group/solo key rule every
+ *    rendered cell reads through;
  *  - canonical text encoding round-trips for specs and RunKeys
- *    (parse(format(x)) == x, including non-representable decimals);
+ *    (parse(format(x)) == x, including non-representable decimals),
+ *    with out-of-range 32-bit fields rejected, not wrapped;
+ *  - every shipped spec file parses, round-trips and expands;
  *  - the unified CLI parser (uniform unknown-flag rejection);
- *  - drained-executor clearRunCache();
+ *  - drained-executor clear();
  *  - a custom scheme registered by name running end-to-end through
  *    the executor.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <unordered_set>
+
 #include <coopsim/experiment.hpp>
 
 #include "llc/schemes.hpp"
-#include "sim/runner.hpp"
+#include "sim/metrics.hpp"
+#include "tracefile/trace_workloads.hpp"
 
 using namespace coopsim;
 using namespace coopsim::api;
@@ -156,6 +164,67 @@ TEST(Spec, SolosAxisExpandsWildcardAtSoloCores)
     }
 }
 
+TEST(Spec, EveryCellAndBaselineReadIsAPrefetchedKey)
+{
+    // G2-1 = {soplex, namd}, swept over every scheme-only axis plus
+    // two sampling modes and two seeds.
+    ExperimentSpec spec;
+    spec.layout = "none";
+    spec.groups = {"G2-1"};
+    spec.thresholds = {0.0, 0.05};
+    spec.threshold_modes = {"missratio", "paperliteral"};
+    spec.partitioners = {"lookahead", "equalshare"};
+    spec.gating = {"gatedvdd", "drowsy"};
+    spec.sampling = {"exact", "setop"};
+    spec.seeds = {1, 2};
+    spec.scale = "test";
+    const ExperimentResults results(spec);
+    const std::vector<sim::RunKey> &keys = results.keys();
+    const std::unordered_set<sim::RunKey, sim::RunKeyHash> prefetched(
+        keys.begin(), keys.end());
+    ASSERT_EQ(prefetched.size(), keys.size());
+
+    // Scheme-only axes never split a solo: apps x sampling x seeds.
+    EXPECT_EQ(std::count_if(keys.begin(), keys.end(),
+                            [](const sim::RunKey &key) {
+                                return key.kind ==
+                                       sim::RunKey::Kind::Solo;
+                            }),
+              2 * 2 * 2);
+
+    // Rendering never simulates a key expandSpec did not prefetch.
+    std::size_t cells = 0;
+    Cell cell;
+    cell.group = "G2-1";
+    for (const double threshold : spec.thresholds) {
+        cell.threshold = threshold;
+        for (const std::string &tmode : spec.threshold_modes) {
+            cell.threshold_mode = tmode;
+            for (const std::string &partitioner : spec.partitioners) {
+                cell.partitioner = partitioner;
+                for (const std::string &gating : spec.gating) {
+                    cell.gating = gating;
+                    for (const std::string &samp : spec.sampling) {
+                        cell.sampling = samp;
+                        for (const std::uint64_t seed : spec.seeds) {
+                            cell.seed = seed;
+                            ++cells;
+                            EXPECT_TRUE(
+                                prefetched.count(results.keyFor(cell)));
+                            for (const std::string &app :
+                                 trace::groupByName("G2-1").apps) {
+                                EXPECT_TRUE(prefetched.count(
+                                    soloRunKey(spec, app, 2, cell)));
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_EQ(cells + 2 * 2 * 2, keys.size());
+}
+
 TEST(Spec, ValidateRejectsUnknownAxisNames)
 {
     setThrowOnFatal(true);
@@ -227,7 +296,19 @@ TEST(SpecEncoding, ParseRejectsUnknownKeysAndBadMagic)
                  FatalError);
     EXPECT_THROW(parseSpec("coopsim-spec v1\nthresholds banana\n"),
                  FatalError);
+    // 32-bit fields reject values a cast would wrap (2^32 + 2 -> 2).
+    for (const char *line :
+         {"cores 2 4294967298", "banks 4294967296",
+          "set_sample_period 4294967296", "op_sample_windows 4294967297",
+          "solo_cores 4294967298"}) {
+        EXPECT_THROW(parseSpec(std::string("coopsim-spec v1\n") + line +
+                               "\n"),
+                     FatalError)
+            << line;
+    }
     setThrowOnFatal(false);
+    EXPECT_EQ(parseSpec("coopsim-spec v1\ncores 4294967295\n").cores,
+              std::vector<std::uint32_t>{4294967295u});
 }
 
 TEST(SpecEncoding, HandWrittenSpecsKeepDefaultsForOmittedKeys)
@@ -244,20 +325,21 @@ TEST(SpecEncoding, HandWrittenSpecsKeepDefaultsForOmittedKeys)
 
 TEST(RunKeyEncoding, GroupAndSoloKeysRoundTrip)
 {
-    sim::RunOptions options;
-    options.scale = sim::RunScale::Test;
-    options.threshold = 1.0 / 3.0;
-    options.threshold_mode = partition::ThresholdMode::PaperLiteral;
-    options.partitioner = partition::Partitioner::GreedyUtility;
-    options.repl = cache::ReplPolicy::Mru;
-    options.gating = llc::GatingMode::Drowsy;
-    options.seed = 1234567890123456789ull;
+    ExperimentSpec spec;
+    spec.schemes = {"cpe"};
+    spec.scale = "test";
+    spec.thresholds = {1.0 / 3.0};
+    spec.threshold_modes = {"paperliteral"};
+    spec.partitioners = {"greedy"};
+    spec.repl = {"mru"};
+    spec.gating = {"drowsy"};
+    spec.seeds = {1234567890123456789ull};
 
-    const sim::RunKey group = sim::groupKey(
-        "cpe", trace::groupByName("G4-3"), options);
+    const sim::RunKey group =
+        groupRunKey(spec, trace::groupByName("G4-3"));
     EXPECT_EQ(parseRunKey(formatRunKey(group)), group);
 
-    const sim::RunKey solo = sim::soloKey("h264ref", 2, options);
+    const sim::RunKey solo = soloRunKey(spec, "h264ref", 2);
     EXPECT_EQ(parseRunKey(formatRunKey(solo)), solo);
 }
 
@@ -268,7 +350,46 @@ TEST(RunKeyEncoding, ParseRejectsMalformedLines)
     EXPECT_THROW(parseRunKey("group scheme=warp"), FatalError);
     EXPECT_THROW(parseRunKey("group bogus"), FatalError);
     EXPECT_THROW(parseRunKey("group color=red"), FatalError);
+    // 32-bit fields reject values a cast would wrap, so a corrupt store
+    // line cannot load as a different, valid key.
+    for (const char *field :
+         {"cores=4294967298", "banks=4294967296",
+          "sample-period=4294967296", "op-windows=4294967297"}) {
+        EXPECT_THROW(parseRunKey(std::string("group scheme=coop ") + field),
+                     FatalError)
+            << field;
+    }
     setThrowOnFatal(false);
+    EXPECT_EQ(parseRunKey("solo scheme=unmanaged cores=4294967295")
+                  .num_cores,
+              4294967295u);
+}
+
+TEST(SpecEncoding, ShippedSpecFilesRoundTripAndExpand)
+{
+    std::size_t files = 0;
+    for (const auto &entry :
+         std::filesystem::directory_iterator(COOPSIM_SPEC_DIR)) {
+        if (entry.path().extension() != ".spec") {
+            continue;
+        }
+        ++files;
+        const std::string path = entry.path().string();
+        const ExperimentSpec spec = parseSpecFile(path);
+        EXPECT_EQ(parseSpec(formatSpec(spec)), spec) << path;
+        // trace: groups resolve only once a recording is registered.
+        if (std::any_of(spec.groups.begin(), spec.groups.end(),
+                        tracefile::isTraceWorkload)) {
+            continue;
+        }
+        const std::vector<sim::RunKey> keys = expandSpec(spec);
+        EXPECT_FALSE(keys.empty()) << path;
+        const std::unordered_set<sim::RunKey, sim::RunKeyHash> distinct(
+            keys.begin(), keys.end());
+        EXPECT_EQ(distinct.size(), keys.size()) << path;
+    }
+    // fig05-16, fig05_trace, scaling, banked, sampling.
+    EXPECT_GE(files, 16u);
 }
 
 // ---------------------------------------------------------------------------
@@ -424,34 +545,33 @@ TEST(Cli, LenientModeSkipsFlagsOtherBinariesOwn)
 // ---------------------------------------------------------------------------
 // Executor drain + end-to-end
 
-TEST(Experiment, ClearRunCacheDrainsThenInvalidates)
+TEST(Experiment, ClearDrainsThenInvalidates)
 {
     const ExperimentSpec spec = tinySpec();
     const std::vector<sim::RunKey> keys = expandSpec(spec);
     ASSERT_FALSE(keys.empty());
+    sim::RunExecutor &executor = sim::RunExecutor::instance();
 
     // clear() right after an unconsumed prefetch is the racy shape
     // the drain wait exists for: it must block until the queued runs
     // retire, then invalidate.
-    sim::prefetch(keys);
-    sim::clearRunCache();
+    executor.prefetch(keys);
+    executor.clear();
 
-    sim::prefetch(keys);
-    const std::uint64_t cycles =
-        sim::RunExecutor::instance().run(keys.front()).total_cycles;
+    executor.prefetch(keys);
+    const std::uint64_t cycles = executor.run(keys.front()).total_cycles;
     EXPECT_GT(cycles, 0u);
 
     // Recomputation after a second clear is deterministic. (The old
     // reference itself dangles after clear(), per the documented
     // contract, so only the copied value is compared.)
-    sim::clearRunCache();
-    const sim::RunResult &after =
-        sim::RunExecutor::instance().run(keys.front());
+    executor.clear();
+    const sim::RunResult &after = executor.run(keys.front());
     EXPECT_FALSE(after.apps.empty());
     EXPECT_EQ(after.total_cycles, cycles);
 }
 
-TEST(Experiment, ResultsViewMatchesRunnerShims)
+TEST(Experiment, ResultsViewMatchesDirectExecutorRuns)
 {
     ExperimentSpec spec = tinySpec();
     spec.with_solo = true;
@@ -459,19 +579,19 @@ TEST(Experiment, ResultsViewMatchesRunnerShims)
 
     Cell cell;
     cell.group = "G2-10";
-    const sim::RunResult &via_api = results.result(cell);
-
-    sim::RunOptions options;
-    options.scale = sim::RunScale::Test;
-    const sim::RunResult &via_runner = sim::runGroup(
-        "fairshare", trace::groupByName("G2-10"), options);
+    sim::RunExecutor &executor = sim::RunExecutor::instance();
     // Same RunKey -> same memoised object.
-    EXPECT_EQ(&via_api, &via_runner);
-    EXPECT_DOUBLE_EQ(
-        results.weightedSpeedup(cell),
-        sim::groupWeightedSpeedup("fairshare",
-                                  trace::groupByName("G2-10"),
-                                  options));
+    EXPECT_EQ(&results.result(cell),
+              &executor.run(groupRunKey(spec, trace::groupByName("G2-10"))));
+
+    // Equation 1 over the solo baselines the spec prefetched.
+    std::vector<double> alone;
+    for (const std::string &app : trace::groupByName("G2-10").apps) {
+        alone.push_back(
+            executor.run(soloRunKey(spec, app, 2)).apps.at(0).ipc);
+    }
+    EXPECT_DOUBLE_EQ(results.weightedSpeedup(cell),
+                     sim::weightedSpeedup(results.result(cell), alone));
 }
 
 TEST(Experiment, CustomSchemeRunsThroughTheExecutorByName)
@@ -522,10 +642,8 @@ TEST(Experiment, WorkerExceptionsBecomeRunFailuresNotPoolDeaths)
                        });
     }
 
-    sim::RunOptions options;
-    options.scale = sim::RunScale::Test;
-    sim::RunKey bad = sim::groupKey(
-        "fairshare", trace::groupByName("G2-10"), options);
+    sim::RunKey bad =
+        groupRunKey(tinySpec(), trace::groupByName("G2-10"));
     bad.scheme = "faulty";
 
     auto recording = std::make_shared<store::ResultStore>();

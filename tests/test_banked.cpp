@@ -25,8 +25,6 @@
 
 #include <coopsim/experiment.hpp>
 
-#include "sim/runner.hpp"
-
 using namespace coopsim;
 using namespace coopsim::sim;
 

@@ -14,10 +14,10 @@
 
 #include <gtest/gtest.h>
 
-#include "api/cli.hpp"
+#include <coopsim/experiment.hpp>
+
 #include "cache/cache.hpp"
 #include "common/rng.hpp"
-#include "sim/runner.hpp"
 
 using namespace coopsim;
 using namespace coopsim::sim;
@@ -212,36 +212,29 @@ expectIdentical(const RunResult &a, const RunResult &b)
     EXPECT_EQ(a.dram_flushes, b.dram_flushes);
 }
 
+/** A test-scale spec with one fairshare cell on G2-10. */
+api::ExperimentSpec
+testSpec()
+{
+    api::ExperimentSpec spec;
+    spec.layout = "none";
+    spec.schemes = {"fairshare"};
+    spec.groups = {"G2-10"};
+    spec.scale = "test";
+    return spec;
+}
+
 /** The 4-dimensional sweep the determinism test runs: scheme x group
  *  x threshold x seed, plus each group's solo baselines. */
 std::vector<RunKey>
 sweepKeys()
 {
-    RunOptions options;
-    options.scale = RunScale::Test;
-
-    std::vector<RunKey> keys;
-    for (const char *group_name : {"G2-10", "G2-11", "G4-3"}) {
-        const trace::WorkloadGroup &group =
-            trace::groupByName(group_name);
-        for (const char *scheme :
-             {"fairshare", "ucp", "cpe", "coop"}) {
-            for (const double threshold : {0.0, 0.05}) {
-                for (const std::uint64_t seed : {42ull, 777ull}) {
-                    RunOptions opts = options;
-                    opts.threshold = threshold;
-                    opts.seed = seed;
-                    keys.push_back(groupKey(scheme, group, opts));
-                }
-            }
-        }
-        for (const std::string &app : group.apps) {
-            keys.push_back(soloKey(
-                app, static_cast<std::uint32_t>(group.apps.size()),
-                options));
-        }
-    }
-    return keys;
+    api::ExperimentSpec spec = testSpec();
+    spec.schemes = {"fairshare", "ucp", "cpe", "coop"};
+    spec.groups = {"G2-10", "G2-11", "G4-3"};
+    spec.thresholds = {0.0, 0.05};
+    spec.seeds = {42, 777};
+    return api::expandSpec(spec);
 }
 
 } // namespace
@@ -271,18 +264,16 @@ TEST(Executor, ParallelSweepIsBitIdenticalToSerial)
 TEST(Executor, MemoisesByKeyIdentity)
 {
     RunExecutor executor(2);
-    RunOptions options;
-    options.scale = RunScale::Test;
     const auto &group = trace::groupByName("G2-10");
-    const RunKey key = groupKey("fairshare", group, options);
+    const RunKey key = api::groupRunKey(testSpec(), group);
     const RunResult &a = executor.run(key);
     const RunResult &b = executor.run(key);
     EXPECT_EQ(&a, &b); // same cached object
 
-    RunOptions other = options;
+    api::Cell other;
     other.seed = 7;
     const RunResult &c =
-        executor.run(groupKey("fairshare", group, other));
+        executor.run(api::groupRunKey(testSpec(), group, other));
     EXPECT_NE(&a, &c);
 }
 
@@ -300,10 +291,8 @@ TEST(Executor, SetThreadsKeepsPendingWork)
 
 TEST(Executor, RunKeyHashSpreadsAndEqualityHolds)
 {
-    RunOptions options;
-    options.scale = RunScale::Test;
-    const auto &group = trace::groupByName("G2-10");
-    const RunKey a = groupKey("fairshare", group, options);
+    const RunKey a =
+        api::groupRunKey(testSpec(), trace::groupByName("G2-10"));
     RunKey b = a;
     EXPECT_EQ(a, b);
     EXPECT_EQ(RunKeyHash{}(a), RunKeyHash{}(b));
@@ -312,19 +301,7 @@ TEST(Executor, RunKeyHashSpreadsAndEqualityHolds)
     EXPECT_NE(RunKeyHash{}(a), RunKeyHash{}(b));
 }
 
-TEST(Executor, SoloKeyNormalisesSchemeOnlyFields)
-{
-    RunOptions a;
-    a.scale = RunScale::Test;
-    RunOptions b = a;
-    b.threshold = 0.2;
-    b.threshold_mode = partition::ThresholdMode::PaperLiteral;
-    b.gating = llc::GatingMode::Drowsy;
-    // A threshold sweep must reuse one solo run per app.
-    EXPECT_EQ(soloKey("h264ref", 2, a), soloKey("h264ref", 2, b));
-}
-
-TEST(Runner, ParseCliAcceptsBenchScaleAndRejectsUnknown)
+TEST(Cli, ParseCliAcceptsBenchScaleAndRejectsUnknown)
 {
     const char *bench[] = {"bench", "--scale=bench"};
     EXPECT_EQ(api::parseCli(2, const_cast<char **>(bench),
@@ -340,7 +317,7 @@ TEST(Runner, ParseCliAcceptsBenchScaleAndRejectsUnknown)
     setThrowOnFatal(false);
 }
 
-TEST(Runner, ParseCliThreadsParsesAndValidates)
+TEST(Cli, ParseCliThreadsParsesAndValidates)
 {
     const char *none[] = {"bench"};
     EXPECT_EQ(api::parseCli(1, const_cast<char **>(none),
@@ -362,15 +339,5 @@ TEST(Runner, ParseCliThreadsParsesAndValidates)
     EXPECT_THROW(api::parseCli(2, const_cast<char **>(zero),
                                api::kBenchFlags, nullptr),
                  FatalError);
-    setThrowOnFatal(false);
-}
-
-TEST(Runner, GroupKeyRejectsUnknownSchemeName)
-{
-    RunOptions options;
-    options.scale = RunScale::Test;
-    const auto &group = trace::groupByName("G2-10");
-    setThrowOnFatal(true);
-    EXPECT_THROW(groupKey("warpdrive", group, options), FatalError);
     setThrowOnFatal(false);
 }

@@ -6,7 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include "sim/runner.hpp"
+#include <coopsim/experiment.hpp>
 
 using namespace coopsim;
 using namespace coopsim::sim;
@@ -14,12 +14,26 @@ using namespace coopsim::sim;
 namespace
 {
 
-RunOptions
-testOptions()
+/** Every scheme on @p group at test scale; constructing the results
+ *  view prefetches all of its runs and solo baselines. */
+api::ExperimentResults
+testResults(const std::string &group)
 {
-    RunOptions options;
-    options.scale = RunScale::Test;
-    return options;
+    api::ExperimentSpec spec;
+    spec.layout = "none";
+    spec.schemes = {"unmanaged", "fairshare", "cpe", "ucp", "coop"};
+    spec.groups = {group};
+    spec.scale = "test";
+    return api::ExperimentResults(spec);
+}
+
+api::Cell
+cellOf(const std::string &scheme, const std::string &group)
+{
+    api::Cell cell;
+    cell.group = group;
+    cell.scheme = scheme;
+    return cell;
 }
 
 } // namespace
@@ -29,18 +43,15 @@ TEST(Integration, WaysProbedOrderingAcrossSchemes)
     // Paper Section 4: Unmanaged and UCP probe every way; FairShare
     // probes its share; Cooperative probes fewer than FairShare on
     // average (2.9 vs 4 at two cores).
-    const auto &group = trace::groupByName("G2-2");
-    const RunOptions options = testOptions();
+    const api::ExperimentResults results = testResults("G2-2");
+    auto probed = [&](const char *scheme) {
+        return results.result(cellOf(scheme, "G2-2")).avg_ways_probed;
+    };
 
-    const double unmanaged =
-        runGroup("unmanaged", group, options).avg_ways_probed;
-    const double fair =
-        runGroup("fairshare", group, options).avg_ways_probed;
-    const double ucp =
-        runGroup("ucp", group, options).avg_ways_probed;
-    const double coop =
-        runGroup("coop", group, options)
-            .avg_ways_probed;
+    const double unmanaged = probed("unmanaged");
+    const double fair = probed("fairshare");
+    const double ucp = probed("ucp");
+    const double coop = probed("coop");
 
     EXPECT_DOUBLE_EQ(unmanaged, 8.0);
     EXPECT_DOUBLE_EQ(ucp, 8.0);
@@ -50,20 +61,15 @@ TEST(Integration, WaysProbedOrderingAcrossSchemes)
 
 TEST(Integration, DynamicEnergyShapeMatchesFigure6)
 {
-    const auto &group = trace::groupByName("G2-2");
-    const RunOptions options = testOptions();
+    const api::ExperimentResults results = testResults("G2-2");
+    auto energy = [&](const char *scheme) {
+        return results.result(cellOf(scheme, "G2-2")).dynamic_energy_nj;
+    };
 
-    const double fair =
-        runGroup("fairshare", group, options)
-            .dynamic_energy_nj;
-    const double unmanaged =
-        runGroup("unmanaged", group, options)
-            .dynamic_energy_nj;
-    const double ucp =
-        runGroup("ucp", group, options).dynamic_energy_nj;
-    const double coop =
-        runGroup("coop", group, options)
-            .dynamic_energy_nj;
+    const double fair = energy("fairshare");
+    const double unmanaged = energy("unmanaged");
+    const double ucp = energy("ucp");
+    const double coop = energy("coop");
 
     // Unmanaged ~2x FairShare; UCP slightly above Unmanaged (monitor
     // hardware); Cooperative below FairShare.
@@ -74,15 +80,10 @@ TEST(Integration, DynamicEnergyShapeMatchesFigure6)
 
 TEST(Integration, StaticEnergyOnlyGatingSchemesSave)
 {
-    const auto &group = trace::groupByName("G2-2");
-    const RunOptions options = testOptions();
-
-    const RunResult &fair =
-        runGroup("fairshare", group, options);
-    const RunResult &coop =
-        runGroup("coop", group, options);
-    const RunResult &cpe =
-        runGroup("cpe", group, options);
+    const api::ExperimentResults results = testResults("G2-2");
+    const RunResult &fair = results.result(cellOf("fairshare", "G2-2"));
+    const RunResult &coop = results.result(cellOf("coop", "G2-2"));
+    const RunResult &cpe = results.result(cellOf("cpe", "G2-2"));
 
     // Static energy is proportional to powered ways x time; compare
     // per cycle so runtime differences don't blur the comparison.
@@ -101,15 +102,11 @@ TEST(Integration, CooperativePerformanceIsCompetitive)
     // Paper: Cooperative within ~1% of UCP and never much below
     // FairShare. At the tiny Test scale we allow a wider band but the
     // ordering must hold loosely.
-    const auto &group = trace::groupByName("G2-8");
-    const RunOptions options = testOptions();
-
+    const api::ExperimentResults results = testResults("G2-8");
     const double fair =
-        groupWeightedSpeedup("fairshare", group, options);
-    const double ucp =
-        groupWeightedSpeedup("ucp", group, options);
-    const double coop =
-        groupWeightedSpeedup("coop", group, options);
+        results.weightedSpeedup(cellOf("fairshare", "G2-8"));
+    const double ucp = results.weightedSpeedup(cellOf("ucp", "G2-8"));
+    const double coop = results.weightedSpeedup(cellOf("coop", "G2-8"));
 
     EXPECT_GT(coop, 0.85 * fair);
     EXPECT_GT(coop, 0.85 * ucp);
@@ -118,11 +115,8 @@ TEST(Integration, CooperativePerformanceIsCompetitive)
 
 TEST(Integration, TakeoverMachineryOnlyActiveUnderCooperative)
 {
-    const auto &group = trace::groupByName("G2-12");
-    const RunOptions options = testOptions();
-
     const RunResult &fair =
-        runGroup("fairshare", group, options);
+        testResults("G2-12").result(cellOf("fairshare", "G2-12"));
     EXPECT_EQ(fair.donor_hits + fair.donor_misses +
                   fair.recipient_hits + fair.recipient_misses,
               0u);
@@ -132,10 +126,8 @@ TEST(Integration, TakeoverMachineryOnlyActiveUnderCooperative)
 
 TEST(Integration, FlushSeriesAccountsForAllFlushes)
 {
-    const auto &group = trace::groupByName("G2-12");
-    const RunOptions options = testOptions();
     const RunResult &coop =
-        runGroup("coop", group, options);
+        testResults("G2-12").result(cellOf("coop", "G2-12"));
 
     std::uint64_t series_total = 0;
     for (const std::uint64_t bin : coop.flush_series) {
@@ -146,11 +138,10 @@ TEST(Integration, FlushSeriesAccountsForAllFlushes)
 
 TEST(Integration, EveryTwoCoreGroupRunsUnderEveryScheme)
 {
-    const RunOptions options = testOptions();
-    for (const auto &group : trace::twoCoreGroups()) {
-        for (const char *scheme :
-             {"unmanaged", "fairshare", "cpe", "ucp", "coop"}) {
-            const RunResult &r = runGroup(scheme, group, options);
+    const api::ExperimentResults results = testResults("G2-*");
+    for (const auto &group : results.groups()) {
+        for (const std::string &scheme : results.spec().schemes) {
+            const RunResult &r = results.result(cellOf(scheme, group.name));
             ASSERT_EQ(r.apps.size(), 2u) << group.name;
             EXPECT_GT(r.apps[0].ipc, 0.0)
                 << group.name << " " << scheme;
@@ -160,11 +151,8 @@ TEST(Integration, EveryTwoCoreGroupRunsUnderEveryScheme)
 
 TEST(Integration, FourCoreGroupsRunUnderCooperative)
 {
-    const RunOptions options = testOptions();
     for (const char *name : {"G4-1", "G4-5", "G4-11"}) {
-        const auto &group = trace::groupByName(name);
-        const RunResult &r =
-            runGroup("coop", group, options);
+        const RunResult &r = testResults(name).result(cellOf("coop", name));
         ASSERT_EQ(r.apps.size(), 4u);
         EXPECT_LE(r.avg_ways_probed, 16.0);
         EXPECT_GT(r.avg_ways_probed, 0.0);
@@ -175,9 +163,8 @@ TEST(Integration, HighMpkiAppsMeasureHigherMpki)
 {
     // lbm (Table 3: 20.1) must measure far above povray (0.1) in the
     // same run.
-    const auto &group = trace::groupByName("G2-4");
     const RunResult &r =
-        runGroup("fairshare", group, testOptions());
+        testResults("G2-4").result(cellOf("fairshare", "G2-4"));
     EXPECT_GT(r.apps[0].mpki, 5.0);  // lbm
     EXPECT_LT(r.apps[1].mpki, 2.0);  // povray
     EXPECT_GT(r.apps[0].mpki, 10.0 * r.apps[1].mpki);
@@ -185,9 +172,8 @@ TEST(Integration, HighMpkiAppsMeasureHigherMpki)
 
 TEST(Integration, DramTrafficConsistent)
 {
-    const auto &group = trace::groupByName("G2-8");
     const RunResult &r =
-        runGroup("coop", group, testOptions());
+        testResults("G2-8").result(cellOf("coop", "G2-8"));
     // Every LLC miss becomes a DRAM access (reads + writes >= misses
     // modulo warm-up reset boundary effects).
     std::uint64_t misses = 0;

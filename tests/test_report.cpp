@@ -5,9 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include "api/spec.hpp"
 #include "llc/schemes.hpp"
 #include "sim/report.hpp"
-#include "sim/runner.hpp"
 
 using namespace coopsim;
 using namespace coopsim::sim;
@@ -73,11 +73,10 @@ TEST(Report, CsvRowMatchesHeaderArity)
 
 TEST(Report, EndToEndDumpFromRealRun)
 {
-    RunOptions options;
-    options.scale = RunScale::Test;
-    const auto &group = trace::groupByName("G2-10");
-    const RunResult &r =
-        runGroup("coop", group, options);
+    api::ExperimentSpec spec;
+    spec.scale = "test";
+    const RunResult &r = RunExecutor::instance().run(
+        api::groupRunKey(spec, trace::groupByName("G2-10")));
     const std::string dump = formatRunResult(r, "coop");
     EXPECT_NE(dump.find("coop.core0.sjeng.ipc"), std::string::npos);
     EXPECT_NE(dump.find("coop.core1.calculix.mpki"),

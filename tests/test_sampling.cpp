@@ -29,7 +29,6 @@
 #include <coopsim/experiment.hpp>
 
 #include "sampling/sampling.hpp"
-#include "sim/runner.hpp"
 
 using namespace coopsim;
 using namespace coopsim::sim;

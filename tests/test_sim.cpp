@@ -1,12 +1,14 @@
 /**
  * @file
- * Tests for the simulation driver: configurations, metrics, runner.
+ * Tests for the simulation driver: configurations, metrics, the
+ * results view over the executor.
  */
 
 #include <gtest/gtest.h>
 
-#include "api/cli.hpp"
-#include "sim/runner.hpp"
+#include <coopsim/experiment.hpp>
+
+#include "sim/metrics.hpp"
 
 using namespace coopsim;
 using namespace coopsim::sim;
@@ -83,7 +85,7 @@ TEST(Metrics, Normalisation)
     EXPECT_DOUBLE_EQ(out[1], 2.0);
 }
 
-TEST(Runner, ParseCliScaleFlags)
+TEST(Cli, ParseCliScaleFlags)
 {
     const char *full[] = {"bench", "--full"};
     EXPECT_EQ(api::parseCli(2, const_cast<char **>(full),
@@ -102,38 +104,42 @@ TEST(Runner, ParseCliScaleFlags)
               RunScale::Bench);
 }
 
-TEST(Runner, MemoisesIdenticalRuns)
+namespace
 {
-    clearRunCache();
-    RunOptions options;
-    options.scale = RunScale::Test;
-    const auto &group = trace::groupByName("G2-10");
-    const RunResult &a = runGroup("fairshare", group, options);
-    const RunResult &b = runGroup("fairshare", group, options);
-    EXPECT_EQ(&a, &b); // same cached object
+
+/** A test-scale coop sweep of G2-10 over two thresholds. */
+api::ExperimentResults
+thresholdResults()
+{
+    api::ExperimentSpec spec;
+    spec.layout = "none";
+    spec.groups = {"G2-10"};
+    spec.thresholds = {0.05, 0.2};
+    spec.scale = "test";
+    return api::ExperimentResults(spec);
 }
 
-TEST(Runner, DistinctOptionsAreDistinctRuns)
+} // namespace
+
+TEST(Results, DistinctCellsAreDistinctRuns)
 {
-    clearRunCache();
-    RunOptions a;
-    a.scale = RunScale::Test;
-    RunOptions b = a;
+    const api::ExperimentResults results = thresholdResults();
+    api::Cell a;
+    a.group = "G2-10";
+    api::Cell b = a;
     b.threshold = 0.2;
-    const auto &group = trace::groupByName("G2-10");
-    const RunResult &ra = runGroup("coop", group, a);
-    const RunResult &rb = runGroup("coop", group, b);
-    EXPECT_NE(&ra, &rb);
+    EXPECT_NE(&results.result(a), &results.result(b));
 }
 
-TEST(Runner, SoloIpcIsPositiveAndCached)
+TEST(Results, SoloIpcIsPositiveAndCached)
 {
-    RunOptions options;
-    options.scale = RunScale::Test;
-    const double ipc = soloIpc("h264ref", 2, options);
+    const api::ExperimentResults results = thresholdResults();
+    const double ipc = results.soloIpc("sjeng", 2);
     EXPECT_GT(ipc, 0.0);
     EXPECT_LE(ipc, 4.0); // bounded by the issue width
-    EXPECT_DOUBLE_EQ(soloIpc("h264ref", 2, options), ipc);
+    EXPECT_EQ(&results.soloResult("sjeng", 2),
+              &sim::RunExecutor::instance().run(
+                  api::soloRunKey(results.spec(), "sjeng", 2)));
 }
 
 TEST(System, RunProducesConsistentResults)

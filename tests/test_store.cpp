@@ -25,8 +25,6 @@
 
 #include <coopsim/experiment.hpp>
 
-#include "sim/runner.hpp"
-
 using namespace coopsim;
 using namespace coopsim::store;
 
@@ -613,10 +611,11 @@ TEST(Shard, UnionOfShardsEqualsFullSweepExactly)
 
 TEST(ExecutorStore, StoredKeysAreServedWithoutStartingThePool)
 {
-    sim::RunOptions options;
-    options.scale = sim::RunScale::Test;
-    const sim::RunKey key = sim::groupKey(
-        "fairshare", trace::groupByName("G2-10"), options);
+    api::ExperimentSpec spec;
+    spec.schemes = {"fairshare"};
+    spec.scale = "test";
+    const sim::RunKey key =
+        api::groupRunKey(spec, trace::groupByName("G2-10"));
 
     // Precompute the result serially and plant it in a store.
     const sim::RunResult direct = sim::executeRun(key);

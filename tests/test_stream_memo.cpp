@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "api/spec.hpp"
 #include "sim/executor.hpp"
 #include "sim/stream_cache.hpp"
 #include "store/result_store.hpp"
@@ -60,32 +61,24 @@ class CacheGuard
     }
 };
 
-RunKey
-groupKey(const std::string &name, const std::string &scheme,
-         partition::Partitioner partitioner, sampling::Mode sampling)
+api::ExperimentSpec
+testSpec()
 {
-    RunKey key;
-    key.kind = RunKey::Kind::Group;
-    key.scheme = scheme;
-    key.name = name;
-    key.num_cores =
-        static_cast<std::uint32_t>(trace::groupByName(name).apps.size());
-    key.scale = sim::RunScale::Test;
-    key.partitioner = partitioner;
-    key.sampling = sampling;
-    return key;
+    api::ExperimentSpec spec;
+    spec.scale = "test";
+    return spec;
 }
 
 RunKey
-soloKey(const std::string &app, std::uint32_t num_cores)
+groupKey(const std::string &name, const std::string &scheme,
+         const std::string &partitioner = "lookahead",
+         const std::string &sampling = "exact")
 {
-    RunKey key;
-    key.kind = RunKey::Kind::Solo;
-    key.scheme = "unmanaged";
-    key.name = app;
-    key.num_cores = num_cores;
-    key.scale = sim::RunScale::Test;
-    return key;
+    api::Cell cell;
+    cell.scheme = scheme;
+    cell.partitioner = partitioner;
+    cell.sampling = sampling;
+    return api::groupRunKey(testSpec(), trace::groupByName(name), cell);
 }
 
 std::string
@@ -105,16 +98,13 @@ TEST(StreamMemo, MemoizedRunsAreBitIdenticalAcrossMatrix)
     const std::vector<std::string> groups = {"G2-1", "G4-1", "G8-mem1",
                                              "G32-mix1"};
     const std::vector<std::string> schemes = {"coop", "ucp"};
-    const std::vector<partition::Partitioner> partitioners = {
-        partition::Partitioner::Lookahead,
-        partition::Partitioner::GreedyUtility};
-    const std::vector<sampling::Mode> samplings = {sampling::Mode::Exact,
-                                                   sampling::Mode::SetOp};
+    const std::vector<std::string> partitioners = {"lookahead", "greedy"};
+    const std::vector<std::string> samplings = {"exact", "setop"};
 
     for (const std::string &group : groups) {
         for (const std::string &scheme : schemes) {
-            for (const auto partitioner : partitioners) {
-                for (const auto sampling : samplings) {
+            for (const std::string &partitioner : partitioners) {
+                for (const std::string &sampling : samplings) {
                     const RunKey key =
                         groupKey(group, scheme, partitioner, sampling);
 
@@ -150,11 +140,8 @@ TEST(StreamMemo, GeneratesOncePerDistinctStreamAndSharesWithSolos)
     std::vector<RunKey> keys;
     for (const char *group : {"G2-1", "G4-1"}) {
         for (const char *scheme : {"coop", "ucp"}) {
-            for (const auto partitioner :
-                 {partition::Partitioner::Lookahead,
-                  partition::Partitioner::GreedyUtility}) {
-                keys.push_back(groupKey(group, scheme, partitioner,
-                                        sampling::Mode::Exact));
+            for (const char *partitioner : {"lookahead", "greedy"}) {
+                keys.push_back(groupKey(group, scheme, partitioner));
             }
         }
     }
@@ -173,7 +160,7 @@ TEST(StreamMemo, GeneratesOncePerDistinctStreamAndSharesWithSolos)
     // stream: same app, slot 0, seed, scale and topology row mean the
     // same op sequence, so nothing new is generated.
     const std::string app = trace::groupByName("G2-1").apps[0];
-    sim::executeRun(soloKey(app, 2));
+    sim::executeRun(api::soloRunKey(testSpec(), app, 2));
     stats = cache.stats();
     EXPECT_EQ(stats.streams_generated, 6u);
     EXPECT_EQ(cache.residentStreams(), 6u);
@@ -187,12 +174,8 @@ TEST(StreamMemo, TinyBudgetEvictsWithoutChangingResults)
     CacheGuard guard;
     StreamCache &cache = StreamCache::instance();
 
-    const std::vector<RunKey> keys = {
-        groupKey("G4-1", "coop", partition::Partitioner::Lookahead,
-                 sampling::Mode::Exact),
-        groupKey("G2-1", "ucp", partition::Partitioner::Lookahead,
-                 sampling::Mode::Exact),
-    };
+    const std::vector<RunKey> keys = {groupKey("G4-1", "coop"),
+                                      groupKey("G2-1", "ucp")};
 
     cache.configure({false, 0, ""});
     std::vector<std::string> plain;
@@ -226,11 +209,8 @@ TEST(StreamMemo, SerialAndParallelExecutionMatch)
 
     std::vector<RunKey> keys;
     for (const char *scheme : {"coop", "ucp", "unmanaged"}) {
-        for (const auto sampling :
-             {sampling::Mode::Exact, sampling::Mode::SetOp}) {
-            keys.push_back(groupKey("G4-1", scheme,
-                                    partition::Partitioner::Lookahead,
-                                    sampling));
+        for (const char *sampling : {"exact", "setop"}) {
+            keys.push_back(groupKey("G4-1", scheme, "lookahead", sampling));
         }
     }
 
@@ -261,12 +241,8 @@ TEST(StreamMemo, TraceCacheSpillsAndWarmStarts)
         std::filesystem::temp_directory_path() / "coopsim_memo_spill_test";
     std::filesystem::remove_all(dir);
 
-    const std::vector<RunKey> keys = {
-        groupKey("G2-1", "coop", partition::Partitioner::Lookahead,
-                 sampling::Mode::Exact),
-        groupKey("G2-1", "ucp", partition::Partitioner::Lookahead,
-                 sampling::Mode::Exact),
-    };
+    const std::vector<RunKey> keys = {groupKey("G2-1", "coop"),
+                                      groupKey("G2-1", "ucp")};
 
     // "Process" 1: generate, then spill at (simulated) exit.
     cache.configure({true, 0, dir.string()});

@@ -23,7 +23,6 @@
 
 #include "common/rng.hpp"
 #include "sim/min_clock_tree.hpp"
-#include "sim/runner.hpp"
 
 using namespace coopsim;
 using namespace coopsim::sim;
@@ -416,18 +415,6 @@ TEST(SpecAxes, ValidationCatchesBadCoresAndPartitioners)
         EXPECT_THROW(api::validateSpec(spec), FatalError);
     }
     setThrowOnFatal(false);
-}
-
-TEST(SpecAxes, SoloKeysNormaliseThePartitioner)
-{
-    RunOptions a;
-    a.scale = RunScale::Test;
-    RunOptions b = a;
-    b.partitioner = partition::Partitioner::EqualShare;
-    // A partitioner sweep must reuse one solo run per app.
-    EXPECT_EQ(soloKey("h264ref", 8, a), soloKey("h264ref", 8, b));
-    EXPECT_NE(groupKey("coop", trace::groupByName("G8-cpu1"), a),
-              groupKey("coop", trace::groupByName("G8-cpu1"), b));
 }
 
 // ---------------------------------------------------------------------------

@@ -34,7 +34,6 @@
 #include "common/logging.hpp"
 #include "common/rng.hpp"
 #include "sim/executor.hpp"
-#include "sim/runner.hpp"
 #include "store/result_store.hpp"
 #include "trace/workloads.hpp"
 #include "tracefile/record.hpp"
