@@ -1,6 +1,7 @@
 #include "core/trace_core.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/logging.hpp"
 
@@ -10,7 +11,13 @@ namespace coopsim::core
 TraceCore::TraceCore(CoreId id, const CoreConfig &config,
                      llc::Llc &llc, OpStream &stream)
     : id_(id), config_(config), llc_(llc), stream_(stream),
-      l1_(config.l1)
+      l1_(config.l1),
+      width_shift_(std::has_single_bit(config.width)
+                       ? static_cast<std::uint32_t>(
+                             std::countr_zero(config.width))
+                       : kNoShift),
+      window_(std::bit_ceil(std::size_t{config.mshr_entries})),
+      window_mask_(window_.size() - 1)
 {
     COOPSIM_ASSERT(config.width > 0, "zero-width core");
     COOPSIM_ASSERT(config.rob > 0, "empty ROB");
@@ -22,15 +29,15 @@ TraceCore::drainWindowTo(InstCount inst_horizon)
 {
     // Retire completed requests; stall on any outstanding request whose
     // instruction has fallen more than a ROB's worth behind.
-    while (!window_.empty()) {
-        const Outstanding &oldest = window_.front();
+    while (window_size_ > 0) {
+        const Outstanding &oldest = windowAt(0);
         if (oldest.ready <= cycle_) {
-            window_.pop_front();
+            windowPopFront();
             continue;
         }
         if (inst_horizon >= oldest.inst_no + config_.rob) {
             cycle_ = std::max(cycle_, oldest.ready);
-            window_.pop_front();
+            windowPopFront();
             continue;
         }
         break;
@@ -44,10 +51,17 @@ TraceCore::retireGap(InstCount gap)
     // would fall out of the window.
     drainWindowTo(retired_ + gap);
     retired_ += gap;
-    // Width-limited retirement with a fractional carry.
+    // Width-limited retirement with a fractional carry: shift and
+    // mask for power-of-two widths (every shipped configuration), the
+    // equivalent divide otherwise.
     width_carry_ += gap;
-    cycle_ += width_carry_ / config_.width;
-    width_carry_ %= config_.width;
+    if (width_shift_ != kNoShift) {
+        cycle_ += width_carry_ >> width_shift_;
+        width_carry_ &= config_.width - 1;
+    } else {
+        cycle_ += width_carry_ / config_.width;
+        width_carry_ %= config_.width;
+    }
 }
 
 void
@@ -61,13 +75,14 @@ TraceCore::issueLlcAccess(Addr addr, AccessType type)
     const llc::LlcAccess res = llc_.access(id_, addr, type, cycle_);
 
     // Track the fill as an outstanding request subject to MSHR limits.
-    if (window_.size() >= config_.mshr_entries) {
+    if (window_size_ >= config_.mshr_entries) {
         // Structural stall: wait for the oldest fill.
-        cycle_ = std::max(cycle_, window_.front().ready);
-        window_.pop_front();
+        cycle_ = std::max(cycle_, windowAt(0).ready);
+        windowPopFront();
     }
     if (res.ready_at > cycle_) {
-        window_.push_back({retired_, res.ready_at});
+        windowAt(window_size_) = {retired_, res.ready_at};
+        ++window_size_;
     }
 }
 
@@ -125,7 +140,8 @@ TraceCore::fastForward(InstCount insts, Cycle cycles)
     // high core counts, where fill latencies exceed the window
     // length, that forgives most misses the window issued). Position
     // within the ROB is preserved by advancing inst_no with the jump.
-    for (Outstanding &o : window_) {
+    for (std::size_t i = 0; i < window_size_; ++i) {
+        Outstanding &o = windowAt(i);
         if (o.ready > cycle_) {
             o.ready += cycles;
         }

@@ -22,7 +22,7 @@
 #define COOPSIM_CORE_TRACE_CORE_HPP
 
 #include <array>
-#include <deque>
+#include <vector>
 
 #include "cache/cache.hpp"
 #include "common/logging.hpp"
@@ -179,13 +179,36 @@ class TraceCore
     /** Fractional-cycle accumulator for width-limited retirement. */
     std::uint64_t width_carry_ = 0;
 
+    /** log2(width) when the width is a power of two, else kNoShift. */
+    static constexpr std::uint32_t kNoShift = 64;
+    std::uint32_t width_shift_;
+
     /** Outstanding LLC requests: (instruction number, data ready). */
     struct Outstanding
     {
         InstCount inst_no;
         Cycle ready;
     };
-    std::deque<Outstanding> window_;
+    /**
+     * The outstanding requests, oldest first, in a fixed ring of
+     * bit_ceil(mshr_entries) slots. It never holds more than
+     * mshr_entries: issueLlcAccess() pops the oldest before it pushes
+     * into a full window.
+     */
+    std::vector<Outstanding> window_;
+    std::size_t window_head_ = 0;
+    std::size_t window_size_ = 0;
+    std::size_t window_mask_;
+
+    Outstanding &windowAt(std::size_t i)
+    {
+        return window_[(window_head_ + i) & window_mask_];
+    }
+    void windowPopFront()
+    {
+        window_head_ = (window_head_ + 1) & window_mask_;
+        --window_size_;
+    }
 
     InstCount measure_insts_ = 0;
     Cycle measure_cycle_ = 0;

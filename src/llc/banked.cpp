@@ -50,7 +50,8 @@ BankedLlc::BankedLlc(const LlcConfig &config, mem::DramModel &dram,
                            config.geometry.block_bytes,
                            total_sets / config.banks);
       }()),
-      busy_until_(config.banks, 0)
+      busy_until_(config.banks, 0),
+      merged_core_stats_(config.num_cores)
 {
     banks_.reserve(config_.banks);
     for (std::uint32_t b = 0; b < config_.banks; ++b) {
@@ -154,19 +155,17 @@ const CoreLlcStats &
 BankedLlc::coreStats(CoreId core) const
 {
     COOPSIM_ASSERT(core < config_.num_cores, "core id out of range");
-    merged_core_stats_.assign(config_.num_cores, CoreLlcStats{});
+    CoreLlcStats &ms = merged_core_stats_[core];
+    ms = CoreLlcStats{};
     for (const auto &bank : banks_) {
-        for (CoreId c = 0; c < config_.num_cores; ++c) {
-            const CoreLlcStats &bs = bank->coreStats(c);
-            CoreLlcStats &ms = merged_core_stats_[c];
-            ms.accesses.inc(bs.accesses.value());
-            ms.hits.inc(bs.hits.value());
-            ms.misses.inc(bs.misses.value());
-            ms.writebacks.inc(bs.writebacks.value());
-            ms.bypasses.inc(bs.bypasses.value());
-        }
+        const CoreLlcStats &bs = bank->coreStats(core);
+        ms.accesses.inc(bs.accesses.value());
+        ms.hits.inc(bs.hits.value());
+        ms.misses.inc(bs.misses.value());
+        ms.writebacks.inc(bs.writebacks.value());
+        ms.bypasses.inc(bs.bypasses.value());
     }
-    return merged_core_stats_[core];
+    return ms;
 }
 
 const TakeoverEventStats &

@@ -113,7 +113,8 @@ class BankedLlc final : public Llc
     std::uint64_t conflicts_ = 0;
     std::uint64_t conflict_cycles_ = 0;
 
-    /** Lazily merged cross-bank views handed out by reference. */
+    /** Lazily merged cross-bank views handed out by reference;
+     *  coreStats(c) refreshes slot c only. */
     mutable std::vector<CoreLlcStats> merged_core_stats_;
     mutable TakeoverEventStats merged_events_;
     mutable stats::TimeSeries merged_flush_series_;

@@ -162,10 +162,11 @@ class SetSampledLlc final : public llc::Llc
      * Cached per-core sampled-rate snapshot {accesses, misses,
      * writebacks}, refreshed from inner_->coreStats() once every
      * kSnapRefresh unsampled accesses. The banked inner cache merges
-     * every bank x core counter on each coreStats() call, so querying
-     * it per access would put an O(banks x cores) walk on the hot
-     * path; the replicated rates drift slowly enough that a snapshot
-     * a few dozen accesses stale is indistinguishable.
+     * the core's counters from every bank on each coreStats() call, so
+     * querying it per access would put a walk over the banks on the
+     * hot path; the replicated rates drift slowly enough that a
+     * snapshot a few dozen accesses stale is indistinguishable. The
+     * refresh period is part of the simulated numbers.
      */
     static constexpr std::uint32_t kSnapRefresh = 64;
     std::vector<std::uint64_t> snap_acc_;

@@ -199,9 +199,9 @@ System::run()
     // are mirrored into a dense local array (no unique_ptr chase per
     // comparison) and only the stepped core's mirror is refreshed. The
     // ubiquitous two-core configuration reduces to a single compare;
-    // larger systems keep the minimum in a tournament tree (O(log n)
-    // per update, ties to the lowest index — bit-identical to a linear
-    // scan).
+    // larger systems keep the minimum and the runner-up in a top-2
+    // tournament tree (O(log n) per update, O(1) per query, ties to
+    // the lowest index — bit-identical to a linear scan).
     std::vector<Cycle> clock(n);
     for (std::uint32_t c = 0; c < n; ++c) {
         clock[c] = cores_[c]->cycle();
@@ -274,9 +274,15 @@ System::run()
             ? std::max<InstCount>(
                   1, config_.warmup_insts / sampling_.set_period)
             : config_.warmup_insts;
-    bool warm = warmup_insts == 0;
-    while (!warm) {
+    // Retired counts only grow, and only the stepped core's changes,
+    // so a count of warm cores replaces a scan of every core.
+    std::uint32_t warm_cores = 0;
+    for (std::uint32_t c = 0; c < n; ++c) {
+        warm_cores += cores_[c]->retired() >= warmup_insts ? 1 : 0;
+    }
+    while (warm_cores < n) {
         const std::uint32_t c = min_core();
+        const bool was_warm = cores_[c]->retired() >= warmup_insts;
         if (batched) {
             // Only c's warm status can change inside its quantum.
             // While any *other* core is still cold the per-op loop
@@ -284,19 +290,15 @@ System::run()
             // once every other core is warm it must stop exactly at
             // the step where c crosses the threshold — the per-op
             // loop's exit point.
-            bool others_warm = true;
-            for (std::uint32_t o = 0; o < n && others_warm; ++o) {
-                others_warm =
-                    o == c || cores_[o]->retired() >= warmup_insts;
-            }
+            const bool others_warm =
+                warm_cores - (was_warm ? 1 : 0) == n - 1;
             step_quantum(c, quantum_bound(c),
                          others_warm ? warmup_insts : kNoInstBound);
         } else {
             step(c);
         }
-        warm = true;
-        for (std::uint32_t o = 0; o < n; ++o) {
-            warm = warm && cores_[o]->retired() >= warmup_insts;
+        if (!was_warm && cores_[c]->retired() >= warmup_insts) {
+            ++warm_cores;
         }
     }
     Cycle now = 0;

@@ -69,18 +69,39 @@ namespace
 constexpr const char *kCrcMarker = "#crc32=";
 constexpr std::size_t kCrcHexDigits = 8;
 
-std::array<std::uint32_t, 256>
-makeCrcTable()
+/**
+ * Slice-by-8 tables: table[0] is the bytewise table of the reflected
+ * polynomial, and table[k][b] is the CRC of byte b followed by k zero
+ * bytes, so eight table lookups advance the CRC over eight bytes.
+ */
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+CrcTables
+makeCrcTables()
 {
-    std::array<std::uint32_t, 256> table{};
+    CrcTables tables{};
     for (std::uint32_t n = 0; n < 256; ++n) {
         std::uint32_t c = n;
         for (int bit = 0; bit < 8; ++bit) {
             c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
         }
-        table[n] = c;
+        tables[0][n] = c;
     }
-    return table;
+    for (std::size_t k = 1; k < tables.size(); ++k) {
+        for (std::uint32_t n = 0; n < 256; ++n) {
+            const std::uint32_t prev = tables[k - 1][n];
+            tables[k][n] = tables[0][prev & 0xffu] ^ (prev >> 8);
+        }
+    }
+    return tables;
+}
+
+/** Four bytes as a little-endian word, at any alignment. */
+std::uint32_t
+loadLe32(const unsigned char *p)
+{
+    return std::uint32_t{p[0]} | std::uint32_t{p[1]} << 8 |
+           std::uint32_t{p[2]} << 16 | std::uint32_t{p[3]} << 24;
 }
 
 } // namespace
@@ -88,11 +109,19 @@ makeCrcTable()
 std::uint32_t
 crc32(const char *data, std::size_t len)
 {
-    static const std::array<std::uint32_t, 256> table = makeCrcTable();
+    static const CrcTables tables = makeCrcTables();
+    const auto *p = reinterpret_cast<const unsigned char *>(data);
     std::uint32_t crc = 0xffffffffu;
-    for (std::size_t i = 0; i < len; ++i) {
-        crc = table[(crc ^ static_cast<unsigned char>(data[i])) & 0xffu] ^
-              (crc >> 8);
+    for (; len >= 8; p += 8, len -= 8) {
+        const std::uint32_t lo = crc ^ loadLe32(p);
+        const std::uint32_t hi = loadLe32(p + 4);
+        crc = tables[7][lo & 0xffu] ^ tables[6][(lo >> 8) & 0xffu] ^
+              tables[5][(lo >> 16) & 0xffu] ^ tables[4][lo >> 24] ^
+              tables[3][hi & 0xffu] ^ tables[2][(hi >> 8) & 0xffu] ^
+              tables[1][(hi >> 16) & 0xffu] ^ tables[0][hi >> 24];
+    }
+    for (; len > 0; ++p, --len) {
+        crc = tables[0][(crc ^ *p) & 0xffu] ^ (crc >> 8);
     }
     return crc ^ 0xffffffffu;
 }

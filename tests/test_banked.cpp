@@ -13,7 +13,9 @@
  *  - the banks / slice-hash spec axes round-trip through
  *    formatSpec/parseSpec and formatRunKey/parseRunKey, and
  *    pre-banking key and result lines still load;
- *  - bank-conflict counters surface in RunResult and its store line.
+ *  - bank-conflict counters surface in RunResult and its store line;
+ *  - coreStats(c) of a 2- and a 4-bank LLC is the per-field sum of
+ *    the banks' counters for c, whatever order the cores are queried.
  */
 
 #include <gtest/gtest.h>
@@ -21,9 +23,14 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <coopsim/experiment.hpp>
+
+#include "common/rng.hpp"
+#include "llc/banked.hpp"
+#include "trace/workloads.hpp"
 
 using namespace coopsim;
 using namespace coopsim::sim;
@@ -275,6 +282,61 @@ TEST(Banked, PreBankingResultLinesStillParse)
     RunResult rejected;
     EXPECT_FALSE(store::tryParseResult(old_line + " bank_conflicts=5",
                                        rejected));
+}
+
+TEST(Banked, CoreStatsMergeEachCoreAcrossBanksInAnyQueryOrder)
+{
+    // coreStats(c) refreshes only core c's merged slot, so a query
+    // order that interleaves cores must still give every core the sum
+    // of its per-bank counters.
+    for (const std::uint32_t banks : {2u, 4u}) {
+        const std::uint32_t n = 8;
+        SystemConfig config = makeSystemConfig(n, "coop", RunScale::Test);
+        config.llc.banks = banks;
+        config.insts_per_app = 100'000;
+        System system(config,
+                      trace::groupProfiles(trace::groupByName("G8-mix1")));
+        system.run();
+        const auto &banked =
+            dynamic_cast<const llc::BankedLlc &>(system.llc());
+        ASSERT_EQ(banked.banks(), banks);
+
+        std::vector<CoreId> order(n);
+        for (CoreId c = 0; c < n; ++c) {
+            order[c] = c;
+        }
+        Rng rng(banks);
+        for (int round = 0; round < 3; ++round) {
+            for (std::size_t i = n - 1; i > 0; --i) {
+                std::swap(order[i], order[rng.nextBelow(i + 1)]);
+            }
+            for (const CoreId c : order) {
+                std::uint64_t accesses = 0;
+                std::uint64_t hits = 0;
+                std::uint64_t misses = 0;
+                std::uint64_t writebacks = 0;
+                std::uint64_t bypasses = 0;
+                for (std::uint32_t b = 0; b < banks; ++b) {
+                    const llc::CoreLlcStats &bs =
+                        banked.bank(b).coreStats(c);
+                    accesses += bs.accesses.value();
+                    hits += bs.hits.value();
+                    misses += bs.misses.value();
+                    writebacks += bs.writebacks.value();
+                    bypasses += bs.bypasses.value();
+                }
+                const llc::CoreLlcStats &merged = banked.coreStats(c);
+                EXPECT_GT(merged.accesses.value(), 0u) << "core " << c;
+                EXPECT_EQ(merged.accesses.value(), accesses) << "core " << c;
+                EXPECT_EQ(merged.hits.value(), hits) << "core " << c;
+                EXPECT_EQ(merged.misses.value(), misses) << "core " << c;
+                EXPECT_EQ(merged.writebacks.value(), writebacks)
+                    << "core " << c;
+                EXPECT_EQ(merged.bypasses.value(), bypasses)
+                    << "core " << c;
+            }
+        }
+    }
 }
 
 TEST(Banked, ConflictCountersSurfaceInResultsAndStoreLines)

@@ -83,20 +83,27 @@ TEST(TraceCore, WidthLimitsRetirement)
 
 TEST(TraceCore, FractionalWidthCarryIsExact)
 {
-    mem::DramModel dram;
-    llc::UnmanagedLlc llc(tinyLlc(), dram);
-    // 1-inst bundles: 8 bundles = 8 insts = exactly 2 cycles at w=4.
-    std::vector<MemOp> ops;
-    for (int i = 0; i < 8; ++i) {
-        ops.push_back(llcOp(0, 0x40)); // gap 0 + the mem op = 1 inst
+    // Bundles of 1, 5, 3, 7 and 2 instructions, 18 in all: far from
+    // the ROB and MSHR limits, so no stall and the clock reads exactly
+    // floor(18 / width) at any width — the shift-and-mask path for
+    // powers of two and the divide for the rest.
+    for (const std::uint32_t width : {1u, 2u, 3u, 4u, 5u, 8u}) {
+        mem::DramModel dram;
+        llc::UnmanagedLlc llc(tinyLlc(), dram);
+        std::vector<MemOp> ops;
+        for (const InstCount gap : {0u, 4u, 2u, 6u, 1u}) {
+            ops.push_back(llcOp(gap, 0x40));
+        }
+        ScriptedStream stream(ops);
+        CoreConfig config;
+        config.width = width;
+        TraceCore core(0, config, llc, stream);
+        for (std::size_t i = 0; i < ops.size(); ++i) {
+            core.step();
+        }
+        EXPECT_EQ(core.retired(), 18u) << "width " << width;
+        EXPECT_EQ(core.cycle(), 18u / width) << "width " << width;
     }
-    ScriptedStream stream(ops);
-    TraceCore core(0, CoreConfig{}, llc, stream);
-    for (int i = 0; i < 8; ++i) {
-        core.step();
-    }
-    EXPECT_EQ(core.retired(), 8u);
-    EXPECT_EQ(core.cycle(), 2u);
 }
 
 TEST(TraceCore, MissesOverlapUpToRob)
@@ -169,6 +176,29 @@ TEST(TraceCore, MshrLimitCausesStructuralStalls)
         parallel.step();
     }
     EXPECT_GT(serial.cycle(), parallel.cycle());
+
+    // The window holds exactly mshr_entries fills (power of two or not,
+    // up to a full ring): back-to-back misses issue without a stall
+    // until the (k+1)-th, which waits for the first fill (>= the
+    // 400-cycle unloaded DRAM latency).
+    for (const std::uint32_t k : {1u, 3u, 16u}) {
+        mem::DramModel dram_k;
+        llc::UnmanagedLlc llc_k(tinyLlc(), dram_k);
+        std::vector<MemOp> misses;
+        for (std::uint32_t i = 0; i <= k; ++i) {
+            misses.push_back(llcOp(0, 0x30000 + 0x40 * i));
+        }
+        ScriptedStream stream(misses);
+        CoreConfig config;
+        config.mshr_entries = k;
+        TraceCore core(0, config, llc_k, stream);
+        for (std::uint32_t i = 0; i < k; ++i) {
+            core.step();
+        }
+        EXPECT_LT(core.cycle(), 100u) << "k=" << k;
+        core.step();
+        EXPECT_GE(core.cycle(), 400u) << "k=" << k;
+    }
 }
 
 TEST(TraceCore, L1FiltersLlcTraffic)

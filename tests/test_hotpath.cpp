@@ -3,22 +3,25 @@
  * Tests for the batched intra-run hot path:
  *
  *  - MinClockTree::secondBest() agrees with a linear scan that skips
- *    the winner, across 1..17 cores under randomised clock sequences
- *    (including ties — the quantum bound depends on the runner-up's
- *    index as well as its clock);
+ *    the winner, across 1..17 cores and the 31..64-core rows under
+ *    randomised clock sequences (including ties — the quantum bound
+ *    depends on the runner-up's index as well as its clock — updates
+ *    of non-winner leaves and clocks at the top of the key range);
  *  - TraceCore::stepQuantum() is bit-identical to a step() loop with
  *    the same post-step exit checks;
  *  - the batched System driver produces bit-identical results to the
  *    per-op reference driver (store::formatResult compares every
  *    RunResult field exactly) over 1..16 cores x all three
  *    partitioners x test-scale workloads, including the warmup-free
- *    edge case — and actually batches (avgQuantumOps > 1);
+ *    edge case, and on a G32 and a G64 mix under exact and setop
+ *    sampling — and actually batches (avgQuantumOps > 1);
  *  - COOPSIM_THREADS gets the --threads=N treatment: garbage or 0 is
  *    a descriptive fatal, not a silent fallback.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <limits>
 #include <string>
@@ -78,7 +81,15 @@ refMin(const std::vector<Cycle> &clock)
 TEST(MinClockTreeSecond, MatchesSkippingScanAcrossCoreCounts)
 {
     Rng rng(20260730);
+    std::vector<std::uint32_t> counts;
     for (std::uint32_t n = 1; n <= 17; ++n) {
+        counts.push_back(n);
+    }
+    // The 32/64-core rows: padded leaves and the deepest trees.
+    for (const std::uint32_t n : {31u, 32u, 33u, 63u, 64u}) {
+        counts.push_back(n);
+    }
+    for (const std::uint32_t n : counts) {
         // Small value range so ties (including winner == runner-up)
         // are common.
         std::vector<Cycle> clock(n);
@@ -87,11 +98,19 @@ TEST(MinClockTreeSecond, MatchesSkippingScanAcrossCoreCounts)
         }
         MinClockTree tree(clock);
         for (int step = 0; step < 2000; ++step) {
-            const auto idx =
-                static_cast<std::uint32_t>(rng.nextBelow(n));
-            const Cycle value = rng.nextBelow(4) == 0
-                                    ? rng.nextBelow(6)
-                                    : clock[idx] + rng.nextBelow(3);
+            auto idx = static_cast<std::uint32_t>(rng.nextBelow(n));
+            if (n > 1 && rng.nextBelow(2) == 0) {
+                // Move a non-winner leaf: the fast-forward pattern.
+                while (idx == refMin(clock)) {
+                    idx = static_cast<std::uint32_t>(rng.nextBelow(n));
+                }
+            }
+            const std::uint64_t kind = rng.nextBelow(64);
+            const Cycle value =
+                kind == 0       ? MinClockTree::kMaxClock
+                : kind % 4 == 1 ? rng.nextBelow(6)
+                                : std::min(clock[idx] + rng.nextBelow(3),
+                                           MinClockTree::kMaxClock);
             clock[idx] = value;
             tree.update(idx, value);
             const MinClockTree::Second expected =
@@ -305,6 +324,40 @@ TEST(BatchedDriver, GroupRunsMatchAcrossSchemes)
         // Per-op mode accounts one op per quantum by definition.
         EXPECT_EQ(perop.driverStats().quanta,
                   perop.driverStats().steps);
+    }
+}
+
+TEST(BatchedDriver, ManyCoreRowsMatchUnderExactAndSetop)
+{
+    // The 32- and 64-core rows arbitrate through padded, deeper trees.
+    // Under setop the fast-forward jump re-updates a core that may no
+    // longer be the arbitration winner, right after its quantum's own
+    // update. The warm-up exit step and that double update must land
+    // where the per-op loop puts them.
+    for (const char *name : {"G32-mix1", "G64-mix1"}) {
+        const trace::WorkloadGroup &group = trace::groupByName(name);
+        const auto n = static_cast<std::uint32_t>(group.apps.size());
+        for (const sampling::Mode mode :
+             {sampling::Mode::Exact, sampling::Mode::SetOp}) {
+            SystemConfig config =
+                makeSystemConfig(n, "coop", RunScale::Test);
+            config.sampling.mode = mode;
+
+            config.driver = DriverMode::Batched;
+            System batched(config, trace::groupProfiles(group));
+            const std::string batched_line =
+                store::formatResult(batched.run());
+
+            config.driver = DriverMode::PerOp;
+            System perop(config, trace::groupProfiles(group));
+            const std::string perop_line =
+                store::formatResult(perop.run());
+
+            EXPECT_EQ(batched_line, perop_line)
+                << name << " / mode " << static_cast<int>(mode);
+            EXPECT_GT(batched.driverStats().avgQuantumOps(), 1.0)
+                << name << " / mode " << static_cast<int>(mode);
+        }
     }
 }
 

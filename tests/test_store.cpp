@@ -5,6 +5,8 @@
  *  - the RunResult line encoding round-trips every field bit-exactly
  *    (including non-representable decimals) and strictly rejects
  *    corrupt, reordered, truncated and trailing content;
+ *  - the slice-by-8 CRC-32 equals the bytewise table loop on random
+ *    buffers of every alignment and length up to 64 KiB;
  *  - ResultStore save -> load identity through the atomic file
  *    format, last-writer-wins merge semantics, corrupt-line skipping
  *    on load, and lexical-order directory folding;
@@ -24,6 +26,8 @@
 #include <vector>
 
 #include <coopsim/experiment.hpp>
+
+#include "common/rng.hpp"
 
 using namespace coopsim;
 using namespace coopsim::store;
@@ -348,6 +352,64 @@ TEST(StoreCrc, ChecksumMatchesKnownVectorsAndSuffixRoundTrips)
     std::string bad = line;
     bad.back() = bad.back() == '0' ? '1' : '0';
     EXPECT_EQ(splitCrcSuffix(bad, split), LineCheck::Mismatch);
+}
+
+namespace
+{
+
+/** The bytewise table-driven CRC-32 the slice-by-8 loop replaced. */
+std::uint32_t
+bytewiseCrc32(const unsigned char *data, std::size_t len)
+{
+    static const std::vector<std::uint32_t> table = [] {
+        std::vector<std::uint32_t> t(256);
+        for (std::uint32_t n = 0; n < 256; ++n) {
+            std::uint32_t c = n;
+            for (int bit = 0; bit < 8; ++bit) {
+                c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+            }
+            t[n] = c;
+        }
+        return t;
+    }();
+    std::uint32_t crc = 0xffffffffu;
+    for (std::size_t i = 0; i < len; ++i) {
+        crc = table[(crc ^ data[i]) & 0xffu] ^ (crc >> 8);
+    }
+    return crc ^ 0xffffffffu;
+}
+
+} // namespace
+
+TEST(StoreCrc, SliceBy8MatchesBytewiseReferenceAtEveryAlignment)
+{
+    EXPECT_EQ(crc32("123456789", 9), 0xcbf43926u);
+
+    constexpr std::size_t kMaxLen = 65536;
+    constexpr std::size_t kAlignments = 8;
+    Rng rng(0xc3c32);
+    std::vector<unsigned char> buffer(kMaxLen + kAlignments);
+    for (unsigned char &b : buffer) {
+        b = static_cast<unsigned char>(rng.next());
+    }
+    // Every length up to a few words covers each tail length after the
+    // 8-byte loop; random lengths up to 64 KiB cover long runs of it.
+    std::vector<std::size_t> lengths;
+    for (std::size_t len = 0; len <= 40; ++len) {
+        lengths.push_back(len);
+    }
+    for (int i = 0; i < 40; ++i) {
+        lengths.push_back(rng.nextBelow(kMaxLen + 1));
+    }
+    lengths.push_back(kMaxLen);
+    for (const std::size_t len : lengths) {
+        for (std::size_t align = 0; align < kAlignments; ++align) {
+            const unsigned char *data = buffer.data() + align;
+            ASSERT_EQ(crc32(reinterpret_cast<const char *>(data), len),
+                      bytewiseCrc32(data, len))
+                << "len=" << len << " align=" << align;
+        }
+    }
 }
 
 TEST(StoreCrc, SaveEmitsCrcLinesAndRoundTripsByteIdentically)

@@ -3,7 +3,9 @@
  * Tests for the N-core generalisation:
  *
  *  - the tournament-tree min_core() agrees with a linear scan across
- *    1..17 cores under randomised clock sequences (including ties);
+ *    1..17 cores and the 31..64-core rows under randomised clock
+ *    sequences (including ties, non-winner updates and clocks at the
+ *    top of the packed-key range);
  *  - makeSystemConfig() reproduces the paper's Table 2 rows, rounds
  *    odd core counts up to the next topology row, asserts
  *    ways >= cores, and rejects counts beyond the table;
@@ -18,6 +20,8 @@
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include <coopsim/experiment.hpp>
 
@@ -46,12 +50,26 @@ refMinCore(const std::vector<Cycle> &clock)
     return best;
 }
 
+/** 1..17 cores plus the padded, deeper trees of the 32/64-core rows. */
+std::vector<std::uint32_t>
+treeCoreCounts()
+{
+    std::vector<std::uint32_t> counts;
+    for (std::uint32_t n = 1; n <= 17; ++n) {
+        counts.push_back(n);
+    }
+    for (const std::uint32_t n : {31u, 32u, 33u, 63u, 64u}) {
+        counts.push_back(n);
+    }
+    return counts;
+}
+
 } // namespace
 
 TEST(MinClockTree, MatchesLinearScanAcrossCoreCounts)
 {
     Rng rng(20260730);
-    for (std::uint32_t n = 1; n <= 17; ++n) {
+    for (const std::uint32_t n : treeCoreCounts()) {
         // Small value range so ties are common (the scan breaks them
         // toward the lowest index; the tree must agree exactly).
         std::vector<Cycle> clock(n);
@@ -62,13 +80,23 @@ TEST(MinClockTree, MatchesLinearScanAcrossCoreCounts)
         ASSERT_EQ(tree.minIndex(), refMinCore(clock)) << "n=" << n;
 
         for (int step = 0; step < 2000; ++step) {
-            const auto idx =
-                static_cast<std::uint32_t>(rng.nextBelow(n));
-            // Mostly forward steps (the event-loop pattern), some ties
-            // and occasional large jumps.
-            const Cycle value = rng.nextBelow(4) == 0
-                                    ? rng.nextBelow(8)
-                                    : clock[idx] + rng.nextBelow(3);
+            auto idx = static_cast<std::uint32_t>(rng.nextBelow(n));
+            if (n > 1 && rng.nextBelow(2) == 0) {
+                // A leaf other than the winner (the fast-forward path
+                // re-updates a core that lost the arbitration).
+                while (idx == refMinCore(clock)) {
+                    idx = static_cast<std::uint32_t>(rng.nextBelow(n));
+                }
+            }
+            // Mostly forward steps (the event-loop pattern), some ties,
+            // occasional large jumps and, rarely, the top of the key
+            // range.
+            const std::uint64_t kind = rng.nextBelow(64);
+            const Cycle value =
+                kind == 0       ? MinClockTree::kMaxClock
+                : kind % 4 == 1 ? rng.nextBelow(8)
+                                : std::min(clock[idx] + rng.nextBelow(3),
+                                           MinClockTree::kMaxClock);
             clock[idx] = value;
             tree.update(idx, value);
             ASSERT_EQ(tree.minIndex(), refMinCore(clock))
@@ -81,17 +109,31 @@ TEST(MinClockTree, MatchesLinearScanAcrossCoreCounts)
 TEST(MinClockTree, MonotoneEventLoopSequence)
 {
     // The exact access pattern System::run() generates: always step
-    // the minimum, which then advances by a bounded amount.
+    // the minimum, which then advances by a bounded amount — and,
+    // under op sampling, sometimes jumps again by a fast-forward gap
+    // after it already lost the arbitration (a second update of a
+    // leaf that may no longer be the winner).
     Rng rng(99);
-    for (const std::uint32_t n : {3u, 5u, 8u, 16u}) {
+    for (const std::uint32_t n : {3u, 5u, 8u, 16u, 31u, 32u, 33u, 63u,
+                                  64u}) {
         std::vector<Cycle> clock(n, 0);
         MinClockTree tree(clock);
         for (int step = 0; step < 5000; ++step) {
             const std::uint32_t c = tree.minIndex();
-            ASSERT_EQ(c, refMinCore(clock));
+            ASSERT_EQ(c, refMinCore(clock)) << "n=" << n;
             clock[c] += 1 + rng.nextBelow(20);
             tree.update(c, clock[c]);
+            if (rng.nextBelow(8) == 0) {
+                clock[c] += rng.nextBelow(200);
+                tree.update(c, clock[c]);
+            }
         }
+        // A core parked at the top of the key range never wins while
+        // any other core is below it.
+        tree.update(0, MinClockTree::kMaxClock);
+        clock[0] = MinClockTree::kMaxClock;
+        ASSERT_EQ(tree.minIndex(), refMinCore(clock)) << "n=" << n;
+        ASSERT_NE(tree.minIndex(), 0u) << "n=" << n;
     }
 }
 
