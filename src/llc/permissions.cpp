@@ -12,7 +12,7 @@ PermissionFile::PermissionFile(std::uint32_t ways, std::uint32_t cores)
       all_ways_(ways >= 64 ? ~std::uint64_t{0}
                            : (std::uint64_t{1} << ways) - 1),
       rap_(ways, 0), wap_(ways, 0), read_mask_(cores, 0),
-      write_mask_(cores, 0), donating_mask_(cores, 0),
+      read_count_(cores, 0), write_mask_(cores, 0), donating_mask_(cores, 0),
       receiving_mask_(cores, 0)
 {
     COOPSIM_ASSERT(ways > 0 && ways <= 64, "ways must be in [1, 64]");
@@ -25,6 +25,7 @@ PermissionFile::rebuildMasks()
     for (std::uint32_t c = 0; c < cores_; ++c) {
         const CoreMask self = CoreMask{1} << c;
         std::uint64_t read = 0;
+        std::uint32_t reads = 0;
         std::uint64_t write = 0;
         std::uint64_t donating = 0;
         std::uint64_t receiving = 0;
@@ -32,6 +33,7 @@ PermissionFile::rebuildMasks()
             const std::uint64_t bit = std::uint64_t{1} << w;
             if (rap_[w] & self) {
                 read |= bit;
+                ++reads;
                 if (!(wap_[w] & self)) {
                     donating |= bit;
                 }
@@ -44,6 +46,7 @@ PermissionFile::rebuildMasks()
             }
         }
         read_mask_[c] = read;
+        read_count_[c] = reads;
         write_mask_[c] = write;
         donating_mask_[c] = donating;
         receiving_mask_[c] = receiving;
@@ -56,7 +59,10 @@ PermissionFile::setOwner(WayId way, CoreId core)
     COOPSIM_ASSERT(way < ways() && core < cores_, "setOwner out of range");
     rap_[way] = CoreMask{1} << core;
     wap_[way] = CoreMask{1} << core;
-    powered_ |= std::uint64_t{1} << way;
+    if (!powered(way)) {
+        powered_ |= std::uint64_t{1} << way;
+        ++powered_count_;
+    }
     rebuildMasks();
 }
 
@@ -99,7 +105,10 @@ PermissionFile::powerOff(WayId way)
     COOPSIM_ASSERT(way < ways(), "powerOff way out of range");
     COOPSIM_ASSERT(rap_[way] == 0 && wap_[way] == 0,
                    "powering off a way with live permissions");
-    powered_ &= ~(std::uint64_t{1} << way);
+    if (powered(way)) {
+        powered_ &= ~(std::uint64_t{1} << way);
+        --powered_count_;
+    }
 }
 
 CoreId
@@ -109,7 +118,10 @@ PermissionFile::donorOf(WayId way) const
     if (readers_only == 0) {
         return kNoCore;
     }
-    COOPSIM_ASSERT(std::popcount(readers_only) == 1,
+    // A single-bit test, not a popcount: the build has no popcount
+    // instruction, and participate() asks for donors on every access
+    // to a receiving way.
+    COOPSIM_ASSERT((readers_only & (readers_only - 1)) == 0,
                    "multiple donors on one way");
     return static_cast<CoreId>(std::countr_zero(readers_only));
 }
@@ -120,7 +132,7 @@ PermissionFile::writerOf(WayId way) const
     if (wap_[way] == 0) {
         return kNoCore;
     }
-    COOPSIM_ASSERT(std::popcount(wap_[way]) == 1,
+    COOPSIM_ASSERT((wap_[way] & (wap_[way] - 1)) == 0,
                    "multiple writers on one way");
     return static_cast<CoreId>(std::countr_zero(wap_[way]));
 }
@@ -164,6 +176,13 @@ PermissionFile::checkInvariants() const
             COOPSIM_ASSERT(std::popcount(wap) == 1,
                            "two readers but no writer on way ", w);
         }
+    }
+    COOPSIM_ASSERT(std::popcount(powered_) == static_cast<int>(powered_count_),
+                   "cached powered-way count out of date");
+    for (std::uint32_t c = 0; c < cores_; ++c) {
+        COOPSIM_ASSERT(std::popcount(read_mask_[c]) ==
+                           static_cast<int>(read_count_[c]),
+                       "cached probe count of core ", c, " out of date");
     }
 }
 

@@ -87,6 +87,12 @@ class PermissionFile
     /** Mask of ways @p core may probe (RAP set). */
     std::uint64_t readMask(CoreId core) const { return read_mask_[core]; }
 
+    /** Ways in readMask(@p core): the probe count of its accesses. */
+    std::uint32_t readCount(CoreId core) const
+    {
+        return read_count_[core];
+    }
+
     /** Mask of ways @p core may fill/write (WAP set). */
     std::uint64_t writeMask(CoreId core) const
     {
@@ -121,10 +127,7 @@ class PermissionFile
     std::uint64_t offMask() const { return ~powered_ & all_ways_; }
 
     /** Number of powered ways. */
-    std::uint32_t poweredCount() const
-    {
-        return static_cast<std::uint32_t>(std::popcount(powered_));
-    }
+    std::uint32_t poweredCount() const { return powered_count_; }
 
     std::uint32_t ways() const
     {
@@ -148,9 +151,12 @@ class PermissionFile
     std::vector<CoreMask> rap_;
     std::vector<CoreMask> wap_;
     /** Power state, bit w = way w. Every LLC access integrates leakage
-     *  over poweredCount(), so that must be a popcount, not a scan. */
+     *  over poweredCount(), so the count is cached beside the mask
+     *  (the build has no popcount instruction). */
     std::uint64_t powered_ = 0;
+    std::uint32_t powered_count_ = 0;
     std::vector<std::uint64_t> read_mask_;
+    std::vector<std::uint32_t> read_count_;
     std::vector<std::uint64_t> write_mask_;
     std::vector<std::uint64_t> donating_mask_;
     std::vector<std::uint64_t> receiving_mask_;

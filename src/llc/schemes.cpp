@@ -16,6 +16,8 @@ using cache::WayMask;
 // MonitorBank
 
 MonitorBank::MonitorBank(const LlcConfig &config)
+    : demands_(config.num_cores),
+      curves_(config.partitioner != partition::Partitioner::EqualShare)
 {
     umon::UmonConfig uc;
     uc.llc_sets = config.geometry.numSets();
@@ -35,18 +37,17 @@ MonitorBank::observe(CoreId core, Addr addr)
     monitors_[core].access(addr);
 }
 
-std::vector<partition::AppDemand>
-MonitorBank::demands() const
+const std::vector<partition::AppDemand> &
+MonitorBank::demands()
 {
-    std::vector<partition::AppDemand> out;
-    out.reserve(monitors_.size());
-    for (const auto &m : monitors_) {
-        partition::AppDemand d;
-        d.miss_curve = m.missCurve();
-        d.accesses = static_cast<double>(m.accessCount());
-        out.push_back(std::move(d));
+    if (curves_) {
+        for (std::size_t c = 0; c < monitors_.size(); ++c) {
+            monitors_[c].missCurve(demands_[c].miss_curve);
+            demands_[c].accesses =
+                static_cast<double>(monitors_[c].accessCount());
+        }
     }
-    return out;
+    return demands_;
 }
 
 void
@@ -116,13 +117,14 @@ UnmanagedLlc::allocation() const
 
 FairShareLlc::FairShareLlc(const LlcConfig &config, mem::DramModel &dram)
     : BaseLlc(config, dram, /*has_partition_hw=*/false),
-      masks_(config.num_cores, 0)
+      masks_(config.num_cores, 0), probes_(config.num_cores, 0)
 {
     const std::uint32_t ways = config.geometry.ways;
     const std::uint32_t cores = config.num_cores;
     // Round-robin so a non-divisible split stays within one way.
     for (std::uint32_t w = 0; w < ways; ++w) {
         masks_[w % cores] |= WayMask{1} << w;
+        ++probes_[w % cores];
     }
 }
 
@@ -134,8 +136,7 @@ FairShareLlc::access(CoreId core, Addr addr, AccessType type, Cycle now)
     const WayMask mask = masks_[core];
     const Addr aligned = array_.slicer().blockAlign(addr);
     const SetId set = array_.slicer().set(aligned);
-    const auto probed =
-        static_cast<std::uint32_t>(std::popcount(mask));
+    const std::uint32_t probed = probes_[core];
 
     const auto found = array_.lookup(aligned, mask);
     if (found.hit) {
@@ -162,12 +163,7 @@ FairShareLlc::access(CoreId core, Addr addr, AccessType type, Cycle now)
 std::vector<std::uint32_t>
 FairShareLlc::allocation() const
 {
-    std::vector<std::uint32_t> alloc;
-    alloc.reserve(masks_.size());
-    for (const WayMask m : masks_) {
-        alloc.push_back(static_cast<std::uint32_t>(std::popcount(m)));
-    }
-    return alloc;
+    return probes_;
 }
 
 // ---------------------------------------------------------------------------
@@ -343,19 +339,20 @@ DynamicCpeLlc::DynamicCpeLlc(const LlcConfig &config, mem::DramModel &dram)
     : BaseLlc(config, dram, /*has_partition_hw=*/true),
       monitors_(config),
       alloc_(config.num_cores, config.geometry.ways / config.num_cores),
-      masks_(config.num_cores, 0),
+      masks_(config.num_cores, 0), probes_(config.num_cores, 0),
+      powered_ways_(config.geometry.ways),
       rng_(config.seed ^ 0xc0ffee)
 {
     for (std::uint32_t w = 0; w < config.geometry.ways; ++w) {
         masks_[w % config.num_cores] |= WayMask{1} << w;
+        ++probes_[w % config.num_cores];
     }
 }
 
 double
 DynamicCpeLlc::poweredWays() const
 {
-    return static_cast<double>(config_.geometry.ways -
-                               std::popcount(off_mask_));
+    return static_cast<double>(powered_ways_);
 }
 
 LlcAccess
@@ -369,8 +366,7 @@ DynamicCpeLlc::access(CoreId core, Addr addr, AccessType type, Cycle now)
     const WayMask mask = masks_[core];
     const Addr aligned = array_.slicer().blockAlign(addr);
     const SetId set = array_.slicer().set(aligned);
-    const auto probed =
-        static_cast<std::uint32_t>(std::popcount(mask));
+    const std::uint32_t probed = probes_[core];
 
     monitors_.observe(core, aligned);
 
@@ -463,6 +459,11 @@ DynamicCpeLlc::applyAllocation(const std::vector<std::uint32_t> &next,
         off_mask_ &= ~(WayMask{1} << p.way);
         masks_[p.recipient] |= WayMask{1} << p.way;
     }
+    for (std::uint32_t c = 0; c < config_.num_cores; ++c) {
+        probes_[c] = static_cast<std::uint32_t>(std::popcount(masks_[c]));
+    }
+    powered_ways_ = config_.geometry.ways -
+                    static_cast<std::uint32_t>(std::popcount(off_mask_));
 
     busy_until_ = std::max(busy_until_, flush_done);
     alloc_ = next;
@@ -477,8 +478,7 @@ DynamicCpeLlc::epoch(Cycle now)
     // data to the CPE allocator at runtime. Our synthetic workloads'
     // utility curves are exactly what the monitors measure, so the
     // measured curves stand in for the profile.
-    const std::vector<partition::AppDemand> demands =
-        monitors_.demands();
+    const std::vector<partition::AppDemand> &demands = monitors_.demands();
     partition::LookaheadConfig lc;
     lc.threshold = config_.cpe_gate_threshold;
     lc.min_ways_per_app = config_.min_ways_per_core;
@@ -726,8 +726,7 @@ CooperativeLlc::access(CoreId core, Addr addr, AccessType type, Cycle now)
     monitors_.observe(core, aligned);
 
     const WayMask read_mask = perms_.readMask(core);
-    const auto probed =
-        static_cast<std::uint32_t>(std::popcount(read_mask));
+    const std::uint32_t probed = perms_.readCount(core);
 
     if (read_mask == 0) {
         // The core owns no ways: the access bypasses the LLC entirely.
@@ -825,8 +824,7 @@ CooperativeLlc::epoch(Cycle now)
     // ones — a donor that stopped accessing the cache — are forced.
     forceCompleteStale(now);
 
-    const std::vector<partition::AppDemand> demands =
-        monitors_.demands();
+    const std::vector<partition::AppDemand> &demands = monitors_.demands();
     partition::LookaheadConfig lc;
     lc.threshold = config_.threshold;
     lc.mode = config_.threshold_mode;
@@ -836,13 +834,18 @@ CooperativeLlc::epoch(Cycle now)
 
     // Logical current allocation: steady ways plus in-flight ways,
     // which already belong to their recipient (it holds RAP+WAP).
+    // Only the steady ones can move this epoch; their lists are built
+    // only if a move is confirmed below.
     const std::uint32_t n = config_.num_cores;
-    const std::vector<std::vector<WayId>> steady = ownedWays();
     std::vector<std::uint32_t> cur(n, 0);
+    std::vector<std::uint32_t> steady(n, 0);
     for (std::uint32_t w = 0; w < array_.ways(); ++w) {
         const CoreId writer = perms_.writerOf(w);
         if (writer != kNoCore) {
             ++cur[writer];
+            if (perms_.state(w) == WayState::Steady) {
+                ++steady[writer];
+            }
         }
     }
 
@@ -874,9 +877,7 @@ CooperativeLlc::epoch(Cycle now)
             static_cast<std::uint32_t>(std::popcount(off_mask));
         for (std::uint32_t c = 0; c < n; ++c) {
             if (next.ways[c] < cur[c]) {
-                donate[c] = std::min<std::uint32_t>(
-                    cur[c] - next.ways[c],
-                    static_cast<std::uint32_t>(steady[c].size()));
+                donate[c] = std::min(cur[c] - next.ways[c], steady[c]);
                 supply += donate[c];
             } else {
                 receive[c] = next.ways[c] - cur[c];
@@ -901,8 +902,7 @@ CooperativeLlc::epoch(Cycle now)
         std::vector<std::uint32_t> target(n, 0);
         bool any_move = false;
         for (std::uint32_t c = 0; c < n; ++c) {
-            target[c] = static_cast<std::uint32_t>(steady[c].size()) -
-                        donate[c] + receive[c];
+            target[c] = steady[c] - donate[c] + receive[c];
             any_move = any_move || donate[c] > 0 || receive[c] > 0;
         }
 
@@ -915,7 +915,7 @@ CooperativeLlc::epoch(Cycle now)
                 off.push_back(cache::lowestWay(m));
             }
             const partition::TransitionPlan plan =
-                partition::planTransition(steady, off, target, rng_);
+                partition::planTransition(ownedWays(), off, target, rng_);
 
             // Reset each involved donor's bit vector once; a donor
             // with an in-flight transition restarts its count (the

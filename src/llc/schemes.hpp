@@ -47,12 +47,21 @@ class MonitorBank
     MonitorBank(const LlcConfig &config);
 
     void observe(CoreId core, Addr addr);
-    std::vector<partition::AppDemand> demands() const;
+    /**
+     * The per-core demands for this epoch's partitioning decision,
+     * refreshed in place (the storage lives across epochs). Under
+     * the equalshare partitioner, which reads only their count, the
+     * curves are not computed.
+     */
+    const std::vector<partition::AppDemand> &demands();
     void decay();
     const umon::UtilityMonitor &monitor(CoreId core) const;
 
   private:
     std::vector<umon::UtilityMonitor> monitors_;
+    std::vector<partition::AppDemand> demands_;
+    /** False under equalshare: demands() skips the curves. */
+    bool curves_;
 };
 
 /** No partitioning at all. */
@@ -83,6 +92,8 @@ class FairShareLlc final : public BaseLlc
 
   private:
     std::vector<cache::WayMask> masks_;
+    /** Ways in each mask: the per-access probe count, cached. */
+    std::vector<std::uint32_t> probes_;
 };
 
 /** Utility-based cache partitioning (logical ways, lazy enforcement). */
@@ -154,6 +165,10 @@ class DynamicCpeLlc final : public BaseLlc
     std::vector<std::uint32_t> alloc_;
     std::vector<cache::WayMask> masks_;
     cache::WayMask off_mask_ = 0;
+    /** Ways in each of masks_ and ways not in off_mask_, cached: every
+     *  access reads both counts, every repartition refreshes them. */
+    std::vector<std::uint32_t> probes_;
+    std::uint32_t powered_ways_ = 0;
     Cycle busy_until_ = 0;
     Rng rng_;
     /** Pending target awaiting confirmation (see confirm_epochs). */

@@ -10,10 +10,12 @@ namespace coopsim::mem
 
 DramModel::DramModel(const DramConfig &config)
     : config_(config),
+      block_bits_(floorLog2(config.block_bytes)),
       bank_ready_(config.banks, 0),
       inflight_(config.max_outstanding, 0)
 {
-    COOPSIM_ASSERT(config.banks > 0, "DRAM needs at least one bank");
+    COOPSIM_ASSERT(config.banks > 0 && isPowerOfTwo(config.banks),
+                   "DRAM bank count must be a power of two");
     COOPSIM_ASSERT(config.max_outstanding > 0, "outstanding window empty");
     COOPSIM_ASSERT(isPowerOfTwo(config.block_bytes),
                    "block size must be a power of two");
@@ -23,8 +25,8 @@ std::uint32_t
 DramModel::bankOf(Addr addr) const
 {
     // Bank-interleave on block-granular address bits.
-    const std::uint32_t block_bits = floorLog2(config_.block_bytes);
-    return static_cast<std::uint32_t>((addr >> block_bits) % config_.banks);
+    return static_cast<std::uint32_t>((addr >> block_bits_) &
+                                      (config_.banks - 1));
 }
 
 Cycle
@@ -44,9 +46,10 @@ DramModel::schedule(Addr addr, Cycle now)
     bank_ready_[bank] = start + config_.bank_occupancy;
 
     inflight_[inflight_head_] = done;
-    inflight_head_ = (inflight_head_ + 1) % inflight_.size();
+    if (++inflight_head_ == inflight_.size())
+        inflight_head_ = 0;
 
-    stats_.queue_delay.sample(static_cast<double>(start - now));
+    stats_.queue_delay.sample(start - now);
     return done;
 }
 

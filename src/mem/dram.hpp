@@ -28,7 +28,7 @@ namespace coopsim::mem
 /** Configuration of the DRAM model. */
 struct DramConfig
 {
-    /** Number of independent banks. */
+    /** Number of independent banks (a power of two). */
     std::uint32_t banks = 8;
     /** End-to-end latency of an unloaded access, in cycles. */
     Tick access_latency = 400;
@@ -40,6 +40,30 @@ struct DramConfig
     std::uint32_t block_bytes = 64;
 };
 
+/**
+ * Mean of a per-request cycle count, kept as an integer sum and a
+ * request count: every DRAM request samples it, so an update is two
+ * adds rather than a running-mean divide.
+ */
+struct CycleMean
+{
+    std::uint64_t cycles = 0;
+    std::uint64_t requests = 0;
+
+    void sample(Tick delay)
+    {
+        cycles += delay;
+        ++requests;
+    }
+    /** Mean cycles per request (0 before the first request). */
+    double mean() const
+    {
+        return requests == 0 ? 0.0
+                             : static_cast<double>(cycles) /
+                                   static_cast<double>(requests);
+    }
+};
+
 /** Running totals for DRAM traffic. */
 struct DramStats
 {
@@ -47,7 +71,7 @@ struct DramStats
     stats::Counter writes;         //!< Demand writes (fills for stores).
     stats::Counter writebacks;     //!< Evicted dirty lines.
     stats::Counter flushes;        //!< Dirty lines flushed by partitioning.
-    stats::Average queue_delay;    //!< Mean cycles spent queueing.
+    CycleMean queue_delay;         //!< Mean cycles spent queueing.
 };
 
 /**
@@ -110,6 +134,8 @@ class DramModel
     std::uint32_t bankOf(Addr addr) const;
 
     DramConfig config_;
+    /** log2(block_bytes): bank bits start above the block offset. */
+    std::uint32_t block_bits_;
     /** Cycle at which each bank is next free. */
     std::vector<Cycle> bank_ready_;
     /** Ring of completion cycles of the most recent in-flight requests. */

@@ -65,7 +65,7 @@ llc::LlcAccess
 SetSampledLlc::access(CoreId core, Addr addr, AccessType type, Cycle now)
 {
     const SetId set = slicer_.set(addr);
-    if (set % period_ != 0) {
+    if ((set & (period_ - 1)) != 0) { // period_ is a power of two
         // Unsampled set: the access still claims its bank port (slice
         // contention is load-dependent and must see the full-rate
         // stream), then replicates the sampled sets' per-core miss and

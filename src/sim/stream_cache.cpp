@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <deque>
 #include <filesystem>
 #include <unistd.h>
 #include <vector>
@@ -17,15 +18,6 @@ namespace coopsim::sim
 
 namespace
 {
-
-/**
- * Frames per lazily generated segment: 8 × kFrameOps = 32768 ops
- * (~200 KB encoded). Segment boundaries are deterministic — always a
- * whole number of full frames past whatever was already encoded — so
- * the bytes a stream memoizes never depend on which run, thread or
- * batch size pulled it first.
- */
-constexpr std::size_t kSegmentFrames = 8;
 
 std::uint64_t
 mixHash(std::uint64_t h, std::uint64_t v)
@@ -41,15 +33,13 @@ namespace detail
 {
 
 /** One frame-encoded chunk of a memoized stream, immutable once
- *  published (readers hold it by shared_ptr across eviction). */
+ *  published. */
 struct StreamSegment
 {
     /** Whole frames plus kDecodeSlack readable padding. */
     std::string data;
     /** Frame bytes (excluding the padding). */
     std::size_t logical = 0;
-    std::uint64_t first_op = 0;
-    std::uint64_t ops = 0;
 };
 
 struct StreamEntry
@@ -72,32 +62,57 @@ struct StreamEntry
     bool from_disk = false;
 
     std::mutex mu;
-    std::vector<std::shared_ptr<const StreamSegment>> segments;
+    /**
+     * Published segments in stream order: at most one loaded from
+     * disk, then one per generated frame. A deque, so publishing a
+     * segment never moves another — readers keep raw pointers to the
+     * segments they fetched (the entry outlives them through the
+     * reader's shared_ptr) and decode them without the lock.
+     */
+    std::deque<StreamSegment> segments;
     /** Ops across all segments. */
     std::uint64_t encoded_ops = 0;
     /** Ops that came from a spill file (spill skips clean entries). */
     std::uint64_t disk_ops = 0;
     /** The retained generator, positioned just past encoded_ops. */
     std::unique_ptr<core::OpStream> generator;
-    std::uint64_t generator_ops = 0;
 
     /** Bytes charged against the cache budget. Guarded by the CACHE
      *  lock, not mu: it must stay consistent with resident_bytes_. */
     std::size_t accounted_bytes = 0;
 
-    std::shared_ptr<const StreamSegment> segmentAt(std::size_t index,
-                                                   StreamCache &cache);
+    /**
+     * Replaces @p out with every segment published from index @p from
+     * on, generating the next frame first when a reader has caught up
+     * with the writer. The one place a reader takes the entry lock.
+     */
+    void fetch(std::size_t from, std::vector<const StreamSegment *> &out,
+               StreamCache &cache);
+
+  private:
+    /** Generates, encodes and publishes one more frame. Caller holds
+     *  mu. */
+    void extend(StreamCache &cache);
 };
 
-std::shared_ptr<const StreamSegment>
-StreamEntry::segmentAt(std::size_t index, StreamCache &cache)
+void
+StreamEntry::fetch(std::size_t from, std::vector<const StreamSegment *> &out,
+                   StreamCache &cache)
 {
     std::lock_guard<std::mutex> lock(mu);
-    if (index < segments.size())
-        return segments[index];
-    COOPSIM_ASSERT(index == segments.size(),
+    if (from == segments.size())
+        extend(cache);
+    COOPSIM_ASSERT(from < segments.size(),
                    "stream segment requested out of order");
+    out.clear();
+    for (std::size_t i = from; i < segments.size(); ++i) {
+        out.push_back(&segments[i]);
+    }
+}
 
+void
+StreamEntry::extend(StreamCache &cache)
+{
     if (!rebuild) {
         // File-backed entries end where the file ends, with the same
         // diagnosis a direct TraceFileStream would give.
@@ -106,56 +121,61 @@ StreamEntry::segmentAt(std::size_t index, StreamCache &cache)
                       " ops — the simulation wanted more than was recorded; "
                       "re-record with a larger instruction budget");
     }
+
+    // Per-thread scratch: a frame's ops and its encoding are the only
+    // buffers besides the segment itself, and they are reused.
+    thread_local std::vector<core::MemOp> ops(tracefile::kFrameOps);
+    thread_local std::string frame;
+
     if (!generator) {
         // First extension after a warm start (or after the generator
         // was dropped): rebuild it and skip the already-encoded
         // prefix. Generation is deterministic, so the resumed stream
         // continues exactly where the encoded ops end.
         generator = rebuild();
-        core::MemOp scratch[256];
-        while (generator_ops < encoded_ops) {
-            const std::size_t want = static_cast<std::size_t>(
-                std::min<std::uint64_t>(256, encoded_ops - generator_ops));
-            generator_ops += generator->nextBatch(scratch, want);
+        std::uint64_t skipped = 0;
+        while (skipped < encoded_ops) {
+            skipped += generator->nextBatch(
+                ops.data(), static_cast<std::size_t>(std::min<std::uint64_t>(
+                                tracefile::kFrameOps, encoded_ops - skipped)));
         }
-        COOPSIM_ASSERT(generator_ops == encoded_ops,
+        COOPSIM_ASSERT(skipped == encoded_ops,
                        "memoized stream over-skipped its encoded prefix");
     }
 
-    auto segment = std::make_shared<StreamSegment>();
-    segment->first_op = encoded_ops;
-    std::vector<core::MemOp> ops(tracefile::kFrameOps);
-    for (std::size_t f = 0; f < kSegmentFrames; ++f) {
-        std::size_t got = 0;
-        while (got < tracefile::kFrameOps) {
-            got += generator->nextBatch(ops.data() + got,
-                                        tracefile::kFrameOps - got);
-        }
-        segment->data += tracefile::encodeFrame(ops.data(),
-                                                tracefile::kFrameOps);
+    // One whole frame per segment: boundaries never depend on which
+    // run, thread or batch size pulled the stream first, so neither
+    // do the bytes memoized, spilled or warm-started.
+    std::size_t got = 0;
+    while (got < tracefile::kFrameOps) {
+        got += generator->nextBatch(ops.data() + got,
+                                    tracefile::kFrameOps - got);
     }
-    segment->ops = kSegmentFrames * tracefile::kFrameOps;
-    segment->logical = segment->data.size();
-    segment->data.append(tracefile::kDecodeSlack, '\0');
+    tracefile::encodeFrame(ops.data(), tracefile::kFrameOps, frame);
 
-    generator_ops += segment->ops;
-    encoded_ops += segment->ops;
-    const std::size_t delta = segment->data.size();
-    segments.push_back(segment);
-    cache.noteExtend(this, delta);
-    return segment;
+    // Sized exactly: appending the slack to an exact-fit string would
+    // double its capacity, and segments are what the memo keeps.
+    StreamSegment &segment = segments.emplace_back();
+    segment.data.reserve(frame.size() + tracefile::kDecodeSlack);
+    segment.data.append(frame);
+    segment.data.append(tracefile::kDecodeSlack, '\0');
+    segment.logical = frame.size();
+
+    encoded_ops += tracefile::kFrameOps;
+    cache.noteExtend(this, segment.data.size());
 }
 
 namespace
 {
 
 /**
- * The replay half of the memo: walks an entry's segments through one
- * FrameDecoder per segment (frames decode independently, so crossing
- * a segment boundary just re-arms the decoder), pulling new segments
- * from the entry's generator on demand. Holds the entry and the
- * current segment by shared_ptr, so replay keeps working even if the
- * LRU evicts the entry mid-run.
+ * The replay half of the memo: decodes the segments it holds through
+ * one FrameDecoder (frames decode independently, so crossing a segment
+ * boundary just re-arms the decoder) and fetches the entry's newer
+ * segments only once it has run past all of them — a replay of an
+ * already generated stream takes the entry lock once. Holds the entry
+ * by shared_ptr, so replay keeps working even if the LRU evicts the
+ * entry mid-run.
  */
 class MemoReplayStream final : public core::OpStream
 {
@@ -170,22 +190,21 @@ class MemoReplayStream final : public core::OpStream
     {
         std::size_t produced = 0;
         while (produced < max) {
-            if (!segment_) {
-                segment_ = entry_->segmentAt(segment_index_, cache_);
-                decoder_.reset(segment_->data.data(), 0, segment_->logical,
-                               &entry_->label);
-            }
             const std::size_t got =
                 decoder_.decode(out + produced, max - produced);
-            if (got == 0) {
-                // Clean end of this segment; the next segmentAt()
-                // call extends the entry (or fatals on a file-backed
-                // entry that has nothing more to give).
-                ++segment_index_;
-                segment_.reset();
+            if (got != 0) {
+                produced += got;
                 continue;
             }
-            produced += got;
+            // Clean end of the current segment (or none armed yet).
+            if (held_pos_ == held_.size()) {
+                entry_->fetch(next_index_, held_, cache_);
+                held_pos_ = 0;
+            }
+            const StreamSegment *segment = held_[held_pos_++];
+            ++next_index_;
+            decoder_.reset(segment->data.data(), 0, segment->logical,
+                           &entry_->label);
         }
         return produced;
     }
@@ -201,8 +220,11 @@ class MemoReplayStream final : public core::OpStream
   private:
     std::shared_ptr<StreamEntry> entry_;
     StreamCache &cache_;
-    std::shared_ptr<const StreamSegment> segment_;
-    std::size_t segment_index_ = 0;
+    /** Fetched segments not yet decoded from, from held_pos_ on. */
+    std::vector<const StreamSegment *> held_;
+    std::size_t held_pos_ = 0;
+    /** Entry index of the segment after the one being decoded. */
+    std::size_t next_index_ = 0;
     tracefile::FrameDecoder decoder_;
 };
 
@@ -348,6 +370,7 @@ void
 StreamCache::noteExtend(detail::StreamEntry *entry, std::size_t delta)
 {
     std::lock_guard<std::mutex> lock(mu_);
+    ++stats_.frames_generated;
     auto it = entries_.find(entry->key);
     if (it == entries_.end() ||
         it->second.future.wait_for(std::chrono::seconds(0)) !=
@@ -483,14 +506,12 @@ StreamCache::openTraceFile(const Key &key, const std::string &path,
                 COOPSIM_FATAL(e->label, ": ", error,
                               " — the file is corrupt; re-record it");
 
-            auto segment = std::make_shared<detail::StreamSegment>();
-            segment->logical = logical - pos;
-            segment->data = data.substr(pos); // keeps the slack padding
-            segment->ops = ops;
-            e->segments.push_back(segment);
+            detail::StreamSegment &segment = e->segments.emplace_back();
+            segment.logical = logical - pos;
+            segment.data = data.substr(pos); // keeps the slack padding
             e->encoded_ops = ops;
             e->disk_ops = ops;
-            e->initial_bytes = segment->data.size();
+            e->initial_bytes = segment.data.size();
             e->from_disk = true;
             return e;
         },
@@ -549,14 +570,12 @@ StreamCache::tryWarmStart(detail::StreamEntry &entry, const std::string &path)
     if (ops == 0)
         return false;
 
-    auto segment = std::make_shared<detail::StreamSegment>();
-    segment->logical = logical - pos;
-    segment->data = data.substr(pos);
-    segment->ops = ops;
-    entry.segments.push_back(segment);
+    detail::StreamSegment &segment = entry.segments.emplace_back();
+    segment.logical = logical - pos;
+    segment.data = data.substr(pos);
     entry.encoded_ops = ops;
     entry.disk_ops = ops;
-    entry.initial_bytes = segment->data.size();
+    entry.initial_bytes = segment.data.size();
     return true;
 }
 
@@ -598,9 +617,9 @@ StreamCache::spillNow()
         const std::string header = tracefile::encodeHeader(entry->header);
         bool ok = std::fwrite(header.data(), 1, header.size(), f) ==
                   header.size();
-        for (const auto &segment : entry->segments) {
-            ok = ok && std::fwrite(segment->data.data(), 1, segment->logical,
-                                   f) == segment->logical;
+        for (const detail::StreamSegment &segment : entry->segments) {
+            ok = ok && std::fwrite(segment.data.data(), 1, segment.logical,
+                                   f) == segment.logical;
         }
         ok = ok && std::fflush(f) == 0 && ::fsync(::fileno(f)) == 0;
         ok = (std::fclose(f) == 0) && ok;

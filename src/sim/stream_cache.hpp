@@ -21,10 +21,12 @@
  *
  * Concurrency follows RunExecutor's RunKey memo: an entry is a
  * shared_future, the first opener builds it, every other opener
- * (across executor threads) waits and replays. Buffers grow lazily in
- * fixed-size segments under a per-entry lock, so a run that needs
- * more ops than any before it extends the shared buffer in place
- * while shorter runs replay concurrently.
+ * (across executor threads) waits and replays. Buffers grow lazily,
+ * one `.cooptrace` frame (kFrameOps ops) at a time under a per-entry
+ * lock, so a stream is generated only as far as some run has read it,
+ * and a run that needs more ops than any before it extends the shared
+ * buffer in place while shorter runs replay concurrently. A reader
+ * takes that lock only when it has decoded every segment it fetched.
  *
  * The memo is host machinery, not simulation identity: it is wired
  * through the SystemConfig::stream_factory hook, RunKey never sees
@@ -108,6 +110,9 @@ class StreamCache
         /** Entries materialized from disk (--trace-cache warm starts
          *  and --trace-dir replay files). */
         std::uint64_t streams_loaded = 0;
+        /** Frames generated and encoded, across all entries (not
+         *  printed). */
+        std::uint64_t frames_generated = 0;
     };
 
     /** The process-wide instance (same pattern as RunExecutor). */
@@ -192,9 +197,10 @@ class StreamCache
                          const std::function<EntryPtr()> &build,
                          bool &created);
 
-    /** Budget accounting hook for lazy segment extension: re-finds
-     *  @p entry under the cache lock (it may have been evicted) and,
-     *  if still resident, charges @p delta and evicts over budget. */
+    /** Accounting hook for a newly generated frame: counts it,
+     *  re-finds @p entry under the cache lock (it may have been
+     *  evicted) and, if still resident, charges @p delta and evicts
+     *  over budget. */
     void noteExtend(detail::StreamEntry *entry, std::size_t delta);
 
     /** Evicts ready LRU entries (never @p keep) until under budget.

@@ -14,13 +14,19 @@ namespace
 {
 
 inline void
+storeU32(char *p, std::uint32_t value)
+{
+    p[0] = static_cast<char>(value & 0xff);
+    p[1] = static_cast<char>((value >> 8) & 0xff);
+    p[2] = static_cast<char>((value >> 16) & 0xff);
+    p[3] = static_cast<char>((value >> 24) & 0xff);
+}
+
+inline void
 appendU32(std::string &out, std::uint32_t value)
 {
     char buf[4];
-    buf[0] = static_cast<char>(value & 0xff);
-    buf[1] = static_cast<char>((value >> 8) & 0xff);
-    buf[2] = static_cast<char>((value >> 16) & 0xff);
-    buf[3] = static_cast<char>((value >> 24) & 0xff);
+    storeU32(buf, value);
     out.append(buf, 4);
 }
 
@@ -187,18 +193,23 @@ decodeHeader(const std::string &data, std::size_t &pos, TraceHeader &out,
 // ---------------------------------------------------------------------------
 // Frames
 
-std::string
-encodeFrame(const core::MemOp *ops, std::size_t count)
+void
+encodeFrame(const core::MemOp *ops, std::size_t count, std::string &out)
 {
     // Encode through raw pointer writes into a worst-case-sized
     // buffer — one capacity check per frame instead of several per op
     // (this is the stream memo's cold-path inner loop). Worst case
     // per op: 1 flags byte + a 10-byte gap varint + an 8-byte delta;
     // the unconditional 8-byte delta store stays inside that budget.
+    // The count's varint length is known up front, so the payload is
+    // written in place and its length patched in afterwards.
     constexpr std::size_t kMaxOpBytes = 19;
-    std::string payload;
-    payload.resize(count * kMaxOpBytes);
-    char *const base = payload.data();
+    out.clear();
+    appendVarint(out, count);
+    const std::size_t length_pos = out.size();
+    const std::size_t payload_pos = length_pos + 4;
+    out.resize(payload_pos + count * kMaxOpBytes + 4);
+    char *const base = out.data() + payload_pos;
     char *p = base;
     std::uint64_t prev_addr = 0;
     for (std::size_t i = 0; i < count; ++i) {
@@ -222,14 +233,10 @@ encodeFrame(const core::MemOp *ops, std::size_t count)
         p += len;
         prev_addr = op.addr;
     }
-    payload.resize(static_cast<std::size_t>(p - base));
-
-    std::string out;
-    appendVarint(out, count);
-    appendU32(out, static_cast<std::uint32_t>(payload.size()));
-    out.append(payload);
-    appendU32(out, store::crc32(payload.data(), payload.size()));
-    return out;
+    const auto payload_bytes = static_cast<std::uint32_t>(p - base);
+    storeU32(out.data() + length_pos, payload_bytes);
+    storeU32(p, store::crc32(base, payload_bytes));
+    out.resize(payload_pos + payload_bytes + 4);
 }
 
 FrameStatus

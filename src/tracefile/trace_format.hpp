@@ -146,8 +146,11 @@ bool decodeHeader(const std::string &data, std::size_t &pos,
 // ---------------------------------------------------------------------------
 // Frames
 
-/** Encodes @p count ops as one complete frame. */
-std::string encodeFrame(const core::MemOp *ops, std::size_t count);
+/** Encodes @p count ops as one complete frame into @p out, replacing
+ *  its contents (its capacity is reused, so a caller encoding frame
+ *  after frame through one buffer allocates once). */
+void encodeFrame(const core::MemOp *ops, std::size_t count,
+                 std::string &out);
 
 /** Outcome of decodeFrame(). */
 enum class FrameStatus

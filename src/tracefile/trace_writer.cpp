@@ -51,8 +51,8 @@ TraceWriter::flushFrame()
 {
     if (pending_.empty())
         return;
-    const std::string frame = encodeFrame(pending_.data(), pending_.size());
-    if (std::fwrite(frame.data(), 1, frame.size(), file_) != frame.size())
+    encodeFrame(pending_.data(), pending_.size(), frame_);
+    if (std::fwrite(frame_.data(), 1, frame_.size(), file_) != frame_.size())
         COOPSIM_FATAL("short write of trace frame to '", tmp_path_, "'");
     pending_.clear();
 }

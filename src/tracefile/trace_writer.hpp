@@ -57,6 +57,8 @@ class TraceWriter
     std::string tmp_path_;
     std::FILE *file_ = nullptr;
     std::vector<core::MemOp> pending_;
+    /** Encoding buffer, reused frame after frame. */
+    std::string frame_;
     std::uint64_t written_ = 0;
     bool finished_ = false;
 };

@@ -57,8 +57,8 @@ UtilityMonitor::access(Addr addr)
     stack[0] = tag;
 }
 
-std::vector<double>
-UtilityMonitor::missCurve() const
+void
+UtilityMonitor::missCurve(std::vector<double> &curve) const
 {
     const std::uint32_t ways = config_.llc_ways;
     const double scale = static_cast<double>(config_.sample_period);
@@ -67,14 +67,19 @@ UtilityMonitor::missCurve() const
     // by multiplying by the sampling period; the *unsampled* misses are
     // approximated the same way. Using sampled counters uniformly keeps
     // the curve internally consistent.
-    std::vector<double> curve(ways + 1, 0.0);
-    double tail = static_cast<double>(misses_);
-    curve[ways] = tail * scale;
+    //
+    // The suffix sums are integers, each at most the final one, which
+    // is asserted below 2^53: every one converts to double exactly, so
+    // summing in uint64_t matches a double accumulation bit for bit.
+    curve.resize(ways + 1);
+    std::uint64_t tail = misses_;
+    curve[ways] = static_cast<double>(tail) * scale;
     for (std::uint32_t w = ways; w-- > 0;) {
-        tail += static_cast<double>(position_hits_[w]);
-        curve[w] = tail * scale;
+        tail += position_hits_[w];
+        curve[w] = static_cast<double>(tail) * scale;
     }
-    return curve;
+    COOPSIM_ASSERT(tail < (std::uint64_t{1} << 53),
+                   "UMON counters exceed exact double range");
 }
 
 void

@@ -57,13 +57,15 @@ class UtilityMonitor
 
     /**
      * Expected misses for each allocation size, scaled back up by the
-     * sampling factor.
+     * sampling factor, written into @p curve. The buffer is resized
+     * only when it is not already ways+1 long, so a caller refreshing
+     * one buffer every epoch allocates once.
      *
-     * @return vector m of size ways+1: m[w] = expected misses had the
-     *         core owned w ways. m[0] counts every reference as a miss;
-     *         m is monotone non-increasing (LRU stack property).
+     * On return curve[w] = expected misses had the core owned w ways;
+     * curve[0] counts every reference as a miss, and the curve is
+     * monotone non-increasing (LRU stack property).
      */
-    std::vector<double> missCurve() const;
+    void missCurve(std::vector<double> &curve) const;
 
     /** Raw per-recency-position hit counters (position 0 = MRU). */
     const std::vector<std::uint64_t> &positionHits() const
@@ -92,6 +94,9 @@ class UtilityMonitor
     }
 
   private:
+    /** Lets tests load counters no simulated run reaches (2^52). */
+    friend struct UmonTestAccess;
+
     /** Tag of an empty ATD slot. No real tag reaches it: the slicer
      *  shifts every tag right by block_bits + set_bits >= 1 bits. */
     static constexpr Addr kEmptyTag = ~Addr{0};

@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
+#include <string>
 
 #include "common/rng.hpp"
 #include "llc/permissions.hpp"
@@ -467,4 +469,99 @@ TEST(CooperativeLlc, ConfirmationDampsOneEpochBlips)
     balanced(300);
     llc.epoch(++now);
     EXPECT_EQ(llc.repartitions(), 0u);
+}
+
+namespace
+{
+
+/** 16 sets x 8 ways x 64 B shared by 4 cores. */
+LlcConfig
+quadConfig()
+{
+    LlcConfig config = microConfig();
+    config.geometry = {16 * 8 * 64, 8, 64};
+    config.num_cores = 4;
+    return config;
+}
+
+/** "alloc a,b,c,d ways <one letter per way> reps N", the letters
+ *  O(ff), S(teady), T(ransition) and D(raining). */
+std::string
+snapshot(const CooperativeLlc &llc)
+{
+    std::string out = "alloc";
+    const std::vector<std::uint32_t> alloc = llc.allocation();
+    for (std::size_t c = 0; c < alloc.size(); ++c) {
+        out += c == 0 ? ' ' : ',';
+        out += std::to_string(alloc[c]);
+    }
+    out += " ways ";
+    for (WayId w = 0; w < 8; ++w) {
+        switch (llc.permissions().state(w)) {
+          case WayState::Off: out += 'O'; break;
+          case WayState::Steady: out += 'S'; break;
+          case WayState::Transition: out += 'T'; break;
+          case WayState::Draining: out += 'D'; break;
+        }
+    }
+    return out + " reps " + std::to_string(llc.repartitions());
+}
+
+} // namespace
+
+TEST(CooperativeLlc, OverlappingTransfersAndDrainsArePinned)
+{
+    // Each epoch's traffic cycles every core over `depth` blocks per
+    // set (its UMON then asks for that many ways) in sets [first,
+    // end). A takeover completes only once its donor's bit vector
+    // covers every set, so half-range epochs leave transfers and
+    // drains in flight while the next decisions start new ones.
+    struct Phase
+    {
+        std::array<Addr, 4> depth;
+        SetId first;
+        SetId end;
+    };
+    const Phase phases[] = {
+        {{4, 1, 1, 1}, 0, 16}, {{1, 4, 1, 1}, 0, 8},
+        {{1, 1, 3, 0}, 8, 16}, {{3, 3, 1, 1}, 0, 8},
+        {{1, 1, 1, 1}, 0, 16}, {{1, 2, 4, 1}, 8, 16},
+        {{4, 1, 1, 3}, 0, 16}, {{1, 1, 1, 1}, 0, 8},
+    };
+    // Pinned: any change here is a change in simulated behaviour.
+    const char *const expected[] = {
+        "alloc 4,1,1,1 ways STTDSSSS reps 1",
+        "alloc 4,1,1,1 ways STTDSSSS reps 1",
+        "alloc 1,1,3,1 ways TTSDDSSS reps 2",
+        "alloc 1,2,2,1 ways TTSDDSTS reps 3",
+        "alloc 3,3,1,1 ways STSSSSSS reps 4",
+        "alloc 1,2,4,1 ways STTSTSTS reps 5",
+        "alloc 1,3,1,3 ways TSTSTSSS reps 6",
+        "alloc 1,3,1,3 ways TSTSTSSS reps 6",
+    };
+
+    mem::DramModel dram;
+    CooperativeLlc llc(quadConfig(), dram);
+    Cycle now = 0;
+    for (std::size_t e = 0; e < std::size(phases); ++e) {
+        const Phase &phase = phases[e];
+        for (int round = 0; round < 100; ++round) {
+            for (SetId s = phase.first; s < phase.end; ++s) {
+                for (CoreId c = 0; c < 4; ++c) {
+                    for (Addr t = 0; t < phase.depth[c]; ++t) {
+                        const Addr addr = (static_cast<Addr>(c + 1) << 40) |
+                                          (t << 10) |
+                                          (static_cast<Addr>(s) << 6);
+                        llc.access(c, addr,
+                                   (c + t) % 3 == 0 ? AccessType::Write
+                                                    : AccessType::Read,
+                                   ++now);
+                    }
+                }
+            }
+        }
+        llc.epoch(++now);
+        llc.checkInvariants();
+        EXPECT_EQ(snapshot(llc), expected[e]) << "after epoch " << e + 1;
+    }
 }

@@ -15,19 +15,26 @@
  *    bit-identical results through the shared memo;
  *  - --trace-cache spill/warm-start round-trips: a second "process"
  *    (cleared cache) loads every stream from disk, generates none,
- *    and reproduces the results bit-identically.
+ *    and reproduces the results bit-identically;
+ *  - a stream is generated one frame at a time, only as far as its
+ *    furthest reader, and readers that race a thread extending the
+ *    entry all see the generator's exact sequence.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "api/spec.hpp"
 #include "sim/executor.hpp"
 #include "sim/stream_cache.hpp"
 #include "store/result_store.hpp"
+#include "trace/generator.hpp"
+#include "trace/spec_profiles.hpp"
 #include "trace/workloads.hpp"
 
 using namespace coopsim;
@@ -85,6 +92,75 @@ std::string
 runFormatted(const RunKey &key)
 {
     return store::formatResult(sim::executeRun(key));
+}
+
+/** One stream opened straight through StreamCache::open(): slot 0 of
+ *  G2-1's first app, under the run seed @p seed. */
+struct DirectStream
+{
+    StreamCache::Key key;
+    trace::AppProfile profile;
+    trace::StreamGeometry geometry;
+    std::uint64_t stream_seed = 0;
+
+    explicit DirectStream(std::uint64_t seed)
+        : profile(trace::specProfile(trace::groupByName("G2-1").apps[0]))
+    {
+        key.workload = profile.name;
+        key.slot = 0;
+        key.seed = seed;
+        key.scale = "test";
+        key.num_cores = 2;
+        stream_seed = seed; // slot 0: seed + 0 * 7919
+    }
+
+    std::unique_ptr<core::OpStream>
+    open() const
+    {
+        return StreamCache::instance().open(key, profile, geometry,
+                                            stream_seed);
+    }
+
+    /** The first @p n ops straight from the generator. */
+    std::vector<core::MemOp>
+    reference(std::size_t n) const
+    {
+        trace::SyntheticStream generator(profile, geometry, key.slot,
+                                         stream_seed);
+        std::vector<core::MemOp> ops(n);
+        std::size_t got = 0;
+        while (got < n) {
+            got += generator.nextBatch(ops.data() + got, n - got);
+        }
+        return ops;
+    }
+};
+
+/** Pulls @p n ops from @p stream, @p batch at a time. */
+std::vector<core::MemOp>
+pull(core::OpStream &stream, std::size_t n, std::size_t batch)
+{
+    std::vector<core::MemOp> ops(n);
+    std::size_t got = 0;
+    while (got < n) {
+        got += stream.nextBatch(ops.data() + got, std::min(batch, n - got));
+    }
+    return ops;
+}
+
+/** Index of the first op where @p a and @p b differ, else the shorter
+ *  one's size. */
+std::size_t
+firstMismatch(const std::vector<core::MemOp> &a,
+              const std::vector<core::MemOp> &b)
+{
+    const std::size_t n = std::min(a.size(), b.size());
+    for (std::size_t i = 0; i < n; ++i) {
+        if (a[i].gap_insts != b[i].gap_insts || a[i].addr != b[i].addr ||
+            a[i].type != b[i].type || a[i].llc_level != b[i].llc_level)
+            return i;
+    }
+    return n;
 }
 
 } // namespace
@@ -183,10 +259,10 @@ TEST(StreamMemo, TinyBudgetEvictsWithoutChangingResults)
         plain.push_back(runFormatted(key));
     }
 
-    // 64 KiB holds no single test-scale stream (one lazily generated
-    // segment is ~200 KiB), so every new stream evicts an older one;
-    // streams already handed to a running System keep replaying
-    // through their shared_ptr regardless.
+    // The six streams these runs pull span 22 frames of ~20 KiB, far
+    // over 64 KiB, so new frames keep evicting older streams; streams
+    // already handed to a running System keep replaying through their
+    // shared_ptr regardless.
     cache.configure({true, 64 * 1024, ""});
     for (std::size_t i = 0; i < keys.size(); ++i) {
         EXPECT_EQ(plain[i], runFormatted(keys[i])) << keys[i].name;
@@ -269,4 +345,76 @@ TEST(StreamMemo, TraceCacheSpillsAndWarmStarts)
     EXPECT_EQ(stats.streams_loaded, 2u);
 
     std::filesystem::remove_all(dir);
+}
+
+// ---------------------------------------------------------------------------
+// Frame-granular generation
+
+TEST(StreamMemo, GeneratesOnlyTheFramesItsReadersPull)
+{
+    CacheGuard guard;
+    StreamCache &cache = StreamCache::instance();
+    constexpr std::size_t kFrame = tracefile::kFrameOps;
+
+    std::uint64_t seed = 100;
+    for (const std::size_t n : {std::size_t{0}, std::size_t{1}, kFrame - 1,
+                                kFrame, kFrame + 1, 5 * kFrame + 17}) {
+        cache.clear();
+        cache.resetStats();
+        const DirectStream direct(++seed);
+        const std::vector<core::MemOp> want = direct.reference(n);
+
+        // Batches of 61 ops straddle every frame boundary.
+        const auto stream = direct.open();
+        EXPECT_EQ(firstMismatch(pull(*stream, n, 61), want), n) << n;
+        const std::uint64_t frames = (n + kFrame - 1) / kFrame;
+        EXPECT_EQ(cache.stats().frames_generated, frames) << n;
+
+        // A second reader of the same ops replays them all.
+        const auto again = direct.open();
+        EXPECT_EQ(firstMismatch(pull(*again, n, 4096), want), n) << n;
+        EXPECT_EQ(cache.stats().frames_generated, frames) << n;
+        EXPECT_EQ(cache.stats().streams_generated, 1u);
+    }
+}
+
+TEST(StreamMemo, ReadersRacingAnExtenderSeeOneSequence)
+{
+    CacheGuard guard;
+    StreamCache &cache = StreamCache::instance();
+    const DirectStream direct(7);
+    const std::size_t n = 12 * tracefile::kFrameOps + 100;
+    const std::vector<core::MemOp> want = direct.reference(n);
+
+    // Five threads pull one stream at once: one a whole frame at a
+    // time, four in batches that cross frame boundaries at different
+    // offsets. Whichever is ahead extends the entry while the others
+    // replay what it published.
+    const std::vector<std::size_t> batches = {4096, 1, 7, 64, 1000};
+    std::vector<std::unique_ptr<core::OpStream>> streams;
+    for (std::size_t i = 0; i < batches.size(); ++i) {
+        streams.push_back(direct.open());
+    }
+    std::vector<std::vector<core::MemOp>> seen(batches.size());
+    std::atomic<bool> go{false};
+    std::vector<std::thread> threads;
+    for (std::size_t i = 0; i < batches.size(); ++i) {
+        threads.emplace_back([&, i] {
+            while (!go.load()) {
+                std::this_thread::yield();
+            }
+            seen[i] = pull(*streams[i], n, batches[i]);
+        });
+    }
+    go = true;
+    for (std::thread &t : threads) {
+        t.join();
+    }
+
+    for (std::size_t i = 0; i < batches.size(); ++i) {
+        EXPECT_EQ(firstMismatch(seen[i], want), n)
+            << "reader pulling " << batches[i] << " ops at a time";
+    }
+    EXPECT_EQ(cache.stats().frames_generated,
+              (n + tracefile::kFrameOps - 1) / tracefile::kFrameOps);
 }

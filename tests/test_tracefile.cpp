@@ -287,9 +287,15 @@ TEST(TraceFormat, HeaderRejectsMalformedInput)
 
 TEST(TraceFormat, FrameRoundTripsRandomOps)
 {
-    for (const std::size_t count : {1ul, 7ul, 1000ul, kFrameOps}) {
+    // One encoding buffer across frames of shrinking and growing
+    // sizes: each call must replace the previous frame, not extend it.
+    std::string reused;
+    for (const std::size_t count : {kFrameOps, 1ul, 1000ul, 7ul}) {
         const std::vector<core::MemOp> ops = sampleOps(count, count);
-        std::string data = encodeFrame(ops.data(), ops.size());
+        std::string data;
+        encodeFrame(ops.data(), ops.size(), data);
+        encodeFrame(ops.data(), ops.size(), reused);
+        EXPECT_EQ(reused, data) << count;
         data.append(kDecodeSlack, '\0');
 
         std::size_t pos = 0;
@@ -312,8 +318,9 @@ TEST(TraceFormat, FramesDecodeIndependently)
     // the first yields the same ops.
     const std::vector<core::MemOp> a = sampleOps(100, 1);
     const std::vector<core::MemOp> b = sampleOps(100, 2);
-    const std::string fa = encodeFrame(a.data(), a.size());
-    const std::string fb = encodeFrame(b.data(), b.size());
+    std::string fa, fb;
+    encodeFrame(a.data(), a.size(), fa);
+    encodeFrame(b.data(), b.size(), fb);
 
     std::string only_b = fb;
     only_b.append(kDecodeSlack, '\0');
@@ -340,7 +347,8 @@ TEST(TraceFormat, FramesDecodeIndependently)
 TEST(TraceFormat, FrameRejectsCorruptionTruncationAndTrailingBytes)
 {
     const std::vector<core::MemOp> ops = sampleOps(200, 3);
-    const std::string good = encodeFrame(ops.data(), ops.size());
+    std::string good;
+    encodeFrame(ops.data(), ops.size(), good);
     std::vector<core::MemOp> decoded;
     std::string error;
     std::size_t pos;

@@ -5,17 +5,72 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "umon/umon.hpp"
 
+namespace coopsim::umon
+{
+
+struct UmonTestAccess
+{
+    static void
+    setCounters(UtilityMonitor &umon, const std::vector<std::uint64_t> &hits,
+                std::uint64_t misses)
+    {
+        umon.position_hits_ = hits;
+        umon.misses_ = misses;
+    }
+};
+
+} // namespace coopsim::umon
+
 using namespace coopsim;
 using umon::UmonConfig;
+using umon::UmonTestAccess;
 using umon::UtilityMonitor;
 
 namespace
 {
+
+std::vector<double>
+curveOf(const UtilityMonitor &umon)
+{
+    std::vector<double> curve;
+    umon.missCurve(curve);
+    return curve;
+}
+
+/** Reference curve: the suffix sums accumulated in double. */
+std::vector<double>
+doubleAccumulatedCurve(const UtilityMonitor &umon)
+{
+    const std::vector<std::uint64_t> &hits = umon.positionHits();
+    const double scale = static_cast<double>(umon.config().sample_period);
+    std::vector<double> curve(hits.size() + 1, 0.0);
+    double tail = static_cast<double>(umon.missCount());
+    curve[hits.size()] = tail * scale;
+    for (std::size_t w = hits.size(); w-- > 0;) {
+        tail += static_cast<double>(hits[w]);
+        curve[w] = tail * scale;
+    }
+    return curve;
+}
+
+void
+expectBitIdentical(const std::vector<double> &got,
+                   const std::vector<double> &want, const char *what)
+{
+    ASSERT_EQ(got.size(), want.size()) << what;
+    for (std::size_t w = 0; w < want.size(); ++w) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got[w]),
+                  std::bit_cast<std::uint64_t>(want[w]))
+            << what << ": curve[" << w << "] = " << got[w] << ", want "
+            << want[w];
+    }
+}
 
 UmonConfig
 fullSampling()
@@ -63,7 +118,7 @@ expectCurveMatchesLruLists(std::uint32_t ways, std::uint32_t sample_period)
     for (const Addr a : stream) {
         umon.access(a);
     }
-    const std::vector<double> curve = umon.missCurve();
+    const std::vector<double> curve = curveOf(umon);
 
     for (std::uint32_t w = 1; w <= ways; ++w) {
         // Simple explicit per-set LRU model.
@@ -142,7 +197,7 @@ TEST(Umon, MissCurveEndpoints)
     umon.access(makeAddr(1, 0)); // position-0 hit
     umon.access(makeAddr(2, 0));
 
-    const std::vector<double> curve = umon.missCurve();
+    const std::vector<double> curve = curveOf(umon);
     ASSERT_EQ(curve.size(), 5u);
     // With zero ways every reference misses.
     EXPECT_DOUBLE_EQ(curve[0], 3.0);
@@ -157,9 +212,59 @@ TEST(Umon, MissCurveIsMonotoneNonIncreasing)
     for (int i = 0; i < 5000; ++i) {
         umon.access(makeAddr(rng.nextBelow(12), rng.nextBelow(16)));
     }
-    const auto curve = umon.missCurve();
+    const std::vector<double> curve = curveOf(umon);
     for (std::size_t w = 1; w < curve.size(); ++w) {
         EXPECT_LE(curve[w], curve[w - 1]);
+    }
+}
+
+TEST(Umon, MissCurveMatchesDoubleAccumulationBitForBit)
+{
+    UmonConfig config = fullSampling();
+    config.llc_sets = 64;
+    config.sample_period = 32;
+    UtilityMonitor umon(config);
+
+    // Counters up to 2^52 with odd low bits, whose total stays below
+    // the asserted 2^53: every suffix sum uses the full mantissa.
+    const std::uint64_t two52 = std::uint64_t{1} << 52;
+    UmonTestAccess::setCounters(
+        umon, {two52 - 1, 12345, (std::uint64_t{1} << 40) + 7, 3},
+        (std::uint64_t{1} << 51) + 9);
+    expectBitIdentical(curveOf(umon), doubleAccumulatedCurve(umon),
+                       "counters near 2^52");
+    umon.decay();
+    expectBitIdentical(curveOf(umon), doubleAccumulatedCurve(umon),
+                       "counters near 2^52 after decay");
+
+    // And counters a simulated run produces, across two decays.
+    umon.reset();
+    Rng rng(3);
+    for (int round = 0; round < 3; ++round) {
+        for (int i = 0; i < 20000; ++i) {
+            umon.access(makeAddr(rng.nextBelow(9), rng.nextBelow(64), 6));
+        }
+        expectBitIdentical(curveOf(umon), doubleAccumulatedCurve(umon),
+                           "simulated counters");
+        umon.decay();
+    }
+}
+
+TEST(Umon, MissCurveResizesAReusedBuffer)
+{
+    UtilityMonitor umon(fullSampling());
+    umon.access(makeAddr(1, 0));
+    umon.access(makeAddr(1, 0));
+    const std::vector<double> fresh = curveOf(umon);
+    ASSERT_EQ(fresh.size(), 5u);
+
+    // Too short, too long, and the right size holding stale values:
+    // each comes back ways+1 long and equal to a fresh curve.
+    for (std::vector<double> buffer :
+         {std::vector<double>(2, -1.0), std::vector<double>(100, -1.0),
+          std::vector<double>(5, -1.0)}) {
+        umon.missCurve(buffer);
+        EXPECT_EQ(buffer, fresh);
     }
 }
 
@@ -188,7 +293,7 @@ TEST(Umon, SamplingScalesCurveBack)
         ++true_misses_proxy;
     }
     // Nearly every access misses (200 tags over 64x4 frames per set).
-    const double estimated = umon.missCurve()[4];
+    const double estimated = curveOf(umon)[4];
     EXPECT_NEAR(estimated, static_cast<double>(true_misses_proxy),
                 0.15 * static_cast<double>(true_misses_proxy));
 }
