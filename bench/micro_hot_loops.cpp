@@ -17,11 +17,12 @@
  *     per step (run_step_ns) for the pre-batching per-op loop versus
  *     the batched-quantum loop, with an identical-sequence no-driver
  *     replay subtracted as the op-work baseline (see benchDriverCost),
- *  4. trace-replay op production: TraceFileStream's frame decode
+ *  4. trace-replay op production: a `.cooptrace` file replayed
+ *     through StreamCache::openTraceFile (the `--trace-dir` path)
  *     versus SyntheticStream generation over the identical op
  *     sequence, with an in-memory replay of the pre-decoded ops
  *     subtracted as the consumption baseline (replay_step_ns; the CI
- *     trace-smoke leg asserts it does not exceed run_step_ns),
+ *     hotpath-smoke leg asserts it does not exceed run_step_ns),
  *  5. one complete bench-scale reference run (coop / G4-1) end to end
  *     under both driver modes — wall seconds, per-op cost, and the
  *     average quantum length actually achieved (quantum_avg_ops; the
@@ -63,8 +64,7 @@
 #include "trace/generator.hpp"
 #include "trace/spec_profiles.hpp"
 #include "trace/workloads.hpp"
-#include "tracefile/trace_stream.hpp"
-#include "tracefile/trace_writer.hpp"
+#include "tracefile/trace_format.hpp"
 #include "umon/umon.hpp"
 
 using namespace coopsim;
@@ -603,19 +603,22 @@ struct ReplayCost
 };
 
 /**
- * The per-op cost of TraceFileStream::nextBatch — the replacement for
+ * The per-op cost of replaying a trace file — the replacement for
  * SyntheticStream in a `trace:` replay run. ~1M gobmk ops are
- * recorded once (untimed), then three loops consume the identical
- * sequence through the 64-op batch interface TraceCore uses:
+ * written once (untimed) through tracefile::encodeTrace and the
+ * durable writer, exactly as `--record` writes them, then three loops
+ * consume the identical sequence through the 64-op batch interface
+ * TraceCore uses:
  *
- *  - replay: TraceFileStream decoding frames from the mapped file;
+ *  - replay: StreamCache::openTraceFile decoding the loaded frames,
+ *    the path a `--trace-dir` run takes;
  *  - generate: SyntheticStream producing the same ops from the
  *    profile (what the non-replay run pays);
  *  - baseline: the ops pre-decoded into a vector and applied from
  *    memory, measuring the consumption side alone.
  *
  * replay_step_ns = replay − baseline is the net decode cost per op;
- * the CI trace-smoke leg asserts it stays at or below run_step_ns
+ * the CI hotpath-smoke leg asserts it stays at or below run_step_ns
  * (the driver's own per-step budget), i.e. replay does not become
  * the new hot-path bottleneck. All three checksums must agree — a
  * decode bug that survives the CRCs would show up here.
@@ -629,27 +632,33 @@ benchReplayCost(std::uint64_t &checksum)
     const std::uint64_t seed = 42;
 
     const std::string path = "BENCH_replay.gobmk.0.cooptrace";
+    tracefile::TraceHeader header;
+    header.core = 0;
+    header.num_cores = 1;
+    header.seed = seed;
+    header.llc_sets = geometry.llc_sets;
+    header.block_bytes = geometry.block_bytes;
+    header.workload = "BENCH_replay.gobmk";
+    header.app = profile.name;
+    header.scale = "bench";
     {
-        tracefile::TraceHeader header;
-        header.core = 0;
-        header.num_cores = 1;
-        header.seed = seed;
-        header.llc_sets = geometry.llc_sets;
-        header.block_bytes = geometry.block_bytes;
-        header.workload = "BENCH_replay.gobmk";
-        header.app = profile.name;
-        header.scale = "bench";
-        tracefile::TraceWriter writer(path, header);
         trace::SyntheticStream source(profile, geometry, 0, seed);
-        core::MemOp buffer[64];
-        for (std::uint64_t n = 0; n < kOps; n += 64) {
-            source.nextBatch(buffer, 64);
-            for (const core::MemOp &op : buffer) {
-                writer.append(op);
-            }
+        const std::string image =
+            tracefile::encodeTrace(header, source, kOps);
+        std::string error;
+        if (!store::writeFileDurably(path, {image}, error)) {
+            std::fprintf(stderr, "FATAL: %s\n", error.c_str());
+            std::exit(1);
         }
-        writer.finish();
     }
+    sim::StreamCache::Key key;
+    key.workload = "trace:" + header.workload;
+    key.seed = seed;
+    key.scale = header.scale;
+    key.num_cores = header.num_cores;
+    const auto openReplay = [&] {
+        return sim::StreamCache::instance().openTraceFile(key, path, header);
+    };
 
     const auto consume = [](const core::MemOp &op) {
         return op.addr + op.gap_insts +
@@ -659,11 +668,11 @@ benchReplayCost(std::uint64_t &checksum)
     ReplayCost times;
     std::uint64_t replay_sum = 0;
     {
-        tracefile::TraceFileStream stream(path);
+        const auto stream = openReplay();
         core::MemOp buffer[64];
         const auto t0 = Clock::now();
         for (std::uint64_t n = 0; n < kOps; n += 64) {
-            stream.nextBatch(buffer, 64);
+            stream->nextBatch(buffer, 64);
             for (const core::MemOp &op : buffer) {
                 replay_sum += consume(op);
             }
@@ -688,9 +697,9 @@ benchReplayCost(std::uint64_t &checksum)
     std::uint64_t baseline_sum = 0;
     {
         std::vector<core::MemOp> decoded(kOps);
-        tracefile::TraceFileStream stream(path);
+        const auto stream = openReplay();
         for (std::uint64_t n = 0; n < kOps; n += 64) {
-            stream.nextBatch(decoded.data() + n, 64);
+            stream->nextBatch(decoded.data() + n, 64);
         }
         const auto t0 = Clock::now();
         for (const core::MemOp &op : decoded) {
@@ -734,8 +743,8 @@ struct MemoCost
  * key generates and encodes each segment on demand before decoding it
  * (stream_memo_cold_ns — generation plus the one-time encode tax),
  * and every later open replays the in-memory frames through the same
- * FrameDecoder TraceFileStream uses (stream_memo_warm_ns). The warm
- * path is the one every repeated run in a sweep pays, so main()
+ * FrameDecoder a trace-file replay uses (stream_memo_warm_ns). The
+ * warm path is the one every repeated run in a sweep pays, so main()
  * asserts it stays within 2x of replay_step_ns — memo replay must not
  * be meaningfully slower than file replay. The three checksums (cold,
  * warm, plain SyntheticStream) must agree: the memo is a transparent

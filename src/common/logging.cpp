@@ -1,8 +1,10 @@
 #include "common/logging.hpp"
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <thread>
 
 namespace coopsim
 {
@@ -12,6 +14,8 @@ namespace
 
 std::atomic<bool> gThrowOnFatal{false};
 std::atomic<bool> gQuiet{false};
+std::atomic<bool> gFatalExiting{false};
+thread_local bool tFatalExiting = false;
 
 } // namespace
 
@@ -31,8 +35,28 @@ fatalImpl(const char *file, int line, const std::string &msg)
     if (gThrowOnFatal.load()) {
         throw FatalError(msg);
     }
+    // A fatal can fire on any thread, executor workers included, and
+    // several workers can fail the same way at once. Only the first
+    // caller exits — exit() must never run twice concurrently — and a
+    // later one parks until that exit ends the process. A fatal from
+    // exit-time code on the exiting thread itself ends it at once.
+    if (gFatalExiting.exchange(true)) {
+        if (tFatalExiting) {
+            std::_Exit(1);
+        }
+        for (;;) {
+            std::this_thread::sleep_for(std::chrono::hours(1));
+        }
+    }
+    tFatalExiting = true;
     std::fprintf(stderr, "fatal: %s (%s:%d)\n", msg.c_str(), file, line);
     std::exit(1);
+}
+
+bool
+fatalExiting()
+{
+    return gFatalExiting.load();
 }
 
 void

@@ -43,6 +43,11 @@ void informImpl(const std::string &msg);
 void setThrowOnFatal(bool enable);
 bool throwOnFatal();
 
+/** True once a fatal() has begun exiting the process. Exit-time code
+ *  that would wait on other threads checks it: the failing thread may
+ *  be one of them, and the run it abandoned never finishes. */
+bool fatalExiting();
+
 } // namespace detail
 
 /** Thrown by fatal() when the test hook is enabled. */

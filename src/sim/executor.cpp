@@ -1,6 +1,7 @@
 #include "sim/executor.hpp"
 
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
@@ -172,6 +173,15 @@ RunExecutor::RunExecutor(unsigned threads)
 
 RunExecutor::~RunExecutor()
 {
+    // Exiting on a fatal: the failing thread may be a worker (joining
+    // it from itself throws), and others may wait forever on the run
+    // it abandoned. End the process here instead of joining. Exit
+    // handlers registered after the pool, like the CLI's store save,
+    // have already run; the stream memo's spill has not.
+    if (::coopsim::detail::fatalExiting() && !workers_.empty()) {
+        std::fflush(nullptr);
+        std::_Exit(1);
+    }
     stopWorkers();
 }
 

@@ -6,11 +6,12 @@
 #include <cstring>
 #include <deque>
 #include <filesystem>
-#include <unistd.h>
+#include <string_view>
 #include <vector>
 
 #include "api/registry.hpp"
 #include "common/logging.hpp"
+#include "store/result_store.hpp"
 #include "trace/generator.hpp"
 
 namespace coopsim::sim
@@ -48,13 +49,12 @@ struct StreamEntry
     /** Identity block, validated against every opener (and against a
      *  warm-start file); also the header a spill file gets. */
     tracefile::TraceHeader header;
-    /** "memoized stream '<workload>' slot N", for decoder fatals. */
+    /** "memoized stream '<workload>' slot N", or "trace file
+     *  '<path>'" for a file-backed entry, for fatals. */
     std::string label;
     /** Recreates the positioned generator after warm start or entry
      *  recreation; null for file-backed (trace:) entries. */
     std::function<std::unique_ptr<core::OpStream>()> rebuild;
-    /** Source file of a trace:-backed entry (for exhaustion fatals). */
-    std::string source_path;
     /** Bytes loaded from disk at creation, accounted by the winner
      *  (immutable after build, unlike the segments). */
     std::size_t initial_bytes = 0;
@@ -85,9 +85,26 @@ struct StreamEntry
      * Replaces @p out with every segment published from index @p from
      * on, generating the next frame first when a reader has caught up
      * with the writer. The one place a reader takes the entry lock.
+     * False when a file-backed entry has nothing past @p from: the
+     * caller raises the exhaustion fatal once the lock is released,
+     * since exit-time code (the spill) takes every entry lock.
      */
-    void fetch(std::size_t from, std::vector<const StreamSegment *> &out,
+    bool fetch(std::size_t from, std::vector<const StreamSegment *> &out,
                StreamCache &cache);
+
+    /** Makes a loaded trace file the entry's first segment (before
+     *  the entry is shared, so without the lock). */
+    void
+    adoptFile(tracefile::TraceFile &&file)
+    {
+        header = std::move(file.header);
+        StreamSegment &segment = segments.emplace_back();
+        segment.logical = file.frames.size() - tracefile::kDecodeSlack;
+        segment.data = std::move(file.frames);
+        encoded_ops = file.ops;
+        disk_ops = file.ops;
+        initial_bytes = segment.data.size();
+    }
 
   private:
     /** Generates, encodes and publishes one more frame. Caller holds
@@ -95,33 +112,28 @@ struct StreamEntry
     void extend(StreamCache &cache);
 };
 
-void
+bool
 StreamEntry::fetch(std::size_t from, std::vector<const StreamSegment *> &out,
                    StreamCache &cache)
 {
     std::lock_guard<std::mutex> lock(mu);
-    if (from == segments.size())
+    if (from == segments.size()) {
+        if (!rebuild)
+            return false; // file-backed: ends where the file ends
         extend(cache);
+    }
     COOPSIM_ASSERT(from < segments.size(),
                    "stream segment requested out of order");
     out.clear();
     for (std::size_t i = from; i < segments.size(); ++i) {
         out.push_back(&segments[i]);
     }
+    return true;
 }
 
 void
 StreamEntry::extend(StreamCache &cache)
 {
-    if (!rebuild) {
-        // File-backed entries end where the file ends, with the same
-        // diagnosis a direct TraceFileStream would give.
-        COOPSIM_FATAL("trace file '", source_path, "' exhausted after ",
-                      encoded_ops,
-                      " ops — the simulation wanted more than was recorded; "
-                      "re-record with a larger instruction budget");
-    }
-
     // Per-thread scratch: a frame's ops and its encoding are the only
     // buffers besides the segment itself, and they are reused.
     thread_local std::vector<core::MemOp> ops(tracefile::kFrameOps);
@@ -198,7 +210,13 @@ class MemoReplayStream final : public core::OpStream
             }
             // Clean end of the current segment (or none armed yet).
             if (held_pos_ == held_.size()) {
-                entry_->fetch(next_index_, held_, cache_);
+                if (!entry_->fetch(next_index_, held_, cache_))
+                    COOPSIM_FATAL(
+                        entry_->label, " exhausted after ",
+                        entry_->encoded_ops,
+                        " ops — the simulation wanted more than was "
+                        "recorded; re-record with a larger instruction "
+                        "budget");
                 held_pos_ = 0;
             }
             const StreamSegment *segment = held_[held_pos_++];
@@ -487,31 +505,17 @@ StreamCache::openTraceFile(const Key &key, const std::string &path,
         [&]() -> EntryPtr {
             auto e = std::make_shared<detail::StreamEntry>();
             e->key = key;
-            e->source_path = path;
             e->label = "trace file '" + path + "'";
 
-            std::string data, error;
-            std::size_t logical = 0;
-            if (!tracefile::readTraceFile(path, data, logical, error))
-                COOPSIM_FATAL("trace file: ", error);
-            std::size_t pos = 0;
-            if (!tracefile::decodeHeader(data, pos, e->header, error))
-                COOPSIM_FATAL(e->label, ": ", error);
-            if (e->header != expected)
+            tracefile::TraceFile file;
+            std::string error;
+            if (!tracefile::loadTraceFile(path, file, error))
+                COOPSIM_FATAL(e->label, ": ", error, " — re-record it");
+            if (file.header != expected)
                 COOPSIM_FATAL(e->label, ": header changed on disk since the "
                               "trace directory was scanned — re-run after "
                               "the recording finishes");
-            std::uint64_t ops = 0;
-            if (!tracefile::validateFrames(data, pos, logical, ops, error))
-                COOPSIM_FATAL(e->label, ": ", error,
-                              " — the file is corrupt; re-record it");
-
-            detail::StreamSegment &segment = e->segments.emplace_back();
-            segment.logical = logical - pos;
-            segment.data = data.substr(pos); // keeps the slack padding
-            e->encoded_ops = ops;
-            e->disk_ops = ops;
-            e->initial_bytes = segment.data.size();
+            e->adoptFile(std::move(file));
             e->from_disk = true;
             return e;
         },
@@ -545,37 +549,20 @@ StreamCache::tryWarmStart(detail::StreamEntry &entry, const std::string &path)
     if (!std::filesystem::exists(path, ec))
         return false;
 
-    std::string data, error;
-    std::size_t logical = 0;
-    if (!tracefile::readTraceFile(path, data, logical, error)) {
-        COOPSIM_WARN("stream cache: ", error, "; regenerating");
-        return false;
-    }
-    std::size_t pos = 0;
-    tracefile::TraceHeader header;
-    if (!tracefile::decodeHeader(data, pos, header, error)) {
+    tracefile::TraceFile file;
+    std::string error;
+    if (!tracefile::loadTraceFile(path, file, error)) {
         COOPSIM_WARN("stream cache: '", path, "': ", error, "; regenerating");
         return false;
     }
-    if (header != entry.header) {
+    if (file.header != entry.header) {
         COOPSIM_WARN("stream cache: '", path,
                      "' was cached for a different identity; regenerating");
         return false;
     }
-    std::uint64_t ops = 0;
-    if (!tracefile::validateFrames(data, pos, logical, ops, error)) {
-        COOPSIM_WARN("stream cache: '", path, "': ", error, "; regenerating");
+    if (file.ops == 0)
         return false;
-    }
-    if (ops == 0)
-        return false;
-
-    detail::StreamSegment &segment = entry.segments.emplace_back();
-    segment.logical = logical - pos;
-    segment.data = data.substr(pos);
-    entry.encoded_ops = ops;
-    entry.disk_ops = ops;
-    entry.initial_bytes = segment.data.size();
+    entry.adoptFile(std::move(file));
     return true;
 }
 
@@ -583,12 +570,10 @@ void
 StreamCache::spillNow()
 {
     std::vector<EntryPtr> dirty;
-    std::string dir;
     {
         std::lock_guard<std::mutex> lock(mu_);
         if (config_.spill_dir.empty())
             return;
-        dir = config_.spill_dir;
         for (const auto &[key, slot] : entries_) {
             if (slot.future.wait_for(std::chrono::seconds(0)) !=
                 std::future_status::ready)
@@ -608,24 +593,17 @@ StreamCache::spillNow()
             std::lock_guard<std::mutex> cache_lock(mu_);
             path = spillPath(entry->key);
         }
-        const std::string tmp = path + ".tmp";
-        std::FILE *f = std::fopen(tmp.c_str(), "wb");
-        if (!f) {
-            COOPSIM_WARN("stream cache: cannot write '", tmp, "'");
-            continue;
-        }
+        // The chunks point into the published segments: nothing is
+        // copied.
         const std::string header = tracefile::encodeHeader(entry->header);
-        bool ok = std::fwrite(header.data(), 1, header.size(), f) ==
-                  header.size();
+        std::vector<std::string_view> chunks{header};
         for (const detail::StreamSegment &segment : entry->segments) {
-            ok = ok && std::fwrite(segment.data.data(), 1, segment.logical,
-                                   f) == segment.logical;
+            chunks.emplace_back(segment.data.data(), segment.logical);
         }
-        ok = ok && std::fflush(f) == 0 && ::fsync(::fileno(f)) == 0;
-        ok = (std::fclose(f) == 0) && ok;
-        if (!ok || std::rename(tmp.c_str(), path.c_str()) != 0) {
-            COOPSIM_WARN("stream cache: failed to spill '", path, "'");
-            std::remove(tmp.c_str());
+        std::string error;
+        if (!store::writeFileDurably(path, chunks, error)) {
+            COOPSIM_WARN("stream cache: failed to spill '", path, "': ",
+                         error);
             continue;
         }
         entry->disk_ops = entry->encoded_ops;

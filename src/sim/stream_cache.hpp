@@ -87,7 +87,9 @@ class StreamCache
     /** Host-side knobs; see configure(). */
     struct Config
     {
-        /** False (--no-stream-memo) restores per-run generation. */
+        /** False (--no-stream-memo) restores per-run generation of
+         *  synthetic streams; `trace:` files are still read once per
+         *  process. */
         bool enabled = true;
         /** Resident-buffer budget; 0 means defaultBudgetBytes(). */
         std::size_t budget_bytes = 0;
@@ -150,11 +152,13 @@ class StreamCache
                                          std::uint64_t stream_seed);
 
     /**
-     * Opens the memoized replay of the trace file at @p path (read,
-     * CRC-validated and header-checked against @p expected once per
-     * process, however many runs replay it). File-backed entries
-     * cannot be extended: exhaustion is fatal, exactly as for a
-     * direct TraceFileStream.
+     * Opens the memoized replay of the trace file at @p path — the
+     * only way a `trace:` workload is replayed, memo enabled or not.
+     * The file goes through tracefile::loadTraceFile() and is
+     * header-checked against @p expected once per process, however
+     * many runs replay it; a file that fails either is fatal. A
+     * file-backed entry cannot be extended: a run that reads past its
+     * last op is a fatal naming the file.
      */
     std::unique_ptr<core::OpStream>
     openTraceFile(const Key &key, const std::string &path,

@@ -93,9 +93,10 @@ struct SystemConfig
     DriverMode driver = DriverMode::Batched;
     /**
      * Where ops come from. Empty (the default) builds the synthetic
-     * SPEC-profile generator; the tracefile layer installs a factory
-     * that replays recorded `.cooptrace` streams, and `--record` one
-     * that tees the generator through a TraceWriter. Like `driver`,
+     * SPEC-profile generator; the stream memo installs a factory that
+     * replays memoized streams, the tracefile layer one that replays
+     * recorded `.cooptrace` files through the memo, and `--record` one
+     * that counts what each core reads. Like `driver`,
      * NOT part of the simulation identity: a replayed stream must
      * reproduce the generated one bit for bit (the tracefile tests
      * hold it to that), so RunKey carries no stream field.

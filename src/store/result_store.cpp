@@ -132,6 +132,68 @@ crc32(const std::string &data)
     return crc32(data.data(), data.size());
 }
 
+bool
+writeFileDurably(const std::string &path,
+                 const std::vector<std::string_view> &chunks,
+                 std::string &error)
+{
+    const std::string tmp = path + ".tmp";
+    int fd =
+        ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+    if (fd < 0) {
+        error = "cannot create '" + tmp + "': " + std::strerror(errno);
+        return false;
+    }
+    const auto fail = [&](const char *step) {
+        error = std::string(step) + " of '" + tmp +
+                "' failed: " + std::strerror(errno);
+        if (fd >= 0) {
+            ::close(fd);
+        }
+        std::remove(tmp.c_str());
+        return false;
+    };
+    for (const std::string_view chunk : chunks) {
+        for (std::size_t written = 0; written < chunk.size();) {
+            const ssize_t n = ::write(fd, chunk.data() + written,
+                                      chunk.size() - written);
+            if (n < 0) {
+                return fail("write");
+            }
+            written += static_cast<std::size_t>(n);
+        }
+    }
+    // fsync before rename: the rename must never publish a file whose
+    // data is still only in the page cache — a power cut after an
+    // unsynced rename is exactly the torn file this defends against.
+    if (::fsync(fd) != 0) {
+        return fail("fsync");
+    }
+    const int closed = ::close(fd);
+    fd = -1;
+    if (closed != 0) {
+        return fail("close");
+    }
+    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+        // The synced temp file holds every byte; losing the rename
+        // must not lose the data, so say exactly where it is.
+        error = "cannot rename '" + tmp + "' over '" + path +
+                "': " + std::strerror(errno) + " (data preserved in '" +
+                tmp + "')";
+        return false;
+    }
+    // Best-effort directory fsync so the rename itself is durable.
+    const std::filesystem::path parent =
+        std::filesystem::path(path).parent_path();
+    const int dir_fd = ::open(parent.empty() ? "." : parent.c_str(),
+                              O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+    if (dir_fd >= 0) {
+        ::fsync(dir_fd);
+        ::close(dir_fd);
+    }
+    return true;
+}
+
 std::string
 withCrcSuffix(const std::string &body)
 {
@@ -626,65 +688,7 @@ ResultStore::trySave(const std::string &path, std::string &error) const
             return false;
         }
     }
-    const std::string tmp = path + ".tmp";
-    const int fd = ::open(tmp.c_str(),
-                          O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
-                          0644);
-    if (fd < 0) {
-        error = "cannot write store file '" + tmp +
-                "': " + std::strerror(errno);
-        return false;
-    }
-    std::size_t written = 0;
-    while (written < content.size()) {
-        const ssize_t n = ::write(fd, content.data() + written,
-                                  content.size() - written);
-        if (n < 0) {
-            error = "write to store file '" + tmp +
-                    "' failed: " + std::strerror(errno) +
-                    " (partial temp file left at '" + tmp + "')";
-            ::close(fd);
-            return false;
-        }
-        written += static_cast<std::size_t>(n);
-    }
-    // fsync before rename: the rename must never publish a file whose
-    // data is still only in the page cache — a power cut after an
-    // unsynced rename is exactly the torn store this layer defends
-    // against.
-    if (::fsync(fd) != 0) {
-        error = "fsync of store file '" + tmp +
-                "' failed: " + std::strerror(errno) +
-                " (temp file left at '" + tmp + "')";
-        ::close(fd);
-        return false;
-    }
-    if (::close(fd) != 0) {
-        error = "close of store file '" + tmp +
-                "' failed: " + std::strerror(errno) +
-                " (temp file left at '" + tmp + "')";
-        return false;
-    }
-    fs::rename(tmp, target, ec);
-    if (ec) {
-        // The flushed temp file holds every result; losing the
-        // rename must not lose the data, so say exactly where it is.
-        error = "cannot rename '" + tmp + "' over '" + path +
-                "': " + ec.message() +
-                " (results preserved in '" + tmp + "')";
-        return false;
-    }
-    // Best-effort directory fsync so the rename itself is durable.
-    if (target.has_parent_path()) {
-        const int dir_fd =
-            ::open(target.parent_path().c_str(),
-                   O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-        if (dir_fd >= 0) {
-            ::fsync(dir_fd);
-            ::close(dir_fd);
-        }
-    }
-    return true;
+    return writeFileDurably(path, {content}, error);
 }
 
 } // namespace coopsim::store

@@ -15,12 +15,13 @@
  *    torn or bit-flipped lines that still parse structurally (lines
  *    written before the CRC era load with a warning, counted in
  *    Stats::lines_legacy);
- *  - files are written durably and atomically (write to `<path>.tmp`,
- *    fsync, then rename), so a reader never observes a half-written
- *    store and a crashed writer leaves the previous file intact;
- *    trySave() is the non-fatal variant the atexit save uses — a
- *    failed write or rename (ENOSPC, read-only fs) reports the
- *    preserved temp file instead of losing results or exiting;
+ *  - files are written durably and atomically (writeFileDurably():
+ *    write to `<path>.tmp`, fsync, then rename), so a reader never
+ *    observes a half-written store and a crashed writer leaves the
+ *    previous file intact; trySave() is the non-fatal variant the
+ *    atexit save uses — a failed write (ENOSPC) or rename (read-only
+ *    fs) is reported, naming the preserved temp file when the rename
+ *    failed, instead of losing results or exiting;
  *  - loading merges with last-writer-wins dedup (later files/lines
  *    replace earlier entries for the same key), corrupt or truncated
  *    lines are skipped with a warning instead of poisoning the store
@@ -52,6 +53,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -79,6 +81,24 @@ std::uint32_t crc32(const std::string &data);
 /** Range overload: the same CRC-32 without building a string — the
  *  trace codec checksums frame payloads in place with it. */
 std::uint32_t crc32(const char *data, std::size_t len);
+
+/**
+ * Writes the concatenation of @p chunks to @p path durably and
+ * atomically: into `<path>.tmp`, fsynced, renamed over @p path, then
+ * the directory fsynced so the rename itself survives a power cut.
+ * The one writer behind store saves, `--record` and the
+ * `--trace-cache` spill; chunks let a caller write buffers it already
+ * holds without joining them. The parent directory must exist.
+ *
+ * False with the failing step in @p error. An incomplete temp file is
+ * removed; when only the rename fails, the temp file holds the
+ * complete, synced content and is kept (and named in @p error) so the
+ * data stays recoverable. Callers choose the severity: the store
+ * reports, the spill warns, `--record` is fatal.
+ */
+bool writeFileDurably(const std::string &path,
+                      const std::vector<std::string_view> &chunks,
+                      std::string &error);
 
 /** `<body>\t#crc32=XXXXXXXX` — the suffixed store line save() emits;
  *  the checksum covers exactly @p body. */

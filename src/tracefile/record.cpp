@@ -9,9 +9,8 @@
 #include "sim/executor.hpp"
 #include "sim/stream_cache.hpp"
 #include "sim/system.hpp"
-#include "trace/generator.hpp"
+#include "store/result_store.hpp"
 #include "tracefile/trace_workloads.hpp"
-#include "tracefile/trace_writer.hpp"
 
 namespace coopsim::tracefile
 {
@@ -34,32 +33,57 @@ groupKeysOf(const std::vector<sim::RunKey> &keys,
     return out;
 }
 
+/** Forwards a stream's ops and counts them: pass 1 learns each
+ *  core's deepest consumption through it. */
+class CountingStream final : public core::OpStream
+{
+  public:
+    explicit CountingStream(std::unique_ptr<core::OpStream> inner)
+        : inner_(std::move(inner))
+    {
+    }
+
+    core::MemOp
+    next() override
+    {
+        ++delivered_;
+        return inner_->next();
+    }
+
+    std::size_t
+    nextBatch(core::MemOp *out, std::size_t max) override
+    {
+        const std::size_t got = inner_->nextBatch(out, max);
+        delivered_ += got;
+        return got;
+    }
+
+    std::uint64_t delivered() const { return delivered_; }
+
+  private:
+    std::unique_ptr<core::OpStream> inner_;
+    std::uint64_t delivered_ = 0;
+};
+
 /**
- * The inner (generating) stream both recording passes tee from:
- * memo-backed when the stream cache is enabled, so the generator runs
- * once per distinct stream — pass 1's counting runs replay it for
- * every configuration and pass 2 replays it a final time into the
- * writer, making --record effectively single-pass — and a plain
- * SyntheticStream under --no-stream-memo.
+ * The memoized stream both recording passes read, --no-stream-memo or
+ * not: the generator runs once per distinct stream — pass 1's
+ * counting runs replay it for every configuration and pass 2 replays
+ * it a final time into the file.
  */
 std::unique_ptr<core::OpStream>
-makeInner(std::uint32_t c, const trace::AppProfile &profile,
-          const trace::StreamGeometry &geometry, std::uint64_t seed,
-          std::uint64_t run_seed, const std::string &scale,
-          std::uint32_t num_cores)
+openMemo(std::uint32_t c, const trace::AppProfile &profile,
+         const trace::StreamGeometry &geometry, std::uint64_t seed,
+         std::uint64_t run_seed, const std::string &scale,
+         std::uint32_t num_cores)
 {
-    sim::StreamCache &cache = sim::StreamCache::instance();
-    if (!cache.enabled()) {
-        return std::make_unique<trace::SyntheticStream>(profile, geometry, c,
-                                                        seed);
-    }
     sim::StreamCache::Key key;
     key.workload = profile.name;
     key.slot = c;
     key.seed = run_seed;
     key.scale = scale;
     key.num_cores = num_cores;
-    return cache.open(key, profile, geometry, seed);
+    return sim::StreamCache::instance().open(key, profile, geometry, seed);
 }
 
 } // namespace
@@ -108,17 +132,16 @@ recordSpec(const api::ExperimentSpec &spec, const std::string &dir)
         std::vector<std::uint64_t> deepest(num_cores, 0);
         for (const sim::RunKey &key : keys) {
             sim::SystemConfig config = sim::runConfig(key);
-            std::vector<RecordingStream *> counters(num_cores, nullptr);
+            std::vector<CountingStream *> counters(num_cores, nullptr);
             config.stream_factory =
                 [&counters, &config, &spec, num_cores](
                     std::uint32_t c, const trace::AppProfile &profile,
                     const trace::StreamGeometry &geometry,
                     std::uint64_t seed)
                 -> std::unique_ptr<core::OpStream> {
-                auto tee = std::make_unique<RecordingStream>(
-                    makeInner(c, profile, geometry, seed, config.seed,
-                              spec.scale, num_cores),
-                    nullptr);
+                auto tee = std::make_unique<CountingStream>(
+                    openMemo(c, profile, geometry, seed, config.seed,
+                             spec.scale, num_cores));
                 counters[c] = tee.get();
                 return tee;
             };
@@ -130,17 +153,18 @@ recordSpec(const api::ExperimentSpec &spec, const std::string &dir)
             }
         }
 
-        // Pass 2: re-generate each core's stream from the start and
-        // capture it, with 25% (min one frame) of headroom so small
+        // Pass 2: replay each core's stream from the start into its
+        // file, with 25% (min one frame) of headroom so small
         // consumption differences — a new scheme, another partitioner
         // — replay from the same files instead of dying at the tail.
         sim::SystemConfig config = sim::runConfig(keys.front());
-        std::vector<RecordingStream *> recorders(num_cores, nullptr);
+        std::vector<TraceHeader> headers(num_cores);
+        std::vector<core::OpStream *> streams(num_cores, nullptr);
         config.stream_factory =
             [&](std::uint32_t c, const trace::AppProfile &profile,
                 const trace::StreamGeometry &geometry, std::uint64_t seed)
             -> std::unique_ptr<core::OpStream> {
-            TraceHeader header;
+            TraceHeader &header = headers[c];
             header.core = c;
             header.num_cores = num_cores;
             header.seed = config.seed;
@@ -149,16 +173,10 @@ recordSpec(const api::ExperimentSpec &spec, const std::string &dir)
             header.workload = group.name;
             header.app = profile.name;
             header.scale = spec.scale;
-            const std::string path =
-                (std::filesystem::path(dir) /
-                 traceFileName(group.name, c))
-                    .string();
-            auto tee = std::make_unique<RecordingStream>(
-                makeInner(c, profile, geometry, seed, config.seed,
-                          spec.scale, num_cores),
-                std::make_unique<TraceWriter>(path, header));
-            recorders[c] = tee.get();
-            return tee;
+            auto stream = openMemo(c, profile, geometry, seed, config.seed,
+                                   spec.scale, num_cores);
+            streams[c] = stream.get();
+            return stream;
         };
         // The System constructor is the stream builder here — it owns
         // the profile phase rescaling and geometry handshake — but the
@@ -167,8 +185,15 @@ recordSpec(const api::ExperimentSpec &spec, const std::string &dir)
         for (std::uint32_t c = 0; c < num_cores; ++c) {
             const std::uint64_t margin = std::max<std::uint64_t>(
                 deepest[c] / 4, kFrameOps);
-            recorders[c]->extendTo(deepest[c] + margin);
-            recorders[c]->finish();
+            const std::string image =
+                encodeTrace(headers[c], *streams[c], deepest[c] + margin);
+            const std::string path =
+                (std::filesystem::path(dir) / traceFileName(group.name, c))
+                    .string();
+            std::string error;
+            if (!store::writeFileDurably(path, {image}, error)) {
+                COOPSIM_FATAL("--record: ", error);
+            }
             ++files_written;
         }
         COOPSIM_INFORM("recorded '", group.name, "' (", num_cores,

@@ -8,8 +8,8 @@
  * how far into the sequence a run consumes (contention decides which
  * core lags and how long the tail runs), so recordSpec first runs the
  * spec's configurations with a counting tee to learn the deepest
- * per-core consumption, then captures that many ops plus margin with
- * the real writers.
+ * per-core consumption, then writes that many ops plus margin. Both
+ * passes read the stream memo, so each stream is generated once.
  */
 
 #ifndef COOPSIM_TRACEFILE_RECORD_HPP

@@ -1,5 +1,6 @@
 #include "tracefile/trace_format.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstdio>
 #include <cstring>
@@ -57,7 +58,7 @@ readString(const std::string &data, std::size_t &pos, std::string &out)
     std::uint64_t len = 0;
     if (!readVarint(data, pos, len))
         return false;
-    if (pos + len > data.size())
+    if (len > data.size() - pos)
         return false;
     out.assign(data, pos, static_cast<std::size_t>(len));
     pos += static_cast<std::size_t>(len);
@@ -123,7 +124,11 @@ bool
 decodeHeader(const std::string &data, std::size_t &pos, TraceHeader &out,
              std::string &error)
 {
-    if (data.size() < sizeof(kTraceMagic) + 4) {
+    // As for decodeFrame(), the last kDecodeSlack bytes are padding,
+    // not file content.
+    const std::size_t end =
+        data.size() > kDecodeSlack ? data.size() - kDecodeSlack : 0;
+    if (end < sizeof(kTraceMagic) + 8) {
         error = "file too short for a trace header";
         return false;
     }
@@ -133,10 +138,7 @@ decodeHeader(const std::string &data, std::size_t &pos, TraceHeader &out,
     }
     pos = sizeof(kTraceMagic);
     std::uint32_t version = 0;
-    if (!readU32(data, pos, version)) {
-        error = "truncated version field";
-        return false;
-    }
+    readU32(data, pos, version);
     if (version != kTraceVersion) {
         error = "unsupported trace version " + std::to_string(version) +
                 " (this build reads version " +
@@ -144,11 +146,8 @@ decodeHeader(const std::string &data, std::size_t &pos, TraceHeader &out,
         return false;
     }
     std::uint32_t payload_bytes = 0;
-    if (!readU32(data, pos, payload_bytes)) {
-        error = "truncated header length field";
-        return false;
-    }
-    if (pos + payload_bytes + 4 > data.size()) {
+    readU32(data, pos, payload_bytes);
+    if (pos + payload_bytes + 4 > end) {
         error = "truncated header payload";
         return false;
     }
@@ -280,6 +279,15 @@ decodeFrame(const std::string &data, std::size_t &pos,
         return FrameStatus::Corrupt;
     }
 
+    // The count is outside the CRC: bound it by what the payload can
+    // hold (every op takes at least a flags byte and a gap byte)
+    // before it sizes anything.
+    if (count > payload_bytes / 2) {
+        error = "frame claims " + std::to_string(count) +
+                " ops but its payload holds at most " +
+                std::to_string(payload_bytes / 2);
+        return FrameStatus::Corrupt;
+    }
     out.resize(static_cast<std::size_t>(count));
     const char *base = data.data();
     std::size_t q = payload_start;
@@ -324,47 +332,6 @@ decodeFrame(const std::string &data, std::size_t &pos,
     return FrameStatus::Ok;
 }
 
-bool
-validateFrames(const std::string &data, std::size_t pos, std::size_t logical,
-               std::uint64_t &ops, std::string &error)
-{
-    ops = 0;
-    std::size_t p = pos;
-    std::size_t frame = 0;
-    while (p < logical) {
-        std::uint64_t count = 0;
-        if (!readVarint(data, p, count) || p + 4 > logical) {
-            error = "truncated header of frame " + std::to_string(frame);
-            return false;
-        }
-        std::uint32_t payload_bytes = 0;
-        readU32(data, p, payload_bytes);
-        if (p + payload_bytes + 4 > logical) {
-            error = "truncated payload of frame " + std::to_string(frame) +
-                    " (wanted " + std::to_string(payload_bytes) +
-                    " bytes + CRC past byte " + std::to_string(p) + ")";
-            return false;
-        }
-        const std::uint32_t want = store::crc32(data.data() + p, payload_bytes);
-        std::size_t crc_pos = p + payload_bytes;
-        std::uint32_t got = 0;
-        readU32(data, crc_pos, got);
-        if (want != got) {
-            char buf[96];
-            std::snprintf(buf, sizeof(buf),
-                          "CRC mismatch in frame %zu (stored %08x, "
-                          "computed %08x)",
-                          frame, got, want);
-            error = buf;
-            return false;
-        }
-        ops += count;
-        p = crc_pos;
-        ++frame;
-    }
-    return true;
-}
-
 void
 FrameDecoder::reset(const char *base, std::size_t begin, std::size_t logical,
                     const std::string *label)
@@ -386,8 +353,8 @@ FrameDecoder::enterFrame()
     if (pos_ >= logical_)
         return false;
 
-    // Structure and CRC were verified by validateFrames(); this only
-    // re-parses the two length fields to arm the op cursor.
+    // The frame came from encodeFrame() or passed loadTraceFile();
+    // this only re-parses the two length fields to arm the op cursor.
     std::uint64_t count = 0;
     std::size_t p = pos_;
     std::uint8_t byte;
@@ -480,28 +447,99 @@ FrameDecoder::decode(core::MemOp *out, std::size_t max)
     return produced;
 }
 
+std::string
+encodeTrace(const TraceHeader &header, core::OpStream &stream,
+            std::uint64_t ops)
+{
+    std::string out = encodeHeader(header);
+    std::vector<core::MemOp> buffer(kFrameOps);
+    std::string frame;
+    while (ops > 0) {
+        const auto count = static_cast<std::size_t>(
+            std::min<std::uint64_t>(kFrameOps, ops));
+        for (std::size_t got = 0; got < count;) {
+            got += stream.nextBatch(buffer.data() + got, count - got);
+        }
+        encodeFrame(buffer.data(), count, frame);
+        out += frame;
+        ops -= count;
+    }
+    return out;
+}
+
+namespace
+{
+
+/** Reads the file at @p path into @p data, sized exactly, with
+ *  kDecodeSlack zero bytes appended. */
 bool
-readTraceFile(const std::string &path, std::string &data, std::size_t &size,
-              std::string &error)
+readTraceFile(const std::string &path, std::string &data, std::string &error)
 {
     std::FILE *f = std::fopen(path.c_str(), "rb");
     if (!f) {
         error = "cannot open '" + path + "' for reading";
         return false;
     }
-    data.clear();
-    char buf[1 << 16];
-    std::size_t got = 0;
-    while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        data.append(buf, got);
-    const bool ok = std::ferror(f) == 0;
+    long size = -1;
+    if (std::fseek(f, 0, SEEK_END) == 0) {
+        size = std::ftell(f);
+    }
+    bool ok = size >= 0 && std::fseek(f, 0, SEEK_SET) == 0;
+    if (ok) {
+        data.assign(static_cast<std::size_t>(size) + kDecodeSlack, '\0');
+        ok = std::fread(data.data(), 1, static_cast<std::size_t>(size), f) ==
+             static_cast<std::size_t>(size);
+    }
     std::fclose(f);
     if (!ok) {
         error = "read error on '" + path + "'";
+    }
+    return ok;
+}
+
+/** Runs decodeFrame() over every frame of @p frames, summing their op
+ *  counts into @p ops. */
+bool
+validateFrames(const std::string &frames, std::uint64_t &ops,
+               std::string &error)
+{
+    std::vector<core::MemOp> scratch;
+    ops = 0;
+    std::size_t pos = 0;
+    for (std::size_t frame = 0;; ++frame) {
+        switch (decodeFrame(frames, pos, scratch, error)) {
+        case FrameStatus::End:
+            return true;
+        case FrameStatus::Corrupt:
+            error = "frame " + std::to_string(frame) + ": " + error;
+            return false;
+        case FrameStatus::Ok:
+            ops += scratch.size();
+            break;
+        }
+    }
+}
+
+} // namespace
+
+bool
+loadTraceFile(const std::string &path, TraceFile &out, std::string &error)
+{
+    std::string data;
+    if (!readTraceFile(path, data, error)) {
         return false;
     }
-    size = data.size();
-    data.append(kDecodeSlack, '\0');
+    std::size_t pos = 0;
+    if (!decodeHeader(data, pos, out.header, error)) {
+        return false;
+    }
+    // Drop the header in place: what stays is the frames plus the
+    // slack, in a buffer sized to the file.
+    data.erase(0, pos);
+    if (!validateFrames(data, out.ops, error)) {
+        return false;
+    }
+    out.frames = std::move(data);
     return true;
 }
 

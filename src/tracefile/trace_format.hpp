@@ -32,7 +32,8 @@
  * varint usually fits 1-2 bytes. The CRC is the result store's
  * CRC-32 (store/result_store.hpp), covering exactly the payload: a
  * truncated or bit-flipped frame fails the check before any of its
- * ops are delivered.
+ * ops are delivered. The op count sits outside the CRC, so loading
+ * also checks it against the ops the payload actually encodes.
  */
 
 #ifndef COOPSIM_TRACEFILE_TRACE_FORMAT_HPP
@@ -137,7 +138,8 @@ std::string encodeHeader(const TraceHeader &header);
 
 /**
  * Decodes the header at the start of @p data, leaving @p pos on the
- * first frame. False (with a reason in @p error) on bad magic, an
+ * first frame. Like decodeFrame(), @p data ends in kDecodeSlack bytes
+ * of padding. False (with a reason in @p error) on bad magic, an
  * unsupported version, truncation, or a CRC mismatch.
  */
 bool decodeHeader(const std::string &data, std::size_t &pos,
@@ -165,8 +167,9 @@ enum class FrameStatus
 /**
  * Decodes the frame at @p pos into @p out (replacing its contents) and
  * advances @p pos past it. @p data must carry kDecodeSlack readable
- * bytes beyond the logical end (readTraceFile() pads; the slack lets
- * the delta decode issue one unconditional 8-byte load per op).
+ * bytes beyond the logical end (the slack lets the delta decode issue
+ * one unconditional 8-byte load per op). The checked reference
+ * decoder: loadTraceFile() accepts exactly the frames it accepts.
  */
 FrameStatus decodeFrame(const std::string &data, std::size_t &pos,
                         std::vector<core::MemOp> &out,
@@ -181,34 +184,43 @@ FrameStatus decodeFrame(const std::string &data, std::size_t &pos,
 inline constexpr std::size_t kDecodeSlack = 24;
 
 /**
- * Reads the file at @p path into @p data with kDecodeSlack zero bytes
- * appended (the logical size is returned via @p size). False with a
- * reason in @p error when the file cannot be opened or read.
+ * A complete trace file image: @p header, then the next @p ops ops of
+ * @p stream in kFrameOps-op frames (the last one may be shorter).
  */
-bool readTraceFile(const std::string &path, std::string &data,
-                   std::size_t &size, std::string &error);
+std::string encodeTrace(const TraceHeader &header, core::OpStream &stream,
+                        std::uint64_t ops);
+
+/** A trace file read into memory and validated end to end. */
+struct TraceFile
+{
+    TraceHeader header;
+    /** Every frame, back to back, then kDecodeSlack zero bytes. */
+    std::string frames;
+    /** Ops across all frames. */
+    std::uint64_t ops = 0;
+};
 
 /**
- * Validates the structure and CRC of every frame in
- * [@p pos, @p logical) in one sequential pass, accumulating the total
- * op count into @p ops. False (with the offending frame named in
- * @p error) on truncation or a checksum mismatch; the caller decides
- * whether that is fatal (replay) or merely a stale cache entry to
- * regenerate (warm start).
+ * The one `.cooptrace` loader: reads @p path, decodes its header and
+ * checks every frame exactly as decodeFrame() does — structure, CRC,
+ * and an op count that matches what the payload encodes — so a loaded
+ * file always replays cleanly. False with a reason (naming the
+ * offending frame) in @p error; the caller decides whether that is
+ * fatal (replay) or a stale cache entry to regenerate (warm start).
  */
-bool validateFrames(const std::string &data, std::size_t pos,
-                    std::size_t logical, std::uint64_t &ops,
-                    std::string &error);
+bool loadTraceFile(const std::string &path, TraceFile &out,
+                   std::string &error);
 
 /**
  * Incremental decoder over a run of already-validated frames.
  *
- * The hot loop shared by TraceFileStream and the in-memory stream
- * memo: one flags byte, a mostly-one-byte varint gap, and a masked
- * unconditional 8-byte delta load per op. The buffer must carry
- * kDecodeSlack readable bytes past @p logical and its frames must
- * have passed validateFrames(); any inconsistency found here is a
- * (should-be-unreachable) fatal naming @p label.
+ * The stream memo's replay loop, for generated streams and loaded
+ * trace files alike: one flags byte, a mostly-one-byte varint gap,
+ * and a masked unconditional 8-byte delta load per op. The buffer
+ * must carry kDecodeSlack readable bytes past @p logical and its
+ * frames must come from encodeFrame() or loadTraceFile(); any
+ * inconsistency found here is a (should-be-unreachable) fatal naming
+ * @p label.
  */
 class FrameDecoder
 {

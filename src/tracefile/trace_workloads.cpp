@@ -11,7 +11,6 @@
 #include "api/registry.hpp"
 #include "common/logging.hpp"
 #include "sim/stream_cache.hpp"
-#include "tracefile/trace_stream.hpp"
 
 namespace coopsim::tracefile
 {
@@ -315,19 +314,17 @@ replayFactory(const std::string &name, std::uint64_t run_seed,
                           "' but the registry resolved '", profile.name,
                           "'");
         }
-        sim::StreamCache &cache = sim::StreamCache::instance();
-        if (!cache.enabled()) {
-            return std::make_unique<TraceFileStream>(set.paths[c]);
-        }
-        // Memoized replay: the file is read and CRC-validated once
-        // per process, however many runs of the sweep replay it.
+        // Memoized replay, --no-stream-memo or not: the file is read
+        // and validated once per process, however many runs of the
+        // sweep replay it.
         sim::StreamCache::Key key;
         key.workload = std::string(kTracePrefix) + name;
         key.slot = c;
         key.seed = run_seed;
         key.scale = scale_key;
         key.num_cores = header.num_cores;
-        return cache.openTraceFile(key, set.paths[c], header);
+        return sim::StreamCache::instance().openTraceFile(
+            key, set.paths[c], header);
     };
 }
 

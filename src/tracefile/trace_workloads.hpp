@@ -12,11 +12,12 @@
  * — so one bad file cannot take down a sweep over the good ones.
  *
  * replayFactory() is the sim::StreamFactory the executor installs for
- * such groups: each core gets a TraceFileStream over its file, after
- * the recorded identity (core, seed, geometry, scale, app) is checked
- * against what the simulation is about to assume. A mismatch is a
- * descriptive fatal — replaying a trace under the wrong seed or
- * geometry would silently produce plausible-looking wrong numbers.
+ * such groups: each core replays its file through the stream memo
+ * (sim::StreamCache::openTraceFile), after the recorded identity
+ * (core, seed, geometry, scale, app) is checked against what the
+ * simulation is about to assume. A mismatch is a descriptive fatal —
+ * replaying a trace under the wrong seed or geometry would silently
+ * produce plausible-looking wrong numbers.
  */
 
 #ifndef COOPSIM_TRACEFILE_TRACE_WORKLOADS_HPP

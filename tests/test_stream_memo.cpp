@@ -15,7 +15,8 @@
  *    bit-identical results through the shared memo;
  *  - --trace-cache spill/warm-start round-trips: a second "process"
  *    (cleared cache) loads every stream from disk, generates none,
- *    and reproduces the results bit-identically;
+ *    and reproduces the results bit-identically; a spill file whose
+ *    frame op count was flipped is warned about and regenerated;
  *  - a stream is generated one frame at a time, only as far as its
  *    furthest reader, and readers that race a thread extending the
  *    entry all see the generator's exact sequence.
@@ -25,11 +26,13 @@
 
 #include <atomic>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "api/spec.hpp"
+#include "common/logging.hpp"
 #include "sim/executor.hpp"
 #include "sim/stream_cache.hpp"
 #include "store/result_store.hpp"
@@ -343,6 +346,42 @@ TEST(StreamMemo, TraceCacheSpillsAndWarmStarts)
     stats = cache.stats();
     EXPECT_EQ(stats.streams_generated, 0u);
     EXPECT_EQ(stats.streams_loaded, 2u);
+
+    // "Process" 3: one spill file's frame 1 op count is flipped
+    // (4096 -> 4097). The count sits outside the payload CRC, so only
+    // the loader's check against the payload catches it: that stream
+    // is warned about and regenerated, not decoded into a fatal.
+    const std::string victim =
+        std::filesystem::directory_iterator(dir)->path().string();
+    std::string data;
+    {
+        std::ifstream in(victim, std::ios::binary);
+        data.assign(std::istreambuf_iterator<char>(in), {});
+    }
+    data.append(tracefile::kDecodeSlack, '\0');
+    std::size_t pos = 0;
+    tracefile::TraceHeader header;
+    std::vector<core::MemOp> frame;
+    std::string error;
+    ASSERT_TRUE(tracefile::decodeHeader(data, pos, header, error)) << error;
+    ASSERT_EQ(tracefile::decodeFrame(data, pos, frame, error),
+              tracefile::FrameStatus::Ok);
+    data[pos] ^= 0x01;
+    data.resize(data.size() - tracefile::kDecodeSlack);
+    {
+        std::ofstream out(victim, std::ios::binary | std::ios::trunc);
+        out.write(data.data(), static_cast<std::streamsize>(data.size()));
+    }
+    cache.clear();
+    cache.resetStats();
+    setQuiet(true);
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+        EXPECT_EQ(first[i], runFormatted(keys[i])) << keys[i].scheme;
+    }
+    setQuiet(false);
+    stats = cache.stats();
+    EXPECT_EQ(stats.streams_generated, 1u);
+    EXPECT_EQ(stats.streams_loaded, 1u);
 
     std::filesystem::remove_all(dir);
 }

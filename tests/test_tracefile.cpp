@@ -10,37 +10,48 @@
  *    registration-time scanning warns and skips, replay-time streams
  *    fail fast with a descriptive fatal (mirroring the result store's
  *    load-versus-save contract);
- *  - TraceWriter -> TraceFileStream round-trips an op sequence
- *    bit-exactly through the on-disk format, including the
- *    atomic tmp + rename protocol;
+ *  - encodeTrace -> store::writeFileDurably -> StreamCache::
+ *    openTraceFile round-trips an op sequence bit-exactly through the
+ *    on-disk format, and a failed write leaves neither the file nor
+ *    its `.tmp`;
+ *  - hostile input: seeded mutants of a multi-frame file (bit flips,
+ *    truncations, dropped / duplicated / swapped frames, crafted
+ *    10-byte op counts) either load and replay exactly what the
+ *    reference decodeFrame() yields, or are rejected at load;
  *  - registerTraceDir() turns a directory of `.cooptrace` sets into
  *    `trace:<name>` workload registrations, skipping incomplete or
  *    inconsistent sets;
  *  - record -> replay produces byte-identical store::formatResult
  *    lines over {2, 4, 8}-core groups x {coop, ucp} x two
- *    partitioners (the subsystem's reason to exist).
+ *    partitioners x memo on/off (the subsystem's reason to exist);
+ *  - a fatal during a replay (on an executor worker, or with a spill
+ *    directory set) exits with status 1 instead of aborting or
+ *    hanging at exit.
  */
 
 #include <gtest/gtest.h>
 
+#include <csignal>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include <sys/resource.h>
+#include <unistd.h>
+
 #include "api/registry.hpp"
 #include "api/spec.hpp"
 #include "common/logging.hpp"
 #include "common/rng.hpp"
 #include "sim/executor.hpp"
+#include "sim/stream_cache.hpp"
 #include "store/result_store.hpp"
 #include "trace/workloads.hpp"
 #include "tracefile/record.hpp"
 #include "tracefile/trace_format.hpp"
-#include "tracefile/trace_stream.hpp"
 #include "tracefile/trace_workloads.hpp"
-#include "tracefile/trace_writer.hpp"
 
 using namespace coopsim;
 using namespace coopsim::tracefile;
@@ -111,16 +122,75 @@ sampleHeader()
     return header;
 }
 
+/** Serves a fixed op sequence, as a recording pass reads a stream. */
+class VectorStream final : public core::OpStream
+{
+  public:
+    explicit VectorStream(const std::vector<core::MemOp> &ops) : ops_(ops)
+    {
+    }
+
+    core::MemOp
+    next() override
+    {
+        return ops_.at(pos_++);
+    }
+
+  private:
+    const std::vector<core::MemOp> &ops_;
+    std::size_t pos_ = 0;
+};
+
+/** The complete file image `--record` would write for @p ops. */
+std::string
+traceImage(const TraceHeader &header, const std::vector<core::MemOp> &ops)
+{
+    VectorStream stream(ops);
+    return encodeTrace(header, stream, ops.size());
+}
+
 /** Writes @p ops as a complete trace file at @p path. */
 void
 writeTrace(const std::string &path, const TraceHeader &header,
            const std::vector<core::MemOp> &ops)
 {
-    TraceWriter writer(path, header);
-    for (const core::MemOp &op : ops) {
-        writer.append(op);
+    std::string error;
+    ASSERT_TRUE(store::writeFileDurably(path, {traceImage(header, ops)},
+                                        error))
+        << error;
+}
+
+/**
+ * Replays @p path the way a `trace:` run does, through a fresh memo
+ * entry: a failed open leaves its key's entry holding the failure, so
+ * every call starts from an empty cache.
+ */
+std::unique_ptr<core::OpStream>
+openReplay(const std::string &path, const TraceHeader &header)
+{
+    sim::StreamCache::instance().clear();
+    sim::StreamCache::Key key;
+    key.workload = std::string(kTracePrefix) + header.workload;
+    key.slot = header.core;
+    return sim::StreamCache::instance().openTraceFile(key, path, header);
+}
+
+/** Byte offset of frame @p index of the trace image @p data. */
+std::size_t
+frameOffset(const std::string &data, std::size_t index)
+{
+    std::string padded = data;
+    padded.append(kDecodeSlack, '\0');
+    std::size_t pos = 0;
+    TraceHeader header;
+    std::vector<core::MemOp> ops;
+    std::string error;
+    EXPECT_TRUE(decodeHeader(padded, pos, header, error)) << error;
+    for (std::size_t i = 0; i < index; ++i) {
+        EXPECT_EQ(decodeFrame(padded, pos, ops, error), FrameStatus::Ok)
+            << error;
     }
-    writer.finish();
+    return pos;
 }
 
 std::string
@@ -374,9 +444,9 @@ TEST(TraceFormat, FrameRejectsCorruptionTruncationAndTrailingBytes)
 }
 
 // ---------------------------------------------------------------------------
-// Writer -> stream round-trip
+// Writer -> replay round-trip
 
-TEST(TraceWriter, StreamReadsBackExactlyWhatWasWritten)
+TEST(TraceFileWrite, ReplayReadsBackExactlyWhatWasWritten)
 {
     const std::string dir = scratchDir("roundtrip");
     const std::string path = dir + "/G2-3.1.cooptrace";
@@ -389,16 +459,20 @@ TEST(TraceWriter, StreamReadsBackExactlyWhatWasWritten)
     EXPECT_FALSE(fs::exists(path + ".tmp"));
     EXPECT_TRUE(fs::exists(path));
 
-    TraceFileStream stream(path);
-    EXPECT_EQ(stream.header(), sampleHeader());
+    TraceFile file;
+    std::string error;
+    ASSERT_TRUE(loadTraceFile(path, file, error)) << error;
+    EXPECT_EQ(file.header, sampleHeader());
+    EXPECT_EQ(file.ops, ops.size());
 
     // Drain through odd-sized batches so reads cross frame boundaries.
+    const auto stream = openReplay(path, sampleHeader());
     std::vector<core::MemOp> got;
     core::MemOp buffer[61];
     while (got.size() < ops.size()) {
         const std::size_t max =
             std::min<std::size_t>(61, ops.size() - got.size());
-        const std::size_t n = stream.nextBatch(buffer, max);
+        const std::size_t n = stream->nextBatch(buffer, max);
         ASSERT_GT(n, 0u);
         ASSERT_LE(n, max);
         got.insert(got.end(), buffer, buffer + n);
@@ -407,26 +481,46 @@ TEST(TraceWriter, StreamReadsBackExactlyWhatWasWritten)
     for (std::size_t i = 0; i < ops.size(); ++i) {
         expectOpsEqual(got[i], ops[i], i);
     }
-    EXPECT_EQ(stream.deliveredOps(), ops.size());
 }
 
-TEST(TraceWriter, AbandonedWriterLeavesNoFile)
+TEST(TraceFileWrite, FailedWriteLeavesNoFileAndNoTemp)
 {
     const std::string dir = scratchDir("abandon");
     const std::string path = dir + "/G2-3.0.cooptrace";
-    {
-        TraceWriter writer(path, sampleHeader());
-        writer.append(sampleOps(10, 1)[0]);
-        // No finish(): simulated crash.
-    }
+    const std::string image =
+        traceImage(sampleHeader(), sampleOps(kFrameOps, 1));
+
+    // A file-size limit below the image makes the write loop fail
+    // part-way through (EFBIG instead of the default SIGXFSZ).
+    struct rlimit saved;
+    ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved), 0);
+    const auto old_handler = std::signal(SIGXFSZ, SIG_IGN);
+    struct rlimit small = saved;
+    small.rlim_cur = image.size() / 2;
+    ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &small), 0);
+    std::string error;
+    const bool written = store::writeFileDurably(path, {image}, error);
+    ::setrlimit(RLIMIT_FSIZE, &saved);
+    std::signal(SIGXFSZ, old_handler);
+
+    EXPECT_FALSE(written);
+    EXPECT_NE(error.find("write"), std::string::npos) << error;
     EXPECT_FALSE(fs::exists(path));
     EXPECT_FALSE(fs::exists(path + ".tmp"));
+
+    // A failed rename is different: the synced temp file holds every
+    // byte, so it stays, named in the error.
+    const std::string blocked = dir + "/blocked";
+    fs::create_directories(blocked + "/occupied");
+    EXPECT_FALSE(store::writeFileDurably(blocked, {image}, error));
+    EXPECT_NE(error.find(blocked + ".tmp"), std::string::npos) << error;
+    EXPECT_EQ(slurp(blocked + ".tmp"), image);
 }
 
 // ---------------------------------------------------------------------------
 // Malformed traces at replay time: descriptive fatals
 
-TEST(TraceStream, MalformedFilesAreFatalWithReasons)
+TEST(TraceReplayOpen, MalformedFilesAreFatalWithReasons)
 {
     const std::string dir = scratchDir("malformed");
     const std::string path = dir + "/G2-3.1.cooptrace";
@@ -435,41 +529,53 @@ TEST(TraceStream, MalformedFilesAreFatalWithReasons)
 
     setThrowOnFatal(true);
 
-    // Bad magic: rejected at construction.
+    // Bad magic: rejected at open.
     std::string bad = good;
     bad[3] = 'X';
     spit(path, bad);
-    EXPECT_THROW(TraceFileStream{path}, FatalError);
+    EXPECT_THROW(openReplay(path, sampleHeader()), FatalError);
 
-    // Wrong version: rejected at construction.
+    // Wrong version: rejected at open.
     bad = good;
     bad[8] = '\x09';
     spit(path, bad);
-    EXPECT_THROW(TraceFileStream{path}, FatalError);
+    EXPECT_THROW(openReplay(path, sampleHeader()), FatalError);
 
     // A flipped byte inside the second frame: every frame's CRC is
-    // checked when the stream opens, so the corruption is fatal at
-    // construction — before a single op reaches a simulation.
+    // checked when the file is loaded, so the corruption is fatal at
+    // open — before a single op reaches a simulation.
     bad = good;
     bad[bad.size() - 20] ^= 0x40;
     spit(path, bad);
-    EXPECT_THROW(TraceFileStream{path}, FatalError);
+    EXPECT_THROW(openReplay(path, sampleHeader()), FatalError);
 
-    // Truncation mid-frame is equally fatal at construction.
+    // Truncation mid-frame is equally fatal at open.
     spit(path, good.substr(0, good.size() - 10));
-    EXPECT_THROW(TraceFileStream{path}, FatalError);
+    EXPECT_THROW(openReplay(path, sampleHeader()), FatalError);
+
+    // The op count precedes the CRC-covered payload, so only checking
+    // it against the payload catches a flipped count (4096 -> 4097):
+    // at open, not after the first frame has been simulated.
+    bad = good;
+    bad[frameOffset(good, 1)] ^= 0x01;
+    spit(path, bad);
+    TraceFile file;
+    std::string error;
+    EXPECT_FALSE(loadTraceFile(path, file, error));
+    EXPECT_NE(error.find("frame 1"), std::string::npos) << error;
+    EXPECT_THROW(openReplay(path, sampleHeader()), FatalError);
 
     // Exhaustion: a clean file that simply ends is fatal once the
     // simulation asks for more than was recorded.
     spit(path, good);
     {
-        TraceFileStream stream(path);
-        core::MemOp buffer[64];
+        const auto stream = openReplay(path, sampleHeader());
+        core::MemOp op;
         std::size_t drained = 0;
         EXPECT_THROW(
             {
                 for (;;) {
-                    drained += stream.nextBatch(buffer, 64);
+                    drained += stream->nextBatch(&op, 1);
                 }
             },
             FatalError);
@@ -477,6 +583,177 @@ TEST(TraceStream, MalformedFilesAreFatalWithReasons)
     }
 
     setThrowOnFatal(false);
+    sim::StreamCache::instance().clear();
+}
+
+// ---------------------------------------------------------------------------
+// Hostile input: seeded mutants of one multi-frame file
+
+namespace
+{
+
+/** What the reference decoder makes of a file image: every op, or
+ *  false where the file should be rejected. */
+bool
+referenceDecode(const std::string &image, std::vector<core::MemOp> &out)
+{
+    std::string data = image;
+    data.append(kDecodeSlack, '\0');
+    std::size_t pos = 0;
+    TraceHeader header;
+    std::string error;
+    out.clear();
+    if (!decodeHeader(data, pos, header, error)) {
+        return false;
+    }
+    std::vector<core::MemOp> frame;
+    for (;;) {
+        switch (decodeFrame(data, pos, frame, error)) {
+        case FrameStatus::End:
+            return true;
+        case FrameStatus::Corrupt:
+            return false;
+        case FrameStatus::Ok:
+            out.insert(out.end(), frame.begin(), frame.end());
+            break;
+        }
+    }
+}
+
+/** @p value as a 10-byte varint (the longest encoding a reader takes). */
+std::string
+tenByteVarint(std::uint64_t value)
+{
+    std::string out;
+    for (int i = 0; i < 9; ++i) {
+        out.push_back(static_cast<char>(((value >> (7 * i)) & 0x7f) | 0x80));
+    }
+    out.push_back(static_cast<char>(value >> 63));
+    return out;
+}
+
+} // namespace
+
+TEST(TraceHostileInput, MutantsReplayLikeTheReferenceOrAreRejected)
+{
+    const std::string dir = scratchDir("hostile");
+    const std::string path = dir + "/G2-3.1.cooptrace";
+    const std::string good =
+        traceImage(sampleHeader(), sampleOps(2 * kFrameOps + 300, 21));
+
+    // Split the image into its header and its three frames (the last
+    // one short), remembering each frame's op count.
+    std::vector<std::size_t> bounds;
+    for (std::size_t i = 0; i < 3; ++i) {
+        bounds.push_back(frameOffset(good, i));
+    }
+    bounds.push_back(good.size());
+    const std::string header = good.substr(0, bounds[0]);
+    std::vector<std::string> frames;
+    for (std::size_t i = 0; i + 1 < bounds.size(); ++i) {
+        frames.push_back(good.substr(bounds[i], bounds[i + 1] - bounds[i]));
+    }
+    ASSERT_EQ(frames.size(), 3u);
+    const std::uint64_t counts[] = {kFrameOps, kFrameOps, 300};
+    const auto join = [&header](const std::vector<std::string> &parts) {
+        std::string out = header;
+        for (const std::string &part : parts) {
+            out += part;
+        }
+        return out;
+    };
+
+    Rng rng(2026);
+    std::size_t accepted = 0;
+    std::size_t rejected = 0;
+    setQuiet(true);
+    setThrowOnFatal(true);
+    for (int trial = 0; trial < 1000; ++trial) {
+        std::string mutant;
+        std::vector<std::string> parts = frames;
+        const std::size_t f = rng.nextBelow(frames.size());
+        switch (rng.nextBelow(7)) {
+        case 0: // bit flips anywhere
+            mutant = good;
+            for (std::uint64_t n = 1 + rng.nextBelow(3); n > 0; --n) {
+                mutant[rng.nextBelow(mutant.size())] ^=
+                    static_cast<char>(1u << rng.nextBelow(8));
+            }
+            break;
+        case 1: // a bit flip inside the header
+            mutant = good;
+            mutant[rng.nextBelow(header.size())] ^=
+                static_cast<char>(1u << rng.nextBelow(8));
+            break;
+        case 2: // truncation
+            mutant = good.substr(0, rng.nextBelow(good.size()));
+            break;
+        case 3: // a dropped frame
+            parts.erase(parts.begin() + static_cast<std::ptrdiff_t>(f));
+            mutant = join(parts);
+            break;
+        case 4: // a duplicated frame
+            parts.insert(parts.begin() + static_cast<std::ptrdiff_t>(
+                                             rng.nextBelow(parts.size() + 1)),
+                         frames[f]);
+            mutant = join(parts);
+            break;
+        case 5: // two frames swapped
+            std::swap(parts[f], parts[rng.nextBelow(parts.size())]);
+            mutant = join(parts);
+            break;
+        default: { // a crafted 10-byte op count, right or wrong
+            const std::uint64_t values[] = {
+                counts[f], counts[f] + 1, counts[f] - 1, 1ull << 62,
+                ~0ull, rng.next()};
+            std::string &frame = parts[f];
+            std::size_t varint_end = 0;
+            while (frame[varint_end] & 0x80) {
+                ++varint_end;
+            }
+            frame.replace(0, varint_end + 1,
+                          tenByteVarint(values[rng.nextBelow(6)]));
+            mutant = join(parts);
+            break;
+        }
+        }
+
+        std::vector<core::MemOp> want;
+        const bool reference_ok = referenceDecode(mutant, want);
+        spit(path, mutant);
+        TraceFile file;
+        std::string error;
+        const bool loaded = loadTraceFile(path, file, error);
+        ASSERT_EQ(loaded, reference_ok) << "trial " << trial << ": " << error;
+        if (!loaded) {
+            ++rejected;
+            continue;
+        }
+        ++accepted;
+        ASSERT_EQ(file.ops, want.size()) << "trial " << trial;
+
+        // Replay exactly the reference's ops, then run dry: any
+        // decode-time fatal would throw here instead.
+        const auto stream = openReplay(path, file.header);
+        std::vector<core::MemOp> got(want.size());
+        for (std::size_t done = 0; done < got.size();) {
+            done += stream->nextBatch(
+                got.data() + done,
+                std::min<std::size_t>(61, got.size() - done));
+        }
+        for (std::size_t i = 0; i < want.size(); ++i) {
+            expectOpsEqual(got[i], want[i], i);
+        }
+        core::MemOp extra;
+        EXPECT_THROW(stream->nextBatch(&extra, 1), FatalError)
+            << "trial " << trial;
+    }
+    setThrowOnFatal(false);
+    setQuiet(false);
+    sim::StreamCache::instance().clear();
+    // The mix exercises both outcomes.
+    EXPECT_GT(accepted, 50u);
+    EXPECT_GT(rejected, 50u);
 }
 
 // ---------------------------------------------------------------------------
@@ -613,17 +890,24 @@ TEST(TraceReplay, ReplayedResultsAreByteIdenticalAcrossTopologies)
 
     const std::vector<sim::RunKey> keys = api::expandSpec(spec);
     ASSERT_EQ(keys.size(), 3u * 2u * 2u);
-    for (const sim::RunKey &generated_key : keys) {
-        const sim::RunResult generated = sim::executeRun(generated_key);
+    // Memo off (--no-stream-memo) regenerates the synthetic side per
+    // run; the trace side goes through the memo's loader either way.
+    for (const bool memo : {true, false}) {
+        sim::StreamCache::instance().configure({memo, 0, ""});
+        for (const sim::RunKey &generated_key : keys) {
+            const sim::RunResult generated = sim::executeRun(generated_key);
 
-        sim::RunKey replay_key = generated_key;
-        replay_key.name = std::string(kTracePrefix) + generated_key.name;
-        const sim::RunResult replayed = sim::executeRun(replay_key);
+            sim::RunKey replay_key = generated_key;
+            replay_key.name =
+                std::string(kTracePrefix) + generated_key.name;
+            const sim::RunResult replayed = sim::executeRun(replay_key);
 
-        EXPECT_EQ(store::formatResult(generated),
-                  store::formatResult(replayed))
-            << api::formatRunKey(generated_key);
+            EXPECT_EQ(store::formatResult(generated),
+                      store::formatResult(replayed))
+                << api::formatRunKey(generated_key) << " memo=" << memo;
+        }
     }
+    sim::StreamCache::instance().configure({});
 }
 
 TEST(TraceReplay, SeedAndScaleMismatchesAreFatal)
@@ -665,4 +949,76 @@ TEST(TraceReplay, SeedAndScaleMismatchesAreFatal)
     EXPECT_THROW(recordSpec(multiseed, scratchDir("multiseed")),
                  FatalError);
     setThrowOnFatal(false);
+}
+
+// ---------------------------------------------------------------------------
+// A fatal during a replay exits 1: never an abort, never a hang
+
+namespace
+{
+
+/** Records G2-2 at test scale into @p name's scratch directory and
+ *  returns the directory and the RunKey replaying it. */
+std::string
+recordG22(const std::string &name, sim::RunKey &replay_key)
+{
+    const std::string dir = scratchDir(name);
+    api::ExperimentSpec spec;
+    spec.name = name;
+    spec.groups = {"G2-2"};
+    spec.schemes = {"coop"};
+    spec.baseline = "coop";
+    spec.with_solo = false;
+    spec.scale = "test";
+    EXPECT_GT(recordSpec(spec, dir), 0u);
+    replay_key = api::expandSpec(spec).front();
+    replay_key.name = "trace:G2-2";
+    return dir;
+}
+
+} // namespace
+
+TEST(TraceReplayDeathTest, FatalOnAnExecutorWorkerExitsOne)
+{
+    // exit() runs on the failing worker, so exit-time code must not
+    // join that worker from itself.
+    GTEST_FLAG_SET(death_test_style, "threadsafe");
+    sim::RunKey key;
+    const std::string dir = recordG22("death_worker", key);
+    key.seed = 43; // not the recorded seed: fatal in the stream factory
+    EXPECT_EXIT(
+        {
+            ::alarm(20); // a hang fails the test instead of stalling it
+            registerTraceDir(dir);
+            sim::RunExecutor &executor = sim::RunExecutor::instance();
+            executor.setThreads(2);
+            executor.prefetch({key}); // queued for a worker
+            for (;;) {
+                ::pause(); // this thread never helps run it
+            }
+        },
+        testing::ExitedWithCode(1), "recorded with seed 42");
+}
+
+TEST(TraceReplayDeathTest, ExhaustionWithASpillDirectoryExitsOne)
+{
+    // The at-exit spill locks every memo entry, so the exhaustion
+    // fatal must not be raised while holding one.
+    GTEST_FLAG_SET(death_test_style, "threadsafe");
+    sim::RunKey key;
+    const std::string dir = recordG22("death_exhaust", key);
+    const std::string path = dir + "/" + traceFileName("G2-2", 0);
+    const std::string data = slurp(path);
+    spit(path, data.substr(0, frameOffset(data, 1))); // one frame left
+    const std::string spill = scratchDir("death_exhaust_spill");
+    EXPECT_EXIT(
+        {
+            ::alarm(20);
+            sim::StreamCache::instance().configure({true, 0, spill});
+            registerTraceDir(dir);
+            sim::RunExecutor &executor = sim::RunExecutor::instance();
+            executor.setThreads(1);
+            executor.run(key);
+        },
+        testing::ExitedWithCode(1), "exhausted after 4096 ops");
 }
