@@ -655,7 +655,7 @@ benchReplayCost(std::uint64_t &checksum)
     key.workload = "trace:" + header.workload;
     key.seed = seed;
     key.scale = header.scale;
-    key.num_cores = header.num_cores;
+    key.geometry = geometry;
     const auto openReplay = [&] {
         return sim::StreamCache::instance().openTraceFile(key, path, header);
     };
@@ -763,7 +763,7 @@ benchStreamMemo(std::uint64_t &checksum)
     key.slot = 0;
     key.seed = 42;
     key.scale = "bench";
-    key.num_cores = 1;
+    key.geometry = geometry;
 
     const auto consume = [](const core::MemOp &op) {
         return op.addr + op.gap_insts +
@@ -773,7 +773,7 @@ benchStreamMemo(std::uint64_t &checksum)
     MemoCost times;
     std::uint64_t cold_sum = 0;
     {
-        auto stream = cache.open(key, profile, geometry, key.seed);
+        auto stream = cache.open(key, profile, key.seed);
         core::MemOp buffer[64];
         const auto t0 = Clock::now();
         for (std::uint64_t n = 0; n < kOps; n += 64) {
@@ -787,7 +787,7 @@ benchStreamMemo(std::uint64_t &checksum)
     }
     std::uint64_t warm_sum = 0;
     {
-        auto stream = cache.open(key, profile, geometry, key.seed);
+        auto stream = cache.open(key, profile, key.seed);
         core::MemOp buffer[64];
         const auto t0 = Clock::now();
         for (std::uint64_t n = 0; n < kOps; n += 64) {

@@ -137,24 +137,25 @@ executeRun(const RunKey &key)
             config.stream_factory =
                 tracefile::replayFactory(key.name, key.seed, key.scale);
         } else if (StreamCache::instance().enabled()) {
-            config.stream_factory = StreamCache::instance().factory(
-                key.seed, key.scale, num_cores);
+            config.stream_factory =
+                StreamCache::instance().factory(key.seed, key.scale);
         }
         System system(config, trace::groupProfiles(group));
         return system.run();
     }
 
     // Solo: the app owns the whole (unmanaged) LLC of the system it
-    // will later share. The stream memo keys on key.num_cores — the
-    // topology the solo's geometry came from — so the solo replays
-    // the exact buffer its group generated for slot 0 (the per-stream
-    // seed derivation makes them the same op sequence).
+    // will later share. Its stream is slot 0's on that system's
+    // geometry, which the stream memo keys on, so the solo replays the
+    // buffer of any run with the app in slot 0 on that geometry, at
+    // any core count (the per-stream seed derivation makes them the
+    // same op sequence).
     SystemConfig config = runConfig(key);
     config.num_cores = 1;
     config.llc.num_cores = 1;
     if (StreamCache::instance().enabled()) {
-        config.stream_factory = StreamCache::instance().factory(
-            key.seed, key.scale, key.num_cores);
+        config.stream_factory =
+            StreamCache::instance().factory(key.seed, key.scale);
     }
     System system(config, {trace::specProfile(key.name)});
     return system.run();

@@ -260,7 +260,8 @@ StreamCache::KeyHash::operator()(const Key &key) const
     h = mixHash(h, key.slot);
     h = mixHash(h, key.seed);
     h = mixHash(h, std::hash<std::string>{}(key.scale));
-    h = mixHash(h, key.num_cores);
+    h = mixHash(h, key.geometry.llc_sets);
+    h = mixHash(h, key.geometry.block_bytes);
     return static_cast<std::size_t>(h);
 }
 
@@ -327,10 +328,10 @@ StreamCache::budgetBytes() const
 
 StreamFactory
 StreamCache::factory(std::uint64_t run_seed, RunScale scale,
-                     std::uint32_t topology_cores)
+                     std::uint32_t /*topology_cores*/)
 {
     const std::string scale_key = api::scaleKeyOf(scale);
-    return [run_seed, scale_key, topology_cores](
+    return [run_seed, scale_key](
                std::uint32_t c, const trace::AppProfile &profile,
                const trace::StreamGeometry &geometry,
                std::uint64_t stream_seed) -> std::unique_ptr<core::OpStream> {
@@ -339,8 +340,8 @@ StreamCache::factory(std::uint64_t run_seed, RunScale scale,
         key.slot = c;
         key.seed = run_seed;
         key.scale = scale_key;
-        key.num_cores = topology_cores;
-        return instance().open(key, profile, geometry, stream_seed);
+        key.geometry = geometry;
+        return instance().open(key, profile, stream_seed);
     };
 }
 
@@ -430,7 +431,6 @@ StreamCache::evictOverBudget(const detail::StreamEntry *keep)
 
 std::unique_ptr<core::OpStream>
 StreamCache::open(const Key &key, const trace::AppProfile &profile,
-                  const trace::StreamGeometry &geometry,
                   std::uint64_t stream_seed)
 {
     bool created = false;
@@ -440,16 +440,19 @@ StreamCache::open(const Key &key, const trace::AppProfile &profile,
             auto e = std::make_shared<detail::StreamEntry>();
             e->key = key;
             e->header.core = key.slot;
-            e->header.num_cores = key.num_cores;
+            // Shared by every topology row with this geometry, so it
+            // belongs to none: spill headers say 0 cores.
+            e->header.num_cores = 0;
             e->header.seed = key.seed;
-            e->header.llc_sets = geometry.llc_sets;
-            e->header.block_bytes = geometry.block_bytes;
+            e->header.llc_sets = key.geometry.llc_sets;
+            e->header.block_bytes = key.geometry.block_bytes;
             e->header.workload = key.workload;
             e->header.app = profile.name;
             e->header.scale = key.scale;
             e->label = "memoized stream '" + key.workload + "' slot " +
                        std::to_string(key.slot);
-            e->rebuild = [profile, geometry, slot = key.slot, stream_seed]() {
+            e->rebuild = [profile, geometry = key.geometry, slot = key.slot,
+                          stream_seed]() {
                 return std::make_unique<trace::SyntheticStream>(
                     profile, geometry, slot, stream_seed);
             };
@@ -485,12 +488,6 @@ StreamCache::open(const Key &key, const trace::AppProfile &profile,
         COOPSIM_FATAL(entry->label, ": app mismatch (memoized '",
                       entry->header.app, "', asked for '", profile.name,
                       "') — distinct profiles share a registry name");
-    if (entry->header.llc_sets != geometry.llc_sets ||
-        entry->header.block_bytes != geometry.block_bytes)
-        COOPSIM_FATAL(entry->label, ": geometry mismatch (memoized ",
-                      entry->header.llc_sets, " sets x ",
-                      entry->header.block_bytes, " B blocks, asked for ",
-                      geometry.llc_sets, " x ", geometry.block_bytes, ")");
 
     return std::make_unique<detail::MemoReplayStream>(std::move(entry), *this);
 }
@@ -538,7 +535,8 @@ StreamCache::spillPath(const Key &key) const
     // recorded trace sets.
     return config_.spill_dir + "/" + key.workload + ".s" +
            std::to_string(key.slot) + ".seed" + std::to_string(key.seed) +
-           "." + key.scale + ".c" + std::to_string(key.num_cores) +
+           "." + key.scale + ".g" + std::to_string(key.geometry.llc_sets) +
+           "x" + std::to_string(key.geometry.block_bytes) +
            tracefile::kTraceExtension;
 }
 

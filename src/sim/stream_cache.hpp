@@ -11,13 +11,17 @@
  * replays it everywhere else through tracefile::FrameDecoder at
  * ~4 ns/op.
  *
- * Keying: (workload, app-slot, seed, scale, num_cores). `workload` is
- * the app profile occupying the slot (or "trace:<group>" for
- * file-backed sets), NOT the group name: SyntheticStream content
- * depends only on the profile, the slot's address-space index, the
- * derived seed and the scaled geometry, so two groups sharing an app
- * at the same slot replay one buffer — and a solo run shares its
- * group's slot-0 stream outright.
+ * Keying: (workload, app-slot, seed, scale, llc_sets, block_bytes) —
+ * exactly what a stream depends on. `workload` is the app profile
+ * occupying the slot (or "trace:<group>" for file-backed sets), NOT
+ * the group name, and the geometry is the stream's, NOT the topology
+ * row's core count: SyntheticStream content depends only on the
+ * profile (its phase lengths scaled by the scale's epoch), the slot's
+ * address-space index, the derived seed and the geometry. So two
+ * groups sharing an app at the same slot replay one buffer, at any
+ * core count whose row has the same geometry (every row at bench and
+ * test scale; the 2-16-core rows at paper scale), and a solo run
+ * shares slot 0's stream outright.
  *
  * Concurrency follows RunExecutor's RunKey memo: an entry is a
  * shared_future, the first opener builds it, every other opener
@@ -73,8 +77,10 @@ class StreamCache
         std::uint64_t seed = 0;
         /** Scale-registry name (phase lengths scale with the epoch). */
         std::string scale;
-        /** Topology row the run selected (fixes the LLC geometry). */
-        std::uint32_t num_cores = 0;
+        /** LLC sets and block size the stream maps its addresses onto.
+         *  Topology rows with the same geometry share streams whatever
+         *  their core count. */
+        trace::StreamGeometry geometry;
 
         bool operator==(const Key &) const = default;
     };
@@ -133,22 +139,23 @@ class StreamCache
      * The StreamFactory executeRun() installs for synthetic (non
      * trace:) workloads: routes every per-core stream request of a
      * run through open() under (profile, slot, @p run_seed, @p scale,
-     * @p topology_cores).
+     * the requested geometry). @p topology_cores is unused — the
+     * geometry the System passes in is what identifies a stream — and
+     * is kept only for callers that still pass it.
      */
     StreamFactory factory(std::uint64_t run_seed, RunScale scale,
-                          std::uint32_t topology_cores);
+                          std::uint32_t topology_cores = 0);
 
     /**
      * Opens the memoized stream for @p key, building it from a
-     * SyntheticStream(profile, geometry, slot, stream_seed) on first
-     * use. The returned stream replays from op 0 and extends the
-     * shared buffer on demand; identity mismatches between @p key and
-     * an existing entry are descriptive fatals (they would mean two
-     * different op sequences under one key).
+     * SyntheticStream(profile, key.geometry, key.slot, stream_seed) on
+     * first use. The returned stream replays from op 0 and extends the
+     * shared buffer on demand; seed or app mismatches between the
+     * request and an existing entry are descriptive fatals (they would
+     * mean two different op sequences under one key).
      */
     std::unique_ptr<core::OpStream> open(const Key &key,
                                          const trace::AppProfile &profile,
-                                         const trace::StreamGeometry &geometry,
                                          std::uint64_t stream_seed);
 
     /**

@@ -101,29 +101,29 @@ SyntheticStream::currentPhase() const
     return (phase_no % 2 == 0) ? profile_.primary : profile_.secondary;
 }
 
-Addr
-SyntheticStream::newBlock(SetId set)
+std::uint32_t
+SyntheticStream::newBlock()
 {
-    // Compose a fresh block that maps to @p set: the block number
-    // provides the tag bits, the set index is forced.
-    const Addr tag_part = next_block_++;
-    const Addr addr =
-        space_base_ |
-        (tag_part << (slicer_.blockBits() + slicer_.setBits())) |
-        (static_cast<Addr>(set) << slicer_.blockBits());
-    return addr;
+    // The block number provides an address's tag bits (addrOf forces
+    // the set index). Where it reaches into the space tag, the address
+    // has those bits set either way: drop them, so that blocks with
+    // equal addresses have equal list entries.
+    COOPSIM_ASSERT(next_block_ < (std::uint64_t{1} << 32),
+                   "synthetic stream exhausted its 2^32 block numbers");
+    return static_cast<std::uint32_t>(next_block_++ &
+                                      ~slicer_.tag(space_base_));
 }
 
 void
-SyntheticStream::touch(SetId set, Addr addr)
+SyntheticStream::touch(SetId set, std::uint32_t block)
 {
     auto &list = lists_[set];
     std::uint8_t &size = list_sizes_[set];
 
-    // Find the address (it may be absent for brand-new blocks).
+    // Find the block (it may be absent for brand-new blocks).
     std::uint32_t pos = size;
     for (std::uint32_t i = 0; i < size; ++i) {
-        if (list[i] == addr) {
+        if (list[i] == block) {
             pos = i;
             break;
         }
@@ -134,11 +134,11 @@ SyntheticStream::touch(SetId set, Addr addr)
     } else if (pos == size) {
         pos = static_cast<std::uint32_t>(list.size()) - 1;
     }
-    // Shift [0, pos) down by one; place addr at rank 0.
+    // Shift [0, pos) down by one; place block at rank 0.
     for (std::uint32_t i = pos; i > 0; --i) {
         list[i] = list[i - 1];
     }
-    list[0] = addr;
+    list[0] = block;
 }
 
 core::MemOp
@@ -179,26 +179,28 @@ SyntheticStream::generate()
     if (cls == 0) {
         const SetId set = static_cast<SetId>(
             rng_.nextBelow(geometry_.llc_sets));
-        addr = newBlock(set);
-        touch(set, addr);
+        const std::uint32_t block = newBlock();
+        touch(set, block);
+        addr = addrOf(set, block);
     } else {
         const std::uint32_t rank = cls - 1;
         // Find a set whose list is deep enough; sample a few times and
         // fall back to a new block during cold start.
-        addr = 0;
         for (int attempt = 0; attempt < 4 && addr == 0; ++attempt) {
             const SetId set = static_cast<SetId>(
                 rng_.nextBelow(geometry_.llc_sets));
             if (list_sizes_[set] > rank) {
-                addr = lists_[set][rank];
-                touch(set, addr);
+                const std::uint32_t block = lists_[set][rank];
+                touch(set, block);
+                addr = addrOf(set, block);
             }
         }
         if (addr == 0) {
             const SetId set = static_cast<SetId>(
                 rng_.nextBelow(geometry_.llc_sets));
-            addr = newBlock(set);
-            touch(set, addr);
+            const std::uint32_t block = newBlock();
+            touch(set, block);
+            addr = addrOf(set, block);
         }
     }
 

@@ -10,7 +10,8 @@
  * write ratio, and the generator sets all three directly.
  *
  * Mechanism: the generator keeps, per LLC set, a recency list of the
- * blocks it has touched there. Each generated access either
+ * blocks it has touched there (as 32-bit block numbers; an address is
+ * composed when an op is emitted). Each generated access either
  *  - touches a *new* block (probability `miss_prob`: streaming /
  *    compulsory-miss traffic that misses under any allocation), or
  *  - re-touches the block at recency rank r of a random set, drawn
@@ -93,6 +94,8 @@ struct StreamGeometry
 {
     std::uint32_t llc_sets = 4096;
     std::uint32_t block_bytes = 64;
+
+    bool operator==(const StreamGeometry &) const = default;
 };
 
 /**
@@ -130,9 +133,16 @@ class SyntheticStream final : public core::OpStream
     core::MemOp generate();
     /** Re-derives the cached phase state from generated_insts_. */
     void refreshPhase();
-    Addr newBlock(SetId set);
-    /** Moves @p addr to rank 0 of @p set's recency list. */
-    void touch(SetId set, Addr addr);
+    /** Takes the next block number (recency-list form: see lists_). */
+    std::uint32_t newBlock();
+    /** The address of @p block in @p set. */
+    Addr
+    addrOf(SetId set, std::uint32_t block) const
+    {
+        return space_base_ | slicer_.compose(block, set);
+    }
+    /** Moves @p block to rank 0 of @p set's recency list. */
+    void touch(SetId set, std::uint32_t block);
 
     AppProfile profile_;
     StreamGeometry geometry_;
@@ -141,8 +151,16 @@ class SyntheticStream final : public core::OpStream
     Addr space_base_;
     std::uint64_t next_block_ = 0;
 
-    /** Per-set recency lists, most recent first. */
-    std::vector<std::array<Addr, kMaxRank + 1>> lists_;
+    /**
+     * Per-set recency lists, most recent first, of block numbers with
+     * the bits the address-space tag also sets cleared — two entries
+     * are equal iff their addresses are, so the lists behave exactly
+     * like lists of addresses at half the memory (every memoized
+     * stream keeps its generator alive). A composed address is never
+     * 0 (the space tag is not), which generate() uses as "no block
+     * found yet".
+     */
+    std::vector<std::array<std::uint32_t, kMaxRank + 1>> lists_;
     std::vector<std::uint8_t> list_sizes_;
 
     /** Cumulative class distribution: [new, rank0, rank1, ...]. */

@@ -74,16 +74,15 @@ class CountingStream final : public core::OpStream
 std::unique_ptr<core::OpStream>
 openMemo(std::uint32_t c, const trace::AppProfile &profile,
          const trace::StreamGeometry &geometry, std::uint64_t seed,
-         std::uint64_t run_seed, const std::string &scale,
-         std::uint32_t num_cores)
+         std::uint64_t run_seed, const std::string &scale)
 {
     sim::StreamCache::Key key;
     key.workload = profile.name;
     key.slot = c;
     key.seed = run_seed;
     key.scale = scale;
-    key.num_cores = num_cores;
-    return sim::StreamCache::instance().open(key, profile, geometry, seed);
+    key.geometry = geometry;
+    return sim::StreamCache::instance().open(key, profile, seed);
 }
 
 } // namespace
@@ -134,14 +133,13 @@ recordSpec(const api::ExperimentSpec &spec, const std::string &dir)
             sim::SystemConfig config = sim::runConfig(key);
             std::vector<CountingStream *> counters(num_cores, nullptr);
             config.stream_factory =
-                [&counters, &config, &spec, num_cores](
+                [&counters, &config, &spec](
                     std::uint32_t c, const trace::AppProfile &profile,
                     const trace::StreamGeometry &geometry,
                     std::uint64_t seed)
                 -> std::unique_ptr<core::OpStream> {
-                auto tee = std::make_unique<CountingStream>(
-                    openMemo(c, profile, geometry, seed, config.seed,
-                             spec.scale, num_cores));
+                auto tee = std::make_unique<CountingStream>(openMemo(
+                    c, profile, geometry, seed, config.seed, spec.scale));
                 counters[c] = tee.get();
                 return tee;
             };
@@ -174,7 +172,7 @@ recordSpec(const api::ExperimentSpec &spec, const std::string &dir)
             header.app = profile.name;
             header.scale = spec.scale;
             auto stream = openMemo(c, profile, geometry, seed, config.seed,
-                                   spec.scale, num_cores);
+                                   spec.scale);
             streams[c] = stream.get();
             return stream;
         };

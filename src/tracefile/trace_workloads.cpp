@@ -322,7 +322,7 @@ replayFactory(const std::string &name, std::uint64_t run_seed,
         key.slot = c;
         key.seed = run_seed;
         key.scale = scale_key;
-        key.num_cores = header.num_cores;
+        key.geometry = {header.llc_sets, header.block_bytes};
         return sim::StreamCache::instance().openTraceFile(
             key, set.paths[c], header);
     };

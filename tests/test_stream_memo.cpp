@@ -7,8 +7,9 @@
  *    x {sampling} matrix that spans 2..32 cores, the banked 32-core
  *    topology row and set+op sampling;
  *  - a fresh cache generates exactly one stream per distinct
- *    (workload, slot, seed, scale, num_cores) key, replays the rest,
- *    and serves a solo run from its group's slot-0 stream;
+ *    (workload, slot, seed, scale, geometry) key, replays the rest,
+ *    serves a solo run from its group's slot-0 stream, and shares
+ *    streams across topology rows with the same geometry;
  *  - a tiny budget forces whole-stream LRU eviction without changing
  *    any result;
  *  - serial executeRun() and a multi-threaded RunExecutor produce
@@ -24,6 +25,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <fstream>
@@ -103,32 +105,31 @@ struct DirectStream
 {
     StreamCache::Key key;
     trace::AppProfile profile;
-    trace::StreamGeometry geometry;
     std::uint64_t stream_seed = 0;
 
-    explicit DirectStream(std::uint64_t seed)
+    explicit DirectStream(std::uint64_t seed,
+                          trace::StreamGeometry geometry = {})
         : profile(trace::specProfile(trace::groupByName("G2-1").apps[0]))
     {
         key.workload = profile.name;
         key.slot = 0;
         key.seed = seed;
         key.scale = "test";
-        key.num_cores = 2;
+        key.geometry = geometry;
         stream_seed = seed; // slot 0: seed + 0 * 7919
     }
 
     std::unique_ptr<core::OpStream>
     open() const
     {
-        return StreamCache::instance().open(key, profile, geometry,
-                                            stream_seed);
+        return StreamCache::instance().open(key, profile, stream_seed);
     }
 
     /** The first @p n ops straight from the generator. */
     std::vector<core::MemOp>
     reference(std::size_t n) const
     {
-        trace::SyntheticStream generator(profile, geometry, key.slot,
+        trace::SyntheticStream generator(profile, key.geometry, key.slot,
                                          stream_seed);
         std::vector<core::MemOp> ops(n);
         std::size_t got = 0;
@@ -236,13 +237,69 @@ TEST(StreamMemo, GeneratesOncePerDistinctStreamAndSharesWithSolos)
     EXPECT_EQ(cache.residentStreams(), 6u);
 
     // A solo on the 2-core topology replays its group's slot-0
-    // stream: same app, slot 0, seed, scale and topology row mean the
-    // same op sequence, so nothing new is generated.
+    // stream: same app, slot 0, seed, scale and geometry mean the same
+    // op sequence, so nothing new is generated.
     const std::string app = trace::groupByName("G2-1").apps[0];
     sim::executeRun(api::soloRunKey(testSpec(), app, 2));
     stats = cache.stats();
     EXPECT_EQ(stats.streams_generated, 6u);
     EXPECT_EQ(cache.residentStreams(), 6u);
+}
+
+TEST(StreamMemo, TopologyRowsWithOneGeometryShareStreams)
+{
+    CacheGuard guard;
+    StreamCache &cache = StreamCache::instance();
+
+    // scaling.spec's mixes are cyclic draws from one tier pool, so
+    // G8-mem1's apps are G16-mem1's first 8 slots; at test scale both
+    // rows have 128 sets of 64 B blocks.
+    const trace::WorkloadGroup &g8 = trace::groupByName("G8-mem1");
+    const trace::WorkloadGroup &g16 = trace::groupByName("G16-mem1");
+    ASSERT_TRUE(std::equal(g8.apps.begin(), g8.apps.end(),
+                           g16.apps.begin()));
+    const std::vector<RunKey> keys = {
+        groupKey("G8-mem1", "coop"),
+        api::soloRunKey(testSpec(), g8.apps[0], 16),
+        groupKey("G16-mem1", "coop"),
+    };
+
+    cache.configure({false, 0, ""});
+    std::vector<std::string> plain;
+    for (const RunKey &key : keys) {
+        plain.push_back(runFormatted(key));
+    }
+
+    cache.configure({true, 0, ""});
+    EXPECT_EQ(plain[0], runFormatted(keys[0]));
+    EXPECT_EQ(cache.stats().streams_generated, 8u);
+    // The solo runs on the 16-core row, which no run has used yet, and
+    // still replays G8-mem1's slot-0 stream.
+    EXPECT_EQ(plain[1], runFormatted(keys[1]));
+    EXPECT_EQ(cache.stats().streams_generated, 8u);
+    // G16-mem1 replays all 8 and generates only its last 8 slots.
+    EXPECT_EQ(plain[2], runFormatted(keys[2]));
+    StreamCache::Stats stats = cache.stats();
+    EXPECT_EQ(stats.streams_generated, 16u);
+    EXPECT_EQ(stats.streams_replayed, 9u);
+    EXPECT_EQ(cache.residentStreams(), 16u);
+
+    // Geometry is part of a stream's identity: the same app, slot and
+    // seed on two geometries are two entries.
+    cache.clear();
+    cache.resetStats();
+    const DirectStream test_rows(42, {128, 64});
+    const DirectStream bench_rows(42, {512, 64});
+    EXPECT_EQ(firstMismatch(pull(*test_rows.open(), 100, 100),
+                            test_rows.reference(100)),
+              100u);
+    EXPECT_EQ(firstMismatch(pull(*bench_rows.open(), 100, 100),
+                            bench_rows.reference(100)),
+              100u);
+    stats = cache.stats();
+    EXPECT_EQ(stats.streams_generated, 2u);
+    EXPECT_EQ(stats.streams_replayed, 0u);
+    EXPECT_EQ(cache.residentStreams(), 2u);
 }
 
 // ---------------------------------------------------------------------------

@@ -240,6 +240,74 @@ TEST(SyntheticStream, PhasesAlternate)
     EXPECT_GT(hi - lo, 0.01);
 }
 
+TEST(SyntheticStream, OpSequenceMatchesPinnedDigest)
+{
+    // Every other generator check compares the generator with itself
+    // (memo replay, record/replay, batch vs next()); these literals pin
+    // what it produces. They were computed on the generator that kept
+    // full 8-byte addresses in its per-set recency lists, before those
+    // lists held block numbers, so a change to the op sequence fails
+    // here even if it moves every consumer equally.
+    struct Case
+    {
+        const char *app;
+        /** Phase length scale: the run scale's epoch / 5 M cycles. */
+        double phase_factor;
+        StreamGeometry geometry;
+        std::uint32_t slot;
+        std::uint64_t seed;
+        std::uint64_t digest;
+    };
+    const Case cases[] = {
+        // High MPKI, phased (bench-scale phase lengths), bench geometry.
+        {"soplex", 300'000.0 / 5'000'000.0, {512, 64}, 0, 42,
+         0x5e5d47d08850b0a1ull},
+        // Medium MPKI, phased (test-scale phase lengths), test geometry.
+        {"mcf", 60'000.0 / 5'000'000.0, {128, 64}, 63, 42 + 63 * 7919,
+         0xe40fc0905b291cb6ull},
+        // Low MPKI, bench and test geometry, both slots.
+        {"h264ref", 1.0, {512, 64}, 63, 7 + 63 * 7919,
+         0xb11ffac6818fa7aaull},
+        {"h264ref", 1.0, {128, 64}, 0, 7, 0xfa8b6b081f89cf26ull},
+        // 2 GiB blocks in 32 sets start a block's tag bits at bit 36,
+        // so bit 8 of a block number lands on the space tag's bit 44:
+        // block numbers that differ only there share an address, and
+        // often a set. The recency lists must treat them as one block.
+        {"lbm", 1.0, {32, 1u << 31}, 0, 5, 0x356651a0ff173ff1ull},
+    };
+    constexpr std::size_t kOps = std::size_t{1} << 20;
+
+    for (const Case &c : cases) {
+        AppProfile p = specProfile(c.app);
+        p.phase_insts = static_cast<InstCount>(
+            static_cast<double>(p.phase_insts) * c.phase_factor);
+        SyntheticStream s(p, c.geometry, c.slot, c.seed);
+
+        // FNV-1a over each op's fields, fed least significant byte
+        // first so the digest does not depend on host byte order.
+        std::uint64_t h = 0xcbf29ce484222325ull;
+        auto feed = [&h](std::uint64_t v, int bytes) {
+            for (int i = 0; i < bytes; ++i) {
+                h = (h ^ ((v >> (8 * i)) & 0xff)) * 0x100000001b3ull;
+            }
+        };
+        std::vector<core::MemOp> ops(4096);
+        for (std::size_t done = 0; done < kOps; done += ops.size()) {
+            s.nextBatch(ops.data(), ops.size());
+            for (const core::MemOp &op : ops) {
+                feed(op.addr, 8);
+                feed(op.gap_insts, 8);
+                feed(static_cast<std::uint8_t>(op.type), 1);
+                feed(op.llc_level ? 1 : 0, 1);
+            }
+        }
+        EXPECT_EQ(h, c.digest)
+            << c.app << " slot " << c.slot << " on "
+            << c.geometry.llc_sets << "x" << c.geometry.block_bytes
+            << ": got 0x" << std::hex << h;
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Table 3 / Table 4 data
 
