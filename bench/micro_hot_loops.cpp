@@ -9,7 +9,7 @@
  *     alongside as the reference the optimisation replaced), plus the
  *     banked variants: the slice-selection hash alone (mod and
  *     xor-fold, slice_hash_ns) and a hashed 4-slice lookup over the
- *     same total geometry (banked_lookup_ns; the CI hotpath-smoke leg
+ *     same total geometry (banked_lookup_ns; the CI build-and-test job
  *     asserts it stays within 1.5x of the monolithic lookup),
  *  2. UMON ATD accesses with a full (sample_period = 1) directory, the
  *     per-access cost the incremental recency ordering shaved,
@@ -22,11 +22,11 @@
  *     versus SyntheticStream generation over the identical op
  *     sequence, with an in-memory replay of the pre-decoded ops
  *     subtracted as the consumption baseline (replay_step_ns; the CI
- *     hotpath-smoke leg asserts it does not exceed run_step_ns),
+ *     build-and-test job asserts it does not exceed run_step_ns),
  *  5. one complete bench-scale reference run (coop / G4-1) end to end
  *     under both driver modes — wall seconds, per-op cost, and the
  *     average quantum length actually achieved (quantum_avg_ops; the
- *     CI hotpath-smoke leg asserts it exceeds 1), with the two modes'
+ *     CI build-and-test job asserts it exceeds 1), with the two modes'
  *     results checked bit-identical — and
  *  6. end-to-end sweep throughput: the complete fig05-fig16 simulation
  *     key set executed serially on one thread versus through the
@@ -618,7 +618,7 @@ struct ReplayCost
  *    memory, measuring the consumption side alone.
  *
  * replay_step_ns = replay − baseline is the net decode cost per op;
- * the CI hotpath-smoke leg asserts it stays at or below run_step_ns
+ * the CI build-and-test job asserts it stays at or below run_step_ns
  * (the driver's own per-step budget), i.e. replay does not become
  * the new hot-path bottleneck. All three checksums must agree — a
  * decode bug that survives the CRCs would show up here.
@@ -646,7 +646,7 @@ benchReplayCost(std::uint64_t &checksum)
         const std::string image =
             tracefile::encodeTrace(header, source, kOps);
         std::string error;
-        if (!store::writeFileDurably(path, {image}, error)) {
+        if (!store::writeFileDurably(path, image, error)) {
             std::fprintf(stderr, "FATAL: %s\n", error.c_str());
             std::exit(1);
         }
@@ -996,8 +996,8 @@ struct SweepTimes
      *  everything else replayed. */
     double serial_s = 0.0;
     /** Serial with every stream already memoized — the steady state
-     *  every repeated sweep (new scheme, another threshold, a
-     *  --trace-cache warm start) runs in. */
+     *  every repeated sweep in one process (new scheme, another
+     *  threshold) runs in. */
     double warm_s = 0.0;
     double parallel_s = 0.0;
 
@@ -1024,7 +1024,7 @@ benchExecutorSweep(const std::string &scale, std::uint64_t &checksum)
 
     std::uint64_t no_memo_sum = 0;
     {
-        sim::StreamCache::instance().configure({false, 0, ""});
+        sim::StreamCache::instance().configure({false, 0});
         const auto t0 = Clock::now();
         for (const sim::RunKey &key : keys) {
             no_memo_sum += sim::executeRun(key).total_cycles;

@@ -71,21 +71,18 @@ constexpr const char *kUsage =
     "                   [--record=DIR] [--trace-dir=DIR]\n"
     "                   [--sampling=exact|set|op|setop] [--ci]\n"
     "                   [--no-stream-memo] [--stream-cache-mb=N]\n"
-    "                   [--trace-cache=DIR]\n"
     "with --spec, only --scale/--threads/--seed/--store/--shard/"
     "--merge/\n--supervise/--shards/--shard-timeout/--shard-retries/"
     "--record/\n--trace-dir/--sampling/--ci/--no-stream-memo/"
-    "--stream-cache-mb/\n--trace-cache may also be given (the "
-    "first three and\n--sampling override the spec file).\n"
+    "--stream-cache-mb may\nalso be given (the first three and "
+    "--sampling override the spec file).\n"
     "--shard, --merge and --supervise require --spec and --store.\n"
     "--record=DIR captures the spec's workloads as .cooptrace files\n"
-    "into DIR instead of running the experiment; --trace-dir=DIR (or\n"
-    "COOPSIM_TRACE_DIR) registers DIR's recordings as trace:<name>\n"
-    "workloads for replay.\n"
-    "Sweeps memoize op streams process-wide (generate once, replay\n"
+    "into DIR instead of running the experiment; --trace-dir=DIR\n"
+    "registers DIR's recordings as trace:<name> workloads for replay.\n"
+    "Sweeps memoize op streams in each process (generate once, replay\n"
     "everywhere); --no-stream-memo regenerates per run,\n"
-    "--stream-cache-mb=N bounds the memo, --trace-cache=DIR persists\n"
-    "it across processes (e.g. supervised shard workers).\n";
+    "--stream-cache-mb=N bounds the memo.\n";
 
 /** 1-based attempt number of this worker process (COOPSIM_ATTEMPT,
  *  exported by the supervisor; 1 when run by hand). */
@@ -169,12 +166,6 @@ runSupervised(const char *binary, const api::CliOptions &cli,
         if (cli.stream_cache_mb > 0) {
             args.push_back("--stream-cache-mb=" +
                            std::to_string(cli.stream_cache_mb));
-        }
-        if (!cli.trace_cache_dir.empty()) {
-            // Each worker warm-starts shared streams from the cache
-            // directory instead of regenerating them per process; the
-            // first worker to finish a stream spills it for the rest.
-            args.push_back("--trace-cache=" + cli.trace_cache_dir);
         }
         const std::vector<std::string> env = {
             std::string(supervise::kAttemptEnv) + "=" +

@@ -35,8 +35,7 @@ takeValue(const char *arg, const char *key, std::string &value)
 } // namespace
 
 CliOptions
-parseCli(int argc, char **argv, unsigned allowed, const char *usage,
-         bool reject_unknown)
+parseCli(int argc, char **argv, unsigned allowed, const char *usage)
 {
     CliOptions options;
     std::string value;
@@ -49,13 +48,9 @@ parseCli(int argc, char **argv, unsigned allowed, const char *usage,
                 options.positional.push_back(arg);
                 continue;
             }
-            if (reject_unknown) {
-                COOPSIM_FATAL("unexpected argument '", arg,
-                              "' (try --help)");
-            }
-            continue;
+            COOPSIM_FATAL("unexpected argument '", arg, "' (try --help)");
         }
-        if (reject_unknown && std::strcmp(arg, "--help") == 0) {
+        if (std::strcmp(arg, "--help") == 0) {
             std::printf("%s", usage != nullptr ? usage : "");
             std::exit(0);
         }
@@ -173,12 +168,6 @@ parseCli(int argc, char **argv, unsigned allowed, const char *usage,
                               "' (expected MiB in [1, 1048576])");
             }
             options.stream_cache_mb = static_cast<unsigned>(n);
-        } else if ((allowed & kFlagStreamMemo) &&
-                   takeValue(arg, "--trace-cache=", value)) {
-            if (value.empty()) {
-                COOPSIM_FATAL("--trace-cache requires a directory path");
-            }
-            options.trace_cache_dir = value;
         } else if ((allowed & kFlagSupervise) &&
                    takeValue(arg, "--shard-retries=", value)) {
             const std::uint64_t n = parseUint(value, "--shard-retries");
@@ -187,7 +176,7 @@ parseCli(int argc, char **argv, unsigned allowed, const char *usage,
                               "' (expected an integer in [1, 100])");
             }
             options.shard_retries = static_cast<unsigned>(n);
-        } else if (reject_unknown) {
+        } else {
             COOPSIM_FATAL("unknown flag '", arg, "' (try --help)");
         }
     }
@@ -212,17 +201,14 @@ applyCliThreads(const CliOptions &options)
 void
 applyCliStreamMemo(const CliOptions &options)
 {
-    if (options.no_stream_memo &&
-        (options.stream_cache_mb > 0 || !options.trace_cache_dir.empty())) {
+    if (options.no_stream_memo && options.stream_cache_mb > 0) {
         COOPSIM_FATAL("--no-stream-memo disables the stream memo; it "
-                      "cannot be combined with --stream-cache-mb or "
-                      "--trace-cache");
+                      "cannot be combined with --stream-cache-mb");
     }
     sim::StreamCache::Config config;
     config.enabled = !options.no_stream_memo;
     config.budget_bytes =
         static_cast<std::size_t>(options.stream_cache_mb) << 20;
-    config.spill_dir = options.trace_cache_dir;
     sim::StreamCache::instance().configure(config);
 }
 
@@ -343,7 +329,7 @@ benchSetup(int argc, char **argv, unsigned allowed)
         argc, argv, allowed,
         "usage: bench [--scale=test|bench|paper] [--full] "
         "[--threads=N] [--store=DIR] [--no-stream-memo] "
-        "[--stream-cache-mb=N] [--trace-cache=DIR]\n");
+        "[--stream-cache-mb=N]\n");
     applyCliStreamMemo(options);
     printPreamble(options, applyCliThreads(options));
     attachCliStore(options);

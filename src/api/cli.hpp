@@ -49,8 +49,8 @@ enum CliFlag : unsigned
     kFlagTraceDir = 1u << 14,  //!< --trace-dir=DIR (trace: workloads)
     kFlagSampling = 1u << 15,  //!< --sampling=exact|set|op|setop
     kFlagCi = 1u << 16,        //!< --ci (print value±ci table cells)
-    /** --no-stream-memo, --stream-cache-mb=N, --trace-cache=DIR (the
-     *  process-wide op-stream memo, sim::StreamCache). */
+    /** --no-stream-memo, --stream-cache-mb=N (the process-wide
+     *  op-stream memo, sim::StreamCache). */
     kFlagStreamMemo = 1u << 17,
 };
 
@@ -119,9 +119,6 @@ struct CliOptions
     /** --stream-cache-mb=N: memo budget in MiB; 0 = topology default
      *  (StreamCache::defaultBudgetBytes). */
     unsigned stream_cache_mb = 0;
-    /** --trace-cache=DIR: spill memoized streams to `.cooptrace`
-     *  files in DIR at exit and warm-start from them; empty = off. */
-    std::string trace_cache_dir;
     std::vector<std::string> positional;
 };
 
@@ -131,12 +128,10 @@ struct CliOptions
  * `--help` prints @p usage and exits 0. Any other `--` argument that
  * is not an allowed flag — unknown, misspelled, or simply not opted
  * into by this binary — is fatal; so is a malformed value of an
- * allowed flag. When @p reject_unknown is false the parser instead
- * skips arguments it does not own (for parsers that only own a
- * subset of a longer command line).
+ * allowed flag.
  */
 CliOptions parseCli(int argc, char **argv, unsigned allowed,
-                    const char *usage, bool reject_unknown = true);
+                    const char *usage);
 
 /**
  * Applies the parsed thread request to the process-wide executor and
@@ -146,9 +141,8 @@ unsigned applyCliThreads(const CliOptions &options);
 
 /**
  * Applies the parsed stream-memo request (--no-stream-memo,
- * --stream-cache-mb, --trace-cache) to the process-wide
- * sim::StreamCache. Combining --no-stream-memo with either tuning
- * flag is fatal. benchSetup() calls this.
+ * --stream-cache-mb) to the process-wide sim::StreamCache. Combining
+ * the two is fatal. benchSetup() calls this.
  */
 void applyCliStreamMemo(const CliOptions &options);
 

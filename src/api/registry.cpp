@@ -4,7 +4,6 @@
 #include "llc/schemes.hpp"
 #include "sim/system.hpp"
 #include "trace/spec_profiles.hpp"
-#include "tracefile/trace_workloads.hpp"
 
 namespace coopsim::api
 {
@@ -292,10 +291,6 @@ warmAllRegistries()
     sliceHashRegistry();
     samplingRegistry();
     workloadRegistry();
-    // Trace workloads named by COOPSIM_TRACE_DIR join the registry
-    // here, so executor threads and forked shard workers resolve
-    // `trace:` groups without any per-call-site plumbing.
-    tracefile::registerFromEnvironment();
 }
 
 std::vector<trace::WorkloadGroup>

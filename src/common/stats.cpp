@@ -67,49 +67,6 @@ Average::stdError() const
                      static_cast<double>(count_));
 }
 
-Histogram::Histogram(std::size_t buckets) : counts_(buckets, 0) {}
-
-void
-Histogram::resize(std::size_t buckets)
-{
-    counts_.assign(buckets, 0);
-    total_ = 0;
-    weighted_ = 0.0;
-}
-
-void
-Histogram::sample(std::size_t bucket, std::uint64_t by)
-{
-    COOPSIM_ASSERT(!counts_.empty(), "histogram with no buckets");
-    if (bucket >= counts_.size()) {
-        bucket = counts_.size() - 1;
-    }
-    counts_[bucket] += by;
-    total_ += by;
-    weighted_ += static_cast<double>(bucket) * static_cast<double>(by);
-}
-
-void
-Histogram::reset()
-{
-    counts_.assign(counts_.size(), 0);
-    total_ = 0;
-    weighted_ = 0.0;
-}
-
-std::uint64_t
-Histogram::count(std::size_t bucket) const
-{
-    COOPSIM_ASSERT(bucket < counts_.size(), "histogram bucket out of range");
-    return counts_[bucket];
-}
-
-double
-Histogram::mean() const
-{
-    return total_ > 0 ? weighted_ / static_cast<double>(total_) : 0.0;
-}
-
 TimeSeries::TimeSeries(Tick bin_width, std::size_t bins)
     : bin_width_(bin_width == 0 ? 1 : bin_width), counts_(bins, 0)
 {

@@ -64,28 +64,6 @@ class Average
     std::uint64_t count_ = 0;
 };
 
-/** Fixed-bin histogram over [0, buckets). Out-of-range clamps to last. */
-class Histogram
-{
-  public:
-    explicit Histogram(std::size_t buckets = 0);
-
-    void resize(std::size_t buckets);
-    void sample(std::size_t bucket, std::uint64_t by = 1);
-    void reset();
-
-    std::size_t buckets() const { return counts_.size(); }
-    std::uint64_t count(std::size_t bucket) const;
-    std::uint64_t total() const { return total_; }
-    /** Mean bucket index of all samples (0 when empty). */
-    double mean() const;
-
-  private:
-    std::vector<std::uint64_t> counts_;
-    std::uint64_t total_ = 0;
-    double weighted_ = 0.0;
-};
-
 /**
  * Events bucketed by simulation time — used for the paper's Figure 16
  * (flushed lines vs. cycles since a partitioning decision).

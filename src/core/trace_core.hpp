@@ -130,7 +130,6 @@ class TraceCore
      * is reported over [measurement start, quota].
      */
     void markQuotaReached();
-    bool quotaMarked() const { return quota_cycle_ != kCycleMax; }
 
     /** IPC over the measurement window (up to the quota if marked). */
     double ipc() const;

@@ -178,7 +178,8 @@ RunExecutor::~RunExecutor()
     // it from itself throws), and others may wait forever on the run
     // it abandoned. End the process here instead of joining. Exit
     // handlers registered after the pool, like the CLI's store save,
-    // have already run; the stream memo's spill has not.
+    // have already run; the stream memo's `# streams:` hook, registered
+    // before the pool, never runs.
     if (::coopsim::detail::fatalExiting() && !workers_.empty()) {
         std::fflush(nullptr);
         std::_Exit(1);
@@ -276,13 +277,6 @@ RunExecutor::attachStore(std::shared_ptr<store::ResultStore> result_store)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     store_ = std::move(result_store);
-}
-
-std::shared_ptr<store::ResultStore>
-RunExecutor::attachedStore() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return store_;
 }
 
 RunExecutor::Stats

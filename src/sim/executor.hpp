@@ -251,9 +251,6 @@ class RunExecutor
      */
     void attachStore(std::shared_ptr<store::ResultStore> result_store);
 
-    /** The attached result store (null when none). */
-    std::shared_ptr<store::ResultStore> attachedStore() const;
-
     /** Run-count counters (cumulative; never reset by clear()). */
     Stats stats() const;
 

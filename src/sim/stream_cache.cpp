@@ -1,17 +1,12 @@
 #include "sim/stream_cache.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdlib>
-#include <cstring>
 #include <deque>
-#include <filesystem>
-#include <string_view>
 #include <vector>
 
 #include "api/registry.hpp"
 #include "common/logging.hpp"
-#include "store/result_store.hpp"
 #include "trace/generator.hpp"
 
 namespace coopsim::sim
@@ -46,35 +41,29 @@ struct StreamSegment
 struct StreamEntry
 {
     StreamCache::Key key;
-    /** Identity block, validated against every opener (and against a
-     *  warm-start file); also the header a spill file gets. */
-    tracefile::TraceHeader header;
+    /** App profile a generated entry was built from, checked against
+     *  every opener; empty for a file-backed entry. */
+    std::string app;
     /** "memoized stream '<workload>' slot N", or "trace file
      *  '<path>'" for a file-backed entry, for fatals. */
     std::string label;
-    /** Recreates the positioned generator after warm start or entry
-     *  recreation; null for file-backed (trace:) entries. */
-    std::function<std::unique_ptr<core::OpStream>()> rebuild;
-    /** Bytes loaded from disk at creation, accounted by the winner
+    /** Bytes of the loaded trace file, accounted by the winner
      *  (immutable after build, unlike the segments). */
     std::size_t initial_bytes = 0;
-    /** True when the entry was materialized from a disk file. */
-    bool from_disk = false;
 
     std::mutex mu;
     /**
-     * Published segments in stream order: at most one loaded from
-     * disk, then one per generated frame. A deque, so publishing a
-     * segment never moves another — readers keep raw pointers to the
+     * Published segments in stream order: a file-backed entry's one
+     * loaded file, or one per generated frame. A deque, so publishing
+     * a segment never moves another — readers keep raw pointers to the
      * segments they fetched (the entry outlives them through the
      * reader's shared_ptr) and decode them without the lock.
      */
     std::deque<StreamSegment> segments;
     /** Ops across all segments. */
     std::uint64_t encoded_ops = 0;
-    /** Ops that came from a spill file (spill skips clean entries). */
-    std::uint64_t disk_ops = 0;
-    /** The retained generator, positioned just past encoded_ops. */
+    /** The generator, positioned just past encoded_ops; null for a
+     *  file-backed (trace:) entry, which cannot be extended. */
     std::unique_ptr<core::OpStream> generator;
 
     /** Bytes charged against the cache budget. Guarded by the CACHE
@@ -86,8 +75,9 @@ struct StreamEntry
      * on, generating the next frame first when a reader has caught up
      * with the writer. The one place a reader takes the entry lock.
      * False when a file-backed entry has nothing past @p from: the
-     * caller raises the exhaustion fatal once the lock is released,
-     * since exit-time code (the spill) takes every entry lock.
+     * caller raises the exhaustion fatal after the lock is released,
+     * so the process never exits holding an entry lock that another
+     * reader may be waiting on.
      */
     bool fetch(std::size_t from, std::vector<const StreamSegment *> &out,
                StreamCache &cache);
@@ -97,12 +87,10 @@ struct StreamEntry
     void
     adoptFile(tracefile::TraceFile &&file)
     {
-        header = std::move(file.header);
         StreamSegment &segment = segments.emplace_back();
         segment.logical = file.frames.size() - tracefile::kDecodeSlack;
         segment.data = std::move(file.frames);
         encoded_ops = file.ops;
-        disk_ops = file.ops;
         initial_bytes = segment.data.size();
     }
 
@@ -118,7 +106,7 @@ StreamEntry::fetch(std::size_t from, std::vector<const StreamSegment *> &out,
 {
     std::lock_guard<std::mutex> lock(mu);
     if (from == segments.size()) {
-        if (!rebuild)
+        if (!generator)
             return false; // file-backed: ends where the file ends
         extend(cache);
     }
@@ -139,25 +127,9 @@ StreamEntry::extend(StreamCache &cache)
     thread_local std::vector<core::MemOp> ops(tracefile::kFrameOps);
     thread_local std::string frame;
 
-    if (!generator) {
-        // First extension after a warm start (or after the generator
-        // was dropped): rebuild it and skip the already-encoded
-        // prefix. Generation is deterministic, so the resumed stream
-        // continues exactly where the encoded ops end.
-        generator = rebuild();
-        std::uint64_t skipped = 0;
-        while (skipped < encoded_ops) {
-            skipped += generator->nextBatch(
-                ops.data(), static_cast<std::size_t>(std::min<std::uint64_t>(
-                                tracefile::kFrameOps, encoded_ops - skipped)));
-        }
-        COOPSIM_ASSERT(skipped == encoded_ops,
-                       "memoized stream over-skipped its encoded prefix");
-    }
-
     // One whole frame per segment: boundaries never depend on which
     // run, thread or batch size pulled the stream first, so neither
-    // do the bytes memoized, spilled or warm-started.
+    // do the bytes memoized.
     std::size_t got = 0;
     while (got < tracefile::kFrameOps) {
         got += generator->nextBatch(ops.data() + got,
@@ -270,13 +242,9 @@ StreamCache::instance()
 {
     static StreamCache cache;
     // Registered after the static above is constructed, so the hook
-    // runs before its destructor: spill and stats see live entries.
+    // runs before its destructor and prints the live counters.
     static const int hook = [] {
-        std::atexit([] {
-            StreamCache &c = instance();
-            c.spillNow();
-            c.printStats(stderr);
-        });
+        std::atexit([] { instance().printStats(stderr); });
         return 0;
     }();
     (void)hook;
@@ -292,14 +260,6 @@ StreamCache::defaultBudgetBytes()
 void
 StreamCache::configure(const Config &config)
 {
-    if (!config.spill_dir.empty()) {
-        std::error_code ec;
-        std::filesystem::create_directories(config.spill_dir, ec);
-        if (ec) {
-            COOPSIM_FATAL("--trace-cache: cannot create directory '",
-                          config.spill_dir, "': ", ec.message());
-        }
-    }
     std::lock_guard<std::mutex> lock(mu_);
     config_ = config;
     evictOverBudget(nullptr);
@@ -439,54 +399,32 @@ StreamCache::open(const Key &key, const trace::AppProfile &profile,
         [&]() -> EntryPtr {
             auto e = std::make_shared<detail::StreamEntry>();
             e->key = key;
-            e->header.core = key.slot;
-            // Shared by every topology row with this geometry, so it
-            // belongs to none: spill headers say 0 cores.
-            e->header.num_cores = 0;
-            e->header.seed = key.seed;
-            e->header.llc_sets = key.geometry.llc_sets;
-            e->header.block_bytes = key.geometry.block_bytes;
-            e->header.workload = key.workload;
-            e->header.app = profile.name;
-            e->header.scale = key.scale;
+            e->app = profile.name;
             e->label = "memoized stream '" + key.workload + "' slot " +
                        std::to_string(key.slot);
-            e->rebuild = [profile, geometry = key.geometry, slot = key.slot,
-                          stream_seed]() {
-                return std::make_unique<trace::SyntheticStream>(
-                    profile, geometry, slot, stream_seed);
-            };
-            std::string spill;
-            {
-                std::lock_guard<std::mutex> lock(mu_);
-                if (!config_.spill_dir.empty())
-                    spill = spillPath(key);
-            }
-            if (!spill.empty() && tryWarmStart(*e, spill))
-                e->from_disk = true;
+            e->generator = std::make_unique<trace::SyntheticStream>(
+                profile, key.geometry, key.slot, stream_seed);
             return e;
         },
         created);
 
     {
         std::lock_guard<std::mutex> lock(mu_);
-        if (!created)
-            ++stats_.streams_replayed;
-        else if (entry->from_disk)
-            ++stats_.streams_loaded;
-        else
+        if (created)
             ++stats_.streams_generated;
+        else
+            ++stats_.streams_replayed;
     }
 
-    // The key matched, so the identity block must too; a mismatch
+    // The key fixes the stream seed and the entry the app; a mismatch
     // means two different op sequences landed on one memo key.
-    if (entry->header.seed + key.slot * 7919 != stream_seed)
+    if (key.seed + key.slot * 7919 != stream_seed)
         COOPSIM_FATAL(entry->label, ": seed mismatch (memoized for run seed ",
-                      entry->header.seed, ", asked to serve stream seed ",
+                      key.seed, ", asked to serve stream seed ",
                       stream_seed, ")");
-    if (entry->header.app != profile.name)
+    if (entry->app != profile.name)
         COOPSIM_FATAL(entry->label, ": app mismatch (memoized '",
-                      entry->header.app, "', asked for '", profile.name,
+                      entry->app, "', asked for '", profile.name,
                       "') — distinct profiles share a registry name");
 
     return std::make_unique<detail::MemoReplayStream>(std::move(entry), *this);
@@ -513,7 +451,6 @@ StreamCache::openTraceFile(const Key &key, const std::string &path,
                               "trace directory was scanned — re-run after "
                               "the recording finishes");
             e->adoptFile(std::move(file));
-            e->from_disk = true;
             return e;
         },
         created);
@@ -524,88 +461,6 @@ StreamCache::openTraceFile(const Key &key, const std::string &path,
     else
         ++stats_.streams_replayed;
     return std::make_unique<detail::MemoReplayStream>(std::move(entry), *this);
-}
-
-std::string
-StreamCache::spillPath(const Key &key) const
-{
-    // Deliberately unparseable by registerTraceDir()'s
-    // `<workload>.<core>.cooptrace` scan: the spill directory can
-    // double as a --trace-dir without these files being mistaken for
-    // recorded trace sets.
-    return config_.spill_dir + "/" + key.workload + ".s" +
-           std::to_string(key.slot) + ".seed" + std::to_string(key.seed) +
-           "." + key.scale + ".g" + std::to_string(key.geometry.llc_sets) +
-           "x" + std::to_string(key.geometry.block_bytes) +
-           tracefile::kTraceExtension;
-}
-
-bool
-StreamCache::tryWarmStart(detail::StreamEntry &entry, const std::string &path)
-{
-    std::error_code ec;
-    if (!std::filesystem::exists(path, ec))
-        return false;
-
-    tracefile::TraceFile file;
-    std::string error;
-    if (!tracefile::loadTraceFile(path, file, error)) {
-        COOPSIM_WARN("stream cache: '", path, "': ", error, "; regenerating");
-        return false;
-    }
-    if (file.header != entry.header) {
-        COOPSIM_WARN("stream cache: '", path,
-                     "' was cached for a different identity; regenerating");
-        return false;
-    }
-    if (file.ops == 0)
-        return false;
-    entry.adoptFile(std::move(file));
-    return true;
-}
-
-void
-StreamCache::spillNow()
-{
-    std::vector<EntryPtr> dirty;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (config_.spill_dir.empty())
-            return;
-        for (const auto &[key, slot] : entries_) {
-            if (slot.future.wait_for(std::chrono::seconds(0)) !=
-                std::future_status::ready)
-                continue;
-            dirty.push_back(slot.future.get());
-        }
-    }
-    for (const EntryPtr &entry : dirty) {
-        std::lock_guard<std::mutex> lock(entry->mu);
-        if (!entry->rebuild)
-            continue; // trace:-backed; the source file already exists
-        if (entry->encoded_ops == 0 || entry->encoded_ops <= entry->disk_ops)
-            continue; // nothing beyond what the spill file already holds
-
-        std::string path;
-        {
-            std::lock_guard<std::mutex> cache_lock(mu_);
-            path = spillPath(entry->key);
-        }
-        // The chunks point into the published segments: nothing is
-        // copied.
-        const std::string header = tracefile::encodeHeader(entry->header);
-        std::vector<std::string_view> chunks{header};
-        for (const detail::StreamSegment &segment : entry->segments) {
-            chunks.emplace_back(segment.data.data(), segment.logical);
-        }
-        std::string error;
-        if (!store::writeFileDurably(path, chunks, error)) {
-            COOPSIM_WARN("stream cache: failed to spill '", path, "': ",
-                         error);
-            continue;
-        }
-        entry->disk_ops = entry->encoded_ops;
-    }
 }
 
 StreamCache::Stats

@@ -1,6 +1,6 @@
 /**
  * @file
- * StreamCache: the process-wide op-stream memo.
+ * StreamCache: the process-wide op-stream memo, held in memory only.
  *
  * Every cell of a sweep used to regenerate its synthetic streams from
  * scratch at ~74 ns/op, even though a 231-run fig05 sweep shares a
@@ -36,7 +36,9 @@
  * through the SystemConfig::stream_factory hook, RunKey never sees
  * it, and memoized results are bit-identical to generator-backed ones
  * (record→replay losslessness is covered by the tracefile tests; the
- * stream-memo tests re-check it differentially end to end).
+ * stream-memo tests re-check it differentially end to end). Nothing
+ * outlives the process: `--record` and `--trace-dir` keep op streams
+ * across processes.
  */
 
 #ifndef COOPSIM_SIM_STREAM_CACHE_HPP
@@ -99,11 +101,6 @@ class StreamCache
         bool enabled = true;
         /** Resident-buffer budget; 0 means defaultBudgetBytes(). */
         std::size_t budget_bytes = 0;
-        /** Non-empty (--trace-cache=DIR): spill generated streams to
-         *  `.cooptrace` files in DIR at exit and warm-start from them,
-         *  so supervised shard workers stop regenerating shared
-         *  streams per process. */
-        std::string spill_dir;
     };
 
     /** Cumulative counters, printed as the `# streams:` stderr line. */
@@ -115,8 +112,7 @@ class StreamCache
         std::uint64_t streams_replayed = 0;
         /** Entries dropped by the LRU to stay under budget. */
         std::uint64_t streams_evicted = 0;
-        /** Entries materialized from disk (--trace-cache warm starts
-         *  and --trace-dir replay files). */
+        /** Entries loaded from --trace-dir replay files. */
         std::uint64_t streams_loaded = 0;
         /** Frames generated and encoded, across all entries (not
          *  printed). */
@@ -187,10 +183,6 @@ class StreamCache
     /** Zeroes the counters and re-arms printStats() (tests/benches). */
     void resetStats();
 
-    /** Spills dirty generator-backed entries to the configured
-     *  --trace-cache directory now (also runs at process exit). */
-    void spillNow();
-
   private:
     using EntryPtr = std::shared_ptr<detail::StreamEntry>;
     using EntryFuture = std::shared_future<EntryPtr>;
@@ -219,11 +211,6 @@ class StreamCache
     void evictOverBudget(const detail::StreamEntry *keep);
 
     std::size_t budgetBytes() const; // caller holds mu_
-
-    std::string spillPath(const Key &key) const;
-    /** Loads a spill file into @p entry; false (after a warning for
-     *  anything but a missing file) when it should be regenerated. */
-    bool tryWarmStart(detail::StreamEntry &entry, const std::string &path);
 
     friend struct detail::StreamEntry;
 

@@ -209,8 +209,8 @@ struct RunResult
  * Host-side accounting of the event loop (not simulated state): how
  * many arbitration quanta the driver dispatched and how many operation
  * bundles they covered. avgQuantumOps() > 1 is the evidence that the
- * batched path actually batched (the CI hotpath-smoke leg greps it out
- * of BENCH_hotpath.json).
+ * batched path actually batched (the CI build-and-test job greps it
+ * out of BENCH_hotpath.json).
  */
 struct DriverStats
 {

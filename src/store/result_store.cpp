@@ -133,8 +133,7 @@ crc32(const std::string &data)
 }
 
 bool
-writeFileDurably(const std::string &path,
-                 const std::vector<std::string_view> &chunks,
+writeFileDurably(const std::string &path, std::string_view data,
                  std::string &error)
 {
     const std::string tmp = path + ".tmp";
@@ -153,15 +152,13 @@ writeFileDurably(const std::string &path,
         std::remove(tmp.c_str());
         return false;
     };
-    for (const std::string_view chunk : chunks) {
-        for (std::size_t written = 0; written < chunk.size();) {
-            const ssize_t n = ::write(fd, chunk.data() + written,
-                                      chunk.size() - written);
-            if (n < 0) {
-                return fail("write");
-            }
-            written += static_cast<std::size_t>(n);
+    for (std::size_t written = 0; written < data.size();) {
+        const ssize_t n =
+            ::write(fd, data.data() + written, data.size() - written);
+        if (n < 0) {
+            return fail("write");
         }
+        written += static_cast<std::size_t>(n);
     }
     // fsync before rename: the rename must never publish a file whose
     // data is still only in the page cache — a power cut after an
@@ -688,7 +685,7 @@ ResultStore::trySave(const std::string &path, std::string &error) const
             return false;
         }
     }
-    return writeFileDurably(path, {content}, error);
+    return writeFileDurably(path, content, error);
 }
 
 } // namespace coopsim::store

@@ -83,21 +83,18 @@ std::uint32_t crc32(const std::string &data);
 std::uint32_t crc32(const char *data, std::size_t len);
 
 /**
- * Writes the concatenation of @p chunks to @p path durably and
- * atomically: into `<path>.tmp`, fsynced, renamed over @p path, then
- * the directory fsynced so the rename itself survives a power cut.
- * The one writer behind store saves, `--record` and the
- * `--trace-cache` spill; chunks let a caller write buffers it already
- * holds without joining them. The parent directory must exist.
+ * Writes @p data to @p path durably and atomically: into
+ * `<path>.tmp`, fsynced, renamed over @p path, then the directory
+ * fsynced so the rename itself survives a power cut. The one writer
+ * behind store saves and `--record`. The parent directory must exist.
  *
  * False with the failing step in @p error. An incomplete temp file is
  * removed; when only the rename fails, the temp file holds the
  * complete, synced content and is kept (and named in @p error) so the
  * data stays recoverable. Callers choose the severity: the store
- * reports, the spill warns, `--record` is fatal.
+ * reports, `--record` is fatal.
  */
-bool writeFileDurably(const std::string &path,
-                      const std::vector<std::string_view> &chunks,
+bool writeFileDurably(const std::string &path, std::string_view data,
                       std::string &error);
 
 /** `<body>\t#crc32=XXXXXXXX` — the suffixed store line save() emits;

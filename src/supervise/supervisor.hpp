@@ -22,12 +22,9 @@
  * (shard, attempt), never from a clock — so supervised runs are
  * reproducible end to end.
  *
- * The CLI forwards `--trace-cache=DIR` (and the other stream-memo
- * flags) to every worker it spawns, so the first attempt of each
- * shard spills its generated op streams and retried or later-shard
- * workers warm-start from the spill instead of regenerating — a
- * crashed worker's completed generation work survives into its
- * retry.
+ * The CLI forwards `--trace-dir` and the stream-memo flags to every
+ * worker it spawns. Each worker memoizes the op streams it generates
+ * in its own memory, so a retried attempt generates them again.
  */
 
 #ifndef COOPSIM_SUPERVISE_SUPERVISOR_HPP

@@ -91,16 +91,6 @@ SyntheticStream::refreshPhase()
     gap_log1p_ = gap_p_ < 1.0 ? std::log1p(-gap_p_) : 0.0;
 }
 
-const AppPhase &
-SyntheticStream::currentPhase() const
-{
-    if (!profile_.hasPhases()) {
-        return profile_.primary;
-    }
-    const InstCount phase_no = generated_insts_ / profile_.phase_insts;
-    return (phase_no % 2 == 0) ? profile_.primary : profile_.secondary;
-}
-
 std::uint32_t
 SyntheticStream::newBlock()
 {

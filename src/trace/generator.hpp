@@ -129,7 +129,6 @@ class SyntheticStream final : public core::OpStream
     InstCount generatedInsts() const { return generated_insts_; }
 
   private:
-    const AppPhase &currentPhase() const;
     core::MemOp generate();
     /** Re-derives the cached phase state from generated_insts_. */
     void refreshPhase();

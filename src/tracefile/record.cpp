@@ -189,7 +189,7 @@ recordSpec(const api::ExperimentSpec &spec, const std::string &dir)
                 (std::filesystem::path(dir) / traceFileName(group.name, c))
                     .string();
             std::string error;
-            if (!store::writeFileDurably(path, {image}, error)) {
+            if (!store::writeFileDurably(path, image, error)) {
                 COOPSIM_FATAL("--record: ", error);
             }
             ++files_written;

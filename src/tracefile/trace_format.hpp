@@ -205,8 +205,7 @@ struct TraceFile
  * checks every frame exactly as decodeFrame() does — structure, CRC,
  * and an op count that matches what the payload encodes — so a loaded
  * file always replays cleanly. False with a reason (naming the
- * offending frame) in @p error; the caller decides whether that is
- * fatal (replay) or a stale cache entry to regenerate (warm start).
+ * offending frame) in @p error, which replay reports as a fatal.
  */
 bool loadTraceFile(const std::string &path, TraceFile &out,
                    std::string &error);

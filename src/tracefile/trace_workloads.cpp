@@ -98,8 +98,7 @@ setOf(const std::string &name)
     const auto it = table().sets.find(name);
     if (it == table().sets.end()) {
         COOPSIM_FATAL("unknown trace workload '", name,
-                      "' (was its directory registered via --trace-dir "
-                      "or COOPSIM_TRACE_DIR?)");
+                      "' (was its directory registered via --trace-dir?)");
     }
     return it->second;
 }
@@ -237,21 +236,6 @@ registerTraceDir(const std::string &dir)
         ++registered;
     }
     return registered;
-}
-
-void
-registerFromEnvironment()
-{
-    static bool done = false;
-    if (done) {
-        return;
-    }
-    done = true;
-    if (const char *dir = std::getenv("COOPSIM_TRACE_DIR")) {
-        if (*dir != '\0') {
-            registerTraceDir(dir);
-        }
-    }
 }
 
 const std::string &

@@ -50,12 +50,6 @@ std::string traceFileName(const std::string &workload, std::uint32_t core);
  */
 std::size_t registerTraceDir(const std::string &dir);
 
-/** registerTraceDir(COOPSIM_TRACE_DIR) if the variable is set (once;
- *  later calls are no-ops). Hooked into api::warmAllRegistries() so
- *  executor threads and supervised shard workers see trace workloads
- *  without any CLI plumbing. */
-void registerFromEnvironment();
-
 /** Path of the file backing core @p core of the registered trace
  *  workload @p name ("trace:..."). Fatal when @p name is unknown. */
 const std::string &traceFilePath(const std::string &name,

@@ -530,18 +530,6 @@ TEST(Cli, SuperviseFlagsParseAndValidate)
     setThrowOnFatal(false);
 }
 
-TEST(Cli, LenientModeSkipsFlagsOtherBinariesOwn)
-{
-    // reject_unknown=false: a parser that only owns --scale must
-    // tolerate a command line carrying flags other binaries own.
-    const char *argv[] = {"bench", "--threads=4", "--scale=test",
-                          "--csv"};
-    const CliOptions options = parseCli(
-        4, const_cast<char **>(argv), kFlagScale, nullptr, false);
-    EXPECT_EQ(options.scale, sim::RunScale::Test);
-    EXPECT_EQ(options.threads, 0u); // --threads not opted into
-}
-
 // ---------------------------------------------------------------------------
 // Executor drain + end-to-end
 

@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the set-associative cache substrate: storage, masked
- * lookup/victim selection, replacement policies, MSHRs and the L1.
+ * lookup/victim selection, replacement policies and the L1.
  */
 
 #include <gtest/gtest.h>
@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "cache/cache.hpp"
-#include "cache/mshr.hpp"
 #include "common/rng.hpp"
 
 using namespace coopsim;
@@ -198,44 +197,6 @@ TEST(SetAssocCache, LruStackPropertyHolds)
         EXPECT_GE(hits, prev_hits) << "ways=" << ways;
         prev_hits = hits;
     }
-}
-
-// ---------------------------------------------------------------------------
-// MSHR
-
-TEST(Mshr, CoalescesSameBlock)
-{
-    MshrFile mshr(4);
-    const auto first = mshr.allocate(0x100, 0, 500);
-    EXPECT_FALSE(first.coalesced);
-    EXPECT_EQ(first.ready_at, 500u);
-    const auto second = mshr.allocate(0x100, 10, 999);
-    EXPECT_TRUE(second.coalesced);
-    EXPECT_EQ(second.ready_at, 500u);
-}
-
-TEST(Mshr, FullFileReportsEarliestFree)
-{
-    MshrFile mshr(2);
-    mshr.allocate(0x100, 0, 300);
-    mshr.allocate(0x200, 0, 500);
-    const auto third = mshr.allocate(0x300, 0, 700);
-    EXPECT_TRUE(third.full);
-    EXPECT_EQ(third.ready_at, 300u);
-}
-
-TEST(Mshr, EntriesRetireWithTime)
-{
-    MshrFile mshr(2);
-    mshr.allocate(0x100, 0, 300);
-    mshr.allocate(0x200, 0, 500);
-    EXPECT_EQ(mshr.occupancy(0), 2u);
-    EXPECT_EQ(mshr.occupancy(300), 1u);
-    const auto third = mshr.allocate(0x300, 301, 900);
-    EXPECT_FALSE(third.full);
-    EXPECT_EQ(mshr.occupancy(301), 2u);
-    EXPECT_EQ(mshr.occupancy(1000), 0u);
-    EXPECT_EQ(mshr.earliestReady(1000), kCycleMax);
 }
 
 // ---------------------------------------------------------------------------

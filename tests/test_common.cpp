@@ -144,18 +144,6 @@ TEST(Stats, AverageIsWeighted)
     EXPECT_DOUBLE_EQ(a.mean(), 0.0);
 }
 
-TEST(Stats, HistogramCountsAndClamps)
-{
-    stats::Histogram h(4);
-    h.sample(0);
-    h.sample(3, 2);
-    h.sample(99); // clamps into the last bucket
-    EXPECT_EQ(h.count(0), 1u);
-    EXPECT_EQ(h.count(3), 3u);
-    EXPECT_EQ(h.total(), 4u);
-    EXPECT_NEAR(h.mean(), (0.0 + 3.0 * 3) / 4.0, 1e-12);
-}
-
 TEST(Stats, TimeSeriesBinsByOffset)
 {
     stats::TimeSeries ts(100, 5);

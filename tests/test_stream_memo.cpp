@@ -14,10 +14,6 @@
  *    any result;
  *  - serial executeRun() and a multi-threaded RunExecutor produce
  *    bit-identical results through the shared memo;
- *  - --trace-cache spill/warm-start round-trips: a second "process"
- *    (cleared cache) loads every stream from disk, generates none,
- *    and reproduces the results bit-identically; a spill file whose
- *    frame op count was flipped is warned about and regenerated;
  *  - a stream is generated one frame at a time, only as far as its
  *    furthest reader, and readers that race a thread extending the
  *    entry all see the generator's exact sequence.
@@ -27,14 +23,11 @@
 
 #include <algorithm>
 #include <atomic>
-#include <filesystem>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "api/spec.hpp"
-#include "common/logging.hpp"
 #include "sim/executor.hpp"
 #include "sim/stream_cache.hpp"
 #include "store/result_store.hpp"
@@ -188,10 +181,10 @@ TEST(StreamMemo, MemoizedRunsAreBitIdenticalAcrossMatrix)
                     const RunKey key =
                         groupKey(group, scheme, partitioner, sampling);
 
-                    StreamCache::instance().configure({false, 0, ""});
+                    StreamCache::instance().configure({false, 0});
                     const std::string plain = runFormatted(key);
 
-                    StreamCache::instance().configure({true, 0, ""});
+                    StreamCache::instance().configure({true, 0});
                     const std::string memoized = runFormatted(key);
                     // And again, replaying the now-warm streams.
                     const std::string replayed = runFormatted(key);
@@ -264,13 +257,13 @@ TEST(StreamMemo, TopologyRowsWithOneGeometryShareStreams)
         groupKey("G16-mem1", "coop"),
     };
 
-    cache.configure({false, 0, ""});
+    cache.configure({false, 0});
     std::vector<std::string> plain;
     for (const RunKey &key : keys) {
         plain.push_back(runFormatted(key));
     }
 
-    cache.configure({true, 0, ""});
+    cache.configure({true, 0});
     EXPECT_EQ(plain[0], runFormatted(keys[0]));
     EXPECT_EQ(cache.stats().streams_generated, 8u);
     // The solo runs on the 16-core row, which no run has used yet, and
@@ -313,7 +306,7 @@ TEST(StreamMemo, TinyBudgetEvictsWithoutChangingResults)
     const std::vector<RunKey> keys = {groupKey("G4-1", "coop"),
                                       groupKey("G2-1", "ucp")};
 
-    cache.configure({false, 0, ""});
+    cache.configure({false, 0});
     std::vector<std::string> plain;
     for (const RunKey &key : keys) {
         plain.push_back(runFormatted(key));
@@ -323,7 +316,7 @@ TEST(StreamMemo, TinyBudgetEvictsWithoutChangingResults)
     // over 64 KiB, so new frames keep evicting older streams; streams
     // already handed to a running System keep replaying through their
     // shared_ptr regardless.
-    cache.configure({true, 64 * 1024, ""});
+    cache.configure({true, 64 * 1024});
     for (std::size_t i = 0; i < keys.size(); ++i) {
         EXPECT_EQ(plain[i], runFormatted(keys[i])) << keys[i].name;
     }
@@ -364,83 +357,6 @@ TEST(StreamMemo, SerialAndParallelExecutionMatch)
         EXPECT_EQ(serial[i], store::formatResult(executor.run(keys[i])))
             << keys[i].scheme;
     }
-}
-
-// ---------------------------------------------------------------------------
-// --trace-cache spill / warm-start round trip
-
-TEST(StreamMemo, TraceCacheSpillsAndWarmStarts)
-{
-    CacheGuard guard;
-    StreamCache &cache = StreamCache::instance();
-    const std::filesystem::path dir =
-        std::filesystem::temp_directory_path() / "coopsim_memo_spill_test";
-    std::filesystem::remove_all(dir);
-
-    const std::vector<RunKey> keys = {groupKey("G2-1", "coop"),
-                                      groupKey("G2-1", "ucp")};
-
-    // "Process" 1: generate, then spill at (simulated) exit.
-    cache.configure({true, 0, dir.string()});
-    std::vector<std::string> first;
-    for (const RunKey &key : keys) {
-        first.push_back(runFormatted(key));
-    }
-    StreamCache::Stats stats = cache.stats();
-    EXPECT_EQ(stats.streams_generated, 2u);
-    cache.spillNow();
-    EXPECT_EQ(std::distance(std::filesystem::directory_iterator(dir),
-                            std::filesystem::directory_iterator()),
-              2);
-
-    // "Process" 2: a cold cache warm-starts every stream from disk
-    // and generates nothing.
-    cache.clear();
-    cache.resetStats();
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-        EXPECT_EQ(first[i], runFormatted(keys[i])) << keys[i].scheme;
-    }
-    stats = cache.stats();
-    EXPECT_EQ(stats.streams_generated, 0u);
-    EXPECT_EQ(stats.streams_loaded, 2u);
-
-    // "Process" 3: one spill file's frame 1 op count is flipped
-    // (4096 -> 4097). The count sits outside the payload CRC, so only
-    // the loader's check against the payload catches it: that stream
-    // is warned about and regenerated, not decoded into a fatal.
-    const std::string victim =
-        std::filesystem::directory_iterator(dir)->path().string();
-    std::string data;
-    {
-        std::ifstream in(victim, std::ios::binary);
-        data.assign(std::istreambuf_iterator<char>(in), {});
-    }
-    data.append(tracefile::kDecodeSlack, '\0');
-    std::size_t pos = 0;
-    tracefile::TraceHeader header;
-    std::vector<core::MemOp> frame;
-    std::string error;
-    ASSERT_TRUE(tracefile::decodeHeader(data, pos, header, error)) << error;
-    ASSERT_EQ(tracefile::decodeFrame(data, pos, frame, error),
-              tracefile::FrameStatus::Ok);
-    data[pos] ^= 0x01;
-    data.resize(data.size() - tracefile::kDecodeSlack);
-    {
-        std::ofstream out(victim, std::ios::binary | std::ios::trunc);
-        out.write(data.data(), static_cast<std::streamsize>(data.size()));
-    }
-    cache.clear();
-    cache.resetStats();
-    setQuiet(true);
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-        EXPECT_EQ(first[i], runFormatted(keys[i])) << keys[i].scheme;
-    }
-    setQuiet(false);
-    stats = cache.stats();
-    EXPECT_EQ(stats.streams_generated, 1u);
-    EXPECT_EQ(stats.streams_loaded, 1u);
-
-    std::filesystem::remove_all(dir);
 }
 
 // ---------------------------------------------------------------------------

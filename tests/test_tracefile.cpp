@@ -24,9 +24,9 @@
  *  - record -> replay produces byte-identical store::formatResult
  *    lines over {2, 4, 8}-core groups x {coop, ucp} x two
  *    partitioners x memo on/off (the subsystem's reason to exist);
- *  - a fatal during a replay (on an executor worker, or with a spill
- *    directory set) exits with status 1 instead of aborting or
- *    hanging at exit.
+ *  - a fatal during a replay on an executor worker (a seed mismatch,
+ *    or a trace that runs dry) exits with status 1 instead of
+ *    aborting or hanging at exit.
  */
 
 #include <gtest/gtest.h>
@@ -155,8 +155,7 @@ writeTrace(const std::string &path, const TraceHeader &header,
            const std::vector<core::MemOp> &ops)
 {
     std::string error;
-    ASSERT_TRUE(store::writeFileDurably(path, {traceImage(header, ops)},
-                                        error))
+    ASSERT_TRUE(store::writeFileDurably(path, traceImage(header, ops), error))
         << error;
 }
 
@@ -204,7 +203,10 @@ slurp(const std::string &path)
 void
 spit(const std::string &path, const std::string &data)
 {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    // A new file each time: rewriting a truncated one makes the file
+    // system flush it on close, ~50 ms per write on ext4.
+    fs::remove(path);
+    std::ofstream out(path, std::ios::binary);
     out.write(data.data(),
               static_cast<std::streamsize>(data.size()));
 }
@@ -499,7 +501,7 @@ TEST(TraceFileWrite, FailedWriteLeavesNoFileAndNoTemp)
     small.rlim_cur = image.size() / 2;
     ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &small), 0);
     std::string error;
-    const bool written = store::writeFileDurably(path, {image}, error);
+    const bool written = store::writeFileDurably(path, image, error);
     ::setrlimit(RLIMIT_FSIZE, &saved);
     std::signal(SIGXFSZ, old_handler);
 
@@ -512,7 +514,7 @@ TEST(TraceFileWrite, FailedWriteLeavesNoFileAndNoTemp)
     // byte, so it stays, named in the error.
     const std::string blocked = dir + "/blocked";
     fs::create_directories(blocked + "/occupied");
-    EXPECT_FALSE(store::writeFileDurably(blocked, {image}, error));
+    EXPECT_FALSE(store::writeFileDurably(blocked, image, error));
     EXPECT_NE(error.find(blocked + ".tmp"), std::string::npos) << error;
     EXPECT_EQ(slurp(blocked + ".tmp"), image);
 }
@@ -893,7 +895,7 @@ TEST(TraceReplay, ReplayedResultsAreByteIdenticalAcrossTopologies)
     // Memo off (--no-stream-memo) regenerates the synthetic side per
     // run; the trace side goes through the memo's loader either way.
     for (const bool memo : {true, false}) {
-        sim::StreamCache::instance().configure({memo, 0, ""});
+        sim::StreamCache::instance().configure({memo, 0});
         for (const sim::RunKey &generated_key : keys) {
             const sim::RunResult generated = sim::executeRun(generated_key);
 
@@ -1000,25 +1002,26 @@ TEST(TraceReplayDeathTest, FatalOnAnExecutorWorkerExitsOne)
         testing::ExitedWithCode(1), "recorded with seed 42");
 }
 
-TEST(TraceReplayDeathTest, ExhaustionWithASpillDirectoryExitsOne)
+TEST(TraceReplayDeathTest, ExhaustionOnAnExecutorWorkerExitsOne)
 {
-    // The at-exit spill locks every memo entry, so the exhaustion
-    // fatal must not be raised while holding one.
+    // The trace runs dry mid-run on a worker: the fatal must exit 1
+    // without leaving the memo entry locked or joining that worker.
     GTEST_FLAG_SET(death_test_style, "threadsafe");
     sim::RunKey key;
     const std::string dir = recordG22("death_exhaust", key);
     const std::string path = dir + "/" + traceFileName("G2-2", 0);
     const std::string data = slurp(path);
     spit(path, data.substr(0, frameOffset(data, 1))); // one frame left
-    const std::string spill = scratchDir("death_exhaust_spill");
     EXPECT_EXIT(
         {
             ::alarm(20);
-            sim::StreamCache::instance().configure({true, 0, spill});
             registerTraceDir(dir);
             sim::RunExecutor &executor = sim::RunExecutor::instance();
-            executor.setThreads(1);
-            executor.run(key);
+            executor.setThreads(2);
+            executor.prefetch({key}); // queued for a worker
+            for (;;) {
+                ::pause(); // this thread never helps run it
+            }
         },
         testing::ExitedWithCode(1), "exhausted after 4096 ops");
 }
