@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "api/cli.hpp"
 #include "core/trace_core.hpp"
 #include "llc/schemes.hpp"
 #include "sim/system.hpp"
@@ -47,7 +48,11 @@ wayGlyph(const llc::PermissionFile &perms, WayId way)
 int
 main(int argc, char **argv)
 {
-    const std::string group_name = argc > 1 ? argv[1] : "G2-12";
+    const api::CliOptions cli =
+        api::parseCli(argc, argv, api::kFlagPositional,
+                      "usage: way_ownership_timeline [group]\n");
+    const std::string group_name =
+        cli.positional.empty() ? "G2-12" : cli.positional.front();
     const trace::WorkloadGroup &group = trace::groupByName(group_name);
     const auto n = static_cast<std::uint32_t>(group.apps.size());
 

@@ -322,18 +322,4 @@ attachCliStore(const CliOptions &options)
     return result_store;
 }
 
-CliOptions
-benchSetup(int argc, char **argv, unsigned allowed)
-{
-    const CliOptions options = parseCli(
-        argc, argv, allowed,
-        "usage: bench [--scale=test|bench|paper] [--full] "
-        "[--threads=N] [--store=DIR] [--no-stream-memo] "
-        "[--stream-cache-mb=N]\n");
-    applyCliStreamMemo(options);
-    printPreamble(options, applyCliThreads(options));
-    attachCliStore(options);
-    return options;
-}
-
 } // namespace coopsim::api

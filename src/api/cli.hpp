@@ -54,12 +54,9 @@ enum CliFlag : unsigned
     kFlagStreamMemo = 1u << 17,
 };
 
-/** The table benches: scale + threads + result store + memo. */
-inline constexpr unsigned kBenchFlags =
-    kFlagScale | kFlagThreads | kFlagStore | kFlagStreamMemo;
-/** Examples taking a positional group name. */
+/** The examples: scale, threads and a positional group name. */
 inline constexpr unsigned kExampleFlags =
-    kBenchFlags | kFlagPositional;
+    kFlagScale | kFlagThreads | kFlagPositional;
 /** Everything (coopsim_cli); derived from the last enumerator so a
  *  new flag is included automatically. */
 inline constexpr unsigned kAllFlags = (kFlagStreamMemo << 1) - 1;
@@ -142,12 +139,12 @@ unsigned applyCliThreads(const CliOptions &options);
 /**
  * Applies the parsed stream-memo request (--no-stream-memo,
  * --stream-cache-mb) to the process-wide sim::StreamCache. Combining
- * the two is fatal. benchSetup() calls this.
+ * the two is fatal.
  */
 void applyCliStreamMemo(const CliOptions &options);
 
-/** Prints the standard "# scale: ..." / "# threads: ..." preamble the
- *  benches emit before their tables. */
+/** Prints the standard "# scale: ..." / "# threads: ..." preamble
+ *  coopsim_cli emits before its tables. */
 void printPreamble(const CliOptions &options, unsigned threads);
 
 /**
@@ -157,7 +154,6 @@ void printPreamble(const CliOptions &options, unsigned threads);
  * at-exit save of the merged store to `DIR/results.coopstore` plus a
  * run-count report (printRunStats) on stderr. Returns nullptr — and
  * does nothing — when the options carry no --store directory.
- * benchSetup() calls this, so every bench is store-aware.
  */
 std::shared_ptr<store::ResultStore>
 attachCliStore(const CliOptions &options);
@@ -171,11 +167,6 @@ void printRunStats();
  *  quarantined files) to stderr — only when any are non-zero, so a
  *  clean run's stderr is unchanged. */
 void printStoreHealth(const store::ResultStore &result_store);
-
-/** parseCli + applyCliThreads + printPreamble + attachCliStore: the
- *  lines every bench main() opens with. */
-CliOptions benchSetup(int argc, char **argv,
-                      unsigned allowed = kBenchFlags);
 
 } // namespace coopsim::api
 

@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 
 #include "common/logging.hpp"
 #include "common/stats.hpp"
 #include "sim/metrics.hpp"
+#include "trace/spec_profiles.hpp"
 
 namespace coopsim::api
 {
@@ -162,36 +162,55 @@ namespace
 {
 
 /**
- * Shared body of the normalised column layouts (schemes, thresholds,
- * partitioners): one row per group with every cell normalised to that
- * row's baseline cell, closed by a geometric-mean AVG row. The layout
- * printers keep only their header lines and the Cell field their
- * column axis sets.
+ * A column-axis layout: one row per group, one column per value of
+ * the layout's axis, every cell normalised to that row's baseline
+ * cell, closed by a geometric-mean AVG row.
  */
 void
-printNormalisedRows(
-    const ExperimentResults &results, const MetricFn &metric,
-    bool show_ci, int group_width, std::size_t columns,
-    const std::function<Cell(const std::string &)> &baseline_cell,
-    const std::function<Cell(const std::string &, std::size_t)> &cell_at)
+printColumnTable(const ExperimentResults &results,
+                 const ColumnAxis &axis, bool show_ci)
 {
+    const ExperimentSpec &spec = results.spec();
+    const MetricFn &metric = metricRegistry().get(spec.metric);
+    const std::vector<std::string> values = axis.values(spec);
+    std::printf("%s\n", spec.title.c_str());
+    if (axis.note != nullptr) {
+        std::printf("# %s\n", axis.note(spec).c_str());
+    } else {
+        std::printf("# normalised to %s; %s is better\n",
+                    axis.heading(spec.baseline).c_str(),
+                    spec.higher_better ? "higher" : "lower");
+    }
+    std::printf("%-*s", axis.group_width, "group");
+    for (const std::string &value : values) {
+        std::printf(" %*s", show_ci ? 14 : 12,
+                    axis.heading(value).c_str());
+    }
+    std::printf("\n");
+
     // CI of a normalised cell v/b: the relative half-widths of value
     // and baseline add in quadrature; the AVG row's geometric mean
     // divides the root-sum-square of the relative CIs by the row
     // count. Exact runs carry zero CIs, so the ± columns print 0.000.
-    const std::string &metric_name = results.spec().metric;
     auto cell_ci = [&](const Cell &cell) {
-        return show_ci ? results.metricCi(metric_name, cell) : 0.0;
+        return show_ci ? results.metricCi(spec.metric, cell) : 0.0;
     };
-    std::vector<std::vector<double>> norms(columns);
-    std::vector<std::vector<double>> rel_cis(columns);
+    auto cell_at = [&axis](const std::string &group,
+                           const std::string &value) {
+        Cell cell;
+        cell.group = group;
+        axis.select(cell, value);
+        return cell;
+    };
+    std::vector<std::vector<double>> norms(values.size());
+    std::vector<std::vector<double>> rel_cis(values.size());
     for (const trace::WorkloadGroup &group : results.groups()) {
-        const Cell base_cell = baseline_cell(group.name);
+        const Cell base_cell = cell_at(group.name, spec.baseline);
         const double baseline = metric(results, base_cell);
         const double baseline_ci = cell_ci(base_cell);
-        std::printf("%-*s", group_width, group.name.c_str());
-        for (std::size_t i = 0; i < columns; ++i) {
-            const Cell cell = cell_at(group.name, i);
+        std::printf("%-*s", axis.group_width, group.name.c_str());
+        for (std::size_t i = 0; i < values.size(); ++i) {
+            const Cell cell = cell_at(group.name, values[i]);
             const double value = metric(results, cell);
             const double norm = sim::normalizeTo(value, baseline);
             norms[i].push_back(norm);
@@ -213,8 +232,8 @@ printNormalisedRows(
         }
         std::printf("\n");
     }
-    std::printf("%-*s", group_width, "AVG");
-    for (std::size_t i = 0; i < columns; ++i) {
+    std::printf("%-*s", axis.group_width, "AVG");
+    for (std::size_t i = 0; i < values.size(); ++i) {
         const double gm = stats::geomean(norms[i]);
         if (!show_ci) {
             std::printf(" %12.3f", gm);
@@ -235,105 +254,6 @@ printNormalisedRows(
         std::printf(" %14s", buf);
     }
     std::printf("\n");
-}
-
-void
-printSchemeTable(const ExperimentResults &results,
-                 const MetricFn &metric, bool show_ci)
-{
-    const ExperimentSpec &spec = results.spec();
-    const int col = show_ci ? 14 : 12;
-    std::printf("%s\n", spec.title.c_str());
-    std::printf("# normalised to %s; %s is better\n",
-                schemeLabel(spec.baseline).c_str(),
-                spec.higher_better ? "higher" : "lower");
-    std::printf("%-8s", "group");
-    for (const std::string &scheme : spec.schemes) {
-        std::printf(" %*s", col, schemeLabel(scheme).c_str());
-    }
-    std::printf("\n");
-
-    printNormalisedRows(
-        results, metric, show_ci, 8, spec.schemes.size(),
-        [&spec](const std::string &group) {
-            Cell cell;
-            cell.group = group;
-            cell.scheme = spec.baseline;
-            return cell;
-        },
-        [&spec](const std::string &group, std::size_t i) {
-            Cell cell;
-            cell.group = group;
-            cell.scheme = spec.schemes[i];
-            return cell;
-        });
-}
-
-void
-printThresholdTable(const ExperimentResults &results,
-                    const MetricFn &metric, bool show_ci)
-{
-    const ExperimentSpec &spec = results.spec();
-    const double baseline_t = std::strtod(spec.baseline.c_str(), nullptr);
-
-    std::printf("%s\n", spec.title.c_str());
-    std::printf("# %s, normalised to T = %s\n",
-                schemeLabel(spec.schemes.empty() ? "coop"
-                                                 : spec.schemes.front())
-                    .c_str(),
-                spec.baseline.c_str());
-    std::printf("%-8s", "group");
-    for (const double t : spec.thresholds) {
-        std::printf("%s       T=%4.2f", show_ci ? "  " : "", t);
-    }
-    std::printf("\n");
-
-    printNormalisedRows(
-        results, metric, show_ci, 8, spec.thresholds.size(),
-        [baseline_t](const std::string &group) {
-            Cell cell;
-            cell.group = group;
-            cell.threshold = baseline_t;
-            return cell;
-        },
-        [&spec](const std::string &group, std::size_t i) {
-            Cell cell;
-            cell.group = group;
-            cell.threshold = spec.thresholds[i];
-            return cell;
-        });
-}
-
-void
-printPartitionerTable(const ExperimentResults &results,
-                      const MetricFn &metric, bool show_ci)
-{
-    const ExperimentSpec &spec = results.spec();
-    const int col = show_ci ? 14 : 12;
-    std::printf("%s\n", spec.title.c_str());
-    std::printf("# normalised to %s; %s is better\n",
-                spec.baseline.c_str(),
-                spec.higher_better ? "higher" : "lower");
-    std::printf("%-10s", "group");
-    for (const std::string &partitioner : spec.partitioners) {
-        std::printf(" %*s", col, partitioner.c_str());
-    }
-    std::printf("\n");
-
-    printNormalisedRows(
-        results, metric, show_ci, 10, spec.partitioners.size(),
-        [&spec](const std::string &group) {
-            Cell cell;
-            cell.group = group;
-            cell.partitioner = spec.baseline;
-            return cell;
-        },
-        [&spec](const std::string &group, std::size_t i) {
-            Cell cell;
-            cell.group = group;
-            cell.partitioner = spec.partitioners[i];
-            return cell;
-        });
 }
 
 /** The Figure 14 breakdown: events that set takeover bits while ways
@@ -501,27 +421,46 @@ printBandwidthTable(const ExperimentResults &results)
                            : "");
 }
 
+/** Table 3: each solo app's measured LLC MPKI and High/Medium/Low
+ *  class against the paper's. */
+void
+printMpkiTable(const ExperimentResults &results)
+{
+    const ExperimentSpec &spec = results.spec();
+    const std::vector<std::string> apps = resolveSpecSolos(spec);
+    std::printf("%s\n", spec.title.c_str());
+    std::printf("%-12s %10s %10s %8s %8s\n", "benchmark", "measured",
+                "paper", "class", "match");
+    std::size_t matches = 0;
+    for (const std::string &app : apps) {
+        const double mpki =
+            results.soloResult(app, spec.solo_cores).apps.at(0).mpki;
+        const trace::MpkiClass measured = trace::classifyMpki(mpki);
+        const bool match = measured == trace::mpkiClassOf(app);
+        matches += match ? 1 : 0;
+        std::printf("%-12s %10.2f %10.2f %8s %8s\n", app.c_str(), mpki,
+                    trace::specProfile(app).table3_mpki,
+                    trace::mpkiClassName(measured), match ? "yes" : "NO");
+    }
+    std::printf("# class matches: %zu / %zu\n", matches, apps.size());
+}
+
 } // namespace
 
 void
-printTable(const ExperimentResults &results, const MetricFn &metric,
-           bool show_ci)
+printTable(const ExperimentResults &results, bool show_ci)
 {
     const ExperimentSpec &spec = results.spec();
-    const MetricFn &fn =
-        metric ? metric : metricRegistry().get(spec.metric);
-    if (spec.layout == "schemes") {
-        printSchemeTable(results, fn, show_ci);
-    } else if (spec.layout == "thresholds") {
-        printThresholdTable(results, fn, show_ci);
-    } else if (spec.layout == "partitioners") {
-        printPartitionerTable(results, fn, show_ci);
+    if (const ColumnAxis *axis = findColumnAxis(spec.layout)) {
+        printColumnTable(results, *axis, show_ci);
     } else if (spec.layout == "takeover") {
         printTakeoverTable(results);
     } else if (spec.layout == "transfers") {
         printTransferTable(results);
     } else if (spec.layout == "bandwidth") {
         printBandwidthTable(results);
+    } else if (spec.layout == "mpki") {
+        printMpkiTable(results);
     } else {
         COOPSIM_FATAL("spec '", spec.name, "' has layout '",
                       spec.layout,
@@ -533,7 +472,7 @@ void
 printExperiment(const ExperimentSpec &spec, bool show_ci)
 {
     const ExperimentResults results = runExperiment(spec);
-    printTable(results, {}, show_ci);
+    printTable(results, show_ci);
 
     // Bank-contention summary on stderr (stats channel, like the
     // executor counters): only when a banked run actually queued, so

@@ -10,11 +10,9 @@
  * override set on top of the spec's first axis values, so the common
  * case — "the result of scheme S on group G" — is one line.
  *
- * printTable()/printExperiment() render the paper's figure tables:
- * rows = workload groups (+ geometric-mean AVG row),
- * columns = the spec's varying axis, every cell normalised to the
- * spec's baseline column. `coopsim_cli --spec <file>` is exactly
- * printExperiment(parseSpecFile(file)).
+ * printTable()/printExperiment() render the paper's tables in the
+ * shape the spec's layout names. `coopsim_cli --spec <file>` is
+ * exactly printExperiment(parseSpecFile(file)).
  */
 
 #ifndef COOPSIM_API_EXPERIMENT_HPP
@@ -106,18 +104,16 @@ class ExperimentResults
 ExperimentResults runExperiment(const ExperimentSpec &spec);
 
 /**
- * Renders the spec's table: layout "schemes" prints one column per
- * scheme normalised to the baseline scheme; layout "thresholds" one
- * column per threshold normalised to the baseline threshold. Both end
- * with a geometric-mean AVG row. @p metric overrides the spec's named
- * metric (custom benches); the default resolves spec.metric through
- * the metric registry. With @p show_ci the normalised layouts print
- * each cell as `value±ci` (the sampling estimators' confidence
- * interval propagated through the normalisation); exact sweeps print
- * ±0.000.
+ * Renders the spec's table. A column-axis layout (ColumnAxis) prints
+ * rows = workload groups, one column per axis value, each cell the
+ * spec's metric normalised to the row's baseline cell, and a
+ * geometric-mean AVG row; with @p show_ci each cell reads `value±ci`
+ * (the sampling estimators' confidence interval propagated through
+ * the normalisation; exact sweeps print ±0.000). The takeover,
+ * transfers, bandwidth and mpki layouts print their figure's or
+ * table's own shape. Fatal for layout "none".
  */
-void printTable(const ExperimentResults &results,
-                const MetricFn &metric = {}, bool show_ci = false);
+void printTable(const ExperimentResults &results, bool show_ci = false);
 
 /** runExperiment + printTable: the `coopsim_cli --spec` entry point. */
 void printExperiment(const ExperimentSpec &spec, bool show_ci = false);

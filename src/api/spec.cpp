@@ -1,6 +1,9 @@
 #include "api/spec.hpp"
 
+#include <algorithm>
+#include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <unordered_set>
 
@@ -46,23 +49,6 @@ parseBool(const std::string &text, const char *what)
     }
     COOPSIM_FATAL("invalid ", what, " value '", text,
                   "' (expected on or off)");
-}
-
-/** The apps named by the solos axis ("*" expands to all of Table 3). */
-std::vector<std::string>
-resolveSolos(const ExperimentSpec &spec)
-{
-    std::vector<std::string> apps;
-    for (const std::string &name : spec.solos) {
-        if (name == "*") {
-            for (const std::string &app : trace::allSpecApps()) {
-                apps.push_back(app);
-            }
-        } else {
-            apps.push_back(name);
-        }
-    }
-    return apps;
 }
 
 /** First value of an axis, or fatal when the axis is empty and a cell
@@ -112,23 +98,103 @@ setSampling(const ExperimentSpec &spec, const Cell &cell,
         mode != sampling::Mode::Exact ? spec.op_sample_windows : 0;
 }
 
+// Column-axis parts: most axes list registry names, print them as
+// they are and set the Cell field of the same name.
+
+template <std::vector<std::string> ExperimentSpec::*Axis>
+std::vector<std::string>
+axisValues(const ExperimentSpec &spec)
+{
+    return spec.*Axis;
+}
+
+template <std::string Cell::*Field>
+void
+setField(Cell &cell, const std::string &value)
+{
+    cell.*Field = value;
+}
+
+std::string
+asIs(const std::string &value)
+{
+    return value;
+}
+
+std::string
+schemeHeading(const std::string &scheme)
+{
+    return schemeLabel(scheme);
+}
+
+std::vector<std::string>
+thresholdValues(const ExperimentSpec &spec)
+{
+    std::vector<std::string> words;
+    for (const double t : spec.thresholds) {
+        words.push_back(fmtDouble(t));
+    }
+    return words;
+}
+
+std::string
+thresholdHeading(const std::string &value)
+{
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "T=%4.2f",
+                  parseDouble(value, "threshold"));
+    return buf;
+}
+
+void
+setThreshold(Cell &cell, const std::string &value)
+{
+    cell.threshold = parseDouble(value, "threshold");
+}
+
+std::string
+thresholdNote(const ExperimentSpec &spec)
+{
+    return schemeLabel(firstOf(spec.schemes, "scheme")) +
+           ", normalised to T = " + spec.baseline;
+}
+
+/** The column-axis layouts, in the order the layout list names them. */
+const ColumnAxis kColumnAxes[] = {
+    {"schemes", axisValues<&ExperimentSpec::schemes>, schemeHeading,
+     setField<&Cell::scheme>, 8},
+    {"thresholds", thresholdValues, thresholdHeading, setThreshold, 8,
+     thresholdNote},
+    {"threshold_modes", axisValues<&ExperimentSpec::threshold_modes>,
+     asIs, setField<&Cell::threshold_mode>, 8},
+    {"partitioners", axisValues<&ExperimentSpec::partitioners>, asIs,
+     setField<&Cell::partitioner>, 10},
+    {"repl", axisValues<&ExperimentSpec::repl>, asIs,
+     setField<&Cell::repl>, 8},
+    {"gating", axisValues<&ExperimentSpec::gating>, asIs,
+     setField<&Cell::gating>, 8},
+};
+
+/** The layouts that are not a column axis. */
+const char *const kOtherLayouts[] = {"takeover", "transfers", "bandwidth",
+                                     "mpki", "none"};
+
 /** validateSpec(), returning the resolved groups it checked so that
  *  expandSpec() resolves them only once. */
 std::vector<trace::WorkloadGroup>
 checkSpec(const ExperimentSpec &spec)
 {
-    static const char *kLayouts[] = {
-        "schemes",  "thresholds", "partitioners", "takeover",
-        "transfers", "bandwidth", "none",
-    };
-    bool layout_known = false;
-    for (const char *layout : kLayouts) {
-        layout_known = layout_known || spec.layout == layout;
-    }
-    if (!layout_known) {
+    const ColumnAxis *axis = findColumnAxis(spec.layout);
+    if (axis == nullptr &&
+        std::find(std::begin(kOtherLayouts), std::end(kOtherLayouts),
+                  spec.layout) == std::end(kOtherLayouts)) {
         std::string known;
-        for (const char *layout : kLayouts) {
+        for (const ColumnAxis &column : kColumnAxes) {
             known += known.empty() ? "" : ", ";
+            known += column.name;
+        }
+        for (const char *layout : kOtherLayouts) {
+            known += ", ";
             known += layout;
         }
         COOPSIM_FATAL("unknown layout '", spec.layout, "' (expected ",
@@ -163,7 +229,7 @@ checkSpec(const ExperimentSpec &spec)
                       " must be a power of two (or 0 for the default)");
     }
     scaleRegistry().get(spec.scale);
-    for (const std::string &app : resolveSolos(spec)) {
+    for (const std::string &app : resolveSpecSolos(spec)) {
         trace::specProfile(app); // fatal on an unknown benchmark
     }
     if (!spec.groups.empty() && groups.empty()) {
@@ -171,36 +237,20 @@ checkSpec(const ExperimentSpec &spec)
                       "groups axis resolves to none of the listed "
                       "core counts)");
     }
-    if (spec.layout == "schemes" && !spec.schemes.empty()) {
+    if (axis != nullptr) {
+        // Compared as cells, so thresholds compare as numbers.
+        Cell baseline;
+        axis->select(baseline, spec.baseline);
         bool found = false;
-        for (const std::string &scheme : spec.schemes) {
-            found = found || scheme == spec.baseline;
+        for (const std::string &value : axis->values(spec)) {
+            Cell cell;
+            axis->select(cell, value);
+            found = found || cell == baseline;
         }
         if (!found) {
-            COOPSIM_FATAL("baseline scheme '", spec.baseline,
-                          "' is not in the spec's schemes axis");
-        }
-    }
-    if (spec.layout == "thresholds") {
-        const double baseline =
-            parseDouble(spec.baseline, "baseline threshold");
-        bool found = false;
-        for (const double t : spec.thresholds) {
-            found = found || t == baseline;
-        }
-        if (!found) {
-            COOPSIM_FATAL("baseline threshold ", spec.baseline,
-                          " is not in the spec's thresholds axis");
-        }
-    }
-    if (spec.layout == "partitioners") {
-        bool found = false;
-        for (const std::string &partitioner : spec.partitioners) {
-            found = found || partitioner == spec.baseline;
-        }
-        if (!found) {
-            COOPSIM_FATAL("baseline partitioner '", spec.baseline,
-                          "' is not in the spec's partitioners axis");
+            COOPSIM_FATAL("baseline '", spec.baseline,
+                          "' is not in the spec's ", axis->name,
+                          " axis");
         }
     }
     if ((spec.layout == "transfers" || spec.layout == "bandwidth") &&
@@ -212,15 +262,45 @@ checkSpec(const ExperimentSpec &spec)
     if (spec.layout == "takeover" && spec.schemes.empty()) {
         COOPSIM_FATAL("layout 'takeover' needs a scheme");
     }
+    if (spec.layout == "mpki" && spec.solos.empty()) {
+        COOPSIM_FATAL("layout 'mpki' needs a solos axis");
+    }
     return groups;
 }
 
 } // namespace
 
+const ColumnAxis *
+findColumnAxis(const std::string &layout)
+{
+    for (const ColumnAxis &axis : kColumnAxes) {
+        if (layout == axis.name) {
+            return &axis;
+        }
+    }
+    return nullptr;
+}
+
 void
 validateSpec(const ExperimentSpec &spec)
 {
     checkSpec(spec);
+}
+
+std::vector<std::string>
+resolveSpecSolos(const ExperimentSpec &spec)
+{
+    std::vector<std::string> apps;
+    for (const std::string &name : spec.solos) {
+        if (name == "*") {
+            for (const std::string &app : trace::allSpecApps()) {
+                apps.push_back(app);
+            }
+        } else {
+            apps.push_back(name);
+        }
+    }
+    return apps;
 }
 
 std::vector<trace::WorkloadGroup>
@@ -381,7 +461,7 @@ expandSpec(const ExperimentSpec &spec)
             }
         }
     }
-    for (const std::string &app : resolveSolos(spec)) {
+    for (const std::string &app : resolveSpecSolos(spec)) {
         add_solo(app, spec.solo_cores);
     }
     return keys;

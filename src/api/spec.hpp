@@ -5,8 +5,8 @@
  * Every figure and table of the paper is a sweep over some subset of
  * the axes (scheme x workload group x threshold x threshold mode x
  * partitioner x replacement policy x gating mode x seed) at one
- * scale, rendered as a normalised table. An ExperimentSpec names those axes by their
- * registry keys (api/registry.hpp); expandSpec() turns the spec into
+ * scale, rendered as a table. An ExperimentSpec names those axes by
+ * their registry keys (api/registry.hpp); expandSpec() turns the spec into
  * the cross-product of RunKeys the executor prefetches.
  *
  * Specs and RunKeys both have a stable canonical text encoding with an
@@ -48,18 +48,19 @@ struct ExperimentSpec
 
     /**
      * Table layout:
-     *  - "schemes": rows = groups, columns = schemes, normalised to
-     *    the baseline scheme (Figures 5-10);
-     *  - "thresholds": columns = threshold values, normalised to the
-     *    baseline threshold (Figures 11-13);
-     *  - "partitioners": columns = partitioner names, normalised to
-     *    the baseline partitioner (the N-core scaling sweep);
+     *  - a column axis ("schemes", "thresholds", "threshold_modes",
+     *    "partitioners", "repl", "gating"; see ColumnAxis): rows =
+     *    groups, one column per value of that axis, every cell
+     *    normalised to the baseline value (Figures 5-13, the scaling
+     *    sweep, the ablations);
      *  - "takeover": the Figure 14 takeover-event breakdown of the
      *    first scheme;
      *  - "transfers": the Figure 15 way-transfer-time comparison of
      *    the first two schemes;
      *  - "bandwidth": the Figure 16 flush-traffic time series of the
      *    first two schemes;
+     *  - "mpki": Table 3, the measured and paper MPKI class of each
+     *    app of the solos axis;
      *  - "none": no built-in renderer (custom printers / single-cell
      *    mode).
      */
@@ -67,8 +68,8 @@ struct ExperimentSpec
     /** Cell metric: a metric-registry name ("speedup",
      *  "dynamic_energy", "static_energy"). */
     std::string metric = "speedup";
-    /** Normalisation column: a scheme name under the "schemes"
-     *  layout, a threshold value text under "thresholds". */
+    /** Normalisation column under a column-axis layout: a value of
+     *  that axis (thresholds compare as numbers). */
     std::string baseline = "fairshare";
     /** Direction annotation in the table header. */
     bool higher_better = true;
@@ -136,7 +137,35 @@ struct Cell
     std::string slice_hash;
     /** Sampling-mode registry name ("exact", "set", "op", "setop"). */
     std::string sampling;
+
+    bool operator==(const Cell &) const = default;
 };
+
+/**
+ * A sweep axis whose values a normalised table turns into columns:
+ * the layout of the same name prints one column per axis value, each
+ * cell normalised to the column the spec's baseline selects.
+ */
+struct ColumnAxis
+{
+    /** The layout name, which is also the axis's spec key. */
+    const char *name;
+    /** The spec's axis values as spec text. */
+    std::vector<std::string> (*values)(const ExperimentSpec &spec);
+    /** The column heading of @p value. */
+    std::string (*heading)(const std::string &value);
+    /** Sets the Cell field the axis addresses to @p value. */
+    void (*select)(Cell &cell, const std::string &value);
+    /** Width of the group column. */
+    int group_width;
+    /** The note under the title; nullptr prints "normalised to
+     *  <baseline heading>; higher|lower is better". */
+    std::string (*note)(const ExperimentSpec &spec) = nullptr;
+};
+
+/** The column axis of @p layout, or nullptr when the layout has no
+ *  column axis. */
+const ColumnAxis *findColumnAxis(const std::string &layout);
 
 /** Validates every name in @p spec against its registry (fatal with
  *  the offending name otherwise). */
@@ -145,6 +174,9 @@ void validateSpec(const ExperimentSpec &spec);
 /** The workload groups the spec's group names/globs resolve to. */
 std::vector<trace::WorkloadGroup>
 resolveSpecGroups(const ExperimentSpec &spec);
+
+/** The apps the solos axis names ("*" expands to all of Table 3). */
+std::vector<std::string> resolveSpecSolos(const ExperimentSpec &spec);
 
 /**
  * The RunKey of @p group's run at @p cell under @p spec: the one place

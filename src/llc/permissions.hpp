@@ -135,6 +135,13 @@ class PermissionFile
     }
     std::uint32_t cores() const { return cores_; }
 
+    /** Bits of storage the RAP and WAP registers cost (Table 1):
+     *  ways x cores each. */
+    std::uint64_t storageBits() const
+    {
+        return 2 * static_cast<std::uint64_t>(ways()) * cores_;
+    }
+
     /**
      * Validates every way against the legal-state catalogue above.
      * Panics on violation — called by tests and after every epoch.

@@ -773,7 +773,7 @@ CooperativeLlc::access(CoreId core, Addr addr, AccessType type, Cycle now)
 
     // Victim preference: invalid, then stale foreign lines in ways we
     // are receiving (the paper fills incoming lines into the received
-    // way), then our own LRU line.
+    // way), then our own line the replacement policy picks.
     WayId victim = kNoWay;
     for (WayMask m = write_mask; m != 0; m &= m - 1) {
         const WayId w = cache::lowestWay(m);
@@ -798,8 +798,7 @@ CooperativeLlc::access(CoreId core, Addr addr, AccessType type, Cycle now)
         }
     }
     if (victim == kNoWay) {
-        victim = array_.lruValidWay(set, write_mask);
-        COOPSIM_ASSERT(victim != kNoWay, "no victim in write mask");
+        victim = array_.victim(set, write_mask);
         if (array_.validAt(set, victim) &&
             array_.dirtyAt(set, victim)) {
             dram_.writeback(array_.blockAddr(set, victim), now);

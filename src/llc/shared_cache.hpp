@@ -68,6 +68,10 @@ struct LlcConfig
     std::uint32_t num_cores = 2;
     /** Serial tag+data hit latency (paper: 15 / 20 cycles). */
     Tick hit_latency = 15;
+    /** Victim policy within the ways a miss may fill (Unmanaged,
+     *  Fair Share, CPE, and Cooperative's own ways). UCP's quota
+     *  victim stays LRU by design: its replacement-based enforcement
+     *  is defined over LRU blocks. */
     cache::ReplPolicy repl = cache::ReplPolicy::Lru;
     std::uint64_t seed = 1;
 

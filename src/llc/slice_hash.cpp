@@ -6,18 +6,6 @@
 namespace coopsim::llc
 {
 
-const char *sliceHashName(SliceHashKind kind)
-{
-    switch (kind) {
-    case SliceHashKind::Mod:
-        return "mod";
-    case SliceHashKind::Xor:
-        return "xor";
-    }
-    COOPSIM_FATAL("unknown slice hash kind ",
-                  static_cast<int>(kind));
-}
-
 SliceHash::SliceHash(SliceHashKind kind, std::uint32_t banks,
                      std::uint32_t block_bytes, std::uint64_t bank_sets)
     : kind_(kind), banks_(banks)

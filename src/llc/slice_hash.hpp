@@ -38,9 +38,6 @@ enum class SliceHashKind : std::uint8_t
     Xor,
 };
 
-/** Human-readable hash name ("mod" / "xor", the registry keys). */
-const char *sliceHashName(SliceHashKind kind);
-
 /**
  * The hash stage itself. Constructed per banked LLC from its
  * geometry; bank() is the per-access routing function.

@@ -29,7 +29,7 @@
  *
  * ThresholdMode::PaperLiteral implements the printed pseudocode
  * (with `<=` and a no-progress exclusion safeguard) for the ablation
- * bench `bench/ablation_threshold_mode`.
+ * `specs/ablation_threshold_mode.spec`.
  */
 
 #ifndef COOPSIM_PARTITION_LOOKAHEAD_HPP

@@ -9,12 +9,13 @@
  *  - **Set sampling** (`set`): only addresses mapping to a 1/S subset
  *    of LLC sets are simulated in the shared cache — the same
  *    selection rule the paper's UMON ATD uses (`set % S == 0`).
- *    Accesses to unsampled sets are charged the running average
- *    latency of the sampled ones; counters are scaled back up by S at
- *    collection. Because the modelled array is 1/S the capacity, the
- *    cache also warms S× faster, so warmup shrinks by S (the same
- *    argument `applyScale` already uses when it miniaturises the
- *    set count per scale).
+ *    Accesses to unsampled sets never reach the cache model: they are
+ *    replayed into DRAM at the miss and writeback rates the sampled
+ *    sets measure (set_sampled.hpp explains why an average latency
+ *    fails); counters are scaled back up by S at collection. Because
+ *    the modelled array is 1/S the capacity, the cache also warms S×
+ *    faster, so warmup shrinks by S (the same argument `applyScale`
+ *    already uses when it miniaturises the set count per scale).
  *
  *  - **Op sampling** (`op`): SMARTS-style alternation of short detail
  *    windows (simulated exactly) and fast-forward gaps (an analytic
@@ -75,7 +76,7 @@ struct Params
     bool operator==(const Params &) const = default;
 };
 
-/** Default 1/8 of sets: coarser than UMON's 1/32 because the main
+/** Default 1/4 of sets: denser than UMON's 1/32 because the main
  *  simulation, unlike the ATD, feeds partitioning decisions. */
 inline constexpr std::uint32_t kDefaultSetPeriod = 4;
 /** Default windows per app; with kDetailDivisor this simulates 1/16

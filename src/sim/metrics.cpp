@@ -26,18 +26,4 @@ normalizeTo(double value, double baseline)
     return value / baseline;
 }
 
-std::vector<double>
-normalizeSeries(const std::vector<double> &values,
-                const std::vector<double> &baseline)
-{
-    COOPSIM_ASSERT(values.size() == baseline.size(),
-                   "normalizeSeries size mismatch");
-    std::vector<double> out;
-    out.reserve(values.size());
-    for (std::size_t i = 0; i < values.size(); ++i) {
-        out.push_back(normalizeTo(values[i], baseline[i]));
-    }
-    return out;
-}
-
 } // namespace coopsim::sim

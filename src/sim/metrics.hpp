@@ -27,13 +27,6 @@ double weightedSpeedup(const RunResult &shared,
 /** value / baseline, guarding against a zero baseline. */
 double normalizeTo(double value, double baseline);
 
-/**
- * Per-scheme series normalised to a baseline scheme, as every figure
- * in the paper reports ("Normalised to Fair Share").
- */
-std::vector<double> normalizeSeries(const std::vector<double> &values,
-                                    const std::vector<double> &baseline);
-
 } // namespace coopsim::sim
 
 #endif // COOPSIM_SIM_METRICS_HPP

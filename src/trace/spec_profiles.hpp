@@ -9,7 +9,7 @@
  * miss-vs-ways utility curve matches the qualitative behaviour the
  * paper describes (streamers gain nothing from extra ways; thrashers
  * such as gobmk/sjeng want many ways; astar/bzip2/gcc/povray change
- * appetite across phases; see `bench/table3_mpki`).
+ * appetite across phases; see `specs/table3.spec`).
  */
 
 #ifndef COOPSIM_TRACE_SPEC_PROFILES_HPP

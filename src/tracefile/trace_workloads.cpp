@@ -302,7 +302,7 @@ replayFactory(const std::string &name, std::uint64_t run_seed,
         // and validated once per process, however many runs of the
         // sweep replay it.
         sim::StreamCache::Key key;
-        key.workload = std::string(kTracePrefix) + name;
+        key.workload = name;
         key.slot = c;
         key.seed = run_seed;
         key.scale = scale_key;

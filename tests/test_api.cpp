@@ -11,6 +11,8 @@
  *    (parse(format(x)) == x, including non-representable decimals),
  *    with out-of-range 32-bit fields rejected, not wrapped;
  *  - every shipped spec file parses, round-trips and expands;
+ *  - the layout list, the baseline-on-axis rule, every column-axis
+ *    layout's rendering and Table 3's spec at bench scale;
  *  - the unified CLI parser (uniform unknown-flag rejection);
  *  - drained-executor clear();
  *  - a custom scheme registered by name running end-to-end through
@@ -21,16 +23,20 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <sstream>
 #include <unordered_set>
 
 #include <coopsim/experiment.hpp>
 
+#include "api/parse_util.hpp"
 #include "llc/schemes.hpp"
 #include "sim/metrics.hpp"
+#include "trace/spec_profiles.hpp"
 #include "tracefile/trace_workloads.hpp"
 
 using namespace coopsim;
 using namespace coopsim::api;
+using coopsim::api::detail::splitWords;
 
 namespace
 {
@@ -234,20 +240,57 @@ TEST(Spec, ValidateRejectsUnknownAxisNames)
         EXPECT_THROW(validateSpec(spec), FatalError);
     }
     {
+        // The diagnostic lists exactly the layouts a table renders.
         ExperimentSpec spec = tinySpec();
         spec.layout = "pie-chart";
-        EXPECT_THROW(validateSpec(spec), FatalError);
-    }
-    {
-        ExperimentSpec spec = tinySpec();
-        spec.layout = "schemes";
-        spec.baseline = "ucp"; // not in the schemes axis
-        EXPECT_THROW(validateSpec(spec), FatalError);
+        try {
+            validateSpec(spec);
+            ADD_FAILURE() << "unknown layout accepted";
+        } catch (const FatalError &error) {
+            EXPECT_NE(std::string(error.what())
+                          .find("(expected schemes, thresholds, "
+                                "threshold_modes, partitioners, repl, "
+                                "gating, takeover, transfers, "
+                                "bandwidth, mpki, none)"),
+                      std::string::npos)
+                << error.what();
+        }
     }
     {
         ExperimentSpec spec = tinySpec();
         spec.scale = "gigantic";
         EXPECT_THROW(validateSpec(spec), FatalError);
+    }
+    setThrowOnFatal(false);
+}
+
+TEST(Spec, BaselineMustBeAValueOfTheLayoutAxis)
+{
+    // tinySpec's axes: schemes fairshare, and the defaults thresholds
+    // 0.05, threshold_modes missratio, partitioners lookahead, repl
+    // lru, gating gatedvdd.
+    struct Case
+    {
+        const char *layout;
+        const char *on_axis;
+        const char *off_axis;
+    };
+    const Case cases[] = {
+        {"schemes", "fairshare", "ucp"},
+        {"thresholds", "0.050", "0.1"},
+        {"threshold_modes", "missratio", "paperliteral"},
+        {"partitioners", "lookahead", "greedy"},
+        {"repl", "lru", "mru"},
+        {"gating", "gatedvdd", "drowsy"},
+    };
+    setThrowOnFatal(true);
+    for (const Case &c : cases) {
+        ExperimentSpec spec = tinySpec();
+        spec.layout = c.layout;
+        spec.baseline = c.on_axis;
+        EXPECT_NO_THROW(validateSpec(spec)) << c.layout;
+        spec.baseline = c.off_axis;
+        EXPECT_THROW(validateSpec(spec), FatalError) << c.layout;
     }
     setThrowOnFatal(false);
 }
@@ -388,8 +431,9 @@ TEST(SpecEncoding, ShippedSpecFilesRoundTripAndExpand)
             keys.begin(), keys.end());
         EXPECT_EQ(distinct.size(), keys.size()) << path;
     }
-    // fig05-16, fig05_trace, scaling, banked, sampling.
-    EXPECT_GE(files, 16u);
+    // fig05-16, fig05_trace, scaling, banked, sampling, table3,
+    // ablation_replacement, ablation_threshold_mode, ext_drowsy.
+    EXPECT_GE(files, 20u);
 }
 
 // ---------------------------------------------------------------------------
@@ -401,24 +445,49 @@ TEST(Cli, RejectsUnknownAndDisallowedFlagsUniformly)
     {
         // The motivating typo: --thread= (no s) must not be silently
         // ignored.
-        const char *argv[] = {"bench", "--thread=4"};
+        const char *argv[] = {"example", "--thread=4"};
         EXPECT_THROW(
-            parseCli(2, const_cast<char **>(argv), kBenchFlags, ""),
+            parseCli(2, const_cast<char **>(argv), kExampleFlags, ""),
             FatalError);
     }
     {
         // A real flag the binary did not opt into is rejected too.
-        const char *argv[] = {"bench", "--csv"};
+        const char *argv[] = {"example", "--csv"};
         EXPECT_THROW(
-            parseCli(2, const_cast<char **>(argv), kBenchFlags, ""),
+            parseCli(2, const_cast<char **>(argv), kExampleFlags, ""),
             FatalError);
     }
     {
         // Positional arguments need the positional capability.
-        const char *argv[] = {"bench", "G2-3"};
+        const char *argv[] = {"tool", "G2-3"};
+        EXPECT_THROW(parseCli(2, const_cast<char **>(argv),
+                              kFlagScale | kFlagThreads, ""),
+                     FatalError);
+    }
+    setThrowOnFatal(false);
+}
+
+TEST(Cli, ExampleFlagsAdmitOnlyWhatTheExamplesApply)
+{
+    // The examples apply --scale and --threads and read a group name;
+    // a store or memo flag they would silently ignore is fatal.
+    const char *argv[] = {"example", "--scale=test", "--threads=2",
+                          "G4-8"};
+    const CliOptions options =
+        parseCli(4, const_cast<char **>(argv), kExampleFlags, "");
+    EXPECT_EQ(options.scale_name, "test");
+    EXPECT_EQ(options.threads, 2u);
+    ASSERT_EQ(options.positional.size(), 1u);
+    EXPECT_EQ(options.positional[0], "G4-8");
+
+    setThrowOnFatal(true);
+    for (const char *flag : {"--store=x", "--no-stream-memo",
+                             "--stream-cache-mb=64"}) {
+        const char *bad[] = {"example", flag};
         EXPECT_THROW(
-            parseCli(2, const_cast<char **>(argv), kBenchFlags, ""),
-            FatalError);
+            parseCli(2, const_cast<char **>(bad), kExampleFlags, ""),
+            FatalError)
+            << flag;
     }
     setThrowOnFatal(false);
 }
@@ -522,10 +591,10 @@ TEST(Cli, SuperviseFlagsParseAndValidate)
             FatalError)
             << value;
     }
-    // A bench that did not opt into supervision rejects the flags.
-    const char *argv[] = {"bench", "--supervise"};
+    // A binary that did not opt into supervision rejects the flags.
+    const char *argv[] = {"example", "--supervise"};
     EXPECT_THROW(
-        parseCli(2, const_cast<char **>(argv), kBenchFlags, ""),
+        parseCli(2, const_cast<char **>(argv), kExampleFlags, ""),
         FatalError);
     setThrowOnFatal(false);
 }
@@ -580,6 +649,79 @@ TEST(Experiment, ResultsViewMatchesDirectExecutorRuns)
     }
     EXPECT_DOUBLE_EQ(results.weightedSpeedup(cell),
                      sim::weightedSpeedup(results.result(cell), alone));
+}
+
+namespace
+{
+
+/** printTable's output for @p results, as lines. */
+std::vector<std::string>
+renderedLines(const ExperimentResults &results)
+{
+    testing::internal::CaptureStdout();
+    printTable(results);
+    std::istringstream table(testing::internal::GetCapturedStdout());
+    std::vector<std::string> lines;
+    for (std::string line; std::getline(table, line);) {
+        lines.push_back(line);
+    }
+    return lines;
+}
+
+} // namespace
+
+TEST(Experiment, ColumnLayoutsPrintOneColumnPerAxisValue)
+{
+    // Each layout's baseline is its axis's first value, so the first
+    // column reads 1.000 on the group row and the AVG row. The
+    // threshold baseline is spelled differently from its axis value.
+    const char *axes[] = {
+        "layout schemes\nbaseline fairshare\nschemes fairshare coop\n",
+        "layout thresholds\nbaseline 0.010\nthresholds 0.01 0.05\n",
+        "layout threshold_modes\nbaseline missratio\n"
+        "threshold_modes missratio paperliteral\n",
+        "layout partitioners\nbaseline lookahead\n"
+        "partitioners lookahead greedy\n",
+        "layout repl\nbaseline lru\nrepl lru mru\n",
+        "layout gating\nbaseline gatedvdd\ngating gatedvdd drowsy\n",
+    };
+    for (const char *axis : axes) {
+        const ExperimentResults results(
+            parseSpec(std::string("coopsim-spec v1\ntitle t\n"
+                                  "groups G2-10\nscale test\n") +
+                      axis));
+        const std::vector<std::string> lines = renderedLines(results);
+        // Title, note, heading, G2-10, AVG.
+        ASSERT_EQ(lines.size(), 5u) << axis;
+        EXPECT_EQ(splitWords(lines[2]).size(), 3u) << lines[2];
+        for (const std::size_t row : {3, 4}) {
+            const std::vector<std::string> cells = splitWords(lines[row]);
+            ASSERT_EQ(cells.size(), 3u) << lines[row];
+            EXPECT_EQ(cells[1], "1.000") << axis << lines[row];
+        }
+    }
+}
+
+TEST(Experiment, Table3SpecMatchesEveryPaperClass)
+{
+    // At test scale two apps land a class off (mcf reads 5.00,
+    // perlbench 1.34), so this runs the shipped spec at its own bench
+    // scale: 19 short solo runs.
+    const ExperimentSpec spec =
+        parseSpecFile(std::string(COOPSIM_SPEC_DIR) + "/table3.spec");
+    ASSERT_EQ(spec.scale, "bench");
+    const ExperimentResults results(spec);
+    const std::vector<std::string> apps = resolveSpecSolos(spec);
+    ASSERT_EQ(apps.size(), 19u);
+    for (const std::string &app : apps) {
+        const double mpki =
+            results.soloResult(app, spec.solo_cores).apps.at(0).mpki;
+        EXPECT_EQ(trace::classifyMpki(mpki), trace::mpkiClassOf(app))
+            << app << " measured " << mpki;
+    }
+    const std::vector<std::string> lines = renderedLines(results);
+    ASSERT_FALSE(lines.empty());
+    EXPECT_EQ(lines.back(), "# class matches: 19 / 19");
 }
 
 TEST(Experiment, CustomSchemeRunsThroughTheExecutorByName)

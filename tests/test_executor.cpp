@@ -305,14 +305,14 @@ TEST(Cli, ParseCliAcceptsBenchScaleAndRejectsUnknown)
 {
     const char *bench[] = {"bench", "--scale=bench"};
     EXPECT_EQ(api::parseCli(2, const_cast<char **>(bench),
-                            api::kBenchFlags, nullptr)
+                            api::kExampleFlags, nullptr)
                   .scale,
               RunScale::Bench);
 
     setThrowOnFatal(true);
     const char *bad[] = {"bench", "--scale=warp9"};
     EXPECT_THROW(api::parseCli(2, const_cast<char **>(bad),
-                               api::kBenchFlags, nullptr),
+                               api::kExampleFlags, nullptr),
                  FatalError);
     setThrowOnFatal(false);
 }
@@ -321,23 +321,23 @@ TEST(Cli, ParseCliThreadsParsesAndValidates)
 {
     const char *none[] = {"bench"};
     EXPECT_EQ(api::parseCli(1, const_cast<char **>(none),
-                            api::kBenchFlags, nullptr)
+                            api::kExampleFlags, nullptr)
                   .threads,
               0u);
     const char *eight[] = {"bench", "--threads=8"};
     EXPECT_EQ(api::parseCli(2, const_cast<char **>(eight),
-                            api::kBenchFlags, nullptr)
+                            api::kExampleFlags, nullptr)
                   .threads,
               8u);
 
     setThrowOnFatal(true);
     const char *bad[] = {"bench", "--threads=banana"};
     EXPECT_THROW(api::parseCli(2, const_cast<char **>(bad),
-                               api::kBenchFlags, nullptr),
+                               api::kExampleFlags, nullptr),
                  FatalError);
     const char *zero[] = {"bench", "--threads=0"};
     EXPECT_THROW(api::parseCli(2, const_cast<char **>(zero),
-                               api::kBenchFlags, nullptr),
+                               api::kExampleFlags, nullptr),
                  FatalError);
     setThrowOnFatal(false);
 }

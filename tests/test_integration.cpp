@@ -183,3 +183,22 @@ TEST(Integration, DramTrafficConsistent)
     EXPECT_GT(r.dram_reads, 0u);
     EXPECT_EQ(r.dram_flushes, r.flushed_lines);
 }
+
+TEST(Integration, CooperativeHonoursTheReplacementPolicy)
+{
+    // Cooperative's own-way victim follows LlcConfig::repl like every
+    // other scheme's: an MRU run of the same group is a different run.
+    api::ExperimentSpec spec;
+    spec.layout = "none";
+    spec.with_solo = false;
+    spec.groups = {"G2-2"};
+    spec.repl = {"lru", "mru"};
+    spec.scale = "test";
+    const api::ExperimentResults results(spec);
+    api::Cell lru = cellOf("coop", "G2-2");
+    lru.repl = "lru";
+    api::Cell mru = lru;
+    mru.repl = "mru";
+    EXPECT_NE(store::formatResult(results.result(lru)),
+              store::formatResult(results.result(mru)));
+}

@@ -15,6 +15,7 @@
 #include "llc/permissions.hpp"
 #include "llc/schemes.hpp"
 #include "llc/takeover.hpp"
+#include "sim/system.hpp"
 
 using namespace coopsim;
 using namespace coopsim::llc;
@@ -194,11 +195,36 @@ TEST(Takeover, ResetClearsOneCoreOnly)
 
 TEST(Takeover, StorageBitsMatchTable1)
 {
-    // Table 1: takeover vectors cost sets x cores bits.
-    TakeoverDirectory two(2, 2048);
-    EXPECT_EQ(two.storageBits(), 4096u);
-    TakeoverDirectory four(4, 2048);
-    EXPECT_EQ(four.storageBits(), 8192u);
+    // Table 1: takeover vectors cost sets x cores bits, and the RAP
+    // and WAP registers ways x cores bits each.
+    const PermissionFile two_perms(8, 2);
+    const PermissionFile four_perms(16, 4);
+    EXPECT_EQ(two_perms.storageBits(), 2u * 16u);
+    EXPECT_EQ(four_perms.storageBits(), 2u * 64u);
+
+    // The paper's totals, for its 2048-set vectors.
+    EXPECT_EQ(TakeoverDirectory(2, 2048).storageBits(), 4096u);
+    EXPECT_EQ(TakeoverDirectory(4, 2048).storageBits(), 8192u);
+    EXPECT_EQ(TakeoverDirectory(2, 2048).storageBits() +
+                  two_perms.storageBits(),
+              4128u);
+    EXPECT_EQ(TakeoverDirectory(4, 2048).storageBits() +
+                  four_perms.storageBits(),
+              8320u);
+
+    // Both paper LLCs (2 MB/8-way and 4 MB/16-way, 64 B blocks)
+    // actually have 4096 sets.
+    for (const std::uint32_t cores : {2u, 4u}) {
+        EXPECT_EQ(sim::makeSystemConfig(cores, "coop", sim::RunScale::Paper)
+                      .llc.geometry.numSets(),
+                  4096u);
+    }
+    EXPECT_EQ(TakeoverDirectory(2, 4096).storageBits() +
+                  two_perms.storageBits(),
+              8224u);
+    EXPECT_EQ(TakeoverDirectory(4, 4096).storageBits() +
+                  four_perms.storageBits(),
+              16512u);
 }
 
 // ---------------------------------------------------------------------------
