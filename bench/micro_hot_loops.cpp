@@ -1179,7 +1179,7 @@ main(int argc, char **argv)
     // host (or --threads=1) legitimately reports ~1x, and asserting a
     // parallel win there would fail the bench for the wrong reason.
     // The JSON records the host-derived expectation next to the
-    // measurement so CI asserts against the right floor.
+    // measurement; no CI step asserts it.
     const unsigned worker_cores = std::min(
         sim::RunExecutor::instance().threads(),
         host_cores > 0 ? host_cores : 1u);

@@ -6,11 +6,15 @@
  * the paper cites), with the unused remainder power-gated.
  *
  * The example subclasses llc::BaseLlc — the same interface the five
- * built-in schemes implement — and then simply REGISTERS it under the
- * name "priority". From that point it is a first-class scheme: it
- * runs on the executor through the normal System event loop, is
- * memoised by RunKey, and could be named in any ExperimentSpec or
- * spec file, next to "fairshare" and "coop".
+ * built-in schemes implement. Its access() only states each core's way
+ * mask and hands it to BaseLlc::accessWithin, which does the lookup,
+ * the hit or the fill (with its dirty-victim writeback and DRAM read)
+ * and the stats and energy, as it does for Unmanaged and Fair Share.
+ * The example then simply REGISTERS the class under the name
+ * "priority". From that point it is a first-class scheme: it runs on
+ * the executor through the normal System event loop, is memoised by
+ * RunKey, and could be named in any ExperimentSpec or spec file, next
+ * to "fairshare" and "coop".
  */
 
 #include <bit>
@@ -57,33 +61,14 @@ class PriorityLlc final : public llc::BaseLlc
     llc::LlcAccess access(CoreId core, Addr addr, AccessType type,
                           Cycle now) override
     {
+        // The scheme's whole rule: which ways a core may probe and
+        // fill. BaseLlc does the hit, the fill and the accounting.
         integrateStatic(now);
-        const cache::WayMask mask = masks_[core];
         const Addr aligned = array_.slicer().blockAlign(addr);
-        const SetId set = array_.slicer().set(aligned);
-        const auto probed =
-            static_cast<std::uint32_t>(std::popcount(mask));
-
-        const auto found = array_.lookup(aligned, mask);
-        if (found.hit) {
-            array_.touch(set, found.way);
-            if (isWrite(type)) {
-                array_.setDirty(set, found.way, true);
-            }
-            chargeAccess(core, probed, true, !isWrite(type),
-                         isWrite(type), true);
-            return {true, false, now + config_.hit_latency, probed};
-        }
-        const WayId victim = array_.victim(set, mask);
-        const auto &old = array_.block(set, victim);
-        if (old.valid && old.dirty) {
-            dram_.writeback(array_.blockAddr(set, victim), now);
-            core_stats_[core].writebacks.inc();
-        }
-        const Cycle done = dram_.access(aligned, type, now);
-        array_.insert(aligned, set, victim, core, isWrite(type));
-        chargeAccess(core, probed, false, false, true, true);
-        return {false, false, done + config_.hit_latency, probed};
+        return accessWithin(
+            core, aligned, array_.slicer().set(aligned), masks_[core],
+            static_cast<std::uint32_t>(std::popcount(masks_[core])), type,
+            now, true);
     }
 
     std::vector<std::uint32_t> allocation() const override

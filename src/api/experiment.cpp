@@ -191,7 +191,8 @@ printColumnTable(const ExperimentResults &results,
     // CI of a normalised cell v/b: the relative half-widths of value
     // and baseline add in quadrature; the AVG row's geometric mean
     // divides the root-sum-square of the relative CIs by the row
-    // count. Exact runs carry zero CIs, so the ± columns print 0.000.
+    // count. The baseline cell divided by itself is exactly 1, and
+    // exact runs carry zero CIs, so those ± columns print 0.000.
     auto cell_ci = [&](const Cell &cell) {
         return show_ci ? results.metricCi(spec.metric, cell) : 0.0;
     };
@@ -219,7 +220,7 @@ printColumnTable(const ExperimentResults &results,
                 continue;
             }
             double rel = 0.0;
-            if (value != 0.0 && baseline != 0.0) {
+            if (cell != base_cell && value != 0.0 && baseline != 0.0) {
                 const double rv = cell_ci(cell) / value;
                 const double rb = baseline_ci / baseline;
                 rel = std::sqrt(rv * rv + rb * rb);

@@ -11,20 +11,29 @@ namespace coopsim::api
 namespace
 {
 
-/** Built-in scheme table: registry key, legend label, enum. */
+/** Builds one of the built-in schemes. */
+template <typename T>
+std::unique_ptr<llc::BaseLlc>
+build(const llc::LlcConfig &config, mem::DramModel &dram)
+{
+    return std::make_unique<T>(config, dram);
+}
+
+/** Built-in scheme table: registry key, legend label, constructor. */
 struct BuiltinScheme
 {
     const char *key;
     const char *label;
-    llc::Scheme scheme;
+    std::unique_ptr<llc::BaseLlc> (*build)(const llc::LlcConfig &,
+                                           mem::DramModel &);
 };
 
 constexpr BuiltinScheme kBuiltinSchemes[] = {
-    {"unmanaged", "Unmanaged", llc::Scheme::Unmanaged},
-    {"fairshare", "FairShare", llc::Scheme::FairShare},
-    {"ucp", "UCP", llc::Scheme::Ucp},
-    {"cpe", "DynamicCPE", llc::Scheme::DynamicCpe},
-    {"coop", "Cooperative", llc::Scheme::Cooperative},
+    {"unmanaged", "Unmanaged", build<llc::UnmanagedLlc>},
+    {"fairshare", "FairShare", build<llc::FairShareLlc>},
+    {"ucp", "UCP", build<llc::UcpLlc>},
+    {"cpe", "DynamicCPE", build<llc::DynamicCpeLlc>},
+    {"coop", "Cooperative", build<llc::CooperativeLlc>},
 };
 
 /** Trailing-* glob: "G2-*" matches "G2-7"; anything else is exact. */
@@ -46,14 +55,7 @@ schemeRegistry()
     static Registry<SchemeEntry> registry = [] {
         Registry<SchemeEntry> r("scheme");
         for (const BuiltinScheme &b : kBuiltinSchemes) {
-            const llc::Scheme scheme = b.scheme;
-            r.add(b.key,
-                  SchemeEntry{b.label,
-                              [scheme](const llc::LlcConfig &config,
-                                       mem::DramModel &dram) {
-                                  return llc::makeLlc(scheme, config,
-                                                      dram);
-                              }});
+            r.add(b.key, SchemeEntry{b.label, b.build});
         }
         return r;
     }();

@@ -156,38 +156,4 @@ SetAssocCache::lruValidWay(SetId set, WayMask mask) const
     return best;
 }
 
-L1Cache::L1Cache(const CacheGeometry &geometry)
-    : array_(geometry, ReplPolicy::Lru)
-{
-}
-
-L1Result
-L1Cache::access(Addr addr, AccessType type)
-{
-    const WayMask all = fullMask(array_.ways());
-    const Addr aligned = array_.slicer().blockAlign(addr);
-    const SetId set = array_.slicer().set(aligned);
-
-    L1Result result;
-    const LookupResult found = array_.lookup(aligned, all);
-    if (found.hit) {
-        ++hits_;
-        array_.touch(set, found.way);
-        if (isWrite(type)) {
-            array_.setDirty(set, found.way, true);
-        }
-        result.hit = true;
-        return result;
-    }
-
-    ++misses_;
-    const WayId way = array_.victim(set, all);
-    if (array_.validAt(set, way) && array_.dirtyAt(set, way)) {
-        result.writeback = true;
-        result.writeback_addr = array_.blockAddr(set, way);
-    }
-    array_.insert(aligned, set, way, 0, isWrite(type));
-    return result;
-}
-
 } // namespace coopsim::cache

@@ -2,11 +2,10 @@
  * @file
  * Generic set-associative cache storage.
  *
- * SetAssocCache is the tag/state array shared by the private L1 model,
- * the shared LLC (src/llc) and the auxiliary tag directories used for
- * utility monitoring (src/umon). It stores tags, dirty bits, per-block
- * owner core and LRU state, and exposes way-mask-restricted lookup and
- * victim selection — the primitive on which way partitioning is built.
+ * SetAssocCache is the tag/state array of the shared LLC (src/llc). It
+ * stores tags, dirty bits, per-block owner core and LRU state, and
+ * exposes way-mask-restricted lookup and victim selection — the
+ * primitive on which way partitioning is built.
  *
  * Way masks are 64-bit bitmaps (bit w = way w), so associativity is
  * limited to 64, far above the paper's 16-way LLC.
@@ -108,7 +107,8 @@ class SetAssocCache
 
     /**
      * Searches @p mask ways of the set for @p addr.
-     * Does not update LRU state — callers decide (UMON needs raw probes).
+     * Does not update LRU state — callers decide (Cooperative drops a
+     * write hit in a way its core is donating instead of serving it).
      */
     LookupResult lookup(Addr addr, WayMask mask) const;
 
@@ -202,41 +202,6 @@ class SetAssocCache
     std::vector<CoreId> owner_;
     std::uint64_t lru_clock_ = 0;
     ReplacementPolicy repl_;
-};
-
-/** Outcome of an L1 access. */
-struct L1Result
-{
-    bool hit = false;
-    /** Dirty block evicted by the fill (valid only when writeback). */
-    bool writeback = false;
-    Addr writeback_addr = 0;
-};
-
-/**
- * Private first-level cache: write-back, write-allocate, LRU.
- *
- * L1 timing (2-cycle hit) is accounted by the core model; this class
- * tracks hit/miss state and evictions only.
- */
-class L1Cache
-{
-  public:
-    explicit L1Cache(const CacheGeometry &geometry);
-
-    /**
-     * Performs an access; on a miss the line is filled immediately
-     * (the core model adds the miss latency separately).
-     */
-    L1Result access(Addr addr, AccessType type);
-
-    std::uint64_t hits() const { return hits_; }
-    std::uint64_t misses() const { return misses_; }
-
-  private:
-    SetAssocCache array_;
-    std::uint64_t hits_ = 0;
-    std::uint64_t misses_ = 0;
 };
 
 } // namespace coopsim::cache

@@ -4,12 +4,12 @@
  * core model.
  *
  * A stream yields an infinite sequence of memory operations, each
- * preceded by a number of non-memory instructions. Streams may be
- * raw (addresses to run through the private L1) or L1-filtered
- * (`llc_level = true`), in which case the core model sends them
- * directly to the shared LLC — the synthetic SPEC profiles generate
- * L1-filtered streams because the paper's mechanisms all live at the
- * LLC (see DESIGN.md).
+ * preceded by a number of non-memory instructions. Every stream is
+ * L1-filtered: each operation is an access the private L1 missed, and
+ * the core model sends it straight to the shared LLC. The synthetic
+ * SPEC profiles are calibrated at that level because the paper's
+ * mechanisms all live at the LLC (see DESIGN.md), and recorded
+ * `.cooptrace` files replay what they generated.
  *
  * A stream is a pure sequence: the ops produced depend only on the
  * stream's construction parameters, never on when or in what batch
@@ -39,8 +39,6 @@ struct MemOp
     /** Byte address accessed. */
     Addr addr = 0;
     AccessType type = AccessType::Read;
-    /** True when the address stream is already L1-filtered. */
-    bool llc_level = false;
 };
 
 /** Infinite generator of memory operations. */

@@ -11,7 +11,6 @@ namespace coopsim::core
 TraceCore::TraceCore(CoreId id, const CoreConfig &config,
                      llc::Llc &llc, OpStream &stream)
     : id_(id), config_(config), llc_(llc), stream_(stream),
-      l1_(config.l1),
       width_shift_(std::has_single_bit(config.width)
                        ? static_cast<std::uint32_t>(
                              std::countr_zero(config.width))
@@ -65,14 +64,14 @@ TraceCore::retireGap(InstCount gap)
 }
 
 void
-TraceCore::issueLlcAccess(Addr addr, AccessType type)
+TraceCore::executeOp(const MemOp &op)
 {
-    if (type == AccessType::Write) {
-        stats_.llc_writes.inc();
-    } else {
-        stats_.llc_reads.inc();
-    }
-    const llc::LlcAccess res = llc_.access(id_, addr, type, cycle_);
+    retireGap(op.gap_insts);
+
+    // The memory instruction itself.
+    retireGap(1);
+
+    const llc::LlcAccess res = llc_.access(id_, op.addr, op.type, cycle_);
 
     // Track the fill as an outstanding request subject to MSHR limits.
     if (window_size_ >= config_.mshr_entries) {
@@ -84,34 +83,6 @@ TraceCore::issueLlcAccess(Addr addr, AccessType type)
         windowAt(window_size_) = {retired_, res.ready_at};
         ++window_size_;
     }
-}
-
-void
-TraceCore::executeOp(const MemOp &op)
-{
-    retireGap(op.gap_insts);
-
-    // The memory instruction itself.
-    retireGap(1);
-
-    if (op.llc_level) {
-        issueLlcAccess(op.addr, op.type);
-        return;
-    }
-
-    const cache::L1Result l1 = l1_.access(op.addr, op.type);
-    if (l1.hit) {
-        stats_.l1_hits.inc();
-        // Pipelined L1 hit: latency hidden at this abstraction level.
-        return;
-    }
-    stats_.l1_misses.inc();
-    if (l1.writeback) {
-        // Dirty victim updates the LLC; the core does not wait for it.
-        llc_.access(id_, l1.writeback_addr, AccessType::Write, cycle_);
-        stats_.llc_writes.inc();
-    }
-    issueLlcAccess(op.addr, op.type);
 }
 
 void

@@ -9,13 +9,12 @@
  * memory-level parallelism — without simulating the x86 front end:
  *
  *  - non-memory instructions retire at the issue width;
- *  - memory operations access the private L1 (2-cycle, pipelined and
- *    hence hidden on hits) unless the stream is L1-filtered;
- *  - misses go to the shared LLC and enter an outstanding-miss window;
- *    the core stalls when the miss window exceeds the MSHR capacity or
- *    when the oldest outstanding miss falls out of the reorder-buffer
- *    window (ROB-occupancy stall — the classic analytic OoO model);
- *  - dirty L1 victims are written back to the LLC.
+ *  - every memory operation is an L1 miss (op streams are L1-filtered;
+ *    see core/op_stream.hpp), so it goes to the shared LLC and enters
+ *    an outstanding-miss window; the core stalls when the miss window
+ *    exceeds the MSHR capacity or when the oldest outstanding miss
+ *    falls out of the reorder-buffer window (ROB-occupancy stall — the
+ *    classic analytic OoO model).
  */
 
 #ifndef COOPSIM_CORE_TRACE_CORE_HPP
@@ -24,9 +23,7 @@
 #include <array>
 #include <vector>
 
-#include "cache/cache.hpp"
 #include "common/logging.hpp"
-#include "common/stats.hpp"
 #include "common/types.hpp"
 #include "core/op_stream.hpp"
 #include "llc/shared_cache.hpp"
@@ -41,22 +38,8 @@ struct CoreConfig
     std::uint32_t width = 4;
     /** Reorder buffer entries. */
     std::uint32_t rob = 128;
-    /** Private data cache. */
-    cache::CacheGeometry l1{32ull << 10, 4, 64};
-    /** L1 hit latency (pipelined; exposed only on dependence stalls,
-     *  which the base CPI of the workload profiles absorbs). */
-    Tick l1_latency = 2;
     /** Outstanding LLC misses the core can sustain (L1 MSHRs). */
     std::uint32_t mshr_entries = 16;
-};
-
-/** Per-core performance counters. */
-struct CoreStats
-{
-    stats::Counter l1_hits;
-    stats::Counter l1_misses;
-    stats::Counter llc_reads;
-    stats::Counter llc_writes;
 };
 
 /**
@@ -68,7 +51,7 @@ class TraceCore
     /**
      * @param id     Core identifier (used for LLC attribution).
      * @param config Core parameters.
-     * @param llc    The shared LLC this core accesses on L1 misses.
+     * @param llc    The shared LLC every operation accesses.
      * @param stream Workload generator feeding the core.
      */
     TraceCore(CoreId id, const CoreConfig &config, llc::Llc &llc,
@@ -135,7 +118,6 @@ class TraceCore
     double ipc() const;
 
     CoreId id() const { return id_; }
-    const CoreStats &stats() const { return stats_; }
 
   private:
     /** Ops fetched per virtual OpStream::nextBatch() call. */
@@ -143,7 +125,6 @@ class TraceCore
 
     void retireGap(InstCount gap);
     void drainWindowTo(InstCount inst_horizon);
-    void issueLlcAccess(Addr addr, AccessType type);
     /** One operation bundle (the body shared by step/stepQuantum). */
     void executeOp(const MemOp &op);
     /** Next op from the ring buffer, refilling it when drained. */
@@ -161,7 +142,6 @@ class TraceCore
     CoreConfig config_;
     llc::Llc &llc_;
     OpStream &stream_;
-    cache::L1Cache l1_;
 
     /**
      * Ring buffer of pre-generated operations: the stream pays one
@@ -191,7 +171,7 @@ class TraceCore
     /**
      * The outstanding requests, oldest first, in a fixed ring of
      * bit_ceil(mshr_entries) slots. It never holds more than
-     * mshr_entries: issueLlcAccess() pops the oldest before it pushes
+     * mshr_entries: executeOp() pops the oldest before it pushes
      * into a full window.
      */
     std::vector<Outstanding> window_;
@@ -213,8 +193,6 @@ class TraceCore
     Cycle measure_cycle_ = 0;
     InstCount quota_insts_ = 0;
     Cycle quota_cycle_ = kCycleMax;
-
-    CoreStats stats_;
 };
 
 } // namespace coopsim::core

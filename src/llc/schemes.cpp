@@ -12,6 +12,41 @@ namespace coopsim::llc
 using cache::fullMask;
 using cache::WayMask;
 
+namespace
+{
+
+/**
+ * Repartition confirmation damping (LlcConfig::confirm_epochs): true
+ * when @p next, a target other than @p current, has now been asked for
+ * by @p epochs consecutive decisions, so one noisy epoch cannot trigger
+ * a costly reconfiguration. @p pending and @p count carry the target
+ * awaiting confirmation and its repeats across epochs.
+ */
+bool
+confirmTarget(const std::vector<std::uint32_t> &next,
+              const std::vector<std::uint32_t> &current,
+              std::uint32_t epochs, std::vector<std::uint32_t> &pending,
+              std::uint32_t &count)
+{
+    if (next == current) {
+        count = 0;
+        return false;
+    }
+    if (next == pending) {
+        ++count;
+    } else {
+        pending = next;
+        count = 0;
+    }
+    if (count + 1 < epochs) {
+        return false;
+    }
+    count = 0;
+    return true;
+}
+
+} // namespace
+
 // ---------------------------------------------------------------------------
 // MonitorBank
 
@@ -77,31 +112,10 @@ LlcAccess
 UnmanagedLlc::access(CoreId core, Addr addr, AccessType type, Cycle now)
 {
     integrateStatic(now);
-    const WayMask all = fullMask(array_.ways());
     const Addr aligned = array_.slicer().blockAlign(addr);
-    const SetId set = array_.slicer().set(aligned);
-    const std::uint32_t probed = array_.ways();
-
-    const auto found = array_.lookup(aligned, all);
-    if (found.hit) {
-        array_.touch(set, found.way);
-        if (isWrite(type)) {
-            array_.setDirty(set, found.way, true);
-        }
-        chargeAccess(core, probed, true, !isWrite(type), isWrite(type),
-                     false);
-        return {true, false, now + config_.hit_latency, probed};
-    }
-
-    const WayId victim = array_.victim(set, all);
-    if (array_.validAt(set, victim) && array_.dirtyAt(set, victim)) {
-        dram_.writeback(array_.blockAddr(set, victim), now);
-        core_stats_[core].writebacks.inc();
-    }
-    const Cycle done = dram_.access(aligned, type, now);
-    array_.insert(aligned, set, victim, core, isWrite(type));
-    chargeAccess(core, probed, false, false, true, false);
-    return {false, false, done + config_.hit_latency, probed};
+    return accessWithin(core, aligned, array_.slicer().set(aligned),
+                        fullMask(array_.ways()), array_.ways(), type, now,
+                        false);
 }
 
 std::vector<std::uint32_t>
@@ -133,31 +147,9 @@ FairShareLlc::access(CoreId core, Addr addr, AccessType type, Cycle now)
 {
     integrateStatic(now);
     COOPSIM_ASSERT(core < masks_.size(), "core out of range");
-    const WayMask mask = masks_[core];
     const Addr aligned = array_.slicer().blockAlign(addr);
-    const SetId set = array_.slicer().set(aligned);
-    const std::uint32_t probed = probes_[core];
-
-    const auto found = array_.lookup(aligned, mask);
-    if (found.hit) {
-        array_.touch(set, found.way);
-        if (isWrite(type)) {
-            array_.setDirty(set, found.way, true);
-        }
-        chargeAccess(core, probed, true, !isWrite(type), isWrite(type),
-                     false);
-        return {true, false, now + config_.hit_latency, probed};
-    }
-
-    const WayId victim = array_.victim(set, mask);
-    if (array_.validAt(set, victim) && array_.dirtyAt(set, victim)) {
-        dram_.writeback(array_.blockAddr(set, victim), now);
-        core_stats_[core].writebacks.inc();
-    }
-    const Cycle done = dram_.access(aligned, type, now);
-    array_.insert(aligned, set, victim, core, isWrite(type));
-    chargeAccess(core, probed, false, false, true, false);
-    return {false, false, done + config_.hit_latency, probed};
+    return accessWithin(core, aligned, array_.slicer().set(aligned),
+                        masks_[core], probes_[core], type, now, false);
 }
 
 std::vector<std::uint32_t>
@@ -257,48 +249,32 @@ LlcAccess
 UcpLlc::access(CoreId core, Addr addr, AccessType type, Cycle now)
 {
     integrateStatic(now);
-    const WayMask all = fullMask(array_.ways());
     const Addr aligned = array_.slicer().blockAlign(addr);
     const SetId set = array_.slicer().set(aligned);
     const std::uint32_t probed = array_.ways();
 
     monitors_.observe(core, aligned);
 
-    const auto found = array_.lookup(aligned, all);
+    const auto found = array_.lookup(aligned, fullMask(array_.ways()));
     if (found.hit) {
-        array_.touch(set, found.way);
-        if (isWrite(type)) {
-            array_.setDirty(set, found.way, true);
-        }
         // UCP hits re-tag the block to the accessor (multiprogrammed
         // workloads have disjoint address spaces, so the owner can only
         // "change" through this path if the same core re-touches it).
         array_.setOwner(set, found.way, core);
-        chargeAccess(core, probed, true, !isWrite(type), isWrite(type),
-                     true);
-        return {true, false, now + config_.hit_latency, probed};
+        return serveHit(core, set, found.way, type, probed, now, true);
     }
 
     const WayId victim = pickVictim(core, set);
-    if (array_.validAt(set, victim)) {
-        const bool foreign = array_.ownerAt(set, victim) != core;
+    if (array_.validAt(set, victim) &&
+        array_.ownerAt(set, victim) != core) {
         if (array_.dirtyAt(set, victim)) {
-            dram_.writeback(array_.blockAddr(set, victim), now);
-            core_stats_[core].writebacks.inc();
-            if (foreign) {
-                // A donor line displaced during repartitioning: this is
-                // UCP's flush traffic (Figs 15/16).
-                recordFlush(now);
-            }
+            // A donor line displaced during repartitioning: its
+            // writeback is UCP's flush traffic (Figs 15/16).
+            recordFlush(now);
         }
-        if (foreign) {
-            noteTakenBlock(core, set, now);
-        }
+        noteTakenBlock(core, set, now);
     }
-    const Cycle done = dram_.access(aligned, type, now);
-    array_.insert(aligned, set, victim, core, isWrite(type));
-    chargeAccess(core, probed, false, false, true, true);
-    return {false, false, done + config_.hit_latency, probed};
+    return serveMiss(core, aligned, set, victim, type, probed, now, true);
 }
 
 void
@@ -362,43 +338,16 @@ DynamicCpeLlc::access(CoreId core, Addr addr, AccessType type, Cycle now)
     // A repartition flush blocks the whole LLC (the cost the paper's
     // Dynamic CPE pays on every change).
     const Cycle start = std::max(now, busy_until_);
-
-    const WayMask mask = masks_[core];
     const Addr aligned = array_.slicer().blockAlign(addr);
-    const SetId set = array_.slicer().set(aligned);
-    const std::uint32_t probed = probes_[core];
 
     monitors_.observe(core, aligned);
 
+    const WayMask mask = masks_[core];
     if (mask == 0) {
-        core_stats_[core].bypasses.inc();
-        const Cycle done = dram_.access(aligned, type, start);
-        chargeAccess(core, 0, false, false, false, true);
-        return {false, true, done, 0};
+        return bypass(core, aligned, type, 0, start);
     }
-
-    const auto found = array_.lookup(aligned, mask);
-    if (found.hit) {
-        array_.touch(set, found.way);
-        if (isWrite(type)) {
-            array_.setDirty(set, found.way, true);
-        }
-        chargeAccess(core, probed, true, !isWrite(type), isWrite(type),
-                     true);
-        return {true, false, start + config_.hit_latency, probed};
-    }
-
-    const WayId victim = array_.victim(set, mask);
-    if (array_.validAt(set, victim) && array_.dirtyAt(set, victim)) {
-        COOPSIM_ASSERT(array_.ownerAt(set, victim) == core,
-                       "CPE way holds a foreign dirty block");
-        dram_.writeback(array_.blockAddr(set, victim), start);
-        core_stats_[core].writebacks.inc();
-    }
-    const Cycle done = dram_.access(aligned, type, start);
-    array_.insert(aligned, set, victim, core, isWrite(type));
-    chargeAccess(core, probed, false, false, true, true);
-    return {false, false, done + config_.hit_latency, probed};
+    return accessWithin(core, aligned, array_.slicer().set(aligned), mask,
+                        probes_[core], type, start, true);
 }
 
 void
@@ -487,19 +436,8 @@ DynamicCpeLlc::epoch(Cycle now)
 
     // Same confirmation damping as Cooperative — especially important
     // here, where every change flushes whole ways.
-    bool confirmed = false;
-    if (next.ways == alloc_) {
-        pending_count_ = 0;
-    } else if (next.ways == pending_alloc_) {
-        ++pending_count_;
-        confirmed = pending_count_ + 1 >= config_.confirm_epochs;
-    } else {
-        pending_alloc_ = next.ways;
-        pending_count_ = 0;
-        confirmed = config_.confirm_epochs <= 1;
-    }
-    if (confirmed) {
-        pending_count_ = 0;
+    if (confirmTarget(next.ways, alloc_, config_.confirm_epochs,
+                      pending_alloc_, pending_count_)) {
         applyAllocation(next.ways, now);
     }
     monitors_.decay();
@@ -730,50 +668,37 @@ CooperativeLlc::access(CoreId core, Addr addr, AccessType type, Cycle now)
 
     if (read_mask == 0) {
         // The core owns no ways: the access bypasses the LLC entirely.
-        core_stats_[core].bypasses.inc();
-        const Cycle done = dram_.access(aligned, type, now);
-        chargeAccess(core, 0, false, false, false, true);
-        return {false, true, done, 0};
+        return bypass(core, aligned, type, 0, now);
     }
 
-    auto found = array_.lookup(aligned, read_mask);
+    const auto found = array_.lookup(aligned, read_mask);
     participate(core, set, found.hit, now);
 
     if (found.hit) {
-        if (isWrite(type) && !perms_.canWrite(found.way, core)) {
-            // Write hit in a way this core is donating: it may not
-            // write there any more. participate() has just flushed the
-            // line (it was ours and the set was touched), so drop the
-            // stale copy and fall through to the miss path, which
-            // re-allocates the line in a writable way.
-            COOPSIM_ASSERT(!array_.dirtyAt(set, found.way),
-                           "dirty line after donor flush");
-            array_.invalidate(set, found.way);
-            found.hit = false;
-        } else {
-            array_.touch(set, found.way);
-            if (isWrite(type)) {
-                array_.setDirty(set, found.way, true);
-            }
-            chargeAccess(core, probed, true, !isWrite(type),
-                         isWrite(type), true);
-            return {true, false, now + config_.hit_latency, probed};
+        if (!isWrite(type) || perms_.canWrite(found.way, core)) {
+            return serveHit(core, set, found.way, type, probed, now, true);
         }
+        // Write hit in a way this core is donating: it may not write
+        // there any more. participate() has just flushed the line (it
+        // was ours and the set was touched), so drop the stale copy and
+        // fall through to the miss path, which re-allocates the line
+        // in a writable way.
+        COOPSIM_ASSERT(!array_.dirtyAt(set, found.way),
+                       "dirty line after donor flush");
+        array_.invalidate(set, found.way);
     }
 
     const WayMask write_mask = perms_.writeMask(core);
     if (write_mask == 0) {
         // Only possible when min_ways_per_core is 0 and the core lost
         // everything (it may still be draining reads).
-        core_stats_[core].bypasses.inc();
-        const Cycle done = dram_.access(aligned, type, now);
-        chargeAccess(core, probed, false, false, false, true);
-        return {false, true, done, probed};
+        return bypass(core, aligned, type, probed, now);
     }
 
     // Victim preference: invalid, then stale foreign lines in ways we
     // are receiving (the paper fills incoming lines into the received
-    // way), then our own line the replacement policy picks.
+    // way), then our own line the replacement policy picks. Only the
+    // last can be dirty, so only it can cost serveMiss a writeback.
     WayId victim = kNoWay;
     for (WayMask m = write_mask; m != 0; m &= m - 1) {
         const WayId w = cache::lowestWay(m);
@@ -799,17 +724,8 @@ CooperativeLlc::access(CoreId core, Addr addr, AccessType type, Cycle now)
     }
     if (victim == kNoWay) {
         victim = array_.victim(set, write_mask);
-        if (array_.validAt(set, victim) &&
-            array_.dirtyAt(set, victim)) {
-            dram_.writeback(array_.blockAddr(set, victim), now);
-            core_stats_[core].writebacks.inc();
-        }
     }
-
-    const Cycle done = dram_.access(aligned, type, now);
-    array_.insert(aligned, set, victim, core, isWrite(type));
-    chargeAccess(core, probed, false, false, true, true);
-    return {false, false, done + config_.hit_latency, probed};
+    return serveMiss(core, aligned, set, victim, type, probed, now, true);
 }
 
 void
@@ -848,23 +764,8 @@ CooperativeLlc::epoch(Cycle now)
         }
     }
 
-    // Confirmation damping: adopt a changed target only when the last
-    // confirm_epochs decisions agree — one noisy epoch cannot trigger
-    // a (costly) reconfiguration.
-    bool confirmed = false;
-    if (next.ways == cur) {
-        pending_count_ = 0;
-    } else if (next.ways == pending_alloc_) {
-        ++pending_count_;
-        confirmed = pending_count_ + 1 >= config_.confirm_epochs;
-    } else {
-        pending_alloc_ = next.ways;
-        pending_count_ = 0;
-        confirmed = config_.confirm_epochs <= 1;
-    }
-
-    if (confirmed) {
-        pending_count_ = 0;
+    if (confirmTarget(next.ways, cur, config_.confirm_epochs,
+                      pending_alloc_, pending_count_)) {
         // Clamp movements to what the steady pools permit: ways still
         // in flight cannot be moved again this epoch.
         std::vector<std::uint32_t> donate(n, 0);
@@ -979,27 +880,6 @@ CooperativeLlc::checkInvariants() const
                            " set ", s);
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// Factory
-
-std::unique_ptr<BaseLlc>
-makeLlc(Scheme scheme, const LlcConfig &config, mem::DramModel &dram)
-{
-    switch (scheme) {
-      case Scheme::Unmanaged:
-        return std::make_unique<UnmanagedLlc>(config, dram);
-      case Scheme::FairShare:
-        return std::make_unique<FairShareLlc>(config, dram);
-      case Scheme::Ucp:
-        return std::make_unique<UcpLlc>(config, dram);
-      case Scheme::DynamicCpe:
-        return std::make_unique<DynamicCpeLlc>(config, dram);
-      case Scheme::Cooperative:
-        return std::make_unique<CooperativeLlc>(config, dram);
-    }
-    COOPSIM_PANIC("unknown scheme");
 }
 
 } // namespace coopsim::llc

@@ -22,6 +22,11 @@
  *                    via RAP/WAP registers, thresholded look-ahead
  *                    allocation, cooperative takeover with per-set bit
  *                    vectors, and gated-Vdd power-off of unowned ways.
+ *
+ * Each access() states only what sets its scheme apart: the ways a
+ * core may probe, the way a miss fills and the scheme's own
+ * bookkeeping. The hit, the fill and the bypass are BaseLlc's shared
+ * steps (llc/shared_cache.hpp).
  */
 
 #ifndef COOPSIM_LLC_SCHEMES_HPP

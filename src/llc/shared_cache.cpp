@@ -5,24 +5,6 @@
 namespace coopsim::llc
 {
 
-const char *
-schemeName(Scheme scheme)
-{
-    switch (scheme) {
-      case Scheme::Unmanaged:
-        return "Unmanaged";
-      case Scheme::FairShare:
-        return "FairShare";
-      case Scheme::Ucp:
-        return "UCP";
-      case Scheme::DynamicCpe:
-        return "DynamicCPE";
-      case Scheme::Cooperative:
-        return "Cooperative";
-    }
-    return "?";
-}
-
 namespace
 {
 

@@ -4,8 +4,11 @@
  * for all five partitioning schemes evaluated in the paper.
  *
  * BaseLlc owns the tag/state array, the connection to DRAM, the energy
- * meter and the per-core counters; the scheme subclasses in
- * llc/schemes.hpp implement the access and epoch behaviour.
+ * meter and the per-core counters, and the steps every access shares
+ * (hit, dirty-victim writeback and DRAM fill, bypass, stats and
+ * energy). The scheme subclasses in llc/schemes.hpp state which ways a
+ * core may probe and fill, pick their victims and keep their own
+ * bookkeeping, and implement the epoch behaviour.
  *
  * Timing convention: access() returns the cycle at which the requested
  * data is available to the core. State changes (fills, evictions) are
@@ -18,8 +21,6 @@
 #define COOPSIM_LLC_SHARED_CACHE_HPP
 
 #include <cstdint>
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "cache/cache.hpp"
@@ -42,9 +43,6 @@ enum class Scheme : std::uint8_t
     DynamicCpe,
     Cooperative,
 };
-
-/** Human-readable scheme name (matches the paper's legends). */
-const char *schemeName(Scheme scheme);
 
 /**
  * How unowned ways save static energy (extension; DESIGN.md §8).
@@ -331,6 +329,71 @@ class BaseLlc : public Llc
     }
 
   protected:
+    // --- the shared steps of an access ---------------------------------
+    //
+    // A scheme's access() states which ways @p core may probe and fill
+    // and keeps its own bookkeeping; these steps do the rest. @p aligned
+    // is the block-aligned address, @p set its set, @p probed the tag
+    // ways the access probes, @p start the cycle it begins (later than
+    // its arrival while Dynamic CPE's flush blocks the LLC), and
+    // @p monitored whether the scheme's UMONs observe it (charged as
+    // monitor energy).
+
+    /** A hit in (set, way): refreshes the way's recency, dirties it on
+     *  a write; the data is ready hit_latency after @p start. */
+    LlcAccess serveHit(CoreId core, SetId set, WayId way, AccessType type,
+                       std::uint32_t probed, Cycle start, bool monitored)
+    {
+        array_.touch(set, way);
+        if (isWrite(type)) {
+            array_.setDirty(set, way, true);
+        }
+        chargeAccess(core, probed, true, !isWrite(type), isWrite(type),
+                     monitored);
+        return {true, false, start + config_.hit_latency, probed};
+    }
+
+    /** A miss filling (set, victim): writes a dirty victim back, reads
+     *  the block from DRAM and installs it as @p core's. */
+    LlcAccess serveMiss(CoreId core, Addr aligned, SetId set, WayId victim,
+                        AccessType type, std::uint32_t probed, Cycle start,
+                        bool monitored)
+    {
+        if (array_.validAt(set, victim) && array_.dirtyAt(set, victim)) {
+            dram_.writeback(array_.blockAddr(set, victim), start);
+            core_stats_[core].writebacks.inc();
+        }
+        const Cycle done = dram_.access(aligned, type, start);
+        array_.insert(aligned, set, victim, core, isWrite(type));
+        chargeAccess(core, probed, false, false, true, monitored);
+        return {false, false, done + config_.hit_latency, probed};
+    }
+
+    /** A core with no usable way: the access goes straight to DRAM. */
+    LlcAccess bypass(CoreId core, Addr aligned, AccessType type,
+                     std::uint32_t probed, Cycle start)
+    {
+        core_stats_[core].bypasses.inc();
+        const Cycle done = dram_.access(aligned, type, start);
+        chargeAccess(core, probed, false, false, false, true);
+        return {false, true, done, probed};
+    }
+
+    /** The whole access confined to @p mask: a hit in it, or a miss
+     *  filling the replacement policy's victim among its ways. */
+    LlcAccess accessWithin(CoreId core, Addr aligned, SetId set,
+                           cache::WayMask mask, std::uint32_t probed,
+                           AccessType type, Cycle start, bool monitored)
+    {
+        const cache::LookupResult found = array_.lookup(aligned, mask);
+        if (found.hit) {
+            return serveHit(core, set, found.way, type, probed, start,
+                            monitored);
+        }
+        return serveMiss(core, aligned, set, array_.victim(set, mask),
+                         type, probed, start, monitored);
+    }
+
     /** Charges an access to the meters and per-core stats. */
     void chargeAccess(CoreId core, std::uint32_t ways_probed, bool hit,
                       bool data_read, bool data_write, bool monitored);
@@ -354,10 +417,6 @@ class BaseLlc : public Llc
     stats::Counter epochs_;
     stats::Counter repartitions_;
 };
-
-/** Factory: builds the LLC variant for @p scheme. */
-std::unique_ptr<BaseLlc> makeLlc(Scheme scheme, const LlcConfig &config,
-                                 mem::DramModel &dram);
 
 } // namespace coopsim::llc
 

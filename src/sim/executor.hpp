@@ -15,7 +15,7 @@
  *
  * Determinism invariant: a simulation's result is a pure function of
  * its RunKey. Every System instance owns all of its mutable state —
- * cores, private L1s, LLC (with its own Rng seeded from the config),
+ * cores, LLC (with its own Rng seeded from the config),
  * DRAM model and synthetic trace streams (seeded `seed + core * 7919`)
  * — and the library keeps no global mutable state on the simulation
  * path, so concurrent Systems never share anything and results are

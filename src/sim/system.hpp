@@ -1,8 +1,8 @@
 /**
  * @file
- * The top-level simulated system: N cores with private L1s, a shared
- * partitioned LLC, a banked DRAM, and the interleaved event loop that
- * the paper's methodology implies (Section 3): cores advance in global
+ * The top-level simulated system: N cores, a shared partitioned LLC, a
+ * banked DRAM, and the interleaved event loop that the paper's
+ * methodology implies (Section 3): cores advance in global
  * cycle order; partitioning decisions fire every epoch; statistics are
  * collected from the end of warm-up until each application reaches its
  * instruction quota; applications keep running (and contending) until

@@ -199,7 +199,6 @@ SyntheticStream::generate()
     op.addr = addr;
     op.type = rng_.nextBool(profile_.write_fraction) ? AccessType::Write
                                                      : AccessType::Read;
-    op.llc_level = true;
     generated_insts_ += gap + 1;
     return op;
 }

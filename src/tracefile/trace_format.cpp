@@ -217,10 +217,9 @@ encodeFrame(const core::MemOp *ops, std::size_t count, std::string &out)
             static_cast<std::int64_t>(op.addr - prev_addr);
         const std::uint64_t z = zigzagEncode(delta);
         const std::size_t len = deltaLen(z);
-        const unsigned flags =
-            (static_cast<unsigned>(len) << 2) |
-            (op.type == AccessType::Write ? 2u : 0u) |
-            (op.llc_level ? 1u : 0u);
+        const unsigned flags = (static_cast<unsigned>(len) << 2) |
+                               (op.type == AccessType::Write ? 2u : 0u) |
+                               1u;
         *p++ = static_cast<char>(flags);
         std::uint64_t gap = op.gap_insts;
         while (gap >= 0x80) {
@@ -304,6 +303,11 @@ decodeFrame(const std::string &data, std::size_t &pos,
             error = "invalid delta length in op flags";
             return FrameStatus::Corrupt;
         }
+        if ((flags & 1u) == 0) {
+            error = "op is not L1-filtered (flag bit 0 clear in op " +
+                    std::to_string(i) + ")";
+            return FrameStatus::Corrupt;
+        }
         std::uint64_t gap = 0;
         if (!readVarint(data, q, gap) || q + len > payload_end) {
             error = "truncated op encoding inside frame payload";
@@ -321,7 +325,6 @@ decodeFrame(const std::string &data, std::size_t &pos,
         op.addr = prev_addr;
         op.type = (flags & 2u) ? AccessType::Write
                                : AccessType::Read;
-        op.llc_level = (flags & 1u) != 0;
     }
     if (q != payload_end) {
         error = "frame payload has " + std::to_string(payload_end - q) +
@@ -437,7 +440,6 @@ FrameDecoder::decode(core::MemOp *out, std::size_t max)
             op.addr = prev_addr;
             op.type = (flags & 2u) ? AccessType::Write
                                    : AccessType::Read;
-            op.llc_level = (flags & 1u) != 0;
             --left;
         }
         op_pos_ = q;

@@ -21,9 +21,13 @@
  *
  * and the payload encodes ops back to back as
  *
- *   [u8 flags: (delta_len << 2) | (is_write << 1) | llc_level]
+ *   [u8 flags: (delta_len << 2) | (is_write << 1) | 1]
  *   [varint gap_insts]
  *   [delta_len bytes: zigzag(addr - prev_addr), little-endian]
+ *
+ * Flag bit 0 marks an L1-filtered op. Every op stream is L1-filtered
+ * (core/op_stream.hpp), so the writer always sets it and the checked
+ * decoder rejects an op with it clear.
  *
  * with prev_addr starting at 0 for every frame, so frames decode
  * independently. Addresses move in small strides within an app's
@@ -160,7 +164,8 @@ enum class FrameStatus
     Ok,
     /** Clean end of file exactly at a frame boundary. */
     End,
-    /** Truncated or CRC-mismatched frame; @p error says why. */
+    /** Truncated, CRC-mismatched or malformed frame; @p error says
+     *  why. */
     Corrupt,
 };
 

@@ -94,9 +94,8 @@ TEST(Registry, DuplicateRegistrationIsFatal)
     EXPECT_THROW(registerScheme("coop", "Duplicate",
                                 [](const llc::LlcConfig &config,
                                    mem::DramModel &dram) {
-                                    return llc::makeLlc(
-                                        llc::Scheme::Cooperative,
-                                        config, dram);
+                                    return std::make_unique<
+                                        llc::CooperativeLlc>(config, dram);
                                 }),
                  FatalError);
     setThrowOnFatal(false);
@@ -656,10 +655,10 @@ namespace
 
 /** printTable's output for @p results, as lines. */
 std::vector<std::string>
-renderedLines(const ExperimentResults &results)
+renderedLines(const ExperimentResults &results, bool show_ci = false)
 {
     testing::internal::CaptureStdout();
-    printTable(results);
+    printTable(results, show_ci);
     std::istringstream table(testing::internal::GetCapturedStdout());
     std::vector<std::string> lines;
     for (std::string line; std::getline(table, line);) {
@@ -684,20 +683,29 @@ TEST(Experiment, ColumnLayoutsPrintOneColumnPerAxisValue)
         "partitioners lookahead greedy\n",
         "layout repl\nbaseline lru\nrepl lru mru\n",
         "layout gating\nbaseline gatedvdd\ngating gatedvdd drowsy\n",
+        // Sampled, printed with CIs: the baseline column is a run
+        // divided by itself, exactly 1 with no uncertainty, however
+        // wide the other column's CI.
+        "layout partitioners\nbaseline lookahead\n"
+        "partitioners lookahead greedy\nsampling setop\n",
     };
     for (const char *axis : axes) {
         const ExperimentResults results(
             parseSpec(std::string("coopsim-spec v1\ntitle t\n"
                                   "groups G2-10\nscale test\n") +
                       axis));
-        const std::vector<std::string> lines = renderedLines(results);
+        const bool show_ci =
+            std::string(axis).find("sampling") != std::string::npos;
+        const std::vector<std::string> lines =
+            renderedLines(results, show_ci);
         // Title, note, heading, G2-10, AVG.
         ASSERT_EQ(lines.size(), 5u) << axis;
         EXPECT_EQ(splitWords(lines[2]).size(), 3u) << lines[2];
         for (const std::size_t row : {3, 4}) {
             const std::vector<std::string> cells = splitWords(lines[row]);
             ASSERT_EQ(cells.size(), 3u) << lines[row];
-            EXPECT_EQ(cells[1], "1.000") << axis << lines[row];
+            EXPECT_EQ(cells[1], show_ci ? "1.000±0.000" : "1.000")
+                << axis << lines[row];
         }
     }
 }
@@ -734,8 +742,8 @@ TEST(Experiment, CustomSchemeRunsThroughTheExecutorByName)
         registerScheme("fairclone", "FairClone",
                        [](const llc::LlcConfig &config,
                           mem::DramModel &dram) {
-                           return llc::makeLlc(llc::Scheme::FairShare,
-                                               config, dram);
+                           return std::make_unique<llc::FairShareLlc>(
+                               config, dram);
                        });
     }
 

@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the set-associative cache substrate: storage, masked
- * lookup/victim selection, replacement policies and the L1.
+ * lookup/victim selection and replacement policies.
  */
 
 #include <gtest/gtest.h>
@@ -197,35 +197,4 @@ TEST(SetAssocCache, LruStackPropertyHolds)
         EXPECT_GE(hits, prev_hits) << "ways=" << ways;
         prev_hits = hits;
     }
-}
-
-// ---------------------------------------------------------------------------
-// L1
-
-TEST(L1Cache, HitAfterFill)
-{
-    L1Cache l1(CacheGeometry{4096, 4, 64});
-    EXPECT_FALSE(l1.access(0x1000, AccessType::Read).hit);
-    EXPECT_TRUE(l1.access(0x1000, AccessType::Read).hit);
-    EXPECT_EQ(l1.hits(), 1u);
-    EXPECT_EQ(l1.misses(), 1u);
-}
-
-TEST(L1Cache, DirtyEvictionReportsWriteback)
-{
-    // Direct-mapped single-set L1: 1 set x 2 ways.
-    L1Cache l1(CacheGeometry{2 * 64, 2, 64});
-    l1.access(0x0000, AccessType::Write);
-    l1.access(0x1000, AccessType::Read);
-    const L1Result third = l1.access(0x2000, AccessType::Read);
-    EXPECT_TRUE(third.writeback);
-    EXPECT_EQ(third.writeback_addr, 0x0000u);
-}
-
-TEST(L1Cache, CleanEvictionHasNoWriteback)
-{
-    L1Cache l1(CacheGeometry{2 * 64, 2, 64});
-    l1.access(0x0000, AccessType::Read);
-    l1.access(0x1000, AccessType::Read);
-    EXPECT_FALSE(l1.access(0x2000, AccessType::Read).writeback);
 }

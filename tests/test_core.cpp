@@ -58,7 +58,6 @@ llcOp(InstCount gap, Addr addr, AccessType type = AccessType::Read)
     op.gap_insts = gap;
     op.addr = addr;
     op.type = type;
-    op.llc_level = true;
     return op;
 }
 
@@ -199,63 +198,6 @@ TEST(TraceCore, MshrLimitCausesStructuralStalls)
         core.step();
         EXPECT_GE(core.cycle(), 400u) << "k=" << k;
     }
-}
-
-TEST(TraceCore, L1FiltersLlcTraffic)
-{
-    mem::DramModel dram;
-    llc::UnmanagedLlc llc(tinyLlc(), dram);
-
-    // Raw (non-L1-filtered) stream hammering one block: one L1 miss,
-    // then all hits; the LLC sees a single access.
-    std::vector<MemOp> ops;
-    for (int i = 0; i < 50; ++i) {
-        MemOp op;
-        op.gap_insts = 1;
-        op.addr = 0x5000;
-        op.type = AccessType::Read;
-        op.llc_level = false;
-        ops.push_back(op);
-    }
-    ScriptedStream stream(ops);
-    TraceCore core(0, CoreConfig{}, llc, stream);
-    for (int i = 0; i < 50; ++i) {
-        core.step();
-    }
-    EXPECT_EQ(core.stats().l1_misses.value(), 1u);
-    EXPECT_EQ(core.stats().l1_hits.value(), 49u);
-    EXPECT_EQ(llc.coreStats(0).accesses.value(), 1u);
-}
-
-TEST(TraceCore, DirtyL1VictimWritesBackToLlc)
-{
-    mem::DramModel dram;
-    llc::UnmanagedLlc llc(tinyLlc(), dram);
-
-    // Write a block, then evict it from a 1-set x 2-way L1 by reading
-    // two more blocks in the same L1 set.
-    CoreConfig config;
-    config.l1 = cache::CacheGeometry{2 * 64, 2, 64};
-    std::vector<MemOp> ops;
-    MemOp w;
-    w.gap_insts = 0;
-    w.addr = 0x0000;
-    w.type = AccessType::Write;
-    ops.push_back(w);
-    for (Addr a : {0x1000, 0x2000}) {
-        MemOp r;
-        r.gap_insts = 0;
-        r.addr = a;
-        ops.push_back(r);
-    }
-    ScriptedStream stream(ops);
-    TraceCore core(0, config, llc, stream);
-    core.step();
-    core.step();
-    core.step();
-    // LLC saw: write-miss 0x0000, read 0x1000, writeback 0x0000 +
-    // read 0x2000 -> at least one LLC write from the victim.
-    EXPECT_GE(core.stats().llc_writes.value(), 2u);
 }
 
 TEST(TraceCore, MeasurementWindowIpc)

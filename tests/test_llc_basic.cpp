@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "api/registry.hpp"
 #include "llc/schemes.hpp"
 
 using namespace coopsim;
@@ -306,24 +307,25 @@ TEST(DynamicCpeLlc, StableDemandMeansNoReflush)
 // ---------------------------------------------------------------------------
 // Factory
 
-TEST(LlcFactory, BuildsEveryScheme)
+TEST(LlcFactory, RegistryBuildsEverySchemeUnderItsPaperLegend)
 {
     mem::DramModel dram;
-    for (const Scheme s :
-         {Scheme::Unmanaged, Scheme::FairShare, Scheme::Ucp,
-          Scheme::DynamicCpe, Scheme::Cooperative}) {
-        const auto llc = makeLlc(s, tinyConfig(), dram);
-        ASSERT_NE(llc, nullptr);
-        EXPECT_EQ(llc->scheme(), s);
-        EXPECT_STREQ(schemeName(llc->scheme()), schemeName(s));
+    const struct
+    {
+        const char *key;
+        Scheme scheme;
+        const char *label;
+    } builtins[] = {
+        {"unmanaged", Scheme::Unmanaged, "Unmanaged"},
+        {"fairshare", Scheme::FairShare, "FairShare"},
+        {"ucp", Scheme::Ucp, "UCP"},
+        {"cpe", Scheme::DynamicCpe, "DynamicCPE"},
+        {"coop", Scheme::Cooperative, "Cooperative"},
+    };
+    for (const auto &b : builtins) {
+        const auto llc = api::makeLlcByName(b.key, tinyConfig(), dram);
+        ASSERT_NE(llc, nullptr) << b.key;
+        EXPECT_EQ(llc->scheme(), b.scheme) << b.key;
+        EXPECT_EQ(api::schemeLabel(b.key), b.label);
     }
-}
-
-TEST(LlcFactory, SchemeNamesMatchPaperLegends)
-{
-    EXPECT_STREQ(schemeName(Scheme::Unmanaged), "Unmanaged");
-    EXPECT_STREQ(schemeName(Scheme::FairShare), "FairShare");
-    EXPECT_STREQ(schemeName(Scheme::Ucp), "UCP");
-    EXPECT_STREQ(schemeName(Scheme::DynamicCpe), "DynamicCPE");
-    EXPECT_STREQ(schemeName(Scheme::Cooperative), "Cooperative");
 }

@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <numeric>
+#include <optional>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -99,6 +101,205 @@ INSTANTIATE_TEST_SUITE_P(
                       FuzzParams{3, 4, 8}, FuzzParams{4, 4, 16},
                       FuzzParams{5, 3, 6}, FuzzParams{6, 2, 8},
                       FuzzParams{7, 4, 16}, FuzzParams{8, 2, 4}));
+
+// ---------------------------------------------------------------------------
+// Reference model: the static-partition schemes against naive recency
+// lists. The model knows nothing of ways, masks or LRU timestamps:
+// each set holds lists of blocks, most recent first, each list with a
+// capacity, and a miss into a full list evicts by the scheme's rule.
+
+namespace
+{
+
+enum class StaticRule
+{
+    Unmanaged, //!< one list of `ways` blocks per set
+    FairShare, //!< one list per core, its round-robin way count long
+    Ucp,       //!< one list of `ways` blocks, ways / cores per core
+};
+
+class ReferenceLlc
+{
+  public:
+    struct Block
+    {
+        Addr addr;
+        CoreId owner;
+        bool dirty;
+    };
+
+    ReferenceLlc(StaticRule rule, std::uint32_t sets, std::uint32_t ways,
+                 std::uint32_t cores)
+        : writebacks(cores, 0), rule_(rule), cores_(cores),
+          quota_(ways / cores)
+    {
+        lists_per_set_ = rule == StaticRule::FairShare ? cores : 1;
+        lists_.resize(static_cast<std::size_t>(sets) * lists_per_set_);
+        for (std::uint32_t list = 0; list < lists_per_set_; ++list) {
+            // Fair Share deals ways out round-robin: core c gets way w
+            // when w % cores == c.
+            capacity_.push_back(rule == StaticRule::FairShare
+                                    ? (ways - list + cores - 1) / cores
+                                    : ways);
+        }
+    }
+
+    /** Runs one access; true on a hit. A miss that evicts stores the
+     *  evicted block's address in @p evicted. */
+    bool access(CoreId core, Addr addr, SetId set, bool write,
+                std::optional<Addr> &evicted)
+    {
+        evicted.reset();
+        const std::uint32_t list_id =
+            rule_ == StaticRule::FairShare ? core : 0;
+        std::vector<Block> &list = lists_[set * lists_per_set_ + list_id];
+        for (std::size_t i = 0; i < list.size(); ++i) {
+            if (list[i].addr == addr) {
+                Block hit = list[i];
+                hit.dirty = hit.dirty || write;
+                list.erase(list.begin() + static_cast<std::ptrdiff_t>(i));
+                list.insert(list.begin(), hit);
+                return true;
+            }
+        }
+        if (list.size() == capacity_[list_id]) {
+            const std::size_t v = victim(list, core);
+            if (list[v].dirty) {
+                ++writebacks[core];
+            }
+            evicted = list[v].addr;
+            list.erase(list.begin() + static_cast<std::ptrdiff_t>(v));
+        }
+        list.insert(list.begin(), Block{addr, core, write});
+        return false;
+    }
+
+    /** Dirty victims written back, per requesting core. */
+    std::vector<std::uint64_t> writebacks;
+
+  private:
+    /** Index of the block a miss by @p core evicts from a full list. */
+    std::size_t victim(const std::vector<Block> &list, CoreId core) const
+    {
+        const std::size_t lru = list.size() - 1;
+        if (rule_ != StaticRule::Ucp) {
+            return lru;
+        }
+        std::vector<std::uint32_t> held(cores_, 0);
+        for (const Block &b : list) {
+            ++held[b.owner];
+        }
+        // The least recent block matching @p pred, or none.
+        auto last = [&list](auto pred) -> std::optional<std::size_t> {
+            for (std::size_t i = list.size(); i-- > 0;) {
+                if (pred(list[i])) {
+                    return i;
+                }
+            }
+            return std::nullopt;
+        };
+        if (held[core] < quota_) {
+            // Under quota: take from a core holding more than its own.
+            if (const auto v = last([&](const Block &b) {
+                    return b.owner != core && held[b.owner] > quota_;
+                })) {
+                return *v;
+            }
+        }
+        if (const auto v =
+                last([&](const Block &b) { return b.owner == core; })) {
+            return *v;
+        }
+        return lru;
+    }
+
+    StaticRule rule_;
+    std::uint32_t cores_;
+    std::uint32_t quota_;
+    std::uint32_t lists_per_set_ = 1;
+    std::vector<std::uint32_t> capacity_;
+    std::vector<std::vector<Block>> lists_;
+};
+
+} // namespace
+
+class StaticSchemeReferenceTest
+    : public ::testing::TestWithParam<FuzzParams>
+{
+};
+
+TEST_P(StaticSchemeReferenceTest, SchemesMatchTheRecencyListModel)
+{
+    // Unmanaged, Fair Share, and UCP before its first epoch (its
+    // initial ways / cores quota), under random traffic from cores
+    // with footprints on both sides of their share. On every access
+    // the hit flag, the eviction and every core's writeback count must
+    // match the model's.
+    const FuzzParams params = GetParam();
+    constexpr std::uint32_t kSets = 16;
+    const LlcConfig config = fuzzConfig(kSets, params.ways, params.cores);
+    for (const StaticRule rule :
+         {StaticRule::Unmanaged, StaticRule::FairShare, StaticRule::Ucp}) {
+        mem::DramModel dram;
+        std::unique_ptr<BaseLlc> llc;
+        switch (rule) {
+          case StaticRule::Unmanaged:
+            llc = std::make_unique<UnmanagedLlc>(config, dram);
+            break;
+          case StaticRule::FairShare:
+            llc = std::make_unique<FairShareLlc>(config, dram);
+            break;
+          case StaticRule::Ucp:
+            llc = std::make_unique<UcpLlc>(config, dram);
+            break;
+        }
+        ReferenceLlc model(rule, kSets, params.ways, params.cores);
+        const cache::WayMask all = cache::fullMask(params.ways);
+        Rng rng(params.seed);
+        Cycle now = 0;
+        for (int step = 0; step < 20000; ++step) {
+            const auto core =
+                static_cast<CoreId>(rng.nextBelow(params.cores));
+            // Core c reuses about (c + 1) shares of tags per set.
+            const Addr tag = rng.nextBelow(
+                (core + 1) * params.ways / params.cores + 2);
+            const auto set = static_cast<SetId>(rng.nextBelow(kSets));
+            const bool write = rng.nextBool(0.3);
+            const Addr addr = fuzzAddr(core, tag, set, 4);
+            now += 1 + rng.nextBelow(5);
+
+            std::optional<Addr> evicted;
+            const bool want_hit =
+                model.access(core, addr, set, write, evicted);
+            const LlcAccess got = llc->access(
+                core, addr, write ? AccessType::Write : AccessType::Read,
+                now);
+            const auto where = [&] {
+                return ::testing::Message()
+                       << "rule " << static_cast<int>(rule) << " step "
+                       << step << " core " << core << " set " << set;
+            };
+            ASSERT_EQ(got.hit, want_hit) << where();
+            ASSERT_TRUE(llc->array().lookup(addr, all).hit) << where();
+            if (evicted) {
+                ASSERT_FALSE(llc->array().lookup(*evicted, all).hit)
+                    << where() << " kept 0x" << std::hex << *evicted;
+            }
+            for (CoreId c = 0; c < params.cores; ++c) {
+                ASSERT_EQ(llc->coreStats(c).writebacks.value(),
+                          model.writebacks[c])
+                    << where() << " writebacks of core " << c;
+            }
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, StaticSchemeReferenceTest,
+    ::testing::Values(FuzzParams{11, 2, 4}, FuzzParams{12, 2, 8},
+                      FuzzParams{13, 3, 8}, FuzzParams{14, 4, 8},
+                      FuzzParams{15, 4, 16}, FuzzParams{16, 3, 6},
+                      FuzzParams{17, 2, 5}));
 
 // ---------------------------------------------------------------------------
 // Probe-set property: dynamic-energy accounting equals the RAP popcount.

@@ -26,8 +26,6 @@ TEST(SystemConfigs, TwoCoreMatchesPaperTable2)
     EXPECT_EQ(c.insts_per_app, 1'000'000'000u);
     EXPECT_EQ(c.core.width, 4u);
     EXPECT_EQ(c.core.rob, 128u);
-    EXPECT_EQ(c.core.l1.size_bytes, 32ull << 10);
-    EXPECT_EQ(c.core.l1.ways, 4u);
     EXPECT_EQ(c.dram.banks, 8u);
     EXPECT_EQ(c.dram.access_latency, 400u);
     EXPECT_EQ(c.dram.max_outstanding, 64u);

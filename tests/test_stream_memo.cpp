@@ -154,7 +154,7 @@ firstMismatch(const std::vector<core::MemOp> &a,
     const std::size_t n = std::min(a.size(), b.size());
     for (std::size_t i = 0; i < n; ++i) {
         if (a[i].gap_insts != b[i].gap_insts || a[i].addr != b[i].addr ||
-            a[i].type != b[i].type || a[i].llc_level != b[i].llc_level)
+            a[i].type != b[i].type)
             return i;
     }
     return n;

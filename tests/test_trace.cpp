@@ -140,14 +140,13 @@ TEST(SyntheticStream, GapMatchesApki)
     EXPECT_NEAR(apki, p.primary.apki, 0.05 * p.primary.apki);
 }
 
-TEST(SyntheticStream, OpsAreLlcLevelAndBlockMapped)
+TEST(SyntheticStream, OpsAreBlockMapped)
 {
     const AppProfile &p = specProfile("milc");
     SyntheticStream s(p, smallGeometry(), 0, 5);
     AddrSlicer slicer(128, 64);
     for (int i = 0; i < 1000; ++i) {
         const core::MemOp op = s.next();
-        EXPECT_TRUE(op.llc_level);
         EXPECT_LT(slicer.set(op.addr), 128u);
     }
 }
@@ -298,7 +297,9 @@ TEST(SyntheticStream, OpSequenceMatchesPinnedDigest)
                 feed(op.addr, 8);
                 feed(op.gap_insts, 8);
                 feed(static_cast<std::uint8_t>(op.type), 1);
-                feed(op.llc_level ? 1 : 0, 1);
+                // The L1-filtered flag the ops carried when these
+                // digests were taken: every op had it set.
+                feed(1, 1);
             }
         }
         EXPECT_EQ(h, c.digest)

@@ -48,6 +48,8 @@
 #include "sim/executor.hpp"
 #include "sim/stream_cache.hpp"
 #include "store/result_store.hpp"
+#include "trace/generator.hpp"
+#include "trace/spec_profiles.hpp"
 #include "trace/workloads.hpp"
 #include "tracefile/record.hpp"
 #include "tracefile/trace_format.hpp"
@@ -91,7 +93,6 @@ sampleOps(std::size_t count, std::uint64_t seed)
         op.gap_insts = rng.nextBelow(32);
         op.type = rng.nextBool(0.3) ? AccessType::Write
                                     : AccessType::Read;
-        op.llc_level = rng.nextBool(0.5);
         ops.push_back(op);
     }
     return ops;
@@ -104,7 +105,6 @@ expectOpsEqual(const core::MemOp &a, const core::MemOp &b,
     EXPECT_EQ(a.addr, b.addr) << "op " << index;
     EXPECT_EQ(a.gap_insts, b.gap_insts) << "op " << index;
     EXPECT_EQ(a.type, b.type) << "op " << index;
-    EXPECT_EQ(a.llc_level, b.llc_level) << "op " << index;
 }
 
 TraceHeader
@@ -443,6 +443,47 @@ TEST(TraceFormat, FrameRejectsCorruptionTruncationAndTrailingBytes)
                   FrameStatus::Corrupt)
             << cut;
     }
+
+    // An op with flag bit 0 clear, under a CRC that matches: every op
+    // stream is L1-filtered, so the checked decoder refuses a raw op.
+    std::string raw = good;
+    std::size_t payload = 0;
+    std::uint64_t count = 0;
+    ASSERT_TRUE(readVarint(raw, payload, count));
+    payload += 4;
+    const std::size_t payload_bytes = raw.size() - payload - 4;
+    raw[payload] = static_cast<char>(raw[payload] & ~1); // op 0's flags
+    const std::uint32_t crc =
+        store::crc32(raw.data() + payload, payload_bytes);
+    for (int i = 0; i < 4; ++i) {
+        raw[payload + payload_bytes + i] =
+            static_cast<char>((crc >> (8 * i)) & 0xff);
+    }
+    raw.append(kDecodeSlack, '\0');
+    pos = 0;
+    EXPECT_EQ(decodeFrame(raw, pos, decoded, error), FrameStatus::Corrupt);
+    EXPECT_EQ(error, "op is not L1-filtered (flag bit 0 clear in op 0)");
+}
+
+TEST(TraceFormat, EncodingMatchesPinnedDigest)
+{
+    // The round-trip tests above cannot see a change that moves the
+    // encoder and the decoder together; this pins the bytes a
+    // recording writes. FNV-1a over a header plus three full frames
+    // and a partial one of a synthetic stream, whose own op sequence
+    // SyntheticStream.OpSequenceMatchesPinnedDigest (test_trace) pins.
+    const TraceHeader header = sampleHeader();
+    trace::SyntheticStream stream(
+        trace::specProfile(header.app), {header.llc_sets, header.block_bytes},
+        header.core, header.seed + header.core * 7919);
+    const std::string bytes =
+        encodeTrace(header, stream, 3 * kFrameOps + 917);
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const char c : bytes) {
+        h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ull;
+    }
+    EXPECT_EQ(bytes.size(), 70466u);
+    EXPECT_EQ(h, 0x65d988bd8b8cc0deull) << "got 0x" << std::hex << h;
 }
 
 // ---------------------------------------------------------------------------
