@@ -3,12 +3,18 @@
  * Generic set-associative cache storage.
  *
  * SetAssocCache is the tag/state array of the shared LLC (src/llc). It
- * stores tags, dirty bits, per-block owner core and LRU state, and
- * exposes way-mask-restricted lookup and victim selection — the
- * primitive on which way partitioning is built.
+ * stores tags, per-block owner core and LRU state, plus one valid word
+ * and one dirty word per set, and exposes way-mask-restricted lookup
+ * and victim selection — the primitive on which way partitioning is
+ * built. Validity and dirtiness are way masks themselves, so "the
+ * valid ways of this mask" or "its lowest invalid way" is one mask
+ * operation, not a scan.
  *
- * Way masks are 64-bit bitmaps (bit w = way w), so associativity is
- * limited to 64, far above the paper's 16-way LLC.
+ * Way masks are 64-bit bitmaps (bit w = way w; cache/replacement.hpp),
+ * so associativity is limited to 64, far above the paper's 16-way LLC.
+ *
+ * The per-access steps are defined here, in the header, so that a
+ * scheme's access() inlines them.
  */
 
 #ifndef COOPSIM_CACHE_CACHE_HPP
@@ -20,39 +26,20 @@
 
 #include "cache/replacement.hpp"
 #include "common/geometry.hpp"
+#include "common/logging.hpp"
 #include "common/types.hpp"
 
 namespace coopsim::cache
 {
 
-/** Bitmap over the ways of a set: bit w set means way w is included. */
-using WayMask = std::uint64_t;
-
-/** A mask covering ways [0, ways). */
-constexpr WayMask
-fullMask(std::uint32_t ways)
-{
-    return ways >= 64 ? ~WayMask{0} : ((WayMask{1} << ways) - 1);
-}
-
-/**
- * Index of the lowest set bit of a non-empty mask. The hot loops visit
- * only the ways actually present in a mask — `mask & (mask - 1)` clears
- * the bit just visited — instead of testing all 64 way positions.
- */
-constexpr WayId
-lowestWay(WayMask mask)
-{
-    return static_cast<WayId>(std::countr_zero(mask & -mask));
-}
-
 /**
  * State of one cache block (tag entry), as a value snapshot.
  *
  * Storage inside SetAssocCache is struct-of-arrays (one contiguous
- * array per field, sized per geometry), so the masked hot loops scan
- * dense tag/state words instead of striding over 24-byte records;
- * block() assembles this view on demand for inspection paths.
+ * array per field, sized per geometry, and a valid and a dirty word
+ * per set), so the masked hot loops scan dense tags instead of
+ * striding over 24-byte records; block() assembles this view on
+ * demand for inspection paths.
  */
 struct CacheBlock
 {
@@ -106,26 +93,62 @@ class SetAssocCache
                            std::uint64_t seed = 1);
 
     /**
-     * Searches @p mask ways of the set for @p addr.
+     * Searches @p mask ways of the set for @p addr; the lowest
+     * matching valid way wins.
      * Does not update LRU state — callers decide (Cooperative drops a
      * write hit in a way its core is donating instead of serving it).
      */
-    LookupResult lookup(Addr addr, WayMask mask) const;
+    LookupResult lookup(Addr addr, WayMask mask) const
+    {
+        const SetId set = slicer_.set(addr);
+        const Addr tag = slicer_.tag(addr);
+        const Addr *tags = &tag_[index(set, 0)];
+        for (WayMask m = mask & valid_[set]; m != 0; m &= m - 1) {
+            const WayId w = lowestWay(m);
+            if (tags[w] == tag) {
+                return {true, w};
+            }
+        }
+        return {false, kNoWay};
+    }
 
     /** Marks (set, way) as most recently used. */
-    void touch(SetId set, WayId way);
+    void touch(SetId set, WayId way)
+    {
+        lru_[index(set, way)] = ++lru_clock_;
+    }
 
     /**
-     * Picks a victim way within @p mask: an invalid way if one exists,
-     * otherwise per the replacement policy. @p mask must be non-empty.
+     * Picks a victim way within @p mask: its lowest invalid way if it
+     * has one, otherwise per the replacement policy. @p mask must
+     * select at least one of the cache's ways.
      */
-    WayId victim(SetId set, WayMask mask);
+    WayId victim(SetId set, WayMask mask)
+    {
+        mask &= fullMask(ways_);
+        COOPSIM_ASSERT(mask != 0, "victim selection over empty mask");
+        const WayMask invalid = mask & ~valid_[set];
+        if (invalid != 0) {
+            return lowestWay(invalid);
+        }
+        return repl_.victim(&lru_[index(set, 0)], ways_, mask);
+    }
 
     /**
      * Installs @p addr in (set, way), overwriting whatever is there.
      * The block becomes valid and most recently used.
      */
-    void insert(Addr addr, SetId set, WayId way, CoreId owner, bool dirty);
+    void insert(Addr addr, SetId set, WayId way, CoreId owner, bool dirty)
+    {
+        COOPSIM_ASSERT(way < ways_, "insert way out of range");
+        const std::size_t i = index(set, way);
+        const WayMask bit = WayMask{1} << way;
+        tag_[i] = slicer_.tag(addr);
+        valid_[set] |= bit;
+        dirty_[set] = (dirty_[set] & ~bit) | (dirty ? bit : 0);
+        owner_[i] = owner;
+        lru_[i] = ++lru_clock_;
+    }
 
     /** Invalidates (set, way); returns the block state before. */
     CacheBlock invalidate(SetId set, WayId way);
@@ -138,11 +161,11 @@ class SetAssocCache
     // Single-field reads/writes against the SoA arrays.
     bool validAt(SetId set, WayId way) const
     {
-        return (state_[index(set, way)] & kValidBit) != 0;
+        return ((valid_[set] >> way) & 1) != 0;
     }
     bool dirtyAt(SetId set, WayId way) const
     {
-        return (state_[index(set, way)] & kDirtyBit) != 0;
+        return ((dirty_[set] >> way) & 1) != 0;
     }
     CoreId ownerAt(SetId set, WayId way) const
     {
@@ -150,9 +173,8 @@ class SetAssocCache
     }
     void setDirty(SetId set, WayId way, bool dirty)
     {
-        std::uint8_t &state = state_[index(set, way)];
-        state = dirty ? (state | kDirtyBit)
-                      : (state & static_cast<std::uint8_t>(~kDirtyBit));
+        const WayMask bit = WayMask{1} << way;
+        dirty_[set] = (dirty_[set] & ~bit) | (dirty ? bit : 0);
     }
     /** Re-tags (set, way)'s data to @p owner (UCP hit re-attribution). */
     void setOwner(SetId set, WayId way, CoreId owner)
@@ -160,27 +182,36 @@ class SetAssocCache
         owner_[index(set, way)] = owner;
     }
 
+    /** The valid ways of @p set. */
+    WayMask validMask(SetId set) const { return valid_[set]; }
+
     /** Block-aligned address stored in (set, way); block must be valid. */
     Addr blockAddr(SetId set, WayId way) const;
 
     /** Number of valid blocks in @p set covered by @p mask. */
-    std::uint32_t validCount(SetId set, WayMask mask) const;
+    std::uint32_t validCount(SetId set, WayMask mask) const
+    {
+        return static_cast<std::uint32_t>(
+            std::popcount(mask & valid_[set]));
+    }
 
     /** Number of valid blocks owned by @p core in @p set under @p mask. */
     std::uint32_t ownedCount(SetId set, WayMask mask, CoreId core) const;
 
     /** Least recently used valid way in @p mask, or kNoWay if none. */
-    WayId lruValidWay(SetId set, WayMask mask) const;
+    WayId lruValidWay(SetId set, WayMask mask) const
+    {
+        const WayMask valid = mask & valid_[set];
+        return valid == 0
+                   ? kNoWay
+                   : extremeStampWay<false>(&lru_[index(set, 0)], valid);
+    }
 
     const AddrSlicer &slicer() const { return slicer_; }
     std::uint32_t numSets() const { return slicer_.numSets(); }
     std::uint32_t ways() const { return ways_; }
 
   private:
-    /** state_ bit layout. */
-    static constexpr std::uint8_t kValidBit = 1;
-    static constexpr std::uint8_t kDirtyBit = 2;
-
     std::size_t index(SetId set, WayId way) const
     {
         return static_cast<std::size_t>(set) * ways_ + way;
@@ -191,15 +222,19 @@ class SetAssocCache
     /**
      * Struct-of-arrays tag/metadata store, each array sized
      * sets x ways for the configured geometry. The masked lookup scans
-     * tag_/state_ only (dense 8-byte tags plus 1-byte state, instead
-     * of striding over 24-byte records); lru_ is touched by recency
+     * the valid ways' tags only (dense 8-byte tags, instead of
+     * striding over 24-byte records); lru_ is touched by recency
      * updates and victim search; owner_ only by the partitioning
      * bookkeeping.
      */
     std::vector<Addr> tag_;
     std::vector<std::uint64_t> lru_;
-    std::vector<std::uint8_t> state_;
     std::vector<CoreId> owner_;
+    /** One word per set: bit w of valid_[set] is set while way w holds
+     *  a block, bit w of dirty_[set] while it holds a dirty one. Bits
+     *  at or above ways_ are always clear. */
+    std::vector<WayMask> valid_;
+    std::vector<WayMask> dirty_;
     std::uint64_t lru_clock_ = 0;
     ReplacementPolicy repl_;
 };

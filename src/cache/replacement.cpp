@@ -1,10 +1,5 @@
 #include "cache/replacement.hpp"
 
-#include <bit>
-
-#include "cache/cache.hpp"
-#include "common/logging.hpp"
-
 namespace coopsim::cache
 {
 
@@ -14,43 +9,17 @@ ReplacementPolicy::ReplacementPolicy(ReplPolicy policy, std::uint64_t seed)
 }
 
 WayId
-ReplacementPolicy::victim(const std::uint64_t *set_lru,
-                          std::uint32_t ways, std::uint64_t mask)
+ReplacementPolicy::randomVictim(WayMask mask)
 {
-    COOPSIM_ASSERT(mask != 0, "victim selection over empty mask");
-    mask &= fullMask(ways);
-
-    if (policy_ == ReplPolicy::Random) {
-        const auto count =
-            static_cast<std::uint32_t>(std::popcount(mask));
-        std::uint32_t pick =
-            static_cast<std::uint32_t>(rng_.nextBelow(count));
-        std::uint64_t m = mask;
-        while (pick > 0) {
-            m &= m - 1;
-            --pick;
-        }
-        COOPSIM_ASSERT(m != 0, "random victim ran past mask");
-        return lowestWay(m);
+    const auto count = static_cast<std::uint32_t>(std::popcount(mask));
+    std::uint32_t pick = static_cast<std::uint32_t>(rng_.nextBelow(count));
+    WayMask m = mask;
+    while (pick > 0) {
+        m &= m - 1;
+        --pick;
     }
-
-    WayId best = kNoWay;
-    std::uint64_t best_lru = 0;
-    bool first = true;
-    for (std::uint64_t m = mask; m != 0; m &= m - 1) {
-        const WayId w = lowestWay(m);
-        const std::uint64_t lru = set_lru[w];
-        const bool better = first || (policy_ == ReplPolicy::Lru
-                                          ? lru < best_lru
-                                          : lru > best_lru);
-        if (better) {
-            best = w;
-            best_lru = lru;
-            first = false;
-        }
-    }
-    COOPSIM_ASSERT(best != kNoWay, "no victim found in mask");
-    return best;
+    COOPSIM_ASSERT(m != 0, "random victim ran past mask");
+    return lowestWay(m);
 }
 
 } // namespace coopsim::cache

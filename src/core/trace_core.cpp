@@ -23,82 +23,90 @@ TraceCore::TraceCore(CoreId id, const CoreConfig &config,
     COOPSIM_ASSERT(config.mshr_entries > 0, "no MSHRs");
 }
 
-void
-TraceCore::drainWindowTo(InstCount inst_horizon)
-{
-    // Retire completed requests; stall on any outstanding request whose
-    // instruction has fallen more than a ROB's worth behind.
-    while (window_size_ > 0) {
-        const Outstanding &oldest = windowAt(0);
-        if (oldest.ready <= cycle_) {
-            windowPopFront();
-            continue;
-        }
-        if (inst_horizon >= oldest.inst_no + config_.rob) {
-            cycle_ = std::max(cycle_, oldest.ready);
-            windowPopFront();
-            continue;
-        }
-        break;
-    }
-}
-
-void
-TraceCore::retireGap(InstCount gap)
-{
-    // ROB-limited: the gap cannot retire past outstanding misses that
-    // would fall out of the window.
-    drainWindowTo(retired_ + gap);
-    retired_ += gap;
-    // Width-limited retirement with a fractional carry: shift and
-    // mask for power-of-two widths (every shipped configuration), the
-    // equivalent divide otherwise.
-    width_carry_ += gap;
-    if (width_shift_ != kNoShift) {
-        cycle_ += width_carry_ >> width_shift_;
-        width_carry_ &= config_.width - 1;
-    } else {
-        cycle_ += width_carry_ / config_.width;
-        width_carry_ %= config_.width;
-    }
-}
-
-void
-TraceCore::executeOp(const MemOp &op)
-{
-    retireGap(op.gap_insts);
-
-    // The memory instruction itself.
-    retireGap(1);
-
-    const llc::LlcAccess res = llc_.access(id_, op.addr, op.type, cycle_);
-
-    // Track the fill as an outstanding request subject to MSHR limits.
-    if (window_size_ >= config_.mshr_entries) {
-        // Structural stall: wait for the oldest fill.
-        cycle_ = std::max(cycle_, windowAt(0).ready);
-        windowPopFront();
-    }
-    if (res.ready_at > cycle_) {
-        windowAt(window_size_) = {retired_, res.ready_at};
-        ++window_size_;
-    }
-}
-
-void
-TraceCore::step()
-{
-    executeOp(nextOp());
-}
-
 std::uint64_t
 TraceCore::stepQuantum(Cycle cycle_bound, InstCount inst_bound)
 {
+    Cycle cycle = cycle_;
+    InstCount retired = retired_;
+    std::uint64_t carry = width_carry_;
+    std::size_t head = window_head_;
+    std::size_t size = window_size_;
+    std::size_t pos = op_pos_;
+    std::size_t len = op_len_;
+    Outstanding *const window = window_.data();
+    const std::size_t mask = window_mask_;
+    const InstCount rob = config_.rob;
+    const std::uint32_t mshrs = config_.mshr_entries;
+    const std::uint32_t width = config_.width;
+    const std::uint32_t width_shift = width_shift_;
+
+    // Retires @p gap instructions. ROB-limited first: completed
+    // requests leave the window, and the core stalls on any request
+    // whose instruction would fall more than a ROB's worth behind.
+    // Then width-limited, with a fractional carry: shift and mask for
+    // power-of-two widths (every shipped configuration), the
+    // equivalent divide otherwise.
+    const auto retire = [&](InstCount gap) {
+        const InstCount horizon = retired + gap;
+        while (size > 0) {
+            const Outstanding &oldest = window[head];
+            if (oldest.ready > cycle) {
+                if (horizon < oldest.inst_no + rob) {
+                    break;
+                }
+                cycle = oldest.ready;
+            }
+            head = (head + 1) & mask;
+            --size;
+        }
+        retired = horizon;
+        carry += gap;
+        if (width_shift != kNoShift) {
+            cycle += carry >> width_shift;
+            carry &= width - 1;
+        } else {
+            cycle += carry / width;
+            carry %= width;
+        }
+    };
+
     std::uint64_t ops = 0;
     do {
-        executeOp(nextOp());
+        if (pos == len) {
+            len = stream_.nextBatch(op_buf_.data(), kOpBatch);
+            COOPSIM_ASSERT(len > 0, "op stream ended");
+            pos = 0;
+        }
+        const MemOp op = op_buf_[pos++];
+
+        retire(op.gap_insts);
+        // The memory instruction itself.
+        retire(1);
+
+        const llc::LlcAccess res = llc_.access(id_, op.addr, op.type, cycle);
+
+        // Track the fill as an outstanding request subject to MSHR
+        // limits.
+        if (size >= mshrs) {
+            // Structural stall: wait for the oldest fill.
+            cycle = std::max(cycle, window[head].ready);
+            head = (head + 1) & mask;
+            --size;
+        }
+        if (res.ready_at > cycle) {
+            window[(head + size) & mask] = {retired, res.ready_at};
+            ++size;
+        }
         ++ops;
-    } while (cycle_ < cycle_bound && retired_ < inst_bound);
+    } while (cycle < cycle_bound && retired < inst_bound);
+
+    cycle_ = cycle;
+    retired_ = retired;
+    width_carry_ = carry;
+    window_head_ = head;
+    window_size_ = size;
+    op_pos_ = pos;
+    op_len_ = len;
     return ops;
 }
 

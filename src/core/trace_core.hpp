@@ -23,7 +23,6 @@
 #include <array>
 #include <vector>
 
-#include "common/logging.hpp"
 #include "common/types.hpp"
 #include "core/op_stream.hpp"
 #include "llc/shared_cache.hpp"
@@ -59,9 +58,10 @@ class TraceCore
 
     /**
      * Executes one operation bundle (gap instructions + one memory
-     * operation), advancing the core's local clock.
+     * operation), advancing the core's local clock: a one-bundle
+     * quantum, since stepQuantum checks its bounds after each bundle.
      */
-    void step();
+    void step() { stepQuantum(0, 0); }
 
     /**
      * Executes operation bundles back to back until the local clock
@@ -76,6 +76,11 @@ class TraceCore
      * re-arbitrated or quota-marked on. State after
      * stepQuantum(bound, insts) is bit-identical to calling step() in
      * a loop with those exit checks.
+     *
+     * This loop is the core's only copy of the bundle logic. It runs
+     * on locals written back once at the end: the opaque LLC call
+     * inside would otherwise force every member through memory on
+     * every bundle.
      */
     std::uint64_t stepQuantum(Cycle cycle_bound, InstCount inst_bound);
 
@@ -123,21 +128,6 @@ class TraceCore
     /** Ops fetched per virtual OpStream::nextBatch() call. */
     static constexpr std::size_t kOpBatch = 64;
 
-    void retireGap(InstCount gap);
-    void drainWindowTo(InstCount inst_horizon);
-    /** One operation bundle (the body shared by step/stepQuantum). */
-    void executeOp(const MemOp &op);
-    /** Next op from the ring buffer, refilling it when drained. */
-    const MemOp &nextOp()
-    {
-        if (op_pos_ == op_len_) {
-            op_len_ = stream_.nextBatch(op_buf_.data(), kOpBatch);
-            COOPSIM_ASSERT(op_len_ > 0, "op stream ended");
-            op_pos_ = 0;
-        }
-        return op_buf_[op_pos_++];
-    }
-
     CoreId id_;
     CoreConfig config_;
     llc::Llc &llc_;
@@ -171,7 +161,7 @@ class TraceCore
     /**
      * The outstanding requests, oldest first, in a fixed ring of
      * bit_ceil(mshr_entries) slots. It never holds more than
-     * mshr_entries: executeOp() pops the oldest before it pushes
+     * mshr_entries: stepQuantum() pops the oldest before it pushes
      * into a full window.
      */
     std::vector<Outstanding> window_;
@@ -182,11 +172,6 @@ class TraceCore
     Outstanding &windowAt(std::size_t i)
     {
         return window_[(window_head_ + i) & window_mask_];
-    }
-    void windowPopFront()
-    {
-        window_head_ = (window_head_ + 1) & window_mask_;
-        --window_size_;
     }
 
     InstCount measure_insts_ = 0;

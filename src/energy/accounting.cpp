@@ -13,45 +13,9 @@ EnergyAccounting::EnergyAccounting(const CacheEnergyProfile &profile,
 }
 
 void
-EnergyAccounting::onAccess(std::uint32_t ways_probed, bool data_read,
-                           bool data_write, bool monitored)
-{
-    totals_.tag_nj +=
-        profile_.tag_probe_nj * static_cast<double>(ways_probed);
-    if (data_read) {
-        totals_.data_nj += profile_.data_read_nj;
-    }
-    if (data_write) {
-        totals_.data_nj += profile_.data_write_nj;
-    }
-    if (monitored) {
-        totals_.monitor_nj += profile_.monitor_access_nj;
-    }
-    ++accesses_;
-    ways_probed_sum_ += ways_probed;
-}
-
-void
 EnergyAccounting::onBlockDrain()
 {
     totals_.drain_nj += profile_.data_read_nj;
-}
-
-void
-EnergyAccounting::integrate(Cycle now, double powered_ways)
-{
-    COOPSIM_ASSERT(powered_ways >= 0.0 &&
-                       powered_ways <= static_cast<double>(total_ways_) +
-                                           1e-9,
-                   "powered ways out of range");
-    if (now <= last_integrated_) {
-        return;
-    }
-    const double cycles = static_cast<double>(now - last_integrated_);
-    totals_.static_nj += cycles * (powered_ways *
-                                   profile_.way_leak_nj_per_cycle +
-                                   profile_.monitor_leak_nj_per_cycle);
-    last_integrated_ = now;
 }
 
 void

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 
+#include "common/logging.hpp"
 #include "common/types.hpp"
 #include "energy/cacti_model.hpp"
 
@@ -71,7 +72,22 @@ class EnergyAccounting
      * @param monitored   True when monitoring hardware observed it.
      */
     void onAccess(std::uint32_t ways_probed, bool data_read,
-                  bool data_write, bool monitored);
+                  bool data_write, bool monitored)
+    {
+        totals_.tag_nj +=
+            profile_.tag_probe_nj * static_cast<double>(ways_probed);
+        if (data_read) {
+            totals_.data_nj += profile_.data_read_nj;
+        }
+        if (data_write) {
+            totals_.data_nj += profile_.data_write_nj;
+        }
+        if (monitored) {
+            totals_.monitor_nj += profile_.monitor_access_nj;
+        }
+        ++accesses_;
+        ways_probed_sum_ += ways_probed;
+    }
 
     /** Charges a block writeback / flush data read + bus driver. */
     void onBlockDrain();
@@ -81,7 +97,21 @@ class EnergyAccounting
      * (may be fractional: CPE powers fractions of ways).
      * Calls must have non-decreasing @p now.
      */
-    void integrate(Cycle now, double powered_ways);
+    void integrate(Cycle now, double powered_ways)
+    {
+        COOPSIM_ASSERT(powered_ways >= 0.0 &&
+                           powered_ways <=
+                               static_cast<double>(total_ways_) + 1e-9,
+                       "powered ways out of range");
+        if (now <= last_integrated_) {
+            return;
+        }
+        const double cycles = static_cast<double>(now - last_integrated_);
+        totals_.static_nj += cycles * (powered_ways *
+                                       profile_.way_leak_nj_per_cycle +
+                                       profile_.monitor_leak_nj_per_cycle);
+        last_integrated_ = now;
+    }
 
     /** Zeroes the totals; leakage resumes integrating from @p now. */
     void resetTotals(Cycle now);

@@ -65,13 +65,6 @@ MonitorBank::MonitorBank(const LlcConfig &config)
     }
 }
 
-void
-MonitorBank::observe(CoreId core, Addr addr)
-{
-    COOPSIM_ASSERT(core < monitors_.size(), "monitor core out of range");
-    monitors_[core].access(addr);
-}
-
 const std::vector<partition::AppDemand> &
 MonitorBank::demands()
 {
@@ -172,32 +165,40 @@ UcpLlc::UcpLlc(const LlcConfig &config, mem::DramModel &dram)
 WayId
 UcpLlc::pickVictim(CoreId core, SetId set)
 {
-    const WayMask all = fullMask(array_.ways());
+    const std::uint32_t ways = array_.ways();
+    const WayMask all = fullMask(ways);
 
     // Invalid ways first.
-    for (std::uint32_t w = 0; w < array_.ways(); ++w) {
-        if (!array_.validAt(set, w)) {
-            return w;
-        }
+    const WayMask invalid = all & ~array_.validMask(set);
+    if (invalid != 0) {
+        return cache::lowestWay(invalid);
     }
 
-    // Per-core occupancy of this set, on the stack: cores <= ways <= 64
-    // (BaseLlc and SetAssocCache assert both bounds).
-    std::array<std::uint32_t, 64> counts{};
-    for (std::uint32_t w = 0; w < array_.ways(); ++w) {
+    // Every way is valid from here on. One pass reads each way's
+    // owner and takes the set's per-core occupancy and the requester's
+    // own ways, on the stack: cores <= ways <= 64 (BaseLlc and
+    // SetAssocCache assert both bounds).
+    const std::uint32_t cores = config_.num_cores;
+    std::array<CoreId, 64> owners;
+    std::array<std::uint32_t, 64> counts;
+    std::fill_n(counts.begin(), cores, 0u);
+    WayMask own = 0;
+    for (WayId w = 0; w < ways; ++w) {
         const CoreId owner = array_.ownerAt(set, w);
-        if (array_.validAt(set, w) && owner < config_.num_cores) {
+        owners[w] = owner;
+        if (owner < cores) {
             ++counts[owner];
         }
+        own |= static_cast<WayMask>(owner == core) << w;
     }
 
     if (counts[core] < alloc_[core]) {
-        // Under quota: take the LRU block of an over-quota core.
+        // Under quota: take the LRU block of an over-quota core (never
+        // the requester, which is under its quota).
         WayMask over = 0;
-        for (std::uint32_t w = 0; w < array_.ways(); ++w) {
-            const CoreId owner = array_.ownerAt(set, w);
-            if (array_.validAt(set, w) && owner < config_.num_cores &&
-                owner != core && counts[owner] > alloc_[owner]) {
+        for (WayId w = 0; w < ways; ++w) {
+            const CoreId owner = owners[w];
+            if (owner < cores && counts[owner] > alloc_[owner]) {
                 over |= WayMask{1} << w;
             }
         }
@@ -207,16 +208,7 @@ UcpLlc::pickVictim(CoreId core, SetId set)
     }
 
     // At (or above) quota, or nobody to take from: evict own LRU block.
-    WayMask own = 0;
-    for (std::uint32_t w = 0; w < array_.ways(); ++w) {
-        if (array_.validAt(set, w) && array_.ownerAt(set, w) == core) {
-            own |= WayMask{1} << w;
-        }
-    }
-    if (own != 0) {
-        return array_.lruValidWay(set, own);
-    }
-    return array_.lruValidWay(set, all);
+    return array_.lruValidWay(set, own != 0 ? own : all);
 }
 
 void
@@ -700,30 +692,24 @@ CooperativeLlc::access(CoreId core, Addr addr, AccessType type, Cycle now)
     // way), then our own line the replacement policy picks. Only the
     // last can be dirty, so only it can cost serveMiss a writeback.
     WayId victim = kNoWay;
-    for (WayMask m = write_mask; m != 0; m &= m - 1) {
-        const WayId w = cache::lowestWay(m);
-        if (!array_.validAt(set, w)) {
-            victim = w;
-            break;
-        }
-    }
-    if (victim == kNoWay) {
+    const WayMask invalid = write_mask & ~array_.validMask(set);
+    if (invalid != 0) {
+        victim = cache::lowestWay(invalid);
+    } else {
+        // Every way of write_mask is valid.
         WayMask stale = 0;
         for (WayMask m = write_mask; m != 0; m &= m - 1) {
             const WayId w = cache::lowestWay(m);
-            if (array_.validAt(set, w) &&
-                array_.ownerAt(set, w) != core) {
-                stale |= WayMask{1} << w;
-            }
+            stale |= static_cast<WayMask>(array_.ownerAt(set, w) != core)
+                     << w;
         }
         if (stale != 0) {
             victim = array_.lruValidWay(set, stale);
             COOPSIM_ASSERT(!array_.dirtyAt(set, victim),
                            "stale foreign line still dirty");
+        } else {
+            victim = array_.victim(set, write_mask);
         }
-    }
-    if (victim == kNoWay) {
-        victim = array_.victim(set, write_mask);
     }
     return serveMiss(core, aligned, set, victim, type, probed, now, true);
 }

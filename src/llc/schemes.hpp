@@ -35,6 +35,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/logging.hpp"
 #include "common/rng.hpp"
 #include "llc/permissions.hpp"
 #include "llc/shared_cache.hpp"
@@ -51,7 +52,12 @@ class MonitorBank
   public:
     MonitorBank(const LlcConfig &config);
 
-    void observe(CoreId core, Addr addr);
+    void observe(CoreId core, Addr addr)
+    {
+        COOPSIM_ASSERT(core < monitors_.size(),
+                       "monitor core out of range");
+        monitors_[core].access(addr);
+    }
     /**
      * The per-core demands for this epoch's partitioning decision,
      * refreshed in place (the storage lives across epochs). Under
@@ -119,6 +125,9 @@ class UcpLlc final : public BaseLlc
     const MonitorBank &monitors() const { return monitors_; }
 
   private:
+    /** Lets tests set an allocation no epoch has decided. */
+    friend struct UcpTestAccess;
+
     /**
      * Tracks the physical realisation of an allocation increase: UCP
      * only moves blocks when the recipient misses, so a "way transfer"

@@ -54,12 +54,6 @@ BaseLlc::poweredWays() const
 }
 
 void
-BaseLlc::integrateStatic(Cycle now)
-{
-    energy_.integrate(now, poweredWays());
-}
-
-void
 BaseLlc::resetStats(Cycle now)
 {
     integrateStatic(now);
@@ -100,20 +94,6 @@ Llc::missesTotal() const
         total += coreStats(core).misses.value();
     }
     return total;
-}
-
-void
-BaseLlc::chargeAccess(CoreId core, std::uint32_t ways_probed, bool hit,
-                      bool data_read, bool data_write, bool monitored)
-{
-    CoreLlcStats &cs = core_stats_[core];
-    cs.accesses.inc();
-    if (hit) {
-        cs.hits.inc();
-    } else {
-        cs.misses.inc();
-    }
-    energy_.onAccess(ways_probed, data_read, data_write, monitored);
 }
 
 void

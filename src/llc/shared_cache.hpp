@@ -288,7 +288,10 @@ class BaseLlc : public Llc
 
     double poweredWays() const override;
 
-    void integrateStatic(Cycle now) override;
+    void integrateStatic(Cycle now) override
+    {
+        energy_.integrate(now, poweredWays());
+    }
 
     void resetStats(Cycle now) override;
 
@@ -396,7 +399,17 @@ class BaseLlc : public Llc
 
     /** Charges an access to the meters and per-core stats. */
     void chargeAccess(CoreId core, std::uint32_t ways_probed, bool hit,
-                      bool data_read, bool data_write, bool monitored);
+                      bool data_read, bool data_write, bool monitored)
+    {
+        CoreLlcStats &cs = core_stats_[core];
+        cs.accesses.inc();
+        if (hit) {
+            cs.hits.inc();
+        } else {
+            cs.misses.inc();
+        }
+        energy_.onAccess(ways_probed, data_read, data_write, monitored);
+    }
 
     /** Records a partitioning-induced flush of one line at @p now. */
     void recordFlush(Cycle now);

@@ -16,6 +16,7 @@
 #ifndef COOPSIM_MEM_DRAM_HPP
 #define COOPSIM_MEM_DRAM_HPP
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -93,13 +94,25 @@ class DramModel
      * @param now  Issue cycle.
      * @return Cycle at which the data is available at the LLC.
      */
-    Cycle access(Addr addr, AccessType type, Cycle now);
+    Cycle access(Addr addr, AccessType type, Cycle now)
+    {
+        if (type == AccessType::Write) {
+            stats_.writes.inc();
+        } else {
+            stats_.reads.inc();
+        }
+        return schedule(addr, now);
+    }
 
     /**
      * Issues a writeback of an evicted dirty block. Occupies a bank but
      * the issuing core does not wait for completion.
      */
-    void writeback(Addr addr, Cycle now);
+    void writeback(Addr addr, Cycle now)
+    {
+        stats_.writebacks.inc();
+        schedule(addr, now);
+    }
 
     /**
      * Issues a flush caused by cache repartitioning (cooperative
@@ -129,9 +142,35 @@ class DramModel
 
   private:
     /** Common path: schedules a request, returns its completion cycle. */
-    Cycle schedule(Addr addr, Cycle now);
+    Cycle schedule(Addr addr, Cycle now)
+    {
+        // The outstanding-request window: when full, a new request
+        // cannot start before the oldest in-flight request completes.
+        Cycle start = now;
+        const Cycle oldest = inflight_[inflight_head_];
+        start = std::max(start, oldest);
 
-    std::uint32_t bankOf(Addr addr) const;
+        // Bank conflict: wait for the bank to free up.
+        const std::uint32_t bank = bankOf(addr);
+        start = std::max(start, bank_ready_[bank]);
+
+        const Cycle done = start + config_.access_latency;
+        bank_ready_[bank] = start + config_.bank_occupancy;
+
+        inflight_[inflight_head_] = done;
+        if (++inflight_head_ == inflight_.size())
+            inflight_head_ = 0;
+
+        stats_.queue_delay.sample(start - now);
+        return done;
+    }
+
+    std::uint32_t bankOf(Addr addr) const
+    {
+        // Bank-interleave on block-granular address bits.
+        return static_cast<std::uint32_t>((addr >> block_bits_) &
+                                          (config_.banks - 1));
+    }
 
     DramConfig config_;
     /** log2(block_bytes): bank bits start above the block offset. */

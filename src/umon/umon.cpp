@@ -1,7 +1,5 @@
 #include "umon/umon.hpp"
 
-#include <cstring>
-
 #include "common/logging.hpp"
 
 namespace coopsim::umon
@@ -24,37 +22,6 @@ UtilityMonitor::UtilityMonitor(const UmonConfig &config)
     const std::uint32_t sampled_sets = config.llc_sets >> sample_shift_;
     atd_.assign(static_cast<std::size_t>(sampled_sets) * config.llc_ways,
                 kEmptyTag);
-}
-
-void
-UtilityMonitor::access(Addr addr)
-{
-    ++accesses_;
-    const SetId set = slicer_.set(addr);
-    if (!sampled(set)) {
-        return;
-    }
-    ++sampled_refs_;
-
-    const Addr tag = slicer_.tag(addr);
-    const std::uint32_t ways = config_.llc_ways;
-    Addr *stack = &atd_[static_cast<std::size_t>(set >> sample_shift_) * ways];
-
-    // One scan stops at the hit, at the first empty slot (valid tags
-    // form a prefix), or at the LRU tail of a full stack; its index is
-    // the recency position. The slots above it move down one, which
-    // evicts the tail on a full-stack miss, and the tag becomes MRU.
-    std::uint32_t p = 0;
-    while (p + 1 < ways && stack[p] != tag && stack[p] != kEmptyTag) {
-        ++p;
-    }
-    if (stack[p] == tag) {
-        ++position_hits_[p];
-    } else {
-        ++misses_;
-    }
-    std::memmove(stack + 1, stack, p * sizeof(Addr));
-    stack[0] = tag;
 }
 
 void

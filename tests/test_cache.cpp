@@ -198,3 +198,19 @@ TEST(SetAssocCache, LruStackPropertyHolds)
         prev_hits = hits;
     }
 }
+
+TEST(SetAssocCacheDeathTest, VictimOverMaskPastTheWaysDies)
+{
+    // The mask is clipped to the cache's ways before it is checked, so
+    // a mask that selects only ways the set does not have dies with a
+    // message instead of reading past the set's stamps.
+    for (const ReplPolicy policy :
+         {ReplPolicy::Lru, ReplPolicy::Mru, ReplPolicy::Random}) {
+        SetAssocCache cache(CacheGeometry{8 * 8 * 64, 8, 64}, policy);
+        for (WayId w = 0; w < 8; ++w) {
+            cache.insert(makeAddr(w + 1, 0), 0, w, 0, false);
+        }
+        EXPECT_DEATH(cache.victim(0, ~fullMask(8)),
+                     "victim selection over empty mask");
+    }
+}

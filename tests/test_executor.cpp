@@ -5,7 +5,9 @@
  *  - the mask bit-scan implementations of SetAssocCache
  *    lookup/victim/validCount/ownedCount/lruValidWay agree with a
  *    straightforward linear-scan reference on random cache states and
- *    random masks;
+ *    random masks (LRU and MRU, 8 to 64 ways, masks with bits past the
+ *    last way), and the per-set valid and dirty words follow every
+ *    insert, invalidate and setDirty;
  *  - a multi-dimensional sweep produces bit-identical RunResults on a
  *    1-thread and an N-thread executor (determinism under
  *    parallelism);
@@ -13,6 +15,9 @@
  */
 
 #include <gtest/gtest.h>
+
+#include <utility>
+#include <vector>
 
 #include <coopsim/experiment.hpp>
 
@@ -91,17 +96,30 @@ refLruValidWay(const cache::SetAssocCache &c, SetId set,
     return best;
 }
 
-/** Victim under LRU policy: first invalid way, else the LRU way. */
+/**
+ * Victim under LRU (@p newest false) or MRU: the first invalid way,
+ * else the strictly oldest or newest stamp, the lowest way on a tie.
+ */
 WayId
-refLruVictim(const cache::SetAssocCache &c, SetId set,
-             cache::WayMask mask)
+refVictim(const cache::SetAssocCache &c, SetId set, cache::WayMask mask,
+          bool newest)
 {
     for (std::uint32_t w = 0; w < c.ways(); ++w) {
         if (((mask >> w) & 1) && !c.block(set, w).valid) {
             return w;
         }
     }
-    return refLruValidWay(c, set, mask);
+    WayId best = kNoWay;
+    std::uint64_t best_lru = 0;
+    for (std::uint32_t w = 0; w < c.ways(); ++w) {
+        const std::uint64_t lru = c.block(set, w).lru;
+        if (((mask >> w) & 1) &&
+            (best == kNoWay || (newest ? lru > best_lru : lru < best_lru))) {
+            best = w;
+            best_lru = lru;
+        }
+    }
+    return best;
 }
 
 } // namespace
@@ -124,52 +142,109 @@ TEST(BitScan, LowestWayMatchesLinearScan)
 
 TEST(BitScan, MaskedOpsMatchLinearReferenceOnRandomStates)
 {
-    constexpr std::uint32_t kWays = 16;
-    constexpr std::uint32_t kSets = 64;
-    cache::SetAssocCache c({kSets * kWays * 64ull, kWays, 64},
-                           cache::ReplPolicy::Lru);
-    const cache::WayMask full = cache::fullMask(kWays);
-    Rng rng(12345);
+    // (sets, ways): the paper's 16 ways, a small set, and the widest
+    // set a way mask can describe.
+    const std::pair<std::uint32_t, std::uint32_t> shapes[] = {
+        {64, 16}, {8, 8}, {2, 64}};
+    for (const auto &[sets, ways] : shapes) {
+        for (const cache::ReplPolicy policy :
+             {cache::ReplPolicy::Lru, cache::ReplPolicy::Mru}) {
+            const bool newest = policy == cache::ReplPolicy::Mru;
+            SCOPED_TRACE(::testing::Message()
+                         << sets << " sets x " << ways << " ways, "
+                         << (newest ? "MRU" : "LRU"));
+            cache::SetAssocCache c({sets * ways * 64ull, ways, 64}, policy);
+            const cache::WayMask full = cache::fullMask(ways);
+            // Few enough tags that lookups hit and one tag can sit in
+            // two ways of a set (the lowest must win).
+            const std::uint32_t tags = 2 * ways;
+            // The valid and dirty ways each set should have, kept from
+            // the operations applied.
+            std::vector<cache::WayMask> want_valid(sets, 0);
+            std::vector<cache::WayMask> want_dirty(sets, 0);
+            Rng rng(12345);
+            int policy_probes = 0;
 
-    for (int step = 0; step < 5000; ++step) {
-        // Mutate: insert a random tag (with random owner/dirty) or
-        // invalidate, keeping plenty of both valid and invalid blocks.
-        const auto set = static_cast<SetId>(rng.nextBelow(kSets));
-        const auto way = static_cast<WayId>(rng.nextBelow(kWays));
-        if (rng.nextBelow(10) < 7) {
-            const Addr addr = c.slicer().compose(rng.nextBelow(512), set);
-            c.insert(addr, set, way,
-                     static_cast<CoreId>(rng.nextBelow(4)),
-                     rng.nextBelow(2) == 0);
-        } else {
-            c.invalidate(set, way);
-        }
-        if (rng.nextBelow(4) == 0) {
-            c.touch(set, static_cast<WayId>(rng.nextBelow(kWays)));
-        }
+            for (int step = 0; step < 5000; ++step) {
+                // Mutate: insert a random tag (with random owner/dirty),
+                // invalidate, or rewrite one block's dirty bit or
+                // owner, keeping plenty of both valid and invalid
+                // blocks.
+                const auto set = static_cast<SetId>(rng.nextBelow(sets));
+                const auto way = static_cast<WayId>(rng.nextBelow(ways));
+                const auto owner = static_cast<CoreId>(rng.nextBelow(4));
+                const bool dirty = rng.nextBelow(2) == 0;
+                const cache::WayMask bit = cache::WayMask{1} << way;
+                const cache::WayMask dirty_after =
+                    dirty ? want_dirty[set] | bit : want_dirty[set] & ~bit;
+                switch (rng.nextBelow(10)) {
+                  case 0:
+                  case 1:
+                  case 2:
+                  case 3:
+                  case 4:
+                  case 5:
+                    c.insert(c.slicer().compose(rng.nextBelow(tags), set),
+                             set, way, owner, dirty);
+                    want_valid[set] |= bit;
+                    want_dirty[set] = dirty_after;
+                    break;
+                  case 6:
+                  case 7:
+                    c.invalidate(set, way);
+                    want_valid[set] &= ~bit;
+                    want_dirty[set] &= ~bit;
+                    break;
+                  case 8:
+                    c.setDirty(set, way, dirty);
+                    want_dirty[set] = dirty_after;
+                    break;
+                  default:
+                    c.setOwner(set, way, owner);
+                    break;
+                }
+                if (rng.nextBelow(4) == 0) {
+                    c.touch(set, static_cast<WayId>(rng.nextBelow(ways)));
+                }
 
-        // Verify every masked operation against the reference.
-        cache::WayMask mask = rng.next() & full;
-        if (mask == 0) {
-            mask = full;
-        }
-        const SetId qset = static_cast<SetId>(rng.nextBelow(kSets));
-        const Addr qaddr =
-            c.slicer().compose(rng.nextBelow(512), qset);
+                const SetId qset = static_cast<SetId>(rng.nextBelow(sets));
+                const cache::WayMask valid_ways = want_valid[qset];
+                for (std::uint32_t w = 0; w < ways; ++w) {
+                    EXPECT_EQ(c.validAt(qset, w),
+                              ((valid_ways >> w) & 1) != 0);
+                    EXPECT_EQ(c.dirtyAt(qset, w),
+                              ((want_dirty[qset] >> w) & 1) != 0);
+                }
 
-        const auto got = c.lookup(qaddr, mask);
-        const auto want = refLookup(c, qaddr, mask);
-        EXPECT_EQ(got.hit, want.hit);
-        EXPECT_EQ(got.way, want.way);
+                // Verify every masked operation against the reference,
+                // on a random 64-bit mask (its bits past the last way
+                // must be ignored) and on a random subset of the valid
+                // ways, which reaches the replacement policy.
+                const cache::WayMask masks[] = {rng.next(),
+                                                rng.next() & valid_ways};
+                for (const cache::WayMask mask : masks) {
+                    const Addr qaddr =
+                        c.slicer().compose(rng.nextBelow(tags), qset);
+                    const auto got = c.lookup(qaddr, mask);
+                    const auto want = refLookup(c, qaddr, mask);
+                    EXPECT_EQ(got.hit, want.hit);
+                    EXPECT_EQ(got.way, want.way);
 
-        EXPECT_EQ(c.validCount(qset, mask), refValidCount(c, qset, mask));
-        const auto core = static_cast<CoreId>(rng.nextBelow(4));
-        EXPECT_EQ(c.ownedCount(qset, mask, core),
-                  refOwnedCount(c, qset, mask, core));
-        EXPECT_EQ(c.lruValidWay(qset, mask),
-                  refLruValidWay(c, qset, mask));
-        if (c.validCount(qset, mask) > 0 || mask != 0) {
-            EXPECT_EQ(c.victim(qset, mask), refLruVictim(c, qset, mask));
+                    EXPECT_EQ(c.validCount(qset, mask),
+                              refValidCount(c, qset, mask));
+                    const auto core = static_cast<CoreId>(rng.nextBelow(4));
+                    EXPECT_EQ(c.ownedCount(qset, mask, core),
+                              refOwnedCount(c, qset, mask, core));
+                    EXPECT_EQ(c.lruValidWay(qset, mask),
+                              refLruValidWay(c, qset, mask));
+                    if ((mask & full) != 0) {
+                        policy_probes += (mask & full & ~valid_ways) == 0;
+                        EXPECT_EQ(c.victim(qset, mask),
+                                  refVictim(c, qset, mask, newest));
+                    }
+                }
+            }
+            EXPECT_GT(policy_probes, 1000);
         }
     }
 }

@@ -155,7 +155,10 @@ TEST(StepQuantum, MatchesPerOpLoopWithPostStepChecks)
     trace::StreamGeometry sg;
     sg.llc_sets = 64;
 
-    // Reference: step() with the driver's post-step exit checks.
+    // Reference: step() with the driver's post-step exit checks. Each
+    // step() is a one-bundle quantum that writes the core's state back
+    // to its members, so this also shows that state carried in locals
+    // across a long quantum ends where per-bundle write-backs do.
     mem::DramModel dram_a;
     llc::UnmanagedLlc llc_a(tinyLlc(), dram_a);
     trace::SyntheticStream stream_a(profile, sg, 0, 99);

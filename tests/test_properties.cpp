@@ -6,14 +6,33 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <functional>
 #include <memory>
 #include <numeric>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "llc/schemes.hpp"
 #include "partition/lookahead.hpp"
+
+namespace coopsim::llc
+{
+
+struct UcpTestAccess
+{
+    /** Sets the per-core quotas an epoch would otherwise decide. */
+    static void
+    setAllocation(UcpLlc &llc, std::vector<std::uint32_t> alloc)
+    {
+        llc.alloc_ = std::move(alloc);
+    }
+};
+
+} // namespace coopsim::llc
 
 using namespace coopsim;
 using namespace coopsim::llc;
@@ -115,7 +134,7 @@ enum class StaticRule
 {
     Unmanaged, //!< one list of `ways` blocks per set
     FairShare, //!< one list per core, its round-robin way count long
-    Ucp,       //!< one list of `ways` blocks, ways / cores per core
+    Ucp,       //!< one list of `ways` blocks, a quota per core
 };
 
 class ReferenceLlc
@@ -128,10 +147,14 @@ class ReferenceLlc
         bool dirty;
     };
 
+    /** @p quotas are UCP's per-core block quotas; ways / cores each
+     *  when empty. */
     ReferenceLlc(StaticRule rule, std::uint32_t sets, std::uint32_t ways,
-                 std::uint32_t cores)
+                 std::uint32_t cores, std::vector<std::uint32_t> quotas = {})
         : writebacks(cores, 0), rule_(rule), cores_(cores),
-          quota_(ways / cores)
+          quotas_(quotas.empty()
+                      ? std::vector<std::uint32_t>(cores, ways / cores)
+                      : std::move(quotas))
     {
         lists_per_set_ = rule == StaticRule::FairShare ? cores : 1;
         lists_.resize(static_cast<std::size_t>(sets) * lists_per_set_);
@@ -198,10 +221,11 @@ class ReferenceLlc
             }
             return std::nullopt;
         };
-        if (held[core] < quota_) {
+        if (held[core] < quotas_[core]) {
             // Under quota: take from a core holding more than its own.
             if (const auto v = last([&](const Block &b) {
-                    return b.owner != core && held[b.owner] > quota_;
+                    return b.owner != core &&
+                           held[b.owner] > quotas_[b.owner];
                 })) {
                 return *v;
             }
@@ -215,11 +239,63 @@ class ReferenceLlc
 
     StaticRule rule_;
     std::uint32_t cores_;
-    std::uint32_t quota_;
+    std::vector<std::uint32_t> quotas_;
     std::uint32_t lists_per_set_ = 1;
     std::vector<std::uint32_t> capacity_;
     std::vector<std::vector<Block>> lists_;
 };
+
+} // namespace
+
+namespace
+{
+
+/**
+ * Drives @p llc and @p model with the same 20 k random accesses from
+ * cores with footprints on both sides of their share. On every access
+ * the hit flag, the eviction and every core's writeback count must
+ * match the model's.
+ */
+void
+expectMatchesModel(BaseLlc &llc, ReferenceLlc &model,
+                   const FuzzParams &params, std::uint32_t sets,
+                   std::uint64_t seed)
+{
+    const cache::WayMask all = cache::fullMask(params.ways);
+    const auto set_bits = static_cast<std::uint32_t>(std::countr_zero(sets));
+    Rng rng(seed);
+    Cycle now = 0;
+    for (int step = 0; step < 20000; ++step) {
+        const auto core = static_cast<CoreId>(rng.nextBelow(params.cores));
+        // Core c reuses about (c + 1) shares of tags per set.
+        const Addr tag =
+            rng.nextBelow((core + 1) * params.ways / params.cores + 2);
+        const auto set = static_cast<SetId>(rng.nextBelow(sets));
+        const bool write = rng.nextBool(0.3);
+        const Addr addr = fuzzAddr(core, tag, set, set_bits);
+        now += 1 + rng.nextBelow(5);
+
+        std::optional<Addr> evicted;
+        const bool want_hit = model.access(core, addr, set, write, evicted);
+        const LlcAccess got = llc.access(
+            core, addr, write ? AccessType::Write : AccessType::Read, now);
+        const auto where = [&] {
+            return ::testing::Message() << "step " << step << " core "
+                                        << core << " set " << set;
+        };
+        ASSERT_EQ(got.hit, want_hit) << where();
+        ASSERT_TRUE(llc.array().lookup(addr, all).hit) << where();
+        if (evicted) {
+            ASSERT_FALSE(llc.array().lookup(*evicted, all).hit)
+                << where() << " kept 0x" << std::hex << *evicted;
+        }
+        for (CoreId c = 0; c < params.cores; ++c) {
+            ASSERT_EQ(llc.coreStats(c).writebacks.value(),
+                      model.writebacks[c])
+                << where() << " writebacks of core " << c;
+        }
+    }
+}
 
 } // namespace
 
@@ -231,10 +307,7 @@ class StaticSchemeReferenceTest
 TEST_P(StaticSchemeReferenceTest, SchemesMatchTheRecencyListModel)
 {
     // Unmanaged, Fair Share, and UCP before its first epoch (its
-    // initial ways / cores quota), under random traffic from cores
-    // with footprints on both sides of their share. On every access
-    // the hit flag, the eviction and every core's writeback count must
-    // match the model's.
+    // initial ways / cores quota).
     const FuzzParams params = GetParam();
     constexpr std::uint32_t kSets = 16;
     const LlcConfig config = fuzzConfig(kSets, params.ways, params.cores);
@@ -254,43 +327,41 @@ TEST_P(StaticSchemeReferenceTest, SchemesMatchTheRecencyListModel)
             break;
         }
         ReferenceLlc model(rule, kSets, params.ways, params.cores);
-        const cache::WayMask all = cache::fullMask(params.ways);
-        Rng rng(params.seed);
-        Cycle now = 0;
-        for (int step = 0; step < 20000; ++step) {
-            const auto core =
-                static_cast<CoreId>(rng.nextBelow(params.cores));
-            // Core c reuses about (c + 1) shares of tags per set.
-            const Addr tag = rng.nextBelow(
-                (core + 1) * params.ways / params.cores + 2);
-            const auto set = static_cast<SetId>(rng.nextBelow(kSets));
-            const bool write = rng.nextBool(0.3);
-            const Addr addr = fuzzAddr(core, tag, set, 4);
-            now += 1 + rng.nextBelow(5);
+        SCOPED_TRACE(::testing::Message()
+                     << "rule " << static_cast<int>(rule));
+        ASSERT_NO_FATAL_FAILURE(
+            expectMatchesModel(*llc, model, params, kSets, params.seed));
+    }
+}
 
-            std::optional<Addr> evicted;
-            const bool want_hit =
-                model.access(core, addr, set, write, evicted);
-            const LlcAccess got = llc->access(
-                core, addr, write ? AccessType::Write : AccessType::Read,
-                now);
-            const auto where = [&] {
-                return ::testing::Message()
-                       << "rule " << static_cast<int>(rule) << " step "
-                       << step << " core " << core << " set " << set;
-            };
-            ASSERT_EQ(got.hit, want_hit) << where();
-            ASSERT_TRUE(llc->array().lookup(addr, all).hit) << where();
-            if (evicted) {
-                ASSERT_FALSE(llc->array().lookup(*evicted, all).hit)
-                    << where() << " kept 0x" << std::hex << *evicted;
+TEST_P(StaticSchemeReferenceTest, UcpMatchesTheModelUnderUnevenQuotas)
+{
+    // UCP's over-quota rule under the uneven quotas an epoch hands
+    // out: random per-core allocations, each at least one way and
+    // not all equal, summing to the ways.
+    const FuzzParams params = GetParam();
+    constexpr std::uint32_t kSets = 16;
+    const LlcConfig config = fuzzConfig(kSets, params.ways, params.cores);
+    Rng rng(params.seed + 100);
+    for (int round = 0; round < 4; ++round) {
+        std::vector<std::uint32_t> quotas;
+        do {
+            quotas.assign(params.cores, 1);
+            for (std::uint32_t w = params.cores; w < params.ways; ++w) {
+                ++quotas[rng.nextBelow(params.cores)];
             }
-            for (CoreId c = 0; c < params.cores; ++c) {
-                ASSERT_EQ(llc->coreStats(c).writebacks.value(),
-                          model.writebacks[c])
-                    << where() << " writebacks of core " << c;
-            }
-        }
+        } while (std::adjacent_find(quotas.begin(), quotas.end(),
+                                    std::not_equal_to<>()) ==
+                 quotas.end());
+        mem::DramModel dram;
+        UcpLlc llc(config, dram);
+        UcpTestAccess::setAllocation(llc, quotas);
+        ASSERT_EQ(llc.allocation(), quotas);
+        ReferenceLlc model(StaticRule::Ucp, kSets, params.ways,
+                           params.cores, quotas);
+        SCOPED_TRACE(::testing::Message() << "round " << round);
+        ASSERT_NO_FATAL_FAILURE(
+            expectMatchesModel(llc, model, params, kSets, rng.next()));
     }
 }
 
