@@ -117,26 +117,6 @@ parseCli(int argc, char **argv, unsigned allowed, const char *usage)
         } else if ((allowed & kFlagMerge) &&
                    std::strcmp(arg, "--merge") == 0) {
             options.merge = true;
-        } else if ((allowed & kFlagSupervise) &&
-                   std::strcmp(arg, "--supervise") == 0) {
-            options.supervise = true;
-        } else if ((allowed & kFlagSupervise) &&
-                   takeValue(arg, "--shards=", value)) {
-            const std::uint64_t n = parseUint(value, "--shards");
-            if (n < 1 || n > 65536) {
-                COOPSIM_FATAL("invalid --shards value '", value,
-                              "' (expected an integer in [1, 65536])");
-            }
-            options.shards = static_cast<unsigned>(n);
-        } else if ((allowed & kFlagSupervise) &&
-                   takeValue(arg, "--shard-timeout=", value)) {
-            const double seconds =
-                parseDouble(value, "--shard-timeout");
-            if (seconds < 0.0) {
-                COOPSIM_FATAL("invalid --shard-timeout value '", value,
-                              "' (seconds; 0 disables the timeout)");
-            }
-            options.shard_timeout_s = seconds;
         } else if ((allowed & kFlagRecord) &&
                    takeValue(arg, "--record=", value)) {
             if (value.empty()) {
@@ -168,14 +148,6 @@ parseCli(int argc, char **argv, unsigned allowed, const char *usage)
                               "' (expected MiB in [1, 1048576])");
             }
             options.stream_cache_mb = static_cast<unsigned>(n);
-        } else if ((allowed & kFlagSupervise) &&
-                   takeValue(arg, "--shard-retries=", value)) {
-            const std::uint64_t n = parseUint(value, "--shard-retries");
-            if (n < 1 || n > 100) {
-                COOPSIM_FATAL("invalid --shard-retries value '", value,
-                              "' (expected an integer in [1, 100])");
-            }
-            options.shard_retries = static_cast<unsigned>(n);
         } else {
             COOPSIM_FATAL("unknown flag '", arg, "' (try --help)");
         }
@@ -246,7 +218,8 @@ std::string g_cli_store_path;
  * The save is the non-fatal trySave(): an atexit handler must never
  * re-enter exit() via COOPSIM_FATAL, and a full disk or lost rename
  * at shutdown should cost a loud stderr report naming the preserved
- * temp file — not the silent loss of a multi-hour sweep.
+ * temp file — not the silent loss of a multi-hour sweep. The journals
+ * stay on disk then, and still hold every completed run.
  */
 void
 saveCliStore()
@@ -255,7 +228,8 @@ saveCliStore()
         return;
     }
     std::string error;
-    if (!g_cli_store->trySave(g_cli_store_path, error)) {
+    if (!finishStoreSession(*g_cli_store, g_cli_store_path, *g_cli_store,
+                            true, error)) {
         std::fprintf(stderr,
                      "error: store save failed at exit: %s\n",
                      error.c_str());
@@ -264,6 +238,25 @@ saveCliStore()
                      g_cli_store->size(), g_cli_store_path.c_str());
     }
     printRunStats();
+}
+
+/** Prints the store's load-health counters (skipped/legacy lines,
+ *  quarantined files) to stderr — only when any are non-zero, so a
+ *  clean run's stderr is unchanged. */
+void
+printStoreHealth(const store::ResultStore &result_store)
+{
+    const store::ResultStore::Stats stats = result_store.stats();
+    if (stats.lines_skipped > 0 || stats.files_quarantined > 0 ||
+        stats.lines_legacy > 0) {
+        std::fprintf(
+            stderr,
+            "# store: health lines_skipped=%llu lines_legacy=%llu "
+            "files_quarantined=%llu\n",
+            static_cast<unsigned long long>(stats.lines_skipped),
+            static_cast<unsigned long long>(stats.lines_legacy),
+            static_cast<unsigned long long>(stats.files_quarantined));
+    }
 }
 
 } // namespace
@@ -284,22 +277,6 @@ printRunStats()
     sim::StreamCache::instance().printStats(stderr);
 }
 
-void
-printStoreHealth(const store::ResultStore &result_store)
-{
-    const store::ResultStore::Stats stats = result_store.stats();
-    if (stats.lines_skipped > 0 || stats.files_quarantined > 0 ||
-        stats.lines_legacy > 0) {
-        std::fprintf(
-            stderr,
-            "# store: health lines_skipped=%llu lines_legacy=%llu "
-            "files_quarantined=%llu\n",
-            static_cast<unsigned long long>(stats.lines_skipped),
-            static_cast<unsigned long long>(stats.lines_legacy),
-            static_cast<unsigned long long>(stats.files_quarantined));
-    }
-}
-
 std::shared_ptr<store::ResultStore>
 attachCliStore(const CliOptions &options)
 {
@@ -311,6 +288,7 @@ attachCliStore(const CliOptions &options)
     std::fprintf(stderr, "# store: loaded %zu results from %s\n",
                  loaded, options.store_dir.c_str());
     printStoreHealth(*result_store);
+    result_store->openJournal(options.store_dir);
     sim::RunExecutor::instance().attachStore(result_store);
     const bool register_handler = g_cli_store == nullptr;
     g_cli_store = result_store;
@@ -320,6 +298,18 @@ attachCliStore(const CliOptions &options)
         std::atexit(saveCliStore);
     }
     return result_store;
+}
+
+bool
+finishStoreSession(const store::ResultStore &results,
+                   const std::string &path, store::ResultStore &session,
+                   bool drop_loaded, std::string &error)
+{
+    if (!results.trySave(path, error)) {
+        return false;
+    }
+    session.removeJournals(drop_loaded);
+    return true;
 }
 
 } // namespace coopsim::api

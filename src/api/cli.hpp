@@ -42,16 +42,13 @@ enum CliFlag : unsigned
     kFlagShard = 1u << 9,      //!< --shard=I/N (slice of the sweep)
     kFlagMerge = 1u << 10,     //!< --merge (fold shard stores, render)
     kFlagPositional = 1u << 11, //!< bare (non --) arguments
-    /** --supervise, --shards=N, --shard-timeout=S, --shard-retries=K
-     *  (the fault-tolerant shard supervisor). */
-    kFlagSupervise = 1u << 12,
-    kFlagRecord = 1u << 13,    //!< --record=DIR (capture trace files)
-    kFlagTraceDir = 1u << 14,  //!< --trace-dir=DIR (trace: workloads)
-    kFlagSampling = 1u << 15,  //!< --sampling=exact|set|op|setop
-    kFlagCi = 1u << 16,        //!< --ci (print value±ci table cells)
+    kFlagRecord = 1u << 12,    //!< --record=DIR (capture trace files)
+    kFlagTraceDir = 1u << 13,  //!< --trace-dir=DIR (trace: workloads)
+    kFlagSampling = 1u << 14,  //!< --sampling=exact|set|op|setop
+    kFlagCi = 1u << 15,        //!< --ci (print value±ci table cells)
     /** --no-stream-memo, --stream-cache-mb=N (the process-wide
      *  op-stream memo, sim::StreamCache). */
-    kFlagStreamMemo = 1u << 17,
+    kFlagStreamMemo = 1u << 16,
 };
 
 /** The examples: scale, threads and a positional group name. */
@@ -87,16 +84,6 @@ struct CliOptions
     /** --merge: fold the shard stores in store_dir into one and
      *  render the table from it. */
     bool merge = false;
-    /** --supervise: fork one worker per shard, retry failures, merge. */
-    bool supervise = false;
-    /** --shards=N: shard count the supervisor splits the sweep into. */
-    unsigned shards = 0;
-    /** --shard-timeout=S: per-attempt wall-clock budget in seconds
-     *  (0 disables the timeout). */
-    double shard_timeout_s = 900.0;
-    /** --shard-retries=K: attempts per shard before it is reported
-     *  failed. */
-    unsigned shard_retries = 3;
     /** --record=DIR: record the spec's workloads as `.cooptrace`
      *  files into DIR instead of rendering a table; empty = off. */
     std::string record_dir;
@@ -150,23 +137,31 @@ void printPreamble(const CliOptions &options, unsigned threads);
 /**
  * Opens the result store for a --store=DIR run: loads every
  * `*.coopstore` file in the directory (last file wins per key),
- * attaches the store to the process-wide executor, and registers an
- * at-exit save of the merged store to `DIR/results.coopstore` plus a
- * run-count report (printRunStats) on stderr. Returns nullptr — and
- * does nothing — when the options carry no --store directory.
+ * journals every later result into DIR, attaches the store to the
+ * process-wide executor, and registers an at-exit
+ * finishStoreSession() of the merged store to `DIR/results.coopstore`
+ * plus a run-count report (printRunStats) on stderr. Returns nullptr
+ * — and does nothing — when the options carry no --store directory.
  */
 std::shared_ptr<store::ResultStore>
 attachCliStore(const CliOptions &options);
+
+/**
+ * Ends a --store session: saves @p results to @p path and, only once
+ * that save succeeded, deletes @p session's own journal and, with
+ * @p drop_loaded, the journals @p session loaded, whose entries the
+ * save now holds. The unsharded exit save and `--shard` both end
+ * here. False, with the failure in @p error, deletes nothing.
+ */
+bool finishStoreSession(const store::ResultStore &results,
+                        const std::string &path,
+                        store::ResultStore &session, bool drop_loaded,
+                        std::string &error);
 
 /** Prints the executor's run-count stat line
  *  ("# runs: simulations=N store_hits=M") to stderr, keeping stdout
  *  bit-identical between store-backed and fresh runs. */
 void printRunStats();
-
-/** Prints the store's load-health counters (skipped/legacy lines,
- *  quarantined files) to stderr — only when any are non-zero, so a
- *  clean run's stderr is unchanged. */
-void printStoreHealth(const store::ResultStore &result_store);
 
 } // namespace coopsim::api
 

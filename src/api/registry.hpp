@@ -205,12 +205,12 @@ resolveWorkloads(const std::string &pattern);
 /**
  * Constructs every function-local-static table a simulation resolves
  * through — the trace group/profile tables and all of the registries
- * above — so they exist before any thread pool or forked worker needs
- * them. RunExecutor::instance() calls this before building the pool
+ * above — so they exist before any thread pool needs them.
+ * RunExecutor::instance() calls this before building the pool
  * (statics are destroyed in reverse construction order, so the
  * executor's destructor must run while the tables are still alive),
- * and the shard supervisor calls it before fork/exec so parent and
- * workers share one warm-up path instead of copy-pasted call lists.
+ * and perfbench's coopbench calls it at the start of its timed
+ * set-up, through the same path instead of a copy-pasted call list.
  */
 void warmAllRegistries();
 

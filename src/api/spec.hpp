@@ -13,8 +13,9 @@
  * exact parse/format round-trip (parseSpec(formatSpec(s)) == s):
  *
  *  - `coopsim_cli --spec <file>` runs any figure from a spec file;
- *  - the RunKey line format is the merge key for the planned
- *    disk-backed result store (ROADMAP "Sharded sweeps").
+ *  - the RunKey line format is the merge key of the result store
+ *    (store/result_store.hpp): shard files, journals and merged
+ *    stores fold together by it.
  *
  * Doubles are encoded with %.17g, which round-trips every IEEE-754
  * binary64 value exactly.

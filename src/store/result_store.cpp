@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -14,7 +15,6 @@
 #include "api/parse_util.hpp"
 #include "api/spec.hpp"
 #include "common/logging.hpp"
-#include "supervise/fault.hpp"
 
 namespace coopsim::store
 {
@@ -441,6 +441,13 @@ tryParseStoreLine(const std::string &line, sim::RunKey &key,
 // ---------------------------------------------------------------------------
 // ResultStore
 
+ResultStore::~ResultStore()
+{
+    if (journal_fd_ >= 0) {
+        ::close(journal_fd_);
+    }
+}
+
 void
 ResultStore::put(const sim::RunKey &key, const sim::RunResult &result)
 {
@@ -448,10 +455,73 @@ ResultStore::put(const sim::RunKey &key, const sim::RunResult &result)
     const auto it = index_.find(key);
     if (it != index_.end()) {
         entries_[it->second].second = result;
-        return;
+    } else {
+        index_.emplace(key, entries_.size());
+        entries_.emplace_back(key, result);
     }
-    index_.emplace(key, entries_.size());
-    entries_.emplace_back(key, result);
+    if (!journal_dir_.empty()) {
+        appendJournal(key, result);
+    }
+}
+
+void
+ResultStore::openJournal(const std::string &dir)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    journal_dir_ = dir;
+}
+
+void
+ResultStore::appendJournal(const sim::RunKey &key,
+                           const sim::RunResult &result)
+{
+    std::string text = withCrcSuffix(formatStoreLine(key, result)) + "\n";
+    if (journal_path_.empty()) {
+        // Created at the first put, header and line in one write: a
+        // process killed between the open and the write leaves an
+        // empty file, which loadDir() skips without quarantining it.
+        journal_path_ = journal_dir_ + "/" + kJournalPrefix +
+                        std::to_string(::getpid()) + "-" +
+                        std::to_string(
+                            std::chrono::system_clock::now()
+                                .time_since_epoch() /
+                            std::chrono::nanoseconds(1)) +
+                        kStoreExtension;
+        std::error_code ec;
+        std::filesystem::create_directories(journal_dir_, ec);
+        text.insert(0, std::string(kStoreMagic) + "\n");
+        journal_fd_ = ::open(journal_path_.c_str(),
+                             O_WRONLY | O_CREAT | O_EXCL | O_APPEND |
+                                 O_CLOEXEC,
+                             0644);
+    }
+    const ssize_t written =
+        journal_fd_ < 0 ? -1 : ::write(journal_fd_, text.data(), text.size());
+    if (written != static_cast<ssize_t>(text.size())) {
+        COOPSIM_WARN("cannot journal to '", journal_path_, "': ",
+                     written < 0 ? std::strerror(errno) : "short write",
+                     "; results are kept for the exit save only");
+        journal_dir_.clear();
+    }
+}
+
+void
+ResultStore::removeJournals(bool loaded_too)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    journal_dir_.clear();
+    if (journal_fd_ >= 0) {
+        ::close(journal_fd_);
+        journal_fd_ = -1;
+        std::remove(journal_path_.c_str());
+    }
+    journal_path_.clear();
+    if (loaded_too) {
+        for (const std::string &path : loaded_journals_) {
+            std::remove(path.c_str());
+        }
+        loaded_journals_.clear();
+    }
 }
 
 std::optional<sim::RunResult>
@@ -484,19 +554,6 @@ ResultStore::keys() const
     return keys;
 }
 
-void
-ResultStore::merge(const ResultStore &other)
-{
-    std::vector<std::pair<sim::RunKey, sim::RunResult>> copy;
-    {
-        std::lock_guard<std::mutex> lock(other.mutex_);
-        copy = other.entries_;
-    }
-    for (const auto &[key, result] : copy) {
-        put(key, result);
-    }
-}
-
 std::size_t
 ResultStore::loadFile(const std::string &path)
 {
@@ -511,11 +568,26 @@ ResultStore::loadFileOutcome(const std::string &path)
     if (!file) {
         COOPSIM_WARN("cannot open result store file '", path,
                      "'; skipped");
-        outcome.open_failed = true;
         return outcome;
     }
+    // Only '\n'-terminated lines are complete: getline() stops at end
+    // of file with eof() set when the last line has no newline. That
+    // tail is a torn append (a journal writer killed mid-write, a full
+    // disk), and it is skipped unparsed — cut inside its last field, a
+    // line can still parse, as a smaller number. Alone it never
+    // quarantines a file.
     std::string line;
-    if (!std::getline(file, line) || line != kStoreMagic) {
+    if (!std::getline(file, line) || file.eof() || line != kStoreMagic) {
+        if (file.eof() && std::string_view(kStoreMagic).starts_with(line)) {
+            // Cut inside the header: a journal whose writer died
+            // between creating it and its first append.
+            if (!line.empty()) {
+                COOPSIM_WARN(path, ": store file cut inside its header; "
+                             "skipped");
+                lines_skipped_.fetch_add(1, std::memory_order_relaxed);
+            }
+            return outcome;
+        }
         COOPSIM_WARN(path, ": not a coopsim result store (expected '",
                      kStoreMagic, "' header); skipped");
         outcome.bad_magic = true;
@@ -527,6 +599,13 @@ ResultStore::loadFileOutcome(const std::string &path)
     std::string body;
     while (std::getline(file, line)) {
         ++lineno;
+        if (file.eof()) {
+            COOPSIM_WARN(path, ":", lineno,
+                         ": unterminated last line (a torn write) "
+                         "skipped");
+            ++skipped;
+            break;
+        }
         if (line.empty() || line[0] == '#') {
             continue;
         }
@@ -591,7 +670,7 @@ ResultStore::loadDir(const std::string &dir)
         const bool poisoned =
             outcome.bad_magic ||
             (outcome.candidates > 0 && outcome.loaded == 0);
-        if (poisoned && !outcome.open_failed) {
+        if (poisoned) {
             const std::string quarantined = path + ".quarantined";
             fs::rename(path, quarantined, ec);
             if (ec) {
@@ -602,6 +681,10 @@ ResultStore::loadDir(const std::string &dir)
                              "quarantined as '", quarantined, "'");
             }
             files_quarantined_.fetch_add(1, std::memory_order_relaxed);
+        } else if (fs::path(path).filename().string().starts_with(
+                       kJournalPrefix)) {
+            std::lock_guard<std::mutex> lock(mutex_);
+            loaded_journals_.push_back(path);
         }
     }
     return loaded;
@@ -652,26 +735,6 @@ ResultStore::trySave(const std::string &path, std::string &error) const
     for (const std::string &line : lines) {
         content += withCrcSuffix(line);
         content += "\n";
-    }
-
-    // Deterministic fault injection (supervise/fault.hpp): each fires
-    // at most once per arming, at this exact point, so tests can
-    // assert the loader's exact skip counts and the supervisor's
-    // retry-on-invalid-shard behaviour.
-    if (supervise::consumeFault(supervise::FaultKind::CorruptStore) &&
-        !lines.empty()) {
-        // Flip the last CRC digit of the first entry line: the line
-        // still parses structurally but fails its checksum.
-        const std::size_t pos = content.find('\n') + 1;
-        const std::size_t crc_end =
-            content.find('\n', pos) - 1;
-        content[crc_end] = content[crc_end] == '0' ? '1' : '0';
-    }
-    if (supervise::consumeFault(supervise::FaultKind::PartialWrite)) {
-        // A torn write: half the content, cut mid-line, but still
-        // renamed into place as if the writer died after the rename
-        // was queued.
-        content.resize(content.size() / 2);
     }
 
     const fs::path target(path);

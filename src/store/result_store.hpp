@@ -22,12 +22,18 @@
  *    atexit save uses — a failed write (ENOSPC) or rename (read-only
  *    fs) is reported, naming the preserved temp file when the rename
  *    failed, instead of losing results or exiting;
+ *  - between saves, a store with a journal (openJournal()) appends
+ *    every put() to `journal-<pid>-<ns>.coopstore` as it happens, so a
+ *    killed process loses only its in-flight runs: the journal is an
+ *    ordinary store file, and the next loadDir() reads it back;
  *  - loading merges with last-writer-wins dedup (later files/lines
  *    replace earlier entries for the same key), corrupt or truncated
  *    lines are skipped with a warning instead of poisoning the store
  *    (counted in Stats::lines_skipped), and loadDir() quarantines
  *    files that yield zero valid lines (renamed to
- *    `<file>.quarantined` so they stop matching the store glob);
+ *    `<file>.quarantined` so they stop matching the store glob). Only
+ *    '\n'-terminated lines count: an unterminated last line is a torn
+ *    append, skipped without being parsed;
  *  - sim::RunExecutor::attachStore() serves cache hits from a store
  *    before any simulation is enqueued and records every completed
  *    run back into it, turning repeated sweeps into O(cache misses).
@@ -38,9 +44,11 @@
  * rendered from fresh simulations. App names must not contain
  * whitespace, ':' or ';' (the built-in SPEC benchmark names never do).
  *
- * Thread-safety: put()/find()/size() are safe to call concurrently
- * (executor workers record results while the submitting thread probes
- * for hits). Loading, saving and merging are administrative and must
+ * Thread-safety: put()/find()/size() and the journal calls are safe
+ * to call concurrently (executor workers record results, and append
+ * them to the journal, while the submitting thread probes for hits;
+ * an exit save may remove the journal while a run is still in
+ * flight). Loading, saving and merging are administrative and must
  * not race mutation.
  */
 
@@ -74,6 +82,10 @@ inline constexpr const char *kMergedFileName = "results.coopstore";
 
 /** The file `--shard=I/N` persists its slice to ("shard-0of2.coopstore"). */
 std::string shardFileName(unsigned index, unsigned count);
+
+/** Journal files are `journal-<pid>-<ns>.coopstore`
+ *  (ResultStore::openJournal). */
+inline constexpr const char *kJournalPrefix = "journal-";
 
 /** CRC-32 (IEEE 802.3, the zlib polynomial) of @p data. */
 std::uint32_t crc32(const std::string &data);
@@ -162,24 +174,20 @@ class ResultStore
         std::uint64_t files_quarantined = 0;
     };
 
-    /** Inserts or replaces (last-writer-wins) the entry for @p key. */
+    /** Closes the journal; the file stays for the next loadDir(). */
+    ~ResultStore();
+
+    /** Inserts or replaces (last-writer-wins) the entry for @p key,
+     *  and appends it to the journal when one is open. */
     void put(const sim::RunKey &key, const sim::RunResult &result);
 
     /** Copy of the stored result for @p key, if any. */
     std::optional<sim::RunResult> find(const sim::RunKey &key) const;
 
-    bool contains(const sim::RunKey &key) const
-    {
-        return find(key).has_value();
-    }
-
     std::size_t size() const;
 
     /** Stored keys, in insertion order. */
     std::vector<sim::RunKey> keys() const;
-
-    /** Folds @p other into this store; @p other wins on shared keys. */
-    void merge(const ResultStore &other);
 
     /**
      * Merges one store file into this store (last-writer-wins against
@@ -197,9 +205,34 @@ class ResultStore
      * lines (or lacks the magic header) is quarantined: renamed to
      * `<file>.quarantined` — out of the store glob, so a poisoned
      * shard file cannot re-trip every later load or be clobbered
-     * silently — and counted in Stats::files_quarantined.
+     * silently — and counted in Stats::files_quarantined. A file cut
+     * inside its header is a journal whose writer died before its
+     * first append: it holds nothing and is not quarantined. The
+     * journals read are remembered for removeJournals().
      */
     std::size_t loadDir(const std::string &dir);
+
+    /**
+     * Journals every later put() into @p dir: each appends its CRC'd
+     * store line to `journal-<pid>-<ns>.coopstore` in one write(2)
+     * under the store mutex. The file (and @p dir) is created at the
+     * first put, with the magic header in that same write, so a
+     * session that simulates nothing creates nothing; O_EXCL and the
+     * pid-plus-clock name keep a rerun from appending to a killed
+     * run's file. Call it after loading, so loaded lines are never
+     * journaled again. There is no fsync: the journal outlives the
+     * process, not the machine — the exit save's writeFileDurably()
+     * covers power loss. A failed write warns once and ends the
+     * journal; the store itself keeps every result.
+     */
+    void openJournal(const std::string &dir);
+
+    /**
+     * Closes and deletes this store's own journal and, with
+     * @p loaded_too, the journals loadDir() read into it. Call it only
+     * once a save holds their entries. Later puts journal nothing.
+     */
+    void removeJournals(bool loaded_too);
 
     /**
      * Atomically and durably writes the whole store to @p path: the
@@ -230,16 +263,29 @@ class ResultStore
         std::size_t loaded = 0;
         /** Non-comment, non-blank lines seen. */
         std::size_t candidates = 0;
-        bool open_failed = false;
         bool bad_magic = false;
     };
 
     FileOutcome loadFileOutcome(const std::string &path);
 
+    /** put()'s journal append; mutex_ held. */
+    void appendJournal(const sim::RunKey &key,
+                       const sim::RunResult &result);
+
     mutable std::mutex mutex_;
     /** Insertion-ordered entries; index_ maps key -> position. */
     std::vector<std::pair<sim::RunKey, sim::RunResult>> entries_;
     std::unordered_map<sim::RunKey, std::size_t, sim::RunKeyHash> index_;
+    /** Where put() journals; empty when no journal is open or an
+     *  append failed. */
+    std::string journal_dir_;
+    /** The journal file, named at the first put. */
+    std::string journal_path_;
+    /** Open from the first put until removeJournals(); -1 if the
+     *  create failed. */
+    int journal_fd_ = -1;
+    /** Journal files loadDir() read. */
+    std::vector<std::string> loaded_journals_;
     std::atomic<std::uint64_t> lines_loaded_{0};
     std::atomic<std::uint64_t> lines_skipped_{0};
     std::atomic<std::uint64_t> lines_legacy_{0};

@@ -6,7 +6,7 @@
  * registerTraceDir() scans a directory for complete
  * `<workload>.<core>.cooptrace` sets and registers each as the
  * workload group `trace:<workload>` in api::workloadRegistry(), so
- * specs, RunKeys and sharded/supervised sweeps address replays with
+ * specs, RunKeys and sharded sweeps address replays with
  * ordinary workload names (`groups=trace:G2-3`). Incomplete or
  * corrupt sets warn and are skipped — like the result store's loadDir
  * — so one bad file cannot take down a sweep over the good ones.

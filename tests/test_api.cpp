@@ -463,6 +463,20 @@ TEST(Cli, RejectsUnknownAndDisallowedFlagsUniformly)
                               kFlagScale | kFlagThreads, ""),
                      FatalError);
     }
+    // The flags of the deleted shard-retry driver die as unknown
+    // flags, so a stale script fails loudly.
+    for (const char *flag : {"--supervise", "--shards=2",
+                             "--shard-timeout=1", "--shard-retries=2"}) {
+        const char *argv[] = {"cli", flag};
+        try {
+            parseCli(2, const_cast<char **>(argv), kAllFlags, "");
+            ADD_FAILURE() << flag << " accepted";
+        } catch (const FatalError &error) {
+            EXPECT_NE(std::string(error.what()).find("unknown flag"),
+                      std::string::npos)
+                << error.what();
+        }
+    }
     setThrowOnFatal(false);
 }
 
@@ -554,47 +568,6 @@ TEST(Cli, ShardFlagParsesStrictlyAndRejectsBadSlices)
             FatalError)
             << value;
     }
-    setThrowOnFatal(false);
-}
-
-TEST(Cli, SuperviseFlagsParseAndValidate)
-{
-    {
-        const char *argv[] = {"cli", "--supervise", "--shards=8",
-                              "--shard-timeout=2.5",
-                              "--shard-retries=5"};
-        const CliOptions options =
-            parseCli(5, const_cast<char **>(argv), kAllFlags, "");
-        EXPECT_TRUE(options.supervise);
-        EXPECT_EQ(options.shards, 8u);
-        EXPECT_EQ(options.shard_timeout_s, 2.5);
-        EXPECT_EQ(options.shard_retries, 5u);
-    }
-    {
-        // Defaults when not given.
-        const char *argv[] = {"cli", "--supervise"};
-        const CliOptions options =
-            parseCli(2, const_cast<char **>(argv), kAllFlags, "");
-        EXPECT_EQ(options.shards, 0u);
-        EXPECT_EQ(options.shard_timeout_s, 900.0);
-        EXPECT_EQ(options.shard_retries, 3u);
-    }
-    setThrowOnFatal(true);
-    for (const char *value :
-         {"--shards=0", "--shards=70000", "--shards=x",
-          "--shard-timeout=-1", "--shard-timeout=abc",
-          "--shard-retries=0", "--shard-retries=101"}) {
-        const char *argv[] = {"cli", value};
-        EXPECT_THROW(
-            parseCli(2, const_cast<char **>(argv), kAllFlags, ""),
-            FatalError)
-            << value;
-    }
-    // A binary that did not opt into supervision rejects the flags.
-    const char *argv[] = {"example", "--supervise"};
-    EXPECT_THROW(
-        parseCli(2, const_cast<char **>(argv), kExampleFlags, ""),
-        FatalError);
     setThrowOnFatal(false);
 }
 

@@ -9,19 +9,24 @@
  *    buffers of every alignment and length up to 64 KiB;
  *  - ResultStore save -> load identity through the atomic file
  *    format, last-writer-wins merge semantics, corrupt-line skipping
- *    on load, and lexical-order directory folding;
+ *    on load (a store cut at any byte loads only its complete
+ *    lines), and lexical-order directory folding;
+ *  - the journal: a session SIGKILLed mid-sweep leaves exactly its
+ *    completed results on disk, and a rerun's save of the whole
+ *    sweep is byte-identical to an uninterrupted one;
  *  - shardKeys(): the round-robin shards partition the expanded
  *    sweep (disjoint, union == full key list);
  *  - the executor store hook: stored keys are served without
  *    starting the pool or running a simulation (run-count stats),
- *    and completed simulations are recorded back into the store.
+ *    and completed simulations are recorded back into the store and
+ *    its journal.
  */
 
 #include <gtest/gtest.h>
 
+#include <csignal>
 #include <filesystem>
 #include <fstream>
-#include <set>
 #include <sstream>
 #include <vector>
 
@@ -119,6 +124,9 @@ expectIdentical(const sim::RunResult &a, const sim::RunResult &b)
     EXPECT_EQ(a.dram_reads, b.dram_reads);
     EXPECT_EQ(a.dram_writebacks, b.dram_writebacks);
     EXPECT_EQ(a.dram_flushes, b.dram_flushes);
+    EXPECT_EQ(a.bank_conflicts, b.bank_conflicts);
+    EXPECT_EQ(a.bank_conflict_cycles, b.bank_conflict_cycles);
+    EXPECT_EQ(a.sample_windows, b.sample_windows);
 }
 
 /** A distinct RunKey per @p n. */
@@ -145,6 +153,29 @@ scratchDir(const std::string &name)
     fs::remove_all(dir);
     fs::create_directories(dir);
     return dir.string();
+}
+
+std::string
+slurp(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::stringstream text;
+    text << in.rdbuf();
+    return text.str();
+}
+
+/** Names of the journal files in @p dir. */
+std::vector<std::string>
+journalsIn(const std::string &dir)
+{
+    std::vector<std::string> names;
+    for (const fs::directory_entry &entry : fs::directory_iterator(dir)) {
+        const std::string name = entry.path().filename().string();
+        if (name.starts_with(kJournalPrefix)) {
+            names.push_back(name);
+        }
+    }
+    return names;
 }
 
 } // namespace
@@ -236,29 +267,23 @@ TEST(StoreEncoding, TryParseRunKeyRejectsWithoutFatal)
 // ---------------------------------------------------------------------------
 // ResultStore
 
-TEST(ResultStore, PutFindAndMergeAreLastWriterWins)
+TEST(ResultStore, PutAndFindAreLastWriterWins)
 {
     ResultStore a;
-    ResultStore b;
     const sim::RunKey key = sampleKey(0);
     a.put(key, sampleResult(0.0));
     a.put(sampleKey(1), sampleResult(1.0));
-    b.put(key, sampleResult(9.0)); // same key, different result
 
     EXPECT_EQ(a.size(), 2u);
     ASSERT_TRUE(a.find(key).has_value());
     EXPECT_EQ(a.find(key)->apps[0].ipc, sampleResult(0.0).apps[0].ipc);
     EXPECT_FALSE(a.find(sampleKey(7)).has_value());
 
-    // Replacement in place...
+    // Replacement in place: loads fold files the same way
+    // (LoadDirFoldsFilesInLexicalOrder).
     a.put(key, sampleResult(5.0));
     EXPECT_EQ(a.size(), 2u);
     EXPECT_EQ(a.find(key)->apps[0].ipc, sampleResult(5.0).apps[0].ipc);
-
-    // ...and on merge the incoming store wins shared keys.
-    a.merge(b);
-    EXPECT_EQ(a.size(), 2u);
-    EXPECT_EQ(a.find(key)->apps[0].ipc, sampleResult(9.0).apps[0].ipc);
 }
 
 TEST(ResultStore, SaveLoadRoundTripsAtomically)
@@ -326,6 +351,50 @@ TEST(ResultStore, LoadSkipsCorruptAndTruncatedLines)
     ResultStore none;
     EXPECT_EQ(none.loadFile(bogus), 0u);
     EXPECT_EQ(none.loadFile(dir + "/absent.coopstore"), 0u);
+    setQuiet(false);
+}
+
+TEST(ResultStore, CutAtAnyByteLoadsOnlyCompleteLines)
+{
+    // An unterminated last line is a torn append. Cut inside its last
+    // field it would still parse, as a smaller number
+    // ("=3803200264" cut to "=380"), so it must never load.
+    setQuiet(true);
+    const std::string dir = scratchDir("torn");
+    const std::string path = dir + "/cut" + kStoreExtension;
+    std::string text = std::string(kStoreMagic) + "\n";
+    std::vector<sim::RunResult> results;
+    std::vector<std::size_t> line_ends;
+    for (unsigned n = 0; n < 3; ++n) {
+        sim::RunResult result = sampleResult(n);
+        result.bank_conflicts = 17;
+        result.bank_conflict_cycles = 3803200264ull + n;
+        results.push_back(result);
+        text += withCrcSuffix(formatStoreLine(sampleKey(n), result));
+        text += "\n";
+        line_ends.push_back(text.size());
+    }
+    for (std::size_t cut = 0; cut <= text.size(); ++cut) {
+        {
+            std::ofstream out(path, std::ios::binary | std::ios::trunc);
+            out << text.substr(0, cut);
+        }
+        unsigned complete = 0;
+        while (complete < line_ends.size() && line_ends[complete] <= cut) {
+            ++complete;
+        }
+        ResultStore loaded;
+        ASSERT_EQ(loaded.loadDir(dir), complete) << "cut at " << cut;
+        const ResultStore::Stats stats = loaded.stats();
+        const bool torn = cut > 0 && text[cut - 1] != '\n';
+        EXPECT_EQ(stats.lines_skipped, torn ? 1u : 0u) << "cut at " << cut;
+        ASSERT_EQ(stats.files_quarantined, 0u) << "cut at " << cut;
+        for (unsigned n = 0; n < complete; ++n) {
+            const auto hit = loaded.find(sampleKey(n));
+            ASSERT_TRUE(hit.has_value()) << "cut at " << cut;
+            expectIdentical(results[n], *hit);
+        }
+    }
     setQuiet(false);
 }
 
@@ -445,11 +514,7 @@ TEST(StoreCrc, SaveEmitsCrcLinesAndRoundTripsByteIdentically)
     EXPECT_EQ(stats.lines_legacy, 0u);
     const std::string copy = dir + "/b" + kStoreExtension;
     loaded.save(copy);
-    std::ifstream f1(path), f2(copy);
-    std::stringstream s1, s2;
-    s1 << f1.rdbuf();
-    s2 << f2.rdbuf();
-    EXPECT_EQ(s1.str(), s2.str());
+    EXPECT_EQ(slurp(path), slurp(copy));
 }
 
 TEST(StoreCrc, CorruptionMatrixSkipsExactlyTheDamagedLines)
@@ -714,14 +779,20 @@ TEST(ExecutorStore, WarmStoreReplaysAWholeSweepWithZeroSimulations)
     api::ExperimentSpec spec;
     spec.layout = "none";
     spec.with_solo = false;
-    spec.schemes = {"fairshare", "coop"};
-    spec.groups = {"G2-10"};
+    spec.schemes = {"fairshare", "ucp", "coop"};
+    spec.groups = {"G2-10", "G2-3"};
     spec.scale = "test";
     const std::vector<sim::RunKey> keys = api::expandSpec(spec);
 
-    // First executor computes the sweep into an attached store.
+    // First executor computes the sweep into an attached store that
+    // journals. Opening the journal creates nothing, not even its
+    // directory: a session that simulates nothing leaves no file.
+    const std::string dir = scratchDir("replay");
+    const std::string journal_dir = dir + "/journal";
     auto computed = std::make_shared<ResultStore>();
-    sim::RunExecutor cold(2);
+    computed->openJournal(journal_dir);
+    EXPECT_FALSE(fs::exists(journal_dir));
+    sim::RunExecutor cold(4);
     cold.attachStore(computed);
     cold.prefetch(keys);
     for (const sim::RunKey &key : keys) {
@@ -730,9 +801,19 @@ TEST(ExecutorStore, WarmStoreReplaysAWholeSweepWithZeroSimulations)
     EXPECT_EQ(cold.stats().simulations, keys.size());
     EXPECT_EQ(computed->size(), keys.size());
 
+    // Pool workers put() concurrently: every run reached the journal
+    // as one intact line.
+    ResultStore journaled;
+    EXPECT_EQ(journaled.loadDir(journal_dir), keys.size());
+    EXPECT_EQ(journaled.stats().lines_skipped, 0u);
+    for (const sim::RunKey &key : keys) {
+        const auto hit = journaled.find(key);
+        ASSERT_TRUE(hit.has_value()) << api::formatRunKey(key);
+        expectIdentical(cold.run(key), *hit);
+    }
+
     // Round-trip the store through disk, then replay on a fresh
     // executor: identical results, zero simulations, no pool.
-    const std::string dir = scratchDir("replay");
     computed->save(dir + "/" + kMergedFileName);
     auto reloaded = std::make_shared<ResultStore>();
     EXPECT_EQ(reloaded->loadDir(dir), keys.size());
@@ -746,4 +827,76 @@ TEST(ExecutorStore, WarmStoreReplaysAWholeSweepWithZeroSimulations)
     EXPECT_EQ(warm.stats().simulations, 0u);
     EXPECT_EQ(warm.stats().store_hits, keys.size());
     EXPECT_EQ(warm.activeWorkers(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Journal
+
+TEST(StoreJournal, KilledRunKeepsEveryCompletedResult)
+{
+    // The child re-executes this binary, so no pool thread an earlier
+    // test started is forked along.
+    GTEST_FLAG_SET(death_test_style, "threadsafe");
+    const std::string dir = scratchDir("journal_killed");
+    constexpr unsigned kCompleted = 5;
+    constexpr unsigned kSweep = 8;
+    // The session journals kCompleted results and is then killed the
+    // way an OOM kill or `timeout -s KILL` ends it: no exit handler
+    // runs, and nothing is saved.
+    EXPECT_EXIT(
+        {
+            ResultStore session;
+            session.openJournal(dir);
+            for (unsigned n = 0; n < kCompleted; ++n) {
+                session.put(sampleKey(n), sampleResult(n));
+            }
+            std::raise(SIGKILL);
+        },
+        testing::KilledBySignal(SIGKILL), "");
+    EXPECT_EQ(journalsIn(dir).size(), 1u);
+
+    // Exactly the completed results survive, bit-identical.
+    ResultStore survivors;
+    EXPECT_EQ(survivors.loadDir(dir), kCompleted);
+    EXPECT_EQ(survivors.size(), kCompleted);
+    EXPECT_EQ(survivors.stats().lines_skipped, 0u);
+    for (unsigned n = 0; n < kCompleted; ++n) {
+        const auto hit = survivors.find(sampleKey(n));
+        ASSERT_TRUE(hit.has_value()) << n;
+        expectIdentical(sampleResult(n), *hit);
+    }
+    // A shard's finish deletes only its own journal, never one it
+    // merely loaded: another shard may still be writing that one.
+    survivors.removeJournals(false);
+    EXPECT_EQ(journalsIn(dir).size(), 1u);
+
+    // The rerun computes only the missing keys. Its save equals a
+    // clean save of the whole sweep, and no journal outlives it.
+    ResultStore resumed;
+    resumed.loadDir(dir);
+    resumed.openJournal(dir);
+    unsigned computed = 0;
+    for (unsigned n = 0; n < kSweep; ++n) {
+        if (!resumed.find(sampleKey(n)).has_value()) {
+            resumed.put(sampleKey(n), sampleResult(n));
+            ++computed;
+        }
+    }
+    EXPECT_EQ(computed, kSweep - kCompleted);
+    EXPECT_EQ(journalsIn(dir).size(), 2u);
+    const std::string path = dir + "/" + kMergedFileName;
+    std::string error;
+    ASSERT_TRUE(
+        api::finishStoreSession(resumed, path, resumed, true, error))
+        << error;
+    EXPECT_TRUE(journalsIn(dir).empty());
+
+    ResultStore clean;
+    for (unsigned n = 0; n < kSweep; ++n) {
+        clean.put(sampleKey(n), sampleResult(n));
+    }
+    const std::string clean_path =
+        scratchDir("journal_clean") + "/" + kMergedFileName;
+    clean.save(clean_path);
+    EXPECT_EQ(slurp(path), slurp(clean_path));
 }
