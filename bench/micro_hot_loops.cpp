@@ -744,9 +744,10 @@ struct MemoCost
  * (stream_memo_cold_ns — generation plus the one-time encode tax),
  * and every later open replays the in-memory frames through the same
  * FrameDecoder a trace-file replay uses (stream_memo_warm_ns). The
- * warm path is the one every repeated run in a sweep pays, so main()
- * asserts it stays within 2x of replay_step_ns — memo replay must not
- * be meaningfully slower than file replay. The three checksums (cold,
+ * warm path is the one every repeated run in a sweep pays, so the CI
+ * build-and-test job bounds it by 2x replay_step_ns in
+ * BENCH_hotpath.json — memo replay must not be meaningfully slower
+ * than file replay. The three checksums (cold,
  * warm, plain SyntheticStream) must agree: the memo is a transparent
  * cache, not a different stream.
  */
@@ -900,7 +901,7 @@ benchSampledRun(std::uint64_t &checksum)
     const trace::WorkloadGroup &group = trace::groupByName("G4-1");
     sim::SystemConfig config =
         sim::makeSystemConfig(4, "coop", sim::RunScale::Bench);
-    config.sampling.mode = sampling::Mode::SetOp;
+    config.sampling = sampling::Mode::SetOp;
 
     sim::System system(config, trace::groupProfiles(group));
     const auto t0 = Clock::now();
@@ -1146,15 +1147,8 @@ main(int argc, char **argv)
                 "(generate + encode, loop %.2f - baseline %.2f)\n",
                 memo.coldNs(), memo.cold_loop_ns, memo.baseline_ns);
     std::printf("stream memo (warm)         %8.2f ns/op "
-                "(must stay within 2x replay %.2f)\n",
+                "(CI bounds it by 2x replay %.2f)\n",
                 memo.warmNs(), replay.replayNs());
-    if (memo.warmNs() > 2.0 * replay.replayNs()) {
-        std::fprintf(stderr,
-                     "FATAL: warm memo replay %.2f ns/op exceeds 2x "
-                     "trace-file replay %.2f ns/op\n",
-                     memo.warmNs(), replay.replayNs());
-        std::exit(1);
-    }
 
     const SingleRun single = benchSingleRun(checksum);
     std::printf("single run coop/G4-1 bench: batched %.3fs, per-op "

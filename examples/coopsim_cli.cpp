@@ -18,12 +18,11 @@
  *    round-robin slice of the expanded RunKey list and saves it to
  *    DIR/shard-IofN.coopstore; no table is rendered. Run all N
  *    shards (on as many hosts as you like), collect the shard files
- *    into one directory, then:
- *  - `--spec=FILE --merge --store=DIR` folds every store file in DIR
- *    into DIR/results.coopstore and renders the table — bit-identical
- *    to the unsharded run.
+ *    into one directory, then run `--spec=FILE --store=DIR`: it folds
+ *    every store file in DIR into DIR/results.coopstore and renders
+ *    the table, bit-identical to an unsharded run.
  *  - otherwise, one (scheme x group) cell with configurable
- *    threshold/seed/scale, printed as a full stat dump or a CSV row.
+ *    threshold/seed/scale, printed as a full stat dump.
  *
  * Schemes/groups/scales are registry names: `unmanaged fairshare ucp
  * cpe coop`, `G2-1`..`G4-14`, `test bench paper`.
@@ -46,18 +45,19 @@ namespace
 
 constexpr const char *kUsage =
     "usage: coopsim_cli [--spec=FILE] [--scheme=coop] [--group=G2-3]\n"
-    "                   [--threshold=0.05] [--seed=N] [--csv]\n"
+    "                   [--threshold=0.05] [--seed=N]\n"
     "                   [--scale=test|bench|paper] [--full] "
     "[--threads=N]\n"
-    "                   [--store=DIR] [--shard=I/N] [--merge]\n"
+    "                   [--store=DIR] [--shard=I/N]\n"
     "                   [--record=DIR] [--trace-dir=DIR]\n"
     "                   [--sampling=exact|set|op|setop] [--ci]\n"
     "                   [--no-stream-memo] [--stream-cache-mb=N]\n"
-    "with --spec, only --scale/--threads/--seed/--store/--shard/"
-    "--merge/\n--record/--trace-dir/--sampling/--ci/--no-stream-memo/"
+    "with --spec, only --scale/--threads/--seed/--store/--shard/\n"
+    "--record/--trace-dir/--sampling/--ci/--no-stream-memo/"
     "--stream-cache-mb may\nalso be given (the first three and "
     "--sampling override the spec file).\n"
-    "--shard and --merge require --spec and --store.\n"
+    "--shard requires --spec and --store; a later --store run over\n"
+    "the same directory folds the shard files and renders the table.\n"
     "--record=DIR captures the spec's workloads as .cooptrace files\n"
     "into DIR instead of running the experiment; --trace-dir=DIR\n"
     "registers DIR's recordings as trace:<name> workloads for replay.\n"
@@ -75,18 +75,18 @@ main(int argc, char **argv)
 
     if (!cli.spec_path.empty()) {
         // Re-parse against the spec-mode flag set so a flag the spec
-        // run would silently drop (--scheme, --group, --threshold,
-        // --csv) is rejected instead.
+        // run would silently drop (--scheme, --group, --threshold) is
+        // rejected instead.
         cli = api::parseCli(argc, argv,
                             api::kFlagSpec | api::kFlagScale |
                                 api::kFlagThreads | api::kFlagSeed |
                                 api::kFlagStore | api::kFlagShard |
-                                api::kFlagMerge | api::kFlagRecord |
-                                api::kFlagTraceDir | api::kFlagSampling |
-                                api::kFlagCi | api::kFlagStreamMemo,
+                                api::kFlagRecord | api::kFlagTraceDir |
+                                api::kFlagSampling | api::kFlagCi |
+                                api::kFlagStreamMemo,
                             kUsage);
-    } else if (cli.shard_set || cli.merge) {
-        COOPSIM_FATAL("--shard and --merge require --spec=FILE");
+    } else if (cli.shard_set) {
+        COOPSIM_FATAL("--shard requires --spec=FILE");
     } else if (!cli.record_dir.empty()) {
         COOPSIM_FATAL("--record requires --spec=FILE (it records the "
                       "spec's workloads)");
@@ -98,20 +98,17 @@ main(int argc, char **argv)
     }
 
     if (!cli.spec_path.empty()) {
-        if (cli.shard_set && cli.merge) {
-            COOPSIM_FATAL("--shard and --merge are mutually exclusive");
-        }
-        if ((cli.shard_set || cli.merge) && cli.store_dir.empty()) {
-            COOPSIM_FATAL("--shard and --merge require --store=DIR");
+        if (cli.shard_set && cli.store_dir.empty()) {
+            COOPSIM_FATAL("--shard requires --store=DIR");
         }
         if (!cli.record_dir.empty() && !cli.store_dir.empty()) {
             // Recording is a serial capture pass over the generators:
             // it fills no result store, so neither --store nor the
-            // --shard and --merge that need one apply.
-            COOPSIM_FATAL("--record is mutually exclusive with --store, "
-                          "--shard and --merge: it writes .cooptrace "
-                          "files to the --record directory, not "
-                          "simulation results");
+            // --shard that needs one applies.
+            COOPSIM_FATAL("--record is mutually exclusive with --store "
+                          "and --shard: it writes .cooptrace files to "
+                          "the --record directory, not simulation "
+                          "results");
         }
 
         api::ExperimentSpec spec = api::parseSpecFile(cli.spec_path);
@@ -194,11 +191,11 @@ main(int argc, char **argv)
             return 0;
         }
 
-        // Unsharded run, optionally store-backed; --merge is the same
-        // path with the store mandatory: loading folds every shard
-        // file in the directory (last-writer-wins), the table renders
-        // from the folded results, and the at-exit save persists the
-        // merged store to results.coopstore.
+        // Unsharded run, optionally store-backed: loading folds every
+        // store file in the directory, shard files included
+        // (last-writer-wins), the table renders from the folded
+        // results, and the at-exit save persists the merged store to
+        // results.coopstore.
         api::attachCliStore(cli);
         api::printPreamble(effective, threads);
         api::printExperiment(spec, cli.show_ci);
@@ -224,14 +221,6 @@ main(int argc, char **argv)
     cell.group = cli.group;
     const sim::RunResult &result = results.result(cell);
     const double ws = results.weightedSpeedup(cell);
-
-    if (cli.csv) {
-        std::printf("%s\n%s\n", sim::csvHeader().c_str(),
-                    sim::csvRow(api::schemeLabel(cli.scheme),
-                                cli.group, result, ws)
-                        .c_str());
-        return 0;
-    }
 
     std::printf("# %s on %s (T=%.2f, seed=%llu)\n",
                 api::schemeLabel(cli.scheme).c_str(),

@@ -23,8 +23,8 @@
  *  - cli.hpp         the shared command-line parser (CliOptions),
  *                    attachCliStore() for --store=DIR sessions
  *  - result_store.hpp (coopsim::store) the disk-backed,
- *                    RunKey-addressed result store behind --store /
- *                    --shard / --merge
+ *                    RunKey-addressed result store behind --store
+ *                    and --shard
  */
 
 #ifndef COOPSIM_EXPERIMENT_HPP

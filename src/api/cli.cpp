@@ -87,9 +87,6 @@ parseCli(int argc, char **argv, unsigned allowed, const char *usage)
         } else if ((allowed & kFlagSeed) &&
                    takeValue(arg, "--seed=", value)) {
             options.seed = parseUint(value, "--seed");
-        } else if ((allowed & kFlagCsv) &&
-                   std::strcmp(arg, "--csv") == 0) {
-            options.csv = true;
         } else if ((allowed & kFlagStore) &&
                    takeValue(arg, "--store=", value)) {
             if (value.empty()) {
@@ -114,9 +111,6 @@ parseCli(int argc, char **argv, unsigned allowed, const char *usage)
             options.shard_index = static_cast<unsigned>(index);
             options.shard_count = static_cast<unsigned>(count);
             options.shard_set = true;
-        } else if ((allowed & kFlagMerge) &&
-                   std::strcmp(arg, "--merge") == 0) {
-            options.merge = true;
         } else if ((allowed & kFlagRecord) &&
                    takeValue(arg, "--record=", value)) {
             if (value.empty()) {

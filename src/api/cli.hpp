@@ -37,18 +37,16 @@ enum CliFlag : unsigned
     kFlagGroup = 1u << 4,      //!< --group=G2-3
     kFlagThreshold = 1u << 5,  //!< --threshold=T
     kFlagSeed = 1u << 6,       //!< --seed=N
-    kFlagCsv = 1u << 7,        //!< --csv
-    kFlagStore = 1u << 8,      //!< --store=DIR (result-store directory)
-    kFlagShard = 1u << 9,      //!< --shard=I/N (slice of the sweep)
-    kFlagMerge = 1u << 10,     //!< --merge (fold shard stores, render)
-    kFlagPositional = 1u << 11, //!< bare (non --) arguments
-    kFlagRecord = 1u << 12,    //!< --record=DIR (capture trace files)
-    kFlagTraceDir = 1u << 13,  //!< --trace-dir=DIR (trace: workloads)
-    kFlagSampling = 1u << 14,  //!< --sampling=exact|set|op|setop
-    kFlagCi = 1u << 15,        //!< --ci (print value±ci table cells)
+    kFlagStore = 1u << 7,      //!< --store=DIR (result-store directory)
+    kFlagShard = 1u << 8,      //!< --shard=I/N (slice of the sweep)
+    kFlagPositional = 1u << 9, //!< bare (non --) arguments
+    kFlagRecord = 1u << 10,    //!< --record=DIR (capture trace files)
+    kFlagTraceDir = 1u << 11,  //!< --trace-dir=DIR (trace: workloads)
+    kFlagSampling = 1u << 12,  //!< --sampling=exact|set|op|setop
+    kFlagCi = 1u << 13,        //!< --ci (print value±ci table cells)
     /** --no-stream-memo, --stream-cache-mb=N (the process-wide
      *  op-stream memo, sim::StreamCache). */
-    kFlagStreamMemo = 1u << 16,
+    kFlagStreamMemo = 1u << 14,
 };
 
 /** The examples: scale, threads and a positional group name. */
@@ -74,16 +72,12 @@ struct CliOptions
     std::string group = "G2-3";
     std::optional<double> threshold;
     std::optional<std::uint64_t> seed;
-    bool csv = false;
     /** Result-store directory (--store=DIR); empty = no store. */
     std::string store_dir;
     /** --shard=I/N slice of the expanded RunKey list. */
     unsigned shard_index = 0;
     unsigned shard_count = 1;
     bool shard_set = false;
-    /** --merge: fold the shard stores in store_dir into one and
-     *  render the table from it. */
-    bool merge = false;
     /** --record=DIR: record the spec's workloads as `.cooptrace`
      *  files into DIR instead of rendering a table; empty = off. */
     std::string record_dir;

@@ -34,12 +34,6 @@ metricRegistry()
     return registry;
 }
 
-void
-registerMetric(const std::string &name, MetricFn fn)
-{
-    metricRegistry().add(name, std::move(fn));
-}
-
 ExperimentResults::ExperimentResults(ExperimentSpec spec)
     : spec_(std::move(spec)), keys_(expandSpec(spec_)) // validates
 {

@@ -34,12 +34,9 @@ class ExperimentResults;
 using MetricFn =
     std::function<double(const ExperimentResults &, const Cell &)>;
 
-/** The metric table; "speedup", "dynamic_energy" and "static_energy"
- *  are pre-registered. */
+/** The metric table: "speedup", "dynamic_energy" and
+ *  "static_energy". */
 Registry<MetricFn> &metricRegistry();
-
-/** Registers a custom metric constructible by name in spec files. */
-void registerMetric(const std::string &name, MetricFn fn);
 
 /**
  * The results view of one ExperimentSpec.

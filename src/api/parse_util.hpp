@@ -22,18 +22,16 @@
 namespace coopsim::api::detail
 {
 
-/** Whole-string strtod; false on empty input, trailing garbage or
- *  overflow to infinity (a corrupt "1e999" must not load as inf). */
+/** Whole-string strtod; false on empty input, trailing garbage or a
+ *  non-finite value: a corrupt "1e999" must not load as inf, and a NaN
+ *  never equals itself, so a key holding one could never be found
+ *  again. */
 inline bool
 tryParseDouble(const std::string &text, double &out)
 {
     char *end = nullptr;
-    errno = 0;
     const double value = std::strtod(text.c_str(), &end);
-    if (end == text.c_str() || *end != '\0') {
-        return false;
-    }
-    if (errno == ERANGE && std::isinf(value)) {
+    if (end == text.c_str() || *end != '\0' || !std::isfinite(value)) {
         return false;
     }
     out = value;

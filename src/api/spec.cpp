@@ -9,7 +9,6 @@
 
 #include "api/parse_util.hpp"
 #include "api/registry.hpp"
-#include "common/geometry.hpp"
 #include "common/logging.hpp"
 #include "trace/spec_profiles.hpp"
 
@@ -79,23 +78,6 @@ orFirst(const std::optional<T> &value, const std::vector<T> &axis,
         const char *what)
 {
     return value ? *value : firstOf(axis, what);
-}
-
-/** Sets @p key's sampling mode from @p cell and the spec's knobs,
- *  zeroing the knobs the mode ignores: keys stay canonical, and exact
- *  keys carry no sampling state (they format byte-identically to the
- *  pre-sampling encoding). */
-void
-setSampling(const ExperimentSpec &spec, const Cell &cell,
-            sim::RunKey &key)
-{
-    const sampling::Mode mode = samplingRegistry().get(
-        orFirst(cell.sampling, spec.sampling, "sampling mode"));
-    key.sampling = mode;
-    key.set_sample_period =
-        sampling::setSampled(mode) ? spec.set_sample_period : 0;
-    key.op_sample_windows =
-        mode != sampling::Mode::Exact ? spec.op_sample_windows : 0;
 }
 
 // Column-axis parts: most axes list registry names, print them as
@@ -223,11 +205,6 @@ checkSpec(const ExperimentSpec &spec)
     for (const std::string &mode : spec.sampling) {
         samplingRegistry().get(mode);
     }
-    if (spec.set_sample_period != 0 &&
-        !isPowerOfTwo(spec.set_sample_period)) {
-        COOPSIM_FATAL("set_sample_period ", spec.set_sample_period,
-                      " must be a power of two (or 0 for the default)");
-    }
     scaleRegistry().get(spec.scale);
     for (const std::string &app : resolveSpecSolos(spec)) {
         trace::specProfile(app); // fatal on an unknown benchmark
@@ -346,10 +323,10 @@ groupRunKey(const ExperimentSpec &spec, const trace::WorkloadGroup &group,
     key.gating = gatingModeRegistry().get(
         orFirst(cell.gating, spec.gating, "gating mode"));
     key.seed = orFirst(cell.seed, spec.seeds, "seed");
-    key.banks = orFirst(cell.banks, spec.banks, "banks");
     key.slice_hash = sliceHashRegistry().get(
         orFirst(cell.slice_hash, spec.slice_hashes, "slice hash"));
-    setSampling(spec, cell, key);
+    key.sampling = samplingRegistry().get(
+        orFirst(cell.sampling, spec.sampling, "sampling mode"));
     return key;
 }
 
@@ -363,18 +340,19 @@ soloRunKey(const ExperimentSpec &spec, const std::string &app,
     key.name = app;
     key.num_cores = cores;
     key.scale = scaleRegistry().get(spec.scale);
-    // Scheme-only fields and banking: fixed, whatever the cell says.
+    // Scheme-only fields and the slice hash: fixed, whatever the cell
+    // says.
     key.threshold = 0.0;
     key.threshold_mode = partition::ThresholdMode::MissRatio;
     key.partitioner = partition::Partitioner::Lookahead;
     key.gating = llc::GatingMode::GatedVdd;
-    key.banks = 0;
     key.slice_hash = llc::SliceHashKind::Mod;
     // Inherited from the cell.
     key.repl = replPolicyRegistry().get(
         orFirst(cell.repl, spec.repl, "replacement policy"));
     key.seed = orFirst(cell.seed, spec.seeds, "seed");
-    setSampling(spec, cell, key);
+    key.sampling = samplingRegistry().get(
+        orFirst(cell.sampling, spec.sampling, "sampling mode"));
     return key;
 }
 
@@ -399,16 +377,13 @@ expandSpec(const ExperimentSpec &spec)
               cell.repl = policy;
               for (const std::string &gating : spec.gating) {
                 cell.gating = gating;
-                for (const std::uint32_t banks : spec.banks) {
-                  cell.banks = banks;
-                  for (const std::string &hash : spec.slice_hashes) {
-                    cell.slice_hash = hash;
-                    for (const std::string &samp : spec.sampling) {
-                      cell.sampling = samp;
-                      for (const std::uint64_t seed : spec.seeds) {
-                        cell.seed = seed;
-                        cells.push_back(cell);
-                      }
+                for (const std::string &hash : spec.slice_hashes) {
+                  cell.slice_hash = hash;
+                  for (const std::string &samp : spec.sampling) {
+                    cell.sampling = samp;
+                    for (const std::uint64_t seed : spec.seeds) {
+                      cell.seed = seed;
+                      cells.push_back(cell);
                     }
                   }
                 }
@@ -536,17 +511,8 @@ formatSpec(const ExperimentSpec &spec)
         }
         line("seeds", joinWords(words));
     }
-    {
-        std::vector<std::string> words;
-        for (const std::uint32_t banks : spec.banks) {
-            words.push_back(std::to_string(banks));
-        }
-        line("banks", joinWords(words));
-    }
     line("slice_hashes", joinWords(spec.slice_hashes));
     line("sampling", joinWords(spec.sampling));
-    line("set_sample_period", std::to_string(spec.set_sample_period));
-    line("op_sample_windows", std::to_string(spec.op_sample_windows));
     line("scale", spec.scale);
     line("solos", joinWords(spec.solos));
     line("solo_cores", std::to_string(spec.solo_cores));
@@ -617,21 +583,10 @@ parseSpec(const std::string &text)
             for (const std::string &word : splitWords(value)) {
                 spec.seeds.push_back(parseUint(word, "seed"));
             }
-        } else if (key == "banks") {
-            spec.banks.clear();
-            for (const std::string &word : splitWords(value)) {
-                spec.banks.push_back(parseUint32(word, "banks"));
-            }
         } else if (key == "slice_hashes") {
             spec.slice_hashes = splitWords(value);
         } else if (key == "sampling") {
             spec.sampling = splitWords(value);
-        } else if (key == "set_sample_period") {
-            spec.set_sample_period =
-                parseUint32(value, "set_sample_period");
-        } else if (key == "op_sample_windows") {
-            spec.op_sample_windows =
-                parseUint32(value, "op_sample_windows");
         } else if (key == "scale") {
             spec.scale = value;
         } else if (key == "solos") {
@@ -679,18 +634,19 @@ formatRunKey(const sim::RunKey &key)
     field("gating", gatingModeKeyOf(key.gating));
     field("seed", std::to_string(key.seed));
     // Banking fields are appended only when non-default so every
-    // pre-banking key line (and store entry) stays byte-stable.
-    if (key.banks != 0 ||
-        key.slice_hash != llc::SliceHashKind::Mod) {
-        field("banks", std::to_string(key.banks));
+    // pre-banking key line (and store entry) stays byte-stable. The
+    // constant "banks=0", like "sample-period=0 op-windows=0" below,
+    // keeps the key text that stored lines already hold.
+    if (key.slice_hash != llc::SliceHashKind::Mod) {
+        field("banks", "0");
         field("slice-hash", sliceHashKeyOf(key.slice_hash));
     }
     // Sampling fields follow the same rule: exact keys (the default)
     // carry none, so every pre-sampling key line stays byte-stable.
     if (key.sampling != sampling::Mode::Exact) {
         field("sampling", samplingKeyOf(key.sampling));
-        field("sample-period", std::to_string(key.set_sample_period));
-        field("op-windows", std::to_string(key.op_sample_windows));
+        field("sample-period", "0");
+        field("op-windows", "0");
     }
     return out;
 }
@@ -766,8 +722,9 @@ tryParseRunKey(const std::string &line, sim::RunKey &out)
             if (!detail::tryParseUint(value, key.seed)) {
                 return false;
             }
-        } else if (name == "banks") {
-            if (!detail::tryParseUint32(value, key.banks)) {
+        } else if (name == "banks" || name == "sample-period" ||
+                   name == "op-windows") {
+            if (value != "0") {
                 return false;
             }
         } else if (name == "slice-hash") {
@@ -783,14 +740,6 @@ tryParseRunKey(const std::string &line, sim::RunKey &out)
                 return false;
             }
             key.sampling = *mode;
-        } else if (name == "sample-period") {
-            if (!detail::tryParseUint32(value, key.set_sample_period)) {
-                return false;
-            }
-        } else if (name == "op-windows") {
-            if (!detail::tryParseUint32(value, key.op_sample_windows)) {
-                return false;
-            }
         } else {
             return false;
         }

@@ -96,18 +96,13 @@ struct ExperimentSpec
     std::vector<std::string> repl = {"lru"};
     std::vector<std::string> gating = {"gatedvdd"};
     std::vector<std::uint64_t> seeds = {42};
-    /** LLC bank counts; 0 = the topology row's default (monolithic
-     *  through 16 cores, banked 32/64-core rows). */
-    std::vector<std::uint32_t> banks = {0};
-    /** Slice-hash registry names ("mod", "xor"). */
+    /** Slice-hash registry names ("mod", "xor"), routing over the
+     *  topology row's banks (monolithic through 16 cores, banked
+     *  32/64-core rows). */
     std::vector<std::string> slice_hashes = {"mod"};
     /** Sampling-mode registry names ("exact", "set", "op", "setop");
      *  an axis so one spec can sweep estimator against reference. */
     std::vector<std::string> sampling = {"exact"};
-    /** Sampling knobs (scalars, applied to every sampled key; 0 = the
-     *  estimator defaults in sampling/sampling.hpp). */
-    std::uint32_t set_sample_period = 0;
-    std::uint32_t op_sample_windows = 0;
     /** Scale-registry name: "test", "bench" or "paper". */
     std::string scale = "bench";
     /** Extra standalone solo runs (Table 3): app names or "*" for
@@ -132,8 +127,6 @@ struct Cell
     std::string repl;
     std::string gating;
     std::optional<std::uint64_t> seed;
-    /** LLC bank count (0 = topology default). */
-    std::optional<std::uint32_t> banks;
     /** Slice-hash registry name ("mod", "xor"). */
     std::string slice_hash;
     /** Sampling-mode registry name ("exact", "set", "op", "setop"). */
@@ -183,9 +176,8 @@ std::vector<std::string> resolveSpecSolos(const ExperimentSpec &spec);
  * The RunKey of @p group's run at @p cell under @p spec: the one place
  * a group key is built (expandSpec and ExperimentResults::keyFor both
  * call it). Axis values the cell leaves unset take the first value of
- * the spec's axis (fatal when that axis is empty); sampling knobs the
- * cell's mode ignores are zeroed, so equal runs have equal keys.
- * @p cell.group is not read.
+ * the spec's axis (fatal when that axis is empty). @p cell.group is
+ * not read.
  */
 sim::RunKey groupRunKey(const ExperimentSpec &spec,
                         const trace::WorkloadGroup &group,
@@ -196,7 +188,7 @@ sim::RunKey groupRunKey(const ExperimentSpec &spec,
  * read by @p cell: the one place a solo key is built. A solo runs on
  * the unmanaged LLC of the topology's default organisation, so the
  * scheme-only fields (threshold, threshold mode, partitioner, gating)
- * and banking are reset and a threshold or partitioner sweep shares
+ * and the slice hash are reset and a threshold or partitioner sweep shares
  * one baseline; repl, seed and sampling are inherited from the cell,
  * so a sampled sweep's baselines are sampled too. @p cell.group is
  * not read.
@@ -207,7 +199,7 @@ sim::RunKey soloRunKey(const ExperimentSpec &spec, const std::string &app,
 /**
  * Expands @p spec into the cross-product of RunKeys: one Group key
  * per (group x scheme x threshold x threshold_mode x partitioner x
- * repl x gating x banks x slice hash x sampling x seed), followed by
+ * repl x gating x slice hash x sampling x seed), followed by
  * the deduplicated Solo keys (per-app baselines when with_solo, plus
  * the explicit solos axis). Deterministic order.
  */
@@ -239,14 +231,19 @@ ExperimentSpec parseSpecFile(const std::string &path);
 /** Canonical single-line RunKey encoding (the result-store merge
  *  key), e.g. "group scheme=coop name=G2-3 cores=2 scale=bench
  *  threshold=0.05 tmode=missratio partitioner=lookahead repl=lru
- *  gating=gatedvdd seed=42". */
+ *  gating=gatedvdd seed=42". A non-mod slice hash appends
+ *  "banks=0 slice-hash=NAME", a sampled mode "sampling=NAME
+ *  sample-period=0 op-windows=0": the zeros are constant fields that
+ *  keep the key text stored lines already hold. */
 std::string formatRunKey(const sim::RunKey &key);
 
 /** Parses formatRunKey() output; parseRunKey(formatRunKey(k)) == k. */
 sim::RunKey parseRunKey(const std::string &line);
 
-/** Non-fatal parseRunKey: false on malformed input or unknown
- *  registry names (the result-store loader skips such lines). */
+/** Non-fatal parseRunKey: false on malformed input, unknown registry
+ *  names, a non-finite threshold, or anything but "0" in the banks,
+ *  sample-period and op-windows fields (the result-store loader skips
+ *  such lines). */
 bool tryParseRunKey(const std::string &line, sim::RunKey &out);
 
 } // namespace coopsim::api

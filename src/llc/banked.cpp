@@ -9,6 +9,10 @@ namespace coopsim::llc
 namespace
 {
 
+/** Cycles a bank's port stays busy per access (the bank-conflict
+ *  queuing model of a multi-bank LLC). */
+constexpr Tick kBankOccupancyCycles = 2;
+
 /** The per-bank slice of @p config's total geometry. */
 LlcConfig
 bankConfig(const LlcConfig &config, std::uint32_t bank)
@@ -58,7 +62,7 @@ BankedLlc::BankedLlc(const LlcConfig &config, mem::DramModel &dram,
         banks_.push_back(factory(bankConfig(config_, b), dram));
     }
     merged_flush_series_.configure(config_.flush_series_bin,
-                                   config_.flush_series_bins);
+                                   kFlushSeriesBins);
 }
 
 Cycle
@@ -74,7 +78,7 @@ BankedLlc::claimPort(std::uint32_t bank, Cycle now)
         ++conflicts_;
         conflict_cycles_ += busy - now;
     }
-    busy = start + config_.bank_occupancy_cycles;
+    busy = start + kBankOccupancyCycles;
     return start;
 }
 
@@ -163,7 +167,6 @@ BankedLlc::coreStats(CoreId core) const
         ms.hits.inc(bs.hits.value());
         ms.misses.inc(bs.misses.value());
         ms.writebacks.inc(bs.writebacks.value());
-        ms.bypasses.inc(bs.bypasses.value());
     }
     return ms;
 }

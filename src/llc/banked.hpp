@@ -15,7 +15,7 @@
  * Contention model: each bank has one port with a busy-until cycle.
  * An access that arrives while its bank is busy queues until the port
  * frees (counted in bankConflicts()/bankConflictCycles()); every
- * access then occupies the port for bank_occupancy_cycles. With
+ * access then occupies the port for kBankOccupancyCycles (2). With
  * banks=1 the conflict model is disabled entirely and the wrapper
  * forwards `now` unchanged, so a one-bank banked LLC is cycle- and
  * bit-identical to the monolithic scheme it wraps.
@@ -102,7 +102,7 @@ class BankedLlc final : public Llc
 
   private:
     /** portAccess for an already hashed bank: queues behind the bank's
-     *  busy port and holds it for bank_occupancy_cycles. */
+     *  busy port and holds it for kBankOccupancyCycles. */
     Cycle claimPort(std::uint32_t bank, Cycle now);
 
     LlcConfig config_;

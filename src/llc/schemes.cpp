@@ -15,6 +15,9 @@ using cache::WayMask;
 namespace
 {
 
+/** Leakage of a drowsy way relative to a powered one. */
+constexpr double kDrowsyLeakFraction = 0.25;
+
 /**
  * Repartition confirmation damping (LlcConfig::confirm_epochs): true
  * when @p next, a target other than @p current, has now been asked for
@@ -276,7 +279,6 @@ UcpLlc::epoch(Cycle now)
 
     partition::LookaheadConfig lc;
     lc.threshold = 0.0; // plain UCP: no turn-off threshold
-    lc.min_ways_per_app = config_.min_ways_per_core;
     const partition::Allocation next = partition::decidePartition(
         config_.partitioner, monitors_.demands(),
         config_.geometry.ways, lc);
@@ -335,9 +337,7 @@ DynamicCpeLlc::access(CoreId core, Addr addr, AccessType type, Cycle now)
     monitors_.observe(core, aligned);
 
     const WayMask mask = masks_[core];
-    if (mask == 0) {
-        return bypass(core, aligned, type, 0, start);
-    }
+    COOPSIM_ASSERT(mask != 0, "core ", core, " owns no way");
     return accessWithin(core, aligned, array_.slicer().set(aligned), mask,
                         probes_[core], type, start, true);
 }
@@ -422,7 +422,6 @@ DynamicCpeLlc::epoch(Cycle now)
     const std::vector<partition::AppDemand> &demands = monitors_.demands();
     partition::LookaheadConfig lc;
     lc.threshold = config_.cpe_gate_threshold;
-    lc.min_ways_per_app = config_.min_ways_per_core;
     const partition::Allocation next = partition::decidePartition(
         config_.partitioner, demands, config_.geometry.ways, lc);
 
@@ -463,7 +462,7 @@ CooperativeLlc::poweredWays() const
     // Drowsy ways keep leaking at a fraction of full power.
     const double off =
         static_cast<double>(config_.geometry.ways) - on;
-    return on + off * config_.drowsy_leak_fraction;
+    return on + off * kDrowsyLeakFraction;
 }
 
 std::vector<std::uint32_t>
@@ -657,11 +656,7 @@ CooperativeLlc::access(CoreId core, Addr addr, AccessType type, Cycle now)
 
     const WayMask read_mask = perms_.readMask(core);
     const std::uint32_t probed = perms_.readCount(core);
-
-    if (read_mask == 0) {
-        // The core owns no ways: the access bypasses the LLC entirely.
-        return bypass(core, aligned, type, 0, now);
-    }
+    COOPSIM_ASSERT(read_mask != 0, "core ", core, " may read no way");
 
     const auto found = array_.lookup(aligned, read_mask);
     participate(core, set, found.hit, now);
@@ -681,11 +676,7 @@ CooperativeLlc::access(CoreId core, Addr addr, AccessType type, Cycle now)
     }
 
     const WayMask write_mask = perms_.writeMask(core);
-    if (write_mask == 0) {
-        // Only possible when min_ways_per_core is 0 and the core lost
-        // everything (it may still be draining reads).
-        return bypass(core, aligned, type, probed, now);
-    }
+    COOPSIM_ASSERT(write_mask != 0, "core ", core, " may write no way");
 
     // Victim preference: invalid, then stale foreign lines in ways we
     // are receiving (the paper fills incoming lines into the received
@@ -729,7 +720,6 @@ CooperativeLlc::epoch(Cycle now)
     partition::LookaheadConfig lc;
     lc.threshold = config_.threshold;
     lc.mode = config_.threshold_mode;
-    lc.min_ways_per_app = config_.min_ways_per_core;
     const partition::Allocation next = partition::decidePartition(
         config_.partitioner, demands, config_.geometry.ways, lc);
 

@@ -25,8 +25,10 @@
  *
  * Each access() states only what sets its scheme apart: the ways a
  * core may probe, the way a miss fills and the scheme's own
- * bookkeeping. The hit, the fill and the bypass are BaseLlc's shared
- * steps (llc/shared_cache.hpp).
+ * bookkeeping. The hit and the fill are BaseLlc's shared steps
+ * (llc/shared_cache.hpp). There is no bypass: every partitioner gives
+ * each core at least one way (LookaheadConfig::min_ways_per_app), so a
+ * core always has a way to probe and fill.
  */
 
 #ifndef COOPSIM_LLC_SCHEMES_HPP
@@ -170,6 +172,9 @@ class DynamicCpeLlc final : public BaseLlc
 
     /** Cycle until which the LLC is blocked by a repartition flush. */
     Cycle busyUntil() const { return busy_until_; }
+
+    /** Ways @p core may probe and fill. */
+    cache::WayMask maskOf(CoreId core) const { return masks_[core]; }
 
   private:
     void applyAllocation(const std::vector<std::uint32_t> &next,

@@ -28,7 +28,7 @@ BaseLlc::BaseLlc(const LlcConfig &config, mem::DramModel &dram,
       dram_(dram),
       energy_(profileFor(config, has_partition_hw), config.geometry.ways),
       core_stats_(config.num_cores),
-      flush_series_(config.flush_series_bin, config.flush_series_bins)
+      flush_series_(config.flush_series_bin, kFlushSeriesBins)
 {
     COOPSIM_ASSERT(config.num_cores > 0, "LLC with no cores");
     if (config.geometry.ways < config.num_cores) {

@@ -5,10 +5,10 @@
  *
  * BaseLlc owns the tag/state array, the connection to DRAM, the energy
  * meter and the per-core counters, and the steps every access shares
- * (hit, dirty-victim writeback and DRAM fill, bypass, stats and
- * energy). The scheme subclasses in llc/schemes.hpp state which ways a
- * core may probe and fill, pick their victims and keep their own
- * bookkeeping, and implement the epoch behaviour.
+ * (hit, dirty-victim writeback and DRAM fill, stats and energy). The
+ * scheme subclasses in llc/schemes.hpp state which ways a core may
+ * probe and fill, pick their victims and keep their own bookkeeping,
+ * and implement the epoch behaviour.
  *
  * Timing convention: access() returns the cycle at which the requested
  * data is available to the core. State changes (fills, evictions) are
@@ -85,8 +85,6 @@ struct LlcConfig
      *  (slightly laxer than Cooperative's T, so CPE gates a little
      *  less aggressively, as in the paper's Figures 7/10). */
     double cpe_gate_threshold = 0.035;
-    /** Minimum ways any core keeps. */
-    std::uint32_t min_ways_per_core = 1;
     /** UMON dynamic set sampling period. */
     std::uint32_t umon_sample_period = 32;
     /**
@@ -107,12 +105,9 @@ struct LlcConfig
 
     /** Static-saving mechanism for unowned ways (Cooperative only). */
     GatingMode gating = GatingMode::GatedVdd;
-    /** Leakage of a drowsy way relative to a powered one. */
-    double drowsy_leak_fraction = 0.25;
 
-    /** Fig 16 time series: bin width and bin count (cycles). */
+    /** Fig 16 time series: bin width (cycles); kFlushSeriesBins bins. */
     Tick flush_series_bin = 500'000;
-    std::uint32_t flush_series_bins = 24;
 
     /** Bank (slice) count; 1 = the paper's monolithic LLC. The total
      *  geometry is divided set-wise across banks, each bank keeping
@@ -120,17 +115,16 @@ struct LlcConfig
     std::uint32_t banks = 1;
     /** Slice-selection hash routing accesses to banks. */
     SliceHashKind slice_hash = SliceHashKind::Mod;
-    /** Cycles a bank's port stays busy per access (the bank-conflict
-     *  queuing model; only meaningful when banks > 1). */
-    Tick bank_occupancy_cycles = 2;
 };
+
+/** Bins of the Fig 16 flush series, each LlcConfig::flush_series_bin
+ *  cycles wide. */
+inline constexpr std::uint32_t kFlushSeriesBins = 24;
 
 /** Result of one LLC access. */
 struct LlcAccess
 {
     bool hit = false;
-    /** True when the core owns no ways and the access bypassed the LLC. */
-    bool bypass = false;
     /** Cycle at which data is available to the requesting core. */
     Cycle ready_at = 0;
     /** Tag ways probed (the dynamic-energy driver). */
@@ -144,7 +138,6 @@ struct CoreLlcStats
     stats::Counter hits;
     stats::Counter misses;
     stats::Counter writebacks;
-    stats::Counter bypasses;
 };
 
 /** Takeover-event breakdown (paper Figure 14). */
@@ -353,7 +346,7 @@ class BaseLlc : public Llc
         }
         chargeAccess(core, probed, true, !isWrite(type), isWrite(type),
                      monitored);
-        return {true, false, start + config_.hit_latency, probed};
+        return {true, start + config_.hit_latency, probed};
     }
 
     /** A miss filling (set, victim): writes a dirty victim back, reads
@@ -369,17 +362,7 @@ class BaseLlc : public Llc
         const Cycle done = dram_.access(aligned, type, start);
         array_.insert(aligned, set, victim, core, isWrite(type));
         chargeAccess(core, probed, false, false, true, monitored);
-        return {false, false, done + config_.hit_latency, probed};
-    }
-
-    /** A core with no usable way: the access goes straight to DRAM. */
-    LlcAccess bypass(CoreId core, Addr aligned, AccessType type,
-                     std::uint32_t probed, Cycle start)
-    {
-        core_stats_[core].bypasses.inc();
-        const Cycle done = dram_.access(aligned, type, start);
-        chargeAccess(core, probed, false, false, false, true);
-        return {false, true, done, probed};
+        return {false, done + config_.hit_latency, probed};
     }
 
     /** The whole access confined to @p mask: a hit in it, or a miss

@@ -28,9 +28,8 @@
  * `setop` composes both. `exact` (the default everywhere) bypasses
  * all of this and is byte-identical to the pre-sampling simulator —
  * it plays the same reference role DriverMode::PerOp plays for the
- * batched driver. The mode and its two knobs are part of RunKey
- * identity, but are emitted only when non-default so existing key
- * and store lines stay byte-stable (the PR 8 `banks=` pattern).
+ * batched driver. The mode is part of RunKey identity, but is emitted
+ * only when non-default so exact key and store lines stay byte-stable.
  */
 
 #ifndef COOPSIM_SAMPLING_SAMPLING_HPP
@@ -63,24 +62,13 @@ opSampled(Mode mode)
     return mode == Mode::Op || mode == Mode::SetOp;
 }
 
-/** Estimator knobs as they travel in RunKey / SystemConfig: 0 means
- *  "use the estimator default", so exact keys stay canonical. */
-struct Params
-{
-    Mode mode = Mode::Exact;
-    /** 1-in-S set selection; power of two, must divide the set count. */
-    std::uint32_t set_period = 0;
-    /** Number of measurement windows per app. */
-    std::uint32_t op_windows = 0;
-
-    bool operator==(const Params &) const = default;
-};
-
-/** Default 1/4 of sets: denser than UMON's 1/32 because the main
- *  simulation, unlike the ATD, feeds partitioning decisions. */
+/** 1-in-S set selection of the set-sampled modes, 1/4 of sets:
+ *  denser than UMON's 1/32 because the main simulation, unlike the
+ *  ATD, feeds partitioning decisions. */
 inline constexpr std::uint32_t kDefaultSetPeriod = 4;
-/** Default windows per app; with kDetailDivisor this simulates 1/16
- *  of the measured instructions in 32 detail windows. */
+/** Measurement windows per app of every sampled mode; with
+ *  kDetailDivisor this simulates 1/16 of the measured instructions in
+ *  32 detail windows. */
 inline constexpr std::uint32_t kDefaultOpWindows = 32;
 /** Detail fraction of each window period (1/16, SMARTS-like). */
 inline constexpr std::uint64_t kDetailDivisor = 16;
@@ -131,7 +119,7 @@ biasAllowance(std::uint32_t set_period, bool fast_forward,
     return rel;
 }
 
-/** Params with defaults filled in, ready for System to act on. */
+/** What a mode asks System to do. */
 struct Resolved
 {
     /** 1 = set sampling off. */
@@ -143,16 +131,16 @@ struct Resolved
 };
 
 inline Resolved
-resolve(const Params &p)
+resolve(Mode mode)
 {
     Resolved r;
-    if (setSampled(p.mode)) {
-        r.set_period = p.set_period != 0 ? p.set_period : kDefaultSetPeriod;
+    if (setSampled(mode)) {
+        r.set_period = kDefaultSetPeriod;
     }
-    if (p.mode != Mode::Exact) {
-        r.windows = p.op_windows != 0 ? p.op_windows : kDefaultOpWindows;
+    if (mode != Mode::Exact) {
+        r.windows = kDefaultOpWindows;
     }
-    r.fast_forward = opSampled(p.mode);
+    r.fast_forward = opSampled(mode);
     return r;
 }
 

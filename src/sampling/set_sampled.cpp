@@ -83,7 +83,7 @@ SetSampledLlc::access(CoreId core, Addr addr, AccessType type, Cycle now)
         const std::uint64_t acc = snap_acc_[core];
         if (acc == 0) {
             // Cold start: no sampled evidence yet for this core.
-            return {true, false, start + config_.hit_latency, 0};
+            return {true, start + config_.hit_latency, 0};
         }
         wb_credit_[core] += snap_wb_[core];
         if (wb_credit_[core] >= acc) {
@@ -94,9 +94,9 @@ SetSampledLlc::access(CoreId core, Addr addr, AccessType type, Cycle now)
         if (miss_credit_[core] >= acc) {
             miss_credit_[core] -= acc;
             const Cycle done = dram_.access(addr, type, start);
-            return {false, false, done, 0};
+            return {false, done, 0};
         }
-        return {true, false, start + config_.hit_latency, 0};
+        return {true, start + config_.hit_latency, 0};
     }
     return inner_->access(core, translate(addr), type, now);
 }

@@ -65,16 +65,9 @@ runConfig(const RunKey &key)
     config.llc.partitioner = key.partitioner;
     config.llc.repl = key.repl;
     config.llc.gating = key.gating;
-    // banks = 0 keeps the topology row's bank count; an explicit
-    // override replaces it (BankedLlc validates power-of-two-ness).
-    if (key.banks != 0) {
-        config.llc.banks = key.banks;
-    }
     config.llc.slice_hash = key.slice_hash;
     config.seed = key.seed;
-    config.sampling.mode = key.sampling;
-    config.sampling.set_period = key.set_sample_period;
-    config.sampling.op_windows = key.op_sample_windows;
+    config.sampling = key.sampling;
     return config;
 }
 
@@ -105,11 +98,8 @@ RunKeyHash::operator()(const RunKey &key) const
     h = mix(h, static_cast<std::uint64_t>(key.repl));
     h = mix(h, static_cast<std::uint64_t>(key.gating));
     h = mix(h, key.seed);
-    h = mix(h, key.banks);
     h = mix(h, static_cast<std::uint64_t>(key.slice_hash));
     h = mix(h, static_cast<std::uint64_t>(key.sampling));
-    h = mix(h, key.set_sample_period);
-    h = mix(h, key.op_sample_windows);
     return static_cast<std::size_t>(h);
 }
 

@@ -87,23 +87,14 @@ struct RunKey
     cache::ReplPolicy repl = cache::ReplPolicy::Lru;
     llc::GatingMode gating = llc::GatingMode::GatedVdd;
     std::uint64_t seed = 42;
-    /** LLC bank override: 0 keeps the topology row's bank count
-     *  (monolithic through 16 cores, banked above); a power of two
-     *  forces that many slices. */
-    std::uint32_t banks = 0;
-    /** Slice-selection hash (only consulted when the LLC is banked,
-     *  or forced over one bank by the Xor kind). */
+    /** Slice-selection hash over the topology row's banks (only
+     *  consulted when the LLC is banked, or forced over one bank by
+     *  the Xor kind). */
     llc::SliceHashKind slice_hash = llc::SliceHashKind::Mod;
     /** Statistical sampling estimator; Exact is the reference and is
      *  omitted from formatted key lines so pre-sampling lines stay
      *  byte-stable. */
     sampling::Mode sampling = sampling::Mode::Exact;
-    /** 1-in-S set selection (0 = estimator default; ignored unless
-     *  the mode set-samples). */
-    std::uint32_t set_sample_period = 0;
-    /** Measurement windows per app (0 = estimator default; ignored
-     *  when the mode is Exact). */
-    std::uint32_t op_sample_windows = 0;
 
     bool operator==(const RunKey &) const = default;
 };
@@ -116,10 +107,10 @@ struct RunKeyHash
 
 /**
  * The SystemConfig @p key describes: topology + scale via
- * makeSystemConfig, then the key's LLC knobs and seed. The record
- * mode and the replay factory need exactly this mapping, which is why
- * it is public — executeRun() is `System(runConfig(key), ...).run()`
- * plus workload resolution.
+ * makeSystemConfig, then the key's LLC knobs, seed and sampling mode.
+ * The record mode and the replay factory need exactly this mapping,
+ * which is why it is public — executeRun() is
+ * `System(runConfig(key), ...).run()` plus workload resolution.
  */
 SystemConfig runConfig(const RunKey &key);
 

@@ -1,7 +1,5 @@
 #include "sim/report.hpp"
 
-#include <sstream>
-
 namespace coopsim::sim
 {
 
@@ -45,26 +43,6 @@ std::string
 formatRunResult(const RunResult &result, const std::string &name)
 {
     return toStatGroup(result, name).format();
-}
-
-std::string
-csvHeader()
-{
-    return "scheme,workload,weighted_speedup,dynamic_energy_nj,"
-           "static_energy_nj,avg_ways_probed,total_cycles,"
-           "repartitions,flushed_lines";
-}
-
-std::string
-csvRow(const std::string &scheme, const std::string &workload,
-       const RunResult &result, double weighted_speedup)
-{
-    std::ostringstream os;
-    os << scheme << ',' << workload << ',' << weighted_speedup << ','
-       << result.dynamic_energy_nj << ',' << result.static_energy_nj
-       << ',' << result.avg_ways_probed << ',' << result.total_cycles
-       << ',' << result.repartitions << ',' << result.flushed_lines;
-    return os.str();
 }
 
 } // namespace coopsim::sim

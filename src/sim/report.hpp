@@ -1,7 +1,6 @@
 /**
  * @file
- * Result reporting: renders RunResults as gem5-style stat dumps and
- * as CSV rows for downstream plotting.
+ * Result reporting: renders RunResults as gem5-style stat dumps.
  */
 
 #ifndef COOPSIM_SIM_REPORT_HPP
@@ -25,17 +24,6 @@ stats::StatGroup toStatGroup(const RunResult &result,
 /** Renders the full "key value" dump. */
 std::string formatRunResult(const RunResult &result,
                             const std::string &name);
-
-/** Header line for csvRow(), comma-separated. */
-std::string csvHeader();
-
-/**
- * One CSV row per run: identity columns (scheme, workload) followed by
- * the headline metrics, matching csvHeader().
- */
-std::string csvRow(const std::string &scheme,
-                   const std::string &workload, const RunResult &result,
-                   double weighted_speedup);
 
 } // namespace coopsim::sim
 

@@ -106,9 +106,9 @@ struct SystemConfig
      * Statistical sampling estimator (src/sampling/). Unlike `driver`
      * this IS part of the simulation identity — sampled results are
      * estimates with a confidence interval, not bit-reproductions of
-     * the exact run — so RunKey carries the mode and both knobs.
+     * the exact run — so RunKey carries the mode.
      */
-    sampling::Params sampling;
+    sampling::Mode sampling = sampling::Mode::Exact;
 };
 
 /**

@@ -339,10 +339,25 @@ TEST(SpecEncoding, ParseRejectsUnknownKeysAndBadMagic)
     EXPECT_THROW(parseSpec("coopsim-spec v1\nthresholds banana\n"),
                  FatalError);
     // 32-bit fields reject values a cast would wrap (2^32 + 2 -> 2).
-    for (const char *line :
-         {"cores 2 4294967298", "banks 4294967296",
-          "set_sample_period 4294967296", "op_sample_windows 4294967297",
-          "solo_cores 4294967298"}) {
+    for (const char *line : {"cores 2 4294967298", "solo_cores 4294967298"}) {
+        EXPECT_THROW(parseSpec(std::string("coopsim-spec v1\n") + line +
+                               "\n"),
+                     FatalError)
+            << line;
+    }
+    // The bank count is the topology row's: its key is unknown now.
+    try {
+        parseSpec("coopsim-spec v1\nbanks 0\n");
+        ADD_FAILURE() << "banks accepted";
+    } catch (const FatalError &error) {
+        EXPECT_NE(std::string(error.what()).find("unknown spec key"),
+                  std::string::npos)
+            << error.what();
+    }
+    // A NaN threshold would make a key unequal to itself, and so a run
+    // no memo or store could ever find again; infinities go too.
+    for (const char *line : {"thresholds 0 nan", "thresholds inf",
+                             "thresholds -inf", "thresholds 1e999"}) {
         EXPECT_THROW(parseSpec(std::string("coopsim-spec v1\n") + line +
                                "\n"),
                      FatalError)
@@ -393,12 +408,18 @@ TEST(RunKeyEncoding, ParseRejectsMalformedLines)
     EXPECT_THROW(parseRunKey("group bogus"), FatalError);
     EXPECT_THROW(parseRunKey("group color=red"), FatalError);
     // 32-bit fields reject values a cast would wrap, so a corrupt store
-    // line cannot load as a different, valid key.
+    // line cannot load as a different, valid key; the fields of deleted
+    // settings hold only "0", and a threshold only a finite number.
     for (const char *field :
-         {"cores=4294967298", "banks=4294967296",
-          "sample-period=4294967296", "op-windows=4294967297"}) {
+         {"cores=4294967298", "banks=2", "banks=4294967296", "banks=00",
+          "sample-period=8", "op-windows=16", "threshold=nan",
+          "threshold=inf", "threshold=-nan"}) {
         EXPECT_THROW(parseRunKey(std::string("group scheme=coop ") + field),
                      FatalError)
+            << field;
+        sim::RunKey key;
+        EXPECT_FALSE(tryParseRunKey(
+            std::string("group scheme=coop ") + field, key))
             << field;
     }
     setThrowOnFatal(false);
@@ -451,7 +472,7 @@ TEST(Cli, RejectsUnknownAndDisallowedFlagsUniformly)
     }
     {
         // A real flag the binary did not opt into is rejected too.
-        const char *argv[] = {"example", "--csv"};
+        const char *argv[] = {"example", "--seed=1"};
         EXPECT_THROW(
             parseCli(2, const_cast<char **>(argv), kExampleFlags, ""),
             FatalError);
@@ -463,11 +484,13 @@ TEST(Cli, RejectsUnknownAndDisallowedFlagsUniformly)
                               kFlagScale | kFlagThreads, ""),
                      FatalError);
     }
-    // The flags of the deleted shard-retry driver die as unknown
-    // flags, so a stale script fails loudly.
-    for (const char *flag : {"--supervise", "--shards=2",
-                             "--shard-timeout=1", "--shard-retries=2"}) {
-        const char *argv[] = {"cli", flag};
+    // Deleted flags die as unknown flags, so a stale script fails
+    // loudly: the shard-retry driver's, the shard fold (a plain store
+    // run folds shard files) and the single-cell CSV row.
+    for (const char *name : {"supervise", "shards=2", "shard-timeout=1",
+                             "shard-retries=2", "merge", "csv"}) {
+        const std::string flag = std::string("--") + name;
+        const char *argv[] = {"cli", flag.c_str()};
         try {
             parseCli(2, const_cast<char **>(argv), kAllFlags, "");
             ADD_FAILURE() << flag << " accepted";
@@ -510,10 +533,10 @@ TEST(Cli, ParsesAllowedFlagsAndValidatesValues)
     const char *argv[] = {"cli",           "--scale=test",
                           "--threads=8",   "--scheme=ucp",
                           "--group=G4-2",  "--threshold=0.125",
-                          "--seed=7",      "--csv",
-                          "--spec=x.spec", "G2-9"};
+                          "--seed=7",      "--spec=x.spec",
+                          "G2-9"};
     const CliOptions options =
-        parseCli(10, const_cast<char **>(argv), kAllFlags, "");
+        parseCli(9, const_cast<char **>(argv), kAllFlags, "");
     EXPECT_EQ(options.scale, sim::RunScale::Test);
     EXPECT_TRUE(options.scale_set);
     EXPECT_EQ(options.scale_name, "test");
@@ -522,7 +545,6 @@ TEST(Cli, ParsesAllowedFlagsAndValidatesValues)
     EXPECT_EQ(options.group, "G4-2");
     EXPECT_EQ(options.threshold.value(), 0.125);
     EXPECT_EQ(options.seed.value(), 7u);
-    EXPECT_TRUE(options.csv);
     EXPECT_EQ(options.spec_path, "x.spec");
     ASSERT_EQ(options.positional.size(), 1u);
     EXPECT_EQ(options.positional[0], "G2-9");
@@ -536,6 +558,14 @@ TEST(Cli, ParsesAllowedFlagsAndValidatesValues)
     EXPECT_THROW(
         parseCli(2, const_cast<char **>(bad_threads), kAllFlags, ""),
         FatalError);
+    for (const char *flag :
+         {"--threshold=nan", "--threshold=inf", "--threshold=-inf"}) {
+        const char *bad_threshold[] = {"cli", flag};
+        EXPECT_THROW(parseCli(2, const_cast<char **>(bad_threshold),
+                              kAllFlags, ""),
+                     FatalError)
+            << flag;
+    }
     setThrowOnFatal(false);
 }
 

@@ -344,7 +344,7 @@ TEST(BatchedDriver, ManyCoreRowsMatchUnderExactAndSetop)
              {sampling::Mode::Exact, sampling::Mode::SetOp}) {
             SystemConfig config =
                 makeSystemConfig(n, "coop", RunScale::Test);
-            config.sampling.mode = mode;
+            config.sampling = mode;
 
             config.driver = DriverMode::Batched;
             System batched(config, trace::groupProfiles(group));

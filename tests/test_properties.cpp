@@ -12,6 +12,7 @@
 #include <memory>
 #include <numeric>
 #include <optional>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -65,7 +66,12 @@ fuzzAddr(CoreId core, Addr tag, SetId set, std::uint32_t set_bits)
 
 // ---------------------------------------------------------------------------
 // Invariant fuzzing: random traffic + random epochs never violates the
-// way-alignment and permission invariants.
+// way-alignment and permission invariants, under every decision policy.
+// After every epoch each core may still probe and fill at least one way:
+// the invariant that lets the LLC have no bypass.
+
+namespace
+{
 
 struct FuzzParams
 {
@@ -74,26 +80,34 @@ struct FuzzParams
     std::uint32_t ways;
 };
 
-class CoopFuzzTest : public ::testing::TestWithParam<FuzzParams>
-{
+const FuzzParams kFuzzShapes[] = {
+    {1, 2, 4}, {2, 2, 8},  {3, 4, 8},  {4, 4, 16},
+    {5, 3, 6}, {6, 2, 8},  {7, 4, 16}, {8, 2, 4},
 };
 
-TEST_P(CoopFuzzTest, InvariantsSurviveRandomTraffic)
-{
-    const FuzzParams params = GetParam();
-    constexpr std::uint32_t kSets = 16;
-    mem::DramModel dram;
-    CooperativeLlc llc(fuzzConfig(kSets, params.ways, params.cores),
-                       dram);
-    Rng rng(params.seed);
+/** Sets of every fuzzed LLC (4 set bits in fuzzAddr). */
+constexpr std::uint32_t kFuzzSets = 16;
 
+const partition::Partitioner kPartitioners[] = {
+    partition::Partitioner::Lookahead,
+    partition::Partitioner::EqualShare,
+    partition::Partitioner::GreedyUtility,
+};
+
+/** 30000 random accesses with skewed per-core footprints, an epoch
+ *  every 2500; @p after_epoch runs after each epoch. */
+void
+fuzzTraffic(Llc &llc, const FuzzParams &params,
+            const std::function<void()> &after_epoch)
+{
+    Rng rng(params.seed);
     Cycle now = 0;
     for (int step = 0; step < 30000; ++step) {
         const auto core =
             static_cast<CoreId>(rng.nextBelow(params.cores));
         // Skewed footprints: core c reuses (c + 1) tags per set.
         const Addr tag = rng.nextBelow(2 * (core + 1) + 1);
-        const auto set = static_cast<SetId>(rng.nextBelow(kSets));
+        const auto set = static_cast<SetId>(rng.nextBelow(kFuzzSets));
         const AccessType type =
             rng.nextBool(0.3) ? AccessType::Write : AccessType::Read;
         now += 1 + rng.nextBelow(5);
@@ -101,9 +115,80 @@ TEST_P(CoopFuzzTest, InvariantsSurviveRandomTraffic)
 
         if (step % 2500 == 2499) {
             llc.epoch(now);
-            llc.checkInvariants();
+            after_epoch();
         }
     }
+}
+
+/** The Cooperative decision policy a fuzz run uses. */
+struct CoopPolicy
+{
+    double threshold;
+    partition::ThresholdMode mode;
+    partition::Partitioner partitioner;
+};
+
+std::vector<CoopPolicy>
+coopPolicies()
+{
+    std::vector<CoopPolicy> policies;
+    for (const double threshold : {0.0, 0.05, 0.2}) {
+        for (const partition::ThresholdMode mode :
+             {partition::ThresholdMode::MissRatio,
+              partition::ThresholdMode::PaperLiteral}) {
+            for (const partition::Partitioner partitioner :
+                 kPartitioners) {
+                policies.push_back({threshold, mode, partitioner});
+            }
+        }
+    }
+    return policies;
+}
+
+/** The Dynamic CPE decision policy a fuzz run uses. */
+struct CpePolicy
+{
+    double gate_threshold;
+    partition::Partitioner partitioner;
+};
+
+std::vector<CpePolicy>
+cpePolicies()
+{
+    std::vector<CpePolicy> policies;
+    for (const double gate : {0.0, 0.035, 0.5}) {
+        for (const partition::Partitioner partitioner : kPartitioners) {
+            policies.push_back({gate, partitioner});
+        }
+    }
+    return policies;
+}
+
+} // namespace
+
+class CoopFuzzTest
+    : public ::testing::TestWithParam<std::tuple<FuzzParams, CoopPolicy>>
+{
+};
+
+TEST_P(CoopFuzzTest, InvariantsSurviveRandomTraffic)
+{
+    const auto [params, policy] = GetParam();
+    LlcConfig config = fuzzConfig(kFuzzSets, params.ways, params.cores);
+    config.threshold = policy.threshold;
+    config.threshold_mode = policy.mode;
+    config.partitioner = policy.partitioner;
+    mem::DramModel dram;
+    CooperativeLlc llc(config, dram);
+
+    fuzzTraffic(llc, params, [&] {
+        llc.checkInvariants();
+        const PermissionFile &perms = llc.permissions();
+        for (CoreId c = 0; c < params.cores; ++c) {
+            EXPECT_NE(perms.readMask(c) & perms.writeMask(c), 0u)
+                << "core " << c << " has no way to probe and fill";
+        }
+    });
     llc.checkInvariants();
 
     // Allocation bookkeeping is conserved.
@@ -116,10 +201,39 @@ TEST_P(CoopFuzzTest, InvariantsSurviveRandomTraffic)
 
 INSTANTIATE_TEST_SUITE_P(
     Seeds, CoopFuzzTest,
-    ::testing::Values(FuzzParams{1, 2, 4}, FuzzParams{2, 2, 8},
-                      FuzzParams{3, 4, 8}, FuzzParams{4, 4, 16},
-                      FuzzParams{5, 3, 6}, FuzzParams{6, 2, 8},
-                      FuzzParams{7, 4, 16}, FuzzParams{8, 2, 4}));
+    ::testing::Combine(::testing::ValuesIn(kFuzzShapes),
+                       ::testing::ValuesIn(coopPolicies())));
+
+class CpeFuzzTest
+    : public ::testing::TestWithParam<std::tuple<FuzzParams, CpePolicy>>
+{
+};
+
+TEST_P(CpeFuzzTest, EveryCoreKeepsAWay)
+{
+    const auto [params, policy] = GetParam();
+    LlcConfig config = fuzzConfig(kFuzzSets, params.ways, params.cores);
+    config.cpe_gate_threshold = policy.gate_threshold;
+    config.partitioner = policy.partitioner;
+    mem::DramModel dram;
+    DynamicCpeLlc llc(config, dram);
+
+    fuzzTraffic(llc, params, [&] {
+        cache::WayMask owned = 0;
+        for (CoreId c = 0; c < params.cores; ++c) {
+            EXPECT_NE(llc.maskOf(c), 0u) << "core " << c << " owns no way";
+            EXPECT_EQ(owned & llc.maskOf(c), 0u) << "core " << c;
+            owned |= llc.maskOf(c);
+        }
+        EXPECT_LE(static_cast<double>(std::popcount(owned)),
+                  llc.poweredWays());
+    });
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, CpeFuzzTest,
+    ::testing::Combine(::testing::ValuesIn(kFuzzShapes),
+                       ::testing::ValuesIn(cpePolicies())));
 
 // ---------------------------------------------------------------------------
 // Reference model: the static-partition schemes against naive recency

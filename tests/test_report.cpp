@@ -59,18 +59,6 @@ TEST(Report, FormatMatchesStatGroup)
     EXPECT_EQ(formatRunResult(r, "x"), toStatGroup(r, "x").format());
 }
 
-TEST(Report, CsvRowMatchesHeaderArity)
-{
-    const std::string header = csvHeader();
-    const std::string row = csvRow("Cooperative", "G2-1",
-                                   sampleResult(), 1.5);
-    const auto count = [](const std::string &s) {
-        return std::count(s.begin(), s.end(), ',');
-    };
-    EXPECT_EQ(count(header), count(row));
-    EXPECT_NE(row.find("Cooperative,G2-1,1.5"), std::string::npos);
-}
-
 TEST(Report, EndToEndDumpFromRealRun)
 {
     api::ExperimentSpec spec;
@@ -99,7 +87,6 @@ drowsyConfig()
     config.umon_sample_period = 1;
     config.confirm_epochs = 1;
     config.gating = llc::GatingMode::Drowsy;
-    config.drowsy_leak_fraction = 0.25;
     config.stale_transition_cycles = 1'000'000'000;
     return config;
 }

@@ -84,27 +84,24 @@ TEST(Sampling, ExactAxisIsByteIdenticalOverFig05Sweep)
 TEST(Sampling, ResolveFillsEstimatorDefaults)
 {
     using sampling::Mode;
-    const sampling::Resolved exact = sampling::resolve({Mode::Exact});
+    const sampling::Resolved exact = sampling::resolve(Mode::Exact);
     EXPECT_EQ(exact.set_period, 1u);
     EXPECT_EQ(exact.windows, 0u);
     EXPECT_FALSE(exact.fast_forward);
 
-    const sampling::Resolved set = sampling::resolve({Mode::Set});
+    const sampling::Resolved set = sampling::resolve(Mode::Set);
     EXPECT_EQ(set.set_period, sampling::kDefaultSetPeriod);
     EXPECT_EQ(set.windows, sampling::kDefaultOpWindows);
     EXPECT_FALSE(set.fast_forward);
 
-    const sampling::Resolved op = sampling::resolve({Mode::Op});
+    const sampling::Resolved op = sampling::resolve(Mode::Op);
     EXPECT_EQ(op.set_period, 1u);
     EXPECT_EQ(op.windows, sampling::kDefaultOpWindows);
     EXPECT_TRUE(op.fast_forward);
 
-    sampling::Params custom{Mode::SetOp};
-    custom.set_period = 8;
-    custom.op_windows = 5;
-    const sampling::Resolved setop = sampling::resolve(custom);
-    EXPECT_EQ(setop.set_period, 8u);
-    EXPECT_EQ(setop.windows, 5u);
+    const sampling::Resolved setop = sampling::resolve(Mode::SetOp);
+    EXPECT_EQ(setop.set_period, sampling::kDefaultSetPeriod);
+    EXPECT_EQ(setop.windows, sampling::kDefaultOpWindows);
     EXPECT_TRUE(setop.fast_forward);
 }
 
@@ -251,10 +248,11 @@ TEST(Sampling, SampledRunKeysRoundTrip)
         key.name = "G4-2";
         key.num_cores = 4;
         key.sampling = mode;
-        key.set_sample_period = sampling::setSampled(mode) ? 8 : 0;
-        key.op_sample_windows = 16;
         const std::string line = api::formatRunKey(key);
-        EXPECT_NE(line.find("sampling="), std::string::npos) << line;
+        EXPECT_NE(line.find(" sampling=" + api::samplingKeyOf(mode) +
+                            " sample-period=0 op-windows=0"),
+                  std::string::npos)
+            << line;
         EXPECT_EQ(api::parseRunKey(line), key) << line;
     }
 }
@@ -271,8 +269,6 @@ TEST(Sampling, PreSamplingKeyLinesParseAsExact)
     RunKey parsed;
     ASSERT_TRUE(api::tryParseRunKey(line, parsed));
     EXPECT_EQ(parsed.sampling, sampling::Mode::Exact);
-    EXPECT_EQ(parsed.set_sample_period, 0u);
-    EXPECT_EQ(parsed.op_sample_windows, 0u);
     EXPECT_EQ(parsed, key);
 }
 
@@ -280,13 +276,10 @@ TEST(Sampling, SpecAxisRoundTripsThroughFormatParse)
 {
     api::ExperimentSpec spec = fig05Spec();
     spec.sampling = {"exact", "setop"};
-    spec.set_sample_period = 8;
-    spec.op_sample_windows = 16;
     const api::ExperimentSpec parsed =
         api::parseSpec(api::formatSpec(spec));
     EXPECT_EQ(parsed.sampling, spec.sampling);
-    EXPECT_EQ(parsed.set_sample_period, spec.set_sample_period);
-    EXPECT_EQ(parsed.op_sample_windows, spec.op_sample_windows);
+    EXPECT_EQ(parsed, spec);
 }
 
 // ---------------------------------------------------------------------------

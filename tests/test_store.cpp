@@ -591,6 +591,91 @@ TEST(StoreCrc, LegacyLinesWithoutCrcLoadWithWarningCount)
     setQuiet(false);
 }
 
+TEST(StoreCrc, KeyFieldsOfDeletedSettingsLoadAndResaveByteIdentically)
+{
+    // Lines as stores held them when banks, sample-period and
+    // op-windows were settings: a banked and a set+op sampled 2-core
+    // run. The fields stay in the key text, and only "0" loads.
+    const std::string banked =
+        "group scheme=coop name=G2-1 cores=2 scale=test threshold=0.05 "
+        "tmode=missratio partitioner=lookahead repl=lru gating=gatedvdd "
+        "seed=42 banks=0 slice-hash=xor\t"
+        "cycles=1312996 dyn_nj=752.9368000000804 data_nj=4922.343000000199 "
+        "static_nj=112.87510875647996 probed=3.4786465693201443 "
+        "donor_hits=108 donor_misses=16 recip_hits=0 recip_misses=0 "
+        "xfer_avg=0 xfers=0 flushed=131 reparts=1 epochs=17 "
+        "flush_bin=10000 flush_series=62,32,15,8,8,3,3,0,0,0,0,0,0,0,0,0,"
+        "0,0,0,0,0,0,0,0 dram_reads=5742 dram_wb=4002 dram_flush=131 "
+        "apps=soplex:0.38080957807461735:400002:1050399:16014:8535:7479:"
+        "18.697406512967436;namd:2.3691649101200767:2645139:1050433:9462:"
+        "8737:725:0.2740876755437049 bank_conflicts=0 "
+        "bank_conflict_cycles=0\t#crc32=6b580fe8";
+    const std::string setop =
+        "group scheme=coop name=G2-1 cores=2 scale=test threshold=0.05 "
+        "tmode=missratio partitioner=lookahead repl=lru gating=gatedvdd "
+        "seed=42 sampling=setop sample-period=0 op-windows=0\t"
+        "cycles=1110000 dyn_nj=923.7161163403402 data_nj=4116.019205455388 "
+        "static_nj=107.69968097279997 probed=3.7125984251968505 "
+        "donor_hits=1217 donor_misses=923 recip_hits=0 recip_misses=0 "
+        "xfer_avg=0 xfers=0 flushed=188 reparts=4 epochs=17 "
+        "flush_bin=10000 flush_series=68,0,0,28,8,8,32,0,0,28,0,0,16,0,0,"
+        "0,0,0,0,0,0,0,0,0 dram_reads=5706 dram_wb=2119 dram_flush=188 "
+        "apps=soplex:0.3878047054283933:400000:1031447:15990:9015:6975:"
+        "17.4375;namd:1.86846911654109:1833260:1038380:6997:5606:1391:"
+        "0.758757623032194 bank_conflicts=0 bank_conflict_cycles=0 "
+        "samp_windows=41 samp_ci=0.28666138362329496;1.53081425503443"
+        "\t#crc32=ea67dfda";
+    setQuiet(true);
+    const std::string dir = scratchDir("old_keys");
+    const std::string path = dir + "/old" + kStoreExtension;
+    const std::string text =
+        std::string(kStoreMagic) + "\n" + banked + "\n" + setop + "\n";
+    {
+        std::ofstream out(path, std::ios::binary);
+        out << text;
+    }
+    ResultStore loaded;
+    EXPECT_EQ(loaded.loadFile(path), 2u);
+    EXPECT_EQ(loaded.stats().lines_skipped, 0u);
+    EXPECT_EQ(loaded.stats().lines_legacy, 0u);
+    for (const std::string &line : {banked, setop}) {
+        const std::size_t tab = line.find('\t');
+        const std::size_t crc = line.rfind('\t');
+        const sim::RunKey key = api::parseRunKey(line.substr(0, tab));
+        const auto hit = loaded.find(key);
+        ASSERT_TRUE(hit.has_value()) << line;
+        EXPECT_EQ(formatResult(*hit), line.substr(tab + 1, crc - tab - 1));
+        EXPECT_EQ(api::formatRunKey(key), line.substr(0, tab));
+    }
+    EXPECT_EQ(loaded.keys()[0].slice_hash, llc::SliceHashKind::Xor);
+    EXPECT_EQ(loaded.keys()[1].sampling, sampling::Mode::SetOp);
+    const std::string resaved = dir + "/resaved" + kStoreExtension;
+    loaded.save(resaved);
+    EXPECT_EQ(slurp(resaved), text);
+
+    // Any other value in those fields is no longer a key: the line is
+    // skipped even under a valid checksum.
+    auto body = [](const std::string &line) {
+        return line.substr(0, line.rfind('\t'));
+    };
+    std::string forced_banks = body(banked);
+    forced_banks.replace(forced_banks.find("banks=0"), 7, "banks=2");
+    std::string custom_period = body(setop);
+    custom_period.replace(custom_period.find("sample-period=0"), 15,
+                          "sample-period=8");
+    const std::string bad_path = dir + "/bad" + kStoreExtension;
+    {
+        std::ofstream out(bad_path, std::ios::binary);
+        out << kStoreMagic << "\n"
+            << withCrcSuffix(forced_banks) << "\n"
+            << withCrcSuffix(custom_period) << "\n";
+    }
+    ResultStore rejected;
+    EXPECT_EQ(rejected.loadFile(bad_path), 0u);
+    EXPECT_EQ(rejected.stats().lines_skipped, 2u);
+    setQuiet(false);
+}
+
 TEST(StoreCrc, LoadDirQuarantinesZeroValidLineFiles)
 {
     setQuiet(true);
