@@ -181,13 +181,15 @@ main(int argc, char **argv)
                 cli.store_dir + "/" +
                 store::shardFileName(cli.shard_index, cli.shard_count);
             std::string error;
-            if (!api::finishStoreSession(shard_results, path,
-                                         *result_store, false, error)) {
+            const std::optional<std::size_t> saved =
+                api::finishStoreSession(shard_results, path,
+                                        *result_store, false, error);
+            if (!saved) {
                 COOPSIM_FATAL(error);
             }
             api::printRunStats();
             std::fprintf(stderr, "# store: saved %zu results to %s\n",
-                         shard_results.size(), path.c_str());
+                         *saved, path.c_str());
             return 0;
         }
 

@@ -213,7 +213,8 @@ std::string g_cli_store_path;
  * re-enter exit() via COOPSIM_FATAL, and a full disk or lost rename
  * at shutdown should cost a loud stderr report naming the preserved
  * temp file — not the silent loss of a multi-hour sweep. The journals
- * stay on disk then, and still hold every completed run.
+ * stay on disk then, and still hold every completed run; so they do
+ * when a run still in flight completes during the save.
  */
 void
 saveCliStore()
@@ -222,14 +223,15 @@ saveCliStore()
         return;
     }
     std::string error;
-    if (!finishStoreSession(*g_cli_store, g_cli_store_path, *g_cli_store,
-                            true, error)) {
+    const std::optional<std::size_t> saved = finishStoreSession(
+        *g_cli_store, g_cli_store_path, *g_cli_store, true, error);
+    if (!saved) {
         std::fprintf(stderr,
                      "error: store save failed at exit: %s\n",
                      error.c_str());
     } else {
         std::fprintf(stderr, "# store: saved %zu results to %s\n",
-                     g_cli_store->size(), g_cli_store_path.c_str());
+                     *saved, g_cli_store_path.c_str());
     }
     printRunStats();
 }
@@ -294,16 +296,20 @@ attachCliStore(const CliOptions &options)
     return result_store;
 }
 
-bool
+std::optional<std::size_t>
 finishStoreSession(const store::ResultStore &results,
                    const std::string &path, store::ResultStore &session,
                    bool drop_loaded, std::string &error)
 {
-    if (!results.trySave(path, error)) {
-        return false;
+    // Read before the save's snapshot, so every put it counts is saved;
+    // a put landing between the two only keeps the journals one more
+    // load.
+    const std::uint64_t puts = session.putCount();
+    const std::optional<std::size_t> saved = results.trySave(path, error);
+    if (saved) {
+        session.removeJournals(drop_loaded, puts);
     }
-    session.removeJournals(drop_loaded);
-    return true;
+    return saved;
 }
 
 } // namespace coopsim::api

@@ -144,13 +144,16 @@ attachCliStore(const CliOptions &options);
  * Ends a --store session: saves @p results to @p path and, only once
  * that save succeeded, deletes @p session's own journal and, with
  * @p drop_loaded, the journals @p session loaded, whose entries the
- * save now holds. The unsharded exit save and `--shard` both end
- * here. False, with the failure in @p error, deletes nothing.
+ * save now holds. A result @p session records after the save took its
+ * snapshot keeps every journal on disk for the next load. The
+ * unsharded exit save and `--shard` both end here. Returns the number
+ * of results saved; nothing, with the failure in @p error, deletes
+ * nothing.
  */
-bool finishStoreSession(const store::ResultStore &results,
-                        const std::string &path,
-                        store::ResultStore &session, bool drop_loaded,
-                        std::string &error);
+std::optional<std::size_t>
+finishStoreSession(const store::ResultStore &results,
+                   const std::string &path, store::ResultStore &session,
+                   bool drop_loaded, std::string &error);
 
 /** Prints the executor's run-count stat line
  *  ("# runs: simulations=N store_hits=M") to stderr, keeping stdout

@@ -161,10 +161,10 @@ namespace
  * cell, closed by a geometric-mean AVG row.
  */
 void
-printColumnTable(const ExperimentResults &results,
-                 const ColumnAxis &axis, bool show_ci)
+printColumnTable(const ExperimentResults &results, bool show_ci)
 {
     const ExperimentSpec &spec = results.spec();
+    const ColumnAxis &axis = *findColumnAxis(spec.layout);
     const MetricFn &metric = metricRegistry().get(spec.metric);
     const std::vector<std::string> values = axis.values(spec);
     std::printf("%s\n", spec.title.c_str());
@@ -254,7 +254,7 @@ printColumnTable(const ExperimentResults &results,
 /** The Figure 14 breakdown: events that set takeover bits while ways
  *  migrate (donor/recipient x hit/miss), for the first scheme. */
 void
-printTakeoverTable(const ExperimentResults &results)
+printTakeoverTable(const ExperimentResults &results, bool /*show_ci*/)
 {
     const ExperimentSpec &spec = results.spec();
     std::printf("%s\n", spec.title.c_str());
@@ -303,7 +303,7 @@ printTakeoverTable(const ExperimentResults &results)
 /** The Figure 15 comparison: average cycles to transfer one complete
  *  way, first scheme of the axis vs second. */
 void
-printTransferTable(const ExperimentResults &results)
+printTransferTable(const ExperimentResults &results, bool /*show_ci*/)
 {
     const ExperimentSpec &spec = results.spec();
     const std::string &left = spec.schemes.at(0);
@@ -358,7 +358,7 @@ printTransferTable(const ExperimentResults &results)
 /** The Figure 16 time series: flush traffic vs cycles since a
  *  partitioning decision, first scheme of the axis vs second. */
 void
-printBandwidthTable(const ExperimentResults &results)
+printBandwidthTable(const ExperimentResults &results, bool /*show_ci*/)
 {
     const ExperimentSpec &spec = results.spec();
     const std::string &left = spec.schemes.at(0);
@@ -419,7 +419,7 @@ printBandwidthTable(const ExperimentResults &results)
 /** Table 3: each solo app's measured LLC MPKI and High/Medium/Low
  *  class against the paper's. */
 void
-printMpkiTable(const ExperimentResults &results)
+printMpkiTable(const ExperimentResults &results, bool /*show_ci*/)
 {
     const ExperimentSpec &spec = results.spec();
     const std::vector<std::string> apps = resolveSpecSolos(spec);
@@ -440,34 +440,45 @@ printMpkiTable(const ExperimentResults &results)
     std::printf("# class matches: %zu / %zu\n", matches, apps.size());
 }
 
+/** Prints a table: every renderer takes show_ci, and the column-axis
+ *  ones print it. */
+using TableRenderer = void (*)(const ExperimentResults &, bool show_ci);
+
+/** The renderer of @p spec's layout; fatal for a layout with none. */
+TableRenderer
+tableRenderer(const ExperimentSpec &spec)
+{
+    if (findColumnAxis(spec.layout) != nullptr) {
+        return printColumnTable;
+    } else if (spec.layout == "takeover") {
+        return printTakeoverTable;
+    } else if (spec.layout == "transfers") {
+        return printTransferTable;
+    } else if (spec.layout == "bandwidth") {
+        return printBandwidthTable;
+    } else if (spec.layout == "mpki") {
+        return printMpkiTable;
+    }
+    COOPSIM_FATAL("spec '", spec.name, "' has layout '", spec.layout,
+                  "', which has no built-in table renderer");
+}
+
 } // namespace
 
 void
 printTable(const ExperimentResults &results, bool show_ci)
 {
-    const ExperimentSpec &spec = results.spec();
-    if (const ColumnAxis *axis = findColumnAxis(spec.layout)) {
-        printColumnTable(results, *axis, show_ci);
-    } else if (spec.layout == "takeover") {
-        printTakeoverTable(results);
-    } else if (spec.layout == "transfers") {
-        printTransferTable(results);
-    } else if (spec.layout == "bandwidth") {
-        printBandwidthTable(results);
-    } else if (spec.layout == "mpki") {
-        printMpkiTable(results);
-    } else {
-        COOPSIM_FATAL("spec '", spec.name, "' has layout '",
-                      spec.layout,
-                      "', which has no built-in table renderer");
-    }
+    tableRenderer(results.spec())(results, show_ci);
 }
 
 void
 printExperiment(const ExperimentSpec &spec, bool show_ci)
 {
+    // Resolved first, so a layout with no renderer dies before any run
+    // is simulated.
+    const TableRenderer render = tableRenderer(spec);
     const ExperimentResults results = runExperiment(spec);
-    printTable(results, show_ci);
+    render(results, show_ci);
 
     // Bank-contention summary on stderr (stats channel, like the
     // executor counters): only when a banked run actually queued, so

@@ -112,7 +112,8 @@ ExperimentResults runExperiment(const ExperimentSpec &spec);
  */
 void printTable(const ExperimentResults &results, bool show_ci = false);
 
-/** runExperiment + printTable: the `coopsim_cli --spec` entry point. */
+/** runExperiment + printTable: the `coopsim_cli --spec` entry point.
+ *  A layout with no renderer is fatal before any run is simulated. */
 void printExperiment(const ExperimentSpec &spec, bool show_ci = false);
 
 } // namespace coopsim::api

@@ -54,12 +54,20 @@ confirmTarget(const std::vector<std::uint32_t> &next,
 // MonitorBank
 
 MonitorBank::MonitorBank(const LlcConfig &config)
-    : demands_(config.num_cores),
-      curves_(config.partitioner != partition::Partitioner::EqualShare)
+    : demands_(config.num_cores)
 {
+    const std::uint32_t ways = config.geometry.ways;
+    if (!partition::readsDemands(config.partitioner, config.num_cores,
+                                 ways)) {
+        // Flat curves keep the partitioners' size checks satisfied.
+        for (partition::AppDemand &d : demands_) {
+            d.miss_curve.assign(ways + 1, 0.0);
+        }
+        return;
+    }
     umon::UmonConfig uc;
     uc.llc_sets = config.geometry.numSets();
-    uc.llc_ways = config.geometry.ways;
+    uc.llc_ways = ways;
     uc.block_bytes = config.geometry.block_bytes;
     uc.sample_period = config.umon_sample_period;
     monitors_.reserve(config.num_cores);
@@ -71,12 +79,10 @@ MonitorBank::MonitorBank(const LlcConfig &config)
 const std::vector<partition::AppDemand> &
 MonitorBank::demands()
 {
-    if (curves_) {
-        for (std::size_t c = 0; c < monitors_.size(); ++c) {
-            monitors_[c].missCurve(demands_[c].miss_curve);
-            demands_[c].accesses =
-                static_cast<double>(monitors_[c].accessCount());
-        }
+    for (std::size_t c = 0; c < monitors_.size(); ++c) {
+        monitors_[c].missCurve(demands_[c].miss_curve);
+        demands_[c].accesses =
+            static_cast<double>(monitors_[c].accessCount());
     }
     return demands_;
 }
@@ -87,13 +93,6 @@ MonitorBank::decay()
     for (auto &m : monitors_) {
         m.decay();
     }
-}
-
-const umon::UtilityMonitor &
-MonitorBank::monitor(CoreId core) const
-{
-    COOPSIM_ASSERT(core < monitors_.size(), "monitor core out of range");
-    return monitors_[core];
 }
 
 // ---------------------------------------------------------------------------

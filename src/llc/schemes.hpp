@@ -27,8 +27,8 @@
  * core may probe, the way a miss fills and the scheme's own
  * bookkeeping. The hit and the fill are BaseLlc's shared steps
  * (llc/shared_cache.hpp). There is no bypass: every partitioner gives
- * each core at least one way (LookaheadConfig::min_ways_per_app), so a
- * core always has a way to probe and fill.
+ * each core at least one way (partition::kMinWaysPerApp), so a core
+ * always has a way to probe and fill.
  */
 
 #ifndef COOPSIM_LLC_SCHEMES_HPP
@@ -48,7 +48,12 @@
 namespace coopsim::llc
 {
 
-/** Shared helper: per-core UMON bank + look-ahead glue. */
+/**
+ * Shared helper: per-core UMON bank + look-ahead glue. Where the
+ * configured decision reads no demands (partition::readsDemands), the
+ * bank holds no monitor: observe() and decay() do nothing, and
+ * demands() stays flat curves of ways + 1 zeros.
+ */
 class MonitorBank
 {
   public:
@@ -56,25 +61,24 @@ class MonitorBank
 
     void observe(CoreId core, Addr addr)
     {
+        if (monitors_.empty()) {
+            return;
+        }
         COOPSIM_ASSERT(core < monitors_.size(),
                        "monitor core out of range");
         monitors_[core].access(addr);
     }
     /**
      * The per-core demands for this epoch's partitioning decision,
-     * refreshed in place (the storage lives across epochs). Under
-     * the equalshare partitioner, which reads only their count, the
-     * curves are not computed.
+     * refreshed in place (the storage lives across epochs).
      */
     const std::vector<partition::AppDemand> &demands();
     void decay();
-    const umon::UtilityMonitor &monitor(CoreId core) const;
 
   private:
+    /** One per core, or none when the decision reads no demands. */
     std::vector<umon::UtilityMonitor> monitors_;
     std::vector<partition::AppDemand> demands_;
-    /** False under equalshare: demands() skips the curves. */
-    bool curves_;
 };
 
 /** No partitioning at all. */
@@ -123,8 +127,6 @@ class UcpLlc final : public BaseLlc
         return alloc_;
     }
     Scheme scheme() const override { return Scheme::Ucp; }
-
-    const MonitorBank &monitors() const { return monitors_; }
 
   private:
     /** Lets tests set an allocation no epoch has decided. */
@@ -209,8 +211,6 @@ class CooperativeLlc final : public BaseLlc
     double poweredWays() const override;
 
     const PermissionFile &permissions() const { return perms_; }
-    const TakeoverDirectory &takeover() const { return takeover_; }
-    const MonitorBank &monitors() const { return monitors_; }
     /** Transitions forced to completion at an epoch boundary. */
     std::uint64_t forcedCompletions() const
     {

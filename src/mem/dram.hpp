@@ -41,38 +41,12 @@ struct DramConfig
     std::uint32_t block_bytes = 64;
 };
 
-/**
- * Mean of a per-request cycle count, kept as an integer sum and a
- * request count: every DRAM request samples it, so an update is two
- * adds rather than a running-mean divide.
- */
-struct CycleMean
-{
-    std::uint64_t cycles = 0;
-    std::uint64_t requests = 0;
-
-    void sample(Tick delay)
-    {
-        cycles += delay;
-        ++requests;
-    }
-    /** Mean cycles per request (0 before the first request). */
-    double mean() const
-    {
-        return requests == 0 ? 0.0
-                             : static_cast<double>(cycles) /
-                                   static_cast<double>(requests);
-    }
-};
-
 /** Running totals for DRAM traffic. */
 struct DramStats
 {
-    stats::Counter reads;          //!< Demand fills.
-    stats::Counter writes;         //!< Demand writes (fills for stores).
+    stats::Counter reads;          //!< Demand fills for loads.
     stats::Counter writebacks;     //!< Evicted dirty lines.
     stats::Counter flushes;        //!< Dirty lines flushed by partitioning.
-    CycleMean queue_delay;         //!< Mean cycles spent queueing.
 };
 
 /**
@@ -96,9 +70,7 @@ class DramModel
      */
     Cycle access(Addr addr, AccessType type, Cycle now)
     {
-        if (type == AccessType::Write) {
-            stats_.writes.inc();
-        } else {
+        if (type != AccessType::Write) {
             stats_.reads.inc();
         }
         return schedule(addr, now);
@@ -160,8 +132,6 @@ class DramModel
         inflight_[inflight_head_] = done;
         if (++inflight_head_ == inflight_.size())
             inflight_head_ = 0;
-
-        stats_.queue_delay.sample(start - now);
         return done;
     }
 

@@ -36,7 +36,7 @@ lookaheadPartition(const std::vector<AppDemand> &demands,
 {
     const auto n = static_cast<std::uint32_t>(demands.size());
     COOPSIM_ASSERT(n > 0, "no applications to partition");
-    COOPSIM_ASSERT(config.min_ways_per_app * n <= total_ways,
+    COOPSIM_ASSERT(kMinWaysPerApp * n <= total_ways,
                    "minimum ways exceed the cache associativity");
     for (const AppDemand &d : demands) {
         COOPSIM_ASSERT(d.miss_curve.size() >= 2,
@@ -44,8 +44,8 @@ lookaheadPartition(const std::vector<AppDemand> &demands,
     }
 
     Allocation result;
-    result.ways.assign(n, config.min_ways_per_app);
-    std::uint32_t balance = total_ways - config.min_ways_per_app * n;
+    result.ways.assign(n, kMinWaysPerApp);
+    std::uint32_t balance = total_ways - kMinWaysPerApp * n;
 
     std::vector<bool> excluded(n, false);
     double prev_max_mu = 0.0;

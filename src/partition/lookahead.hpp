@@ -64,6 +64,13 @@ struct AppDemand
     double accesses = 0.0;
 };
 
+/**
+ * Ways granted to every application before competition starts: the
+ * paper's schemes keep every core runnable, so each core always has a
+ * way to probe and fill.
+ */
+inline constexpr std::uint32_t kMinWaysPerApp = 1;
+
 /** Configuration of the allocator. */
 struct LookaheadConfig
 {
@@ -71,13 +78,6 @@ struct LookaheadConfig
     double threshold = 0.0;
     /** Threshold interpretation. */
     ThresholdMode mode = ThresholdMode::MissRatio;
-    /**
-     * Ways granted to every application before competition starts. The
-     * paper's schemes keep every core runnable, so this defaults to 1.
-     * Set to 0 to allow starving a core entirely (its LLC traffic then
-     * bypasses the cache).
-     */
-    std::uint32_t min_ways_per_app = 1;
 };
 
 /** Result of a partitioning decision. */
@@ -94,7 +94,7 @@ struct Allocation
  *
  * @param demands    One entry per competing application.
  * @param total_ways Ways available in the shared cache.
- * @param config     Threshold and floor settings.
+ * @param config     Threshold settings.
  */
 Allocation lookaheadPartition(const std::vector<AppDemand> &demands,
                               std::uint32_t total_ways,

@@ -8,11 +8,10 @@ namespace coopsim::partition
 {
 
 Allocation
-equalSharePartition(std::uint32_t num_apps, std::uint32_t total_ways,
-                    const LookaheadConfig &config)
+equalSharePartition(std::uint32_t num_apps, std::uint32_t total_ways)
 {
     COOPSIM_ASSERT(num_apps > 0, "no applications to partition");
-    COOPSIM_ASSERT(config.min_ways_per_app * num_apps <= total_ways,
+    COOPSIM_ASSERT(kMinWaysPerApp * num_apps <= total_ways,
                    "minimum ways exceed the cache associativity");
     // total_ways >= min * num_apps implies total_ways / num_apps >=
     // min, so the even split honours the floor by construction.
@@ -31,7 +30,7 @@ greedyUtilityPartition(const std::vector<AppDemand> &demands,
 {
     const auto n = static_cast<std::uint32_t>(demands.size());
     COOPSIM_ASSERT(n > 0, "no applications to partition");
-    COOPSIM_ASSERT(config.min_ways_per_app * n <= total_ways,
+    COOPSIM_ASSERT(kMinWaysPerApp * n <= total_ways,
                    "minimum ways exceed the cache associativity");
     for (const AppDemand &d : demands) {
         COOPSIM_ASSERT(d.miss_curve.size() >= 2,
@@ -39,8 +38,8 @@ greedyUtilityPartition(const std::vector<AppDemand> &demands,
     }
 
     Allocation result;
-    result.ways.assign(n, config.min_ways_per_app);
-    std::uint32_t balance = total_ways - config.min_ways_per_app * n;
+    result.ways.assign(n, kMinWaysPerApp);
+    std::uint32_t balance = total_ways - kMinWaysPerApp * n;
 
     std::vector<bool> excluded(n, false);
     double prev_max_mu = 0.0;
@@ -118,12 +117,19 @@ decidePartition(Partitioner partitioner,
         return lookaheadPartition(demands, total_ways, config);
       case Partitioner::EqualShare:
         return equalSharePartition(
-            static_cast<std::uint32_t>(demands.size()), total_ways,
-            config);
+            static_cast<std::uint32_t>(demands.size()), total_ways);
       case Partitioner::GreedyUtility:
         return greedyUtilityPartition(demands, total_ways, config);
     }
     COOPSIM_PANIC("unknown partitioner");
+}
+
+bool
+readsDemands(Partitioner partitioner, std::uint32_t num_apps,
+             std::uint32_t total_ways)
+{
+    return partitioner != Partitioner::EqualShare &&
+           total_ways > kMinWaysPerApp * num_apps;
 }
 
 } // namespace coopsim::partition

@@ -22,7 +22,7 @@
  *
  * All three are deterministic, pure functions of their inputs (the
  * executor's determinism invariant extends through them), and all
- * respect LookaheadConfig::min_ways_per_app. The thresholded
+ * grant every application kMinWaysPerApp ways. The thresholded
  * algorithms leave unprofitable ways unallocated, so gating-capable
  * schemes can power them off.
  */
@@ -52,13 +52,12 @@ enum class Partitioner : std::uint8_t
  * The equal split: total_ways / num_apps each, the remainder granted
  * one way apiece to the lowest application indices (the same counts as
  * FairShareLlc's round-robin way masks). Ignores the demands entirely;
- * never leaves a way unallocated. Asserts min_ways_per_app * num_apps
+ * never leaves a way unallocated. Asserts kMinWaysPerApp * num_apps
  * <= total_ways (like the other algorithms); the even split then
  * automatically clears the floor.
  */
 Allocation equalSharePartition(std::uint32_t num_apps,
-                               std::uint32_t total_ways,
-                               const LookaheadConfig &config);
+                               std::uint32_t total_ways);
 
 /**
  * Greedy hill-climb: repeatedly grants ONE way to the application with
@@ -84,6 +83,18 @@ Allocation decidePartition(Partitioner partitioner,
                            const std::vector<AppDemand> &demands,
                            std::uint32_t total_ways,
                            const LookaheadConfig &config);
+
+/**
+ * False when decidePartition(@p partitioner, demands, @p total_ways,
+ * config) over @p num_apps applications returns the same allocation
+ * whatever the demands' curves and access counts: under EqualShare,
+ * which reads only their number, and under every algorithm when the
+ * floor of kMinWaysPerApp ways each takes every way. The one place
+ * that knows which decisions read demands; a scheme builds and updates
+ * its utility monitors only where this is true.
+ */
+bool readsDemands(Partitioner partitioner, std::uint32_t num_apps,
+                  std::uint32_t total_ways);
 
 } // namespace coopsim::partition
 

@@ -452,6 +452,7 @@ void
 ResultStore::put(const sim::RunKey &key, const sim::RunResult &result)
 {
     std::lock_guard<std::mutex> lock(mutex_);
+    ++puts_;
     const auto it = index_.find(key);
     if (it != index_.end()) {
         entries_[it->second].second = result;
@@ -506,10 +507,12 @@ ResultStore::appendJournal(const sim::RunKey &key,
 }
 
 void
-ResultStore::removeJournals(bool loaded_too)
+ResultStore::removeJournals(bool loaded_too, std::uint64_t puts_saved)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    journal_dir_.clear();
+    if (puts_ != puts_saved) {
+        return;
+    }
     if (journal_fd_ >= 0) {
         ::close(journal_fd_);
         journal_fd_ = -1;
@@ -540,6 +543,13 @@ ResultStore::size() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     return entries_.size();
+}
+
+std::uint64_t
+ResultStore::putCount() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return puts_;
 }
 
 std::vector<sim::RunKey>
@@ -712,7 +722,7 @@ ResultStore::save(const std::string &path) const
     }
 }
 
-bool
+std::optional<std::size_t>
 ResultStore::trySave(const std::string &path, std::string &error) const
 {
     namespace fs = std::filesystem;
@@ -745,10 +755,13 @@ ResultStore::trySave(const std::string &path, std::string &error) const
             error = "cannot create store directory '" +
                     target.parent_path().string() +
                     "': " + ec.message();
-            return false;
+            return std::nullopt;
         }
     }
-    return writeFileDurably(path, content, error);
+    if (!writeFileDurably(path, content, error)) {
+        return std::nullopt;
+    }
+    return lines.size();
 }
 
 } // namespace coopsim::store

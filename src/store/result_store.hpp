@@ -186,6 +186,10 @@ class ResultStore
 
     std::size_t size() const;
 
+    /** put() calls so far, loads included. A save whose snapshot is
+     *  taken after this is read holds every one of them. */
+    std::uint64_t putCount() const;
+
     /** Stored keys, in insertion order. */
     std::vector<sim::RunKey> keys() const;
 
@@ -229,10 +233,13 @@ class ResultStore
 
     /**
      * Closes and deletes this store's own journal and, with
-     * @p loaded_too, the journals loadDir() read into it. Call it only
-     * once a save holds their entries. Later puts journal nothing.
+     * @p loaded_too, the journals loadDir() read into it, once a save
+     * holds their entries: @p puts_saved is the putCount() read before
+     * that save's snapshot. If a put() has arrived since, its line may
+     * be in no save, so every journal stays on disk for the next
+     * loadDir(). A put() after the removal starts a new journal.
      */
-    void removeJournals(bool loaded_too);
+    void removeJournals(bool loaded_too, std::uint64_t puts_saved);
 
     /**
      * Atomically and durably writes the whole store to @p path: the
@@ -243,15 +250,16 @@ class ResultStore
     void save(const std::string &path) const;
 
     /**
-     * save() without the fatal: returns false and fills @p error on
-     * any write/flush/rename failure. When the data reached the temp
-     * file but could not be renamed into place (ENOSPC on the target,
-     * read-only directory), the temp file is left on disk and named
-     * in @p error so the results remain recoverable — the atexit
-     * store save reports this loudly instead of dying or silently
-     * losing the sweep.
+     * save() without the fatal: returns the number of entries written,
+     * or nothing, with @p error filled, on any write/flush/rename
+     * failure. When the data reached the temp file but could not be
+     * renamed into place (ENOSPC on the target, read-only directory),
+     * the temp file is left on disk and named in @p error so the
+     * results remain recoverable — the atexit store save reports this
+     * loudly instead of dying or silently losing the sweep.
      */
-    bool trySave(const std::string &path, std::string &error) const;
+    std::optional<std::size_t> trySave(const std::string &path,
+                                       std::string &error) const;
 
     /** Cumulative load-health counters. */
     Stats stats() const;
@@ -276,13 +284,15 @@ class ResultStore
     /** Insertion-ordered entries; index_ maps key -> position. */
     std::vector<std::pair<sim::RunKey, sim::RunResult>> entries_;
     std::unordered_map<sim::RunKey, std::size_t, sim::RunKeyHash> index_;
+    /** put() calls so far (putCount()). */
+    std::uint64_t puts_ = 0;
     /** Where put() journals; empty when no journal is open or an
      *  append failed. */
     std::string journal_dir_;
     /** The journal file, named at the first put. */
     std::string journal_path_;
-    /** Open from the first put until removeJournals(); -1 if the
-     *  create failed. */
+    /** Open from the first put until a removeJournals() that removes
+     *  it; -1 if the create failed. */
     int journal_fd_ = -1;
     /** Journal files loadDir() read. */
     std::vector<std::string> loaded_journals_;

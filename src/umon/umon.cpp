@@ -57,7 +57,6 @@ UtilityMonitor::decay()
     }
     misses_ >>= 1;
     accesses_ >>= 1;
-    sampled_refs_ >>= 1;
 }
 
 void
@@ -67,7 +66,6 @@ UtilityMonitor::reset()
     position_hits_.assign(position_hits_.size(), 0);
     misses_ = 0;
     accesses_ = 0;
-    sampled_refs_ = 0;
 }
 
 } // namespace coopsim::umon

@@ -61,7 +61,6 @@ class UtilityMonitor
         if (!sampled(set)) {
             return;
         }
-        ++sampled_refs_;
 
         const Addr tag = slicer_.tag(addr);
         const std::uint32_t ways = config_.llc_ways;
@@ -146,7 +145,6 @@ class UtilityMonitor
     std::vector<std::uint64_t> position_hits_;
     std::uint64_t misses_ = 0;
     std::uint64_t accesses_ = 0;
-    std::uint64_t sampled_refs_ = 0;
 };
 
 } // namespace coopsim::umon

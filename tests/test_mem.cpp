@@ -83,8 +83,7 @@ TEST(Dram, StatsCountRequestKinds)
     dram.writeback(128, 0);
     dram.flush(192, 0);
     dram.flush(256, 0);
-    EXPECT_EQ(dram.stats().reads.value(), 1u);
-    EXPECT_EQ(dram.stats().writes.value(), 1u);
+    EXPECT_EQ(dram.stats().reads.value(), 1u); // not the store's fill
     EXPECT_EQ(dram.stats().writebacks.value(), 1u);
     EXPECT_EQ(dram.stats().flushes.value(), 2u);
 }
@@ -97,13 +96,19 @@ TEST(Dram, ResetStatsClearsCounters)
     EXPECT_EQ(dram.stats().reads.value(), 0u);
 }
 
-TEST(Dram, QueueDelayRecordedUnderContention)
+TEST(Dram, ContendedRequestsQueueBehindBankAndWindow)
 {
+    // Sixteen same-bank reads issued at cycle 0, so every cycle past
+    // the 400-cycle latency is queueing. The first eight start one
+    // 40-cycle bank occupancy apart; the window of 8 then holds each
+    // later one until the request eight before it completes.
     DramModel dram(smallConfig());
-    for (int i = 0; i < 16; ++i) {
-        dram.access(addrForBank(0, 4, i), AccessType::Read, 0);
+    for (std::uint32_t i = 0; i < 16; ++i) {
+        const Cycle expected = i < 8 ? 400 + 40 * i : 800 + 40 * (i - 8);
+        EXPECT_EQ(dram.access(addrForBank(0, 4, i), AccessType::Read, 0),
+                  expected)
+            << i;
     }
-    EXPECT_GT(dram.stats().queue_delay.mean(), 0.0);
 }
 
 TEST(Dram, FlushTrafficDelaysDemand)

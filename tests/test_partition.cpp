@@ -1,8 +1,8 @@
 /**
  * @file
  * Unit and property tests for the allocation algorithms: look-ahead
- * (plain and thresholded, Algorithm 1) and the transition planner
- * (Algorithm 2).
+ * (plain and thresholded, Algorithm 1), which decisions read their
+ * demands (readsDemands) and the transition planner (Algorithm 2).
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +13,7 @@
 
 #include "common/rng.hpp"
 #include "partition/lookahead.hpp"
+#include "partition/partitioner.hpp"
 #include "partition/transition_plan.hpp"
 
 using namespace coopsim;
@@ -142,21 +143,9 @@ TEST(Lookahead, ThresholdOneAllocatesOnlyTheFloor)
     LookaheadConfig config;
     config.threshold = 1.0;
     const Allocation alloc = lookaheadPartition(demands, 8, config);
-    EXPECT_EQ(alloc.ways[0], config.min_ways_per_app);
-    EXPECT_EQ(alloc.ways[1], config.min_ways_per_app);
+    EXPECT_EQ(alloc.ways[0], kMinWaysPerApp);
+    EXPECT_EQ(alloc.ways[1], kMinWaysPerApp);
     EXPECT_EQ(alloc.unallocated, 6u);
-}
-
-TEST(Lookahead, MinWaysZeroAllowsStarvation)
-{
-    std::vector<AppDemand> demands = {kneeDemand(1000, 0, 0, 8),
-                                      kneeDemand(1000, 100, 4, 8)};
-    LookaheadConfig config;
-    config.threshold = 0.05;
-    config.min_ways_per_app = 0;
-    const Allocation alloc = lookaheadPartition(demands, 8, config);
-    EXPECT_EQ(alloc.ways[0], 0u);
-    EXPECT_EQ(alloc.ways[1], 4u);
 }
 
 TEST(Lookahead, PaperLiteralModeTerminatesAndAllocates)
@@ -202,7 +191,7 @@ TEST_P(LookaheadThresholdTest, AllocationsAreFeasible)
         EXPECT_EQ(alloc.ways.size(), napps);
         EXPECT_EQ(sum(alloc.ways) + alloc.unallocated, 16u);
         for (const std::uint32_t w : alloc.ways) {
-            EXPECT_GE(w, config.min_ways_per_app);
+            EXPECT_GE(w, kMinWaysPerApp);
         }
     }
 }
@@ -225,6 +214,88 @@ TEST_P(LookaheadThresholdTest, HigherThresholdNeverAllocatesMore)
 
 INSTANTIATE_TEST_SUITE_P(Thresholds, LookaheadThresholdTest,
                          ::testing::Values(0.0, 0.01, 0.05, 0.1, 0.2));
+
+// ---------------------------------------------------------------------------
+// readsDemands
+
+TEST(ReadsDemands, OnlyEqualShareAndAFullFloorIgnoreDemands)
+{
+    for (const Partitioner p :
+         {Partitioner::Lookahead, Partitioner::GreedyUtility}) {
+        EXPECT_FALSE(readsDemands(p, 4, 4 * kMinWaysPerApp));
+        EXPECT_TRUE(readsDemands(p, 4, 4 * kMinWaysPerApp + 1));
+        EXPECT_TRUE(readsDemands(p, 32, 64));
+    }
+    EXPECT_FALSE(readsDemands(Partitioner::EqualShare, 4, 4));
+    EXPECT_FALSE(readsDemands(Partitioner::EqualShare, 32, 64));
+}
+
+TEST(ReadsDemands, WhereFalseTheCurvesCannotChangeTheDecision)
+{
+    // Random monotone curves and access counts over apps <= ways <= 64,
+    // a quarter of the cases at ways == apps. Where readsDemands is
+    // false, every partitioner, threshold and mode must decide exactly
+    // what it decides for flat curves with zero accesses; where it is
+    // true, the curves must change some decision, so the predicate is
+    // not vacuously false.
+    const Partitioner partitioners[] = {Partitioner::Lookahead,
+                                        Partitioner::GreedyUtility,
+                                        Partitioner::EqualShare};
+    const double thresholds[] = {0.0, 0.01, 0.05, 0.2, 1.0};
+    std::uint32_t skipped = 0;
+    std::uint32_t changed[3] = {0, 0, 0};
+    Rng rng(28);
+    for (int trial = 0; trial < 150; ++trial) {
+        const auto apps = static_cast<std::uint32_t>(1 + rng.nextBelow(64));
+        const auto ways = static_cast<std::uint32_t>(
+            rng.nextBelow(4) == 0 ? apps
+                                  : apps + rng.nextBelow(65 - apps));
+        std::vector<AppDemand> demands(apps);
+        for (AppDemand &d : demands) {
+            double misses = static_cast<double>(rng.nextBelow(100000));
+            d.accesses = misses + static_cast<double>(rng.nextBelow(1000));
+            d.miss_curve.push_back(misses);
+            for (std::uint32_t w = 0; w < ways; ++w) {
+                misses -= std::min(
+                    misses, static_cast<double>(rng.nextBelow(8000)));
+                d.miss_curve.push_back(misses);
+            }
+        }
+        AppDemand flat;
+        flat.miss_curve.assign(ways + 1, 0.0);
+        const std::vector<AppDemand> flats(apps, flat);
+
+        for (std::size_t p = 0; p < 3; ++p) {
+            const bool reads = readsDemands(partitioners[p], apps, ways);
+            for (const ThresholdMode mode :
+                 {ThresholdMode::MissRatio, ThresholdMode::PaperLiteral}) {
+                for (const double threshold : thresholds) {
+                    LookaheadConfig config;
+                    config.threshold = threshold;
+                    config.mode = mode;
+                    const Allocation measured = decidePartition(
+                        partitioners[p], demands, ways, config);
+                    const Allocation blind = decidePartition(
+                        partitioners[p], flats, ways, config);
+                    const bool same =
+                        measured.ways == blind.ways &&
+                        measured.unallocated == blind.unallocated;
+                    if (!reads) {
+                        ++skipped;
+                        EXPECT_TRUE(same)
+                            << "partitioner " << p << " apps " << apps
+                            << " ways " << ways << " T " << threshold;
+                    } else if (!same) {
+                        ++changed[p];
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_GT(skipped, 0u);
+    EXPECT_GT(changed[0], 0u); // lookahead
+    EXPECT_GT(changed[1], 0u); // greedy
+}
 
 // ---------------------------------------------------------------------------
 // planTransition (Algorithm 2)

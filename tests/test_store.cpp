@@ -13,7 +13,9 @@
  *    lines), and lexical-order directory folding;
  *  - the journal: a session SIGKILLed mid-sweep leaves exactly its
  *    completed results on disk, and a rerun's save of the whole
- *    sweep is byte-identical to an uninterrupted one;
+ *    sweep is byte-identical to an uninterrupted one; a result that
+ *    lands after the exit save's snapshot keeps the journals, and a
+ *    `--store` spec whose layout has no table dies before simulating;
  *  - shardKeys(): the round-robin shards partition the expanded
  *    sweep (disjoint, union == full key list);
  *  - the executor store hook: stored keys are served without
@@ -28,6 +30,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include <coopsim/experiment.hpp>
@@ -952,7 +955,7 @@ TEST(StoreJournal, KilledRunKeepsEveryCompletedResult)
     }
     // A shard's finish deletes only its own journal, never one it
     // merely loaded: another shard may still be writing that one.
-    survivors.removeJournals(false);
+    survivors.removeJournals(false, survivors.putCount());
     EXPECT_EQ(journalsIn(dir).size(), 1u);
 
     // The rerun computes only the missing keys. Its save equals a
@@ -984,4 +987,102 @@ TEST(StoreJournal, KilledRunKeepsEveryCompletedResult)
         scratchDir("journal_clean") + "/" + kMergedFileName;
     clean.save(clean_path);
     EXPECT_EQ(slurp(path), slurp(clean_path));
+}
+
+TEST(StoreJournal, AResultLandingAfterTheSaveKeepsTheJournals)
+{
+    const std::string dir = scratchDir("journal_late_put");
+    const std::string path = dir + "/" + kMergedFileName;
+    constexpr unsigned kSaved = 3;
+    ResultStore session;
+    session.openJournal(dir);
+    for (unsigned n = 0; n < kSaved; ++n) {
+        session.put(sampleKey(n), sampleResult(n));
+    }
+    // The exit save's steps, with a run still in flight completing
+    // after the save took its snapshot: the journals must stay.
+    const std::uint64_t puts = session.putCount();
+    std::string error;
+    const std::optional<std::size_t> saved = session.trySave(path, error);
+    ASSERT_TRUE(saved.has_value()) << error;
+    EXPECT_EQ(*saved, kSaved);
+    session.put(sampleKey(kSaved), sampleResult(kSaved));
+    session.removeJournals(true, puts);
+    EXPECT_EQ(journalsIn(dir).size(), 1u);
+
+    // The next session loads every result, and finishing it saves them
+    // all and removes the journal it folded in.
+    ResultStore resumed;
+    EXPECT_EQ(resumed.loadDir(dir), 2 * kSaved + 1); // file + journal
+    resumed.openJournal(dir);
+    EXPECT_EQ(api::finishStoreSession(resumed, path, resumed, true, error),
+              std::optional<std::size_t>(kSaved + 1))
+        << error;
+    EXPECT_TRUE(journalsIn(dir).empty());
+    ResultStore reloaded;
+    EXPECT_EQ(reloaded.loadDir(dir), kSaved + 1);
+    for (unsigned n = 0; n <= kSaved; ++n) {
+        const auto hit = reloaded.find(sampleKey(n));
+        ASSERT_TRUE(hit.has_value()) << n;
+        expectIdentical(sampleResult(n), *hit);
+    }
+}
+
+TEST(StoreJournal, FinishingWhileARunCompletesLosesNothing)
+{
+    // Whether the last put lands before the save's snapshot, between
+    // it and the journal removal, or after the removal, a reload of
+    // the directory holds it.
+    for (unsigned trial = 0; trial < 20; ++trial) {
+        const std::string dir = scratchDir("journal_race");
+        const std::string path = dir + "/" + kMergedFileName;
+        {
+            ResultStore session;
+            session.openJournal(dir);
+            session.put(sampleKey(0), sampleResult(0));
+            std::thread late(
+                [&session] { session.put(sampleKey(1), sampleResult(1)); });
+            std::string error;
+            const std::optional<std::size_t> saved = api::finishStoreSession(
+                session, path, session, true, error);
+            late.join();
+            ASSERT_TRUE(saved.has_value()) << error;
+        }
+        ResultStore reloaded;
+        reloaded.loadDir(dir);
+        EXPECT_EQ(reloaded.size(), 2u) << trial;
+    }
+}
+
+TEST(StoreJournal, AnUnrenderableLayoutDiesBeforeSimulating)
+{
+    GTEST_FLAG_SET(death_test_style, "threadsafe");
+    const std::string dir = scratchDir("layout_none");
+    const api::ExperimentSpec spec = api::parseSpec(
+        "coopsim-spec v1\nname unrendered\nlayout none\nschemes coop\n"
+        "groups G2-1\nscale test\n");
+    api::CliOptions options;
+    options.store_dir = dir;
+    // As `coopsim_cli --spec=FILE --store=DIR` runs it, with the fatal
+    // caught so the child can report that the pool never started: no
+    // run was submitted.
+    EXPECT_EXIT(
+        {
+            api::attachCliStore(options);
+            setThrowOnFatal(true);
+            try {
+                api::printExperiment(spec);
+            } catch (const FatalError &error) {
+                std::fprintf(
+                    stderr, "fatal: %s; workers=%u\n", error.what(),
+                    sim::RunExecutor::instance().activeWorkers());
+                std::exit(1);
+            }
+        },
+        testing::ExitedWithCode(1),
+        "spec 'unrendered' has layout 'none', which has no built-in "
+        "table renderer; workers=0");
+    EXPECT_TRUE(journalsIn(dir).empty());
+    ResultStore saved;
+    EXPECT_EQ(saved.loadDir(dir), 0u);
 }

@@ -296,24 +296,16 @@ demandOf(std::vector<double> curve, double accesses)
 
 TEST(Partitioner, EqualShareSplitsWithRemainderToLowestIndices)
 {
-    const partition::LookaheadConfig config;
     const partition::Allocation even =
-        partition::equalSharePartition(8, 16, config);
+        partition::equalSharePartition(8, 16);
     EXPECT_EQ(even.ways,
               std::vector<std::uint32_t>(8, 2u));
     EXPECT_EQ(even.unallocated, 0u);
 
     const partition::Allocation odd =
-        partition::equalSharePartition(3, 8, config);
+        partition::equalSharePartition(3, 8);
     EXPECT_EQ(odd.ways, (std::vector<std::uint32_t>{3, 3, 2}));
     EXPECT_EQ(odd.unallocated, 0u);
-
-    // The even split clears any satisfiable floor by construction.
-    partition::LookaheadConfig floor2;
-    floor2.min_ways_per_app = 2;
-    const partition::Allocation floored =
-        partition::equalSharePartition(3, 8, floor2);
-    EXPECT_EQ(floored.ways, (std::vector<std::uint32_t>{3, 3, 2}));
 }
 
 TEST(Partitioner, GreedyGrantsByMarginalUtilityAndGatesTheRest)
