@@ -236,21 +236,18 @@ saveCliStore()
     printRunStats();
 }
 
-/** Prints the store's load-health counters (skipped/legacy lines,
+/** Prints the store's load-health counters (skipped lines,
  *  quarantined files) to stderr — only when any are non-zero, so a
  *  clean run's stderr is unchanged. */
 void
 printStoreHealth(const store::ResultStore &result_store)
 {
     const store::ResultStore::Stats stats = result_store.stats();
-    if (stats.lines_skipped > 0 || stats.files_quarantined > 0 ||
-        stats.lines_legacy > 0) {
+    if (stats.lines_skipped > 0 || stats.files_quarantined > 0) {
         std::fprintf(
             stderr,
-            "# store: health lines_skipped=%llu lines_legacy=%llu "
-            "files_quarantined=%llu\n",
+            "# store: health lines_skipped=%llu files_quarantined=%llu\n",
             static_cast<unsigned long long>(stats.lines_skipped),
-            static_cast<unsigned long long>(stats.lines_legacy),
             static_cast<unsigned long long>(stats.files_quarantined));
     }
 }

@@ -47,9 +47,6 @@ class OpStream
   public:
     virtual ~OpStream() = default;
 
-    /** Produces the next operation. Streams never end. */
-    virtual MemOp next() = 0;
-
     /**
      * Fills out[0, max) with the next @p max operations and returns
      * the count produced (always @p max for the infinite streams in
@@ -58,15 +55,18 @@ class OpStream
      * The core model consumes operations through this interface so one
      * virtual dispatch covers a whole batch. Generation must not depend
      * on consumption timing: a stream is a pure sequence, and the core
-     * buffers ops ahead of executing them. The default forwards to
-     * next(); generators override it with a non-virtual inner loop.
+     * buffers ops ahead of executing them.
      */
-    virtual std::size_t nextBatch(MemOp *out, std::size_t max)
+    virtual std::size_t nextBatch(MemOp *out, std::size_t max) = 0;
+
+    /** The next operation: a one-op nextBatch(). Virtual only because
+     *  perfbench's TimedStream overrides it. */
+    virtual MemOp
+    next()
     {
-        for (std::size_t i = 0; i < max; ++i) {
-            out[i] = next();
-        }
-        return max;
+        MemOp op;
+        nextBatch(&op, 1);
+        return op;
     }
 };
 

@@ -199,14 +199,6 @@ class MemoReplayStream final : public core::OpStream
         return produced;
     }
 
-    core::MemOp
-    next() override
-    {
-        core::MemOp op;
-        nextBatch(&op, 1);
-        return op;
-    }
-
   private:
     std::shared_ptr<StreamEntry> entry_;
     StreamCache &cache_;

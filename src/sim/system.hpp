@@ -48,7 +48,7 @@ enum class RunScale
  * arbitration, so the min-clock structure is consulted once per
  * quantum instead of once per op. PerOp is the reference
  * one-op-per-arbitration loop it replaced — retained because the two
- * are bit-identical by construction and tests/benches hold the batched
+ * are bit-identical by construction and test_hotpath holds the batched
  * path to that (see docs/ARCHITECTURE.md, "The intra-run hot path").
  */
 enum class DriverMode : std::uint8_t
@@ -209,8 +209,9 @@ struct RunResult
  * Host-side accounting of the event loop (not simulated state): how
  * many arbitration quanta the driver dispatched and how many operation
  * bundles they covered. avgQuantumOps() > 1 is the evidence that the
- * batched path actually batched (the CI build-and-test job greps it
- * out of BENCH_hotpath.json).
+ * batched path actually batched: test_hotpath asserts it, and CI
+ * requires it of every workload's traced perfbench ledger
+ * (sim.driver.avg_quantum_ops).
  */
 struct DriverStats
 {

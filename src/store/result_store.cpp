@@ -199,7 +199,7 @@ withCrcSuffix(const std::string &body)
     return body + "\t" + kCrcMarker + hex;
 }
 
-LineCheck
+bool
 splitCrcSuffix(const std::string &line, std::string &body)
 {
     const std::size_t marker_len = std::strlen(kCrcMarker);
@@ -208,16 +208,13 @@ splitCrcSuffix(const std::string &line, std::string &body)
         line[line.size() - suffix_len] != '\t' ||
         line.compare(line.size() - suffix_len + 1, marker_len,
                      kCrcMarker) != 0) {
-        body = line;
-        return LineCheck::Legacy;
+        return false;
     }
     body = line.substr(0, line.size() - suffix_len);
     char hex[kCrcHexDigits + 1];
     std::snprintf(hex, sizeof(hex), "%08x", crc32(body));
     return line.compare(line.size() - kCrcHexDigits, kCrcHexDigits,
-                        hex) == 0
-               ? LineCheck::Ok
-               : LineCheck::Mismatch;
+                        hex) == 0;
 }
 
 // ---------------------------------------------------------------------------
@@ -604,7 +601,6 @@ ResultStore::loadFileOutcome(const std::string &path)
         return outcome;
     }
     std::size_t skipped = 0;
-    std::size_t legacy = 0;
     std::size_t lineno = 1;
     std::string body;
     while (std::getline(file, line)) {
@@ -620,10 +616,10 @@ ResultStore::loadFileOutcome(const std::string &path)
             continue;
         }
         ++outcome.candidates;
-        const LineCheck check = splitCrcSuffix(line, body);
-        if (check == LineCheck::Mismatch) {
+        if (!splitCrcSuffix(line, body)) {
             COOPSIM_WARN(path, ":", lineno,
-                         ": store line fails its CRC32; skipped");
+                         ": store line lacks a matching CRC32; "
+                         "skipped");
             ++skipped;
             continue;
         }
@@ -635,20 +631,11 @@ ResultStore::loadFileOutcome(const std::string &path)
             ++skipped;
             continue;
         }
-        if (check == LineCheck::Legacy) {
-            ++legacy;
-        }
         put(key, result);
         ++outcome.loaded;
     }
-    if (legacy > 0) {
-        COOPSIM_WARN(path, ": ", legacy,
-                     " pre-CRC store line(s) loaded without checksum "
-                     "protection (re-save to upgrade)");
-    }
     lines_loaded_.fetch_add(outcome.loaded, std::memory_order_relaxed);
     lines_skipped_.fetch_add(skipped, std::memory_order_relaxed);
-    lines_legacy_.fetch_add(legacy, std::memory_order_relaxed);
     return outcome;
 }
 
@@ -707,7 +694,6 @@ ResultStore::stats() const
     stats.lines_loaded = lines_loaded_.load(std::memory_order_relaxed);
     stats.lines_skipped =
         lines_skipped_.load(std::memory_order_relaxed);
-    stats.lines_legacy = lines_legacy_.load(std::memory_order_relaxed);
     stats.files_quarantined =
         files_quarantined_.load(std::memory_order_relaxed);
     return stats;

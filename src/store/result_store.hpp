@@ -12,9 +12,10 @@
  *    '\t' #crc32=XXXXXXXX` — the canonical RunKey encoding
  *    (api/spec.hpp) is the merge key, so any two stores produced by
  *    any two hosts can be combined, and the CRC32 suffix detects
- *    torn or bit-flipped lines that still parse structurally (lines
- *    written before the CRC era load with a warning, counted in
- *    Stats::lines_legacy);
+ *    torn or bit-flipped lines that still parse structurally (a line
+ *    without its trailer is skipped like a mismatch: cut inside its
+ *    last field and then '\n'-terminated, it would parse as a smaller
+ *    number);
  *  - files are written durably and atomically (writeFileDurably():
  *    write to `<path>.tmp`, fsync, then rename), so a reader never
  *    observes a half-written store and a crashed writer leaves the
@@ -113,22 +114,11 @@ bool writeFileDurably(const std::string &path, std::string_view data,
  *  the checksum covers exactly @p body. */
 std::string withCrcSuffix(const std::string &body);
 
-/** Classification of one store line's checksum trailer. */
-enum class LineCheck
-{
-    /** CRC suffix present and matching; @p body holds the line
-     *  without it. */
-    Ok,
-    /** No CRC suffix (a pre-CRC store); the whole line is the body
-     *  and loads normally, counted as legacy. */
-    Legacy,
-    /** CRC suffix present but wrong — the line is corrupt even if it
-     *  would still parse. */
-    Mismatch,
-};
-
-/** Splits and verifies the `\t#crc32=` trailer of @p line. */
-LineCheck splitCrcSuffix(const std::string &line, std::string &body);
+/** Splits and verifies the `\t#crc32=` trailer of @p line: true, with
+ *  @p body holding the line without it, only when the trailer is
+ *  present and matches. A line without one is as corrupt as a
+ *  mismatch, even if it would still parse. */
+bool splitCrcSuffix(const std::string &line, std::string &body);
 
 /** Canonical single-line encoding of every RunResult field (doubles
  *  round-trip bit-exactly). */
@@ -165,10 +155,9 @@ class ResultStore
     {
         /** Entry lines loaded successfully. */
         std::uint64_t lines_loaded = 0;
-        /** Corrupt, truncated or CRC-mismatched lines skipped. */
+        /** Corrupt, truncated, CRC-less or CRC-mismatched lines
+         *  skipped. */
         std::uint64_t lines_skipped = 0;
-        /** Pre-CRC lines loaded (old stores; still trusted). */
-        std::uint64_t lines_legacy = 0;
         /** Files loadDir() renamed to `.quarantined` because no line
          *  in them was valid (bad magic or all lines corrupt). */
         std::uint64_t files_quarantined = 0;
@@ -298,7 +287,6 @@ class ResultStore
     std::vector<std::string> loaded_journals_;
     std::atomic<std::uint64_t> lines_loaded_{0};
     std::atomic<std::uint64_t> lines_skipped_{0};
-    std::atomic<std::uint64_t> lines_legacy_{0};
     std::atomic<std::uint64_t> files_quarantined_{0};
 };
 

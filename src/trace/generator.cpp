@@ -131,12 +131,6 @@ SyntheticStream::touch(SetId set, std::uint32_t block)
     list[0] = block;
 }
 
-core::MemOp
-SyntheticStream::next()
-{
-    return generate();
-}
-
 std::size_t
 SyntheticStream::nextBatch(core::MemOp *out, std::size_t max)
 {

@@ -116,12 +116,10 @@ class SyntheticStream final : public core::OpStream
                     const StreamGeometry &geometry, std::uint32_t space,
                     std::uint64_t seed);
 
-    core::MemOp next() override;
-
     /**
      * Batch generation without per-op virtual dispatch: one call fills
      * the core model's op ring buffer (see OpStream::nextBatch). The
-     * op sequence is identical to repeated next() calls.
+     * op sequence does not depend on the batch sizes.
      */
     std::size_t nextBatch(core::MemOp *out, std::size_t max) override;
 

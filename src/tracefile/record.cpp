@@ -43,13 +43,6 @@ class CountingStream final : public core::OpStream
     {
     }
 
-    core::MemOp
-    next() override
-    {
-        ++delivered_;
-        return inner_->next();
-    }
-
     std::size_t
     nextBatch(core::MemOp *out, std::size_t max) override
     {

@@ -28,12 +28,12 @@ class ScriptedStream final : public OpStream
     {
     }
 
-    MemOp next() override
+    std::size_t nextBatch(MemOp *out, std::size_t max) override
     {
-        if (index_ < ops_.size()) {
-            return ops_[index_++];
+        for (std::size_t i = 0; i < max; ++i) {
+            out[i] = index_ < ops_.size() ? ops_[index_++] : ops_.back();
         }
-        return ops_.back();
+        return max;
     }
 
   private:

@@ -7,7 +7,8 @@
  * tab or '=') and must either reject a mutant (a fatal, false, or a
  * skipped line) or parse it to a value that formats and re-parses to
  * itself. Each parser gets at least 1000 mutants, and both outcomes
- * must occur.
+ * must occur; the store loader's accepted lines are its unmutated
+ * CRC'd ones, since any changed byte fails the checksum.
  */
 
 #include <gtest/gtest.h>
@@ -239,7 +240,9 @@ TEST(HostileInput, RunKeyMutantsAreRejectedOrRoundTrip)
 TEST(HostileInput, StoreLineMutantsAreSkippedOrRoundTrip)
 {
     // Real results: an exact, a banked (xor) and a setop-sampled run,
-    // each as a CRC'd line and as a legacy line without the trailer.
+    // each as a CRC'd line (even index) and as a line without the
+    // trailer (odd index). No line without a CRC may load, mutated or
+    // not.
     const sim::RunKey exact = api::expandSpec(testSpec("fig05")).front();
     sim::RunKey banked = exact;
     banked.slice_hash = llc::SliceHashKind::Xor;
@@ -261,22 +264,29 @@ TEST(HostileInput, StoreLineMutantsAreSkippedOrRoundTrip)
     const std::string path =
         (dir / ("mutant" + std::string(store::kStoreExtension))).string();
 
-    Rng rng(2028);
-    std::size_t accepted = 0;
-    std::size_t rejected = 0;
+    const auto write = [&path](const std::string &line) {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out << store::kStoreMagic << "\n" << line << "\n";
+    };
     setQuiet(true);
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+        write(lines[i]);
+        store::ResultStore loaded;
+        EXPECT_EQ(loaded.loadFile(path), i % 2 == 0 ? 1u : 0u) << lines[i];
+    }
+
+    Rng rng(2028);
+    std::size_t rejected = 0;
+    std::size_t crcless_loaded = 0;
     for (std::size_t trial = 0; trial < 1200; ++trial) {
         const std::string mutant = mutate(lines[trial % lines.size()], rng);
-        {
-            std::ofstream out(path, std::ios::binary | std::ios::trunc);
-            out << store::kStoreMagic << "\n" << mutant << "\n";
-        }
+        write(mutant);
         store::ResultStore loaded;
         if (loaded.loadFile(path) == 0) {
             ++rejected;
             continue;
         }
-        ++accepted;
+        crcless_loaded += trial % 2;
         for (const sim::RunKey &key : loaded.keys()) {
             const sim::RunResult result = *loaded.find(key);
             const std::string canonical =
@@ -294,8 +304,6 @@ TEST(HostileInput, StoreLineMutantsAreSkippedOrRoundTrip)
     }
     setQuiet(false);
     fs::remove_all(dir);
-    // Most mutants of a CRC'd line fail their checksum; the accepted
-    // ones come from the legacy lines.
-    EXPECT_GT(accepted, 50u);
+    EXPECT_EQ(crcless_loaded, 0u);
     EXPECT_GT(rejected, 100u);
 }

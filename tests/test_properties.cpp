@@ -227,6 +227,21 @@ TEST_P(CpeFuzzTest, EveryCoreKeepsAWay)
         }
         EXPECT_LE(static_cast<double>(std::popcount(owned)),
                   llc.poweredWays());
+
+        // A way changing hands is flushed first: no core's ways hold
+        // another core's dirty data.
+        for (CoreId c = 0; c < params.cores; ++c) {
+            std::uint64_t foreign = 0;
+            for (cache::WayMask m = llc.maskOf(c); m != 0; m &= m - 1) {
+                for (SetId s = 0; s < kFuzzSets; ++s) {
+                    const cache::CacheBlock blk =
+                        llc.array().block(s, cache::lowestWay(m));
+                    foreign += blk.valid && blk.dirty && blk.owner != c;
+                }
+            }
+            EXPECT_EQ(foreign, 0u)
+                << "core " << c << "'s ways hold foreign dirty blocks";
+        }
     });
 }
 

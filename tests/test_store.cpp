@@ -324,9 +324,9 @@ TEST(ResultStore, LoadSkipsCorruptAndTruncatedLines)
     const std::string path = dir + "/bad" + kStoreExtension;
 
     const std::string good0 =
-        formatStoreLine(sampleKey(0), sampleResult(0));
+        withCrcSuffix(formatStoreLine(sampleKey(0), sampleResult(0)));
     const std::string good1 =
-        formatStoreLine(sampleKey(1), sampleResult(1));
+        withCrcSuffix(formatStoreLine(sampleKey(1), sampleResult(1)));
     {
         std::ofstream out(path);
         out << kStoreMagic << "\n";
@@ -415,15 +415,13 @@ TEST(StoreCrc, ChecksumMatchesKnownVectorsAndSuffixRoundTrips)
     EXPECT_EQ(line.substr(0, body.size()), body);
 
     std::string split;
-    EXPECT_EQ(splitCrcSuffix(line, split), LineCheck::Ok);
+    EXPECT_TRUE(splitCrcSuffix(line, split));
     EXPECT_EQ(split, body);
-    // No trailer -> legacy, whole line is the body.
-    EXPECT_EQ(splitCrcSuffix(body, split), LineCheck::Legacy);
-    EXPECT_EQ(split, body);
-    // Any flipped digit -> mismatch.
+    // No trailer, or any flipped digit -> rejected.
+    EXPECT_FALSE(splitCrcSuffix(body, split));
     std::string bad = line;
     bad.back() = bad.back() == '0' ? '1' : '0';
-    EXPECT_EQ(splitCrcSuffix(bad, split), LineCheck::Mismatch);
+    EXPECT_FALSE(splitCrcSuffix(bad, split));
 }
 
 namespace
@@ -503,7 +501,7 @@ TEST(StoreCrc, SaveEmitsCrcLinesAndRoundTripsByteIdentically)
     std::size_t entries = 0;
     std::string body;
     while (std::getline(in, line)) {
-        EXPECT_EQ(splitCrcSuffix(line, body), LineCheck::Ok) << line;
+        EXPECT_TRUE(splitCrcSuffix(line, body)) << line;
         ++entries;
     }
     EXPECT_EQ(entries, 4u);
@@ -514,7 +512,6 @@ TEST(StoreCrc, SaveEmitsCrcLinesAndRoundTripsByteIdentically)
     const ResultStore::Stats stats = loaded.stats();
     EXPECT_EQ(stats.lines_loaded, 4u);
     EXPECT_EQ(stats.lines_skipped, 0u);
-    EXPECT_EQ(stats.lines_legacy, 0u);
     const std::string copy = dir + "/b" + kStoreExtension;
     loaded.save(copy);
     EXPECT_EQ(slurp(path), slurp(copy));
@@ -554,7 +551,6 @@ TEST(StoreCrc, CorruptionMatrixSkipsExactlyTheDamagedLines)
     const ResultStore::Stats stats = loaded.stats();
     EXPECT_EQ(stats.lines_loaded, 3u);
     EXPECT_EQ(stats.lines_skipped, 3u);
-    EXPECT_EQ(stats.lines_legacy, 0u);
 
     // The surviving entries equal the uncorrupted subset bit-exactly.
     for (const unsigned n : {0u, 2u, 3u}) {
@@ -567,30 +563,44 @@ TEST(StoreCrc, CorruptionMatrixSkipsExactlyTheDamagedLines)
     setQuiet(false);
 }
 
-TEST(StoreCrc, LegacyLinesWithoutCrcLoadWithWarningCount)
+TEST(StoreCrc, LinesWithoutTheirCrcAreSkipped)
 {
+    // Two whole lines without the trailer, and a CRC'd line cut inside
+    // its last field and then '\n'-terminated: it parses, as a
+    // smaller number ("=3803200264" cut to "=38032"), so only the
+    // missing CRC can reject it.
     setQuiet(true);
-    const std::string dir = scratchDir("legacy");
+    const std::string dir = scratchDir("crcless");
     const std::string path = dir + "/old" + kStoreExtension;
+    sim::RunResult big = sampleResult(2);
+    big.bank_conflict_cycles = 3803200264ull;
+    const std::string whole =
+        withCrcSuffix(formatStoreLine(sampleKey(2), big));
+    const std::string cut = whole.substr(0, whole.find("=3803200264") + 6);
+    sim::RunKey key;
+    sim::RunResult result;
+    ASSERT_TRUE(tryParseStoreLine(cut, key, result));
+    EXPECT_EQ(result.bank_conflict_cycles, 38032u);
     {
-        // A pre-CRC store: plain lines, no trailers.
         std::ofstream out(path);
         out << kStoreMagic << "\n";
         out << formatStoreLine(sampleKey(0), sampleResult(0)) << "\n";
         out << formatStoreLine(sampleKey(1), sampleResult(1)) << "\n";
+        out << cut << "\n";
+        out << withCrcSuffix(formatStoreLine(sampleKey(3), sampleResult(3)))
+            << "\n";
     }
     ResultStore loaded;
-    EXPECT_EQ(loaded.loadFile(path), 2u);
-    EXPECT_EQ(loaded.stats().lines_legacy, 2u);
-    EXPECT_EQ(loaded.stats().lines_skipped, 0u);
-    expectIdentical(sampleResult(0), *loaded.find(sampleKey(0)));
+    EXPECT_EQ(loaded.loadFile(path), 1u);
+    EXPECT_EQ(loaded.stats().lines_skipped, 3u);
+    expectIdentical(sampleResult(3), *loaded.find(sampleKey(3)));
 
-    // Saving rewrites the store in the CRC'd format.
-    const std::string upgraded = dir + "/new" + kStoreExtension;
-    loaded.save(upgraded);
+    // The next save writes only the CRC'd line back.
+    const std::string resaved = dir + "/new" + kStoreExtension;
+    loaded.save(resaved);
     ResultStore reloaded;
-    EXPECT_EQ(reloaded.loadFile(upgraded), 2u);
-    EXPECT_EQ(reloaded.stats().lines_legacy, 0u);
+    EXPECT_EQ(reloaded.loadFile(resaved), 1u);
+    EXPECT_FALSE(reloaded.find(sampleKey(2)).has_value());
     setQuiet(false);
 }
 
@@ -640,7 +650,6 @@ TEST(StoreCrc, KeyFieldsOfDeletedSettingsLoadAndResaveByteIdentically)
     ResultStore loaded;
     EXPECT_EQ(loaded.loadFile(path), 2u);
     EXPECT_EQ(loaded.stats().lines_skipped, 0u);
-    EXPECT_EQ(loaded.stats().lines_legacy, 0u);
     for (const std::string &line : {banked, setop}) {
         const std::size_t tab = line.find('\t');
         const std::size_t crc = line.rfind('\t');

@@ -130,10 +130,13 @@ class VectorStream final : public core::OpStream
     {
     }
 
-    core::MemOp
-    next() override
+    std::size_t
+    nextBatch(core::MemOp *out, std::size_t max) override
     {
-        return ops_.at(pos_++);
+        for (std::size_t i = 0; i < max; ++i) {
+            out[i] = ops_.at(pos_++);
+        }
+        return max;
     }
 
   private:
