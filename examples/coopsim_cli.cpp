@@ -35,8 +35,6 @@
 #include "common/logging.hpp"
 #include "sim/executor.hpp"
 #include "sim/report.hpp"
-#include "tracefile/record.hpp"
-#include "tracefile/trace_workloads.hpp"
 
 using namespace coopsim;
 
@@ -49,18 +47,13 @@ constexpr const char *kUsage =
     "                   [--scale=test|bench|paper] [--full] "
     "[--threads=N]\n"
     "                   [--store=DIR] [--shard=I/N]\n"
-    "                   [--record=DIR] [--trace-dir=DIR]\n"
     "                   [--sampling=exact|set|op|setop] [--ci]\n"
     "                   [--no-stream-memo] [--stream-cache-mb=N]\n"
     "with --spec, only --scale/--threads/--seed/--store/--shard/\n"
-    "--record/--trace-dir/--sampling/--ci/--no-stream-memo/"
-    "--stream-cache-mb may\nalso be given (the first three and "
-    "--sampling override the spec file).\n"
+    "--sampling/--ci/--no-stream-memo/--stream-cache-mb may also be\n"
+    "given (the first three and --sampling override the spec file).\n"
     "--shard requires --spec and --store; a later --store run over\n"
     "the same directory folds the shard files and renders the table.\n"
-    "--record=DIR captures the spec's workloads as .cooptrace files\n"
-    "into DIR instead of running the experiment; --trace-dir=DIR\n"
-    "registers DIR's recordings as trace:<name> workloads for replay.\n"
     "Sweeps memoize op streams in each process (generate once, replay\n"
     "everywhere); --no-stream-memo regenerates per run,\n"
     "--stream-cache-mb=N bounds the memo.\n";
@@ -81,34 +74,18 @@ main(int argc, char **argv)
                             api::kFlagSpec | api::kFlagScale |
                                 api::kFlagThreads | api::kFlagSeed |
                                 api::kFlagStore | api::kFlagShard |
-                                api::kFlagRecord | api::kFlagTraceDir |
                                 api::kFlagSampling | api::kFlagCi |
                                 api::kFlagStreamMemo,
                             kUsage);
     } else if (cli.shard_set) {
         COOPSIM_FATAL("--shard requires --spec=FILE");
-    } else if (!cli.record_dir.empty()) {
-        COOPSIM_FATAL("--record requires --spec=FILE (it records the "
-                      "spec's workloads)");
     }
     api::applyCliStreamMemo(cli);
     const unsigned threads = api::applyCliThreads(cli);
-    if (!cli.trace_dir.empty()) {
-        tracefile::registerTraceDir(cli.trace_dir);
-    }
 
     if (!cli.spec_path.empty()) {
         if (cli.shard_set && cli.store_dir.empty()) {
             COOPSIM_FATAL("--shard requires --store=DIR");
-        }
-        if (!cli.record_dir.empty() && !cli.store_dir.empty()) {
-            // Recording is a serial capture pass over the generators:
-            // it fills no result store, so neither --store nor the
-            // --shard that needs one applies.
-            COOPSIM_FATAL("--record is mutually exclusive with --store "
-                          "and --shard: it writes .cooptrace files to "
-                          "the --record directory, not simulation "
-                          "results");
         }
 
         api::ExperimentSpec spec = api::parseSpecFile(cli.spec_path);
@@ -120,26 +97,6 @@ main(int argc, char **argv)
         }
         if (cli.sampling_set) {
             spec.sampling = {cli.sampling_name};
-        }
-        if (!cli.trace_dir.empty()) {
-            bool any_trace = false;
-            for (const std::string &group : spec.groups) {
-                any_trace =
-                    any_trace || tracefile::isTraceWorkload(group);
-            }
-            if (!any_trace) {
-                COOPSIM_WARN("--trace-dir given, but spec '", spec.name,
-                             "' names no trace: workloads — the "
-                             "registered traces will go unused");
-            }
-        }
-        if (!cli.record_dir.empty()) {
-            const std::size_t files =
-                tracefile::recordSpec(spec, cli.record_dir);
-            std::fprintf(stderr,
-                         "# record: wrote %zu trace file(s) to %s\n",
-                         files, cli.record_dir.c_str());
-            return 0;
         }
         // The preamble names the scale the spec actually runs at,
         // not the CLI default.

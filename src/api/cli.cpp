@@ -111,18 +111,6 @@ parseCli(int argc, char **argv, unsigned allowed, const char *usage)
             options.shard_index = static_cast<unsigned>(index);
             options.shard_count = static_cast<unsigned>(count);
             options.shard_set = true;
-        } else if ((allowed & kFlagRecord) &&
-                   takeValue(arg, "--record=", value)) {
-            if (value.empty()) {
-                COOPSIM_FATAL("--record requires a directory path");
-            }
-            options.record_dir = value;
-        } else if ((allowed & kFlagTraceDir) &&
-                   takeValue(arg, "--trace-dir=", value)) {
-            if (value.empty()) {
-                COOPSIM_FATAL("--trace-dir requires a directory path");
-            }
-            options.trace_dir = value;
         } else if ((allowed & kFlagSampling) &&
                    takeValue(arg, "--sampling=", value)) {
             samplingRegistry().get(value); // fatal on unknown name

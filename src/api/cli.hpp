@@ -40,13 +40,11 @@ enum CliFlag : unsigned
     kFlagStore = 1u << 7,      //!< --store=DIR (result-store directory)
     kFlagShard = 1u << 8,      //!< --shard=I/N (slice of the sweep)
     kFlagPositional = 1u << 9, //!< bare (non --) arguments
-    kFlagRecord = 1u << 10,    //!< --record=DIR (capture trace files)
-    kFlagTraceDir = 1u << 11,  //!< --trace-dir=DIR (trace: workloads)
-    kFlagSampling = 1u << 12,  //!< --sampling=exact|set|op|setop
-    kFlagCi = 1u << 13,        //!< --ci (print value±ci table cells)
+    kFlagSampling = 1u << 10,  //!< --sampling=exact|set|op|setop
+    kFlagCi = 1u << 11,        //!< --ci (print value±ci table cells)
     /** --no-stream-memo, --stream-cache-mb=N (the process-wide
      *  op-stream memo, sim::StreamCache). */
-    kFlagStreamMemo = 1u << 14,
+    kFlagStreamMemo = 1u << 12,
 };
 
 /** The examples: scale, threads and a positional group name. */
@@ -78,12 +76,6 @@ struct CliOptions
     unsigned shard_index = 0;
     unsigned shard_count = 1;
     bool shard_set = false;
-    /** --record=DIR: record the spec's workloads as `.cooptrace`
-     *  files into DIR instead of rendering a table; empty = off. */
-    std::string record_dir;
-    /** --trace-dir=DIR: register DIR's trace sets as `trace:<name>`
-     *  workloads before the spec resolves; empty = none. */
-    std::string trace_dir;
     /** --sampling=NAME: sampling-mode registry name that overrides
      *  the spec file's sampling axis. */
     std::string sampling_name = "exact";

@@ -269,12 +269,6 @@ workloadRegistry()
 }
 
 void
-registerWorkload(const trace::WorkloadGroup &group)
-{
-    workloadRegistry().add(group.name, group);
-}
-
-void
 warmAllRegistries()
 {
     trace::twoCoreGroups();

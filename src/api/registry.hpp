@@ -188,9 +188,6 @@ std::string samplingKeyOf(sampling::Mode mode);
  *  (G2-1..G2-14, G4-1..G4-14). Custom groups may be added. */
 Registry<trace::WorkloadGroup> &workloadRegistry();
 
-/** Registers a custom workload group under its own name. */
-void registerWorkload(const trace::WorkloadGroup &group);
-
 /**
  * Expands one group name or glob over the registry: "G2-3" resolves
  * to that group, "G2-*" to every group whose name matches. Fatal when

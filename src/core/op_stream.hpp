@@ -8,17 +8,15 @@
  * L1-filtered: each operation is an access the private L1 missed, and
  * the core model sends it straight to the shared LLC. The synthetic
  * SPEC profiles are calibrated at that level because the paper's
- * mechanisms all live at the LLC (see DESIGN.md), and recorded
- * `.cooptrace` files replay what they generated.
+ * mechanisms all live at the LLC (see DESIGN.md).
  *
  * A stream is a pure sequence: the ops produced depend only on the
  * stream's construction parameters, never on when or in what batch
  * sizes the consumer drains them. Both the batched driver (which
  * buffers ops ahead of execution) and `sim::StreamCache` (which
- * records one run's sequence and replays it into every other run
- * with the same stream identity) rely on this; a stream whose output
- * depended on consumption timing would break bit-identity under
- * either.
+ * encodes a stream once and replays it into every run with the same
+ * stream identity) rely on this; a stream whose output depended on
+ * consumption timing would break bit-identity under either.
  */
 
 #ifndef COOPSIM_CORE_OP_STREAM_HPP
@@ -49,8 +47,8 @@ class OpStream
 
     /**
      * Fills out[0, max) with the next @p max operations and returns
-     * the count produced (always @p max for the infinite streams in
-     * this tree; a finite replay stream may return less).
+     * the count produced (always @p max: every stream in this tree is
+     * infinite).
      *
      * The core model consumes operations through this interface so one
      * virtual dispatch covers a whole batch. Generation must not depend

@@ -11,7 +11,6 @@
 #include "sim/stream_cache.hpp"
 #include "store/result_store.hpp"
 #include "trace/workloads.hpp"
-#include "tracefile/trace_workloads.hpp"
 
 namespace coopsim::sim
 {
@@ -114,8 +113,8 @@ RunResult
 executeRun(const RunKey &key)
 {
     if (key.kind == RunKey::Kind::Group) {
-        // Registry resolution (not trace::groupByName) so trace-backed
-        // groups registered under "trace:<name>" run like any other.
+        // Registry resolution (not trace::groupByName), so a custom
+        // group added to api::workloadRegistry() runs like a built-in.
         const trace::WorkloadGroup &group =
             api::workloadRegistry().get(key.name);
         const auto num_cores =
@@ -123,10 +122,7 @@ executeRun(const RunKey &key)
         SystemConfig config = runConfig(key);
         COOPSIM_ASSERT(config.num_cores == num_cores,
                        "group size does not match system");
-        if (tracefile::isTraceWorkload(key.name)) {
-            config.stream_factory =
-                tracefile::replayFactory(key.name, key.seed, key.scale);
-        } else if (StreamCache::instance().enabled()) {
+        if (StreamCache::instance().enabled()) {
             config.stream_factory =
                 StreamCache::instance().factory(key.seed, key.scale);
         }
@@ -180,7 +176,7 @@ RunExecutor::~RunExecutor()
 RunExecutor &
 RunExecutor::instance()
 {
-    // Construct the trace tables and api registries (function-local
+    // Construct the workload tables and api registries (function-local
     // statics executeRun reads — System's constructor resolves the
     // scheme name through api::schemeRegistry()) before the pool:
     // statics are destroyed in reverse construction order, so the

@@ -108,8 +108,8 @@ struct RunKeyHash
 /**
  * The SystemConfig @p key describes: topology + scale via
  * makeSystemConfig, then the key's LLC knobs, seed and sampling mode.
- * The record mode and the replay factory need exactly this mapping,
- * which is why it is public — executeRun() is
+ * perfbench's traced runs need exactly this mapping, which is why it
+ * is public — executeRun() is
  * `System(runConfig(key), ...).run()` plus workload resolution.
  */
 SystemConfig runConfig(const RunKey &key);

@@ -8,6 +8,7 @@
 #include "api/registry.hpp"
 #include "common/logging.hpp"
 #include "trace/generator.hpp"
+#include "tracefile/trace_format.hpp"
 
 namespace coopsim::sim
 {
@@ -18,7 +19,8 @@ namespace
 std::uint64_t
 mixHash(std::uint64_t h, std::uint64_t v)
 {
-    // splitmix64 finalizer; the same mixer RunKeyHash uses.
+    // boost::hash_combine's step; RunKeyHash follows the same step
+    // with a splitmix64 finaliser.
     h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
     return h;
 }
@@ -41,29 +43,22 @@ struct StreamSegment
 struct StreamEntry
 {
     StreamCache::Key key;
-    /** App profile a generated entry was built from, checked against
-     *  every opener; empty for a file-backed entry. */
+    /** App profile the entry was built from, checked against every
+     *  opener. */
     std::string app;
-    /** "memoized stream '<workload>' slot N", or "trace file
-     *  '<path>'" for a file-backed entry, for fatals. */
+    /** "memoized stream '<workload>' slot N", for fatals. */
     std::string label;
-    /** Bytes of the loaded trace file, accounted by the winner
-     *  (immutable after build, unlike the segments). */
-    std::size_t initial_bytes = 0;
 
     std::mutex mu;
     /**
-     * Published segments in stream order: a file-backed entry's one
-     * loaded file, or one per generated frame. A deque, so publishing
-     * a segment never moves another — readers keep raw pointers to the
-     * segments they fetched (the entry outlives them through the
-     * reader's shared_ptr) and decode them without the lock.
+     * Published segments in stream order, one per generated frame. A
+     * deque, so publishing a segment never moves another — readers
+     * keep raw pointers to the segments they fetched (the entry
+     * outlives them through the reader's shared_ptr) and decode them
+     * without the lock.
      */
     std::deque<StreamSegment> segments;
-    /** Ops across all segments. */
-    std::uint64_t encoded_ops = 0;
-    /** The generator, positioned just past encoded_ops; null for a
-     *  file-backed (trace:) entry, which cannot be extended. */
+    /** The generator, positioned just past the last published frame. */
     std::unique_ptr<core::OpStream> generator;
 
     /** Bytes charged against the cache budget. Guarded by the CACHE
@@ -74,25 +69,9 @@ struct StreamEntry
      * Replaces @p out with every segment published from index @p from
      * on, generating the next frame first when a reader has caught up
      * with the writer. The one place a reader takes the entry lock.
-     * False when a file-backed entry has nothing past @p from: the
-     * caller raises the exhaustion fatal after the lock is released,
-     * so the process never exits holding an entry lock that another
-     * reader may be waiting on.
      */
-    bool fetch(std::size_t from, std::vector<const StreamSegment *> &out,
+    void fetch(std::size_t from, std::vector<const StreamSegment *> &out,
                StreamCache &cache);
-
-    /** Makes a loaded trace file the entry's first segment (before
-     *  the entry is shared, so without the lock). */
-    void
-    adoptFile(tracefile::TraceFile &&file)
-    {
-        StreamSegment &segment = segments.emplace_back();
-        segment.logical = file.frames.size() - tracefile::kDecodeSlack;
-        segment.data = std::move(file.frames);
-        encoded_ops = file.ops;
-        initial_bytes = segment.data.size();
-    }
 
   private:
     /** Generates, encodes and publishes one more frame. Caller holds
@@ -100,23 +79,19 @@ struct StreamEntry
     void extend(StreamCache &cache);
 };
 
-bool
+void
 StreamEntry::fetch(std::size_t from, std::vector<const StreamSegment *> &out,
                    StreamCache &cache)
 {
     std::lock_guard<std::mutex> lock(mu);
-    if (from == segments.size()) {
-        if (!generator)
-            return false; // file-backed: ends where the file ends
+    if (from == segments.size())
         extend(cache);
-    }
     COOPSIM_ASSERT(from < segments.size(),
                    "stream segment requested out of order");
     out.clear();
     for (std::size_t i = from; i < segments.size(); ++i) {
         out.push_back(&segments[i]);
     }
-    return true;
 }
 
 void
@@ -145,7 +120,6 @@ StreamEntry::extend(StreamCache &cache)
     segment.data.append(tracefile::kDecodeSlack, '\0');
     segment.logical = frame.size();
 
-    encoded_ops += tracefile::kFrameOps;
     cache.noteExtend(this, segment.data.size());
 }
 
@@ -182,13 +156,7 @@ class MemoReplayStream final : public core::OpStream
             }
             // Clean end of the current segment (or none armed yet).
             if (held_pos_ == held_.size()) {
-                if (!entry_->fetch(next_index_, held_, cache_))
-                    COOPSIM_FATAL(
-                        entry_->label, " exhausted after ",
-                        entry_->encoded_ops,
-                        " ops — the simulation wanted more than was "
-                        "recorded; re-record with a larger instruction "
-                        "budget");
+                entry_->fetch(next_index_, held_, cache_);
                 held_pos_ = 0;
             }
             const StreamSegment *segment = held_[held_pos_++];
@@ -318,22 +286,8 @@ StreamCache::getOrCreate(const Key &key,
             created = true;
         }
     }
-    if (task) {
+    if (task)
         (*task)(); // build outside the cache lock; losers wait on the future
-        EntryPtr entry = future.get();
-        std::lock_guard<std::mutex> lock(mu_);
-        // clear() may have raced the build; only account a slot that
-        // still maps this key to this entry.
-        auto it = entries_.find(key);
-        if (it != entries_.end() &&
-            it->second.future.wait_for(std::chrono::seconds(0)) ==
-                std::future_status::ready &&
-            it->second.future.get() == entry) {
-            entry->accounted_bytes = entry->initial_bytes;
-            resident_bytes_ += entry->initial_bytes;
-            evictOverBudget(entry.get());
-        }
-    }
     return future.get();
 }
 
@@ -422,39 +376,6 @@ StreamCache::open(const Key &key, const trace::AppProfile &profile,
     return std::make_unique<detail::MemoReplayStream>(std::move(entry), *this);
 }
 
-std::unique_ptr<core::OpStream>
-StreamCache::openTraceFile(const Key &key, const std::string &path,
-                           const tracefile::TraceHeader &expected)
-{
-    bool created = false;
-    EntryPtr entry = getOrCreate(
-        key,
-        [&]() -> EntryPtr {
-            auto e = std::make_shared<detail::StreamEntry>();
-            e->key = key;
-            e->label = "trace file '" + path + "'";
-
-            tracefile::TraceFile file;
-            std::string error;
-            if (!tracefile::loadTraceFile(path, file, error))
-                COOPSIM_FATAL(e->label, ": ", error, " — re-record it");
-            if (file.header != expected)
-                COOPSIM_FATAL(e->label, ": header changed on disk since the "
-                              "trace directory was scanned — re-run after "
-                              "the recording finishes");
-            e->adoptFile(std::move(file));
-            return e;
-        },
-        created);
-
-    std::lock_guard<std::mutex> lock(mu_);
-    if (created)
-        ++stats_.streams_loaded;
-    else
-        ++stats_.streams_replayed;
-    return std::make_unique<detail::MemoReplayStream>(std::move(entry), *this);
-}
-
 StreamCache::Stats
 StreamCache::stats() const
 {
@@ -470,17 +391,14 @@ StreamCache::printStats(std::FILE *out)
         return;
     const Stats &s = stats_;
     if (s.streams_generated == 0 && s.streams_replayed == 0 &&
-        s.streams_evicted == 0 && s.streams_loaded == 0)
+        s.streams_evicted == 0)
         return;
     stats_printed_ = true;
-    std::fprintf(out, "# streams: generated=%llu replayed=%llu evicted=%llu",
+    std::fprintf(out,
+                 "# streams: generated=%llu replayed=%llu evicted=%llu\n",
                  static_cast<unsigned long long>(s.streams_generated),
                  static_cast<unsigned long long>(s.streams_replayed),
                  static_cast<unsigned long long>(s.streams_evicted));
-    if (s.streams_loaded != 0)
-        std::fprintf(out, " loaded=%llu",
-                     static_cast<unsigned long long>(s.streams_loaded));
-    std::fprintf(out, "\n");
 }
 
 std::size_t

@@ -6,38 +6,36 @@
  * scratch at ~74 ns/op, even though a 231-run fig05 sweep shares a
  * handful of distinct streams across schemes, partitioners, banking
  * and sampling modes. The cache generates each distinct stream once,
- * encodes it into immutable in-memory `.cooptrace` frames (the same
- * codec the trace-file subsystem uses — no file round-trip), and
- * replays it everywhere else through tracefile::FrameDecoder at
- * ~4 ns/op.
+ * encodes it into immutable in-memory frames (tracefile/
+ * trace_format.hpp), and replays it everywhere else through
+ * tracefile::FrameDecoder at ~4 ns/op.
  *
  * Keying: (workload, app-slot, seed, scale, llc_sets, block_bytes) —
  * exactly what a stream depends on. `workload` is the app profile
- * occupying the slot (or "trace:<group>" for file-backed sets), NOT
- * the group name, and the geometry is the stream's, NOT the topology
- * row's core count: SyntheticStream content depends only on the
- * profile (its phase lengths scaled by the scale's epoch), the slot's
- * address-space index, the derived seed and the geometry. So two
- * groups sharing an app at the same slot replay one buffer, at any
- * core count whose row has the same geometry (every row at bench and
- * test scale; the 2-16-core rows at paper scale), and a solo run
- * shares slot 0's stream outright.
+ * occupying the slot, NOT the group name, and the geometry is the
+ * stream's, NOT the topology row's core count: SyntheticStream
+ * content depends only on the profile (its phase lengths scaled by the
+ * scale's epoch), the slot's address-space index, the derived seed and
+ * the geometry. So two groups sharing an app at the same slot replay
+ * one buffer, at any core count whose row has the same geometry (every
+ * row at bench and test scale; the 2-16-core rows at paper scale), and
+ * a solo run shares slot 0's stream outright.
  *
  * Concurrency follows RunExecutor's RunKey memo: an entry is a
  * shared_future, the first opener builds it, every other opener
  * (across executor threads) waits and replays. Buffers grow lazily,
- * one `.cooptrace` frame (kFrameOps ops) at a time under a per-entry
- * lock, so a stream is generated only as far as some run has read it,
- * and a run that needs more ops than any before it extends the shared
- * buffer in place while shorter runs replay concurrently. A reader
- * takes that lock only when it has decoded every segment it fetched.
+ * one frame (kFrameOps ops) at a time under a per-entry lock, so a
+ * stream is generated only as far as some run has read it, and a run
+ * that needs more ops than any before it extends the shared buffer in
+ * place while shorter runs replay concurrently. A reader takes that
+ * lock only when it has decoded every segment it fetched.
  *
  * The memo is host machinery, not simulation identity: it is wired
  * through the SystemConfig::stream_factory hook, RunKey never sees
  * it, and memoized results are bit-identical to generator-backed ones
- * (record→replay losslessness is covered by the tracefile tests; the
- * stream-memo tests re-check it differentially end to end). Nothing
- * outlives the process: `--record` and `--trace-dir` keep op streams
+ * (the stream-memo tests check it differentially end to end). Nothing
+ * outlives the process: a stream is a pure function of its key, so
+ * another process regenerates it, and the result store keeps results
  * across processes.
  */
 
@@ -55,7 +53,6 @@
 #include <unordered_map>
 
 #include "sim/system.hpp"
-#include "tracefile/trace_format.hpp"
 
 namespace coopsim::sim
 {
@@ -71,7 +68,7 @@ class StreamCache
     /** Identity of one memoized stream. */
     struct Key
     {
-        /** App profile name; "trace:<group>" for file-backed sets. */
+        /** App profile name. */
         std::string workload;
         /** Core slot the stream feeds (= its address-space index). */
         std::uint32_t slot = 0;
@@ -96,8 +93,7 @@ class StreamCache
     struct Config
     {
         /** False (--no-stream-memo) restores per-run generation of
-         *  synthetic streams; `trace:` files are still read once per
-         *  process. */
+         *  every stream. */
         bool enabled = true;
         /** Resident-buffer budget; 0 means defaultBudgetBytes(). */
         std::size_t budget_bytes = 0;
@@ -112,7 +108,8 @@ class StreamCache
         std::uint64_t streams_replayed = 0;
         /** Entries dropped by the LRU to stay under budget. */
         std::uint64_t streams_evicted = 0;
-        /** Entries loaded from --trace-dir replay files. */
+        /** Always 0: every entry is generated. perfbench's ledger
+         *  still prints it. */
         std::uint64_t streams_loaded = 0;
         /** Frames generated and encoded, across all entries (not
          *  printed). */
@@ -132,12 +129,11 @@ class StreamCache
     bool enabled() const;
 
     /**
-     * The StreamFactory executeRun() installs for synthetic (non
-     * trace:) workloads: routes every per-core stream request of a
-     * run through open() under (profile, slot, @p run_seed, @p scale,
-     * the requested geometry). @p topology_cores is unused — the
-     * geometry the System passes in is what identifies a stream — and
-     * is kept only for callers that still pass it.
+     * The StreamFactory executeRun() installs: routes every per-core
+     * stream request of a run through open() under (profile, slot,
+     * @p run_seed, @p scale, the requested geometry). @p topology_cores
+     * is unused — the geometry the System passes in is what identifies
+     * a stream — and is kept only for callers that still pass it.
      */
     StreamFactory factory(std::uint64_t run_seed, RunScale scale,
                           std::uint32_t topology_cores = 0);
@@ -153,19 +149,6 @@ class StreamCache
     std::unique_ptr<core::OpStream> open(const Key &key,
                                          const trace::AppProfile &profile,
                                          std::uint64_t stream_seed);
-
-    /**
-     * Opens the memoized replay of the trace file at @p path — the
-     * only way a `trace:` workload is replayed, memo enabled or not.
-     * The file goes through tracefile::loadTraceFile() and is
-     * header-checked against @p expected once per process, however
-     * many runs replay it; a file that fails either is fatal. A
-     * file-backed entry cannot be extended: a run that reads past its
-     * last op is a fatal naming the file.
-     */
-    std::unique_ptr<core::OpStream>
-    openTraceFile(const Key &key, const std::string &path,
-                  const tracefile::TraceHeader &expected);
 
     Stats stats() const;
 

@@ -60,8 +60,8 @@ enum class DriverMode : std::uint8_t
 /**
  * Builds core @p c's op stream. The profile passed in already carries
  * the scale-adjusted phase lengths, and @p seed is the per-stream seed
- * (run seed + c * 7919) — a factory that ignores both (e.g. trace
- * replay) must validate them against what it serves instead.
+ * (run seed + c * 7919) — a factory that may serve a stream built
+ * earlier (the stream memo) must check both against what it serves.
  */
 using StreamFactory = std::function<std::unique_ptr<core::OpStream>(
     std::uint32_t c, const trace::AppProfile &profile,
@@ -94,12 +94,10 @@ struct SystemConfig
     /**
      * Where ops come from. Empty (the default) builds the synthetic
      * SPEC-profile generator; the stream memo installs a factory that
-     * replays memoized streams, the tracefile layer one that replays
-     * recorded `.cooptrace` files through the memo, and `--record` one
-     * that counts what each core reads. Like `driver`,
-     * NOT part of the simulation identity: a replayed stream must
-     * reproduce the generated one bit for bit (the tracefile tests
-     * hold it to that), so RunKey carries no stream field.
+     * replays memoized streams. Like `driver`, NOT part of the
+     * simulation identity: a replayed stream must reproduce the
+     * generated one bit for bit (the stream-memo tests hold it to
+     * that), so RunKey carries no stream field.
      */
     StreamFactory stream_factory;
     /**

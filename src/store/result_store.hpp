@@ -92,20 +92,19 @@ inline constexpr const char *kJournalPrefix = "journal-";
 std::uint32_t crc32(const std::string &data);
 
 /** Range overload: the same CRC-32 without building a string — the
- *  trace codec checksums frame payloads in place with it. */
+ *  stream memo's frame codec checksums payloads in place with it. */
 std::uint32_t crc32(const char *data, std::size_t len);
 
 /**
  * Writes @p data to @p path durably and atomically: into
  * `<path>.tmp`, fsynced, renamed over @p path, then the directory
  * fsynced so the rename itself survives a power cut. The one writer
- * behind store saves and `--record`. The parent directory must exist.
+ * behind store saves. The parent directory must exist.
  *
  * False with the failing step in @p error. An incomplete temp file is
  * removed; when only the rename fails, the temp file holds the
  * complete, synced content and is kept (and named in @p error) so the
- * data stays recoverable. Callers choose the severity: the store
- * reports, `--record` is fatal.
+ * data stays recoverable. The caller chooses the severity.
  */
 bool writeFileDurably(const std::string &path, std::string_view data,
                       std::string &error);

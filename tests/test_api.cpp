@@ -32,7 +32,6 @@
 #include "llc/schemes.hpp"
 #include "sim/metrics.hpp"
 #include "trace/spec_profiles.hpp"
-#include "tracefile/trace_workloads.hpp"
 
 using namespace coopsim;
 using namespace coopsim::api;
@@ -440,20 +439,15 @@ TEST(SpecEncoding, ShippedSpecFilesRoundTripAndExpand)
         const std::string path = entry.path().string();
         const ExperimentSpec spec = parseSpecFile(path);
         EXPECT_EQ(parseSpec(formatSpec(spec)), spec) << path;
-        // trace: groups resolve only once a recording is registered.
-        if (std::any_of(spec.groups.begin(), spec.groups.end(),
-                        tracefile::isTraceWorkload)) {
-            continue;
-        }
         const std::vector<sim::RunKey> keys = expandSpec(spec);
         EXPECT_FALSE(keys.empty()) << path;
         const std::unordered_set<sim::RunKey, sim::RunKeyHash> distinct(
             keys.begin(), keys.end());
         EXPECT_EQ(distinct.size(), keys.size()) << path;
     }
-    // fig05-16, fig05_trace, scaling, banked, sampling, table3,
+    // fig05-16, scaling, banked, sampling, table3,
     // ablation_replacement, ablation_threshold_mode, ext_drowsy.
-    EXPECT_GE(files, 20u);
+    EXPECT_GE(files, 19u);
 }
 
 // ---------------------------------------------------------------------------
@@ -486,9 +480,11 @@ TEST(Cli, RejectsUnknownAndDisallowedFlagsUniformly)
     }
     // Deleted flags die as unknown flags, so a stale script fails
     // loudly: the shard-retry driver's, the shard fold (a plain store
-    // run folds shard files) and the single-cell CSV row.
+    // run folds shard files), the single-cell CSV row and trace-file
+    // record and replay.
     for (const char *name : {"supervise", "shards=2", "shard-timeout=1",
-                             "shard-retries=2", "merge", "csv"}) {
+                             "shard-retries=2", "merge", "csv", "record=x",
+                             "trace-dir=x"}) {
         const std::string flag = std::string("--") + name;
         const char *argv[] = {"cli", flag.c_str()};
         try {

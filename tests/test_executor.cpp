@@ -11,13 +11,17 @@
  *  - a multi-dimensional sweep produces bit-identical RunResults on a
  *    1-thread and an N-thread executor (determinism under
  *    parallelism);
- *  - RunKey identity, memoisation, and the argument parsers.
+ *  - RunKey identity, memoisation, and the argument parsers;
+ *  - a fatal raised on an executor worker exits the process with
+ *    status 1 instead of aborting or hanging at exit.
  */
 
 #include <gtest/gtest.h>
 
 #include <utility>
 #include <vector>
+
+#include <unistd.h>
 
 #include <coopsim/experiment.hpp>
 
@@ -362,6 +366,33 @@ TEST(Executor, SetThreadsKeepsPendingWork)
     for (std::size_t i = 0; i < 4; ++i) {
         EXPECT_FALSE(executor.run(keys[i]).apps.empty());
     }
+}
+
+TEST(ExecutorDeathTest, FatalOnAWorkerExitsOne)
+{
+    // exit() runs on the failing worker, so exit-time code must not
+    // join that worker from itself.
+    GTEST_FLAG_SET(death_test_style, "threadsafe");
+    EXPECT_EXIT(
+        {
+            ::alarm(20); // a hang fails the test instead of stalling it
+            api::registerScheme(
+                "fatal", "Fatal",
+                [](const llc::LlcConfig &,
+                   mem::DramModel &) -> std::unique_ptr<llc::BaseLlc> {
+                    COOPSIM_FATAL("scheme factory failed on a worker");
+                });
+            RunKey key =
+                api::groupRunKey(testSpec(), trace::groupByName("G2-1"));
+            key.scheme = "fatal";
+            RunExecutor &executor = RunExecutor::instance();
+            executor.setThreads(2);
+            executor.prefetch({key}); // queued for a worker
+            for (;;) {
+                ::pause(); // this thread never helps run it
+            }
+        },
+        testing::ExitedWithCode(1), "scheme factory failed on a worker");
 }
 
 TEST(Executor, RunKeyHashSpreadsAndEqualityHolds)

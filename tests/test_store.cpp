@@ -11,6 +11,9 @@
  *    format, last-writer-wins merge semantics, corrupt-line skipping
  *    on load (a store cut at any byte loads only its complete
  *    lines), and lexical-order directory folding;
+ *  - writeFileDurably(): a write cut short leaves neither the file
+ *    nor its `.tmp`, and a failed rename keeps the complete temp file
+ *    and names it;
  *  - the journal: a session SIGKILLed mid-sweep leaves exactly its
  *    completed results on disk, and a rerun's save of the whole
  *    sweep is byte-identical to an uninterrupted one; a result that
@@ -32,6 +35,8 @@
 #include <sstream>
 #include <thread>
 #include <vector>
+
+#include <sys/resource.h>
 
 #include <coopsim/experiment.hpp>
 
@@ -760,6 +765,39 @@ TEST(StoreCrc, TrySaveReportsFailureAndPreservesResults)
     setThrowOnFatal(true);
     EXPECT_THROW(results.save(blocked), FatalError);
     setThrowOnFatal(false);
+}
+
+TEST(StoreDurableWrite, FailedWriteLeavesNoFileAndNoTemp)
+{
+    const std::string dir = scratchDir("abandon");
+    const std::string path = dir + "/results" + kStoreExtension;
+    const std::string data(64 * 1024, 'x');
+
+    // A file-size limit below the data makes the write loop fail
+    // part-way through (EFBIG instead of the default SIGXFSZ).
+    struct rlimit saved;
+    ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved), 0);
+    const auto old_handler = std::signal(SIGXFSZ, SIG_IGN);
+    struct rlimit small = saved;
+    small.rlim_cur = data.size() / 2;
+    ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &small), 0);
+    std::string error;
+    const bool written = writeFileDurably(path, data, error);
+    ::setrlimit(RLIMIT_FSIZE, &saved);
+    std::signal(SIGXFSZ, old_handler);
+
+    EXPECT_FALSE(written);
+    EXPECT_NE(error.find("write"), std::string::npos) << error;
+    EXPECT_FALSE(fs::exists(path));
+    EXPECT_FALSE(fs::exists(path + ".tmp"));
+
+    // A failed rename is different: the synced temp file holds every
+    // byte, so it stays, named in the error.
+    const std::string blocked = dir + "/blocked";
+    fs::create_directories(blocked + "/occupied");
+    EXPECT_FALSE(writeFileDurably(blocked, data, error));
+    EXPECT_NE(error.find(blocked + ".tmp"), std::string::npos) << error;
+    EXPECT_EQ(slurp(blocked + ".tmp"), data);
 }
 
 TEST(ResultStore, LoadDirFoldsFilesInLexicalOrder)

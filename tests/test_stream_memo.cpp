@@ -34,6 +34,7 @@
 #include "trace/generator.hpp"
 #include "trace/spec_profiles.hpp"
 #include "trace/workloads.hpp"
+#include "tracefile/trace_format.hpp"
 
 using namespace coopsim;
 using sim::RunKey;
