@@ -148,8 +148,8 @@ finishStoreSession(const store::ResultStore &results,
                    bool drop_loaded, std::string &error);
 
 /** Prints the executor's run-count stat line
- *  ("# runs: simulations=N store_hits=M") to stderr, keeping stdout
- *  bit-identical between store-backed and fresh runs. */
+ *  ("# runs: simulations=N store_hits=M forked=K") to stderr, keeping
+ *  stdout bit-identical between store-backed and fresh runs. */
 void printRunStats();
 
 } // namespace coopsim::api

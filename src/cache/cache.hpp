@@ -74,6 +74,8 @@ struct CacheGeometry
         return static_cast<std::uint32_t>(
             size_bytes / (static_cast<std::uint64_t>(ways) * block_bytes));
     }
+
+    bool operator==(const CacheGeometry &) const = default;
 };
 
 /**

@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "common/logging.hpp"
-
 namespace coopsim
 {
 
@@ -18,12 +16,6 @@ splitmix64(std::uint64_t &x)
     z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
     z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
     return z ^ (z >> 31);
-}
-
-std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
 }
 
 } // namespace
@@ -42,72 +34,9 @@ Rng::Rng(std::uint64_t seed)
 }
 
 std::uint64_t
-Rng::next()
-{
-    const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-    const std::uint64_t t = state_[1] << 17;
-
-    state_[2] ^= state_[0];
-    state_[3] ^= state_[1];
-    state_[1] ^= state_[2];
-    state_[0] ^= state_[3];
-    state_[2] ^= t;
-    state_[3] = rotl(state_[3], 45);
-
-    return result;
-}
-
-std::uint64_t
-Rng::nextBelow(std::uint64_t bound)
-{
-    COOPSIM_ASSERT(bound > 0, "nextBelow(0)");
-    // Multiply-shift rejection-free mapping is fine for simulation use.
-    __uint128_t wide = static_cast<__uint128_t>(next()) * bound;
-    return static_cast<std::uint64_t>(wide >> 64);
-}
-
-double
-Rng::nextDouble()
-{
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-bool
-Rng::nextBool(double p)
-{
-    return nextDouble() < p;
-}
-
-std::uint32_t
-Rng::nextFromCdf(const double *cdf, std::uint32_t n)
-{
-    COOPSIM_ASSERT(n > 0, "empty cdf");
-    const double u = nextDouble();
-    for (std::uint32_t i = 0; i < n; ++i) {
-        if (u < cdf[i]) {
-            return i;
-        }
-    }
-    return n - 1;
-}
-
-std::uint64_t
 Rng::nextGeometric(double p_success)
 {
     return nextGeometric(p_success, std::log1p(-p_success));
-}
-
-std::uint64_t
-Rng::nextGeometric(double p_success, double log1p_neg_p)
-{
-    COOPSIM_ASSERT(p_success > 0.0 && p_success <= 1.0,
-                   "geometric p out of range");
-    if (p_success >= 1.0) {
-        return 0;
-    }
-    const double u = nextDouble();
-    return static_cast<std::uint64_t>(
-        std::floor(std::log1p(-u) / log1p_neg_p));
 }
 
 } // namespace coopsim

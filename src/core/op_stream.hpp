@@ -23,6 +23,7 @@
 #define COOPSIM_CORE_OP_STREAM_HPP
 
 #include <cstddef>
+#include <memory>
 
 #include "common/types.hpp"
 
@@ -56,6 +57,14 @@ class OpStream
      * buffers ops ahead of executing them.
      */
     virtual std::size_t nextBatch(MemOp *out, std::size_t max) = 0;
+
+    /**
+     * A stream that continues from this one's position — its next op
+     * is this stream's next op — and advances independently of it.
+     * nullptr (the default) when the stream cannot be copied; a run
+     * over it is never forked (sim::System::fork).
+     */
+    virtual std::unique_ptr<OpStream> fork() const { return nullptr; }
 
     /** The next operation: a one-op nextBatch(). Virtual only because
      *  perfbench's TimedStream overrides it. */

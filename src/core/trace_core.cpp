@@ -10,7 +10,7 @@ namespace coopsim::core
 
 TraceCore::TraceCore(CoreId id, const CoreConfig &config,
                      llc::Llc &llc, OpStream &stream)
-    : id_(id), config_(config), llc_(llc), stream_(stream),
+    : id_(id), config_(config), llc_(&llc), stream_(&stream),
       width_shift_(std::has_single_bit(config.width)
                        ? static_cast<std::uint32_t>(
                              std::countr_zero(config.width))
@@ -21,6 +21,14 @@ TraceCore::TraceCore(CoreId id, const CoreConfig &config,
     COOPSIM_ASSERT(config.width > 0, "zero-width core");
     COOPSIM_ASSERT(config.rob > 0, "empty ROB");
     COOPSIM_ASSERT(config.mshr_entries > 0, "no MSHRs");
+}
+
+TraceCore::TraceCore(const TraceCore &warmed, llc::Llc &llc,
+                     OpStream &stream)
+    : TraceCore(warmed)
+{
+    llc_ = &llc;
+    stream_ = &stream;
 }
 
 std::uint64_t
@@ -73,7 +81,7 @@ TraceCore::stepQuantum(Cycle cycle_bound, InstCount inst_bound)
     std::uint64_t ops = 0;
     do {
         if (pos == len) {
-            len = stream_.nextBatch(op_buf_.data(), kOpBatch);
+            len = stream_->nextBatch(op_buf_.data(), kOpBatch);
             COOPSIM_ASSERT(len > 0, "op stream ended");
             pos = 0;
         }
@@ -83,7 +91,7 @@ TraceCore::stepQuantum(Cycle cycle_bound, InstCount inst_bound)
         // The memory instruction itself.
         retire(1);
 
-        const llc::LlcAccess res = llc_.access(id_, op.addr, op.type, cycle);
+        const llc::LlcAccess res = llc_->access(id_, op.addr, op.type, cycle);
 
         // Track the fill as an outstanding request subject to MSHR
         // limits.

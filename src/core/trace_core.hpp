@@ -39,6 +39,8 @@ struct CoreConfig
     std::uint32_t rob = 128;
     /** Outstanding LLC misses the core can sustain (L1 MSHRs). */
     std::uint32_t mshr_entries = 16;
+
+    bool operator==(const CoreConfig &) const = default;
 };
 
 /**
@@ -55,6 +57,15 @@ class TraceCore
      */
     TraceCore(CoreId id, const CoreConfig &config, llc::Llc &llc,
               OpStream &stream);
+
+    /**
+     * A copy of @p warmed — clock, retired count, buffered ops,
+     * outstanding fills and measurement marks — that runs against
+     * @p llc and @p stream. @p stream must continue where
+     * @p warmed's stream stands (OpStream::fork), behind the ops
+     * @p warmed has buffered.
+     */
+    TraceCore(const TraceCore &warmed, llc::Llc &llc, OpStream &stream);
 
     /**
      * Executes one operation bundle (gap instructions + one memory
@@ -130,8 +141,9 @@ class TraceCore
 
     CoreId id_;
     CoreConfig config_;
-    llc::Llc &llc_;
-    OpStream &stream_;
+    /** Rebound by the copy constructor above. */
+    llc::Llc *llc_;
+    OpStream *stream_;
 
     /**
      * Ring buffer of pre-generated operations: the stream pays one

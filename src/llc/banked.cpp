@@ -65,6 +65,35 @@ BankedLlc::BankedLlc(const LlcConfig &config, mem::DramModel &dram,
                                    kFlushSeriesBins);
 }
 
+BankedLlc::BankedLlc(const BankedLlc &warmed, const LlcConfig &config,
+                     std::vector<std::unique_ptr<BaseLlc>> banks)
+    : config_(config), hash_(warmed.hash_), banks_(std::move(banks)),
+      busy_until_(warmed.busy_until_), conflicts_(warmed.conflicts_),
+      conflict_cycles_(warmed.conflict_cycles_),
+      merged_core_stats_(config.num_cores)
+{
+    merged_flush_series_.configure(config_.flush_series_bin,
+                                   kFlushSeriesBins);
+}
+
+std::unique_ptr<Llc>
+BankedLlc::fork(mem::DramModel &dram, const LlcConfig &config) const
+{
+    COOPSIM_ASSERT(sameButDecision(config_, config),
+                   "an LLC fork may change only the epoch decision's "
+                   "settings");
+    std::vector<std::unique_ptr<BaseLlc>> banks;
+    banks.reserve(banks_.size());
+    for (std::uint32_t b = 0; b < config_.banks; ++b) {
+        banks.push_back(banks_[b]->forkScheme(dram, bankConfig(config, b)));
+        if (banks.back() == nullptr) {
+            return nullptr;
+        }
+    }
+    return std::unique_ptr<Llc>(
+        new BankedLlc(*this, config, std::move(banks)));
+}
+
 Cycle
 BankedLlc::claimPort(std::uint32_t bank, Cycle now)
 {

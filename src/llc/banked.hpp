@@ -62,6 +62,10 @@ class BankedLlc final : public Llc
     LlcAccess access(CoreId core, Addr addr, AccessType type,
                      Cycle now) override;
     void epoch(Cycle now) override;
+    /** Forks every bank (nullptr if a bank's scheme cannot fork) and
+     *  copies the port model. */
+    std::unique_ptr<Llc> fork(mem::DramModel &dram,
+                              const LlcConfig &config) const override;
     double poweredWays() const override;
     std::vector<std::uint32_t> allocation() const override;
     Scheme scheme() const override;
@@ -101,6 +105,10 @@ class BankedLlc final : public Llc
     const BaseLlc &bank(std::uint32_t b) const { return *banks_[b]; }
 
   private:
+    /** fork()'s copy: @p warmed's port state over the forked @p banks. */
+    BankedLlc(const BankedLlc &warmed, const LlcConfig &config,
+              std::vector<std::unique_ptr<BaseLlc>> banks);
+
     /** portAccess for an already hashed bank: queues behind the bank's
      *  busy port and holds it for kBankOccupancyCycles. */
     Cycle claimPort(std::uint32_t bank, Cycle now);

@@ -48,37 +48,79 @@ confirmTarget(const std::vector<std::uint32_t> &next,
     return true;
 }
 
+/** Whether @p config's epoch decision reads the monitors' demands. */
+bool
+decisionReadsDemands(const LlcConfig &config)
+{
+    return partition::readsDemands(config.partitioner, config.num_cores,
+                                   config.geometry.ways);
+}
+
 } // namespace
 
 // ---------------------------------------------------------------------------
 // MonitorBank
 
 MonitorBank::MonitorBank(const LlcConfig &config)
-    : demands_(config.num_cores)
+    : ways_(config.geometry.ways), demands_(config.num_cores)
 {
-    const std::uint32_t ways = config.geometry.ways;
-    if (!partition::readsDemands(config.partitioner, config.num_cores,
-                                 ways)) {
-        // Flat curves keep the partitioners' size checks satisfied.
-        for (partition::AppDemand &d : demands_) {
-            d.miss_curve.assign(ways + 1, 0.0);
-        }
+    if (!decisionReadsDemands(config)) {
         return;
     }
     umon::UmonConfig uc;
     uc.llc_sets = config.geometry.numSets();
-    uc.llc_ways = ways;
+    uc.llc_ways = config.geometry.ways;
     uc.block_bytes = config.geometry.block_bytes;
     uc.sample_period = config.umon_sample_period;
     monitors_.reserve(config.num_cores);
     for (std::uint32_t c = 0; c < config.num_cores; ++c) {
         monitors_.emplace_back(uc);
     }
+    dense_ = monitors_.data();
+}
+
+MonitorBank::MonitorBank(const MonitorBank &other)
+    : ways_(other.ways_), demands_(other.demands_)
+{
+    monitors_.reserve(other.monitors_.size());
+    for (const umon::UtilityMonitor &monitor : other.monitors_) {
+        monitors_.push_back(monitor);
+        monitors_.back().pack();
+    }
+}
+
+void
+MonitorBank::retarget(const LlcConfig &config)
+{
+    if (decisionReadsDemands(config)) {
+        COOPSIM_ASSERT(monitors_.size() == config.num_cores,
+                       "a decision that reads demands needs monitors "
+                       "from the start of the run");
+        return;
+    }
+    monitors_ = {};
+    dense_ = nullptr;
+    demands_.assign(config.num_cores, partition::AppDemand{});
+}
+
+void
+MonitorBank::unpack()
+{
+    for (umon::UtilityMonitor &monitor : monitors_) {
+        monitor.unpack();
+    }
+    dense_ = monitors_.data();
 }
 
 const std::vector<partition::AppDemand> &
 MonitorBank::demands()
 {
+    if (monitors_.empty() && demands_.front().miss_curve.empty()) {
+        // Flat curves keep the partitioners' size checks satisfied.
+        for (partition::AppDemand &d : demands_) {
+            d.miss_curve.assign(ways_ + 1, 0.0);
+        }
+    }
     for (std::size_t c = 0; c < monitors_.size(); ++c) {
         monitors_[c].missCurve(demands_[c].miss_curve);
         demands_[c].accesses =
@@ -101,6 +143,12 @@ MonitorBank::decay()
 UnmanagedLlc::UnmanagedLlc(const LlcConfig &config, mem::DramModel &dram)
     : BaseLlc(config, dram, /*has_partition_hw=*/false)
 {
+}
+
+std::unique_ptr<BaseLlc>
+UnmanagedLlc::forkScheme(mem::DramModel &dram, const LlcConfig &config) const
+{
+    return forkCopy(*this, dram, config);
 }
 
 LlcAccess
@@ -137,6 +185,12 @@ FairShareLlc::FairShareLlc(const LlcConfig &config, mem::DramModel &dram)
     }
 }
 
+std::unique_ptr<BaseLlc>
+FairShareLlc::forkScheme(mem::DramModel &dram, const LlcConfig &config) const
+{
+    return forkCopy(*this, dram, config);
+}
+
 LlcAccess
 FairShareLlc::access(CoreId core, Addr addr, AccessType type, Cycle now)
 {
@@ -162,6 +216,14 @@ UcpLlc::UcpLlc(const LlcConfig &config, mem::DramModel &dram)
       alloc_(config.num_cores, config.geometry.ways / config.num_cores),
       trackers_(config.num_cores)
 {
+}
+
+std::unique_ptr<BaseLlc>
+UcpLlc::forkScheme(mem::DramModel &dram, const LlcConfig &config) const
+{
+    auto copy = forkCopy(*this, dram, config);
+    copy->monitors_.retarget(config);
+    return copy;
 }
 
 WayId
@@ -318,6 +380,14 @@ DynamicCpeLlc::DynamicCpeLlc(const LlcConfig &config, mem::DramModel &dram)
     }
 }
 
+std::unique_ptr<BaseLlc>
+DynamicCpeLlc::forkScheme(mem::DramModel &dram, const LlcConfig &config) const
+{
+    auto copy = forkCopy(*this, dram, config);
+    copy->monitors_.retarget(config);
+    return copy;
+}
+
 double
 DynamicCpeLlc::poweredWays() const
 {
@@ -377,7 +447,7 @@ DynamicCpeLlc::applyAllocation(const std::vector<std::uint32_t> &next,
             }
             if (blk.dirty) {
                 const Cycle done =
-                    dram_.flush(array_.blockAddr(s, way), now);
+                    dram_->flush(array_.blockAddr(s, way), now);
                 flush_done = std::max(flush_done, done);
                 recordFlush(now);
             }
@@ -451,6 +521,14 @@ CooperativeLlc::CooperativeLlc(const LlcConfig &config,
     perms_.checkInvariants();
 }
 
+std::unique_ptr<BaseLlc>
+CooperativeLlc::forkScheme(mem::DramModel &dram, const LlcConfig &config) const
+{
+    auto copy = forkCopy(*this, dram, config);
+    copy->monitors_.retarget(config);
+    return copy;
+}
+
 double
 CooperativeLlc::poweredWays() const
 {
@@ -507,7 +585,7 @@ CooperativeLlc::participate(CoreId core, SetId set, bool would_hit,
             if (array_.validAt(set, w) &&
                 array_.ownerAt(set, w) == core &&
                 array_.dirtyAt(set, w)) {
-                dram_.flush(array_.blockAddr(set, w), now);
+                dram_->flush(array_.blockAddr(set, w), now);
                 array_.setDirty(set, w, false);
                 recordFlush(now);
             }
@@ -538,7 +616,7 @@ CooperativeLlc::participate(CoreId core, SetId set, bool would_hit,
             if (array_.validAt(set, w) &&
                 array_.ownerAt(set, w) == donor &&
                 array_.dirtyAt(set, w)) {
-                dram_.flush(array_.blockAddr(set, w), now);
+                dram_->flush(array_.blockAddr(set, w), now);
                 array_.setDirty(set, w, false);
                 recordFlush(now);
             }
@@ -578,7 +656,7 @@ CooperativeLlc::completeDonor(CoreId donor, Cycle now, bool forced)
         for (SetId s = 0; s < array_.numSets(); ++s) {
             if (array_.validAt(s, w) && array_.ownerAt(s, w) == donor) {
                 if (array_.dirtyAt(s, w)) {
-                    dram_.flush(array_.blockAddr(s, w), now);
+                    dram_->flush(array_.blockAddr(s, w), now);
                     recordFlush(now);
                     completion_flushes_.inc();
                     array_.setDirty(s, w, false);

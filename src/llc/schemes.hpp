@@ -59,14 +59,33 @@ class MonitorBank
   public:
     MonitorBank(const LlcConfig &config);
 
+    /**
+     * A copy (an LLC fork) whose monitors are packed
+     * (UtilityMonitor::pack): a warm-up checkpoint, which is only ever
+     * copied, keeps only their ATDs' valid tags, and a forked run
+     * restores the full ATDs on its first observe().
+     */
+    MonitorBank(const MonitorBank &other);
+    MonitorBank &operator=(const MonitorBank &) = delete;
+
+    /**
+     * Re-fits a copied bank to @p config's decision (Llc::fork): drops
+     * the monitors where it reads no demands, and asserts they exist
+     * where it does.
+     */
+    void retarget(const LlcConfig &config);
+
     void observe(CoreId core, Addr addr)
     {
-        if (monitors_.empty()) {
-            return;
+        if (dense_ == nullptr) {
+            if (monitors_.empty()) {
+                return;
+            }
+            unpack();
         }
         COOPSIM_ASSERT(core < monitors_.size(),
                        "monitor core out of range");
-        monitors_[core].access(addr);
+        dense_[core].access(addr);
     }
     /**
      * The per-core demands for this epoch's partitioning decision,
@@ -75,9 +94,19 @@ class MonitorBank
     const std::vector<partition::AppDemand> &demands();
     void decay();
 
+    /** Whether the bank holds monitors (inspection). */
+    bool active() const { return !monitors_.empty(); }
+
   private:
+    /** Unpacks every monitor and sets dense_. */
+    void unpack();
+
+    std::uint32_t ways_;
     /** One per core, or none when the decision reads no demands. */
     std::vector<umon::UtilityMonitor> monitors_;
+    /** monitors_.data() once their ATDs are unpacked; null while
+     *  packed or absent. */
+    umon::UtilityMonitor *dense_ = nullptr;
     std::vector<partition::AppDemand> demands_;
 };
 
@@ -91,6 +120,8 @@ class UnmanagedLlc final : public BaseLlc
                      Cycle now) override;
     std::vector<std::uint32_t> allocation() const override;
     Scheme scheme() const override { return Scheme::Unmanaged; }
+    std::unique_ptr<BaseLlc>
+    forkScheme(mem::DramModel &dram, const LlcConfig &config) const override;
 };
 
 /** Static equal, way-aligned split. */
@@ -103,6 +134,8 @@ class FairShareLlc final : public BaseLlc
                      Cycle now) override;
     std::vector<std::uint32_t> allocation() const override;
     Scheme scheme() const override { return Scheme::FairShare; }
+    std::unique_ptr<BaseLlc>
+    forkScheme(mem::DramModel &dram, const LlcConfig &config) const override;
 
     /** The fixed probe mask of @p core. */
     cache::WayMask maskOf(CoreId core) const { return masks_[core]; }
@@ -127,6 +160,10 @@ class UcpLlc final : public BaseLlc
         return alloc_;
     }
     Scheme scheme() const override { return Scheme::Ucp; }
+    std::unique_ptr<BaseLlc>
+    forkScheme(mem::DramModel &dram, const LlcConfig &config) const override;
+    /** The utility monitors (inspection). */
+    const MonitorBank &monitors() const { return monitors_; }
 
   private:
     /** Lets tests set an allocation no epoch has decided. */
@@ -170,6 +207,10 @@ class DynamicCpeLlc final : public BaseLlc
         return alloc_;
     }
     Scheme scheme() const override { return Scheme::DynamicCpe; }
+    std::unique_ptr<BaseLlc>
+    forkScheme(mem::DramModel &dram, const LlcConfig &config) const override;
+    /** The utility monitors (inspection). */
+    const MonitorBank &monitors() const { return monitors_; }
     double poweredWays() const override;
 
     /** Cycle until which the LLC is blocked by a repartition flush. */
@@ -208,6 +249,10 @@ class CooperativeLlc final : public BaseLlc
     void epoch(Cycle now) override;
     std::vector<std::uint32_t> allocation() const override;
     Scheme scheme() const override { return Scheme::Cooperative; }
+    std::unique_ptr<BaseLlc>
+    forkScheme(mem::DramModel &dram, const LlcConfig &config) const override;
+    /** The utility monitors (inspection). */
+    const MonitorBank &monitors() const { return monitors_; }
     double poweredWays() const override;
 
     const PermissionFile &permissions() const { return perms_; }

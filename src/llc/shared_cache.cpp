@@ -21,11 +21,21 @@ profileFor(const LlcConfig &config, bool has_partition_hw)
 
 } // namespace
 
+bool
+sameButDecision(const LlcConfig &a, const LlcConfig &b)
+{
+    LlcConfig decided = b;
+    decided.partitioner = a.partitioner;
+    decided.threshold = a.threshold;
+    decided.threshold_mode = a.threshold_mode;
+    return decided == a;
+}
+
 BaseLlc::BaseLlc(const LlcConfig &config, mem::DramModel &dram,
                  bool has_partition_hw)
     : config_(config),
       array_(config.geometry, config.repl, config.seed),
-      dram_(dram),
+      dram_(&dram),
       energy_(profileFor(config, has_partition_hw), config.geometry.ways),
       core_stats_(config.num_cores),
       flush_series_(config.flush_series_bin, kFlushSeriesBins)

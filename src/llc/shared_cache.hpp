@@ -21,9 +21,11 @@
 #define COOPSIM_LLC_SHARED_CACHE_HPP
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "cache/cache.hpp"
+#include "common/logging.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
 #include "energy/accounting.hpp"
@@ -115,7 +117,19 @@ struct LlcConfig
     std::uint32_t banks = 1;
     /** Slice-selection hash routing accesses to banks. */
     SliceHashKind slice_hash = SliceHashKind::Mod;
+
+    bool operator==(const LlcConfig &) const = default;
 };
+
+/**
+ * True when @p a and @p b differ at most in the settings only the
+ * epoch decision reads: partitioner, threshold and threshold_mode.
+ * Until the first epoch fires, LLCs built from such configs evolve
+ * identically (apart from the utility monitors, which exist only where
+ * partition::readsDemands), so one can continue as the other
+ * (Llc::fork).
+ */
+bool sameButDecision(const LlcConfig &a, const LlcConfig &b);
 
 /** Bins of the Fig 16 flush series, each LlcConfig::flush_series_bin
  *  cycles wide. */
@@ -166,7 +180,6 @@ class Llc
   public:
     virtual ~Llc() = default;
 
-    Llc(const Llc &) = delete;
     Llc &operator=(const Llc &) = delete;
 
     /**
@@ -259,11 +272,34 @@ class Llc
         (void)delta;
     }
 
+    /**
+     * A copy of this LLC's whole state — arrays, permissions, monitors,
+     * port and energy meters — that continues independently, issuing
+     * its memory traffic to @p dram and running its epochs under
+     * @p config. @p config may differ from config() only in the epoch
+     * decision's settings (sameButDecision; asserted), so forking
+     * before the first epoch yields exactly the LLC @p config would
+     * have built and driven through the same accesses. A fork whose
+     * decision reads no demands drops the utility monitors; one that
+     * reads them must come from an LLC that has them.
+     *
+     * nullptr (the default) when the LLC cannot be forked: a run over
+     * it takes the plain path (sim::RunExecutor warms it up itself).
+     */
+    virtual std::unique_ptr<Llc> fork(mem::DramModel &dram,
+                                      const LlcConfig &config) const
+    {
+        (void)dram;
+        (void)config;
+        return nullptr;
+    }
+
     std::uint64_t hitsTotal() const;
     std::uint64_t missesTotal() const;
 
   protected:
     Llc() = default;
+    Llc(const Llc &) = default;
 };
 
 /**
@@ -275,6 +311,25 @@ class BaseLlc : public Llc
   public:
     BaseLlc(const LlcConfig &config, mem::DramModel &dram,
             bool has_partition_hw);
+
+    std::unique_ptr<Llc> fork(mem::DramModel &dram,
+                              const LlcConfig &config) const override
+    {
+        return forkScheme(dram, config);
+    }
+
+    /**
+     * fork(), typed for BankedLlc's banks. nullptr (the default) for a
+     * scheme that does not override it, such as one registered outside
+     * the library.
+     */
+    virtual std::unique_ptr<BaseLlc>
+    forkScheme(mem::DramModel &dram, const LlcConfig &config) const
+    {
+        (void)dram;
+        (void)config;
+        return nullptr;
+    }
 
     /** Default epoch: no-op (Unmanaged, FairShare). */
     void epoch(Cycle now) override;
@@ -325,6 +380,22 @@ class BaseLlc : public Llc
     }
 
   protected:
+    /** The body of forkScheme() for @p self, a @p Scheme: copies it and
+     *  points the copy at @p dram and @p config. */
+    template <class Scheme>
+    static std::unique_ptr<Scheme> forkCopy(const Scheme &self,
+                                            mem::DramModel &dram,
+                                            const LlcConfig &config)
+    {
+        COOPSIM_ASSERT(sameButDecision(self.config_, config),
+                       "an LLC fork may change only the epoch decision's "
+                       "settings");
+        auto copy = std::make_unique<Scheme>(self);
+        copy->dram_ = &dram;
+        copy->config_ = config;
+        return copy;
+    }
+
     // --- the shared steps of an access ---------------------------------
     //
     // A scheme's access() states which ways @p core may probe and fill
@@ -356,10 +427,10 @@ class BaseLlc : public Llc
                         bool monitored)
     {
         if (array_.validAt(set, victim) && array_.dirtyAt(set, victim)) {
-            dram_.writeback(array_.blockAddr(set, victim), start);
+            dram_->writeback(array_.blockAddr(set, victim), start);
             core_stats_[core].writebacks.inc();
         }
-        const Cycle done = dram_.access(aligned, type, start);
+        const Cycle done = dram_->access(aligned, type, start);
         array_.insert(aligned, set, victim, core, isWrite(type));
         chargeAccess(core, probed, false, false, true, monitored);
         return {false, done + config_.hit_latency, probed};
@@ -402,7 +473,8 @@ class BaseLlc : public Llc
 
     LlcConfig config_;
     cache::SetAssocCache array_;
-    mem::DramModel &dram_;
+    /** Where misses, writebacks and flushes go; a fork rebinds it. */
+    mem::DramModel *dram_;
     energy::EnergyAccounting energy_;
     std::vector<CoreLlcStats> core_stats_;
     TakeoverEventStats events_;

@@ -39,6 +39,8 @@ struct DramConfig
     std::uint32_t max_outstanding = 64;
     /** Block size, used only to slice bank-index bits. */
     std::uint32_t block_bytes = 64;
+
+    bool operator==(const DramConfig &) const = default;
 };
 
 /** Running totals for DRAM traffic. */

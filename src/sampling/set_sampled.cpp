@@ -11,7 +11,7 @@ SetSampledLlc::SetSampledLlc(const llc::LlcConfig &config,
     : config_(config), period_(period),
       slicer_(static_cast<std::uint32_t>(config.geometry.numSets()),
               config.geometry.block_bytes),
-      dram_(dram),
+      dram_(&dram),
       miss_credit_(config.num_cores, 0),
       wb_credit_(config.num_cores, 0),
       snap_acc_(config.num_cores, 0),
@@ -30,8 +30,7 @@ SetSampledLlc::SetSampledLlc(const llc::LlcConfig &config,
     }
     period_bits_ = floorLog2(period_);
 
-    llc::LlcConfig inner = config;
-    inner.geometry.size_bytes = config.geometry.size_bytes / period_;
+    const llc::LlcConfig inner = innerConfig(config);
     if (inner.banks > 1 &&
         inner.geometry.numSets() % inner.banks != 0) {
         COOPSIM_FATAL("set sample period ", period_, " leaves ",
@@ -41,6 +40,42 @@ SetSampledLlc::SetSampledLlc(const llc::LlcConfig &config,
     }
     inner_ = factory(inner);
     COOPSIM_ASSERT(inner_ != nullptr, "inner LLC factory returned null");
+}
+
+SetSampledLlc::SetSampledLlc(const SetSampledLlc &warmed,
+                             const llc::LlcConfig &config,
+                             mem::DramModel &dram,
+                             std::unique_ptr<llc::Llc> inner)
+    : config_(config), period_(warmed.period_),
+      period_bits_(warmed.period_bits_), slicer_(warmed.slicer_),
+      dram_(&dram), inner_(std::move(inner)),
+      miss_credit_(warmed.miss_credit_), wb_credit_(warmed.wb_credit_),
+      snap_acc_(warmed.snap_acc_), snap_miss_(warmed.snap_miss_),
+      snap_wb_(warmed.snap_wb_), snap_age_(warmed.snap_age_)
+{
+}
+
+std::unique_ptr<llc::Llc>
+SetSampledLlc::fork(mem::DramModel &dram, const llc::LlcConfig &config) const
+{
+    COOPSIM_ASSERT(llc::sameButDecision(config_, config),
+                   "an LLC fork may change only the epoch decision's "
+                   "settings");
+    std::unique_ptr<llc::Llc> inner =
+        inner_->fork(dram, innerConfig(config));
+    if (inner == nullptr) {
+        return nullptr;
+    }
+    return std::unique_ptr<llc::Llc>(
+        new SetSampledLlc(*this, config, dram, std::move(inner)));
+}
+
+llc::LlcConfig
+SetSampledLlc::innerConfig(const llc::LlcConfig &config) const
+{
+    llc::LlcConfig inner = config;
+    inner.geometry.size_bytes = config.geometry.size_bytes / period_;
+    return inner;
 }
 
 Addr
@@ -88,12 +123,12 @@ SetSampledLlc::access(CoreId core, Addr addr, AccessType type, Cycle now)
         wb_credit_[core] += snap_wb_[core];
         if (wb_credit_[core] >= acc) {
             wb_credit_[core] -= acc;
-            dram_.writeback(addr, start);
+            dram_->writeback(addr, start);
         }
         miss_credit_[core] += snap_miss_[core];
         if (miss_credit_[core] >= acc) {
             miss_credit_[core] -= acc;
-            const Cycle done = dram_.access(addr, type, start);
+            const Cycle done = dram_->access(addr, type, start);
             return {false, done, 0};
         }
         return {true, start + config_.hit_latency, 0};

@@ -65,6 +65,10 @@ class SetSampledLlc final : public llc::Llc
                           Cycle now) override;
 
     void epoch(Cycle now) override { inner_->epoch(now); }
+    /** Forks the inner LLC (nullptr if it cannot fork) and copies the
+     *  rate replicators. */
+    std::unique_ptr<llc::Llc> fork(mem::DramModel &dram,
+                                   const llc::LlcConfig &config) const override;
     double poweredWays() const override { return inner_->poweredWays(); }
     std::vector<std::uint32_t> allocation() const override
     {
@@ -140,14 +144,22 @@ class SetSampledLlc final : public llc::Llc
     const llc::Llc &inner() const { return *inner_; }
 
   private:
+    /** fork()'s copy: @p warmed's replicators over the forked
+     *  @p inner. */
+    SetSampledLlc(const SetSampledLlc &warmed, const llc::LlcConfig &config,
+                  mem::DramModel &dram, std::unique_ptr<llc::Llc> inner);
+
     /** Maps a sampled full-geometry address into the inner array. */
     Addr translate(Addr addr) const;
+
+    /** The 1/S-capacity config the inner LLC runs under. */
+    llc::LlcConfig innerConfig(const llc::LlcConfig &config) const;
 
     llc::LlcConfig config_;
     std::uint32_t period_;
     std::uint32_t period_bits_;
     AddrSlicer slicer_;
-    mem::DramModel &dram_;
+    mem::DramModel *dram_;
     std::unique_ptr<llc::Llc> inner_;
     /**
      * Per-core fixed-denominator rate replicators: each unsampled

@@ -52,6 +52,79 @@ defaultThreadCount()
 /** Consumed once, by the first RunExecutor::instance() construction. */
 unsigned g_initial_threads = 0;
 
+/**
+ * The key a group run shares its warm-up under: @p key with the epoch
+ * decision's settings replaced by the canonical lookahead variant's.
+ * That variant builds the utility monitors wherever any partitioner
+ * reads them, so its warm-up can stand in for every sibling's.
+ */
+RunKey
+warmKeyOf(const RunKey &key)
+{
+    RunKey warm = key;
+    const RunKey canonical;
+    warm.partitioner = partition::Partitioner::Lookahead;
+    warm.threshold = canonical.threshold;
+    warm.threshold_mode = canonical.threshold_mode;
+    return warm;
+}
+
+/**
+ * Whether @p key's epoch decision reads the utility monitors
+ * (partition::readsDemands on its topology row). Never fatal: a key
+ * without a row fails when it runs, like any other bad key.
+ */
+bool
+readsDemands(const RunKey &key)
+{
+    for (const Topology &row : topologyTable()) {
+        if (row.max_cores >= key.num_cores) {
+            return partition::readsDemands(key.partitioner, key.num_cores,
+                                           row.llc_ways);
+        }
+    }
+    return false;
+}
+
+/** The System executeRun() runs for @p key, not yet warmed up. */
+std::unique_ptr<System>
+buildSystem(const RunKey &key)
+{
+    if (key.kind == RunKey::Kind::Group) {
+        // Registry resolution (not trace::groupByName), so a custom
+        // group added to api::workloadRegistry() runs like a built-in.
+        const trace::WorkloadGroup &group =
+            api::workloadRegistry().get(key.name);
+        const auto num_cores =
+            static_cast<std::uint32_t>(group.apps.size());
+        SystemConfig config = runConfig(key);
+        COOPSIM_ASSERT(config.num_cores == num_cores,
+                       "group size does not match system");
+        if (StreamCache::instance().enabled()) {
+            config.stream_factory =
+                StreamCache::instance().factory(key.seed, key.scale);
+        }
+        return std::make_unique<System>(config,
+                                        trace::groupProfiles(group));
+    }
+
+    // Solo: the app owns the whole (unmanaged) LLC of the system it
+    // will later share. Its stream is slot 0's on that system's
+    // geometry, which the stream memo keys on, so the solo replays the
+    // buffer of any run with the app in slot 0 on that geometry, at
+    // any core count (the per-stream seed derivation makes them the
+    // same op sequence).
+    SystemConfig config = runConfig(key);
+    config.num_cores = 1;
+    config.llc.num_cores = 1;
+    if (StreamCache::instance().enabled()) {
+        config.stream_factory =
+            StreamCache::instance().factory(key.seed, key.scale);
+    }
+    return std::make_unique<System>(
+        config, std::vector<trace::AppProfile>{trace::specProfile(key.name)});
+}
+
 } // namespace
 
 SystemConfig
@@ -112,39 +185,7 @@ RunFailure::RunFailure(RunKey key, const std::string &reason)
 RunResult
 executeRun(const RunKey &key)
 {
-    if (key.kind == RunKey::Kind::Group) {
-        // Registry resolution (not trace::groupByName), so a custom
-        // group added to api::workloadRegistry() runs like a built-in.
-        const trace::WorkloadGroup &group =
-            api::workloadRegistry().get(key.name);
-        const auto num_cores =
-            static_cast<std::uint32_t>(group.apps.size());
-        SystemConfig config = runConfig(key);
-        COOPSIM_ASSERT(config.num_cores == num_cores,
-                       "group size does not match system");
-        if (StreamCache::instance().enabled()) {
-            config.stream_factory =
-                StreamCache::instance().factory(key.seed, key.scale);
-        }
-        System system(config, trace::groupProfiles(group));
-        return system.run();
-    }
-
-    // Solo: the app owns the whole (unmanaged) LLC of the system it
-    // will later share. Its stream is slot 0's on that system's
-    // geometry, which the stream memo keys on, so the solo replays the
-    // buffer of any run with the app in slot 0 on that geometry, at
-    // any core count (the per-stream seed derivation makes them the
-    // same op sequence).
-    SystemConfig config = runConfig(key);
-    config.num_cores = 1;
-    config.llc.num_cores = 1;
-    if (StreamCache::instance().enabled()) {
-        config.stream_factory =
-            StreamCache::instance().factory(key.seed, key.scale);
-    }
-    System system(config, {trace::specProfile(key.name)});
-    return system.run();
+    return buildSystem(key)->run();
 }
 
 // ---------------------------------------------------------------------------
@@ -272,7 +313,114 @@ RunExecutor::stats() const
     stats.simulations = simulations_.load(std::memory_order_relaxed);
     stats.store_hits = store_hits_.load(std::memory_order_relaxed);
     stats.failed_runs = failed_runs_.load(std::memory_order_relaxed);
+    stats.forked = forked_.load(std::memory_order_relaxed);
     return stats;
+}
+
+std::size_t
+RunExecutor::checkpoints() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    std::size_t published = 0;
+    for (const auto &entry : warm_) {
+        published += entry.second.checkpoint != nullptr ? 1 : 0;
+    }
+    return published;
+}
+
+RunResult
+RunExecutor::simulate(const RunKey &key)
+{
+    if (key.kind != RunKey::Kind::Group) {
+        return executeRun(key); // solo runs have no siblings
+    }
+    const RunKey warm = warmKeyOf(key);
+    const bool reads = readsDemands(key);
+    std::shared_ptr<const System> checkpoint;
+    bool canonical = false;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        const auto it = warm_.find(warm);
+        COOPSIM_ASSERT(it != warm_.end(), "group run without a warm slot");
+        WarmSlot &slot = it->second;
+        --slot.queued;
+        slot.queued_readers -= reads ? 1 : 0;
+        if (slot.checkpoint != nullptr && (slot.with_monitors || !reads)) {
+            checkpoint = slot.checkpoint;
+        } else {
+            // Warm up as the canonical variant when this run's own
+            // decision would not build monitors a queued sibling reads.
+            canonical = !reads && slot.queued_readers > 0;
+        }
+        if (slot.queued == 0) {
+            warm_.erase(it); // the last sibling drops the checkpoint
+        }
+    }
+
+    if (checkpoint != nullptr) {
+        forked_.fetch_add(1, std::memory_order_relaxed);
+        const std::unique_ptr<System> system =
+            checkpoint->fork(runConfig(key));
+        COOPSIM_ASSERT(system != nullptr, "a published warm-up did not fork");
+        checkpoint.reset();
+        return system->measure();
+    }
+    std::unique_ptr<System> system = buildSystem(canonical ? warm : key);
+    system->warmUp();
+    // The canonical variant reads demands wherever any sibling does.
+    publish(warm, *system, reads || canonical);
+    if (!canonical) {
+        return system->measure();
+    }
+    const std::unique_ptr<System> mine = system->fork(runConfig(key));
+    if (mine == nullptr) {
+        // A scheme that cannot fork: the canonical warm-up does not
+        // stand for this run's own.
+        return executeRun(key);
+    }
+    system.reset();
+    return mine->measure();
+}
+
+void
+RunExecutor::publish(const RunKey &warm, const System &warmed,
+                     bool monitored)
+{
+    // A sibling may fork the checkpoint only if it holds the monitors
+    // the sibling's decision reads. They are most of a banked
+    // checkpoint's bytes, so it keeps them only for a queued reader.
+    const auto useful = [&warm, this](bool with_monitors) {
+        const auto it = warm_.find(warm);
+        return it != warm_.end() &&
+               (it->second.checkpoint == nullptr ||
+                (with_monitors && !it->second.with_monitors));
+    };
+    bool with_monitors = false;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        const auto it = warm_.find(warm);
+        if (it == warm_.end()) {
+            return; // no sibling left in the queue
+        }
+        with_monitors = monitored && it->second.queued_readers > 0;
+        if (!useful(with_monitors)) {
+            return;
+        }
+    }
+    SystemConfig variant = warmed.config();
+    if (!with_monitors) {
+        variant.llc.partitioner = partition::Partitioner::EqualShare;
+    }
+    std::shared_ptr<const System> copy = warmed.fork(variant);
+    if (copy == nullptr) {
+        return;
+    }
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (useful(with_monitors)) {
+        WarmSlot &slot = warm_.find(warm)->second;
+        slot.checkpoint = std::move(copy);
+        slot.with_monitors = with_monitors;
+    }
 }
 
 void
@@ -328,7 +476,7 @@ RunExecutor::submit(const RunKey &key)
             // nothing is recorded into the store for the failed key.
             try {
                 auto result =
-                    std::make_shared<const RunResult>(executeRun(key));
+                    std::make_shared<const RunResult>(simulate(key));
                 if (result_store != nullptr) {
                     result_store->put(key, *result);
                 }
@@ -346,6 +494,11 @@ RunExecutor::submit(const RunKey &key)
         });
     Future future = task->get_future().share();
     cache_.emplace(key, future);
+    if (key.kind == RunKey::Kind::Group) {
+        WarmSlot &slot = warm_[warmKeyOf(key)];
+        ++slot.queued;
+        slot.queued_readers += readsDemands(key) ? 1 : 0;
+    }
     queue_.emplace_back([task] { (*task)(); });
     ensureWorkersStarted();
     cv_.notify_one();
@@ -407,6 +560,7 @@ RunExecutor::clear()
                    "executor must be drained before the cache is "
                    "cleared");
     cache_.clear();
+    warm_.clear();
 }
 
 } // namespace coopsim::sim

@@ -22,6 +22,13 @@
  * bit-identical for 1 thread and N threads. test_executor.cpp asserts
  * this; keep it true when adding scheme state (seed anything random
  * from LlcConfig::seed, never from a global).
+ *
+ * Warm-up sharing: group runs that differ only in the epoch decision's
+ * settings (partitioner, threshold, threshold_mode) are siblings. No
+ * epoch fires before measurement starts, so their warm-ups are the
+ * same simulation; a worker that warms one up publishes a copy while
+ * siblings are still queued, and they fork it (System::fork) instead of
+ * repeating the warm-up. See docs/ARCHITECTURE.md, "Warm-up sharing".
  */
 
 #ifndef COOPSIM_SIM_EXECUTOR_HPP
@@ -114,7 +121,12 @@ struct RunKeyHash
  */
 SystemConfig runConfig(const RunKey &key);
 
-/** Runs the simulation @p key describes (pure; no caching). */
+/**
+ * Runs the simulation @p key describes from scratch: no result cache,
+ * no store and no warm-up sharing (it still replays memoized op
+ * streams, which are bit-identical to generated ones). The reference
+ * the executor's shared path is tested against.
+ */
 RunResult executeRun(const RunKey &key);
 
 /**
@@ -167,6 +179,9 @@ class RunExecutor
         /** Simulations that ended in a RunFailure instead of a
          *  result (their futures rethrow; nothing is stored). */
         std::uint64_t failed_runs = 0;
+        /** Simulations that started from a sibling's published
+         *  warm-up instead of warming up themselves. */
+        std::uint64_t forked = 0;
     };
 
     /** @param threads Worker count; 0 resolves the default above. */
@@ -245,11 +260,35 @@ class RunExecutor
     /** Run-count counters (cumulative; never reset by clear()). */
     Stats stats() const;
 
+    /** Warmed Systems published for queued siblings right now: 0 once
+     *  every queued run has started. */
+    std::size_t checkpoints() const;
+
   private:
     using ResultPtr = std::shared_ptr<const RunResult>;
     using Future = std::shared_future<ResultPtr>;
 
+    /** The siblings of one warm key (see the file comment). */
+    struct WarmSlot
+    {
+        /** Sibling runs queued and not yet started. */
+        std::uint32_t queued = 0;
+        /** Those whose epoch decision reads the utility monitors. */
+        std::uint32_t queued_readers = 0;
+        /** A warmed System siblings fork, or null. */
+        std::shared_ptr<const System> checkpoint;
+        /** Whether the checkpoint kept its utility monitors. */
+        bool with_monitors = false;
+    };
+
     Future submit(const RunKey &key);
+    /** Runs @p key, sharing its warm-up with queued siblings. */
+    RunResult simulate(const RunKey &key);
+    /** Publishes a copy of @p warmed under @p warm if a queued sibling
+     *  can use it; @p monitored says whether @p warmed's decision
+     *  reads demands, so that its LLC holds monitors. */
+    void publish(const RunKey &warm, const System &warmed,
+                 bool monitored);
     void workerLoop();
     /** Spawns the pool at the configured size if it is not running.
      *  Called with mutex_ held. */
@@ -263,6 +302,9 @@ class RunExecutor
     std::condition_variable drain_cv_;
     std::deque<std::function<void()>> queue_;
     std::unordered_map<RunKey, Future, RunKeyHash> cache_;
+    /** Warm key -> its queued siblings; an entry lives while one is
+     *  queued. */
+    std::unordered_map<RunKey, WarmSlot, RunKeyHash> warm_;
     std::vector<std::thread> workers_;
     /** Tasks currently executing (workers + helping callers). */
     unsigned busy_ = 0;
@@ -274,6 +316,7 @@ class RunExecutor
     std::atomic<std::uint64_t> simulations_{0};
     std::atomic<std::uint64_t> store_hits_{0};
     std::atomic<std::uint64_t> failed_runs_{0};
+    std::atomic<std::uint64_t> forked_{0};
 };
 
 } // namespace coopsim::sim

@@ -167,6 +167,14 @@ class MemoReplayStream final : public core::OpStream
         return produced;
     }
 
+    /** Shares the entry and starts on the same op: the segments it
+     *  holds are immutable, and the decoder is plain cursor state. */
+    std::unique_ptr<core::OpStream>
+    fork() const override
+    {
+        return std::make_unique<MemoReplayStream>(*this);
+    }
+
   private:
     std::shared_ptr<StreamEntry> entry_;
     StreamCache &cache_;

@@ -64,6 +64,143 @@ applyScale(SystemConfig &config, RunScale scale)
     }
 }
 
+constexpr InstCount kNoInstBound = std::numeric_limits<InstCount>::max();
+constexpr Cycle kNoCycleBound = std::numeric_limits<Cycle>::max();
+
+/** The LLC configuration a System with @p config builds. */
+llc::LlcConfig
+llcConfigOf(const SystemConfig &config)
+{
+    llc::LlcConfig lc = config.llc;
+    lc.num_cores = config.num_cores;
+    lc.seed = config.seed;
+    return lc;
+}
+
+/** Whether @p a and @p b describe one System up to the epoch
+ *  decision's settings (and the stream factory, which only the
+ *  constructor reads). */
+bool
+sameButDecision(const SystemConfig &a, const SystemConfig &b)
+{
+    return a.scheme == b.scheme && a.num_cores == b.num_cores &&
+           llc::sameButDecision(a.llc, b.llc) && a.dram == b.dram &&
+           a.core == b.core && a.epoch_cycles == b.epoch_cycles &&
+           a.insts_per_app == b.insts_per_app &&
+           a.warmup_insts == b.warmup_insts && a.seed == b.seed &&
+           a.driver == b.driver && a.sampling == b.sampling;
+}
+
+/**
+ * The global-order event loop's arbitration, built afresh for each of
+ * the warm-up and measurement loops from the cores' clocks.
+ *
+ * The loop picks the laggard core before every quantum, so minCore()
+ * dominates the per-op driver. Core clocks are mirrored into a dense
+ * array (no unique_ptr chase per comparison) and only the stepped
+ * core's mirror is refreshed. The ubiquitous two-core configuration
+ * reduces to a single compare; larger systems keep the minimum and the
+ * runner-up in a top-2 tournament tree (O(log n) per update, O(1) per
+ * query, ties to the lowest index — bit-identical to a linear scan,
+ * and a function of the clocks alone, so rebuilding it between the
+ * loops changes nothing).
+ */
+class Arbiter
+{
+  public:
+    Arbiter(const std::vector<std::unique_ptr<core::TraceCore>> &cores,
+            DriverStats &stats)
+        : cores_(cores), n_(static_cast<std::uint32_t>(cores.size())),
+          clock_(n_), stats_(stats)
+    {
+        for (std::uint32_t c = 0; c < n_; ++c) {
+            clock_[c] = cores_[c]->cycle();
+        }
+        // The tree exists only when it is consulted; the 1/2-core
+        // paths never touch it (and must not — it would go stale).
+        if (n_ > 2) {
+            tree_.emplace(clock_);
+        }
+    }
+
+    std::uint32_t
+    minCore() const
+    {
+        if (n_ == 2) {
+            return clock_[1] < clock_[0] ? 1u : 0u;
+        }
+        if (n_ == 1) {
+            return 0u;
+        }
+        return tree_->minIndex();
+    }
+
+    Cycle clock(std::uint32_t c) const { return clock_[c]; }
+
+    /**
+     * Batched driver: the arbitration winner @p c may run without
+     * re-consulting the clock structure for as long as the per-op
+     * arbiter would keep picking it — while its clock stays strictly
+     * below the runner-up's, or equal when c has the lower index (the
+     * scan's tie rule). Folding the tie rule into a half-open bound
+     * gives one comparison per op: run while clock < bound.
+     */
+    Cycle
+    quantumBound(std::uint32_t c) const
+    {
+        if (n_ == 1) {
+            return kCycleMax; // no contender; epochs bound the quantum
+        }
+        Cycle second;
+        std::uint32_t second_index;
+        if (n_ == 2) {
+            second_index = c ^ 1u;
+            second = clock_[second_index];
+        } else {
+            const MinClockTree::Second runner_up = tree_->secondBest();
+            second = runner_up.clock;
+            second_index = runner_up.index;
+        }
+        return (c < second_index && second != kCycleMax) ? second + 1
+                                                         : second;
+    }
+
+    void
+    stepQuantum(std::uint32_t c, Cycle bound, InstCount inst_bound)
+    {
+        stats_.steps += cores_[c]->stepQuantum(bound, inst_bound);
+        stats_.quanta += 1;
+        refresh(c);
+    }
+
+    /** Per-op reference driver: one bundle per arbitration. */
+    void
+    step(std::uint32_t c)
+    {
+        cores_[c]->step();
+        stats_.quanta += 1;
+        stats_.steps += 1;
+        refresh(c);
+    }
+
+    /** Re-reads core @p c's clock after it moved. */
+    void
+    refresh(std::uint32_t c)
+    {
+        clock_[c] = cores_[c]->cycle();
+        if (tree_) {
+            tree_->update(c, clock_[c]);
+        }
+    }
+
+  private:
+    const std::vector<std::unique_ptr<core::TraceCore>> &cores_;
+    std::uint32_t n_;
+    std::vector<Cycle> clock_;
+    std::optional<MinClockTree> tree_;
+    DriverStats &stats_;
+};
+
 } // namespace
 
 const std::vector<Topology> &
@@ -133,9 +270,7 @@ System::System(const SystemConfig &config,
         COOPSIM_FATAL("config expects ", config_.num_cores,
                       " applications, got ", profiles_.size());
     }
-    llc::LlcConfig lc = config_.llc;
-    lc.num_cores = config_.num_cores;
-    lc.seed = config_.seed;
+    const llc::LlcConfig lc = llcConfigOf(config_);
     sampling_ = sampling::resolve(config_.sampling);
     if (sampling_.set_period > 1) {
         llc_ = std::make_unique<sampling::SetSampledLlc>(
@@ -182,93 +317,55 @@ System::System(const SystemConfig &config,
     }
 }
 
+System::System(const System &warmed, const SystemConfig &variant)
+    : config_(variant), profiles_(warmed.profiles_), dram_(warmed.dram_),
+      driver_stats_(warmed.driver_stats_), sampling_(warmed.sampling_)
+{
+}
+
 System::~System() = default;
+
+std::unique_ptr<System>
+System::fork(const SystemConfig &variant) const
+{
+    COOPSIM_ASSERT(sameButDecision(config_, variant),
+                   "a System fork may change only the epoch decision's "
+                   "settings");
+    std::unique_ptr<System> copy(new System(*this, variant));
+    copy->llc_ = llc_->fork(copy->dram_, llcConfigOf(variant));
+    if (copy->llc_ == nullptr) {
+        return nullptr;
+    }
+    for (std::uint32_t c = 0; c < config_.num_cores; ++c) {
+        copy->streams_.push_back(streams_[c]->fork());
+        if (copy->streams_.back() == nullptr) {
+            return nullptr;
+        }
+        copy->cores_.push_back(std::make_unique<core::TraceCore>(
+            *cores_[c], *copy->llc_, *copy->streams_[c]));
+    }
+    return copy;
+}
 
 RunResult
 System::run()
 {
+    warmUp();
+    return measure();
+}
+
+void
+System::warmUp()
+{
     const std::uint32_t n = config_.num_cores;
     const bool batched = config_.driver == DriverMode::Batched;
-    constexpr InstCount kNoInstBound =
-        std::numeric_limits<InstCount>::max();
-    constexpr Cycle kNoCycleBound = std::numeric_limits<Cycle>::max();
     driver_stats_ = DriverStats{};
+    Arbiter arbiter(cores_, driver_stats_);
 
-    // The global-order event loop picks the laggard core before every
-    // quantum, so min_core() dominates the per-op driver. Core clocks
-    // are mirrored into a dense local array (no unique_ptr chase per
-    // comparison) and only the stepped core's mirror is refreshed. The
-    // ubiquitous two-core configuration reduces to a single compare;
-    // larger systems keep the minimum and the runner-up in a top-2
-    // tournament tree (O(log n) per update, O(1) per query, ties to
-    // the lowest index — bit-identical to a linear scan).
-    std::vector<Cycle> clock(n);
-    for (std::uint32_t c = 0; c < n; ++c) {
-        clock[c] = cores_[c]->cycle();
-    }
-    // The tree exists only when it is consulted; the 1/2-core paths
-    // never touch it (and must not — it would go stale).
-    std::optional<MinClockTree> tree;
-    if (n > 2) {
-        tree.emplace(clock);
-    }
-    auto min_core = [&]() -> std::uint32_t {
-        if (n == 2) {
-            return clock[1] < clock[0] ? 1u : 0u;
-        }
-        if (n == 1) {
-            return 0u;
-        }
-        return tree->minIndex();
-    };
-    // Per-op reference driver: one bundle per arbitration.
-    auto step = [&](std::uint32_t c) {
-        cores_[c]->step();
-        clock[c] = cores_[c]->cycle();
-        if (tree) {
-            tree->update(c, clock[c]);
-        }
-        driver_stats_.quanta += 1;
-        driver_stats_.steps += 1;
-    };
-    // Batched driver: the arbitration winner c may run without
-    // re-consulting the clock structure for as long as the per-op
-    // arbiter would keep picking it — while its clock stays strictly
-    // below the runner-up's, or equal when c has the lower index (the
-    // scan's tie rule). Folding the tie rule into a half-open bound
-    // gives one comparison per op: run while clock[c] < bound.
-    auto quantum_bound = [&](std::uint32_t c) -> Cycle {
-        if (n == 1) {
-            return kCycleMax; // no contender; epochs bound the quantum
-        }
-        Cycle second;
-        std::uint32_t second_index;
-        if (n == 2) {
-            second_index = c ^ 1u;
-            second = clock[second_index];
-        } else {
-            const MinClockTree::Second runner_up = tree->secondBest();
-            second = runner_up.clock;
-            second_index = runner_up.index;
-        }
-        return (c < second_index && second != kCycleMax) ? second + 1
-                                                         : second;
-    };
-    auto step_quantum = [&](std::uint32_t c, Cycle bound,
-                            InstCount inst_bound) {
-        driver_stats_.steps +=
-            cores_[c]->stepQuantum(bound, inst_bound);
-        driver_stats_.quanta += 1;
-        clock[c] = cores_[c]->cycle();
-        if (tree) {
-            tree->update(c, clock[c]);
-        }
-    };
-
-    // ---- Warm-up: run until every core retired warmup_insts. ------------
-    // A set-sampled run warms a 1/S-capacity array, which fills S×
-    // faster, so warm-up shrinks by the same factor — the argument
-    // applyScale already applies when it miniaturises the set count.
+    // Run until every core retired warmup_insts. A set-sampled run
+    // warms a 1/S-capacity array, which fills S× faster, so warm-up
+    // shrinks by the same factor — the argument applyScale already
+    // applies when it miniaturises the set count.
     const InstCount warmup_insts =
         sampling_.set_period > 1
             ? std::max<InstCount>(
@@ -281,7 +378,7 @@ System::run()
         warm_cores += cores_[c]->retired() >= warmup_insts ? 1 : 0;
     }
     while (warm_cores < n) {
-        const std::uint32_t c = min_core();
+        const std::uint32_t c = arbiter.minCore();
         const bool was_warm = cores_[c]->retired() >= warmup_insts;
         if (batched) {
             // Only c's warm status can change inside its quantum.
@@ -292,24 +389,33 @@ System::run()
             // loop's exit point.
             const bool others_warm =
                 warm_cores - (was_warm ? 1 : 0) == n - 1;
-            step_quantum(c, quantum_bound(c),
-                         others_warm ? warmup_insts : kNoInstBound);
+            arbiter.stepQuantum(c, arbiter.quantumBound(c),
+                                others_warm ? warmup_insts
+                                            : kNoInstBound);
         } else {
-            step(c);
+            arbiter.step(c);
         }
         if (!was_warm && cores_[c]->retired() >= warmup_insts) {
             ++warm_cores;
         }
     }
-    Cycle now = 0;
+    const Cycle now = latestClock();
     for (std::uint32_t c = 0; c < n; ++c) {
-        now = std::max(now, cores_[c]->cycle());
         cores_[c]->startMeasurement();
     }
     llc_->resetStats(now);
     dram_.resetStats();
+}
+
+RunResult
+System::measure()
+{
+    const std::uint32_t n = config_.num_cores;
+    const bool batched = config_.driver == DriverMode::Batched;
+    Arbiter arbiter(cores_, driver_stats_);
 
     // ---- Measurement: run to the per-app quota; keep contending. --------
+    const Cycle now = latestClock();
     Cycle next_epoch =
         ((now / config_.epoch_cycles) + 1) * config_.epoch_cycles;
     std::uint32_t done = 0;
@@ -409,11 +515,11 @@ System::run()
     }
 
     while (done < n) {
-        const std::uint32_t c = min_core();
+        const std::uint32_t c = arbiter.minCore();
 
         // The epoch boundary fires when global time (the minimum core
         // clock) crosses it; every other core is already past it.
-        if (clock[c] >= next_epoch) {
+        if (arbiter.clock(c) >= next_epoch) {
             llc_->epoch(next_epoch);
             next_epoch += config_.epoch_cycles;
             continue;
@@ -422,13 +528,14 @@ System::run()
         if (batched) {
             const InstCount inst_bound =
                 finished[c] ? kNoInstBound : quota_target[c];
-            Cycle cycle_bound = std::min(quantum_bound(c), next_epoch);
+            Cycle cycle_bound =
+                std::min(arbiter.quantumBound(c), next_epoch);
             if (windows) {
                 cycle_bound = std::min(cycle_bound, detail_end[c]);
             }
-            step_quantum(c, cycle_bound, inst_bound);
+            arbiter.stepQuantum(c, cycle_bound, inst_bound);
         } else {
-            step(c);
+            arbiter.step(c);
         }
         if (windows && cores_[c]->cycle() >= detail_end[c]) {
             const InstCount w_insts =
@@ -484,10 +591,7 @@ System::run()
                                static_cast<double>(ff_n) / ipc_w)));
                 }
                 cores_[c]->fastForward(ff_n, jump);
-                clock[c] = cores_[c]->cycle();
-                if (tree) {
-                    tree->update(c, clock[c]);
-                }
+                arbiter.refresh(c);
             }
             // Next detail end strictly ahead of the (possibly jumped)
             // clock: the containing window's end, or — when the clock
@@ -528,15 +632,22 @@ System::run()
     return collect();
 }
 
+Cycle
+System::latestClock() const
+{
+    Cycle latest = 0;
+    for (const auto &core : cores_) {
+        latest = std::max(latest, core->cycle());
+    }
+    return latest;
+}
+
 RunResult
 System::collect()
 {
     const std::uint32_t n = config_.num_cores;
     RunResult result;
-    Cycle end = 0;
-    for (std::uint32_t c = 0; c < n; ++c) {
-        end = std::max(end, cores_[c]->cycle());
-    }
+    const Cycle end = latestClock();
     llc_->integrateStatic(end);
     result.total_cycles = end;
 

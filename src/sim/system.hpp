@@ -33,8 +33,10 @@ enum class RunScale
     /** Fast runs for tests/benches: 6 M instructions per app, 300 k-
      *  cycle epochs (same epoch:instruction ratio as the paper). */
     Bench,
-    /** The paper's scale: 1 B instructions per app, 5 M-cycle epochs.
-     *  Hours of host time; selectable via --full on every bench. */
+    /** The paper's scale: 1 B instructions per app, 5 M-cycle epochs;
+     *  selectable via --full. Minutes per 2- and 4-core figure: fig05
+     *  took 2 min of wall time and fig08 5 min at --threads=4 on a
+     *  4-vCPU Xeon. */
     Paper,
     /** Tiny runs for unit tests. */
     Test,
@@ -241,8 +243,33 @@ class System
     System(const System &) = delete;
     System &operator=(const System &) = delete;
 
-    /** Runs warm-up + measurement to completion and collects results. */
+    /** Runs warm-up + measurement to completion and collects results:
+     *  warmUp(), then measure(). */
     RunResult run();
+
+    /**
+     * Runs every core until each has retired the warm-up quota, then
+     * starts the measurement window: core measurement marks set, LLC
+     * and DRAM counters zeroed. No epoch fires during warm-up.
+     */
+    void warmUp();
+
+    /** Runs the measurement phase of a warmed System to completion and
+     *  collects its results. */
+    RunResult measure();
+
+    /**
+     * A copy of this warmed System (after warmUp(), before measure())
+     * that measures under @p variant: cores, op streams, LLC and DRAM
+     * are copied in their current state. @p variant may differ from
+     * config() only in the epoch decision's settings (llc.partitioner,
+     * llc.threshold, llc.threshold_mode; asserted). No epoch fires
+     * before measure(), so those settings have not yet acted, and the
+     * copy's measure() returns what run() under @p variant returns.
+     * nullptr when the LLC or an op stream cannot be forked
+     * (Llc::fork, OpStream::fork).
+     */
+    std::unique_ptr<System> fork(const SystemConfig &variant) const;
 
     /** Event-loop accounting of the last run() (host-side only). */
     const DriverStats &driverStats() const { return driver_stats_; }
@@ -254,7 +281,13 @@ class System
     const SystemConfig &config() const { return config_; }
 
   private:
+    /** fork()'s copy of @p warmed's host-side state; fork() adds the
+     *  LLC, streams and cores. */
+    System(const System &warmed, const SystemConfig &variant);
+
     RunResult collect();
+    /** The latest core clock: where warm-up ends, and the run. */
+    Cycle latestClock() const;
 
     SystemConfig config_;
     std::vector<trace::AppProfile> profiles_;

@@ -64,10 +64,15 @@ SyntheticStream::SyntheticStream(const AppProfile &profile,
       list_sizes_(geometry.llc_sets, 0)
 {
     COOPSIM_ASSERT(profile.primary.apki > 0.0, "apki must be positive");
-    cdf_primary_ = buildClassCdf(profile.primary.pmf);
-    cdf_secondary_ = profile.hasPhases()
-                         ? buildClassCdf(profile.secondary.pmf)
-                         : cdf_primary_;
+    const AppPhase *phases[2] = {
+        &profile.primary,
+        profile.hasPhases() ? &profile.secondary : &profile.primary};
+    for (std::size_t i = 0; i < phases_.size(); ++i) {
+        PhaseDraw &draw = phases_[i];
+        draw.classes = GuidedCdf<kMaxRank + 1>(buildClassCdf(phases[i]->pmf));
+        draw.gap_p = std::min(1.0, phases[i]->apki / 1000.0);
+        draw.gap_log1p = draw.gap_p < 1.0 ? std::log1p(-draw.gap_p) : 0.0;
+    }
     refreshPhase();
 }
 
@@ -75,20 +80,20 @@ void
 SyntheticStream::refreshPhase()
 {
     if (!profile_.hasPhases()) {
-        active_phase_ = &profile_.primary;
-        active_cdf_ = &cdf_primary_;
+        active_phase_ = 0;
         phase_switch_insts_ = std::numeric_limits<InstCount>::max();
     } else {
         const InstCount phase_no =
             generated_insts_ / profile_.phase_insts;
-        const bool in_primary = phase_no % 2 == 0;
-        active_phase_ =
-            in_primary ? &profile_.primary : &profile_.secondary;
-        active_cdf_ = in_primary ? &cdf_primary_ : &cdf_secondary_;
+        active_phase_ = static_cast<std::uint32_t>(phase_no % 2);
         phase_switch_insts_ = (phase_no + 1) * profile_.phase_insts;
     }
-    gap_p_ = std::min(1.0, active_phase_->apki / 1000.0);
-    gap_log1p_ = gap_p_ < 1.0 ? std::log1p(-gap_p_) : 0.0;
+}
+
+std::unique_ptr<core::OpStream>
+SyntheticStream::fork() const
+{
+    return std::make_unique<SyntheticStream>(*this);
 }
 
 std::uint32_t
@@ -131,6 +136,17 @@ SyntheticStream::touch(SetId set, std::uint32_t block)
     list[0] = block;
 }
 
+void
+SyntheticStream::promote(SetId set, std::uint32_t rank)
+{
+    auto &list = lists_[set];
+    const std::uint32_t block = list[rank];
+    for (std::uint32_t i = rank; i > 0; --i) {
+        list[i] = list[i - 1];
+    }
+    list[0] = block;
+}
+
 std::size_t
 SyntheticStream::nextBatch(core::MemOp *out, std::size_t max)
 {
@@ -149,15 +165,15 @@ SyntheticStream::generate()
     if (generated_insts_ >= phase_switch_insts_) {
         refreshPhase();
     }
-    const auto &cdf = *active_cdf_;
+    const PhaseDraw &draw = phases_[active_phase_];
 
     // Gap between LLC accesses: geometric with mean 1000/apki - 1,
     // giving naturally bursty arrivals (the source of overlapping
     // misses the OoO model exploits).
-    const InstCount gap = rng_.nextGeometric(gap_p_, gap_log1p_);
+    const InstCount gap = rng_.nextGeometric(draw.gap_p, draw.gap_log1p);
 
     // Pick the access class: 0 = new block, k = recency rank k-1.
-    const auto cls = rng_.nextFromCdf(cdf.data(), kMaxRank + 1);
+    const std::uint32_t cls = rng_.nextFromCdf(draw.classes);
 
     Addr addr = 0;
     if (cls == 0) {
@@ -174,9 +190,8 @@ SyntheticStream::generate()
             const SetId set = static_cast<SetId>(
                 rng_.nextBelow(geometry_.llc_sets));
             if (list_sizes_[set] > rank) {
-                const std::uint32_t block = lists_[set][rank];
-                touch(set, block);
-                addr = addrOf(set, block);
+                promote(set, rank);
+                addr = addrOf(set, lists_[set][0]);
             }
         }
         if (addr == 0) {

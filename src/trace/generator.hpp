@@ -123,6 +123,9 @@ class SyntheticStream final : public core::OpStream
      */
     std::size_t nextBatch(core::MemOp *out, std::size_t max) override;
 
+    /** A copy at this stream's position. */
+    std::unique_ptr<core::OpStream> fork() const override;
+
     /** Instructions generated so far (gap + memory ops). */
     InstCount generatedInsts() const { return generated_insts_; }
 
@@ -140,6 +143,9 @@ class SyntheticStream final : public core::OpStream
     }
     /** Moves @p block to rank 0 of @p set's recency list. */
     void touch(SetId set, std::uint32_t block);
+    /** Moves the block at @p rank of @p set's list to rank 0: touch()
+     *  of that block without its search (list entries are distinct). */
+    void promote(SetId set, std::uint32_t rank);
 
     AppProfile profile_;
     StreamGeometry geometry_;
@@ -160,24 +166,29 @@ class SyntheticStream final : public core::OpStream
     std::vector<std::array<std::uint32_t, kMaxRank + 1>> lists_;
     std::vector<std::uint8_t> list_sizes_;
 
-    /** Cumulative class distribution: [new, rank0, rank1, ...]. */
-    std::array<double, kMaxRank + 1> cdf_primary_{};
-    std::array<double, kMaxRank + 1> cdf_secondary_{};
+    /** What a phase's ops are drawn from. */
+    struct PhaseDraw
+    {
+        /** Class distribution: [new, rank0, rank1, ...]. */
+        GuidedCdf<kMaxRank + 1> classes;
+        /** Gap-draw success probability and its cached log1p(-p) (the
+         *  divisor of the geometric draw, constant per phase — no
+         *  per-op transcendental). */
+        double gap_p = 1.0;
+        double gap_log1p = 0.0;
+    };
+    /** Primary, then secondary phase. */
+    std::array<PhaseDraw, 2> phases_;
 
     /**
      * Cached phase selection: the per-op `generated_insts_ /
      * phase_insts` division is paid only when the instruction count
      * crosses phase_switch_insts_ (the precomputed end of the current
-     * phase), not on every generated op.
+     * phase), not on every generated op. An index, not a pointer, so
+     * a copy (fork()) draws from its own phases.
      */
-    const AppPhase *active_phase_ = nullptr;
-    const std::array<double, kMaxRank + 1> *active_cdf_ = nullptr;
+    std::uint32_t active_phase_ = 0;
     InstCount phase_switch_insts_ = 0;
-    /** Gap-draw parameters of the active phase: success probability
-     *  and its cached log1p(-p) (the divisor of the geometric draw,
-     *  constant per phase — no per-op transcendental). */
-    double gap_p_ = 1.0;
-    double gap_log1p_ = 0.0;
 
     InstCount generated_insts_ = 0;
 };

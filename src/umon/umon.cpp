@@ -1,5 +1,7 @@
 #include "umon/umon.hpp"
 
+#include <algorithm>
+
 #include "common/logging.hpp"
 
 namespace coopsim::umon
@@ -60,8 +62,48 @@ UtilityMonitor::decay()
 }
 
 void
+UtilityMonitor::pack()
+{
+    if (!packed_depth_.empty()) {
+        return;
+    }
+    const std::uint32_t ways = config_.llc_ways;
+    std::vector<Addr> valid;
+    packed_depth_.resize(atd_.size() / ways);
+    for (std::size_t row = 0; row < packed_depth_.size(); ++row) {
+        const Addr *stack = &atd_[row * ways];
+        std::uint32_t depth = 0;
+        while (depth < ways && stack[depth] != kEmptyTag) {
+            ++depth;
+        }
+        packed_depth_[row] = static_cast<std::uint8_t>(depth);
+        valid.insert(valid.end(), stack, stack + depth);
+    }
+    valid.shrink_to_fit();
+    atd_.swap(valid);
+}
+
+void
+UtilityMonitor::unpack()
+{
+    if (packed_depth_.empty()) {
+        return;
+    }
+    const std::uint32_t ways = config_.llc_ways;
+    std::vector<Addr> dense(packed_depth_.size() * ways, kEmptyTag);
+    const Addr *valid = atd_.data();
+    for (std::size_t row = 0; row < packed_depth_.size(); ++row) {
+        std::copy_n(valid, packed_depth_[row], &dense[row * ways]);
+        valid += packed_depth_[row];
+    }
+    atd_.swap(dense);
+    packed_depth_ = {};
+}
+
+void
 UtilityMonitor::reset()
 {
+    unpack();
     atd_.assign(atd_.size(), kEmptyTag);
     position_hits_.assign(position_hits_.size(), 0);
     misses_ = 0;

@@ -52,7 +52,8 @@ class UtilityMonitor
 
     /**
      * Observes an LLC access (demand reference) by the owning core.
-     * Only references to sampled sets update the ATD.
+     * Only references to sampled sets update the ATD. The monitor must
+     * not be packed.
      */
     void access(Addr addr)
     {
@@ -115,6 +116,16 @@ class UtilityMonitor
     /** Zeroes all counters and invalidates the ATD. */
     void reset();
 
+    /**
+     * Keeps only the ATD's valid tags (a row's valid tags form a
+     * prefix of it): a monitor that is only copied, such as a warm-up
+     * checkpoint's, need not hold the empty slots. Counters and curves
+     * stay readable; access() needs unpack() first.
+     */
+    void pack();
+    /** Restores the full ATD of a packed monitor (no-op otherwise). */
+    void unpack();
+
     const UmonConfig &config() const { return config_; }
 
     /** True if @p set index is one of the sampled sets. */
@@ -139,9 +150,12 @@ class UtilityMonitor
      * The ATD, llc_ways tags per sampled set. Each row is a true-LRU
      * recency stack — the MRU tag first, kEmptyTag slots at the tail —
      * so a hit's recency position is its index and the last slot of a
-     * full row is the LRU victim: no timestamps are kept.
+     * full row is the LRU victim: no timestamps are kept. Packed
+     * (pack()), only each row's valid tags, row after row.
      */
     std::vector<Addr> atd_;
+    /** Per ATD row, its valid tags while packed; else empty. */
+    std::vector<std::uint8_t> packed_depth_;
     std::vector<std::uint64_t> position_hits_;
     std::uint64_t misses_ = 0;
     std::uint64_t accesses_ = 0;

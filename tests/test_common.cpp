@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <set>
 #include <vector>
@@ -89,14 +90,68 @@ TEST(Rng, BernoulliMatchesProbability)
 TEST(Rng, CdfDrawsMatchDistribution)
 {
     Rng rng(9);
-    const double cdf[3] = {0.2, 0.5, 1.0};
+    const GuidedCdf<3> cdf({0.2, 0.5, 1.0});
     int counts[3] = {};
     for (int i = 0; i < 30000; ++i) {
-        ++counts[rng.nextFromCdf(cdf, 3)];
+        ++counts[rng.nextFromCdf(cdf)];
     }
     EXPECT_NEAR(counts[0] / 30000.0, 0.2, 0.02);
     EXPECT_NEAR(counts[1] / 30000.0, 0.3, 0.02);
     EXPECT_NEAR(counts[2] / 30000.0, 0.5, 0.02);
+}
+
+TEST(Rng, GuidedCdfDrawsWhatALinearScanDraws)
+{
+    // Entries on bucket floors (0.25 = 64/256, 0.5), several entries
+    // inside one bucket, zero-mass classes, a cumulative total short
+    // of 1 (the last class takes the rest) and a non-monotone array.
+    const std::array<double, 8> cdfs[] = {
+        {0.25, 0.25, 0.5, 0.5001, 0.5002, 0.75, 0.9, 1.0},
+        {0.0, 0.0, 1e-9, 0.001, 0.002, 0.999, 1.0, 1.0},
+        {0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8},
+        {0.6, 0.2, 0.7, 0.1, 0.9, 0.3, 0.95, 1.0},
+    };
+    const auto scan = [](const std::array<double, 8> &cdf,
+                         std::uint64_t bits) {
+        const double u = static_cast<double>(bits) * 0x1.0p-53;
+        for (std::uint32_t i = 0; i < cdf.size(); ++i) {
+            if (u < cdf[i]) {
+                return i;
+            }
+        }
+        return static_cast<std::uint32_t>(cdf.size() - 1);
+    };
+    constexpr std::uint64_t kTop = std::uint64_t{1} << 53;
+    for (const auto &cdf : cdfs) {
+        const GuidedCdf<8> guided(cdf);
+        // Each bucket's floor, the draws either side of it, and the
+        // draws at and either side of every entry.
+        std::vector<std::uint64_t> draws;
+        for (std::uint64_t b = 0; b < 256; ++b) {
+            const std::uint64_t floor = b << 45;
+            draws.insert(draws.end(), {floor, floor + 1, floor - 1});
+        }
+        for (const double v : cdf) {
+            const auto at = static_cast<std::uint64_t>(v * 0x1.0p53);
+            draws.insert(draws.end(), {at, at + 1, at - 1});
+        }
+        Rng rng(21);
+        for (int i = 0; i < 100000; ++i) {
+            draws.push_back(rng.next() >> 11);
+        }
+        for (const std::uint64_t bits : draws) {
+            if (bits < kTop) {
+                ASSERT_EQ(guided.classOf(bits), scan(cdf, bits))
+                    << "bits = " << bits;
+            }
+        }
+        // nextFromCdf is classOf over the engine's top 53 bits.
+        Rng a(5);
+        Rng b(5);
+        for (int i = 0; i < 1000; ++i) {
+            ASSERT_EQ(a.nextFromCdf(guided), guided.classOf(b.next() >> 11));
+        }
+    }
 }
 
 TEST(Rng, GeometricHasExpectedMean)
