@@ -5,8 +5,9 @@
  * Modes:
  *
  *  - `--spec=FILE` runs a full declarative experiment from a spec
- *    file and renders its table; `--scale=`/`--threads=`/`--seed=`
- *    override the file. specs/ defines each of the paper's figures:
+ *    file and renders its table, then counts its runs on stderr
+ *    (`# runs:`); `--scale=`/`--threads=`/`--seed=` override the
+ *    file. specs/ defines each of the paper's figures:
  *        coopsim_cli --spec=specs/fig05.spec --scale=test
  *  - `--spec=FILE --store=DIR` additionally serves every run already
  *    in DIR's result store from disk (zero simulations when warm —
@@ -158,6 +159,9 @@ main(int argc, char **argv)
         api::attachCliStore(cli);
         api::printPreamble(effective, threads);
         api::printExperiment(spec, cli.show_ci);
+        if (cli.store_dir.empty()) {
+            api::printRunStats(); // a --store run prints it at exit
+        }
         return 0;
     }
 

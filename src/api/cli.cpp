@@ -248,10 +248,12 @@ printRunStats()
     const sim::RunExecutor::Stats stats =
         sim::RunExecutor::instance().stats();
     std::fprintf(stderr,
-                 "# runs: simulations=%llu store_hits=%llu forked=%llu\n",
+                 "# runs: simulations=%llu store_hits=%llu forked=%llu "
+                 "reused=%llu\n",
                  static_cast<unsigned long long>(stats.simulations),
                  static_cast<unsigned long long>(stats.store_hits),
-                 static_cast<unsigned long long>(stats.forked));
+                 static_cast<unsigned long long>(stats.forked),
+                 static_cast<unsigned long long>(stats.reused));
     if (stats.failed_runs > 0) {
         std::fprintf(stderr, "# runs: failed=%llu\n",
                      static_cast<unsigned long long>(stats.failed_runs));

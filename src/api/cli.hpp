@@ -147,9 +147,9 @@ finishStoreSession(const store::ResultStore &results,
                    const std::string &path, store::ResultStore &session,
                    bool drop_loaded, std::string &error);
 
-/** Prints the executor's run-count stat line
- *  ("# runs: simulations=N store_hits=M forked=K") to stderr, keeping
- *  stdout bit-identical between store-backed and fresh runs. */
+/** Prints the executor's run-count stat line ("# runs: simulations=N
+ *  store_hits=M forked=K reused=R") to stderr, keeping stdout
+ *  bit-identical between store-backed and fresh runs. */
 void printRunStats();
 
 } // namespace coopsim::api

@@ -18,7 +18,8 @@ namespace coopsim::sim
 namespace
 {
 
-/** splitmix64 finaliser: cheap, well-mixed combiner step. */
+/** One combiner step: boost's hash_combine step, then two steps of
+ *  the splitmix64 finaliser. */
 std::uint64_t
 mix(std::uint64_t h, std::uint64_t v)
 {
@@ -52,21 +53,40 @@ defaultThreadCount()
 /** Consumed once, by the first RunExecutor::instance() construction. */
 unsigned g_initial_threads = 0;
 
+/** @p key under @p partitioner, with the default threshold and
+ *  threshold_mode. */
+RunKey
+withDecision(const RunKey &key, partition::Partitioner partitioner)
+{
+    RunKey decided = key;
+    const RunKey defaults;
+    decided.partitioner = partitioner;
+    decided.threshold = defaults.threshold;
+    decided.threshold_mode = defaults.threshold_mode;
+    return decided;
+}
+
 /**
- * The key a group run shares its warm-up under: @p key with the epoch
- * decision's settings replaced by the canonical lookahead variant's.
- * That variant builds the utility monitors wherever any partitioner
- * reads them, so its warm-up can stand in for every sibling's.
+ * The key a group run shares its warm-up under: the canonical
+ * lookahead variant. It builds the utility monitors wherever any
+ * partitioner reads them, so its warm-up can stand in for every
+ * sibling's.
  */
 RunKey
 warmKeyOf(const RunKey &key)
 {
-    RunKey warm = key;
-    const RunKey canonical;
-    warm.partitioner = partition::Partitioner::Lookahead;
-    warm.threshold = canonical.threshold;
-    warm.threshold_mode = canonical.threshold_mode;
-    return warm;
+    return withDecision(key, partition::Partitioner::Lookahead);
+}
+
+/**
+ * The key a demand-free group run is the same simulation as: every
+ * decision that reads no demands is equalSharePartition's, no such run
+ * builds monitors, and equalshare reads neither threshold setting.
+ */
+RunKey
+twinKeyOf(const RunKey &key)
+{
+    return withDecision(key, partition::Partitioner::EqualShare);
 }
 
 /**
@@ -314,6 +334,7 @@ RunExecutor::stats() const
     stats.store_hits = store_hits_.load(std::memory_order_relaxed);
     stats.failed_runs = failed_runs_.load(std::memory_order_relaxed);
     stats.forked = forked_.load(std::memory_order_relaxed);
+    stats.reused = reused_.load(std::memory_order_relaxed);
     return stats;
 }
 
@@ -328,33 +349,108 @@ RunExecutor::checkpoints() const
     return published;
 }
 
-RunResult
+RunExecutor::ResultPtr
 RunExecutor::simulate(const RunKey &key)
 {
     if (key.kind != RunKey::Kind::Group) {
-        return executeRun(key); // solo runs have no siblings
+        // Solo runs have no siblings.
+        return std::make_shared<const RunResult>(executeRun(key));
     }
-    const RunKey warm = warmKeyOf(key);
     const bool reads = readsDemands(key);
+    if (reads) {
+        return std::make_shared<const RunResult>(simulateSibling(key, true));
+    }
+    // A demand-free run: the first of its twins to start simulates
+    // them all, and the rest take its result, waiting while it runs. A
+    // failure reaches each of them, and the task boundary names each
+    // one's own key.
+    const RunKey twin_key = twinKeyOf(key);
+    std::promise<TwinOutcome> owner;
+    std::shared_future<TwinOutcome> outcome;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        const auto it = twins_.find(twin_key);
+        COOPSIM_ASSERT(it != twins_.end(), "demand-free run without a twin");
+        TwinSlot &twin = it->second;
+        --twin.queued;
+        outcome = twin.outcome;
+        if (!outcome.valid()) {
+            twin.outcome = owner.get_future().share();
+            twin.running = true;
+        } else if (twin.queued == 0 && !twin.running) {
+            twins_.erase(it);
+        }
+    }
+    if (outcome.valid()) {
+        const TwinOutcome &taken = outcome.get();
+        if (taken.result == nullptr) {
+            throw std::runtime_error(taken.failure);
+        }
+        reused_.fetch_add(1, std::memory_order_relaxed);
+        return taken.result;
+    }
+    TwinOutcome mine;
+    std::exception_ptr failure;
+    try {
+        mine.result =
+            std::make_shared<const RunResult>(simulateSibling(key, false));
+    } catch (const std::exception &e) {
+        failure = std::current_exception();
+        mine.failure = e.what();
+    } catch (...) {
+        failure = std::current_exception();
+        mine.failure = "unknown exception";
+    }
+    owner.set_value(mine);
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        const auto it = twins_.find(twin_key);
+        it->second.running = false;
+        if (it->second.queued == 0) {
+            twins_.erase(it);
+        }
+    }
+    if (failure != nullptr) {
+        std::rethrow_exception(failure);
+    }
+    return mine.result;
+}
+
+RunResult
+RunExecutor::simulateSibling(const RunKey &key, bool reads)
+{
+    const RunKey warm = warmKeyOf(key);
     std::shared_ptr<const System> checkpoint;
     bool canonical = false;
     {
-        std::lock_guard<std::mutex> lock(mutex_);
+        std::unique_lock<std::mutex> lock(mutex_);
         const auto it = warm_.find(warm);
         COOPSIM_ASSERT(it != warm_.end(), "group run without a warm slot");
+        // Counted in queued, this run keeps its slot alive while it
+        // waits.
         WarmSlot &slot = it->second;
+        const auto forkable = [&slot, reads] {
+            return slot.checkpoint != nullptr &&
+                   (slot.with_monitors || !reads);
+        };
+        // Wait for a warm-up in flight that will hold the monitors this
+        // run reads: it started earlier and does the same work.
+        warm_cv_.wait(lock, [&slot, reads, &forkable] {
+            return forkable() ||
+                   (reads ? slot.warming_monitored : slot.warming) == 0;
+        });
         --slot.queued;
         slot.queued_readers -= reads ? 1 : 0;
-        if (slot.checkpoint != nullptr && (slot.with_monitors || !reads)) {
+        if (forkable()) {
             checkpoint = slot.checkpoint;
         } else {
             // Warm up as the canonical variant when this run's own
             // decision would not build monitors a queued sibling reads.
             canonical = !reads && slot.queued_readers > 0;
+            ++slot.warming;
+            slot.warming_monitored += reads || canonical ? 1 : 0;
         }
-        if (slot.queued == 0) {
-            warm_.erase(it); // the last sibling drops the checkpoint
-        }
+        release(warm);
     }
 
     if (checkpoint != nullptr) {
@@ -365,10 +461,23 @@ RunExecutor::simulate(const RunKey &key)
         checkpoint.reset();
         return system->measure();
     }
-    std::unique_ptr<System> system = buildSystem(canonical ? warm : key);
-    system->warmUp();
     // The canonical variant reads demands wherever any sibling does.
-    publish(warm, *system, reads || canonical);
+    const bool monitored = reads || canonical;
+    std::unique_ptr<System> system;
+    {
+        // However the warm-up ends, its waiters wake: a failed one
+        // leaves them to warm up themselves.
+        struct InFlight
+        {
+            RunExecutor &executor;
+            const RunKey &warm;
+            bool monitored;
+            ~InFlight() { executor.endWarmUp(warm, monitored); }
+        } in_flight{*this, warm, monitored};
+        system = buildSystem(canonical ? warm : key);
+        system->warmUp();
+        publish(warm, *system, monitored);
+    }
     if (!canonical) {
         return system->measure();
     }
@@ -388,21 +497,19 @@ RunExecutor::publish(const RunKey &warm, const System &warmed,
 {
     // A sibling may fork the checkpoint only if it holds the monitors
     // the sibling's decision reads. They are most of a banked
-    // checkpoint's bytes, so it keeps them only for a queued reader.
+    // checkpoint's bytes, so it keeps them only for a reader that is
+    // queued or waiting. The slot lives while this warm-up is in
+    // flight.
     const auto useful = [&warm, this](bool with_monitors) {
-        const auto it = warm_.find(warm);
-        return it != warm_.end() &&
-               (it->second.checkpoint == nullptr ||
-                (with_monitors && !it->second.with_monitors));
+        const WarmSlot &slot = warm_.at(warm);
+        return slot.queued > 0 &&
+               (slot.checkpoint == nullptr ||
+                (with_monitors && !slot.with_monitors));
     };
     bool with_monitors = false;
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        const auto it = warm_.find(warm);
-        if (it == warm_.end()) {
-            return; // no sibling left in the queue
-        }
-        with_monitors = monitored && it->second.queued_readers > 0;
+        with_monitors = monitored && warm_.at(warm).queued_readers > 0;
         if (!useful(with_monitors)) {
             return;
         }
@@ -417,9 +524,35 @@ RunExecutor::publish(const RunKey &warm, const System &warmed,
     }
     std::lock_guard<std::mutex> lock(mutex_);
     if (useful(with_monitors)) {
-        WarmSlot &slot = warm_.find(warm)->second;
+        WarmSlot &slot = warm_.at(warm);
         slot.checkpoint = std::move(copy);
         slot.with_monitors = with_monitors;
+    }
+}
+
+void
+RunExecutor::endWarmUp(const RunKey &warm, bool monitored)
+{
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        WarmSlot &slot = warm_.at(warm);
+        --slot.warming;
+        slot.warming_monitored -= monitored ? 1 : 0;
+        release(warm);
+    }
+    warm_cv_.notify_all();
+}
+
+void
+RunExecutor::release(const RunKey &warm)
+{
+    const auto it = warm_.find(warm);
+    if (it->second.queued > 0) {
+        return;
+    }
+    it->second.checkpoint.reset();
+    if (it->second.warming == 0) {
+        warm_.erase(it);
     }
 }
 
@@ -475,8 +608,7 @@ RunExecutor::submit(const RunKey &key)
             // the worker thread survives, other runs proceed, and
             // nothing is recorded into the store for the failed key.
             try {
-                auto result =
-                    std::make_shared<const RunResult>(simulate(key));
+                ResultPtr result = simulate(key);
                 if (result_store != nullptr) {
                     result_store->put(key, *result);
                 }
@@ -495,9 +627,20 @@ RunExecutor::submit(const RunKey &key)
     Future future = task->get_future().share();
     cache_.emplace(key, future);
     if (key.kind == RunKey::Kind::Group) {
-        WarmSlot &slot = warm_[warmKeyOf(key)];
-        ++slot.queued;
-        slot.queued_readers += readsDemands(key) ? 1 : 0;
+        // A twin class is one sibling of its warm slot: only its first
+        // member to start warms up or forks.
+        const bool reads = readsDemands(key);
+        bool sibling = reads;
+        if (!reads) {
+            const auto [twin, fresh] = twins_.try_emplace(twinKeyOf(key));
+            ++twin->second.queued;
+            sibling = fresh;
+        }
+        if (sibling) {
+            WarmSlot &slot = warm_[warmKeyOf(key)];
+            ++slot.queued;
+            slot.queued_readers += reads ? 1 : 0;
+        }
     }
     queue_.emplace_back([task] { (*task)(); });
     ensureWorkersStarted();
@@ -561,6 +704,7 @@ RunExecutor::clear()
                    "cleared");
     cache_.clear();
     warm_.clear();
+    twins_.clear();
 }
 
 } // namespace coopsim::sim

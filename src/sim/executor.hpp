@@ -27,8 +27,12 @@
  * settings (partitioner, threshold, threshold_mode) are siblings. No
  * epoch fires before measurement starts, so their warm-ups are the
  * same simulation; a worker that warms one up publishes a copy while
- * siblings are still queued, and they fork it (System::fork) instead of
- * repeating the warm-up. See docs/ARCHITECTURE.md, "Warm-up sharing".
+ * siblings are queued or waiting for it, and they fork it
+ * (System::fork) instead of repeating the warm-up. Siblings whose
+ * decision reads no demands (partition::readsDemands) are twins: they
+ * all run equalshare's decision, so they are one simulation, run by
+ * whichever starts first and shared by the rest. See
+ * docs/ARCHITECTURE.md, "Warm-up sharing".
  */
 
 #ifndef COOPSIM_SIM_EXECUTOR_HPP
@@ -106,7 +110,7 @@ struct RunKey
     bool operator==(const RunKey &) const = default;
 };
 
-/** FNV-style combiner over every RunKey field. */
+/** Hashes every RunKey field, mixing each into the last. */
 struct RunKeyHash
 {
     std::size_t operator()(const RunKey &key) const;
@@ -171,8 +175,8 @@ class RunExecutor
      *  warm-store acceptance check reads). */
     struct Stats
     {
-        /** Simulations actually executed (memo/store misses),
-         *  including ones that subsequently failed. */
+        /** Runs started (memo/store misses), including ones that
+         *  forked a checkpoint, took a twin's result or failed. */
         std::uint64_t simulations = 0;
         /** Submissions served from the attached result store. */
         std::uint64_t store_hits = 0;
@@ -182,6 +186,9 @@ class RunExecutor
         /** Simulations that started from a sibling's published
          *  warm-up instead of warming up themselves. */
         std::uint64_t forked = 0;
+        /** Runs that took the result of a twin (a sibling whose
+         *  decision also reads no demands) instead of simulating. */
+        std::uint64_t reused = 0;
     };
 
     /** @param threads Worker count; 0 resolves the default above. */
@@ -268,27 +275,62 @@ class RunExecutor
     using ResultPtr = std::shared_ptr<const RunResult>;
     using Future = std::shared_future<ResultPtr>;
 
-    /** The siblings of one warm key (see the file comment). */
+    /** The siblings of one warm key (see the file comment). A twin
+     *  class counts as one sibling: its first member to start. */
     struct WarmSlot
     {
-        /** Sibling runs queued and not yet started. */
+        /** Siblings queued, or waiting for a warm-up in flight, that
+         *  have neither forked nor warmed up. */
         std::uint32_t queued = 0;
         /** Those whose epoch decision reads the utility monitors. */
         std::uint32_t queued_readers = 0;
+        /** Warm-ups in flight, and those whose LLC holds monitors. */
+        std::uint32_t warming = 0;
+        std::uint32_t warming_monitored = 0;
         /** A warmed System siblings fork, or null. */
         std::shared_ptr<const System> checkpoint;
         /** Whether the checkpoint kept its utility monitors. */
         bool with_monitors = false;
     };
 
+    /** What the first member of a twin class leaves the others: its
+     *  result, or null and why it failed. Each member throws its own
+     *  exception, so none shares an exception object across threads. */
+    struct TwinOutcome
+    {
+        ResultPtr result;
+        std::string failure;
+    };
+
+    /** The demand-free runs of one twin key (see the file comment). */
+    struct TwinSlot
+    {
+        /** Members queued and not yet started. */
+        std::uint32_t queued = 0;
+        /** The first member's outcome, once one has started. */
+        std::shared_future<TwinOutcome> outcome;
+        /** Whether that member is still simulating. */
+        bool running = false;
+    };
+
     Future submit(const RunKey &key);
-    /** Runs @p key, sharing its warm-up with queued siblings. */
-    RunResult simulate(const RunKey &key);
-    /** Publishes a copy of @p warmed under @p warm if a queued sibling
-     *  can use it; @p monitored says whether @p warmed's decision
-     *  reads demands, so that its LLC holds monitors. */
+    /** Runs @p key, or takes its twin's result. */
+    ResultPtr simulate(const RunKey &key);
+    /** Runs group run @p key, sharing its warm-up with its siblings;
+     *  @p reads says whether its decision reads demands. */
+    RunResult simulateSibling(const RunKey &key, bool reads);
+    /** Publishes a copy of @p warmed under @p warm if a queued or
+     *  waiting sibling can use it; @p monitored says whether
+     *  @p warmed's LLC holds monitors. */
     void publish(const RunKey &warm, const System &warmed,
                  bool monitored);
+    /** Ends a warm-up in flight under @p warm, published or not, and
+     *  wakes the siblings waiting for it. */
+    void endWarmUp(const RunKey &warm, bool monitored);
+    /** Drops @p warm's checkpoint once no sibling is left to fork it,
+     *  and its slot once no warm-up is in flight either. Called with
+     *  mutex_ held. */
+    void release(const RunKey &warm);
     void workerLoop();
     /** Spawns the pool at the configured size if it is not running.
      *  Called with mutex_ held. */
@@ -300,11 +342,16 @@ class RunExecutor
     std::condition_variable cv_;
     /** Signalled whenever a task completes (clear() drains on it). */
     std::condition_variable drain_cv_;
+    /** Signalled whenever a warm-up in flight ends. */
+    std::condition_variable warm_cv_;
     std::deque<std::function<void()>> queue_;
     std::unordered_map<RunKey, Future, RunKeyHash> cache_;
-    /** Warm key -> its queued siblings; an entry lives while one is
-     *  queued. */
+    /** Warm key -> its siblings; an entry lives while one is queued
+     *  or waiting, or a warm-up is in flight. */
     std::unordered_map<RunKey, WarmSlot, RunKeyHash> warm_;
+    /** Twin key -> its members; an entry lives while one is queued or
+     *  the first is simulating. */
+    std::unordered_map<RunKey, TwinSlot, RunKeyHash> twins_;
     std::vector<std::thread> workers_;
     /** Tasks currently executing (workers + helping callers). */
     unsigned busy_ = 0;
@@ -317,6 +364,7 @@ class RunExecutor
     std::atomic<std::uint64_t> store_hits_{0};
     std::atomic<std::uint64_t> failed_runs_{0};
     std::atomic<std::uint64_t> forked_{0};
+    std::atomic<std::uint64_t> reused_{0};
 };
 
 } // namespace coopsim::sim

@@ -10,19 +10,24 @@
  *    start: the same access results, allocations, counters, energy and
  *    DRAM traffic, and utility monitors only where the decision reads
  *    them.
+ *  - Twins: every run whose epoch decision reads no demands prints
+ *    its twin's result (equalshare, default threshold settings).
  *  - The executor: fig11, setop scaling.spec and banked.spec at test
- *    scale through RunExecutor, at 1 and 4 threads and once with the
- *    stream memo off, print the store lines executeRun() prints; some
- *    runs forked, and no checkpoint outlives the batch.
+ *    scale through RunExecutor, at 1, 2 and 4 threads and once with
+ *    the stream memo off, print the store lines executeRun() prints;
+ *    some runs forked, the 64-core rows' twins shared one simulation
+ *    per mix, and no checkpoint outlives the batch.
  *  - Concurrency (CI runs WarmShareConcurrency.* under TSan): two
- *    siblings starting at once, and siblings forking a checkpoint
- *    while others publish.
+ *    siblings starting at once, siblings forking a checkpoint while
+ *    others publish, twins starting at once, and twins whose shared
+ *    simulation fails.
  */
 
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <ostream>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <unordered_map>
@@ -364,6 +369,76 @@ TEST(LlcFork, UnforkableSchemesSayNot)
 }
 
 // --------------------------------------------------------------------------
+// Twins
+
+/** The run @p key is the same simulation as when its decision reads no
+ *  demands: equalshare with the default threshold settings. */
+RunKey
+twinOf(const RunKey &key)
+{
+    RunKey twin = key;
+    const RunKey defaults;
+    twin.partitioner = partition::Partitioner::EqualShare;
+    twin.threshold = defaults.threshold;
+    twin.threshold_mode = defaults.threshold_mode;
+    return twin;
+}
+
+TEST(WarmShare, DemandFreeRunsPrintTheirTwinsResult)
+{
+    std::vector<RunKey> keys;
+    for (const char *scheme : {"unmanaged", "fairshare", "ucp", "cpe",
+                               "coop"}) {
+        for (const double t : {0.0, 0.05, 0.2}) {
+            for (const partition::ThresholdMode mode :
+                 {partition::ThresholdMode::MissRatio,
+                  partition::ThresholdMode::PaperLiteral}) {
+                RunKey key;
+                key.scheme = scheme;
+                key.name = "G2-1";
+                key.scale = RunScale::Test;
+                key.partitioner = partition::Partitioner::EqualShare;
+                key.threshold = t;
+                key.threshold_mode = mode;
+                keys.push_back(key);
+            }
+        }
+    }
+    // The 64-core row's full floor: every partitioner is equalshare.
+    for (const partition::Partitioner p :
+         {partition::Partitioner::Lookahead,
+          partition::Partitioner::EqualShare,
+          partition::Partitioner::GreedyUtility}) {
+        for (const double t : {0.05, 0.2}) {
+            RunKey key;
+            key.name = "G64-mix1";
+            key.num_cores = 64;
+            key.scale = RunScale::Test;
+            key.sampling = sampling::Mode::SetOp;
+            key.partitioner = p;
+            key.threshold = t;
+            keys.push_back(key);
+        }
+    }
+
+    std::unordered_map<RunKey, std::string, RunKeyHash> results;
+    const auto resultOf = [&results](const RunKey &key) {
+        const auto [it, fresh] = results.try_emplace(key);
+        if (fresh) {
+            it->second = store::formatResult(executeRun(key));
+        }
+        return it->second;
+    };
+    for (const RunKey &key : keys) {
+        SCOPED_TRACE(api::formatRunKey(key));
+        ASSERT_FALSE(partition::readsDemands(
+            key.partitioner, key.num_cores,
+            runConfig(key).llc.geometry.ways));
+        EXPECT_EQ(resultOf(key), resultOf(twinOf(key)));
+    }
+}
+
+// --------------------------------------------------------------------------
 // The executor against executeRun()
 
 /** The parsed spec file specs/@p name.spec at test scale. */
@@ -448,13 +523,16 @@ TEST_P(WarmShareSweep, ForkedRunsPrintThePlainPathsStoreLines)
         ASSERT_EQ(lineOf(key, executor.run(key)), plainLine(key));
     }
     EXPECT_GT(executor.stats().forked, 0u);
+    // Each 64-core mix's three partitioner runs are one simulation.
+    EXPECT_EQ(executor.stats().reused, 12u);
     EXPECT_EQ(executor.stats().failed_runs, 0u);
     EXPECT_EQ(executor.checkpoints(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     ThreadsAndMemo, WarmShareSweep,
-    ::testing::Values(std::make_tuple(1u, true), std::make_tuple(4u, true),
+    ::testing::Values(std::make_tuple(1u, true), std::make_tuple(2u, true),
+                      std::make_tuple(4u, true),
                       std::make_tuple(4u, false)),
     [](const ::testing::TestParamInfo<std::tuple<unsigned, bool>> &info) {
         return std::to_string(std::get<0>(info.param)) + "threads_memo_" +
@@ -503,8 +581,9 @@ expectPlain(RunExecutor &executor, const std::vector<RunKey> &keys)
 
 TEST(WarmShareConcurrency, TwoSiblingsStartingAtOnce)
 {
-    // Two workers pick both siblings up together: each warms up alone,
-    // and neither finds the other queued when it could publish.
+    // Two workers pick both siblings up together: the second to start
+    // waits for the first's warm-up, which holds the monitors
+    // lookahead reads, and forks it.
     RunExecutor executor(2);
     const std::vector<RunKey> keys = {
         sibling(partition::Partitioner::Lookahead, 0.05),
@@ -532,6 +611,74 @@ TEST(WarmShareConcurrency, SiblingsForkWhileOthersPublish)
     executor.prefetch(keys);
     expectPlain(executor, keys);
     EXPECT_GT(executor.stats().forked, 0u);
+}
+
+TEST(WarmShareConcurrency, TwinsStartingAtOnceShareOneSimulation)
+{
+    // Three workers start three equalshare runs at once: the first to
+    // start simulates, and the other two wait for its result.
+    RunExecutor executor(3);
+    const std::vector<RunKey> keys = {
+        sibling(partition::Partitioner::EqualShare, 0.0),
+        sibling(partition::Partitioner::EqualShare, 0.05),
+        sibling(partition::Partitioner::EqualShare, 0.2)};
+    executor.prefetch(keys);
+    expectPlain(executor, keys);
+    EXPECT_EQ(executor.stats().simulations, 3u);
+    EXPECT_EQ(executor.stats().reused, 2u);
+}
+
+/** A scheme whose first epoch throws, partway through its run. */
+class ThrowingLlc final : public llc::BaseLlc
+{
+  public:
+    ThrowingLlc(const llc::LlcConfig &config, mem::DramModel &dram)
+        : BaseLlc(config, dram, false)
+    {
+    }
+    llc::LlcAccess
+    access(CoreId, Addr, AccessType, Cycle now) override
+    {
+        return {true, now, 1};
+    }
+    void epoch(Cycle) override
+    {
+        throw std::runtime_error("injected epoch failure");
+    }
+    std::vector<std::uint32_t> allocation() const override { return {}; }
+    llc::Scheme scheme() const override { return llc::Scheme::Unmanaged; }
+};
+
+TEST(WarmShareConcurrency, EveryTwinOfAFailedRunFailsUnderItsOwnKey)
+{
+    if (api::schemeRegistry().find("throwing") == nullptr) {
+        api::registerScheme("throwing", "Throwing",
+                            [](const llc::LlcConfig &config,
+                               mem::DramModel &dram) {
+                                return std::make_unique<ThrowingLlc>(
+                                    config, dram);
+                            });
+    }
+    RunExecutor executor(3);
+    std::vector<RunKey> keys;
+    for (const double t : {0.0, 0.05, 0.2}) {
+        keys.push_back(sibling(partition::Partitioner::EqualShare, t));
+        keys.back().scheme = "throwing";
+    }
+    executor.prefetch(keys);
+    for (const RunKey &key : keys) {
+        try {
+            executor.run(key);
+            ADD_FAILURE() << "no failure for " << api::formatRunKey(key);
+        } catch (const RunFailure &failure) {
+            EXPECT_EQ(failure.key(), key);
+            EXPECT_NE(std::string(failure.what()).find("injected"),
+                      std::string::npos);
+        }
+    }
+    EXPECT_EQ(executor.stats().failed_runs, 3u);
+    EXPECT_EQ(executor.stats().reused, 0u);
+    EXPECT_EQ(executor.checkpoints(), 0u);
 }
 
 } // namespace
