@@ -53,40 +53,21 @@ defaultThreadCount()
 /** Consumed once, by the first RunExecutor::instance() construction. */
 unsigned g_initial_threads = 0;
 
-/** @p key under @p partitioner, with the default threshold and
- *  threshold_mode. */
-RunKey
-withDecision(const RunKey &key, partition::Partitioner partitioner)
-{
-    RunKey decided = key;
-    const RunKey defaults;
-    decided.partitioner = partitioner;
-    decided.threshold = defaults.threshold;
-    decided.threshold_mode = defaults.threshold_mode;
-    return decided;
-}
-
 /**
  * The key a group run shares its warm-up under: the canonical
- * lookahead variant. It builds the utility monitors wherever any
- * partitioner reads them, so its warm-up can stand in for every
- * sibling's.
+ * lookahead variant, with the default threshold and threshold_mode. It
+ * builds the utility monitors wherever any partitioner reads them, so
+ * its warm-up can stand in for every sibling's.
  */
 RunKey
 warmKeyOf(const RunKey &key)
 {
-    return withDecision(key, partition::Partitioner::Lookahead);
-}
-
-/**
- * The key a demand-free group run is the same simulation as: every
- * decision that reads no demands is equalSharePartition's, no such run
- * builds monitors, and equalshare reads neither threshold setting.
- */
-RunKey
-twinKeyOf(const RunKey &key)
-{
-    return withDecision(key, partition::Partitioner::EqualShare);
+    RunKey warm = key;
+    const RunKey defaults;
+    warm.partitioner = partition::Partitioner::Lookahead;
+    warm.threshold = defaults.threshold;
+    warm.threshold_mode = defaults.threshold_mode;
+    return warm;
 }
 
 /**
@@ -343,7 +324,7 @@ RunExecutor::checkpoints() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     std::size_t published = 0;
-    for (const auto &entry : warm_) {
+    for (const auto &entry : sets_) {
         published += entry.second.checkpoint != nullptr ? 1 : 0;
     }
     return published;
@@ -356,64 +337,43 @@ RunExecutor::simulate(const RunKey &key)
         // Solo runs have no siblings.
         return std::make_shared<const RunResult>(executeRun(key));
     }
-    const bool reads = readsDemands(key);
-    if (reads) {
+    if (readsDemands(key)) {
         return std::make_shared<const RunResult>(simulateSibling(key, true));
     }
-    // A demand-free run: the first of its twins to start simulates
-    // them all, and the rest take its result, waiting while it runs. A
-    // failure reaches each of them, and the task boundary names each
-    // one's own key.
-    const RunKey twin_key = twinKeyOf(key);
-    std::promise<TwinOutcome> owner;
-    std::shared_future<TwinOutcome> outcome;
+    // A demand-free run: the first of its twins to start simulates them
+    // all, and the rest take its result, waiting while it runs.
+    const RunKey warm = warmKeyOf(key);
+    std::promise<ResultPtr> first;
+    std::shared_future<ResultPtr> twin;
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        const auto it = twins_.find(twin_key);
-        COOPSIM_ASSERT(it != twins_.end(), "demand-free run without a twin");
-        TwinSlot &twin = it->second;
-        --twin.queued;
-        outcome = twin.outcome;
-        if (!outcome.valid()) {
-            twin.outcome = owner.get_future().share();
-            twin.running = true;
-        } else if (twin.queued == 0 && !twin.running) {
-            twins_.erase(it);
+        SiblingSet &set = sets_.at(warm);
+        --set.twins_pending;
+        twin = set.twin;
+        if (!twin.valid()) {
+            set.twin = first.get_future().share();
         }
+        release(warm);
     }
-    if (outcome.valid()) {
-        const TwinOutcome &taken = outcome.get();
-        if (taken.result == nullptr) {
-            throw std::runtime_error(taken.failure);
+    if (twin.valid()) {
+        if (ResultPtr result = twin.get()) {
+            reused_.fetch_add(1, std::memory_order_relaxed);
+            return result;
         }
-        reused_.fetch_add(1, std::memory_order_relaxed);
-        return taken.result;
+        // The first twin failed: this one runs by itself, so a failure
+        // names its own key.
+        return std::make_shared<const RunResult>(executeRun(key));
     }
-    TwinOutcome mine;
-    std::exception_ptr failure;
+    ResultPtr result;
     try {
-        mine.result =
+        result =
             std::make_shared<const RunResult>(simulateSibling(key, false));
-    } catch (const std::exception &e) {
-        failure = std::current_exception();
-        mine.failure = e.what();
     } catch (...) {
-        failure = std::current_exception();
-        mine.failure = "unknown exception";
+        first.set_value(nullptr);
+        throw;
     }
-    owner.set_value(mine);
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        const auto it = twins_.find(twin_key);
-        it->second.running = false;
-        if (it->second.queued == 0) {
-            twins_.erase(it);
-        }
-    }
-    if (failure != nullptr) {
-        std::rethrow_exception(failure);
-    }
-    return mine.result;
+    first.set_value(result);
+    return result;
 }
 
 RunResult
@@ -424,31 +384,19 @@ RunExecutor::simulateSibling(const RunKey &key, bool reads)
     bool canonical = false;
     {
         std::unique_lock<std::mutex> lock(mutex_);
-        const auto it = warm_.find(warm);
-        COOPSIM_ASSERT(it != warm_.end(), "group run without a warm slot");
-        // Counted in queued, this run keeps its slot alive while it
-        // waits.
-        WarmSlot &slot = it->second;
-        const auto forkable = [&slot, reads] {
-            return slot.checkpoint != nullptr &&
-                   (slot.with_monitors || !reads);
-        };
-        // Wait for a warm-up in flight that will hold the monitors this
-        // run reads: it started earlier and does the same work.
-        warm_cv_.wait(lock, [&slot, reads, &forkable] {
-            return forkable() ||
-                   (reads ? slot.warming_monitored : slot.warming) == 0;
-        });
-        --slot.queued;
-        slot.queued_readers -= reads ? 1 : 0;
-        if (forkable()) {
-            checkpoint = slot.checkpoint;
+        SiblingSet &set = sets_.at(warm);
+        // A warm-up in flight is this run's own, begun earlier: wait for
+        // it. Still counted in pending, this run gets a copy published.
+        warm_cv_.wait(lock, [&set] { return !set.warming; });
+        --set.pending;
+        set.pending_readers -= reads ? 1 : 0;
+        if (set.checkpoint != nullptr && (set.with_monitors || !reads)) {
+            checkpoint = set.checkpoint;
         } else {
             // Warm up as the canonical variant when this run's own
-            // decision would not build monitors a queued sibling reads.
-            canonical = !reads && slot.queued_readers > 0;
-            ++slot.warming;
-            slot.warming_monitored += reads || canonical ? 1 : 0;
+            // decision would not build monitors a pending sibling reads.
+            canonical = !reads && set.pending_readers > 0;
+            set.warming = true;
         }
         release(warm);
     }
@@ -461,22 +409,16 @@ RunExecutor::simulateSibling(const RunKey &key, bool reads)
         checkpoint.reset();
         return system->measure();
     }
-    // The canonical variant reads demands wherever any sibling does.
-    const bool monitored = reads || canonical;
     std::unique_ptr<System> system;
-    {
-        // However the warm-up ends, its waiters wake: a failed one
-        // leaves them to warm up themselves.
-        struct InFlight
-        {
-            RunExecutor &executor;
-            const RunKey &warm;
-            bool monitored;
-            ~InFlight() { executor.endWarmUp(warm, monitored); }
-        } in_flight{*this, warm, monitored};
+    try {
         system = buildSystem(canonical ? warm : key);
         system->warmUp();
-        publish(warm, *system, monitored);
+        // The canonical variant reads demands wherever any sibling does.
+        endWarmUp(warm, system.get(), reads || canonical);
+    } catch (...) {
+        // A failed warm-up leaves its waiters to warm up themselves.
+        endWarmUp(warm, nullptr, false);
+        throw;
     }
     if (!canonical) {
         return system->measure();
@@ -492,52 +434,43 @@ RunExecutor::simulateSibling(const RunKey &key, bool reads)
 }
 
 void
-RunExecutor::publish(const RunKey &warm, const System &warmed,
-                     bool monitored)
+RunExecutor::endWarmUp(const RunKey &warm, const System *warmed,
+                       bool monitored)
 {
-    // A sibling may fork the checkpoint only if it holds the monitors
-    // the sibling's decision reads. They are most of a banked
-    // checkpoint's bytes, so it keeps them only for a reader that is
-    // queued or waiting. The slot lives while this warm-up is in
-    // flight.
-    const auto useful = [&warm, this](bool with_monitors) {
-        const WarmSlot &slot = warm_.at(warm);
-        return slot.queued > 0 &&
-               (slot.checkpoint == nullptr ||
-                (with_monitors && !slot.with_monitors));
-    };
+    // A sibling may fork the copy only if it holds the monitors the
+    // sibling's decision reads. They are most of a banked checkpoint's
+    // bytes, so the copy keeps them only for a pending reader. A
+    // checkpoint already published lacks them (this run would have
+    // forked it otherwise), so a copy replaces it only to add them. No
+    // sibling leaves pending while this warm-up is in flight, so what
+    // is decided here still holds once the copy is made.
+    std::shared_ptr<const System> copy;
     bool with_monitors = false;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        with_monitors = monitored && warm_.at(warm).queued_readers > 0;
-        if (!useful(with_monitors)) {
-            return;
+    if (warmed != nullptr) {
+        bool useful = false;
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            const SiblingSet &set = sets_.at(warm);
+            with_monitors = monitored && set.pending_readers > 0;
+            useful = set.pending > 0 &&
+                     (set.checkpoint == nullptr || with_monitors);
+        }
+        if (useful) {
+            SystemConfig variant = warmed->config();
+            if (!with_monitors) {
+                variant.llc.partitioner = partition::Partitioner::EqualShare;
+            }
+            copy = warmed->fork(variant);
         }
     }
-    SystemConfig variant = warmed.config();
-    if (!with_monitors) {
-        variant.llc.partitioner = partition::Partitioner::EqualShare;
-    }
-    std::shared_ptr<const System> copy = warmed.fork(variant);
-    if (copy == nullptr) {
-        return;
-    }
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (useful(with_monitors)) {
-        WarmSlot &slot = warm_.at(warm);
-        slot.checkpoint = std::move(copy);
-        slot.with_monitors = with_monitors;
-    }
-}
-
-void
-RunExecutor::endWarmUp(const RunKey &warm, bool monitored)
-{
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        WarmSlot &slot = warm_.at(warm);
-        --slot.warming;
-        slot.warming_monitored -= monitored ? 1 : 0;
+        SiblingSet &set = sets_.at(warm);
+        if (copy != nullptr) {
+            set.checkpoint = std::move(copy);
+            set.with_monitors = with_monitors;
+        }
+        set.warming = false;
         release(warm);
     }
     warm_cv_.notify_all();
@@ -546,13 +479,14 @@ RunExecutor::endWarmUp(const RunKey &warm, bool monitored)
 void
 RunExecutor::release(const RunKey &warm)
 {
-    const auto it = warm_.find(warm);
-    if (it->second.queued > 0) {
+    const auto it = sets_.find(warm);
+    SiblingSet &set = it->second;
+    if (set.pending > 0) {
         return;
     }
-    it->second.checkpoint.reset();
-    if (it->second.warming == 0) {
-        warm_.erase(it);
+    set.checkpoint.reset();
+    if (!set.warming && set.twins_pending == 0) {
+        sets_.erase(it);
     }
 }
 
@@ -579,7 +513,6 @@ RunExecutor::workerLoop()
 RunExecutor::Future
 RunExecutor::submit(const RunKey &key)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
     const auto it = cache_.find(key);
     if (it != cache_.end()) {
         return it->second;
@@ -627,39 +560,44 @@ RunExecutor::submit(const RunKey &key)
     Future future = task->get_future().share();
     cache_.emplace(key, future);
     if (key.kind == RunKey::Kind::Group) {
-        // A twin class is one sibling of its warm slot: only its first
-        // member to start warms up or forks.
-        const bool reads = readsDemands(key);
-        bool sibling = reads;
-        if (!reads) {
-            const auto [twin, fresh] = twins_.try_emplace(twinKeyOf(key));
-            ++twin->second.queued;
-            sibling = fresh;
-        }
-        if (sibling) {
-            WarmSlot &slot = warm_[warmKeyOf(key)];
-            ++slot.queued;
-            slot.queued_readers += reads ? 1 : 0;
+        // A twin class is one sibling of its set: only its first member
+        // to start warms up or forks.
+        SiblingSet &set = sets_[warmKeyOf(key)];
+        if (readsDemands(key)) {
+            ++set.pending;
+            ++set.pending_readers;
+        } else if (set.twins_pending++ == 0 && !set.twin.valid()) {
+            ++set.pending;
         }
     }
     queue_.emplace_back([task] { (*task)(); });
     ensureWorkersStarted();
-    cv_.notify_one();
     return future;
 }
 
 void
 RunExecutor::prefetch(const std::vector<RunKey> &keys)
 {
-    for (const RunKey &key : keys) {
-        submit(key);
+    // One lock for the whole batch, so that every sibling in it is
+    // counted before any of them starts.
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        for (const RunKey &key : keys) {
+            submit(key);
+        }
     }
+    cv_.notify_all();
 }
 
 const RunResult &
 RunExecutor::run(const RunKey &key)
 {
-    Future future = submit(key);
+    Future future;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        future = submit(key);
+    }
+    cv_.notify_one();
 
     // Help drain the queue while waiting: with every worker busy on
     // other runs of the sweep, the blocked caller contributes a core
@@ -703,8 +641,7 @@ RunExecutor::clear()
                    "executor must be drained before the cache is "
                    "cleared");
     cache_.clear();
-    warm_.clear();
-    twins_.clear();
+    sets_.clear();
 }
 
 } // namespace coopsim::sim

@@ -26,9 +26,10 @@
  * Warm-up sharing: group runs that differ only in the epoch decision's
  * settings (partitioner, threshold, threshold_mode) are siblings. No
  * epoch fires before measurement starts, so their warm-ups are the
- * same simulation; a worker that warms one up publishes a copy while
- * siblings are queued or waiting for it, and they fork it
- * (System::fork) instead of repeating the warm-up. Siblings whose
+ * same simulation: one sibling warms up and publishes a copy for those
+ * still pending, and they fork it (System::fork) instead of repeating
+ * the warm-up. At most one warm-up of a sibling set is in flight, and
+ * a sibling that starts meanwhile waits for it. Siblings whose
  * decision reads no demands (partition::readsDemands) are twins: they
  * all run equalshare's decision, so they are one simulation, run by
  * whichever starts first and shared by the rest. See
@@ -214,7 +215,9 @@ class RunExecutor
     /**
      * Enqueues every not-yet-cached key for background execution and
      * returns immediately. Benches call this with their full sweep
-     * before collecting any result.
+     * before collecting any result. The batch is queued under one
+     * lock, so none of its runs starts before all its siblings are
+     * counted.
      */
     void prefetch(const std::vector<RunKey> &keys);
 
@@ -267,69 +270,54 @@ class RunExecutor
     /** Run-count counters (cumulative; never reset by clear()). */
     Stats stats() const;
 
-    /** Warmed Systems published for queued siblings right now: 0 once
-     *  every queued run has started. */
+    /** Warmed Systems published for pending siblings right now: 0
+     *  once every queued run has started. */
     std::size_t checkpoints() const;
 
   private:
     using ResultPtr = std::shared_ptr<const RunResult>;
     using Future = std::shared_future<ResultPtr>;
 
-    /** The siblings of one warm key (see the file comment). A twin
-     *  class counts as one sibling: its first member to start. */
-    struct WarmSlot
+    /** The siblings of one warm key, its twins included (see the file
+     *  comment). */
+    struct SiblingSet
     {
-        /** Siblings queued, or waiting for a warm-up in flight, that
-         *  have neither forked nor warmed up. */
-        std::uint32_t queued = 0;
+        /** Siblings that have neither warmed up nor forked, a twin
+         *  class counting once; a waiting sibling stays counted until
+         *  it forks. */
+        std::uint32_t pending = 0;
         /** Those whose epoch decision reads the utility monitors. */
-        std::uint32_t queued_readers = 0;
-        /** Warm-ups in flight, and those whose LLC holds monitors. */
-        std::uint32_t warming = 0;
-        std::uint32_t warming_monitored = 0;
-        /** A warmed System siblings fork, or null. */
+        std::uint32_t pending_readers = 0;
+        /** Twins queued and not yet started. */
+        std::uint32_t twins_pending = 0;
+        /** Whether a sibling is warming up: at most one is. */
+        bool warming = false;
+        /** A warmed System siblings fork, or null, and whether it kept
+         *  its utility monitors. */
         std::shared_ptr<const System> checkpoint;
-        /** Whether the checkpoint kept its utility monitors. */
         bool with_monitors = false;
+        /** The first twin's result, null if it failed; not valid until
+         *  that twin starts. */
+        std::shared_future<ResultPtr> twin;
     };
 
-    /** What the first member of a twin class leaves the others: its
-     *  result, or null and why it failed. Each member throws its own
-     *  exception, so none shares an exception object across threads. */
-    struct TwinOutcome
-    {
-        ResultPtr result;
-        std::string failure;
-    };
-
-    /** The demand-free runs of one twin key (see the file comment). */
-    struct TwinSlot
-    {
-        /** Members queued and not yet started. */
-        std::uint32_t queued = 0;
-        /** The first member's outcome, once one has started. */
-        std::shared_future<TwinOutcome> outcome;
-        /** Whether that member is still simulating. */
-        bool running = false;
-    };
-
+    /** Queues @p key unless it is cached or stored. Called with mutex_
+     *  held; the caller wakes the pool. */
     Future submit(const RunKey &key);
     /** Runs @p key, or takes its twin's result. */
     ResultPtr simulate(const RunKey &key);
-    /** Runs group run @p key, sharing its warm-up with its siblings;
-     *  @p reads says whether its decision reads demands. */
+    /** Runs group run @p key, forking a sibling's warm-up or warming up
+     *  for them; @p reads says whether its decision reads demands. */
     RunResult simulateSibling(const RunKey &key, bool reads);
-    /** Publishes a copy of @p warmed under @p warm if a queued or
-     *  waiting sibling can use it; @p monitored says whether
-     *  @p warmed's LLC holds monitors. */
-    void publish(const RunKey &warm, const System &warmed,
-                 bool monitored);
-    /** Ends a warm-up in flight under @p warm, published or not, and
-     *  wakes the siblings waiting for it. */
-    void endWarmUp(const RunKey &warm, bool monitored);
-    /** Drops @p warm's checkpoint once no sibling is left to fork it,
-     *  and its slot once no warm-up is in flight either. Called with
-     *  mutex_ held. */
+    /** Ends the warm-up in flight under @p warm: publishes a copy of
+     *  @p warmed (null if the warm-up failed) if a pending sibling can
+     *  fork it, and wakes the siblings waiting. @p monitored says
+     *  whether @p warmed's LLC holds monitors. */
+    void endWarmUp(const RunKey &warm, const System *warmed,
+                   bool monitored);
+    /** Drops @p warm's checkpoint once no sibling is pending, and its
+     *  set once no sibling is warming up or unstarted either. Called
+     *  with mutex_ held. */
     void release(const RunKey &warm);
     void workerLoop();
     /** Spawns the pool at the configured size if it is not running.
@@ -346,12 +334,9 @@ class RunExecutor
     std::condition_variable warm_cv_;
     std::deque<std::function<void()>> queue_;
     std::unordered_map<RunKey, Future, RunKeyHash> cache_;
-    /** Warm key -> its siblings; an entry lives while one is queued
-     *  or waiting, or a warm-up is in flight. */
-    std::unordered_map<RunKey, WarmSlot, RunKeyHash> warm_;
-    /** Twin key -> its members; an entry lives while one is queued or
-     *  the first is simulating. */
-    std::unordered_map<RunKey, TwinSlot, RunKeyHash> twins_;
+    /** Warm key -> its siblings; an entry lives while one is pending,
+     *  warming up or unstarted. */
+    std::unordered_map<RunKey, SiblingSet, RunKeyHash> sets_;
     std::vector<std::thread> workers_;
     /** Tasks currently executing (workers + helping callers). */
     unsigned busy_ = 0;
