@@ -14,14 +14,9 @@
  *    see the stderr run-count stat), journals each new result into
  *    DIR as it completes, and persists them all to
  *    DIR/results.coopstore on exit. A killed run loses only its
- *    in-flight runs: rerunning the same command finishes it.
- *  - `--spec=FILE --shard=I/N --store=DIR` runs only the i-th
- *    round-robin slice of the expanded RunKey list and saves it to
- *    DIR/shard-IofN.coopstore; no table is rendered. Run all N
- *    shards (on as many hosts as you like), collect the shard files
- *    into one directory, then run `--spec=FILE --store=DIR`: it folds
- *    every store file in DIR into DIR/results.coopstore and renders
- *    the table, bit-identical to an unsharded run.
+ *    in-flight runs: rerunning the same command finishes it. Loading
+ *    folds every `*.coopstore` file in DIR, so store files copied
+ *    from other hosts count too.
  *  - otherwise, one (scheme x group) cell with configurable
  *    threshold/seed/scale, printed as a full stat dump.
  *
@@ -33,8 +28,6 @@
 
 #include <coopsim/experiment.hpp>
 
-#include "common/logging.hpp"
-#include "sim/executor.hpp"
 #include "sim/report.hpp"
 
 using namespace coopsim;
@@ -47,17 +40,15 @@ constexpr const char *kUsage =
     "                   [--threshold=0.05] [--seed=N]\n"
     "                   [--scale=test|bench|paper] [--full] "
     "[--threads=N]\n"
-    "                   [--store=DIR] [--shard=I/N]\n"
-    "                   [--sampling=exact|set|op|setop] [--ci]\n"
-    "                   [--no-stream-memo] [--stream-cache-mb=N]\n"
-    "with --spec, only --scale/--threads/--seed/--store/--shard/\n"
-    "--sampling/--ci/--no-stream-memo/--stream-cache-mb may also be\n"
-    "given (the first three and --sampling override the spec file).\n"
-    "--shard requires --spec and --store; a later --store run over\n"
-    "the same directory folds the shard files and renders the table.\n"
+    "                   [--store=DIR] [--sampling=exact|set|op|setop]\n"
+    "                   [--ci] [--no-stream-memo]\n"
+    "with --spec, only --scale/--threads/--seed/--store/--sampling/\n"
+    "--ci/--no-stream-memo may also be given (the first three and\n"
+    "--sampling override the spec file).\n"
     "Sweeps memoize op streams in each process (generate once, replay\n"
-    "everywhere); --no-stream-memo regenerates per run,\n"
-    "--stream-cache-mb=N bounds the memo.\n";
+    "everywhere); --no-stream-memo regenerates per run. A running\n"
+    "System keeps every stream it reads in memory, so pass it to\n"
+    "paper-scale sweeps of 8 to 64 cores.\n";
 
 } // namespace
 
@@ -74,21 +65,14 @@ main(int argc, char **argv)
         cli = api::parseCli(argc, argv,
                             api::kFlagSpec | api::kFlagScale |
                                 api::kFlagThreads | api::kFlagSeed |
-                                api::kFlagStore | api::kFlagShard |
-                                api::kFlagSampling | api::kFlagCi |
-                                api::kFlagStreamMemo,
+                                api::kFlagStore | api::kFlagSampling |
+                                api::kFlagCi | api::kFlagStreamMemo,
                             kUsage);
-    } else if (cli.shard_set) {
-        COOPSIM_FATAL("--shard requires --spec=FILE");
     }
     api::applyCliStreamMemo(cli);
     const unsigned threads = api::applyCliThreads(cli);
 
     if (!cli.spec_path.empty()) {
-        if (cli.shard_set && cli.store_dir.empty()) {
-            COOPSIM_FATAL("--shard requires --store=DIR");
-        }
-
         api::ExperimentSpec spec = api::parseSpecFile(cli.spec_path);
         if (cli.scale_set) {
             spec.scale = cli.scale_name;
@@ -104,58 +88,10 @@ main(int argc, char **argv)
         api::CliOptions effective = cli;
         effective.scale = api::scaleRegistry().get(spec.scale);
 
-        if (cli.shard_set) {
-            // Shard mode: compute (and persist) this slice only; the
-            // table needs every cell, so none is rendered here. Its
-            // runs are journaled like an unsharded run's, so a killed
-            // shard reruns only what it had not finished.
-            auto result_store = std::make_shared<store::ResultStore>();
-            result_store->loadDir(cli.store_dir);
-            result_store->openJournal(cli.store_dir);
-            sim::RunExecutor &executor = sim::RunExecutor::instance();
-            executor.attachStore(result_store);
-
-            const std::vector<sim::RunKey> keys = api::expandSpec(spec);
-            const std::vector<sim::RunKey> slice = api::shardKeys(
-                keys, cli.shard_index, cli.shard_count);
-            api::printPreamble(effective, threads);
-            std::printf("# shard %u/%u: %zu of %zu runs\n",
-                        cli.shard_index, cli.shard_count, slice.size(),
-                        keys.size());
-
-            executor.prefetch(slice);
-            store::ResultStore shard_results;
-            for (const sim::RunKey &key : slice) {
-                try {
-                    shard_results.put(key, executor.run(key));
-                } catch (const sim::RunFailure &failure) {
-                    std::fprintf(stderr, "error: %s\n", failure.what());
-                    return 1;
-                }
-            }
-            // Other shards may be journaling into the same directory,
-            // so only this process's own journal goes.
-            const std::string path =
-                cli.store_dir + "/" +
-                store::shardFileName(cli.shard_index, cli.shard_count);
-            std::string error;
-            const std::optional<std::size_t> saved =
-                api::finishStoreSession(shard_results, path,
-                                        *result_store, false, error);
-            if (!saved) {
-                COOPSIM_FATAL(error);
-            }
-            api::printRunStats();
-            std::fprintf(stderr, "# store: saved %zu results to %s\n",
-                         *saved, path.c_str());
-            return 0;
-        }
-
-        // Unsharded run, optionally store-backed: loading folds every
-        // store file in the directory, shard files included
-        // (last-writer-wins), the table renders from the folded
-        // results, and the at-exit save persists the merged store to
-        // results.coopstore.
+        // Optionally store-backed: loading folds every store file in
+        // the directory (last-writer-wins), the table renders from
+        // the folded results, and the at-exit save persists the
+        // merged store to results.coopstore.
         api::attachCliStore(cli);
         api::printPreamble(effective, threads);
         api::printExperiment(spec, cli.show_ci);

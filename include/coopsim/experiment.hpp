@@ -15,7 +15,7 @@
  *  - registry.hpp    string-keyed registries: schemes, replacement
  *                    policies, gating/threshold modes, scales,
  *                    workload groups; registerScheme() for extensions
- *  - spec.hpp        ExperimentSpec, Cell, expandSpec()/shardKeys(),
+ *  - spec.hpp        ExperimentSpec, Cell, expandSpec(),
  *                    groupRunKey()/soloRunKey() (the one cell -> RunKey
  *                    rule), the canonical parse/format round-trip for
  *                    specs and RunKeys
@@ -24,7 +24,6 @@
  *                    attachCliStore() for --store=DIR sessions
  *  - result_store.hpp (coopsim::store) the disk-backed,
  *                    RunKey-addressed result store behind --store
- *                    and --shard
  */
 
 #ifndef COOPSIM_EXPERIMENT_HPP

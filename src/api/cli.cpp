@@ -93,24 +93,6 @@ parseCli(int argc, char **argv, unsigned allowed, const char *usage)
                 COOPSIM_FATAL("--store requires a directory path");
             }
             options.store_dir = value;
-        } else if ((allowed & kFlagShard) &&
-                   takeValue(arg, "--shard=", value)) {
-            const std::size_t slash = value.find('/');
-            if (slash == std::string::npos) {
-                COOPSIM_FATAL("invalid --shard value '", value,
-                              "' (expected I/N, e.g. 0/2)");
-            }
-            const std::uint64_t index =
-                parseUint(value.substr(0, slash), "--shard index");
-            const std::uint64_t count =
-                parseUint(value.substr(slash + 1), "--shard count");
-            if (count < 1 || count > 65536 || index >= count) {
-                COOPSIM_FATAL("invalid --shard value '", value,
-                              "' (need 0 <= I < N <= 65536)");
-            }
-            options.shard_index = static_cast<unsigned>(index);
-            options.shard_count = static_cast<unsigned>(count);
-            options.shard_set = true;
         } else if ((allowed & kFlagSampling) &&
                    takeValue(arg, "--sampling=", value)) {
             samplingRegistry().get(value); // fatal on unknown name
@@ -122,14 +104,6 @@ parseCli(int argc, char **argv, unsigned allowed, const char *usage)
         } else if ((allowed & kFlagStreamMemo) &&
                    std::strcmp(arg, "--no-stream-memo") == 0) {
             options.no_stream_memo = true;
-        } else if ((allowed & kFlagStreamMemo) &&
-                   takeValue(arg, "--stream-cache-mb=", value)) {
-            const std::uint64_t n = parseUint(value, "--stream-cache-mb");
-            if (n < 1 || n > 1048576) {
-                COOPSIM_FATAL("invalid --stream-cache-mb value '", value,
-                              "' (expected MiB in [1, 1048576])");
-            }
-            options.stream_cache_mb = static_cast<unsigned>(n);
         } else {
             COOPSIM_FATAL("unknown flag '", arg, "' (try --help)");
         }
@@ -155,14 +129,8 @@ applyCliThreads(const CliOptions &options)
 void
 applyCliStreamMemo(const CliOptions &options)
 {
-    if (options.no_stream_memo && options.stream_cache_mb > 0) {
-        COOPSIM_FATAL("--no-stream-memo disables the stream memo; it "
-                      "cannot be combined with --stream-cache-mb");
-    }
     sim::StreamCache::Config config;
     config.enabled = !options.no_stream_memo;
-    config.budget_bytes =
-        static_cast<std::size_t>(options.stream_cache_mb) << 20;
     sim::StreamCache::instance().configure(config);
 }
 
@@ -211,8 +179,8 @@ saveCliStore()
         return;
     }
     std::string error;
-    const std::optional<std::size_t> saved = finishStoreSession(
-        *g_cli_store, g_cli_store_path, *g_cli_store, true, error);
+    const std::optional<std::size_t> saved =
+        finishStoreSession(*g_cli_store, g_cli_store_path, error);
     if (!saved) {
         std::fprintf(stderr,
                      "error: store save failed at exit: %s\n",
@@ -286,17 +254,16 @@ attachCliStore(const CliOptions &options)
 }
 
 std::optional<std::size_t>
-finishStoreSession(const store::ResultStore &results,
-                   const std::string &path, store::ResultStore &session,
-                   bool drop_loaded, std::string &error)
+finishStoreSession(store::ResultStore &session, const std::string &path,
+                   std::string &error)
 {
     // Read before the save's snapshot, so every put it counts is saved;
     // a put landing between the two only keeps the journals one more
     // load.
     const std::uint64_t puts = session.putCount();
-    const std::optional<std::size_t> saved = results.trySave(path, error);
+    const std::optional<std::size_t> saved = session.trySave(path, error);
     if (saved) {
-        session.removeJournals(drop_loaded, puts);
+        session.removeJournals(puts);
     }
     return saved;
 }

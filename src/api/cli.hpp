@@ -38,13 +38,12 @@ enum CliFlag : unsigned
     kFlagThreshold = 1u << 5,  //!< --threshold=T
     kFlagSeed = 1u << 6,       //!< --seed=N
     kFlagStore = 1u << 7,      //!< --store=DIR (result-store directory)
-    kFlagShard = 1u << 8,      //!< --shard=I/N (slice of the sweep)
-    kFlagPositional = 1u << 9, //!< bare (non --) arguments
-    kFlagSampling = 1u << 10,  //!< --sampling=exact|set|op|setop
-    kFlagCi = 1u << 11,        //!< --ci (print value±ci table cells)
-    /** --no-stream-memo, --stream-cache-mb=N (the process-wide
-     *  op-stream memo, sim::StreamCache). */
-    kFlagStreamMemo = 1u << 12,
+    kFlagPositional = 1u << 8, //!< bare (non --) arguments
+    kFlagSampling = 1u << 9,   //!< --sampling=exact|set|op|setop
+    kFlagCi = 1u << 10,        //!< --ci (print value±ci table cells)
+    /** --no-stream-memo (the process-wide op-stream memo,
+     *  sim::StreamCache). */
+    kFlagStreamMemo = 1u << 11,
 };
 
 /** The examples: scale, threads and a positional group name. */
@@ -72,10 +71,6 @@ struct CliOptions
     std::optional<std::uint64_t> seed;
     /** Result-store directory (--store=DIR); empty = no store. */
     std::string store_dir;
-    /** --shard=I/N slice of the expanded RunKey list. */
-    unsigned shard_index = 0;
-    unsigned shard_count = 1;
-    bool shard_set = false;
     /** --sampling=NAME: sampling-mode registry name that overrides
      *  the spec file's sampling axis. */
     std::string sampling_name = "exact";
@@ -86,9 +81,6 @@ struct CliOptions
     /** --no-stream-memo: regenerate every run's streams (escape
      *  hatch; memoized and regenerated runs are bit-identical). */
     bool no_stream_memo = false;
-    /** --stream-cache-mb=N: memo budget in MiB; 0 = topology default
-     *  (StreamCache::defaultBudgetBytes). */
-    unsigned stream_cache_mb = 0;
     std::vector<std::string> positional;
 };
 
@@ -109,11 +101,8 @@ CliOptions parseCli(int argc, char **argv, unsigned allowed,
  */
 unsigned applyCliThreads(const CliOptions &options);
 
-/**
- * Applies the parsed stream-memo request (--no-stream-memo,
- * --stream-cache-mb) to the process-wide sim::StreamCache. Combining
- * the two is fatal.
- */
+/** Applies the parsed stream-memo request (--no-stream-memo) to the
+ *  process-wide sim::StreamCache. */
 void applyCliStreamMemo(const CliOptions &options);
 
 /** Prints the standard "# scale: ..." / "# threads: ..." preamble
@@ -133,19 +122,16 @@ std::shared_ptr<store::ResultStore>
 attachCliStore(const CliOptions &options);
 
 /**
- * Ends a --store session: saves @p results to @p path and, only once
- * that save succeeded, deletes @p session's own journal and, with
- * @p drop_loaded, the journals @p session loaded, whose entries the
- * save now holds. A result @p session records after the save took its
- * snapshot keeps every journal on disk for the next load. The
- * unsharded exit save and `--shard` both end here. Returns the number
- * of results saved; nothing, with the failure in @p error, deletes
- * nothing.
+ * Ends a --store session: saves @p session to @p path and, only once
+ * that save succeeded, deletes its own journal and the journals it
+ * loaded, whose entries the save now holds. A result @p session
+ * records after the save took its snapshot keeps every journal on
+ * disk for the next load. Returns the number of results saved;
+ * nothing, with the failure in @p error, deletes nothing.
  */
 std::optional<std::size_t>
-finishStoreSession(const store::ResultStore &results,
-                   const std::string &path, store::ResultStore &session,
-                   bool drop_loaded, std::string &error);
+finishStoreSession(store::ResultStore &session, const std::string &path,
+                   std::string &error);
 
 /** Prints the executor's run-count stat line ("# runs: simulations=N
  *  store_hits=M forked=K reused=R") to stderr, keeping stdout

@@ -442,25 +442,6 @@ expandSpec(const ExperimentSpec &spec)
     return keys;
 }
 
-std::vector<sim::RunKey>
-shardKeys(const std::vector<sim::RunKey> &keys, unsigned index,
-          unsigned count)
-{
-    if (count < 1) {
-        COOPSIM_FATAL("shard count must be at least 1");
-    }
-    if (index >= count) {
-        COOPSIM_FATAL("shard index ", index, " out of range for ",
-                      count, " shards (need 0 <= I < N)");
-    }
-    std::vector<sim::RunKey> slice;
-    slice.reserve(keys.size() / count + 1);
-    for (std::size_t i = index; i < keys.size(); i += count) {
-        slice.push_back(keys[i]);
-    }
-    return slice;
-}
-
 // ---------------------------------------------------------------------------
 // Canonical text encoding
 

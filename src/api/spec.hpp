@@ -14,8 +14,8 @@
  *
  *  - `coopsim_cli --spec <file>` runs any figure from a spec file;
  *  - the RunKey line format is the merge key of the result store
- *    (store/result_store.hpp): shard files, journals and merged
- *    stores fold together by it.
+ *    (store/result_store.hpp): journals, merged stores and store
+ *    files copied from other hosts fold together by it.
  *
  * Doubles are encoded with %.17g, which round-trips every IEEE-754
  * binary64 value exactly.
@@ -204,16 +204,6 @@ sim::RunKey soloRunKey(const ExperimentSpec &spec, const std::string &app,
  * the explicit solos axis). Deterministic order.
  */
 std::vector<sim::RunKey> expandSpec(const ExperimentSpec &spec);
-
-/**
- * Deterministic shard of an expanded key list: the keys at positions
- * index, index + count, index + 2*count, ... (round-robin, so every
- * shard gets a balanced mix of group and solo runs). The union over
- * index = 0..count-1 is exactly @p keys; fatal when index >= count or
- * count is 0. This is the `coopsim_cli --shard=I/N` slice.
- */
-std::vector<sim::RunKey> shardKeys(const std::vector<sim::RunKey> &keys,
-                                   unsigned index, unsigned count);
 
 /** Canonical multi-line text encoding (every field, fixed order). */
 std::string formatSpec(const ExperimentSpec &spec);

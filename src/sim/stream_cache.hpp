@@ -123,8 +123,13 @@ class StreamCache
     static StreamCache &instance();
 
     /** Default budget: one Bench-scale stream (~4 MB) per core of the
-     *  largest topology row. It is sized for bench scale: at paper
-     *  scale, fig05 evicted 42 of the 43 streams it generated. */
+     *  largest topology row. It bounds the bytes the cache accounts,
+     *  not a sweep's memory: each running System's readers hold their
+     *  entries, evicted or not, so every frame a run has read stays
+     *  in memory until the run ends. At paper scale fig05 evicted 42
+     *  of the 43 streams it generated, and one G8-mem1 run peaked at
+     *  1.8 GB against 14 MB under --no-stream-memo, so paper-scale
+     *  sweeps of 8-64 cores run without the memo. */
     static std::size_t defaultBudgetBytes();
 
     /** Installs CLI configuration; existing entries are kept. */

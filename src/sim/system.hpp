@@ -30,13 +30,14 @@ namespace coopsim::sim
 /** Scale presets: paper-faithful or a proportionally shrunk run. */
 enum class RunScale
 {
-    /** Fast runs for tests/benches: 6 M instructions per app, 300 k-
-     *  cycle epochs (same epoch:instruction ratio as the paper). */
+    /** Fast runs for tests/benches: 8 M instructions per app, 300 k-
+     *  cycle epochs, 512 LLC sets (applyScale). */
     Bench,
     /** The paper's scale: 1 B instructions per app, 5 M-cycle epochs;
      *  selectable via --full. Minutes per 2- and 4-core figure: fig05
      *  took 2 min of wall time and fig08 5 min at --threads=4 on a
-     *  4-vCPU Xeon. */
+     *  4-vCPU Xeon, and the exact 8-64-core rows of scaling.spec an
+     *  hour under --no-stream-memo. */
     Paper,
     /** Tiny runs for unit tests. */
     Test,

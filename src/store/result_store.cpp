@@ -51,13 +51,6 @@ splitOn(const std::string &text, char sep)
 
 } // namespace
 
-std::string
-shardFileName(unsigned index, unsigned count)
-{
-    return "shard-" + std::to_string(index) + "of" +
-           std::to_string(count) + kStoreExtension;
-}
-
 // ---------------------------------------------------------------------------
 // Line checksums
 
@@ -504,7 +497,7 @@ ResultStore::appendJournal(const sim::RunKey &key,
 }
 
 void
-ResultStore::removeJournals(bool loaded_too, std::uint64_t puts_saved)
+ResultStore::removeJournals(std::uint64_t puts_saved)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     if (puts_ != puts_saved) {
@@ -516,12 +509,10 @@ ResultStore::removeJournals(bool loaded_too, std::uint64_t puts_saved)
         std::remove(journal_path_.c_str());
     }
     journal_path_.clear();
-    if (loaded_too) {
-        for (const std::string &path : loaded_journals_) {
-            std::remove(path.c_str());
-        }
-        loaded_journals_.clear();
+    for (const std::string &path : loaded_journals_) {
+        std::remove(path.c_str());
     }
+    loaded_journals_.clear();
 }
 
 std::optional<sim::RunResult>
@@ -661,7 +652,7 @@ ResultStore::loadDir(const std::string &dir)
         loaded += outcome.loaded;
         // Quarantine a file that contributed nothing despite holding
         // content: renamed out of the *.coopstore glob so one
-        // poisoned shard file cannot warn-spam every later load —
+        // poisoned store file cannot warn-spam every later load —
         // and stays on disk for post-mortems. A legitimately empty
         // store (magic only) is left alone.
         const bool poisoned =

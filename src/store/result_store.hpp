@@ -3,10 +3,10 @@
  * Disk-backed, RunKey-addressed result store.
  *
  * The paper's figures are cross-products over (scheme x workload group
- * x threshold x seed); distributing that run-key space across
- * processes or hosts only works if completed simulations can be
- * persisted, shipped and folded back together. A ResultStore is that
- * persistence layer:
+ * x threshold x seed); rerunning a sweep for free, resuming a killed
+ * one, or folding in results copied from another host only works if
+ * completed simulations can be persisted and folded back together. A
+ * ResultStore is that persistence layer:
  *
  *  - each entry is one line, `formatRunKey(k) '\t' formatResult(r)
  *    '\t' #crc32=XXXXXXXX` — the canonical RunKey encoding
@@ -78,11 +78,8 @@ inline constexpr const char *kStoreMagic = "coopsim-store v1";
 /** Store files are `<name>.coopstore`; loadDir() reads every one. */
 inline constexpr const char *kStoreExtension = ".coopstore";
 
-/** The file an unsharded or merged sweep persists to. */
+/** The file a `--store` session persists the merged store to. */
 inline constexpr const char *kMergedFileName = "results.coopstore";
-
-/** The file `--shard=I/N` persists its slice to ("shard-0of2.coopstore"). */
-std::string shardFileName(unsigned index, unsigned count);
 
 /** Journal files are `journal-<pid>-<ns>.coopstore`
  *  (ResultStore::openJournal). */
@@ -196,7 +193,7 @@ class ResultStore
      * A file that yields zero valid lines despite having candidate
      * lines (or lacks the magic header) is quarantined: renamed to
      * `<file>.quarantined` — out of the store glob, so a poisoned
-     * shard file cannot re-trip every later load or be clobbered
+     * store file cannot re-trip every later load or be clobbered
      * silently — and counted in Stats::files_quarantined. A file cut
      * inside its header is a journal whose writer died before its
      * first append: it holds nothing and is not quarantined. The
@@ -220,14 +217,14 @@ class ResultStore
     void openJournal(const std::string &dir);
 
     /**
-     * Closes and deletes this store's own journal and, with
-     * @p loaded_too, the journals loadDir() read into it, once a save
-     * holds their entries: @p puts_saved is the putCount() read before
-     * that save's snapshot. If a put() has arrived since, its line may
-     * be in no save, so every journal stays on disk for the next
-     * loadDir(). A put() after the removal starts a new journal.
+     * Closes and deletes this store's own journal and the journals
+     * loadDir() read into it, once a save holds their entries:
+     * @p puts_saved is the putCount() read before that save's
+     * snapshot. If a put() has arrived since, its line may be in no
+     * save, so every journal stays on disk for the next loadDir(). A
+     * put() after the removal starts a new journal.
      */
-    void removeJournals(bool loaded_too, std::uint64_t puts_saved);
+    void removeJournals(std::uint64_t puts_saved);
 
     /**
      * Atomically and durably writes the whole store to @p path: the

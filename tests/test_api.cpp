@@ -480,11 +480,12 @@ TEST(Cli, RejectsUnknownAndDisallowedFlagsUniformly)
     }
     // Deleted flags die as unknown flags, so a stale script fails
     // loudly: the shard-retry driver's, the shard fold (a plain store
-    // run folds shard files), the single-cell CSV row and trace-file
-    // record and replay.
-    for (const char *name : {"supervise", "shards=2", "shard-timeout=1",
-                             "shard-retries=2", "merge", "csv", "record=x",
-                             "trace-dir=x"}) {
+    // run folds every store file), the single-cell CSV row, trace-file
+    // record and replay, sweep slicing and the memo budget.
+    for (const char *name :
+         {"supervise", "shards=2", "shard-timeout=1", "shard-retries=2",
+          "merge", "csv", "record=x", "trace-dir=x", "shard=0/2",
+          "stream-cache-mb=64"}) {
         const std::string flag = std::string("--") + name;
         const char *argv[] = {"cli", flag.c_str()};
         try {
@@ -513,8 +514,7 @@ TEST(Cli, ExampleFlagsAdmitOnlyWhatTheExamplesApply)
     EXPECT_EQ(options.positional[0], "G4-8");
 
     setThrowOnFatal(true);
-    for (const char *flag : {"--store=x", "--no-stream-memo",
-                             "--stream-cache-mb=64"}) {
+    for (const char *flag : {"--store=x", "--no-stream-memo"}) {
         const char *bad[] = {"example", flag};
         EXPECT_THROW(
             parseCli(2, const_cast<char **>(bad), kExampleFlags, ""),
@@ -561,38 +561,6 @@ TEST(Cli, ParsesAllowedFlagsAndValidatesValues)
                               kAllFlags, ""),
                      FatalError)
             << flag;
-    }
-    setThrowOnFatal(false);
-}
-
-TEST(Cli, ShardFlagParsesStrictlyAndRejectsBadSlices)
-{
-    {
-        const char *argv[] = {"cli", "--shard=2/5"};
-        const CliOptions options =
-            parseCli(2, const_cast<char **>(argv), kAllFlags, "");
-        EXPECT_TRUE(options.shard_set);
-        EXPECT_EQ(options.shard_index, 2u);
-        EXPECT_EQ(options.shard_count, 5u);
-    }
-    setThrowOnFatal(true);
-    for (const char *value :
-         {"--shard=2/2",     // index must be < count
-          "--shard=5/2",     //
-          "--shard=0/0",     // zero shards
-          "--shard=0/70000", // above the 65536 cap
-          "--shard=x/2",     // non-numeric index
-          "--shard=0/y",     // non-numeric count
-          "--shard=-1/2",    // negative (would wrap via strtoull)
-          "--shard=02",      // missing slash
-          "--shard=/2",      // empty index
-          "--shard=0/",      // empty count
-          "--shard="}) {
-        const char *argv[] = {"cli", value};
-        EXPECT_THROW(
-            parseCli(2, const_cast<char **>(argv), kAllFlags, ""),
-            FatalError)
-            << value;
     }
     setThrowOnFatal(false);
 }

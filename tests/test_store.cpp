@@ -19,8 +19,6 @@
  *    sweep is byte-identical to an uninterrupted one; a result that
  *    lands after the exit save's snapshot keeps the journals, and a
  *    `--store` spec whose layout has no table dies before simulating;
- *  - shardKeys(): the round-robin shards partition the expanded
- *    sweep (disjoint, union == full key list);
  *  - the executor store hook: stored keys are served without
  *    starting the pool or running a simulation (run-count stats),
  *    and completed simulations are recorded back into the store and
@@ -698,12 +696,12 @@ TEST(StoreCrc, LoadDirQuarantinesZeroValidLineFiles)
     setQuiet(true);
     const std::string dir = scratchDir("quarantine");
 
-    // One healthy shard file...
+    // One healthy store file...
     ResultStore good;
     good.put(sampleKey(0), sampleResult(0));
-    good.save(dir + "/shard-0of2" + kStoreExtension);
+    good.save(dir + "/good" + kStoreExtension);
     // ...one file whose every line is corrupt...
-    const std::string poisoned = dir + "/shard-1of2" + kStoreExtension;
+    const std::string poisoned = dir + "/poisoned" + kStoreExtension;
     {
         std::ofstream out(poisoned);
         out << kStoreMagic << "\n";
@@ -734,7 +732,7 @@ TEST(StoreCrc, LoadDirQuarantinesZeroValidLineFiles)
     // An empty (header-only) store file is fine: zero candidates is
     // not corruption.
     ResultStore empty;
-    empty.save(dir + "/shard-2of3" + kStoreExtension);
+    empty.save(dir + "/empty" + kStoreExtension);
     ResultStore third;
     EXPECT_EQ(third.loadDir(dir), 1u);
     EXPECT_EQ(third.stats().files_quarantined, 0u);
@@ -808,11 +806,11 @@ TEST(ResultStore, LoadDirFoldsFilesInLexicalOrder)
     ResultStore first;
     first.put(shared, sampleResult(1.0));
     first.put(sampleKey(1), sampleResult(0.0));
-    first.save(dir + "/shard-0of2" + kStoreExtension);
+    first.save(dir + "/host-a" + kStoreExtension);
 
     ResultStore second;
     second.put(shared, sampleResult(2.0)); // later file wins
-    second.save(dir + "/shard-1of2" + kStoreExtension);
+    second.save(dir + "/host-b" + kStoreExtension);
 
     ResultStore merged;
     EXPECT_EQ(merged.loadDir(dir), 3u);
@@ -823,49 +821,6 @@ TEST(ResultStore, LoadDirFoldsFilesInLexicalOrder)
     // A missing directory folds nothing.
     ResultStore empty;
     EXPECT_EQ(empty.loadDir(dir + "/nowhere"), 0u);
-    EXPECT_EQ(shardFileName(0, 2), "shard-0of2.coopstore");
-}
-
-// ---------------------------------------------------------------------------
-// Sharding
-
-TEST(Shard, UnionOfShardsEqualsFullSweepExactly)
-{
-    api::ExperimentSpec spec;
-    spec.layout = "none";
-    spec.schemes = {"fairshare", "coop"};
-    spec.groups = {"G2-10", "G2-11", "G4-3"};
-    spec.thresholds = {0.0, 0.05};
-    spec.seeds = {1, 2};
-    spec.scale = "test";
-    const std::vector<sim::RunKey> keys = api::expandSpec(spec);
-    ASSERT_FALSE(keys.empty());
-
-    for (const unsigned count : {1u, 2u, 3u, 7u}) {
-        std::multiset<std::string> expected;
-        for (const sim::RunKey &key : keys) {
-            expected.insert(api::formatRunKey(key));
-        }
-        std::multiset<std::string> covered;
-        std::size_t total = 0;
-        for (unsigned index = 0; index < count; ++index) {
-            const std::vector<sim::RunKey> slice =
-                api::shardKeys(keys, index, count);
-            total += slice.size();
-            for (const sim::RunKey &key : slice) {
-                covered.insert(api::formatRunKey(key));
-            }
-        }
-        // Disjoint (total matches) and complete (multisets match).
-        EXPECT_EQ(total, keys.size()) << count << " shards";
-        EXPECT_EQ(covered, expected) << count << " shards";
-    }
-
-    EXPECT_EQ(api::shardKeys(keys, 0, 1), keys);
-    setThrowOnFatal(true);
-    EXPECT_THROW(api::shardKeys(keys, 2, 2), FatalError);
-    EXPECT_THROW(api::shardKeys(keys, 0, 0), FatalError);
-    setThrowOnFatal(false);
 }
 
 // ---------------------------------------------------------------------------
@@ -1000,11 +955,6 @@ TEST(StoreJournal, KilledRunKeepsEveryCompletedResult)
         ASSERT_TRUE(hit.has_value()) << n;
         expectIdentical(sampleResult(n), *hit);
     }
-    // A shard's finish deletes only its own journal, never one it
-    // merely loaded: another shard may still be writing that one.
-    survivors.removeJournals(false, survivors.putCount());
-    EXPECT_EQ(journalsIn(dir).size(), 1u);
-
     // The rerun computes only the missing keys. Its save equals a
     // clean save of the whole sweep, and no journal outlives it.
     ResultStore resumed;
@@ -1021,9 +971,7 @@ TEST(StoreJournal, KilledRunKeepsEveryCompletedResult)
     EXPECT_EQ(journalsIn(dir).size(), 2u);
     const std::string path = dir + "/" + kMergedFileName;
     std::string error;
-    ASSERT_TRUE(
-        api::finishStoreSession(resumed, path, resumed, true, error))
-        << error;
+    ASSERT_TRUE(api::finishStoreSession(resumed, path, error)) << error;
     EXPECT_TRUE(journalsIn(dir).empty());
 
     ResultStore clean;
@@ -1054,7 +1002,7 @@ TEST(StoreJournal, AResultLandingAfterTheSaveKeepsTheJournals)
     ASSERT_TRUE(saved.has_value()) << error;
     EXPECT_EQ(*saved, kSaved);
     session.put(sampleKey(kSaved), sampleResult(kSaved));
-    session.removeJournals(true, puts);
+    session.removeJournals(puts);
     EXPECT_EQ(journalsIn(dir).size(), 1u);
 
     // The next session loads every result, and finishing it saves them
@@ -1062,7 +1010,7 @@ TEST(StoreJournal, AResultLandingAfterTheSaveKeepsTheJournals)
     ResultStore resumed;
     EXPECT_EQ(resumed.loadDir(dir), 2 * kSaved + 1); // file + journal
     resumed.openJournal(dir);
-    EXPECT_EQ(api::finishStoreSession(resumed, path, resumed, true, error),
+    EXPECT_EQ(api::finishStoreSession(resumed, path, error),
               std::optional<std::size_t>(kSaved + 1))
         << error;
     EXPECT_TRUE(journalsIn(dir).empty());
@@ -1090,8 +1038,8 @@ TEST(StoreJournal, FinishingWhileARunCompletesLosesNothing)
             std::thread late(
                 [&session] { session.put(sampleKey(1), sampleResult(1)); });
             std::string error;
-            const std::optional<std::size_t> saved = api::finishStoreSession(
-                session, path, session, true, error);
+            const std::optional<std::size_t> saved =
+                api::finishStoreSession(session, path, error);
             late.join();
             ASSERT_TRUE(saved.has_value()) << error;
         }
