@@ -41,14 +41,12 @@ constexpr const char *kUsage =
     "                   [--scale=test|bench|paper] [--full] "
     "[--threads=N]\n"
     "                   [--store=DIR] [--sampling=exact|set|op|setop]\n"
-    "                   [--ci] [--no-stream-memo]\n"
+    "                   [--ci]\n"
     "with --spec, only --scale/--threads/--seed/--store/--sampling/\n"
-    "--ci/--no-stream-memo may also be given (the first three and\n"
-    "--sampling override the spec file).\n"
+    "--ci may also be given (the first three and --sampling override\n"
+    "the spec file).\n"
     "Sweeps memoize op streams in each process (generate once, replay\n"
-    "everywhere); --no-stream-memo regenerates per run. A running\n"
-    "System keeps every stream it reads in memory, so pass it to\n"
-    "paper-scale sweeps of 8 to 64 cores.\n";
+    "everywhere) within a 256 MB budget.\n";
 
 } // namespace
 
@@ -66,10 +64,9 @@ main(int argc, char **argv)
                             api::kFlagSpec | api::kFlagScale |
                                 api::kFlagThreads | api::kFlagSeed |
                                 api::kFlagStore | api::kFlagSampling |
-                                api::kFlagCi | api::kFlagStreamMemo,
+                                api::kFlagCi,
                             kUsage);
     }
-    api::applyCliStreamMemo(cli);
     const unsigned threads = api::applyCliThreads(cli);
 
     if (!cli.spec_path.empty()) {

@@ -101,9 +101,6 @@ parseCli(int argc, char **argv, unsigned allowed, const char *usage)
         } else if ((allowed & kFlagCi) &&
                    std::strcmp(arg, "--ci") == 0) {
             options.show_ci = true;
-        } else if ((allowed & kFlagStreamMemo) &&
-                   std::strcmp(arg, "--no-stream-memo") == 0) {
-            options.no_stream_memo = true;
         } else {
             COOPSIM_FATAL("unknown flag '", arg, "' (try --help)");
         }
@@ -127,14 +124,6 @@ applyCliThreads(const CliOptions &options)
 }
 
 void
-applyCliStreamMemo(const CliOptions &options)
-{
-    sim::StreamCache::Config config;
-    config.enabled = !options.no_stream_memo;
-    sim::StreamCache::instance().configure(config);
-}
-
-void
 printPreamble(const CliOptions &options, unsigned threads)
 {
     if (options.scale == sim::RunScale::Paper) {
@@ -146,8 +135,7 @@ printPreamble(const CliOptions &options, unsigned threads)
         std::printf("# scale: bench miniature (use --full for paper "
                     "scale)\n");
     }
-    std::printf("# threads: %u (--threads=N / COOPSIM_THREADS)\n",
-                threads);
+    std::printf("# threads: %u (--threads=N)\n", threads);
 }
 
 // ---------------------------------------------------------------------------

@@ -41,9 +41,6 @@ enum CliFlag : unsigned
     kFlagPositional = 1u << 8, //!< bare (non --) arguments
     kFlagSampling = 1u << 9,   //!< --sampling=exact|set|op|setop
     kFlagCi = 1u << 10,        //!< --ci (print value±ci table cells)
-    /** --no-stream-memo (the process-wide op-stream memo,
-     *  sim::StreamCache). */
-    kFlagStreamMemo = 1u << 11,
 };
 
 /** The examples: scale, threads and a positional group name. */
@@ -51,7 +48,7 @@ inline constexpr unsigned kExampleFlags =
     kFlagScale | kFlagThreads | kFlagPositional;
 /** Everything (coopsim_cli); derived from the last enumerator so a
  *  new flag is included automatically. */
-inline constexpr unsigned kAllFlags = (kFlagStreamMemo << 1) - 1;
+inline constexpr unsigned kAllFlags = (kFlagCi << 1) - 1;
 
 /** Parsed command line. */
 struct CliOptions
@@ -78,9 +75,6 @@ struct CliOptions
     bool sampling_set = false;
     /** --ci: render normalised table cells as value±ci. */
     bool show_ci = false;
-    /** --no-stream-memo: regenerate every run's streams (escape
-     *  hatch; memoized and regenerated runs are bit-identical). */
-    bool no_stream_memo = false;
     std::vector<std::string> positional;
 };
 
@@ -100,10 +94,6 @@ CliOptions parseCli(int argc, char **argv, unsigned allowed,
  * returns its final worker count.
  */
 unsigned applyCliThreads(const CliOptions &options);
-
-/** Applies the parsed stream-memo request (--no-stream-memo) to the
- *  process-wide sim::StreamCache. */
-void applyCliStreamMemo(const CliOptions &options);
 
 /** Prints the standard "# scale: ..." / "# threads: ..." preamble
  *  coopsim_cli emits before its tables. */

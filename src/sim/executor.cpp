@@ -33,19 +33,6 @@ mix(std::uint64_t h, std::uint64_t v)
 unsigned
 defaultThreadCount()
 {
-    if (const char *env = std::getenv("COOPSIM_THREADS")) {
-        char *end = nullptr;
-        const unsigned long n = std::strtoul(env, &end, 10);
-        // Same contract as --threads=N: garbage or an out-of-range
-        // count is a descriptive fatal, never a silent fallback to
-        // hardware_concurrency (a sweep sized by a typo'd variable
-        // would otherwise oversubscribe or serialise the host).
-        if (end == env || *end != '\0' || n < 1 || n > 1024) {
-            COOPSIM_FATAL("invalid COOPSIM_THREADS value '", env,
-                          "' (expected an integer in [1, 1024])");
-        }
-        return static_cast<unsigned>(n);
-    }
     const unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? hw : 1;
 }
@@ -101,10 +88,8 @@ buildSystem(const RunKey &key)
         SystemConfig config = runConfig(key);
         COOPSIM_ASSERT(config.num_cores == num_cores,
                        "group size does not match system");
-        if (StreamCache::instance().enabled()) {
-            config.stream_factory =
-                StreamCache::instance().factory(key.seed, key.scale);
-        }
+        config.stream_factory =
+            StreamCache::instance().factory(key.seed, key.scale);
         return std::make_unique<System>(config,
                                         trace::groupProfiles(group));
     }
@@ -118,10 +103,8 @@ buildSystem(const RunKey &key)
     SystemConfig config = runConfig(key);
     config.num_cores = 1;
     config.llc.num_cores = 1;
-    if (StreamCache::instance().enabled()) {
-        config.stream_factory =
-            StreamCache::instance().factory(key.seed, key.scale);
-    }
+    config.stream_factory =
+        StreamCache::instance().factory(key.seed, key.scale);
     return std::make_unique<System>(
         config, std::vector<trace::AppProfile>{trace::specProfile(key.name)});
 }

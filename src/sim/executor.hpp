@@ -160,8 +160,7 @@ class RunFailure : public std::runtime_error
  * disk-backed result store behind it.
  *
  * Worker count resolution, in priority order: setThreads() (the
- * --threads=N flag), the COOPSIM_THREADS environment variable, then
- * std::thread::hardware_concurrency().
+ * --threads=N flag), then std::thread::hardware_concurrency().
  *
  * The pool starts lazily: no worker thread is spawned until a
  * submission actually needs a simulation. With a store attached

@@ -1,14 +1,17 @@
 #include "sim/stream_cache.hpp"
 
-#include <chrono>
+#include <algorithm>
 #include <cstdlib>
-#include <deque>
+#include <cstring>
 #include <vector>
+
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include "api/registry.hpp"
 #include "common/logging.hpp"
 #include "trace/generator.hpp"
-#include "tracefile/trace_format.hpp"
 
 namespace coopsim::sim
 {
@@ -25,121 +28,239 @@ mixHash(std::uint64_t h, std::uint64_t v)
     return h;
 }
 
+/**
+ * Hands the memory an eviction freed back to the system. glibc keeps a
+ * freed chunk in the arena of the thread that allocated it, where only
+ * that thread reuses it, so each pool worker's arena grew toward the
+ * whole budget: on a 4-vCPU Xeon, fig05 --full --threads=4 peaked at
+ * 824-1076 MB of RSS while at most 256 MB of segments were resident
+ * (437 MB with a single arena, 437-467 MB with this call).
+ */
+void
+returnFreedMemory()
+{
+#if defined(__GLIBC__)
+    malloc_trim(0);
+#endif
+}
+
+/** Low `8*len` bits set, for masking an unconditional 8-byte load. */
+constexpr std::uint64_t kLenMask[9] = {
+    0x0000000000000000ull, 0x00000000000000ffull, 0x000000000000ffffull,
+    0x0000000000ffffffull, 0x00000000ffffffffull, 0x000000ffffffffffull,
+    0x0000ffffffffffffull, 0x00ffffffffffffffull, 0xffffffffffffffffull,
+};
+
 } // namespace
+
+// ---------------------------------------------------------------------------
+// The segment codec
+
+void
+encodeOps(const core::MemOp *ops, std::size_t count, std::string &out)
+{
+    // Encode through raw pointer writes into a worst-case-sized
+    // buffer — one capacity check per segment instead of several per
+    // op (this is the memo's cold-path inner loop). Worst case per op:
+    // 1 flags byte + a 10-byte gap varint + an 8-byte delta; the
+    // unconditional 8-byte delta store stays inside that budget.
+    constexpr std::size_t kMaxOpBytes = 19;
+    out.resize(count * kMaxOpBytes);
+    char *const base = out.data();
+    char *p = base;
+    std::uint64_t prev_addr = 0;
+    for (std::size_t i = 0; i < count; ++i) {
+        const core::MemOp &op = ops[i];
+        const std::uint64_t z =
+            zigzagEncode(static_cast<std::int64_t>(op.addr - prev_addr));
+        const std::size_t len = deltaLen(z);
+        *p++ = static_cast<char>((len << 1) |
+                                 (op.type == AccessType::Write ? 1u : 0u));
+        std::uint64_t gap = op.gap_insts;
+        while (gap >= 0x80) {
+            *p++ = static_cast<char>(gap | 0x80);
+            gap >>= 7;
+        }
+        *p++ = static_cast<char>(gap);
+        std::memcpy(p, &z, 8); // little-endian hosts only
+        p += len;
+        prev_addr = op.addr;
+    }
+    out.resize(static_cast<std::size_t>(p - base));
+}
+
+std::size_t
+decodeOps(const char *data, std::size_t pos, std::uint64_t &prev_addr,
+          core::MemOp *out, std::size_t count)
+{
+    // The replay loop: one flags byte, a mostly-one-byte varint gap,
+    // and a masked unconditional 8-byte delta load per op.
+    std::uint64_t addr = prev_addr;
+    for (std::size_t i = 0; i < count; ++i) {
+        const unsigned flags = static_cast<unsigned char>(data[pos++]);
+        const std::size_t len = flags >> 1;
+        std::uint64_t gap = static_cast<unsigned char>(data[pos++]);
+        if (gap >= 0x80) {
+            gap &= 0x7f;
+            unsigned shift = 7;
+            std::uint8_t byte;
+            do {
+                byte = static_cast<unsigned char>(data[pos++]);
+                gap |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
+                shift += 7;
+            } while ((byte & 0x80) != 0);
+        }
+        std::uint64_t z;
+        std::memcpy(&z, data + pos, 8);
+        pos += len;
+        addr += static_cast<std::uint64_t>(zigzagDecode(z & kLenMask[len]));
+        core::MemOp &op = out[i];
+        op.gap_insts = gap;
+        op.addr = addr;
+        op.type = (flags & 1u) ? AccessType::Write : AccessType::Read;
+    }
+    prev_addr = addr;
+    return pos;
+}
 
 namespace detail
 {
 
-/** One frame-encoded chunk of a memoized stream, immutable once
- *  published. */
+/** One encoded chunk of a memoized stream. Its ops never change; its
+ *  `next` is written once, under the entry lock, by the reader that
+ *  generates the segment after it. */
 struct StreamSegment
 {
-    /** Whole frames plus kDecodeSlack readable padding. */
+    explicit StreamSegment(std::atomic<std::uint64_t> &live_count)
+        : live(live_count)
+    {
+        live.fetch_add(1, std::memory_order_relaxed);
+    }
+
+    StreamSegment(const StreamSegment &) = delete;
+    StreamSegment &operator=(const StreamSegment &) = delete;
+
+    ~StreamSegment();
+
+    /** The ops' encoding, then kDecodeSlack zero bytes. */
     std::string data;
-    /** Frame bytes (excluding the padding). */
-    std::size_t logical = 0;
+    /** Ops encoded: kSegmentOps, or 0 for an entry's head. */
+    std::size_t ops = 0;
+    /** The segment after this one, or null at the end of the chain.
+     *  Read and written under the entry lock. */
+    std::shared_ptr<StreamSegment> next;
+    std::atomic<std::uint64_t> &live;
 };
+
+namespace
+{
+
+/** Set while this thread's outermost ~StreamSegment frees a chain. */
+thread_local bool t_freeing_chain = false;
+/** Where a nested ~StreamSegment leaves its successor for that loop. */
+thread_local std::shared_ptr<StreamSegment> t_successor;
+
+} // namespace
+
+StreamSegment::~StreamSegment()
+{
+    // A dropped chain is released in a loop, not by one nested
+    // destructor call per segment: an evicted paper-scale stream runs
+    // to ~10^5 segments. A segment destroyed inside the loop hands its
+    // successor back to it instead of releasing it.
+    live.fetch_sub(1, std::memory_order_relaxed);
+    if (t_freeing_chain) {
+        t_successor = std::move(next);
+        return;
+    }
+    t_freeing_chain = true;
+    std::shared_ptr<StreamSegment> rest = std::move(next);
+    while (rest != nullptr) {
+        rest.reset(); // frees it only if nothing else holds it
+        rest = std::move(t_successor);
+    }
+    t_freeing_chain = false;
+}
 
 struct StreamEntry
 {
     StreamCache::Key key;
-    /** App profile the entry was built from, checked against every
-     *  opener. */
-    std::string app;
-    /** "memoized stream '<workload>' slot N", for fatals. */
-    std::string label;
+    /** The profile and seed the generator is built from, on the first
+     *  pull; the profile is checked against every opener. */
+    trace::AppProfile profile;
+    std::uint64_t stream_seed = 0;
 
     std::mutex mu;
-    /**
-     * Published segments in stream order, one per generated frame. A
-     * deque, so publishing a segment never moves another — readers
-     * keep raw pointers to the segments they fetched (the entry
-     * outlives them through the reader's shared_ptr) and decode them
-     * without the lock.
-     */
-    std::deque<StreamSegment> segments;
-    /** The generator, positioned just past the last published frame. */
+    /** Positioned just past the last segment of the chain; built on
+     *  the first pull. Guarded by mu. */
     std::unique_ptr<core::OpStream> generator;
 
     /** Bytes charged against the cache budget. Guarded by the CACHE
      *  lock, not mu: it must stay consistent with resident_bytes_. */
     std::size_t accounted_bytes = 0;
 
-    /**
-     * Replaces @p out with every segment published from index @p from
-     * on, generating the next frame first when a reader has caught up
-     * with the writer. The one place a reader takes the entry lock.
-     */
-    void fetch(std::size_t from, std::vector<const StreamSegment *> &out,
-               StreamCache &cache);
-
-  private:
-    /** Generates, encodes and publishes one more frame. Caller holds
-     *  mu. */
-    void extend(StreamCache &cache);
+    /** The segment after @p segment, generated and linked first if
+     *  @p segment ends the chain. */
+    std::shared_ptr<StreamSegment> after(StreamSegment &segment,
+                                         StreamCache &cache);
 };
 
-void
-StreamEntry::fetch(std::size_t from, std::vector<const StreamSegment *> &out,
-                   StreamCache &cache)
+std::shared_ptr<StreamSegment>
+StreamEntry::after(StreamSegment &segment, StreamCache &cache)
 {
-    std::lock_guard<std::mutex> lock(mu);
-    if (from == segments.size())
-        extend(cache);
-    COOPSIM_ASSERT(from < segments.size(),
-                   "stream segment requested out of order");
-    out.clear();
-    for (std::size_t i = from; i < segments.size(); ++i) {
-        out.push_back(&segments[i]);
+    std::unique_lock<std::mutex> lock(mu);
+    if (segment.next != nullptr)
+        return segment.next;
+
+    // Per-thread scratch: a segment's ops and its encoding are the
+    // only buffers besides the segment itself, and they are reused.
+    thread_local std::vector<core::MemOp> ops(kSegmentOps);
+    thread_local std::string encoding;
+
+    if (generator == nullptr) {
+        generator = std::make_unique<trace::SyntheticStream>(
+            profile, key.geometry, key.slot, stream_seed);
     }
-}
-
-void
-StreamEntry::extend(StreamCache &cache)
-{
-    // Per-thread scratch: a frame's ops and its encoding are the only
-    // buffers besides the segment itself, and they are reused.
-    thread_local std::vector<core::MemOp> ops(tracefile::kFrameOps);
-    thread_local std::string frame;
-
-    // One whole frame per segment: boundaries never depend on which
-    // run, thread or batch size pulled the stream first, so neither
-    // do the bytes memoized.
+    // Whole segments only: boundaries never depend on which run,
+    // thread or batch size pulled the stream first, so neither do the
+    // bytes memoized.
     std::size_t got = 0;
-    while (got < tracefile::kFrameOps) {
-        got += generator->nextBatch(ops.data() + got,
-                                    tracefile::kFrameOps - got);
+    while (got < kSegmentOps) {
+        got += generator->nextBatch(ops.data() + got, kSegmentOps - got);
     }
-    tracefile::encodeFrame(ops.data(), tracefile::kFrameOps, frame);
+    encodeOps(ops.data(), kSegmentOps, encoding);
 
     // Sized exactly: appending the slack to an exact-fit string would
     // double its capacity, and segments are what the memo keeps.
-    StreamSegment &segment = segments.emplace_back();
-    segment.data.reserve(frame.size() + tracefile::kDecodeSlack);
-    segment.data.append(frame);
-    segment.data.append(tracefile::kDecodeSlack, '\0');
-    segment.logical = frame.size();
+    auto next = std::make_shared<StreamSegment>(cache.segments_live_);
+    next->data.reserve(encoding.size() + kDecodeSlack);
+    next->data.append(encoding);
+    next->data.append(kDecodeSlack, '\0');
+    next->ops = kSegmentOps;
+    segment.next = next;
 
-    cache.noteExtend(this, segment.data.size());
+    const bool evicted = cache.noteExtend(*this, next->data.size());
+    lock.unlock();
+    if (evicted)
+        returnFreedMemory(); // outside both locks: it walks every arena
+    return next;
 }
 
 namespace
 {
 
 /**
- * The replay half of the memo: decodes the segments it holds through
- * one FrameDecoder (frames decode independently, so crossing a segment
- * boundary just re-arms the decoder) and fetches the entry's newer
- * segments only once it has run past all of them — a replay of an
- * already generated stream takes the entry lock once. Holds the entry
- * by shared_ptr, so replay keeps working even if the LRU evicts the
- * entry mid-run.
+ * The replay half of the memo: decodes the one segment it holds and
+ * then follows the chain, so a reader keeps nothing behind it alive.
+ * Holds the entry by shared_ptr, so replay keeps working, and extends
+ * the chain, even after the LRU evicts the entry.
  */
 class MemoReplayStream final : public core::OpStream
 {
   public:
-    MemoReplayStream(std::shared_ptr<StreamEntry> entry, StreamCache &cache)
-        : entry_(std::move(entry)), cache_(cache)
+    MemoReplayStream(std::shared_ptr<StreamEntry> entry,
+                     std::shared_ptr<StreamSegment> head, StreamCache &cache)
+        : entry_(std::move(entry)), segment_(std::move(head)), cache_(cache)
     {
     }
 
@@ -148,27 +269,25 @@ class MemoReplayStream final : public core::OpStream
     {
         std::size_t produced = 0;
         while (produced < max) {
-            const std::size_t got =
-                decoder_.decode(out + produced, max - produced);
-            if (got != 0) {
-                produced += got;
-                continue;
+            if (left_ == 0) {
+                // The segment just decoded is released here, outside
+                // the entry lock.
+                segment_ = entry_->after(*segment_, cache_);
+                pos_ = 0;
+                left_ = segment_->ops;
+                prev_addr_ = 0;
             }
-            // Clean end of the current segment (or none armed yet).
-            if (held_pos_ == held_.size()) {
-                entry_->fetch(next_index_, held_, cache_);
-                held_pos_ = 0;
-            }
-            const StreamSegment *segment = held_[held_pos_++];
-            ++next_index_;
-            decoder_.reset(segment->data.data(), 0, segment->logical,
-                           &entry_->label);
+            const std::size_t n = std::min(left_, max - produced);
+            pos_ = decodeOps(segment_->data.data(), pos_, prev_addr_,
+                             out + produced, n);
+            left_ -= n;
+            produced += n;
         }
         return produced;
     }
 
-    /** Shares the entry and starts on the same op: the segments it
-     *  holds are immutable, and the decoder is plain cursor state. */
+    /** Shares the entry and the segment and starts on the same op: the
+     *  segment's ops never change, and the rest is cursor state. */
     std::unique_ptr<core::OpStream>
     fork() const override
     {
@@ -177,13 +296,13 @@ class MemoReplayStream final : public core::OpStream
 
   private:
     std::shared_ptr<StreamEntry> entry_;
+    /** The segment being decoded. */
+    std::shared_ptr<StreamSegment> segment_;
     StreamCache &cache_;
-    /** Fetched segments not yet decoded from, from held_pos_ on. */
-    std::vector<const StreamSegment *> held_;
-    std::size_t held_pos_ = 0;
-    /** Entry index of the segment after the one being decoded. */
-    std::size_t next_index_ = 0;
-    tracefile::FrameDecoder decoder_;
+    /** Byte offset of the next op in segment_, and ops left there. */
+    std::size_t pos_ = 0;
+    std::size_t left_ = 0;
+    std::uint64_t prev_addr_ = 0;
 };
 
 } // namespace
@@ -203,6 +322,11 @@ StreamCache::KeyHash::operator()(const Key &key) const
     h = mixHash(h, key.geometry.llc_sets);
     h = mixHash(h, key.geometry.block_bytes);
     return static_cast<std::size_t>(h);
+}
+
+StreamCache::StreamCache(std::size_t budget_bytes)
+    : budget_bytes_(budget_bytes)
+{
 }
 
 StreamCache &
@@ -225,41 +349,12 @@ StreamCache::defaultBudgetBytes()
     return (4ull << 20) * topologyTable().back().max_cores;
 }
 
-void
-StreamCache::configure(const Config &config)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    config_ = config;
-    evictOverBudget(nullptr);
-}
-
-StreamCache::Config
-StreamCache::config() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return config_;
-}
-
-bool
-StreamCache::enabled() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return config_.enabled;
-}
-
-std::size_t
-StreamCache::budgetBytes() const
-{
-    return config_.budget_bytes != 0 ? config_.budget_bytes
-                                     : defaultBudgetBytes();
-}
-
 StreamFactory
 StreamCache::factory(std::uint64_t run_seed, RunScale scale,
                      std::uint32_t /*topology_cores*/)
 {
     const std::string scale_key = api::scaleKeyOf(scale);
-    return [run_seed, scale_key](
+    return [this, run_seed, scale_key](
                std::uint32_t c, const trace::AppProfile &profile,
                const trace::StreamGeometry &geometry,
                std::uint64_t stream_seed) -> std::unique_ptr<core::OpStream> {
@@ -269,67 +364,35 @@ StreamCache::factory(std::uint64_t run_seed, RunScale scale,
         key.seed = run_seed;
         key.scale = scale_key;
         key.geometry = geometry;
-        return instance().open(key, profile, stream_seed);
+        return open(key, profile, stream_seed);
     };
 }
 
-StreamCache::EntryPtr
-StreamCache::getOrCreate(const Key &key,
-                         const std::function<EntryPtr()> &build,
-                         bool &created)
-{
-    std::shared_ptr<std::packaged_task<EntryPtr()>> task;
-    EntryFuture future;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        auto it = entries_.find(key);
-        if (it != entries_.end()) {
-            it->second.touch = ++touch_clock_;
-            created = false;
-            future = it->second.future;
-        } else {
-            task = std::make_shared<std::packaged_task<EntryPtr()>>(build);
-            future = task->get_future().share();
-            entries_.emplace(key, Slot{future, ++touch_clock_});
-            created = true;
-        }
-    }
-    if (task)
-        (*task)(); // build outside the cache lock; losers wait on the future
-    return future.get();
-}
-
-void
-StreamCache::noteExtend(detail::StreamEntry *entry, std::size_t delta)
+bool
+StreamCache::noteExtend(const detail::StreamEntry &entry, std::size_t delta)
 {
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.frames_generated;
-    auto it = entries_.find(entry->key);
-    if (it == entries_.end() ||
-        it->second.future.wait_for(std::chrono::seconds(0)) !=
-            std::future_status::ready ||
-        it->second.future.get().get() != entry) {
+    auto it = entries_.find(entry.key);
+    if (it == entries_.end() || it->second.entry.get() != &entry) {
         // Evicted (or cleared) while a surviving reader extended it:
         // the entry is no longer budget-accounted, nothing to charge.
-        return;
+        return false;
     }
     it->second.touch = ++touch_clock_;
-    entry->accounted_bytes += delta;
+    it->second.entry->accounted_bytes += delta;
     resident_bytes_ += delta;
-    evictOverBudget(entry);
+    return evictOverBudget(&entry);
 }
 
-void
+bool
 StreamCache::evictOverBudget(const detail::StreamEntry *keep)
 {
-    const std::size_t budget = budgetBytes();
-    while (resident_bytes_ > budget) {
+    const std::uint64_t evicted_before = stats_.streams_evicted;
+    while (resident_bytes_ > budget_bytes_) {
         auto victim = entries_.end();
         for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-            if (it->second.future.wait_for(std::chrono::seconds(0)) !=
-                std::future_status::ready)
-                continue; // still being built; its bytes aren't counted
-            if (it->second.future.get().get() == keep)
+            if (it->second.entry.get() == keep)
                 continue;
             if (victim == entries_.end() ||
                 it->second.touch < victim->second.touch)
@@ -337,58 +400,66 @@ StreamCache::evictOverBudget(const detail::StreamEntry *keep)
         }
         if (victim == entries_.end())
             break; // nothing evictable (e.g. only `keep` is resident)
-        resident_bytes_ -= victim->second.future.get()->accounted_bytes;
+        resident_bytes_ -= victim->second.entry->accounted_bytes;
         entries_.erase(victim);
         ++stats_.streams_evicted;
     }
+    return stats_.streams_evicted != evicted_before;
 }
 
 std::unique_ptr<core::OpStream>
 StreamCache::open(const Key &key, const trace::AppProfile &profile,
                   std::uint64_t stream_seed)
 {
-    bool created = false;
-    EntryPtr entry = getOrCreate(
-        key,
-        [&]() -> EntryPtr {
-            auto e = std::make_shared<detail::StreamEntry>();
-            e->key = key;
-            e->app = profile.name;
-            e->label = "memoized stream '" + key.workload + "' slot " +
-                       std::to_string(key.slot);
-            e->generator = std::make_unique<trace::SyntheticStream>(
-                profile, key.geometry, key.slot, stream_seed);
-            return e;
-        },
-        created);
-
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (created)
-            ++stats_.streams_generated;
-        else
-            ++stats_.streams_replayed;
-    }
-
     // The key fixes the stream seed and the entry the app; a mismatch
     // means two different op sequences landed on one memo key.
+    const auto label = [&key] {
+        return "memoized stream '" + key.workload + "' slot " +
+               std::to_string(key.slot);
+    };
     if (key.seed + key.slot * 7919 != stream_seed)
-        COOPSIM_FATAL(entry->label, ": seed mismatch (memoized for run seed ",
+        COOPSIM_FATAL(label(), ": seed mismatch (memoized for run seed ",
                       key.seed, ", asked to serve stream seed ",
                       stream_seed, ")");
-    if (entry->app != profile.name)
-        COOPSIM_FATAL(entry->label, ": app mismatch (memoized '",
-                      entry->app, "', asked for '", profile.name,
+
+    std::shared_ptr<detail::StreamEntry> entry;
+    std::shared_ptr<detail::StreamSegment> head;
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        auto [it, created] = entries_.try_emplace(key);
+        Slot &slot = it->second;
+        if (created) {
+            slot.entry = std::make_shared<detail::StreamEntry>();
+            slot.entry->key = key;
+            slot.entry->profile = profile;
+            slot.entry->stream_seed = stream_seed;
+            slot.head =
+                std::make_shared<detail::StreamSegment>(segments_live_);
+            ++stats_.streams_generated;
+        } else {
+            ++stats_.streams_replayed;
+        }
+        slot.touch = ++touch_clock_;
+        entry = slot.entry;
+        head = slot.head;
+    }
+
+    if (entry->profile.name != profile.name)
+        COOPSIM_FATAL(label(), ": app mismatch (memoized '",
+                      entry->profile.name, "', asked for '", profile.name,
                       "') — distinct profiles share a registry name");
 
-    return std::make_unique<detail::MemoReplayStream>(std::move(entry), *this);
+    return std::make_unique<detail::MemoReplayStream>(
+        std::move(entry), std::move(head), *this);
 }
 
 StreamCache::Stats
 StreamCache::stats() const
 {
     std::lock_guard<std::mutex> lock(mu_);
-    return stats_;
+    Stats stats = stats_;
+    stats.segments_live = segments_live_.load(std::memory_order_relaxed);
+    return stats;
 }
 
 void

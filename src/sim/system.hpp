@@ -37,7 +37,8 @@ enum class RunScale
      *  selectable via --full. Minutes per 2- and 4-core figure: fig05
      *  took 2 min of wall time and fig08 5 min at --threads=4 on a
      *  4-vCPU Xeon, and the exact 8-64-core rows of scaling.spec an
-     *  hour under --no-stream-memo. */
+     *  hour (timed with stream memoization off, before the memo's
+     *  budget bounded the memory of running Systems). */
     Paper,
     /** Tiny runs for unit tests. */
     Test,

@@ -481,11 +481,12 @@ TEST(Cli, RejectsUnknownAndDisallowedFlagsUniformly)
     // Deleted flags die as unknown flags, so a stale script fails
     // loudly: the shard-retry driver's, the shard fold (a plain store
     // run folds every store file), the single-cell CSV row, trace-file
-    // record and replay, sweep slicing and the memo budget.
+    // record and replay, sweep slicing, the memo budget and the memo's
+    // off switch.
     for (const char *name :
          {"supervise", "shards=2", "shard-timeout=1", "shard-retries=2",
           "merge", "csv", "record=x", "trace-dir=x", "shard=0/2",
-          "stream-cache-mb=64"}) {
+          "stream-cache-mb=64", "no-stream-memo"}) {
         const std::string flag = std::string("--") + name;
         const char *argv[] = {"cli", flag.c_str()};
         try {
@@ -503,7 +504,7 @@ TEST(Cli, RejectsUnknownAndDisallowedFlagsUniformly)
 TEST(Cli, ExampleFlagsAdmitOnlyWhatTheExamplesApply)
 {
     // The examples apply --scale and --threads and read a group name;
-    // a store or memo flag they would silently ignore is fatal.
+    // a store flag they would silently ignore is fatal.
     const char *argv[] = {"example", "--scale=test", "--threads=2",
                           "G4-8"};
     const CliOptions options =
@@ -514,13 +515,9 @@ TEST(Cli, ExampleFlagsAdmitOnlyWhatTheExamplesApply)
     EXPECT_EQ(options.positional[0], "G4-8");
 
     setThrowOnFatal(true);
-    for (const char *flag : {"--store=x", "--no-stream-memo"}) {
-        const char *bad[] = {"example", flag};
-        EXPECT_THROW(
-            parseCli(2, const_cast<char **>(bad), kExampleFlags, ""),
-            FatalError)
-            << flag;
-    }
+    const char *bad[] = {"example", "--store=x"};
+    EXPECT_THROW(parseCli(2, const_cast<char **>(bad), kExampleFlags, ""),
+                 FatalError);
     setThrowOnFatal(false);
 }
 

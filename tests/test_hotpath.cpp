@@ -14,15 +14,12 @@
  *    RunResult field exactly) over 1..16 cores x all three
  *    partitioners x test-scale workloads, including the warmup-free
  *    edge case, and on a G32 and a G64 mix under exact and setop
- *    sampling — and actually batches (avgQuantumOps > 1);
- *  - COOPSIM_THREADS gets the --threads=N treatment: garbage or 0 is
- *    a descriptive fatal, not a silent fallback.
+ *    sampling — and actually batches (avgQuantumOps > 1).
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <limits>
 #include <string>
 #include <vector>
@@ -362,36 +359,4 @@ TEST(BatchedDriver, ManyCoreRowsMatchUnderExactAndSetop)
                 << name << " / mode " << static_cast<int>(mode);
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// COOPSIM_THREADS validation
-
-TEST(CoopsimThreadsEnv, GarbageOrZeroIsDescriptivelyFatal)
-{
-    setThrowOnFatal(true);
-    for (const char *bad : {"garbage", "0", "12abc", "", "9999999"}) {
-        ASSERT_EQ(setenv("COOPSIM_THREADS", bad, 1), 0);
-        try {
-            // Thread count 0 resolves the default chain, which must
-            // reject the variable instead of silently falling back.
-            RunExecutor executor(0);
-            FAIL() << "expected a fatal error for COOPSIM_THREADS='"
-                   << bad << "'";
-        } catch (const FatalError &e) {
-            const std::string message = e.what();
-            EXPECT_NE(message.find("COOPSIM_THREADS"),
-                      std::string::npos)
-                << message;
-            EXPECT_NE(message.find(bad), std::string::npos) << message;
-        }
-    }
-    ASSERT_EQ(unsetenv("COOPSIM_THREADS"), 0);
-    setThrowOnFatal(false);
-
-    // A valid value still resolves.
-    ASSERT_EQ(setenv("COOPSIM_THREADS", "3", 1), 0);
-    RunExecutor executor(0);
-    EXPECT_EQ(executor.threads(), 3u);
-    ASSERT_EQ(unsetenv("COOPSIM_THREADS"), 0);
 }

@@ -1,40 +1,54 @@
 /**
  * @file
- * Tests for the process-wide op-stream memo (sim::StreamCache):
+ * Tests for the op-stream memo (sim::StreamCache) and the segment
+ * codec it holds its streams in:
  *
- *  - memoized runs are bit-identical (store::formatResult) to
- *    --no-stream-memo runs over a {group} x {scheme} x {partitioner}
- *    x {sampling} matrix that spans 2..32 cores, the banked 32-core
- *    topology row and set+op sampling;
+ *  - the zigzag and delta-width primitives round-trip edge values and
+ *    random draws;
+ *  - encodeOps -> decodeOps is an exact inverse over a segment of
+ *    random ops with gaps of every varint width up to UINT64_MAX,
+ *    drained in batches of 1, 61 and 4096 ops;
+ *  - the bytes the encoder produces for a synthetic stream are pinned
+ *    by digest, so a change that moves the encoder and the decoder
+ *    together still fails;
+ *  - memoized runs are bit-identical (store::formatResult) to runs
+ *    whose System generates its own streams, over a {group} x
+ *    {scheme} x {partitioner} x {sampling} matrix that spans 2..32
+ *    cores and set+op sampling;
  *  - a fresh cache generates exactly one stream per distinct
  *    (workload, slot, seed, scale, geometry) key, replays the rest,
  *    serves a solo run from its group's slot-0 stream, and shares
  *    streams across topology rows with the same geometry;
  *  - a tiny budget forces whole-stream LRU eviction without changing
- *    any result;
+ *    any result, and once a stream is evicted its reader keeps alive
+ *    only the segment it decodes;
  *  - serial executeRun() and a multi-threaded RunExecutor produce
- *    bit-identical results through the shared memo;
- *  - a stream is generated one frame at a time, only as far as its
+ *    bit-identical results through the process-wide memo;
+ *  - a stream is generated one segment at a time, only as far as its
  *    furthest reader, and readers that race a thread extending the
- *    entry all see the generator's exact sequence.
+ *    entry all see the generator's exact sequence;
+ *  - open() rejects a stream seed its key does not derive, and a
+ *    second profile under one key.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "api/spec.hpp"
+#include "common/logging.hpp"
+#include "common/rng.hpp"
 #include "sim/executor.hpp"
 #include "sim/stream_cache.hpp"
 #include "store/result_store.hpp"
 #include "trace/generator.hpp"
 #include "trace/spec_profiles.hpp"
 #include "trace/workloads.hpp"
-#include "tracefile/trace_format.hpp"
 
 using namespace coopsim;
 using sim::RunKey;
@@ -43,29 +57,65 @@ using sim::StreamCache;
 namespace
 {
 
-/** Restores the process-wide cache to pristine default state on both
- *  entry and exit, so tests neither see nor leak memo state. */
-class CacheGuard
-{
-  public:
-    CacheGuard()
-    {
-        reset();
-    }
-    ~CacheGuard()
-    {
-        reset();
-    }
+// ---------------------------------------------------------------------------
+// Codec helpers
 
-  private:
-    static void
-    reset()
-    {
-        StreamCache::instance().configure(StreamCache::Config{});
-        StreamCache::instance().clear();
-        StreamCache::instance().resetStats();
+/** A deterministic op sequence shaped like the synthetic streams:
+ *  small strides with occasional far jumps, geometric-ish gaps. */
+std::vector<core::MemOp>
+sampleOps(std::size_t count, std::uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<core::MemOp> ops;
+    ops.reserve(count);
+    Addr addr = 0x10000;
+    for (std::size_t i = 0; i < count; ++i) {
+        core::MemOp op;
+        if (rng.nextBool(0.1)) {
+            addr = rng.next() & ((1ull << 40) - 1); // far jump
+        } else {
+            addr += 64 * (1 + rng.nextBelow(8));    // local stride
+        }
+        op.addr = addr;
+        op.gap_insts = rng.nextBelow(32);
+        op.type = rng.nextBool(0.3) ? AccessType::Write
+                                    : AccessType::Read;
+        ops.push_back(op);
     }
-};
+    return ops;
+}
+
+/** Decodes @p count ops from @p encoding (padded with kDecodeSlack
+ *  bytes), @p batch ops per call. */
+std::vector<core::MemOp>
+decodeAll(const std::string &encoding, std::size_t count, std::size_t batch)
+{
+    std::vector<core::MemOp> ops(count);
+    std::size_t pos = 0;
+    std::uint64_t prev_addr = 0;
+    for (std::size_t at = 0; at < count; at += batch) {
+        const std::size_t n = std::min(batch, count - at);
+        pos = sim::decodeOps(encoding.data(), pos, prev_addr,
+                             ops.data() + at, n);
+    }
+    EXPECT_EQ(pos, encoding.size() - sim::kDecodeSlack);
+    return ops;
+}
+
+void
+expectSameOps(const std::vector<core::MemOp> &got,
+              const std::vector<core::MemOp> &want)
+{
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        ASSERT_EQ(got[i].addr, want[i].addr) << "op " << i;
+        ASSERT_EQ(got[i].gap_insts, want[i].gap_insts) << "op " << i;
+        ASSERT_EQ(got[i].type, want[i].type) << "op " << i;
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Memo helpers
 
 api::ExperimentSpec
 testSpec()
@@ -87,10 +137,30 @@ groupKey(const std::string &name, const std::string &scheme,
     return api::groupRunKey(testSpec(), trace::groupByName(name), cell);
 }
 
+/** The store line of @p key run on the System executeRun() builds,
+ *  with @p streams as its op source: empty, the System generates every
+ *  stream itself. */
 std::string
-runFormatted(const RunKey &key)
+runFormatted(const RunKey &key, sim::StreamFactory streams = {})
 {
-    return store::formatResult(sim::executeRun(key));
+    sim::SystemConfig config = sim::runConfig(key);
+    config.stream_factory = std::move(streams);
+    std::vector<trace::AppProfile> profiles;
+    if (key.kind == RunKey::Kind::Group) {
+        profiles = trace::groupProfiles(trace::groupByName(key.name));
+    } else {
+        config.num_cores = 1;
+        config.llc.num_cores = 1;
+        profiles = {trace::specProfile(key.name)};
+    }
+    return store::formatResult(sim::System(config, profiles).run());
+}
+
+/** The store line of @p key with its streams replayed from @p cache. */
+std::string
+memoized(StreamCache &cache, const RunKey &key)
+{
+    return runFormatted(key, cache.factory(key.seed, key.scale));
 }
 
 /** One stream opened straight through StreamCache::open(): slot 0 of
@@ -114,9 +184,9 @@ struct DirectStream
     }
 
     std::unique_ptr<core::OpStream>
-    open() const
+    open(StreamCache &cache) const
     {
-        return StreamCache::instance().open(key, profile, stream_seed);
+        return cache.open(key, profile, stream_seed);
     }
 
     /** The first @p n ops straight from the generator. */
@@ -161,14 +231,128 @@ firstMismatch(const std::vector<core::MemOp> &a,
     return n;
 }
 
+/** Throws FatalError instead of exiting while in scope. */
+struct ThrowOnFatal
+{
+    ThrowOnFatal() { setThrowOnFatal(true); }
+    ~ThrowOnFatal() { setThrowOnFatal(false); }
+};
+
 } // namespace
 
 // ---------------------------------------------------------------------------
-// Differential bit-identity: memoized vs --no-stream-memo
+// The segment codec
+
+TEST(SegmentCodec, ZigzagRoundTripsAndOrdersSmallMagnitudes)
+{
+    const std::int64_t values[] = {0,  -1, 1,  -2, 2,
+                                   64, -64, INT64_MAX, INT64_MIN};
+    for (const std::int64_t v : values) {
+        EXPECT_EQ(sim::zigzagDecode(sim::zigzagEncode(v)), v);
+    }
+    // Small magnitudes map to small codes (the property the delta
+    // compression relies on).
+    EXPECT_EQ(sim::zigzagEncode(0), 0u);
+    EXPECT_EQ(sim::zigzagEncode(-1), 1u);
+    EXPECT_EQ(sim::zigzagEncode(1), 2u);
+    EXPECT_EQ(sim::zigzagEncode(-2), 3u);
+
+    Rng rng(11);
+    for (int i = 0; i < 1000; ++i) {
+        const auto v = static_cast<std::int64_t>(rng.next());
+        EXPECT_EQ(sim::zigzagDecode(sim::zigzagEncode(v)), v);
+    }
+}
+
+TEST(SegmentCodec, DeltaLenMatchesByteWidth)
+{
+    EXPECT_EQ(sim::deltaLen(0), 0u);
+    EXPECT_EQ(sim::deltaLen(1), 1u);
+    EXPECT_EQ(sim::deltaLen(0xff), 1u);
+    EXPECT_EQ(sim::deltaLen(0x100), 2u);
+    EXPECT_EQ(sim::deltaLen(0xffffff), 3u);
+    EXPECT_EQ(sim::deltaLen(1ull << 32), 5u);
+    EXPECT_EQ(sim::deltaLen(UINT64_MAX), 8u);
+    for (std::size_t len = 1; len <= 8; ++len) {
+        const std::uint64_t widest = UINT64_MAX >> (64 - 8 * len);
+        EXPECT_EQ(sim::deltaLen(widest), len);
+        EXPECT_EQ(sim::deltaLen(widest + 1), len == 8 ? 0u : len + 1);
+    }
+}
+
+TEST(SegmentCodec, RoundTripsGapsOfEveryVarintWidth)
+{
+    // One op costs its flags byte, its gap's varint and its delta: a
+    // gap below 0x80 takes one byte, UINT64_MAX the 10-byte ceiling.
+    std::string encoding;
+    const core::MemOp small{0x7f, 0, AccessType::Read};
+    sim::encodeOps(&small, 1, encoding);
+    EXPECT_EQ(encoding.size(), 2u);
+    const core::MemOp huge{UINT64_MAX, 0, AccessType::Write};
+    sim::encodeOps(&huge, 1, encoding);
+    EXPECT_EQ(encoding.size(), 11u);
+
+    // Both edges of every varint width, spread across a segment.
+    std::vector<std::uint64_t> edge_gaps = {0};
+    for (unsigned bits = 7; bits < 64; bits += 7) {
+        edge_gaps.push_back((1ull << bits) - 1);
+        edge_gaps.push_back(1ull << bits);
+    }
+    edge_gaps.push_back(UINT64_MAX);
+    std::vector<core::MemOp> ops = sampleOps(sim::kSegmentOps, 5);
+    for (std::size_t i = 0; i < ops.size(); i += 97) {
+        ops[i].gap_insts = edge_gaps[(i / 97) % edge_gaps.size()];
+    }
+
+    // A buffer that held a longer encoding is replaced, not extended.
+    std::string fresh;
+    sim::encodeOps(ops.data(), ops.size(), fresh);
+    std::string reused(fresh.size() + 100, 'x');
+    sim::encodeOps(ops.data(), ops.size(), reused);
+    EXPECT_EQ(reused, fresh);
+    fresh.append(sim::kDecodeSlack, '\0');
+
+    for (const std::size_t batch : {std::size_t{1}, std::size_t{61},
+                                    sim::kSegmentOps}) {
+        SCOPED_TRACE(batch);
+        expectSameOps(decodeAll(fresh, ops.size(), batch), ops);
+    }
+}
+
+TEST(SegmentCodec, EncodingMatchesPinnedDigest)
+{
+    // The round trip above cannot see a change that moves the encoder
+    // and the decoder together; this pins the bytes the memo holds.
+    // FNV-1a over three full segments and a partial one of a synthetic
+    // stream, whose own op sequence
+    // SyntheticStream.OpSequenceMatchesPinnedDigest (test_trace) pins.
+    trace::SyntheticStream stream(trace::specProfile("h264ref"), {128, 64},
+                                  1, 42 + 1 * 7919);
+    std::vector<core::MemOp> ops(sim::kSegmentOps);
+    std::string bytes;
+    std::string encoding;
+    for (const std::size_t count : {sim::kSegmentOps, sim::kSegmentOps,
+                                    sim::kSegmentOps, std::size_t{917}}) {
+        for (std::size_t got = 0; got < count;) {
+            got += stream.nextBatch(ops.data() + got, count - got);
+        }
+        sim::encodeOps(ops.data(), count, encoding);
+        bytes += encoding;
+    }
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const char c : bytes) {
+        h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ull;
+    }
+    EXPECT_EQ(bytes.size(), 70382u);
+    EXPECT_EQ(h, 0x2537d61f9ef180f4ull) << "got 0x" << std::hex << h;
+}
+
+// ---------------------------------------------------------------------------
+// Differential bit-identity: memoized vs generated
 
 TEST(StreamMemo, MemoizedRunsAreBitIdenticalAcrossMatrix)
 {
-    CacheGuard guard;
+    StreamCache cache;
     const std::vector<std::string> groups = {"G2-1", "G4-1", "G8-mem1",
                                              "G32-mix1"};
     const std::vector<std::string> schemes = {"coop", "ucp"};
@@ -181,18 +365,11 @@ TEST(StreamMemo, MemoizedRunsAreBitIdenticalAcrossMatrix)
                 for (const std::string &sampling : samplings) {
                     const RunKey key =
                         groupKey(group, scheme, partitioner, sampling);
-
-                    StreamCache::instance().configure({false, 0});
                     const std::string plain = runFormatted(key);
-
-                    StreamCache::instance().configure({true, 0});
-                    const std::string memoized = runFormatted(key);
-                    // And again, replaying the now-warm streams.
-                    const std::string replayed = runFormatted(key);
-
-                    EXPECT_EQ(plain, memoized)
+                    EXPECT_EQ(plain, memoized(cache, key))
                         << group << " " << scheme << " (cold memo)";
-                    EXPECT_EQ(plain, replayed)
+                    // And again, replaying the now-warm streams.
+                    EXPECT_EQ(plain, memoized(cache, key))
                         << group << " " << scheme << " (warm memo)";
                 }
             }
@@ -205,22 +382,17 @@ TEST(StreamMemo, MemoizedRunsAreBitIdenticalAcrossMatrix)
 
 TEST(StreamMemo, GeneratesOncePerDistinctStreamAndSharesWithSolos)
 {
-    CacheGuard guard;
-    StreamCache &cache = StreamCache::instance();
+    StreamCache cache;
 
     // 4 runs of G2-1 (2 streams) + 4 runs of G4-1 (4 streams), all
     // sharing one seed/scale: 6 distinct streams, everything else a
     // replay.
-    std::vector<RunKey> keys;
     for (const char *group : {"G2-1", "G4-1"}) {
         for (const char *scheme : {"coop", "ucp"}) {
             for (const char *partitioner : {"lookahead", "greedy"}) {
-                keys.push_back(groupKey(group, scheme, partitioner));
+                memoized(cache, groupKey(group, scheme, partitioner));
             }
         }
-    }
-    for (const RunKey &key : keys) {
-        sim::executeRun(key);
     }
 
     StreamCache::Stats stats = cache.stats();
@@ -234,7 +406,8 @@ TEST(StreamMemo, GeneratesOncePerDistinctStreamAndSharesWithSolos)
     // stream: same app, slot 0, seed, scale and geometry mean the same
     // op sequence, so nothing new is generated.
     const std::string app = trace::groupByName("G2-1").apps[0];
-    sim::executeRun(api::soloRunKey(testSpec(), app, 2));
+    const RunKey solo = api::soloRunKey(testSpec(), app, 2);
+    EXPECT_EQ(runFormatted(solo), memoized(cache, solo));
     stats = cache.stats();
     EXPECT_EQ(stats.streams_generated, 6u);
     EXPECT_EQ(cache.residentStreams(), 6u);
@@ -242,8 +415,7 @@ TEST(StreamMemo, GeneratesOncePerDistinctStreamAndSharesWithSolos)
 
 TEST(StreamMemo, TopologyRowsWithOneGeometryShareStreams)
 {
-    CacheGuard guard;
-    StreamCache &cache = StreamCache::instance();
+    StreamCache cache;
 
     // scaling.spec's mixes are cyclic draws from one tier pool, so
     // G8-mem1's apps are G16-mem1's first 8 slots; at test scale both
@@ -258,21 +430,14 @@ TEST(StreamMemo, TopologyRowsWithOneGeometryShareStreams)
         groupKey("G16-mem1", "coop"),
     };
 
-    cache.configure({false, 0});
-    std::vector<std::string> plain;
-    for (const RunKey &key : keys) {
-        plain.push_back(runFormatted(key));
-    }
-
-    cache.configure({true, 0});
-    EXPECT_EQ(plain[0], runFormatted(keys[0]));
+    EXPECT_EQ(runFormatted(keys[0]), memoized(cache, keys[0]));
     EXPECT_EQ(cache.stats().streams_generated, 8u);
     // The solo runs on the 16-core row, which no run has used yet, and
     // still replays G8-mem1's slot-0 stream.
-    EXPECT_EQ(plain[1], runFormatted(keys[1]));
+    EXPECT_EQ(runFormatted(keys[1]), memoized(cache, keys[1]));
     EXPECT_EQ(cache.stats().streams_generated, 8u);
     // G16-mem1 replays all 8 and generates only its last 8 slots.
-    EXPECT_EQ(plain[2], runFormatted(keys[2]));
+    EXPECT_EQ(runFormatted(keys[2]), memoized(cache, keys[2]));
     StreamCache::Stats stats = cache.stats();
     EXPECT_EQ(stats.streams_generated, 16u);
     EXPECT_EQ(stats.streams_replayed, 9u);
@@ -280,20 +445,19 @@ TEST(StreamMemo, TopologyRowsWithOneGeometryShareStreams)
 
     // Geometry is part of a stream's identity: the same app, slot and
     // seed on two geometries are two entries.
-    cache.clear();
-    cache.resetStats();
+    StreamCache fresh;
     const DirectStream test_rows(42, {128, 64});
     const DirectStream bench_rows(42, {512, 64});
-    EXPECT_EQ(firstMismatch(pull(*test_rows.open(), 100, 100),
+    EXPECT_EQ(firstMismatch(pull(*test_rows.open(fresh), 100, 100),
                             test_rows.reference(100)),
               100u);
-    EXPECT_EQ(firstMismatch(pull(*bench_rows.open(), 100, 100),
+    EXPECT_EQ(firstMismatch(pull(*bench_rows.open(fresh), 100, 100),
                             bench_rows.reference(100)),
               100u);
-    stats = cache.stats();
+    stats = fresh.stats();
     EXPECT_EQ(stats.streams_generated, 2u);
     EXPECT_EQ(stats.streams_replayed, 0u);
-    EXPECT_EQ(cache.residentStreams(), 2u);
+    EXPECT_EQ(fresh.residentStreams(), 2u);
 }
 
 // ---------------------------------------------------------------------------
@@ -301,25 +465,13 @@ TEST(StreamMemo, TopologyRowsWithOneGeometryShareStreams)
 
 TEST(StreamMemo, TinyBudgetEvictsWithoutChangingResults)
 {
-    CacheGuard guard;
-    StreamCache &cache = StreamCache::instance();
-
-    const std::vector<RunKey> keys = {groupKey("G4-1", "coop"),
-                                      groupKey("G2-1", "ucp")};
-
-    cache.configure({false, 0});
-    std::vector<std::string> plain;
-    for (const RunKey &key : keys) {
-        plain.push_back(runFormatted(key));
-    }
-
-    // The six streams these runs pull span 22 frames of ~20 KiB, far
-    // over 64 KiB, so new frames keep evicting older streams; streams
-    // already handed to a running System keep replaying through their
-    // shared_ptr regardless.
-    cache.configure({true, 64 * 1024});
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-        EXPECT_EQ(plain[i], runFormatted(keys[i])) << keys[i].name;
+    // The six streams these runs pull span 22 segments of ~20 KiB, far
+    // over 64 KiB, so new segments keep evicting older streams;
+    // streams already handed to a running System keep replaying.
+    StreamCache cache(64 * 1024);
+    for (const RunKey &key :
+         {groupKey("G4-1", "coop"), groupKey("G2-1", "ucp")}) {
+        EXPECT_EQ(runFormatted(key), memoized(cache, key)) << key.name;
     }
 
     const StreamCache::Stats stats = cache.stats();
@@ -330,12 +482,57 @@ TEST(StreamMemo, TinyBudgetEvictsWithoutChangingResults)
     EXPECT_LT(cache.residentStreams(), 6u);
 }
 
+TEST(StreamMemo, AnEvictedStreamKeepsOnlyTheSegmentItsReaderDecodes)
+{
+    // A budget of one byte evicts every stream but the one being
+    // extended.
+    StreamCache cache(1);
+    const DirectStream evicted(21);
+    const DirectStream other(22);
+    constexpr std::size_t kSegments = 50;
+    const std::vector<core::MemOp> want =
+        evicted.reference((kSegments + 3) * sim::kSegmentOps);
+
+    const auto reader = evicted.open(cache);
+    std::vector<core::MemOp> seen =
+        pull(*reader, 3 * sim::kSegmentOps, sim::kSegmentOps);
+    // While resident, the stream holds its empty head and 3 segments.
+    EXPECT_EQ(cache.stats().segments_live, 4u);
+
+    // Extending another stream evicts it, and frees every segment
+    // behind its reader.
+    pull(*other.open(cache), 1, 1);
+    ASSERT_EQ(cache.stats().streams_evicted, 1u);
+    ASSERT_EQ(cache.residentStreams(), 1u);
+    // `other` stays resident: its empty head and 1 segment.
+    const std::uint64_t resident_live = 2;
+    EXPECT_EQ(cache.stats().segments_live, resident_live + 1);
+
+    // The reader goes on generating the evicted stream, one segment at
+    // a time, and keeps at most the one it decodes and the one it
+    // generates.
+    std::uint64_t most_live = 0;
+    for (std::size_t i = 0; i < kSegments; ++i) {
+        const std::vector<core::MemOp> part =
+            pull(*reader, sim::kSegmentOps, 1000);
+        seen.insert(seen.end(), part.begin(), part.end());
+        most_live = std::max(most_live, cache.stats().segments_live);
+    }
+    EXPECT_LE(most_live, resident_live + 2);
+    EXPECT_EQ(firstMismatch(seen, want), seen.size());
+    EXPECT_EQ(seen.size(), (kSegments + 3) * sim::kSegmentOps);
+    EXPECT_EQ(cache.stats().frames_generated, kSegments + 3 + 1);
+    EXPECT_EQ(cache.residentStreams(), 1u);
+}
+
 // ---------------------------------------------------------------------------
-// Serial vs parallel determinism through the shared memo
+// Serial vs parallel determinism through the process-wide memo
 
 TEST(StreamMemo, SerialAndParallelExecutionMatch)
 {
-    CacheGuard guard;
+    StreamCache &cache = StreamCache::instance();
+    cache.clear();
+    cache.resetStats();
 
     std::vector<RunKey> keys;
     for (const char *scheme : {"coop", "ucp", "unmanaged"}) {
@@ -344,69 +541,80 @@ TEST(StreamMemo, SerialAndParallelExecutionMatch)
         }
     }
 
+    // executeRun() replays the process-wide memo; the reference
+    // System generates its own streams.
     std::vector<std::string> serial;
     for (const RunKey &key : keys) {
-        serial.push_back(runFormatted(key));
+        serial.push_back(store::formatResult(sim::executeRun(key)));
+        EXPECT_EQ(serial.back(), runFormatted(key)) << key.scheme;
     }
+    EXPECT_GT(cache.stats().streams_replayed, 0u);
 
     // Fresh memo for the parallel pass: the 4 workers race to create
-    // the shared entries (future-dedup), then replay concurrently.
-    StreamCache::instance().clear();
+    // the shared entries, then replay concurrently.
+    cache.clear();
     sim::RunExecutor executor(4);
     executor.prefetch(keys);
     for (std::size_t i = 0; i < keys.size(); ++i) {
         EXPECT_EQ(serial[i], store::formatResult(executor.run(keys[i])))
             << keys[i].scheme;
     }
+    cache.clear();
 }
 
 // ---------------------------------------------------------------------------
-// Frame-granular generation
+// Segment-granular generation
 
-TEST(StreamMemo, GeneratesOnlyTheFramesItsReadersPull)
+TEST(StreamMemo, GeneratesOnlyTheSegmentsItsReadersPull)
 {
-    CacheGuard guard;
-    StreamCache &cache = StreamCache::instance();
-    constexpr std::size_t kFrame = tracefile::kFrameOps;
+    constexpr std::size_t kSegment = sim::kSegmentOps;
 
     std::uint64_t seed = 100;
-    for (const std::size_t n : {std::size_t{0}, std::size_t{1}, kFrame - 1,
-                                kFrame, kFrame + 1, 5 * kFrame + 17}) {
-        cache.clear();
-        cache.resetStats();
+    for (const std::size_t n :
+         {std::size_t{0}, std::size_t{1}, kSegment - 1, kSegment,
+          kSegment + 1, 5 * kSegment + 17}) {
+        StreamCache cache;
         const DirectStream direct(++seed);
         const std::vector<core::MemOp> want = direct.reference(n);
 
-        // Batches of 61 ops straddle every frame boundary.
-        const auto stream = direct.open();
+        // Batches of 61 ops straddle every segment boundary.
+        const auto stream = direct.open(cache);
         EXPECT_EQ(firstMismatch(pull(*stream, n, 61), want), n) << n;
-        const std::uint64_t frames = (n + kFrame - 1) / kFrame;
-        EXPECT_EQ(cache.stats().frames_generated, frames) << n;
+        const std::uint64_t segments = (n + kSegment - 1) / kSegment;
+        EXPECT_EQ(cache.stats().frames_generated, segments) << n;
 
         // A second reader of the same ops replays them all.
-        const auto again = direct.open();
+        const auto again = direct.open(cache);
         EXPECT_EQ(firstMismatch(pull(*again, n, 4096), want), n) << n;
-        EXPECT_EQ(cache.stats().frames_generated, frames) << n;
+        EXPECT_EQ(cache.stats().frames_generated, segments) << n;
         EXPECT_EQ(cache.stats().streams_generated, 1u);
+
+        // A fork starts on its parent's next op.
+        const auto fork = again->fork();
+        const std::vector<core::MemOp> tail = direct.reference(n + 100);
+        const std::vector<core::MemOp> forked = pull(*fork, 100, 7);
+        EXPECT_EQ(firstMismatch(forked, std::vector<core::MemOp>(
+                                            tail.begin() + n, tail.end())),
+                  100u)
+            << n;
     }
 }
 
 TEST(StreamMemo, ReadersRacingAnExtenderSeeOneSequence)
 {
-    CacheGuard guard;
-    StreamCache &cache = StreamCache::instance();
+    StreamCache cache;
     const DirectStream direct(7);
-    const std::size_t n = 12 * tracefile::kFrameOps + 100;
+    const std::size_t n = 12 * sim::kSegmentOps + 100;
     const std::vector<core::MemOp> want = direct.reference(n);
 
-    // Five threads pull one stream at once: one a whole frame at a
-    // time, four in batches that cross frame boundaries at different
+    // Five threads pull one stream at once: one a whole segment at a
+    // time, four in batches that cross segment boundaries at different
     // offsets. Whichever is ahead extends the entry while the others
-    // replay what it published.
+    // replay what it linked.
     const std::vector<std::size_t> batches = {4096, 1, 7, 64, 1000};
     std::vector<std::unique_ptr<core::OpStream>> streams;
     for (std::size_t i = 0; i < batches.size(); ++i) {
-        streams.push_back(direct.open());
+        streams.push_back(direct.open(cache));
     }
     std::vector<std::vector<core::MemOp>> seen(batches.size());
     std::atomic<bool> go{false};
@@ -429,5 +637,52 @@ TEST(StreamMemo, ReadersRacingAnExtenderSeeOneSequence)
             << "reader pulling " << batches[i] << " ops at a time";
     }
     EXPECT_EQ(cache.stats().frames_generated,
-              (n + tracefile::kFrameOps - 1) / tracefile::kFrameOps);
+              (n + sim::kSegmentOps - 1) / sim::kSegmentOps);
+}
+
+// ---------------------------------------------------------------------------
+// Mismatched opens
+
+TEST(StreamMemo, OpenRejectsASeedItsKeyDoesNotDerive)
+{
+    StreamCache cache;
+    DirectStream direct(42);
+    direct.key.slot = 3; // derives 42 + 3 * 7919, not 42
+    ThrowOnFatal guard;
+    try {
+        direct.open(cache);
+        FAIL() << "a stream seed the key does not derive was accepted";
+    } catch (const FatalError &error) {
+        const std::string message = error.what();
+        EXPECT_NE(message.find("memoized stream '" + direct.profile.name +
+                               "' slot 3"),
+                  std::string::npos)
+            << message;
+        EXPECT_NE(message.find("seed mismatch"), std::string::npos)
+            << message;
+    }
+    EXPECT_EQ(cache.residentStreams(), 0u);
+}
+
+TEST(StreamMemo, OpenRejectsASecondProfileUnderOneKey)
+{
+    StreamCache cache;
+    const DirectStream direct(42);
+    direct.open(cache);
+    trace::AppProfile other = trace::specProfile("h264ref");
+    ASSERT_NE(other.name, direct.profile.name);
+    ThrowOnFatal guard;
+    try {
+        cache.open(direct.key, other, direct.stream_seed);
+        FAIL() << "a second profile under one key was accepted";
+    } catch (const FatalError &error) {
+        const std::string message = error.what();
+        EXPECT_NE(message.find("memoized stream '" + direct.profile.name +
+                               "' slot 0"),
+                  std::string::npos)
+            << message;
+        EXPECT_NE(message.find("app mismatch"), std::string::npos)
+            << message;
+        EXPECT_NE(message.find("h264ref"), std::string::npos) << message;
+    }
 }

@@ -13,8 +13,8 @@
  *  - Twins: every run whose epoch decision reads no demands prints
  *    its twin's result (equalshare, default threshold settings).
  *  - The executor: fig11, setop scaling.spec and banked.spec at test
- *    scale through RunExecutor, at 1, 2 and 4 threads and once with
- *    the stream memo off, print the store lines executeRun() prints;
+ *    scale through RunExecutor, at 1, 2 and 4 threads, print the store
+ *    lines executeRun() prints;
  *    every sibling set warmed up once and its other runs forked, the
  *    64-core rows' twins shared one simulation per mix, and no
  *    checkpoint outlives the batch. A demand-free run that starts
@@ -34,7 +34,6 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
-#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -45,7 +44,6 @@
 #include "llc/banked.hpp"
 #include "llc/schemes.hpp"
 #include "sampling/set_sampled.hpp"
-#include "sim/stream_cache.hpp"
 #include "store/result_store.hpp"
 
 using namespace coopsim;
@@ -456,17 +454,14 @@ testSpec(const std::string &name)
     return spec;
 }
 
-/** fig11, setop scaling.spec and, @p banked, banked.spec at test
- *  scale. */
+/** fig11, setop scaling.spec and banked.spec at test scale. */
 std::vector<RunKey>
-siblingSweeps(bool banked)
+siblingSweeps()
 {
     api::ExperimentSpec scaling = testSpec("scaling");
     scaling.sampling = {"setop"};
-    std::vector<api::ExperimentSpec> specs = {testSpec("fig11"), scaling};
-    if (banked) {
-        specs.push_back(testSpec("banked"));
-    }
+    const std::vector<api::ExperimentSpec> specs = {
+        testSpec("fig11"), scaling, testSpec("banked")};
     std::vector<RunKey> keys;
     for (const api::ExperimentSpec &spec : specs) {
         const std::vector<RunKey> expanded = api::expandSpec(spec);
@@ -488,7 +483,7 @@ plainLine(const RunKey &key)
     static const std::unordered_map<RunKey, std::string, RunKeyHash>
         lines = [] {
             std::unordered_map<RunKey, std::string, RunKeyHash> out;
-            for (const RunKey &k : siblingSweeps(true)) {
+            for (const RunKey &k : siblingSweeps()) {
                 out.emplace(k, lineOf(k, executeRun(k)));
             }
             return out;
@@ -496,33 +491,14 @@ plainLine(const RunKey &key)
     return lines.at(key);
 }
 
-/** Restores the stream memo's configuration and counters. */
-struct MemoGuard
-{
-    StreamCache::Config saved = StreamCache::instance().config();
-    ~MemoGuard()
-    {
-        StreamCache::instance().configure(saved);
-        StreamCache::instance().clear();
-        StreamCache::instance().resetStats();
-    }
-};
-
-class WarmShareSweep
-    : public ::testing::TestWithParam<std::tuple<unsigned, bool>>
+class WarmShareSweep : public ::testing::TestWithParam<unsigned>
 {
 };
 
 TEST_P(WarmShareSweep, ForkedRunsPrintThePlainPathsStoreLines)
 {
-    const auto [threads, memo] = GetParam();
-    // Without the memo every fork copies SyntheticStream generators;
-    // banked.spec's 32-core runs add nothing to that but time.
-    const std::vector<RunKey> keys = siblingSweeps(memo);
-
-    MemoGuard guard;
-    StreamCache::instance().configure({memo, 0});
-    RunExecutor executor(threads);
+    const std::vector<RunKey> keys = siblingSweeps();
+    RunExecutor executor(GetParam());
     executor.prefetch(keys);
     for (const RunKey &key : keys) {
         ASSERT_EQ(lineOf(key, executor.run(key)), plainLine(key));
@@ -530,7 +506,7 @@ TEST_P(WarmShareSweep, ForkedRunsPrintThePlainPathsStoreLines)
     // Every sibling set warms up once and its other runs fork: fig11's
     // 14 sets of five thresholds fork 56 runs, setop scaling.spec's 18
     // sets below 64 cores 36 and banked.spec's 12 sets one each.
-    EXPECT_EQ(executor.stats().forked, memo ? 104u : 92u);
+    EXPECT_EQ(executor.stats().forked, 104u);
     // Each 64-core mix's three partitioner runs are one simulation.
     EXPECT_EQ(executor.stats().reused, 12u);
     EXPECT_EQ(executor.stats().failed_runs, 0u);
@@ -538,13 +514,9 @@ TEST_P(WarmShareSweep, ForkedRunsPrintThePlainPathsStoreLines)
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    ThreadsAndMemo, WarmShareSweep,
-    ::testing::Values(std::make_tuple(1u, true), std::make_tuple(2u, true),
-                      std::make_tuple(4u, true),
-                      std::make_tuple(4u, false)),
-    [](const ::testing::TestParamInfo<std::tuple<unsigned, bool>> &info) {
-        return std::to_string(std::get<0>(info.param)) + "threads_memo_" +
-               (std::get<1>(info.param) ? "on" : "off");
+    Threads, WarmShareSweep, ::testing::Values(1u, 2u, 4u),
+    [](const ::testing::TestParamInfo<unsigned> &info) {
+        return std::to_string(info.param) + "threads";
     });
 
 TEST(WarmShare, SoloRunsAndLoneGroupRunsDoNotFork)
