@@ -28,22 +28,6 @@ mixHash(std::uint64_t h, std::uint64_t v)
     return h;
 }
 
-/**
- * Hands the memory an eviction freed back to the system. glibc keeps a
- * freed chunk in the arena of the thread that allocated it, where only
- * that thread reuses it, so each pool worker's arena grew toward the
- * whole budget: on a 4-vCPU Xeon, fig05 --full --threads=4 peaked at
- * 824-1076 MB of RSS while at most 256 MB of segments were resident
- * (437 MB with a single arena, 437-467 MB with this call).
- */
-void
-returnFreedMemory()
-{
-#if defined(__GLIBC__)
-    malloc_trim(0);
-#endif
-}
-
 /** Low `8*len` bits set, for masking an unconditional 8-byte load. */
 constexpr std::uint64_t kLenMask[9] = {
     0x0000000000000000ull, 0x00000000000000ffull, 0x000000000000ffffull,
@@ -155,10 +139,9 @@ struct StreamSegment
 namespace
 {
 
-/** Set while this thread's outermost ~StreamSegment frees a chain. */
-thread_local bool t_freeing_chain = false;
-/** Where a nested ~StreamSegment leaves its successor for that loop. */
-thread_local std::shared_ptr<StreamSegment> t_successor;
+/** While this thread's outermost ~StreamSegment frees a chain, where a
+ *  nested one leaves its successor instead of releasing it. */
+thread_local std::shared_ptr<StreamSegment> *t_sink = nullptr;
 
 } // namespace
 
@@ -166,21 +149,54 @@ StreamSegment::~StreamSegment()
 {
     // A dropped chain is released in a loop, not by one nested
     // destructor call per segment: an evicted paper-scale stream runs
-    // to ~10^5 segments. A segment destroyed inside the loop hands its
-    // successor back to it instead of releasing it.
+    // to ~10^5 segments.
     live.fetch_sub(1, std::memory_order_relaxed);
-    if (t_freeing_chain) {
-        t_successor = std::move(next);
+    if (t_sink != nullptr) {
+        *t_sink = std::move(next);
         return;
     }
-    t_freeing_chain = true;
     std::shared_ptr<StreamSegment> rest = std::move(next);
+    t_sink = &rest;
     while (rest != nullptr) {
-        rest.reset(); // frees it only if nothing else holds it
-        rest = std::move(t_successor);
+        std::shared_ptr<StreamSegment> segment = std::move(rest);
+        // Frees it only if nothing else holds it; its destructor then
+        // leaves its successor in `rest`.
+        segment.reset();
     }
-    t_freeing_chain = false;
+    t_sink = nullptr;
 }
+
+namespace
+{
+
+/**
+ * Drops the heads of evicted chains, outside the cache's locks, and
+ * hands the memory that freed back to the system. glibc keeps a freed
+ * chunk in the arena of the thread that allocated it, where only that
+ * thread reuses it, so each pool worker's arena grew toward the whole
+ * budget: on a 4-vCPU Xeon, fig05 --full --threads=4 peaked at
+ * 824-1076 MB of RSS while at most 256 MB of segments were resident
+ * (437 MB with a single arena, 437-467 MB with malloc_trim).
+ */
+void
+releaseEvicted(std::vector<std::shared_ptr<StreamSegment>> &heads)
+{
+    // A chain frees its first segment, and every one up to its slowest
+    // reader, only if its head alone holds it. A head nothing else
+    // holds cannot be reached, so its `next` is safe to read here.
+    bool freed = false;
+    for (std::shared_ptr<StreamSegment> &head : heads) {
+        freed = freed ||
+                (head.use_count() == 1 && head->next.use_count() == 1);
+        head.reset();
+    }
+#if defined(__GLIBC__)
+    if (freed)
+        malloc_trim(0); // walks every arena: only when a chain freed
+#endif
+}
+
+} // namespace
 
 struct StreamEntry
 {
@@ -239,15 +255,12 @@ StreamEntry::after(StreamSegment &segment, StreamCache &cache)
     next->ops = kSegmentOps;
     segment.next = next;
 
-    const bool evicted = cache.noteExtend(*this, next->data.size());
+    std::vector<std::shared_ptr<StreamSegment>> evicted;
+    cache.noteExtend(*this, next->data.size(), evicted);
     lock.unlock();
-    if (evicted)
-        returnFreedMemory(); // outside both locks: it walks every arena
+    releaseEvicted(evicted);
     return next;
 }
-
-namespace
-{
 
 /**
  * The replay half of the memo: decodes the one segment it holds and
@@ -267,12 +280,15 @@ class MemoReplayStream final : public core::OpStream
     std::size_t
     nextBatch(core::MemOp *out, std::size_t max) override
     {
+        if (segment_ == nullptr)
+            segment_ = cache_.seek(entry_, index_);
         std::size_t produced = 0;
         while (produced < max) {
             if (left_ == 0) {
                 // The segment just decoded is released here, outside
                 // the entry lock.
                 segment_ = entry_->after(*segment_, cache_);
+                ++index_;
                 pos_ = 0;
                 left_ = segment_->ops;
                 prev_addr_ = 0;
@@ -286,26 +302,30 @@ class MemoReplayStream final : public core::OpStream
         return produced;
     }
 
-    /** Shares the entry and the segment and starts on the same op: the
-     *  segment's ops never change, and the rest is cursor state. */
+    /** Starts on the same op but holds only its position: a warm-up
+     *  checkpoint never advances, and a segment it held would keep
+     *  every segment its source reads after it alive. The copy finds
+     *  its segment again on its first pull (StreamCache::seek). */
     std::unique_ptr<core::OpStream>
     fork() const override
     {
-        return std::make_unique<MemoReplayStream>(*this);
+        auto copy = std::make_unique<MemoReplayStream>(*this);
+        copy->segment_ = nullptr;
+        return copy;
     }
 
   private:
     std::shared_ptr<StreamEntry> entry_;
-    /** The segment being decoded. */
+    /** The segment being decoded; null in a fork that has not pulled. */
     std::shared_ptr<StreamSegment> segment_;
     StreamCache &cache_;
-    /** Byte offset of the next op in segment_, and ops left there. */
+    /** segment_'s place in the chain (the head is 0), its byte offset
+     *  of the next op, and the ops left there. */
+    std::size_t index_ = 0;
     std::size_t pos_ = 0;
     std::size_t left_ = 0;
     std::uint64_t prev_addr_ = 0;
 };
-
-} // namespace
 
 } // namespace detail
 
@@ -368,8 +388,10 @@ StreamCache::factory(std::uint64_t run_seed, RunScale scale,
     };
 }
 
-bool
-StreamCache::noteExtend(const detail::StreamEntry &entry, std::size_t delta)
+void
+StreamCache::noteExtend(
+    const detail::StreamEntry &entry, std::size_t delta,
+    std::vector<std::shared_ptr<detail::StreamSegment>> &evicted)
 {
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.frames_generated;
@@ -377,18 +399,19 @@ StreamCache::noteExtend(const detail::StreamEntry &entry, std::size_t delta)
     if (it == entries_.end() || it->second.entry.get() != &entry) {
         // Evicted (or cleared) while a surviving reader extended it:
         // the entry is no longer budget-accounted, nothing to charge.
-        return false;
+        return;
     }
     it->second.touch = ++touch_clock_;
     it->second.entry->accounted_bytes += delta;
     resident_bytes_ += delta;
-    return evictOverBudget(&entry);
+    evictOverBudget(&entry, evicted);
 }
 
-bool
-StreamCache::evictOverBudget(const detail::StreamEntry *keep)
+void
+StreamCache::evictOverBudget(
+    const detail::StreamEntry *keep,
+    std::vector<std::shared_ptr<detail::StreamSegment>> &evicted)
 {
-    const std::uint64_t evicted_before = stats_.streams_evicted;
     while (resident_bytes_ > budget_bytes_) {
         auto victim = entries_.end();
         for (auto it = entries_.begin(); it != entries_.end(); ++it) {
@@ -401,10 +424,10 @@ StreamCache::evictOverBudget(const detail::StreamEntry *keep)
         if (victim == entries_.end())
             break; // nothing evictable (e.g. only `keep` is resident)
         resident_bytes_ -= victim->second.entry->accounted_bytes;
+        evicted.push_back(std::move(victim->second.head));
         entries_.erase(victim);
         ++stats_.streams_evicted;
     }
-    return stats_.streams_evicted != evicted_before;
 }
 
 std::unique_ptr<core::OpStream>
@@ -426,20 +449,7 @@ StreamCache::open(const Key &key, const trace::AppProfile &profile,
     std::shared_ptr<detail::StreamSegment> head;
     {
         std::lock_guard<std::mutex> lock(mu_);
-        auto [it, created] = entries_.try_emplace(key);
-        Slot &slot = it->second;
-        if (created) {
-            slot.entry = std::make_shared<detail::StreamEntry>();
-            slot.entry->key = key;
-            slot.entry->profile = profile;
-            slot.entry->stream_seed = stream_seed;
-            slot.head =
-                std::make_shared<detail::StreamSegment>(segments_live_);
-            ++stats_.streams_generated;
-        } else {
-            ++stats_.streams_replayed;
-        }
-        slot.touch = ++touch_clock_;
+        Slot &slot = residentSlot(key, profile, stream_seed, true);
         entry = slot.entry;
         head = slot.head;
     }
@@ -451,6 +461,45 @@ StreamCache::open(const Key &key, const trace::AppProfile &profile,
 
     return std::make_unique<detail::MemoReplayStream>(
         std::move(entry), std::move(head), *this);
+}
+
+StreamCache::Slot &
+StreamCache::residentSlot(const Key &key, const trace::AppProfile &profile,
+                          std::uint64_t stream_seed, bool count_replay)
+{
+    auto [it, created] = entries_.try_emplace(key);
+    Slot &slot = it->second;
+    if (created) {
+        slot.entry = std::make_shared<detail::StreamEntry>();
+        slot.entry->key = key;
+        slot.entry->profile = profile;
+        slot.entry->stream_seed = stream_seed;
+        slot.head = std::make_shared<detail::StreamSegment>(segments_live_);
+        ++stats_.streams_generated;
+    } else if (count_replay) {
+        ++stats_.streams_replayed;
+    }
+    slot.touch = ++touch_clock_;
+    return slot;
+}
+
+std::shared_ptr<detail::StreamSegment>
+StreamCache::seek(std::shared_ptr<detail::StreamEntry> &entry,
+                  std::size_t index)
+{
+    // The resident chain's head, or a new entry if the LRU evicted the
+    // stream: a fork's position means the same ops in either.
+    std::shared_ptr<detail::StreamSegment> segment;
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        const Slot &slot = residentSlot(entry->key, entry->profile,
+                                        entry->stream_seed, false);
+        entry = slot.entry;
+        segment = slot.head;
+    }
+    for (std::size_t i = 0; i < index; ++i)
+        segment = entry->after(*segment, *this);
+    return segment;
 }
 
 StreamCache::Stats

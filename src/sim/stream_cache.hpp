@@ -27,10 +27,13 @@
  * empty head segment. The cache's map holds the head only while the
  * stream is resident; a reader holds only the segment it is decoding
  * and follows `next` under the entry lock, generating the next segment
- * when it is the first to reach the end of the chain. So a stream is
- * generated only as far as some run has read it, and once the LRU
- * evicts it, every segment behind its slowest reader is freed: the
- * byte budget bounds the memo's memory, running Systems included.
+ * when it is the first to reach the end of the chain, and a fork of a
+ * reader (a warm-up checkpoint's stream) holds only its position. So a
+ * stream is generated only as far as some run has read it, and once
+ * the LRU evicts it, every segment behind its slowest reader is freed.
+ * The byte budget bounds the resident segments; an evicted stream's
+ * segments between its slowest and its fastest reader stay alive,
+ * uncounted, until the slowest has passed them.
  *
  * The memo is host machinery, not simulation identity: it is wired
  * through the SystemConfig::stream_factory hook, RunKey never sees
@@ -65,6 +68,7 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "sim/system.hpp"
 
@@ -128,6 +132,7 @@ namespace detail
 {
 struct StreamEntry;
 struct StreamSegment;
+class MemoReplayStream;
 }
 
 class StreamCache
@@ -240,16 +245,35 @@ class StreamCache
         std::uint64_t touch = 0;
     };
 
+    /** The slot of @p key, made for (@p profile, @p stream_seed) and
+     *  counted as generated if absent, else counted as replayed if
+     *  @p count_replay; touched either way. Caller holds mu_. */
+    Slot &residentSlot(const Key &key, const trace::AppProfile &profile,
+                       std::uint64_t stream_seed, bool count_replay);
+
+    /** The segment @p index links past the head of @p entry's stream,
+     *  for a fork that holds only its position: walked from the
+     *  resident chain, which @p entry becomes, or from a new one if the
+     *  LRU evicted the stream. */
+    std::shared_ptr<detail::StreamSegment>
+    seek(std::shared_ptr<detail::StreamEntry> &entry, std::size_t index);
+
     /** Accounting hook for a newly generated segment: counts it and,
      *  if @p entry is still resident, charges @p delta and evicts over
-     *  budget. Returns whether it evicted. */
-    bool noteExtend(const detail::StreamEntry &entry, std::size_t delta);
+     *  budget, moving each victim's head into @p evicted for the
+     *  caller to drop outside the locks. */
+    void noteExtend(const detail::StreamEntry &entry, std::size_t delta,
+                    std::vector<std::shared_ptr<detail::StreamSegment>>
+                        &evicted);
 
-    /** Evicts LRU entries (never @p keep) until under budget; returns
-     *  whether it evicted any. Caller holds mu_. */
-    bool evictOverBudget(const detail::StreamEntry *keep);
+    /** Evicts LRU entries (never @p keep) until under budget, moving
+     *  their heads into @p evicted. Caller holds mu_. */
+    void evictOverBudget(const detail::StreamEntry *keep,
+                         std::vector<std::shared_ptr<detail::StreamSegment>>
+                             &evicted);
 
     friend struct detail::StreamEntry;
+    friend class detail::MemoReplayStream;
 
     const std::size_t budget_bytes_;
     /** Stats::segments_live, kept by the segments themselves (declared

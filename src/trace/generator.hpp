@@ -123,9 +123,6 @@ class SyntheticStream final : public core::OpStream
      */
     std::size_t nextBatch(core::MemOp *out, std::size_t max) override;
 
-    /** A copy at this stream's position. */
-    std::unique_ptr<core::OpStream> fork() const override;
-
     /** Instructions generated so far (gap + memory ops). */
     InstCount generatedInsts() const { return generated_insts_; }
 
@@ -185,7 +182,7 @@ class SyntheticStream final : public core::OpStream
      * phase_insts` division is paid only when the instruction count
      * crosses phase_switch_insts_ (the precomputed end of the current
      * phase), not on every generated op. An index, not a pointer, so
-     * a copy (fork()) draws from its own phases.
+     * a copy draws from its own phases.
      */
     std::uint32_t active_phase_ = 0;
     InstCount phase_switch_insts_ = 0;

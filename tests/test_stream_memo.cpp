@@ -13,7 +13,9 @@
  *    streams across topology rows with the same geometry;
  *  - a tiny budget forces whole-stream LRU eviction without changing
  *    any result, and once a stream is evicted its reader keeps alive
- *    only the segment it decodes;
+ *    only the segment it decodes, and a fork of the reader (a warm-up
+ *    checkpoint's stream) none until it pulls, when it finds its op
+ *    again in the reopened stream;
  *  - serial executeRun() and a multi-threaded RunExecutor produce
  *    bit-identical results through the process-wide memo;
  *  - a stream is generated one segment at a time, only as far as its
@@ -352,6 +354,48 @@ TEST(StreamMemo, AnEvictedStreamKeepsOnlyTheSegmentItsReaderDecodes)
     EXPECT_EQ(cache.residentStreams(), 1u);
 }
 
+TEST(StreamMemo, AForkKeepsNoSegmentAliveUntilItPulls)
+{
+    // A budget of one byte evicts every stream but the one being
+    // extended.
+    StreamCache cache(1);
+    const DirectStream evicted(23);
+    const DirectStream other(24);
+    constexpr std::size_t kSegments = 50;
+    const std::size_t at = 3 * sim::kSegmentOps + 17;
+    const std::vector<core::MemOp> want =
+        evicted.reference(at + kSegments * sim::kSegmentOps);
+
+    // A warm-up checkpoint forks its source partway through segment 4.
+    const auto reader = evicted.open(cache);
+    pull(*reader, at, 1000);
+    const auto checkpoint = reader->fork();
+
+    pull(*other.open(cache), 1, 1);
+    ASSERT_EQ(cache.stats().streams_evicted, 1u);
+    // `other` stays resident: its empty head and 1 segment.
+    const std::uint64_t resident_live = 2;
+
+    // The source reads 50 more segments of the evicted stream; the
+    // checkpoint keeps none of them alive.
+    std::uint64_t most_live = 0;
+    for (std::size_t i = 0; i < kSegments; ++i) {
+        pull(*reader, sim::kSegmentOps, 1000);
+        most_live = std::max(most_live, cache.stats().segments_live);
+    }
+    EXPECT_LE(most_live, resident_live + 2);
+
+    // A sibling forked from the checkpoint opens the stream again and
+    // reads on from the checkpoint's op.
+    const auto sibling = checkpoint->fork();
+    const std::size_t n = want.size() - at;
+    EXPECT_EQ(firstMismatch(pull(*sibling, n, 61),
+                            std::vector<core::MemOp>(want.begin() + at,
+                                                     want.end())),
+              n);
+    EXPECT_EQ(cache.stats().streams_generated, 3u);
+}
+
 // ---------------------------------------------------------------------------
 // Serial vs parallel determinism through the process-wide memo
 
@@ -416,7 +460,8 @@ TEST(StreamMemo, GeneratesOnlyTheSegmentsItsReadersPull)
         EXPECT_EQ(cache.stats().frames_generated, segments) << n;
         EXPECT_EQ(cache.stats().streams_generated, 1u);
 
-        // A fork starts on its parent's next op.
+        // A fork starts on its parent's next op, walking the resident
+        // chain to it.
         const auto fork = again->fork();
         const std::vector<core::MemOp> tail = direct.reference(n + 100);
         const std::vector<core::MemOp> forked = pull(*fork, 100, 7);
@@ -424,6 +469,10 @@ TEST(StreamMemo, GeneratesOnlyTheSegmentsItsReadersPull)
                                             tail.begin() + n, tail.end())),
                   100u)
             << n;
+        EXPECT_EQ(cache.stats().frames_generated,
+                  (n + 100 + kSegment - 1) / kSegment)
+            << n;
+        EXPECT_EQ(cache.stats().streams_generated, 1u);
     }
 }
 
