@@ -18,7 +18,9 @@
  *    folds every `*.coopstore` file in DIR, so store files copied
  *    from other hosts count too.
  *  - otherwise, one (scheme x group) cell with configurable
- *    threshold/seed/scale, printed as a full stat dump.
+ *    threshold/seed/scale: its weighted speedup, then the run's store
+ *    line (`formatRunKey` TAB `formatResult`, as DIR/results.coopstore
+ *    holds it under `--store=DIR`, less the `\t#crc32=` trailer).
  *
  * Schemes/groups/scales are registry names: `unmanaged fairshare ucp
  * cpe coop`, `G2-1`..`G4-14`, `test bench paper`.
@@ -27,8 +29,6 @@
 #include <cstdio>
 
 #include <coopsim/experiment.hpp>
-
-#include "sim/report.hpp"
 
 using namespace coopsim;
 
@@ -111,11 +111,10 @@ main(int argc, char **argv)
     if (cli.sampling_set) {
         spec.sampling = {cli.sampling_name};
     }
-    const api::ExperimentResults results = api::runExperiment(spec);
+    const api::ExperimentResults results(spec);
 
     api::Cell cell;
     cell.group = cli.group;
-    const sim::RunResult &result = results.result(cell);
     const double ws = results.weightedSpeedup(cell);
 
     std::printf("# %s on %s (T=%.2f, seed=%llu)\n",
@@ -127,6 +126,8 @@ main(int argc, char **argv)
         std::printf("weighted_speedup_ci %f\n",
                     results.weightedSpeedupCi(cell));
     }
-    std::printf("%s", sim::formatRunResult(result, "run").c_str());
+    std::printf("%s\n", store::formatStoreLine(results.keyFor(cell),
+                                               results.result(cell))
+                           .c_str());
     return 0;
 }

@@ -128,7 +128,7 @@ main(int argc, char **argv)
     spec.schemes = {"fairshare", "priority"};
     spec.groups = {group_name};
     spec.scale = cli.scale_name;
-    const api::ExperimentResults results = api::runExperiment(spec);
+    const api::ExperimentResults results(spec);
 
     const trace::WorkloadGroup &group = results.groups().front();
     std::printf("custom QoS policy on %s (%s prioritised)\n\n",

@@ -35,14 +35,14 @@ main(int argc, char **argv)
     sweep_spec.thresholds = {0.0,  0.01, 0.02, 0.05,
                              0.08, 0.1,  0.15, 0.2};
     sweep_spec.scale = cli.scale_name;
-    const api::ExperimentResults sweep = api::runExperiment(sweep_spec);
+    const api::ExperimentResults sweep(sweep_spec);
 
     // Fair Share reference for the normalisation, prefetched in
     // parallel with the sweep above.
     api::ExperimentSpec ref_spec = sweep_spec;
     ref_spec.schemes = {"fairshare"};
     ref_spec.thresholds = {0.0};
-    const api::ExperimentResults ref = api::runExperiment(ref_spec);
+    const api::ExperimentResults ref(ref_spec);
 
     const trace::WorkloadGroup &group = sweep.groups().front();
     api::Cell fair_cell;

@@ -31,7 +31,7 @@ main(int argc, char **argv)
     spec.groups = {cli.positional.empty() ? "G2-3"
                                           : cli.positional.front()};
     spec.scale = cli.scale_name;
-    const api::ExperimentResults results = api::runExperiment(spec);
+    const api::ExperimentResults results(spec);
 
     const trace::WorkloadGroup &group = results.groups().front();
     std::printf("workload %s:", group.name.c_str());

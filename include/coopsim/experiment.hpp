@@ -15,11 +15,14 @@
  *  - registry.hpp    string-keyed registries: schemes, replacement
  *                    policies, gating/threshold modes, scales,
  *                    workload groups; registerScheme() for extensions
- *  - spec.hpp        ExperimentSpec, Cell, expandSpec(),
+ *  - spec.hpp        ExperimentSpec, Cell, expandSpec() (which also
+ *                    validates every name in a spec),
  *                    groupRunKey()/soloRunKey() (the one cell -> RunKey
  *                    rule), the canonical parse/format round-trip for
  *                    specs and RunKeys
- *  - experiment.hpp  ExperimentResults, named metrics, table printers
+ *  - experiment.hpp  ExperimentResults (constructing one expands a spec
+ *                    and prefetches its runs), named metrics, table
+ *                    printers
  *  - cli.hpp         the shared command-line parser (CliOptions),
  *                    attachCliStore() for --store=DIR sessions
  *  - result_store.hpp (coopsim::store) the disk-backed,

@@ -111,14 +111,9 @@ parseCli(int argc, char **argv, unsigned allowed, const char *usage)
 unsigned
 applyCliThreads(const CliOptions &options)
 {
-    if (options.threads > 0) {
-        // Before the first instance() this sizes the pool directly —
-        // no default-sized pool is spawned only to be torn down.
-        sim::RunExecutor::requestInitialThreads(options.threads);
-    }
     sim::RunExecutor &executor = sim::RunExecutor::instance();
     if (options.threads > 0) {
-        executor.setThreads(options.threads); // no-op if already sized
+        executor.setThreads(options.threads);
     }
     return executor.threads();
 }

@@ -124,13 +124,6 @@ ExperimentResults::weightedSpeedupCi(const Cell &cell) const
 }
 
 double
-ExperimentResults::metric(const std::string &name,
-                          const Cell &cell) const
-{
-    return metricRegistry().get(name)(*this, cell);
-}
-
-double
 ExperimentResults::metricCi(const std::string &name,
                             const Cell &cell) const
 {
@@ -141,12 +134,6 @@ ExperimentResults::metricCi(const std::string &name,
         return weightedSpeedupCi(cell);
     }
     return 0.0;
-}
-
-ExperimentResults
-runExperiment(const ExperimentSpec &spec)
-{
-    return ExperimentResults(spec);
 }
 
 // ---------------------------------------------------------------------------
@@ -477,7 +464,7 @@ printExperiment(const ExperimentSpec &spec, bool show_ci)
     // Resolved first, so a layout with no renderer dies before any run
     // is simulated.
     const TableRenderer render = tableRenderer(spec);
-    const ExperimentResults results = runExperiment(spec);
+    const ExperimentResults results(spec);
     render(results, show_ci);
 
     // Bank-contention summary on stderr (stats channel, like the

@@ -84,9 +84,6 @@ class ExperimentResults
      */
     double weightedSpeedupCi(const Cell &cell) const;
 
-    /** Evaluates the metric registered as @p name on @p cell. */
-    double metric(const std::string &name, const Cell &cell) const;
-
     /** CI half-width of the metric @p name on @p cell ("speedup"
      *  propagates the sampled IPC CIs; other metrics report 0). */
     double metricCi(const std::string &name, const Cell &cell) const;
@@ -96,9 +93,6 @@ class ExperimentResults
     std::vector<trace::WorkloadGroup> groups_;
     std::vector<sim::RunKey> keys_;
 };
-
-/** Expands, prefetches and returns the results view of @p spec. */
-ExperimentResults runExperiment(const ExperimentSpec &spec);
 
 /**
  * Renders the spec's table. A column-axis layout (ColumnAxis) prints
@@ -112,8 +106,9 @@ ExperimentResults runExperiment(const ExperimentSpec &spec);
  */
 void printTable(const ExperimentResults &results, bool show_ci = false);
 
-/** runExperiment + printTable: the `coopsim_cli --spec` entry point.
- *  A layout with no renderer is fatal before any run is simulated. */
+/** ExperimentResults + printTable: the `coopsim_cli --spec` entry
+ *  point. A layout with no renderer is fatal before any run is
+ *  simulated. */
 void printExperiment(const ExperimentSpec &spec, bool show_ci = false);
 
 } // namespace coopsim::api

@@ -161,8 +161,9 @@ const ColumnAxis kColumnAxes[] = {
 const char *const kOtherLayouts[] = {"takeover", "transfers", "bandwidth",
                                      "mpki", "none"};
 
-/** validateSpec(), returning the resolved groups it checked so that
- *  expandSpec() resolves them only once. */
+/** Validates every name in @p spec against its registry (fatal with
+ *  the offending name otherwise), returning the resolved groups it
+ *  checked so that expandSpec() resolves them only once. */
 std::vector<trace::WorkloadGroup>
 checkSpec(const ExperimentSpec &spec)
 {
@@ -256,12 +257,6 @@ findColumnAxis(const std::string &layout)
         }
     }
     return nullptr;
-}
-
-void
-validateSpec(const ExperimentSpec &spec)
-{
-    checkSpec(spec);
 }
 
 std::vector<std::string>

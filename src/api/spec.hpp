@@ -161,10 +161,6 @@ struct ColumnAxis
  *  column axis. */
 const ColumnAxis *findColumnAxis(const std::string &layout);
 
-/** Validates every name in @p spec against its registry (fatal with
- *  the offending name otherwise). */
-void validateSpec(const ExperimentSpec &spec);
-
 /** The workload groups the spec's group names/globs resolve to. */
 std::vector<trace::WorkloadGroup>
 resolveSpecGroups(const ExperimentSpec &spec);
@@ -201,7 +197,9 @@ sim::RunKey soloRunKey(const ExperimentSpec &spec, const std::string &app,
  * per (group x scheme x threshold x threshold_mode x partitioner x
  * repl x gating x slice hash x sampling x seed), followed by
  * the deduplicated Solo keys (per-app baselines when with_solo, plus
- * the explicit solos axis). Deterministic order.
+ * the explicit solos axis). Deterministic order. Validates every name
+ * in @p spec against its registry first (fatal with the offending
+ * name otherwise).
  */
 std::vector<sim::RunKey> expandSpec(const ExperimentSpec &spec);
 

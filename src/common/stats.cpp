@@ -1,7 +1,6 @@
 #include "common/stats.hpp"
 
 #include <cmath>
-#include <sstream>
 
 #include "common/logging.hpp"
 
@@ -107,32 +106,6 @@ TimeSeries::bin(std::size_t i) const
 {
     COOPSIM_ASSERT(i < counts_.size(), "time series bin out of range");
     return counts_[i];
-}
-
-StatGroup::StatGroup(std::string name) : name_(std::move(name)) {}
-
-void
-StatGroup::add(const std::string &key, double value)
-{
-    std::ostringstream os;
-    os << value;
-    entries_[key] = os.str();
-}
-
-void
-StatGroup::add(const std::string &key, std::uint64_t value)
-{
-    entries_[key] = std::to_string(value);
-}
-
-std::string
-StatGroup::format() const
-{
-    std::ostringstream os;
-    for (const auto &[key, value] : entries_) {
-        os << name_ << '.' << key << ' ' << value << '\n';
-    }
-    return os.str();
 }
 
 double

@@ -1,19 +1,17 @@
 /**
  * @file
  * Statistics primitives: scalar counters, distributions, and binned
- * time series, grouped into named, dumpable StatGroups.
+ * time series.
  *
  * The statistics layer is deliberately simple: everything is a double
- * or uint64_t updated inline by the simulation hot paths, with
- * formatting kept entirely out of the fast path.
+ * or uint64_t updated inline by the simulation hot paths; store lines
+ * (store::formatResult) and tables render them.
  */
 
 #ifndef COOPSIM_COMMON_STATS_HPP
 #define COOPSIM_COMMON_STATS_HPP
 
 #include <cstdint>
-#include <map>
-#include <string>
 #include <vector>
 
 #include "common/types.hpp"
@@ -88,29 +86,6 @@ class TimeSeries
     Tick bin_width_;
     std::vector<std::uint64_t> counts_;
     std::uint64_t total_ = 0;
-};
-
-/** A named collection of formatted statistics for dumping. */
-class StatGroup
-{
-  public:
-    explicit StatGroup(std::string name);
-
-    void add(const std::string &key, double value);
-    void add(const std::string &key, std::uint64_t value);
-
-    const std::string &name() const { return name_; }
-    const std::map<std::string, std::string> &entries() const
-    {
-        return entries_;
-    }
-
-    /** Renders "group.key value" lines. */
-    std::string format() const;
-
-  private:
-    std::string name_;
-    std::map<std::string, std::string> entries_;
 };
 
 /** Geometric mean of a vector of strictly positive values. */

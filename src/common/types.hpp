@@ -47,6 +47,9 @@ inline constexpr WayId kNoWay = std::numeric_limits<WayId>::max();
 /** Sentinel: "never" / unreachable cycle. */
 inline constexpr Cycle kCycleMax = std::numeric_limits<Cycle>::max();
 
+/** Sentinel: "no instruction bound". */
+inline constexpr InstCount kInstMax = std::numeric_limits<InstCount>::max();
+
 /** Kind of memory access issued by a core. */
 enum class AccessType : std::uint8_t
 {

@@ -20,10 +20,10 @@
  *  - **Op sampling** (`op`): SMARTS-style alternation of short detail
  *    windows (simulated exactly) and fast-forward gaps (an analytic
  *    clock jump at the last window's CPI, no ops generated, no LLC
- *    traffic). Per-window IPC samples feed a Welford accumulator;
- *    the reported CI is z * stderr plus a fixed relative allowance
- *    for the estimator's systematic bias (contention missed during
- *    another core's fast-forward gap).
+ *    traffic), laid out by window_schedule.hpp. Per-window IPC
+ *    samples feed a Welford accumulator; the reported CI is z * stderr
+ *    plus a fixed relative allowance for the estimator's systematic
+ *    bias (contention missed during another core's fast-forward gap).
  *
  * `setop` composes both. `exact` (the default everywhere) bypasses
  * all of this and is byte-identical to the pre-sampling simulator —

@@ -195,7 +195,14 @@ RunExecutor::~RunExecutor()
         std::fflush(nullptr);
         std::_Exit(1);
     }
-    stopWorkers();
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        stop_ = true;
+    }
+    cv_.notify_all();
+    for (std::thread &worker : workers_) {
+        worker.join();
+    }
 }
 
 RunExecutor &
@@ -222,44 +229,11 @@ RunExecutor::requestInitialThreads(unsigned threads)
 }
 
 void
-RunExecutor::startWorkers(unsigned threads)
-{
-    workers_.reserve(threads);
-    for (unsigned t = 0; t < threads; ++t) {
-        workers_.emplace_back([this] { workerLoop(); });
-    }
-}
-
-void
-RunExecutor::stopWorkers()
-{
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        stop_ = true;
-    }
-    cv_.notify_all();
-    for (std::thread &worker : workers_) {
-        worker.join();
-    }
-    workers_.clear();
-    std::lock_guard<std::mutex> lock(mutex_);
-    stop_ = false;
-}
-
-void
 RunExecutor::setThreads(unsigned threads)
 {
-    const unsigned target = threads > 0 ? threads : defaultThreadCount();
-    configured_threads_ = target;
-    if (workers_.empty() || target == workers_.size()) {
-        // Not yet started (stays lazy at the new size) or already
-        // at size.
-        return;
-    }
-    // Workers finish their current run and exit; queued work is kept
-    // and picked up by the new pool.
-    stopWorkers();
-    startWorkers(target);
+    COOPSIM_ASSERT(activeWorkers() == 0,
+                   "setThreads() after the pool started");
+    configured_threads_ = threads > 0 ? threads : defaultThreadCount();
 }
 
 unsigned
@@ -279,7 +253,10 @@ void
 RunExecutor::ensureWorkersStarted()
 {
     if (workers_.empty()) {
-        startWorkers(configured_threads_);
+        workers_.reserve(configured_threads_);
+        for (unsigned t = 0; t < configured_threads_; ++t) {
+            workers_.emplace_back([this] { workerLoop(); });
+        }
     }
 }
 
@@ -484,12 +461,9 @@ RunExecutor::workerLoop()
         }
         std::function<void()> task = std::move(queue_.front());
         queue_.pop_front();
-        ++busy_;
         lock.unlock();
         task();
         lock.lock();
-        --busy_;
-        drain_cv_.notify_all();
     }
 }
 
@@ -593,38 +567,15 @@ RunExecutor::run(const RunKey &key)
             if (!queue_.empty()) {
                 task = std::move(queue_.front());
                 queue_.pop_front();
-                ++busy_;
             }
         }
         if (task) {
             task();
-            std::lock_guard<std::mutex> lock(mutex_);
-            --busy_;
-            drain_cv_.notify_all();
         } else {
             future.wait();
         }
     }
     return *future.get();
-}
-
-void
-RunExecutor::clear()
-{
-    // Drain first: wait until no task is queued and no worker (or
-    // helping caller) is inside a run, so nothing can complete into —
-    // or be submitted against — the cache being cleared. See the
-    // header contract: callers must not race clear() with concurrent
-    // prefetch()/run() from other threads.
-    std::unique_lock<std::mutex> lock(mutex_);
-    drain_cv_.wait(lock,
-                   [this] { return queue_.empty() && busy_ == 0; });
-    COOPSIM_ASSERT(queue_.empty() && busy_ == 0,
-                   "clear() raced a concurrent submission; the "
-                   "executor must be drained before the cache is "
-                   "cleared");
-    cache_.clear();
-    sets_.clear();
 }
 
 } // namespace coopsim::sim

@@ -204,10 +204,9 @@ class RunExecutor
 
     /**
      * Worker count the first instance() construction uses (0 = the
-     * default resolution). Lets api::applyCliThreads() build the pool at
-     * the requested size directly instead of spawning a full
-     * hardware_concurrency pool only to tear it down; once the
-     * process-wide executor exists this is a no-op — use setThreads().
+     * default resolution); once the process-wide executor exists this
+     * is a no-op. It duplicates setThreads() before the first
+     * submission, and stays because perfbench/coopbench.cpp calls it.
      */
     static void requestInitialThreads(unsigned threads);
 
@@ -224,28 +223,13 @@ class RunExecutor
      * Result of the simulation @p key describes, running it (or waiting
      * for its in-flight run) if needed. While waiting, the calling
      * thread helps drain the queue instead of idling. The reference
-     * stays valid until clear().
+     * stays valid for the executor's lifetime.
      */
     const RunResult &run(const RunKey &key);
 
-    /**
-     * Drains the executor (waits until the queue is empty and no
-     * worker or helping caller is inside a run), asserts the drained
-     * state, then empties the memo cache.
-     *
-     * Contract: clear() must not race with concurrent prefetch()/run()
-     * calls from other threads — results handed out before clear()
-     * dangle afterwards, and a submission racing the drain would be
-     * executed into a cache the caller just invalidated. The executor
-     * asserts the queue is still empty at clearing time to catch such
-     * misuse.
-     */
-    void clear();
-
-    /** Stops, joins and respawns the pool with @p threads workers
-     *  (0 = resolve the default). Pending work is carried over; when
-     *  the pool has not started yet only the configured size changes
-     *  (it stays lazy). */
+    /** Sizes the pool at @p threads workers (0 = resolve the
+     *  default). Only before the pool starts (asserted): call it
+     *  before the first submission that needs a simulation. */
     void setThreads(unsigned threads);
 
     /** Configured worker count (what the pool starts with). */
@@ -266,7 +250,7 @@ class RunExecutor
      */
     void attachStore(std::shared_ptr<store::ResultStore> result_store);
 
-    /** Run-count counters (cumulative; never reset by clear()). */
+    /** Run-count counters (cumulative). */
     Stats stats() const;
 
     /** Warmed Systems published for pending siblings right now: 0
@@ -322,13 +306,9 @@ class RunExecutor
     /** Spawns the pool at the configured size if it is not running.
      *  Called with mutex_ held. */
     void ensureWorkersStarted();
-    void startWorkers(unsigned threads);
-    void stopWorkers();
 
     mutable std::mutex mutex_;
     std::condition_variable cv_;
-    /** Signalled whenever a task completes (clear() drains on it). */
-    std::condition_variable drain_cv_;
     /** Signalled whenever a warm-up in flight ends. */
     std::condition_variable warm_cv_;
     std::deque<std::function<void()>> queue_;
@@ -337,8 +317,6 @@ class RunExecutor
      *  warming up or unstarted. */
     std::unordered_map<RunKey, SiblingSet, RunKeyHash> sets_;
     std::vector<std::thread> workers_;
-    /** Tasks currently executing (workers + helping callers). */
-    unsigned busy_ = 0;
     bool stop_ = false;
     /** Size the pool spawns at (lazily, on first queued work). */
     unsigned configured_threads_ = 0;

@@ -1,7 +1,6 @@
 #include "sim/system.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <numeric>
 #include <optional>
 
@@ -10,6 +9,7 @@
 #include "api/registry.hpp"
 #include "common/logging.hpp"
 #include "sampling/set_sampled.hpp"
+#include "sampling/window_schedule.hpp"
 #include "sim/min_clock_tree.hpp"
 
 namespace coopsim::sim
@@ -64,9 +64,6 @@ applyScale(SystemConfig &config, RunScale scale)
     }
 }
 
-constexpr InstCount kNoInstBound = std::numeric_limits<InstCount>::max();
-constexpr Cycle kNoCycleBound = std::numeric_limits<Cycle>::max();
-
 /** The LLC configuration a System with @p config builds. */
 llc::LlcConfig
 llcConfigOf(const SystemConfig &config)
@@ -109,9 +106,10 @@ class Arbiter
 {
   public:
     Arbiter(const std::vector<std::unique_ptr<core::TraceCore>> &cores,
-            DriverStats &stats)
+            DriverMode driver, DriverStats &stats)
         : cores_(cores), n_(static_cast<std::uint32_t>(cores.size())),
-          clock_(n_), stats_(stats)
+          clock_(n_), cap_(driver == DriverMode::PerOp ? 0 : kCycleMax),
+          stats_(stats)
     {
         for (std::uint32_t c = 0; c < n_; ++c) {
             clock_[c] = cores_[c]->cycle();
@@ -138,18 +136,20 @@ class Arbiter
     Cycle clock(std::uint32_t c) const { return clock_[c]; }
 
     /**
-     * Batched driver: the arbitration winner @p c may run without
-     * re-consulting the clock structure for as long as the per-op
-     * arbiter would keep picking it — while its clock stays strictly
-     * below the runner-up's, or equal when c has the lower index (the
-     * scan's tie rule). Folding the tie rule into a half-open bound
-     * gives one comparison per op: run while clock < bound.
+     * The arbitration winner @p c may run without re-consulting the
+     * clock structure for as long as the per-op arbiter would keep
+     * picking it — while its clock stays strictly below the
+     * runner-up's, or equal when c has the lower index (the scan's tie
+     * rule). Folding the tie rule into a half-open bound gives one
+     * comparison per op: run while clock < bound. DriverMode::PerOp
+     * re-arbitrates after every bundle: its bound is 0, which a
+     * quantum's first bundle meets.
      */
     Cycle
     quantumBound(std::uint32_t c) const
     {
         if (n_ == 1) {
-            return kCycleMax; // no contender; epochs bound the quantum
+            return cap_; // no contender; epochs bound the quantum
         }
         Cycle second;
         std::uint32_t second_index;
@@ -161,8 +161,9 @@ class Arbiter
             second = runner_up.clock;
             second_index = runner_up.index;
         }
-        return (c < second_index && second != kCycleMax) ? second + 1
-                                                         : second;
+        return std::min(cap_, (c < second_index && second != kCycleMax)
+                                  ? second + 1
+                                  : second);
     }
 
     void
@@ -170,16 +171,6 @@ class Arbiter
     {
         stats_.steps += cores_[c]->stepQuantum(bound, inst_bound);
         stats_.quanta += 1;
-        refresh(c);
-    }
-
-    /** Per-op reference driver: one bundle per arbitration. */
-    void
-    step(std::uint32_t c)
-    {
-        cores_[c]->step();
-        stats_.quanta += 1;
-        stats_.steps += 1;
         refresh(c);
     }
 
@@ -198,6 +189,8 @@ class Arbiter
     std::uint32_t n_;
     std::vector<Cycle> clock_;
     std::optional<MinClockTree> tree_;
+    /** kCycleMax under DriverMode::Batched, 0 under PerOp. */
+    Cycle cap_;
     DriverStats &stats_;
 };
 
@@ -358,9 +351,8 @@ void
 System::warmUp()
 {
     const std::uint32_t n = config_.num_cores;
-    const bool batched = config_.driver == DriverMode::Batched;
     driver_stats_ = DriverStats{};
-    Arbiter arbiter(cores_, driver_stats_);
+    Arbiter arbiter(cores_, config_.driver, driver_stats_);
 
     // Run until every core retired warmup_insts. A set-sampled run
     // warms a 1/S-capacity array, which fills S× faster, so warm-up
@@ -380,21 +372,14 @@ System::warmUp()
     while (warm_cores < n) {
         const std::uint32_t c = arbiter.minCore();
         const bool was_warm = cores_[c]->retired() >= warmup_insts;
-        if (batched) {
-            // Only c's warm status can change inside its quantum.
-            // While any *other* core is still cold the per-op loop
-            // cannot exit, so the quantum may run to its clock bound;
-            // once every other core is warm it must stop exactly at
-            // the step where c crosses the threshold — the per-op
-            // loop's exit point.
-            const bool others_warm =
-                warm_cores - (was_warm ? 1 : 0) == n - 1;
-            arbiter.stepQuantum(c, arbiter.quantumBound(c),
-                                others_warm ? warmup_insts
-                                            : kNoInstBound);
-        } else {
-            arbiter.step(c);
-        }
+        // Only c's warm status can change inside its quantum. While
+        // any *other* core is still cold the per-op loop cannot exit,
+        // so the quantum may run to its clock bound; once every other
+        // core is warm it must stop exactly at the step where c
+        // crosses the threshold — the per-op loop's exit point.
+        const bool others_warm = warm_cores - (was_warm ? 1 : 0) == n - 1;
+        arbiter.stepQuantum(c, arbiter.quantumBound(c),
+                            others_warm ? warmup_insts : kInstMax);
         if (!was_warm && cores_[c]->retired() >= warmup_insts) {
             ++warm_cores;
         }
@@ -411,109 +396,25 @@ RunResult
 System::measure()
 {
     const std::uint32_t n = config_.num_cores;
-    const bool batched = config_.driver == DriverMode::Batched;
-    Arbiter arbiter(cores_, driver_stats_);
+    Arbiter arbiter(cores_, config_.driver, driver_stats_);
 
     // ---- Measurement: run to the per-app quota; keep contending. --------
     const Cycle now = latestClock();
     Cycle next_epoch =
         ((now / config_.epoch_cycles) + 1) * config_.epoch_cycles;
-    std::uint32_t done = 0;
-    std::vector<bool> finished(n, false);
-    // Absolute retired-instruction quota targets: stepQuantum's
-    // instruction bound stops a quantum on exactly the bundle where
-    // measuredInsts() crosses insts_per_app, so the quota mark below
-    // records the same (cycle, instruction) point the per-op loop's
-    // post-step check would have.
-    std::vector<InstCount> quota_target(n);
+    // Absolute retired-instruction quota targets (kInstMax once
+    // reached): stepQuantum's instruction bound stops a quantum on
+    // exactly the bundle where measuredInsts() crosses insts_per_app,
+    // so the quota mark below records the same (cycle, instruction)
+    // point the per-op loop's post-step check would have.
+    std::vector<InstCount> quota(n);
     for (std::uint32_t c = 0; c < n; ++c) {
-        quota_target[c] = cores_[c]->retired() + config_.insts_per_app;
+        quota[c] = cores_[c]->retired() + config_.insts_per_app;
     }
-
-    // ---- Sampling windows (src/sampling/): when the run samples,
-    // the measurement phase is cut into windows on the GLOBAL clock —
-    // detail regions every core simulates exactly, alternating with
-    // fast-forward gaps every core jumps over analytically (clock
-    // advanced to the next detail region, retired instructions
-    // extrapolated at the closed window's IPC; no ops generated, no
-    // LLC traffic). Anchoring the schedule on shared cycle boundaries
-    // keeps all cores in detail simultaneously, so the contention a
-    // detail window observes (DRAM queueing, shared-LLC interference)
-    // is representative — per-core instruction windows would let one
-    // core measure while its rivals skip, biasing IPC high. Set-only
-    // runs keep ff at 0 and use the windows purely as variance
-    // samples. The window period derives from the warmup CPI (a pure
-    // function of simulated state, so the schedule is deterministic
-    // and identical across driver modes).
-    window_ipc_.assign(n, stats::Average{});
-    detail_insts_.assign(n, 0);
-    sample_windows_ = 0;
-    const bool windows = sampling_.windows > 0;
-    const bool ff_enabled = windows && sampling_.fast_forward;
-    // Epoch-aligned anchor: the window schedule tiles each epoch the
-    // same way, so detail coverage per epoch is uniform.
-    const Cycle anchor =
-        (now / config_.epoch_cycles) * config_.epoch_cycles;
-    Cycle period_cycles = 1;
-    Cycle detail_cycles = 1;
-    std::vector<InstCount> win_start_insts(n, 0);
-    std::vector<Cycle> win_start_cycle(n, 0);
-    std::vector<Cycle> detail_end(n, kNoCycleBound);
-    // Once every core has closed the window ending at gap_boundary,
-    // the shared contention state (DRAM queues, LLC bank ports) is
-    // shifted over the fast-forward gap — see carryBacklog().
-    Cycle gap_boundary = 0;
-    std::uint32_t gap_jumpers = 0;
-    if (windows) {
-        double cpi_est = 0.0;
-        for (std::uint32_t c = 0; c < n; ++c) {
-            cpi_est += static_cast<double>(cores_[c]->cycle()) /
-                       static_cast<double>(
-                           std::max<InstCount>(1, cores_[c]->retired()));
-        }
-        cpi_est /= static_cast<double>(n);
-        const double expected_cycles =
-            static_cast<double>(config_.insts_per_app) * cpi_est;
-        // The period is locked to an integer divisor of the epoch so
-        // every partitioning epoch contains the same number of detail
-        // regions: a free-running period lets whole epochs fall into
-        // fast-forward gaps, and an epoch whose UMON counters saw no
-        // traffic reads every app as idle — the takeover logic then
-        // strips ways from exactly the fast apps the estimator is
-        // supposed to measure.
-        const double target_per_epoch =
-            sampling_.windows *
-            static_cast<double>(config_.epoch_cycles) /
-            std::max(1.0, expected_cycles);
-        const Cycle per_epoch = std::max<Cycle>(
-            1, std::min<Cycle>(
-                   config_.epoch_cycles / 16,
-                   static_cast<Cycle>(std::llround(target_per_epoch))));
-        period_cycles =
-            std::max<Cycle>(16, config_.epoch_cycles / per_epoch);
-        detail_cycles =
-            ff_enabled
-                ? std::max<Cycle>(1,
-                                  period_cycles / sampling::kDetailDivisor)
-                : period_cycles;
-        detail_cycles_ = ff_enabled ? detail_cycles : 0;
-        for (std::uint32_t c = 0; c < n; ++c) {
-            win_start_insts[c] = cores_[c]->retired();
-            win_start_cycle[c] = cores_[c]->cycle();
-            // First detail end strictly ahead of this core's clock
-            // (a core may start mid-window; the partial stretch to
-            // the next boundary is simulated in detail).
-            const Cycle pos = cores_[c]->cycle() - anchor;
-            Cycle first_end =
-                anchor + (pos / period_cycles) * period_cycles +
-                detail_cycles;
-            if (first_end <= cores_[c]->cycle()) {
-                first_end += period_cycles;
-            }
-            detail_end[c] = first_end;
-        }
-    }
-
+    sampling::WindowSchedule windows(sampling_, config_.epoch_cycles,
+                                     config_.insts_per_app, now, cores_,
+                                     dram_, *llc_);
+    std::uint32_t done = 0;
     while (done < n) {
         const std::uint32_t c = arbiter.minCore();
 
@@ -525,111 +426,22 @@ System::measure()
             continue;
         }
 
-        if (batched) {
-            const InstCount inst_bound =
-                finished[c] ? kNoInstBound : quota_target[c];
-            Cycle cycle_bound =
-                std::min(arbiter.quantumBound(c), next_epoch);
-            if (windows) {
-                cycle_bound = std::min(cycle_bound, detail_end[c]);
-            }
-            arbiter.stepQuantum(c, cycle_bound, inst_bound);
-        } else {
-            arbiter.step(c);
+        arbiter.stepQuantum(
+            c,
+            std::min({arbiter.quantumBound(c), next_epoch, windows.bound(c)}),
+            quota[c]);
+        if (cores_[c]->cycle() >= windows.bound(c)) {
+            windows.close(*cores_[c], quota[c]);
+            arbiter.refresh(c);
         }
-        if (windows && cores_[c]->cycle() >= detail_end[c]) {
-            const InstCount w_insts =
-                cores_[c]->retired() - win_start_insts[c];
-            const Cycle w_cycles =
-                cores_[c]->cycle() - win_start_cycle[c];
-            detail_insts_[c] += w_insts;
-            if (!finished[c] && w_insts > 0 && w_cycles > 0) {
-                window_ipc_[c].sample(static_cast<double>(w_insts) /
-                                      static_cast<double>(w_cycles));
-                ++sample_windows_;
-            }
-            const double ipc_w =
-                w_cycles > 0 && w_insts > 0
-                    ? static_cast<double>(w_insts) /
-                          static_cast<double>(w_cycles)
-                    : 1.0;
-            if (ff_enabled) {
-                // The boundary this core just crossed. When the last
-                // core closes it, no further access can be issued
-                // before the gap, so the queue backlog pending at the
-                // boundary is carried over to the next detail region
-                // — without this every window starts against drained
-                // queues and measures a transient, biasing IPC high
-                // exactly where contention matters most.
-                const Cycle boundary = detail_end[c];
-                if (boundary != gap_boundary) {
-                    gap_boundary = boundary;
-                    gap_jumpers = 0;
-                }
-                if (++gap_jumpers == n && period_cycles > detail_cycles) {
-                    const Cycle gap = period_cycles - detail_cycles;
-                    dram_.carryBacklog(boundary, gap);
-                    llc_->carryBacklog(boundary, gap);
-                }
-                // Jump the clock to the next detail-region start and
-                // extrapolate the skipped instructions at the closed
-                // window's IPC. A core short of quota caps the
-                // extrapolation so the jump lands exactly on the
-                // quota boundary instead of crossing it (the analytic
-                // mirror of the quantum's instruction bound).
-                const Cycle pos = cores_[c]->cycle() - anchor;
-                const Cycle next_start =
-                    anchor + (pos / period_cycles + 1) * period_cycles;
-                Cycle jump = next_start - cores_[c]->cycle();
-                auto ff_n = static_cast<InstCount>(std::llround(
-                    static_cast<double>(jump) * ipc_w));
-                if (!finished[c] &&
-                    quota_target[c] - cores_[c]->retired() < ff_n) {
-                    ff_n = quota_target[c] - cores_[c]->retired();
-                    jump = std::max<Cycle>(
-                        1, static_cast<Cycle>(std::llround(
-                               static_cast<double>(ff_n) / ipc_w)));
-                }
-                cores_[c]->fastForward(ff_n, jump);
-                arbiter.refresh(c);
-            }
-            // Next detail end strictly ahead of the (possibly jumped)
-            // clock: the containing window's end, or — when the clock
-            // sits in a fast-forward gap (a quota-capped jump) — the
-            // next window's; the gap remainder is then simulated in
-            // detail, which only adds accuracy.
-            const Cycle pos = cores_[c]->cycle() - anchor;
-            Cycle next_end =
-                anchor + (pos / period_cycles) * period_cycles +
-                detail_cycles;
-            if (next_end <= cores_[c]->cycle()) {
-                next_end += period_cycles;
-            }
-            detail_end[c] = next_end;
-            win_start_insts[c] = cores_[c]->retired();
-            win_start_cycle[c] = cores_[c]->cycle();
-        }
-        if (!finished[c] &&
-            cores_[c]->measuredInsts() >= config_.insts_per_app) {
+        if (cores_[c]->retired() >= quota[c]) {
             cores_[c]->markQuotaReached();
-            finished[c] = true;
+            quota[c] = kInstMax;
             ++done;
         }
     }
-
-    // Account the final partial detail windows so collect()'s op
-    // scale factors cover every simulated instruction, and record the
-    // phase totals (quota + post-quota) those factors divide.
-    if (windows) {
-        phase_insts_.assign(n, 0);
-        for (std::uint32_t c = 0; c < n; ++c) {
-            detail_insts_[c] += cores_[c]->retired() - win_start_insts[c];
-            phase_insts_[c] = cores_[c]->retired() -
-                              (quota_target[c] - config_.insts_per_app);
-        }
-    }
-
-    return collect();
+    windows.finish(cores_);
+    return collect(windows);
 }
 
 Cycle
@@ -643,7 +455,7 @@ System::latestClock() const
 }
 
 RunResult
-System::collect()
+System::collect(const sampling::WindowSchedule &windows)
 {
     const std::uint32_t n = config_.num_cores;
     RunResult result;
@@ -661,36 +473,13 @@ System::collect()
         sampling_.set_period > 1
             ? static_cast<double>(sampling_.set_period)
             : 1.0;
-    std::vector<double> op_scale(n, 1.0);
-    double op_scale_total = 1.0;
-    if (sampling_.windows > 0) {
-        std::uint64_t measured_total = 0;
-        std::uint64_t detail_total = 0;
-        for (std::uint32_t c = 0; c < n; ++c) {
-            const std::uint64_t phase = phase_insts_[c];
-            if (detail_insts_[c] > 0 && phase > 0) {
-                op_scale[c] = static_cast<double>(phase) /
-                              static_cast<double>(detail_insts_[c]);
-            }
-            measured_total += phase;
-            detail_total += detail_insts_[c];
-        }
-        if (detail_total > 0) {
-            op_scale_total = static_cast<double>(measured_total) /
-                             static_cast<double>(detail_total);
-        }
-    }
+    const double op_scale_total = windows.opScaleTotal();
     const double run_scale = set_scale * op_scale_total;
     const auto scaled = [](std::uint64_t v, double f) {
         return f == 1.0 ? v
                         : static_cast<std::uint64_t>(std::llround(
                               static_cast<double>(v) * f));
     };
-    const double bias_rel = sampling::biasAllowance(
-        sampling_.set_period, sampling_.fast_forward,
-        static_cast<double>(config_.llc.geometry.numSets()) /
-            static_cast<double>(sampling_.set_period),
-        static_cast<double>(detail_cycles_));
 
     for (std::uint32_t c = 0; c < n; ++c) {
         AppResult app;
@@ -699,7 +488,7 @@ System::collect()
         app.insts = cores_[c]->measuredInsts();
         app.cycles = cores_[c]->measuredCycles();
         const auto &cs = llc_->coreStats(c);
-        const double app_scale = set_scale * op_scale[c];
+        const double app_scale = set_scale * windows.opScale(c);
         app.llc_accesses = scaled(cs.accesses.value(), app_scale);
         app.llc_hits = scaled(cs.hits.value(), app_scale);
         app.llc_misses = scaled(cs.misses.value(), app_scale);
@@ -707,13 +496,11 @@ System::collect()
                        ? 1000.0 * static_cast<double>(app.llc_misses) /
                              static_cast<double>(app.insts)
                        : 0.0;
-        if (sampling_.windows > 0) {
-            app.ipc_ci = sampling::kCiZ * window_ipc_[c].stdError() +
-                         bias_rel * app.ipc;
-        }
+        app.ipc_ci =
+            windows.ipcCi(c, app.ipc, config_.llc.geometry.numSets());
         result.apps.push_back(std::move(app));
     }
-    result.sample_windows = sample_windows_;
+    result.sample_windows = windows.samples();
 
     // Access-driven totals scale by the full run factor; capacity-
     // driven flush totals scale by the set factor only (a 1/S array

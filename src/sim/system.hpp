@@ -17,12 +17,16 @@
 #include <string>
 #include <vector>
 
-#include "common/stats.hpp"
 #include "core/trace_core.hpp"
 #include "llc/schemes.hpp"
 #include "mem/dram.hpp"
 #include "sampling/sampling.hpp"
 #include "trace/generator.hpp"
+
+namespace coopsim::sampling
+{
+class WindowSchedule;
+}
 
 namespace coopsim::sim
 {
@@ -49,10 +53,11 @@ enum class RunScale
  * Batched is the production path: the laggard core runs a bounded
  * quantum (up to the runner-up clock / the next epoch boundary) per
  * arbitration, so the min-clock structure is consulted once per
- * quantum instead of once per op. PerOp is the reference
- * one-op-per-arbitration loop it replaced — retained because the two
- * are bit-identical by construction and test_hotpath holds the batched
- * path to that (see docs/ARCHITECTURE.md, "The intra-run hot path").
+ * quantum instead of once per op. PerOp is the reference it replaced,
+ * one op per arbitration: the same loop with every quantum bounded to
+ * one bundle — retained because the two are bit-identical by
+ * construction and test_hotpath holds the batched path to that (see
+ * docs/ARCHITECTURE.md, "The intra-run hot path").
  */
 enum class DriverMode : std::uint8_t
 {
@@ -286,7 +291,7 @@ class System
      *  LLC, streams and cores. */
     System(const System &warmed, const SystemConfig &variant);
 
-    RunResult collect();
+    RunResult collect(const sampling::WindowSchedule &windows);
     /** The latest core clock: where warm-up ends, and the run. */
     Cycle latestClock() const;
 
@@ -297,22 +302,8 @@ class System
     std::vector<std::unique_ptr<core::OpStream>> streams_;
     std::vector<std::unique_ptr<core::TraceCore>> cores_;
     DriverStats driver_stats_;
-
-    // Sampling state (see src/sampling/sampling.hpp). sampling_ is the
-    // resolved estimator configuration; the vectors accumulate per-core
-    // measurement-phase detail instructions and per-window IPC samples
-    // that collect() turns into scale factors and confidence intervals.
+    /** The resolved estimator configuration (src/sampling/). */
     sampling::Resolved sampling_;
-    std::vector<stats::Average> window_ipc_;
-    std::vector<InstCount> detail_insts_;
-    /** Instructions retired per core over the whole measurement phase
-     *  (including post-quota contention), the numerator of the op
-     *  scale factor. */
-    std::vector<InstCount> phase_insts_;
-    std::uint64_t sample_windows_ = 0;
-    /** Detail-window length in cycles (0 when not fast-forwarding);
-     *  feeds the scale-aware bias allowance in collect(). */
-    Cycle detail_cycles_ = 0;
 };
 
 } // namespace coopsim::sim

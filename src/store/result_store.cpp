@@ -62,67 +62,28 @@ namespace
 constexpr const char *kCrcMarker = "#crc32=";
 constexpr std::size_t kCrcHexDigits = 8;
 
-/**
- * Slice-by-8 tables: table[0] is the bytewise table of the reflected
- * polynomial, and table[k][b] is the CRC of byte b followed by k zero
- * bytes, so eight table lookups advance the CRC over eight bytes.
- */
-using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
-
-CrcTables
-makeCrcTables()
-{
-    CrcTables tables{};
-    for (std::uint32_t n = 0; n < 256; ++n) {
-        std::uint32_t c = n;
-        for (int bit = 0; bit < 8; ++bit) {
-            c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
-        }
-        tables[0][n] = c;
-    }
-    for (std::size_t k = 1; k < tables.size(); ++k) {
-        for (std::uint32_t n = 0; n < 256; ++n) {
-            const std::uint32_t prev = tables[k - 1][n];
-            tables[k][n] = tables[0][prev & 0xffu] ^ (prev >> 8);
-        }
-    }
-    return tables;
-}
-
-/** Four bytes as a little-endian word, at any alignment. */
-std::uint32_t
-loadLe32(const unsigned char *p)
-{
-    return std::uint32_t{p[0]} | std::uint32_t{p[1]} << 8 |
-           std::uint32_t{p[2]} << 16 | std::uint32_t{p[3]} << 24;
-}
-
 } // namespace
 
 std::uint32_t
-crc32(const char *data, std::size_t len)
+crc32(std::string_view data)
 {
-    static const CrcTables tables = makeCrcTables();
-    const auto *p = reinterpret_cast<const unsigned char *>(data);
+    static const std::array<std::uint32_t, 256> table = [] {
+        std::array<std::uint32_t, 256> t{};
+        for (std::uint32_t n = 0; n < 256; ++n) {
+            std::uint32_t c = n;
+            for (int bit = 0; bit < 8; ++bit) {
+                c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+            }
+            t[n] = c;
+        }
+        return t;
+    }();
     std::uint32_t crc = 0xffffffffu;
-    for (; len >= 8; p += 8, len -= 8) {
-        const std::uint32_t lo = crc ^ loadLe32(p);
-        const std::uint32_t hi = loadLe32(p + 4);
-        crc = tables[7][lo & 0xffu] ^ tables[6][(lo >> 8) & 0xffu] ^
-              tables[5][(lo >> 16) & 0xffu] ^ tables[4][lo >> 24] ^
-              tables[3][hi & 0xffu] ^ tables[2][(hi >> 8) & 0xffu] ^
-              tables[1][(hi >> 16) & 0xffu] ^ tables[0][hi >> 24];
-    }
-    for (; len > 0; ++p, --len) {
-        crc = tables[0][(crc ^ *p) & 0xffu] ^ (crc >> 8);
+    for (const char byte : data) {
+        crc = table[(crc ^ static_cast<unsigned char>(byte)) & 0xffu] ^
+              (crc >> 8);
     }
     return crc ^ 0xffffffffu;
-}
-
-std::uint32_t
-crc32(const std::string &data)
-{
-    return crc32(data.data(), data.size());
 }
 
 bool

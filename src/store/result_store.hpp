@@ -86,11 +86,7 @@ inline constexpr const char *kMergedFileName = "results.coopstore";
 inline constexpr const char *kJournalPrefix = "journal-";
 
 /** CRC-32 (IEEE 802.3, the zlib polynomial) of @p data. */
-std::uint32_t crc32(const std::string &data);
-
-/** Range overload: the same CRC-32 without building a string — the
- *  stream memo's frame codec checksums payloads in place with it. */
-std::uint32_t crc32(const char *data, std::size_t len);
+std::uint32_t crc32(std::string_view data);
 
 /**
  * Writes @p data to @p path durably and atomically: into

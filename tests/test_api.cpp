@@ -14,7 +14,6 @@
  *  - the layout list, the baseline-on-axis rule, every column-axis
  *    layout's rendering and Table 3's spec at bench scale;
  *  - the unified CLI parser (uniform unknown-flag rejection);
- *  - drained-executor clear();
  *  - a custom scheme registered by name running end-to-end through
  *    the executor.
  */
@@ -235,14 +234,14 @@ TEST(Spec, ValidateRejectsUnknownAxisNames)
     {
         ExperimentSpec spec = tinySpec();
         spec.schemes = {"fairshare", "turbo"};
-        EXPECT_THROW(validateSpec(spec), FatalError);
+        EXPECT_THROW(expandSpec(spec), FatalError);
     }
     {
         // The diagnostic lists exactly the layouts a table renders.
         ExperimentSpec spec = tinySpec();
         spec.layout = "pie-chart";
         try {
-            validateSpec(spec);
+            expandSpec(spec);
             ADD_FAILURE() << "unknown layout accepted";
         } catch (const FatalError &error) {
             EXPECT_NE(std::string(error.what())
@@ -257,7 +256,7 @@ TEST(Spec, ValidateRejectsUnknownAxisNames)
     {
         ExperimentSpec spec = tinySpec();
         spec.scale = "gigantic";
-        EXPECT_THROW(validateSpec(spec), FatalError);
+        EXPECT_THROW(expandSpec(spec), FatalError);
     }
     setThrowOnFatal(false);
 }
@@ -286,9 +285,9 @@ TEST(Spec, BaselineMustBeAValueOfTheLayoutAxis)
         ExperimentSpec spec = tinySpec();
         spec.layout = c.layout;
         spec.baseline = c.on_axis;
-        EXPECT_NO_THROW(validateSpec(spec)) << c.layout;
+        EXPECT_NO_THROW(expandSpec(spec)) << c.layout;
         spec.baseline = c.off_axis;
-        EXPECT_THROW(validateSpec(spec), FatalError) << c.layout;
+        EXPECT_THROW(expandSpec(spec), FatalError) << c.layout;
     }
     setThrowOnFatal(false);
 }
@@ -563,39 +562,13 @@ TEST(Cli, ParsesAllowedFlagsAndValidatesValues)
 }
 
 // ---------------------------------------------------------------------------
-// Executor drain + end-to-end
-
-TEST(Experiment, ClearDrainsThenInvalidates)
-{
-    const ExperimentSpec spec = tinySpec();
-    const std::vector<sim::RunKey> keys = expandSpec(spec);
-    ASSERT_FALSE(keys.empty());
-    sim::RunExecutor &executor = sim::RunExecutor::instance();
-
-    // clear() right after an unconsumed prefetch is the racy shape
-    // the drain wait exists for: it must block until the queued runs
-    // retire, then invalidate.
-    executor.prefetch(keys);
-    executor.clear();
-
-    executor.prefetch(keys);
-    const std::uint64_t cycles = executor.run(keys.front()).total_cycles;
-    EXPECT_GT(cycles, 0u);
-
-    // Recomputation after a second clear is deterministic. (The old
-    // reference itself dangles after clear(), per the documented
-    // contract, so only the copied value is compared.)
-    executor.clear();
-    const sim::RunResult &after = executor.run(keys.front());
-    EXPECT_FALSE(after.apps.empty());
-    EXPECT_EQ(after.total_cycles, cycles);
-}
+// End-to-end
 
 TEST(Experiment, ResultsViewMatchesDirectExecutorRuns)
 {
     ExperimentSpec spec = tinySpec();
     spec.with_solo = true;
-    const ExperimentResults results = runExperiment(spec);
+    const ExperimentResults results(spec);
 
     Cell cell;
     cell.group = "G2-10";
@@ -713,7 +686,7 @@ TEST(Experiment, CustomSchemeRunsThroughTheExecutorByName)
 
     ExperimentSpec spec = tinySpec();
     spec.schemes = {"fairshare", "fairclone"};
-    const ExperimentResults results = runExperiment(spec);
+    const ExperimentResults results(spec);
 
     Cell fair;
     fair.group = "G2-10";

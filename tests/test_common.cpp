@@ -215,16 +215,6 @@ TEST(Stats, TimeSeriesBinsByOffset)
     EXPECT_EQ(ts.total(), 0u);
 }
 
-TEST(Stats, StatGroupFormatsEntries)
-{
-    stats::StatGroup g("llc");
-    g.add("misses", std::uint64_t{10});
-    g.add("ipc", 1.5);
-    const std::string out = g.format();
-    EXPECT_NE(out.find("llc.misses 10"), std::string::npos);
-    EXPECT_NE(out.find("llc.ipc 1.5"), std::string::npos);
-}
-
 TEST(Stats, GeomeanMatchesHandComputation)
 {
     EXPECT_DOUBLE_EQ(stats::geomean({4.0, 1.0}), 2.0);

@@ -356,18 +356,6 @@ TEST(Executor, MemoisesByKeyIdentity)
     EXPECT_NE(&a, &c);
 }
 
-TEST(Executor, SetThreadsKeepsPendingWork)
-{
-    RunExecutor executor(1);
-    const std::vector<RunKey> keys = sweepKeys();
-    executor.prefetch({keys.begin(), keys.begin() + 4});
-    executor.setThreads(3);
-    EXPECT_EQ(executor.threads(), 3u);
-    for (std::size_t i = 0; i < 4; ++i) {
-        EXPECT_FALSE(executor.run(keys[i]).apps.empty());
-    }
-}
-
 TEST(ExecutorDeathTest, FatalOnAWorkerExitsOne)
 {
     // exit() runs on the failing worker, so exit-time code must not

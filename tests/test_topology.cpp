@@ -431,14 +431,14 @@ TEST(SpecAxes, ValidationCatchesBadCoresAndPartitioners)
         spec.layout = "none";
         spec.groups = {"G2-10"};
         spec.cores = {8}; // filters out the only group
-        EXPECT_THROW(api::validateSpec(spec), FatalError);
+        EXPECT_THROW(api::expandSpec(spec), FatalError);
     }
     {
         api::ExperimentSpec spec;
         spec.layout = "none";
         spec.groups = {"G2-10"};
         spec.partitioners = {"roundrobin"};
-        EXPECT_THROW(api::validateSpec(spec), FatalError);
+        EXPECT_THROW(api::expandSpec(spec), FatalError);
     }
     {
         api::ExperimentSpec spec;
@@ -446,7 +446,7 @@ TEST(SpecAxes, ValidationCatchesBadCoresAndPartitioners)
         spec.groups = {"G2-10"};
         spec.partitioners = {"lookahead"};
         spec.baseline = "equalshare"; // not on the axis
-        EXPECT_THROW(api::validateSpec(spec), FatalError);
+        EXPECT_THROW(api::expandSpec(spec), FatalError);
     }
     setThrowOnFatal(false);
 }
